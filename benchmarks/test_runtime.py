@@ -21,10 +21,11 @@ counts — the encoding changes bytes, never semantics).
 
 A fourth leg prices the **flight recorder**: order-alternating paired
 recorder-off / recorder-on mini-soaks whose best paired-round ratio
-(``recorder_overhead_ratio``) must stay ≥ 0.95 — the "cheap enough to
-leave on in production" bar — with the median round
-(``recorder_overhead_median``) ≥ 0.90 as the noise-proof regression
-backstop; both land gated in ``BENCH_runtime.json``.
+(``recorder_overhead_ratio``) and median round
+(``recorder_overhead_median``) land in ``BENCH_runtime.json`` for
+``benchgate``.  They are *written, not asserted*: a wall-clock ratio has
+no place in tier-1 (the committed baseline reads 1.20 — noise — and the
+0.95 bar it used to carry failed one run in three on a 2-vCPU box).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def make_spec(protocol: int, encoding: str = "json") -> SoakSpec:
     )
 
 
-def measure_recorder_overhead(rounds: int = 5, max_rounds: int = 8) -> dict:
+def measure_recorder_overhead(rounds: int = 5) -> dict:
     """Paired recorder-off vs recorder-on mini-soaks.
 
     Single-run throughput on a shared machine is ±5% noisy, so off and on
@@ -74,13 +75,10 @@ def measure_recorder_overhead(rounds: int = 5, max_rounds: int = 8) -> dict:
 
     Two statistics come out: ``recorder_overhead_ratio`` is the *best*
     paired round — the cleanest-conditioned measurement of the hot-path
-    cost, asserted against the < 5% bar — and
-    ``recorder_overhead_median`` is the median round, a backstop that a
-    genuine regression cannot hide from behind one lucky round.  After
-    the minimum rounds, extra rounds are added only while the best ratio
-    still reads below the 0.95 bar.  ``wall_seconds`` times only the
-    query phase, so the end-of-run dump is off the clock and the ratio
-    prices exactly the always-on taps.
+    cost — and ``recorder_overhead_median`` is the median round, which a
+    genuine regression cannot hide from behind one lucky round.
+    ``wall_seconds`` times only the query phase, so the end-of-run dump
+    is off the clock and the ratio prices exactly the always-on taps.
     """
     record_dir = tempfile.mkdtemp(prefix="repro-bench-rec-")
     base = dict(
@@ -98,15 +96,13 @@ def measure_recorder_overhead(rounds: int = 5, max_rounds: int = 8) -> dict:
     ratios = []
     try:
         one_run("off"), one_run("on")  # warm-up pair, discarded
-        completed = 0
-        while completed < rounds or (best["ratio"] < 0.95 and completed < max_rounds):
-            order = ("off", "on") if completed % 2 == 0 else ("on", "off")
+        for index in range(rounds):
+            order = ("off", "on") if index % 2 == 0 else ("on", "off")
             paired = {mode: one_run(mode) for mode in order}
             ratio = paired["on"] / paired["off"] if paired["off"] else 0.0
             ratios.append(ratio)
             if ratio > best["ratio"]:
                 best = {"off": paired["off"], "on": paired["on"], "ratio": ratio}
-            completed += 1
     finally:
         shutil.rmtree(record_dir, ignore_errors=True)
     ratios.sort()
@@ -141,11 +137,8 @@ def test_live_soak_throughput(benchmark):
     assert binary.report.messages == after.report.messages
     # And the gateway really negotiated it (every pooled connection).
     assert binary.stats.get("binary_connections", 0) >= POOL
-    # The recorder must be cheap enough to leave on: < 5% throughput cost
-    # in the best-conditioned paired round, and the median round must not
-    # hide a genuine regression behind one lucky measurement.
-    assert recorder["recorder_overhead_ratio"] >= 0.95, recorder
-    assert recorder["recorder_overhead_median"] >= 0.90, recorder
+    # The recorder's price is written below for benchgate, not asserted
+    # here: every recorded run did succeed (checked inside one_run).
 
     # A small rerun through pytest-benchmark for its statistics.
     small = SoakSpec(
@@ -179,8 +172,8 @@ def test_live_soak_throughput(benchmark):
         + f"\nv2 binary         : {binary.queries_per_second:,.0f} queries/sec"
         f" ({metrics['binary_speedup_over_json']:.2f}x over JSON)"
         + f"\nflight recorder   : {recorder['recorder_overhead_ratio']:.3f}x "
-        "throughput with recording on (bar: >= 0.95, "
-        f"median round {recorder['recorder_overhead_median']:.3f}x, bar >= 0.90)"
+        "throughput with recording on (best paired round; "
+        f"median round {recorder['recorder_overhead_median']:.3f}x)"
         + f"\ntotal wall (incl. boot + publish): {elapsed:.2f}s"
         + f"\nwrote {path}",
     )

@@ -67,13 +67,8 @@ def test_sweep_orchestrator_parallel_equals_serial(benchmark, tmp_path):
 
     speedup = wall_serial / wall_parallel if wall_parallel > 0 else 0.0
     cpu_count = os.cpu_count() or 1
-    # On a single-core host (the CI container) the pool cannot beat the
-    # serial path, so the speedup is *recorded* only; with real cores
-    # available a catastrophically slow pool would be a regression, so a
-    # loose lower bound is asserted there.
-    speedup_asserted = cpu_count > 1
-    if speedup_asserted:
-        assert speedup > 0.5, f"parallel sweep {speedup:.2f}x on {cpu_count} cpus"
+    # Recorded only, on every host: a wall-clock bound inside tier-1 fails
+    # on a busy 2-CPU box (ROADMAP item 1a); benchgate reads the number.
     metrics = {
         "jobs": parallel.jobs,
         "queries_per_point": spec.config.queries_per_point,
@@ -83,7 +78,7 @@ def test_sweep_orchestrator_parallel_equals_serial(benchmark, tmp_path):
         "wall_serial_seconds": wall_serial,
         "wall_parallel_seconds": wall_parallel,
         "speedup_parallel_vs_serial": speedup,
-        "speedup_asserted": int(speedup_asserted),
+        "speedup_asserted": 0,
         "records_identical": 1,
     }
     path = write_bench_json("sweep", metrics)

@@ -400,10 +400,14 @@ def reply_from_payload(request: Request, payload: Dict[str, Any], chunks: int = 
         raise ApiError(payload.get("error", "unknown gateway error"))
     kind = payload.get("type")
     if kind == "result":
+        try:
+            result = RangeQueryResult.from_wire(payload["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ApiError(f"malformed result payload: {exc!r}") from exc
         return QueryReply(
             status=payload["status"],
             latency=float(payload["latency"]),
-            result=RangeQueryResult.from_wire(payload["result"]),
+            result=result,
             chunks=chunks,
             trace_id=payload.get("trace_id"),
             trace=tuple(payload.get("trace", ())),

@@ -51,6 +51,7 @@ from repro.fissione.peer import FissionePeer, StoredObject
 # KautzRegion.contains_prefix.
 from repro.kautz.region import KautzRegion, _contains_prefix_memo
 from repro.sim.network import OverlayNetwork
+from repro.storage.base import objects_from_wire, objects_to_wire
 
 
 @dataclass(slots=True)
@@ -112,7 +113,8 @@ class RangeQueryResult:
         return [stored.key for stored in self.matches]
 
     def to_wire(self) -> Dict[str, object]:
-        """JSON-compatible form carrying every field.
+        """JSON-compatible form carrying every field (``matches`` as the
+        columns of :func:`~repro.storage.base.objects_to_wire`).
 
         ``from_wire(json.loads(json.dumps(result.to_wire())))`` equals the
         original result — the identity the live gateway's responses (and
@@ -123,7 +125,7 @@ class RangeQueryResult:
             "query_id": self.query_id,
             "destinations": dict(self.destinations),
             "messages": self.messages,
-            "matches": [stored.to_wire() for stored in self.matches],
+            "matches": objects_to_wire(self.matches),
             "forwarding_steps": [list(step) for step in self.forwarding_steps],
             "resilience": self.resilience.as_dict(),
         }
@@ -136,7 +138,7 @@ class RangeQueryResult:
             query_id=int(wire["query_id"]),
             destinations={peer: int(hop) for peer, hop in wire["destinations"].items()},
             messages=int(wire["messages"]),
-            matches=[StoredObject.from_wire(item) for item in wire["matches"]],
+            matches=objects_from_wire(wire["matches"]),
             forwarding_steps=[
                 (step[0], step[1], int(step[2])) for step in wire["forwarding_steps"]
             ],

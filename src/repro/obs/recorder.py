@@ -22,7 +22,7 @@ trailer so post-mortem tooling knows when the window was clipped.
 
 Dump format (``.dump`` files)::
 
-    ARFR1\\n                       # 6-byte magic + version header
+    ARFR2\\n                       # magic + version (2: matches as columns)
     [4-byte BE length][binframe]   # one record per event, in seq order
     ...                            # last record is a synthetic "dump"
                                    # trailer: reason, totals, evictions
@@ -47,7 +47,7 @@ from repro.binframe import encode_binary, decode_binary
 from repro.obs.logs import get_logger
 
 #: dump file header: magic + format version, newline-terminated
-DUMP_MAGIC = b"ARFR1\n"
+DUMP_MAGIC = b"ARFR2\n"
 
 _LOG = get_logger("obs.recorder")
 
@@ -255,7 +255,7 @@ class FlightRecorder:
 
 
 def write_dump(events: List[Dict[str, Any]], path: str) -> None:
-    """Write ``events`` (in order) as an ``ARFR1`` dump file."""
+    """Write ``events`` (in order) as an ``ARFR2`` dump file."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -268,12 +268,14 @@ def write_dump(events: List[Dict[str, Any]], path: str) -> None:
 
 
 def load_dump(path: str) -> List[Dict[str, Any]]:
-    """Read an ``ARFR1`` dump file back into its event list."""
+    """Read an ``ARFR2`` dump file back into its event list."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise DumpError(f"cannot read dump {path!r}: {exc}") from exc
+    if blob.startswith(b"ARFR1\n"):
+        raise DumpError(f"{path!r} is an ARFR1 dump: it predates the column wire form")
     if not blob.startswith(DUMP_MAGIC):
         raise DumpError(f"{path!r} is not a flight-recorder dump (bad magic)")
     events: List[Dict[str, Any]] = []

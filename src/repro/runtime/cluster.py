@@ -57,6 +57,7 @@ from repro.runtime.transport import Address, AsyncioTransport
 from repro.core.pira import PiraExecutor
 from repro.sim.rng import DeterministicRNG
 from repro.storage import BACKENDS, StoredObject, open_store, store_path
+from repro.storage.base import objects_from_wire, objects_to_wire
 from repro.wire import decode_value, encode_value
 
 
@@ -435,7 +436,7 @@ class LiveCluster:
             return {"ok": False, "error": f"peer {peer_id!r} is down"}
         peer = self.network.peer(peer_id)
         found = peer.get_any(frame["object_id"])
-        return {"ok": True, "objects": [stored.to_wire() for stored in found]}
+        return {"ok": True, "objects": objects_to_wire(found)}
 
     # ------------------------------------------------------------------ #
     # gateway-facing helpers                                               #
@@ -512,7 +513,7 @@ class LiveCluster:
             )
             if not reply.get("ok", False):
                 continue
-            objects = [StoredObject.from_wire(wire) for wire in reply["objects"]]
+            objects = objects_from_wire(reply["objects"])
             if objects:
                 return peer_id, objects
         return None, []

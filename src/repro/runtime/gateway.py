@@ -70,7 +70,9 @@ command                                 reply (always has ``"ok"``)
 Query replies (both versions) carry the complete
 :meth:`~repro.core.pira.RangeQueryResult.to_wire` payload plus the
 gateway-measured wall-clock latency, so a client can rebuild the exact
-result object the simulator would have produced.
+result object the simulator would have produced.  Its ``matches`` travel
+as columns (:func:`repro.storage.base.objects_to_wire`): a reply grows with
+the range, and a dict per match was most of what a wide query cost.
 
 Every in-flight query is guarded by a **deadline** (wall-clock seconds,
 per-request option or the gateway default): on expiry the executor

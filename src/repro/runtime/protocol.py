@@ -189,9 +189,13 @@ class EncodingError(ProtocolError):
     """
 
 
+#: the compact encoder, built once (``json.dumps(separators=...)`` builds one per call)
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One frame: 4-byte big-endian length + compact JSON."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit")
     return len(body).to_bytes(4, "big") + body

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Sequence
 
 from repro.binframe import encode_binary
-from repro.wire import decode_value, encode_value
+from repro.wire import SCALAR_TYPES, decode_value, encode_value
 
 
 class StorageError(RuntimeError):
@@ -61,22 +61,35 @@ class StoredObject:
     key: Any
     value: Any
 
-    def to_wire(self) -> Dict[str, Any]:
-        """JSON-compatible form; tuples in key/value survive the round trip."""
-        return {
-            "object_id": self.object_id,
-            "key": encode_value(self.key),
-            "value": encode_value(self.value),
-        }
 
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "StoredObject":
-        """Rebuild a :class:`StoredObject` from :meth:`to_wire` output."""
-        return cls(
-            object_id=wire["object_id"],
-            key=decode_value(wire["key"]),
-            value=decode_value(wire["value"]),
-        )
+#: the wire columns of a list of stored objects, one list per field
+OBJECT_COLUMNS = ("object_id", "key", "value")
+
+
+def objects_to_wire(objects: Sequence[StoredObject]) -> Dict[str, List[Any]]:
+    """Column form: no dict and no repeated field names per object, and no
+    codec call for a scalar key or value (tuples are tagged as ever)."""
+    scalars = SCALAR_TYPES
+    return {
+        "object_id": [s.object_id for s in objects],
+        "key": [s.key if type(s.key) in scalars else encode_value(s.key) for s in objects],
+        "value": [s.value if type(s.value) in scalars else encode_value(s.value) for s in objects],
+    }
+
+
+def objects_from_wire(wire: Dict[str, List[Any]]) -> List[StoredObject]:
+    """Inverse of :func:`objects_to_wire`; a missing column or columns of
+    unequal length are a :class:`ValueError` naming the lengths."""
+    columns = [wire[name] if name in wire else None for name in OBJECT_COLUMNS]
+    lengths = [len(column) if isinstance(column, list) else None for column in columns]
+    if None in lengths or len(set(lengths)) != 1:
+        named = dict(zip(OBJECT_COLUMNS, lengths))
+        raise ValueError(f"object columns missing or of unequal length: {named}")
+    plain, decode = SCALAR_TYPES, decode_value
+    return [
+        StoredObject(oid, k if type(k) in plain else decode(k), v if type(v) in plain else decode(v))
+        for oid, k, v in zip(*columns)
+    ]
 
 
 class Store:

@@ -610,3 +610,50 @@ class TestRuntimeClientErrors:
                 await teardown(cluster, gateway)
 
         asyncio.run(scenario())
+
+
+class TestMalformedResult:
+    """A ``result`` payload the session cannot decode is an ``ApiError`` for
+    that request — never a ``KeyError`` out of ``submit``/``batch`` — and
+    the connection (whose framing is intact) keeps serving."""
+
+    def test_unequal_match_columns_raise_api_error_through_a_session(self):
+        from repro.api.requests import RangeQuery
+        from repro.core.pira import RangeQueryResult
+        from repro.fissione.peer import StoredObject
+        from repro.runtime.protocol import welcome_frame
+
+        result = RangeQueryResult(origin="010", query_id=1)
+        result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
+        wire = result.to_wire()
+        wire["matches"]["key"].pop()
+
+        async def scenario():
+            async def gateway(reader, writer):
+                assert (await read_frame(reader))["type"] == "hello"
+                writer.write(encode_frame(welcome_frame()))
+                while (frame := await read_frame(reader)) is not None:
+                    payload = {
+                        "ok": True, "type": "result", "status": "ok",
+                        "latency": 0.0, "result": wire,
+                    }
+                    writer.write(
+                        encode_frame({"type": "reply", "rid": frame["rid"], "payload": payload})
+                    )
+                    await writer.drain()
+
+            server = await asyncio.start_server(gateway, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                session = await LiveSession.connect("127.0.0.1", port, pool=1, timeout=5.0)
+                query = RangeQuery(low=0.0, high=10.0)
+                with pytest.raises(ApiError, match="malformed result payload.*unequal length"):
+                    await session.submit(query)
+                with pytest.raises(ApiError, match="'key': 1"):
+                    await session.batch([query, query])
+                await session.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())

@@ -23,6 +23,7 @@ from repro.api.requests import (
 )
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import QueryJob
+from repro.storage.base import StoredObject
 
 
 class TestRequestWire:
@@ -129,6 +130,24 @@ class TestReplies:
         assert isinstance(reply, QueryReply)
         assert reply.chunks == 3
         assert reply.result.destinations == {"012": 2}
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            (lambda wire: wire["matches"]["key"].pop(), "unequal length"),
+            (lambda wire: wire["matches"].pop("value"), "missing"),
+            (lambda wire: wire.pop("matches"), "KeyError"),
+            (lambda wire: wire.update(query_id=None), "TypeError"),
+        ],
+    )
+    def test_malformed_result_payload_is_an_api_error(self, damage, complaint):
+        result = self.make_result()
+        result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
+        wire = result.to_wire()
+        damage(wire)
+        payload = {"ok": True, "type": "result", "status": "ok", "latency": 0.25, "result": wire}
+        with pytest.raises(ApiError, match=f"malformed result payload.*({complaint})"):
+            reply_from_payload(RangeQuery(low=0.0, high=1.0), payload)
 
     def test_decode_error_payload(self):
         with pytest.raises(ApiError, match="boom"):

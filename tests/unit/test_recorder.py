@@ -84,6 +84,15 @@ class TestDumpFormat:
         with pytest.raises(DumpError, match="bad magic"):
             load_dump(str(path))
 
+    def test_row_form_era_dump_is_rejected_in_one_line(self, tmp_path):
+        """An ``ARFR1`` dump holds row-form matches: replaying it would
+        report every query as diverged, so loading it says why instead."""
+        path = tmp_path / "old.dump"
+        path.write_bytes(b"ARFR1\n")
+        assert DUMP_MAGIC == b"ARFR2\n"
+        with pytest.raises(DumpError, match="predates the column wire form"):
+            load_dump(str(path))
+
     def test_missing_file_is_a_dump_error(self, tmp_path):
         with pytest.raises(DumpError, match="cannot read"):
             load_dump(str(tmp_path / "nope.dump"))

@@ -67,6 +67,38 @@ class TestFraming:
         asyncio.run(scenario())
 
 
+class TestReplyFrameSize:
+    """Machine-independent pin on what the column form buys: bytes."""
+
+    def test_column_reply_is_at_most_three_quarters_of_the_row_form(self):
+        from repro.core.pira import RangeQueryResult
+        from repro.fissione.peer import StoredObject
+
+        result = RangeQueryResult(origin="0120", query_id=77, messages=18)
+        result.destinations = {f"01201{i}": 3 + i % 2 for i in range(9)}
+        result.forwarding_steps = [("0120", f"1201{i}", i % 4) for i in range(18)]
+        for i in range(500):
+            key = 250.0 + i * 0.4971
+            # 32-symbol ObjectIDs, the clusters' default object_id_length
+            object_id = f"0121020121012010210120{i % 3}{i:09d}"
+            result.matches.append(StoredObject(object_id, key, key))
+
+        def reply(wire):
+            payload = {"ok": True, "type": "result", "status": "ok", "latency": 0.0042}
+            return encode_frame({"type": "reply", "rid": 9, "payload": {**payload, "result": wire}})
+
+        columns = result.to_wire()
+        # the form this one replaced, spelled out: one dict per match
+        rows = dict(columns)
+        rows["matches"] = [
+            {"object_id": stored.object_id, "key": stored.key, "value": stored.value}
+            for stored in result.matches
+        ]
+        assert len(reply(columns)) <= 0.75 * len(reply(rows))
+        decoded = decode_frame(reply(columns)[4:])["payload"]["result"]
+        assert RangeQueryResult.from_wire(decoded) == result
+
+
 class TestMessageMapping:
     def make_message(self):
         return Message(

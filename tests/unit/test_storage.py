@@ -15,6 +15,7 @@ The contract under test is the one the crash-consistency suite leans on:
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import zlib
@@ -23,7 +24,12 @@ import pytest
 
 from repro.binframe import encode_binary
 from repro.storage import BACKENDS, open_store, store_factory, store_path
-from repro.storage.base import StorageError, StoredObject
+from repro.storage.base import (
+    StorageError,
+    StoredObject,
+    objects_from_wire,
+    objects_to_wire,
+)
 from repro.storage.memory import MemoryStore
 from repro.storage.sqlite import SQLiteStore
 from repro.storage.wal import WAL_HEADER, WALStore
@@ -210,7 +216,46 @@ class TestFactory:
         assert store_factory("memory")("0101").backend_name == "memory"
 
 
-class TestStoredObject:
-    def test_wire_round_trip(self):
-        stored = StoredObject(object_id="0101", key=(1.0, 2.0), value={"a": [1]})
-        assert StoredObject.from_wire(stored.to_wire()) == stored
+class TestObjectColumns:
+    """The one wire form of a list of stored objects: a list per field."""
+
+    def test_column_shape(self):
+        objects = [StoredObject("0101", 1.5, "a"), StoredObject("0120", 2, None)]
+        assert objects_to_wire(objects) == {
+            "object_id": ["0101", "0120"],
+            "key": [1.5, 2],
+            "value": ["a", None],
+        }
+        assert objects_to_wire([]) == {"object_id": [], "key": [], "value": []}
+
+    def test_round_trip_with_tuple_key_and_nested_value(self):
+        objects = [
+            StoredObject(object_id="0101", key=(1.0, 2.0), value={"a": [1, (2, "x")]}),
+            StoredObject(object_id="0102", key=7.5, value=7.5),
+        ]
+        wire = json.loads(json.dumps(objects_to_wire(objects)))
+        assert wire["key"][0] == {"__tuple__": [1.0, 2.0]}
+        assert objects_from_wire(wire) == objects
+
+    def test_bool_keys_stay_bool(self):
+        objects = [StoredObject("0101", True, False), StoredObject("0102", 1, 0)]
+        rebuilt = objects_from_wire(json.loads(json.dumps(objects_to_wire(objects))))
+        assert [(type(o.key), type(o.value)) for o in rebuilt] == [(bool, bool), (int, int)]
+
+    def test_reserved_tuple_key_in_a_value_is_still_rejected(self):
+        with pytest.raises(ValueError, match="reserved"):
+            objects_to_wire([StoredObject("0101", 1.0, {"__tuple__": [1]})])
+
+    def test_unequal_columns_name_their_lengths(self):
+        wire = {"object_id": ["0101", "0102"], "key": [1.0], "value": [1.0, 2.0]}
+        with pytest.raises(ValueError, match=r"'object_id': 2, 'key': 1, 'value': 2"):
+            objects_from_wire(wire)
+
+    def test_missing_column_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'value': None"):
+            objects_from_wire({"object_id": ["0101"], "key": [1.0]})
+
+    def test_row_form_is_not_decoded(self):
+        """One wire form: the list of per-object dicts it replaced is malformed."""
+        with pytest.raises(ValueError, match="missing"):
+            objects_from_wire([{"object_id": "0101", "key": 1.0, "value": 1.0}])
