@@ -148,10 +148,10 @@ class ArmadaSystem:
         (all peers when no injector is installed), sorted."""
         injector = self.overlay.fault_injector
         if injector is None:
-            return sorted(self.network.peer_ids())
+            return self.network.peer_ids()
         return [
             peer_id
-            for peer_id in sorted(self.network.peer_ids())
+            for peer_id in self.network.peer_ids()
             if not injector.is_down(peer_id)
         ]
 

@@ -145,18 +145,33 @@ class MultiAttributeNamer:
             )
         if not self._space.contains(values):
             raise NamingError(f"values {tuple(values)} outside the attribute space")
+        # Allocation-free descent, as in PartitionTree.label_for_value: the
+        # per-level float expressions are exactly Interval.locate's and
+        # Interval.child's, applied to the bounds of the attribute being
+        # split, so labels are bit-identical to a descent over Box objects.
+        base = self._base
+        dimensions = len(values)
+        lows = [interval.low for interval in self._space.intervals]
+        highs = [interval.high for interval in self._space.intervals]
         label: List[str] = []
-        box = self._space
         previous = None
         for depth in range(self._length):
-            choices = ks.allowed_symbols(previous, base=self._base)
-            attribute = depth % self.dimensions
-            interval = box.intervals[attribute]
-            position = interval.locate(values[attribute], len(choices))
-            symbol = choices[position]
-            label.append(symbol)
-            box = box.replace(attribute, interval.child(position, len(choices)))
-            previous = symbol
+            choices = ks.allowed_symbols_tuple(previous, base=base)
+            pieces = len(choices)
+            attribute = depth % dimensions
+            value = values[attribute]
+            low = lows[attribute]
+            step = (highs[attribute] - low) / pieces
+            position = pieces - 1
+            for index in range(pieces - 1):
+                if value < low + step * (index + 1):
+                    position = index
+                    break
+            previous = choices[position]
+            label.append(previous)
+            if position != pieces - 1:
+                highs[attribute] = low + step * (position + 1)
+            lows[attribute] = low + step * position
         return "".join(label)
 
     def box_for_label(self, label: str) -> Box:

@@ -27,8 +27,9 @@ in Section 3 of the Armada paper.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.fissione.naming import kautz_hash
 from repro.fissione.peer import FissionePeer, StoredObject
@@ -44,12 +45,16 @@ class FissioneNetwork:
     """Membership, zone ownership and neighbour computation for FISSIONE.
 
     Topology-derived lookups (out-/in-neighbour tables, owner-of-prefix
-    resolution, the maximum PeerID length) are cached between membership
-    changes: the tables are recomputed lazily per peer and every join or
-    departure invalidates all of them at once.  Queries vastly outnumber
-    membership changes in every experiment, so the event loop's per-hop
-    neighbour and owner lookups become dictionary hits instead of repeated
-    Kautz-string derivations.
+    resolution) are cached between membership changes: the tables are
+    recomputed lazily per peer and every join or departure invalidates all
+    of them at once.  Queries vastly outnumber membership changes in every
+    experiment, so the event loop's per-hop neighbour and owner lookups
+    become dictionary hits instead of repeated Kautz-string derivations.
+
+    The maximum PeerID length is not a cache: a ``{length: count}``
+    histogram is updated by each added or removed peer, so no join or
+    leave rescans the membership for it.  Prefix questions are answered by
+    bisecting the sorted PeerID list, which is the overlay's prefix index.
     """
 
     #: owner-cache capacity; a full cache is cleared, not grown (see owner_id)
@@ -75,7 +80,9 @@ class FissioneNetwork:
         self._out_cache: Dict[str, Tuple[str, ...]] = {}
         self._in_cache: Dict[str, Tuple[str, ...]] = {}
         self._owner_cache: Dict[str, str] = {}
-        self._max_len: Optional[int] = None
+        # Exact at all times: PeerID length -> number of peers of that length.
+        self._length_counts: Dict[int, int] = {}
+        self._max_len = 0
 
     # ------------------------------------------------------------------ #
     # construction                                                         #
@@ -170,13 +177,9 @@ class FissioneNetwork:
     def max_id_length(self) -> int:
         """Maximum PeerID length (paper: ``< 2 log2 N``).
 
-        Cached between membership changes; ownership resolution truncates
-        lookup keys to this length on every routing hop.
+        Maintained incrementally by every membership change; ownership
+        resolution truncates lookup keys to this length on every routing hop.
         """
-        if self._max_len is None:
-            self._max_len = (
-                max(len(peer_id) for peer_id in self._sorted_ids) if self._sorted_ids else 0
-            )
         return self._max_len
 
     def log_size(self) -> float:
@@ -236,18 +239,20 @@ class FissioneNetwork:
         """The peer whose zone contains ``key``."""
         return self._peers[self.owner_id(key)]
 
+    def _prefix_range(self, prefix: str) -> Tuple[int, int]:
+        """``[start, end)`` of the sorted PeerIDs that extend ``prefix``."""
+        if prefix == "":
+            return 0, len(self._sorted_ids)
+        start = bisect.bisect_left(self._sorted_ids, prefix)
+        # The strings extending ``prefix`` are exactly those below the same
+        # string with its last symbol bumped by one.
+        bound = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+        return start, bisect.bisect_left(self._sorted_ids, bound, start)
+
     def peers_with_prefix(self, prefix: str) -> List[str]:
         """All PeerIDs extending ``prefix`` (possibly empty), sorted."""
-        if prefix == "":
-            return list(self._sorted_ids)
-        start = bisect.bisect_left(self._sorted_ids, prefix)
-        result: List[str] = []
-        for peer_id in self._sorted_ids[start:]:
-            if peer_id.startswith(prefix):
-                result.append(peer_id)
-            else:
-                break
-        return result
+        start, end = self._prefix_range(prefix)
+        return self._sorted_ids[start:end]
 
     def compatible_peers(self, prefix: str) -> List[str]:
         """PeerIDs compatible with ``prefix``: extend it or are a prefix of it."""
@@ -321,11 +326,9 @@ class FissioneNetwork:
 
     def neighbors(self, peer_id: str) -> List[str]:
         """Union of in- and out-neighbours."""
-        seen: List[str] = []
-        for neighbor in self.out_neighbors_view(peer_id) + self.in_neighbors_view(peer_id):
-            if neighbor not in seen:
-                seen.append(neighbor)
-        return seen
+        return list(
+            dict.fromkeys(self.out_neighbors_view(peer_id) + self.in_neighbors_view(peer_id))
+        )
 
     def average_degree(self) -> float:
         """Average out-degree (paper: FISSIONE's average degree is 4 counting both directions)."""
@@ -419,37 +422,45 @@ class FissioneNetwork:
         object_id = kautz_hash(name, length=self.object_id_length, base=self.base)
         return object_id, self.publish(object_id, name, value)
 
-    def replica_peers(self, object_id: str, replicas: int) -> List[str]:
-        """The ``replicas`` PeerIDs a write to ``object_id`` lands on.
+    def replica_order(self, object_id: str) -> Iterator[str]:
+        """Every PeerID, lazily, in the order copies of ``object_id`` are placed.
 
         The first entry is always the owner (the primary copy every range
         query scans); the rest are its nearest *prefix siblings* — peers
         found by walking the owner's PeerID prefix upward one symbol at a
-        time and collecting, in sorted order, the peers under each
-        progressively wider prefix.  Prefix siblings are exactly the peers
-        a zone merge would hand the owner's slice to, so replica placement
+        time and yielding, in sorted order, the peers each progressively
+        wider prefix adds: those left of the previous prefix's range, then
+        those right of it.  Prefix siblings are exactly the peers a zone
+        merge would hand the owner's slice to, so replica placement
         follows the same locality the topology itself uses.  The walk is a
         pure function of the sorted PeerID list, so the simulator and the
         live cluster (built from the same seed) pick identical replica
         sets.
 
-        Returns fewer than ``replicas`` entries only when the whole
-        network is smaller than ``replicas``.
+        Each level is snapshotted before it is yielded and located by
+        prefix, not by remembered index, so a consumer that suspends
+        between entries (the live cluster awaits a round trip per entry)
+        never indexes past a membership change.
+        """
+        owner_id = self.owner_id(object_id)
+        yield owner_id
+        inner = owner_id
+        for cut in range(len(owner_id) - 1, -1, -1):
+            outer = owner_id[:cut]
+            start, end = self._prefix_range(outer)
+            inner_start, inner_end = self._prefix_range(inner)
+            yield from self._sorted_ids[start:inner_start] + self._sorted_ids[inner_end:end]
+            inner = outer
+
+    def replica_peers(self, object_id: str, replicas: int) -> List[str]:
+        """The ``replicas`` PeerIDs a write to ``object_id`` lands on.
+
+        The first ``replicas`` entries of :meth:`replica_order`; fewer only
+        when the whole network is smaller than ``replicas``.
         """
         if replicas < 1:
             raise FissioneError("replicas must be at least 1")
-        owner_id = self.owner_id(object_id)
-        chosen = [owner_id]
-        if replicas > 1:
-            for cut in range(len(owner_id) - 1, -1, -1):
-                for sibling in self.peers_with_prefix(owner_id[:cut]):
-                    if sibling not in chosen:
-                        chosen.append(sibling)
-                        if len(chosen) == replicas:
-                            return chosen
-                if len(chosen) == replicas:
-                    break
-        return chosen[:replicas]
+        return list(itertools.islice(self.replica_order(object_id), replicas))
 
     def publish_replicated(
         self, object_id: str, key: Any, value: Any, replicas: int = 1
@@ -492,12 +503,10 @@ class FissioneNetwork:
         """
         self._validate_object_id(object_id)
         down_set = set(down) if down is not None else set()
-        # The full placement order: a copy written with any replication
-        # factor k sits on one of the first k entries, so walking in order
-        # finds the nearest live copy; a miss costs a full walk only for
-        # objects that were never stored.
-        candidates = self.replica_peers(object_id, self.size)
-        for index, peer_id in enumerate(candidates):
+        # A copy written with any replication factor k sits on one of the
+        # first k entries of the placement order, so walking it finds the
+        # nearest live copy; only a miss walks all of it.
+        for index, peer_id in enumerate(self.replica_order(object_id)):
             if peer_id in down_set:
                 continue
             peer = self._peers[peer_id]
@@ -589,7 +598,6 @@ class FissioneNetwork:
             self._in_cache.clear()
         if self._owner_cache:
             self._owner_cache.clear()
-        self._max_len = None
 
     def _add_peer(self, peer: FissionePeer) -> None:
         if peer.peer_id in self._peers:
@@ -597,6 +605,10 @@ class FissioneNetwork:
         ks.validate_kautz_string(peer.peer_id, base=self.base)
         self._peers[peer.peer_id] = peer
         bisect.insort(self._sorted_ids, peer.peer_id)
+        length = len(peer.peer_id)
+        self._length_counts[length] = self._length_counts.get(length, 0) + 1
+        if length > self._max_len:
+            self._max_len = length
         self._invalidate_topology_caches()
 
     def _remove_peer(self, peer_id: str) -> FissionePeer:
@@ -606,6 +618,12 @@ class FissioneNetwork:
         index = bisect.bisect_left(self._sorted_ids, peer_id)
         if index < len(self._sorted_ids) and self._sorted_ids[index] == peer_id:
             self._sorted_ids.pop(index)
+        length = len(peer_id)
+        self._length_counts[length] -= 1
+        if not self._length_counts[length]:
+            del self._length_counts[length]
+            if length == self._max_len:
+                self._max_len = max(self._length_counts, default=0)
         self._invalidate_topology_caches()
         return peer
 

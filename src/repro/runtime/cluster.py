@@ -501,8 +501,7 @@ class LiveCluster:
         non-empty copy set.  Returns ``(peer_id, objects)`` or
         ``(None, [])`` when no live peer holds the object.
         """
-        candidates = self.network.replica_peers(object_id, self.network.size)
-        for peer_id in candidates:
+        for peer_id in self.network.replica_order(object_id):
             if peer_id in self.down_peers:
                 continue
             address = self.transport.address_of(peer_id)

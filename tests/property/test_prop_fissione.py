@@ -12,6 +12,27 @@ from repro.kautz import strings as ks
 from repro.sim.rng import DeterministicRNG
 
 
+def assert_prefix_index_matches_brute_force(network: FissioneNetwork) -> None:
+    """The incremental maximum length and the bisect-answered prefix
+    questions agree with a scan of the membership."""
+    peer_ids = network.peer_ids()
+    assert network.max_id_length() == max(map(len, peer_ids))
+    prefixes = {peer_id[:cut] for peer_id in peer_ids for cut in range(len(peer_id) + 1)}
+    # Strings no peer extends: inside a peer's zone, outside the alphabet,
+    # before every PeerID, and not a Kautz string at all.
+    for peer_id in peer_ids:
+        prefixes.add(peer_id + ks.allowed_symbols(peer_id[-1], base=network.base)[0])
+        prefixes.add(peer_id[:-1] + "3")
+    prefixes.update(["3", "/", "00"])
+    for prefix in prefixes:
+        extending = [peer_id for peer_id in peer_ids if peer_id.startswith(prefix)]
+        assert network.peers_with_prefix(prefix) == extending
+        compatible = extending or [
+            peer_id for peer_id in peer_ids if prefix.startswith(peer_id)
+        ]
+        assert network.compatible_peers(prefix) == compatible
+
+
 class TestTopologyProperties:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=3, max_value=120), st.integers(min_value=0, max_value=1000))
@@ -37,6 +58,7 @@ class TestTopologyProperties:
             elif network.size > network.base + 1:
                 victim = network.random_peer(rng.substream("leave", index)).peer_id
                 network.leave(victim)
+            assert_prefix_index_matches_brute_force(network)
         report = check_topology(network)
         assert report.covers_namespace
         assert report.prefix_free

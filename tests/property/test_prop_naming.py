@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import NamingError
 from repro.core.multiple_hash import MultiAttributeNamer
+from repro.core.partition_tree import PartitionTree
 from repro.core.single_hash import SingleAttributeNamer
 from repro.kautz import strings as ks
 
@@ -86,3 +89,75 @@ class TestMultipleHashProperties:
             # object's id alive.
             for cut in (2, 5, 9, 12):
                 assert MULTI.label_intersects_query(object_id[:cut], ranges)
+
+
+# --------------------------------------------------------------------- #
+# Multiple_hash's descent against the Interval-object descent it replaced #
+# --------------------------------------------------------------------- #
+
+SPACES = {
+    1: ((0.0, 1000.0),),
+    2: ((0.0, 100.0), (0.0, 50.0)),
+    3: ((-5.0, 5.0), (0.0, 1.0), (10.0, 1000.0)),
+}
+DEEP = {m: MultiAttributeNamer(intervals=space, length=32) for m, space in SPACES.items()}
+
+
+def coordinate(low: float, high: float):
+    """Any value of ``[low, high]``, weighted towards subdivision boundaries:
+    both ends and the thirds, sixths, twelfths the top levels split at."""
+    boundaries = [low + (high - low) * k / 12 for k in range(12)] + [high]
+    return st.one_of(
+        st.floats(min_value=low, max_value=high, allow_nan=False),
+        st.sampled_from(boundaries),
+    )
+
+
+def points(m: int):
+    return st.tuples(*(coordinate(low, high) for low, high in SPACES[m]))
+
+
+def interval_descent(namer: MultiAttributeNamer, values) -> str:
+    """``Multiple_hash`` over ``Interval`` objects: one ``locate`` and one
+    ``child`` per level on the attribute that level splits."""
+    intervals = list(namer.space.intervals)
+    label = []
+    previous = None
+    for depth in range(namer.length):
+        choices = ks.allowed_symbols(previous, base=namer.base)
+        attribute = depth % namer.dimensions
+        position = intervals[attribute].locate(values[attribute], len(choices))
+        intervals[attribute] = intervals[attribute].child(position, len(choices))
+        previous = choices[position]
+        label.append(previous)
+    return "".join(label)
+
+
+class TestMultipleHashDescentEquivalence:
+    @given(st.sampled_from(sorted(SPACES)).flatmap(lambda m: st.tuples(st.just(m), points(m))))
+    def test_name_equals_interval_descent(self, case):
+        m, point = case
+        assert DEEP[m].name(point) == interval_descent(DEEP[m], point)
+
+    @pytest.mark.parametrize("m", sorted(SPACES))
+    def test_corners_equal_interval_descent(self, m):
+        low_corner = [low for low, _high in SPACES[m]]
+        high_corner = [high for _low, high in SPACES[m]]
+        for corner in (low_corner, high_corner):
+            assert DEEP[m].name(corner) == interval_descent(DEEP[m], corner)
+        assert DEEP[m].name(low_corner) == ks.min_extension("", 32)
+        assert DEEP[m].name(high_corner) == ks.max_extension("", 32)
+
+    @given(points(1))
+    def test_one_attribute_equals_single_hash(self, point):
+        tree = PartitionTree(*SPACES[1][0], depth=32)
+        assert DEEP[1].name(point) == tree.label_for_value(point[0])
+
+    @given(points(2), st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
+    def test_out_of_space_and_wrong_arity_still_raise(self, point, excess):
+        for outside in ((point[0], 50.0 + excess), (-excess, point[1])):
+            with pytest.raises(NamingError):
+                DEEP[2].name(outside)
+        for wrong_arity in (point[:1], point + (0.0,), ()):
+            with pytest.raises(NamingError):
+                DEEP[2].name(wrong_arity)

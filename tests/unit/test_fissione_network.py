@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+from typing import List
+
 import pytest
 
 from repro.fissione.network import FissioneError, FissioneNetwork
 from repro.fissione.stabilize import check_topology
 from repro.kautz import strings as ks
 from repro.sim.rng import DeterministicRNG
+from repro.storage.memory import MemoryStore
 
 
 def build(num_peers: int, seed: int = 1, object_id_length: int = 24) -> FissioneNetwork:
@@ -204,3 +209,116 @@ class TestPublishLookup:
         rng = DeterministicRNG(4)
         for _ in range(10):
             assert network.has_peer(network.random_peer(rng).peer_id)
+
+
+class TestBuildEquivalence:
+    """The build is pinned by what it produces and by how much work it does —
+    never by a clock."""
+
+    @pytest.mark.parametrize(
+        "num_peers, digest",
+        [
+            (1024, "c72e5da868"),
+            (4096, "f4dcbe7eda"),
+            (8192, "ae81a44d86"),
+            (16384, "4f9fd016d0"),
+        ],
+    )
+    def test_topology_digest_is_pinned(self, num_peers, digest):
+        network = build(num_peers, seed=7, object_id_length=32)
+        joined = "".join(network.peer_ids()).encode()
+        assert hashlib.sha1(joined).hexdigest()[:10] == digest
+
+    def test_build_work_grows_linearly(self):
+        """Quadrupling N must not multiply the Python-level calls of a build
+        by more than 5: a per-join rescan of the membership shows up here as
+        a ratio near 14, whatever the machine."""
+
+        def calls_to_build(num_peers: int) -> int:
+            rng = DeterministicRNG(7).substream("topology")
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                FissioneNetwork.build(num_peers, rng, object_id_length=24)
+            finally:
+                sys.setprofile(previous)
+            return calls
+
+        assert calls_to_build(2048) <= 5 * calls_to_build(512)
+
+
+def list_building_replica_walk(network: FissioneNetwork, object_id: str) -> List[str]:
+    """The placement walk as first written (membership list, ``not in``
+    scan), over a brute-force prefix filter — the oracle for
+    :meth:`FissioneNetwork.replica_order`."""
+    owner_id = network.owner_id(object_id)
+    chosen = [owner_id]
+    for cut in range(len(owner_id) - 1, -1, -1):
+        for sibling in network.peer_ids():
+            if sibling.startswith(owner_id[:cut]) and sibling not in chosen:
+                chosen.append(sibling)
+    return chosen
+
+
+class CountingStore(MemoryStore):
+    """A memory backend that records which peers were read."""
+
+    def __init__(self, peer_id: str, reads: List[str]) -> None:
+        super().__init__()
+        self._peer_id = peer_id
+        self._reads = reads
+
+    def get(self, object_id):
+        self._reads.append(self._peer_id)
+        return super().get(object_id)
+
+
+class TestReplicaPlacement:
+    def test_replica_peers_match_list_building_walk(self):
+        network = build(48, seed=7, object_id_length=16)
+        rng = DeterministicRNG(11)
+        for _ in range(6):
+            object_id = network.random_object_id(rng)
+            full = list_building_replica_walk(network, object_id)
+            assert sorted(full) == network.peer_ids()
+            assert list(network.replica_order(object_id)) == full
+            for replicas in range(1, network.size + 1):
+                assert network.replica_peers(object_id, replicas) == full[:replicas]
+            assert network.replica_peers(object_id, network.size + 5) == full
+
+    def test_replica_peers_rejects_non_positive_count(self):
+        with pytest.raises(FissioneError):
+            build(10).replica_peers(ks.min_extension("0", 24), 0)
+
+    def test_failover_hit_reads_one_peer_and_miss_reads_each_once(self):
+        reads: List[str] = []
+        network = FissioneNetwork.build(
+            64,
+            DeterministicRNG(7).substream("topology"),
+            object_id_length=16,
+            store_factory=lambda peer_id: CountingStore(peer_id, reads),
+        )
+        stored_id = ks.min_extension("102", 16)
+        owner_id = network.publish_replicated(stored_id, key=1.0, value="x", replicas=3)[0]
+
+        reads.clear()
+        holder, found = network.lookup_with_failover(stored_id)
+        assert holder == owner_id and [stored.value for stored in found] == ["x"]
+        assert reads == [owner_id]
+
+        reads.clear()
+        holder, found = network.lookup_with_failover(stored_id, down=[owner_id])
+        assert holder == network.replica_peers(stored_id, 2)[1]
+        assert reads == [holder]
+
+        reads.clear()
+        missing_id = ks.max_extension("21", 16)
+        assert network.lookup_with_failover(missing_id) == (None, [])
+        assert reads == list(network.replica_order(missing_id))
