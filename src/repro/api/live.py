@@ -1,19 +1,12 @@
 """:class:`LiveSession` — the gateway binding of the session API.
 
-One session owns a **pool** of gateway connections.  On protocol v2 each
-connection is fully multiplexed: requests are rid-tagged frames, a
-background reader re-associates every reply (and streamed ``chunk``
-frame) with its per-request future, so any number of requests can be in
-flight on one connection and complete out of order.  The pool spreads
-load across connections by picking the least-loaded one per request —
-``pool * unlimited`` pipelining replaces the v1 world where throughput
-was capped at one in-flight query per connection.
-
-``version=1`` binds the same session surface to the deprecated line
-protocol through pooled :class:`~repro.runtime.client.RuntimeClient`
-instances (one in-flight request per connection, FIFO).  It exists so the
-soak experiment can measure v1 vs v2 on identical code paths; new code
-has no reason to use it.
+One session owns a **pool** of gateway connections, each handshaken for
+the gateway's one dialect (protocol v2, JSON frames) and fully
+multiplexed: requests are rid-tagged frames, a background reader
+re-associates every reply (and streamed ``chunk`` frame) with its
+per-request future, so any number of requests can be in flight on one
+connection and complete out of order.  The pool spreads load across
+connections by picking the least-loaded one per request.
 """
 
 from __future__ import annotations
@@ -36,13 +29,9 @@ from repro.api.requests import (
 from repro.api.session import ChunkCallback, Session, SessionError
 from repro.engine.reporting import EngineReport, QueryJob
 from repro.runtime.protocol import (
-    ENCODING_BINARY,
-    ENCODING_JSON,
     GATEWAY_PROTOCOL_V2,
-    SUPPORTED_ENCODINGS,
     ProtocolError,
     encode_frame,
-    encode_frame_binary,
     hello_frame,
     read_frame,
 )
@@ -72,7 +61,6 @@ class _V2Connection:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        encoding: str = ENCODING_JSON,
         tracing: bool = False,
     ) -> None:
         self._reader = reader
@@ -81,21 +69,14 @@ class _V2Connection:
         self._rids = itertools.count(1)
         self._reader_task: Optional[asyncio.Task] = None
         self.closed = False
-        #: the encoding the welcome frame actually granted
-        self.encoding = encoding
         #: True when the gateway granted the ``tracing`` capability
         self.tracing = tracing
-        self._encode = (
-            encode_frame_binary if encoding == ENCODING_BINARY else encode_frame
-        )
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, encoding: str = ENCODING_JSON, tracing: bool = False
-    ) -> "_V2Connection":
-        """Open the socket and perform the version + encoding handshake."""
+    async def connect(cls, host: str, port: int, tracing: bool = False) -> "_V2Connection":
+        """Open the socket and perform the version handshake."""
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_frame(hello_frame(encoding=encoding, tracing=tracing)))
+        writer.write(encode_frame(hello_frame(tracing=tracing)))
         await writer.drain()
         first = await read_frame(reader)
         if first is None:
@@ -104,13 +85,9 @@ class _V2Connection:
             raise ApiError(f"handshake rejected: {first.get('error', 'unknown error')}")
         if first.get("type") != "welcome" or first.get("version") != GATEWAY_PROTOCOL_V2:
             raise ProtocolError(f"unexpected handshake reply {first!r}")
-        # Old gateways never send the key: absent means JSON, and asking
-        # for binary from one of them degrades to JSON rather than failing.
-        # Tracing follows the same contract — absent means not granted.
-        granted = first.get("encoding", ENCODING_JSON)
-        connection = cls(
-            reader, writer, encoding=granted, tracing=bool(first.get("tracing", False))
-        )
+        # A gateway without a tracer never sends the key: absent means
+        # not granted.
+        connection = cls(reader, writer, tracing=bool(first.get("tracing", False)))
         connection._reader_task = asyncio.get_running_loop().create_task(
             connection._read_replies()
         )
@@ -135,7 +112,7 @@ class _V2Connection:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[rid] = _Pending(request=request, future=future, on_chunk=on_chunk)
         self._writer.write(
-            self._encode({"type": "request", "rid": rid, "request": request.to_wire()})
+            encode_frame({"type": "request", "rid": rid, "request": request.to_wire()})
         )
         return future
 
@@ -146,10 +123,9 @@ class _V2Connection:
 
     async def _read_replies(self) -> None:
         error: Optional[Exception] = None
-        allow_binary = self.encoding == ENCODING_BINARY
         try:
             while True:
-                frame = await read_frame(self._reader, allow_binary=allow_binary)
+                frame = await read_frame(self._reader)
                 if frame is None:
                     break
                 kind = frame.get("type")
@@ -221,27 +197,17 @@ class _V2Connection:
 
 
 class LiveSession(Session):
-    """Session over a live gateway (protocol v2, or v1 for comparison)."""
+    """Session over a live gateway."""
 
     backend = "live"
 
-    def __init__(
-        self,
-        version: int,
-        timeout: float,
-        encoding: str = ENCODING_JSON,
-        tracing: bool = False,
-    ) -> None:
-        self.version = version
+    def __init__(self, timeout: float, tracing: bool = False) -> None:
         self.timeout = timeout
-        self.encoding = encoding
         #: whether this session *asked* for the tracing capability; see
         #: :attr:`tracing_granted` for what the gateway actually gave
         self.tracing = tracing
         self._address: Tuple[str, int] = ("", 0)
         self._v2: List[_V2Connection] = []
-        self._v1: Optional[asyncio.Queue] = None
-        self._v1_clients: List[Any] = []
         self._pool_target = 0
         #: gateway addresses learned from the cluster's membership view
         #: (every ``stats`` reply refreshes it) — the failover list tried
@@ -250,7 +216,6 @@ class LiveSession(Session):
         self._closed = False
         #: client-side high-water mark of concurrently submitted requests
         self.peak_in_flight = 0
-        self._submitted = 0
 
     @classmethod
     async def connect(
@@ -258,54 +223,28 @@ class LiveSession(Session):
         host: str,
         port: int,
         pool: int = 4,
-        version: int = GATEWAY_PROTOCOL_V2,
         timeout: float = 30.0,
-        encoding: str = ENCODING_JSON,
         tracing: bool = False,
     ) -> "LiveSession":
-        """Open ``pool`` gateway connections (handshaken for v2).
+        """Open ``pool`` handshaken gateway connections.
 
         ``timeout`` bounds how long a reply may take when the request
         carries no deadline option (requests with a deadline get that
-        deadline plus grace).  ``encoding="binary"`` asks the gateway to
-        carry the high-volume frames in the compact binary bodies (v2
-        only: the v1 line protocol has no frames to re-encode).
-        ``tracing=True`` negotiates the tracing capability so requests
-        with ``options.trace`` get span trees back; on v1, or against a
-        gateway without a tracer, the ask degrades silently to untraced
-        replies.
+        deadline plus grace).  ``tracing=True`` negotiates the tracing
+        capability so requests with ``options.trace`` get span trees back;
+        against a gateway without a tracer the ask degrades silently to
+        untraced replies.
         """
         if pool < 1:
             raise SessionError("pool must be at least 1")
-        if version not in (1, GATEWAY_PROTOCOL_V2):
-            raise SessionError(f"unknown protocol version {version} (use 1 or 2)")
         if timeout <= 0:
             raise SessionError("timeout must be positive")
-        if encoding not in SUPPORTED_ENCODINGS:
-            raise SessionError(
-                f"unknown encoding {encoding!r} (use {' or '.join(SUPPORTED_ENCODINGS)})"
-            )
-        if version != GATEWAY_PROTOCOL_V2 and encoding != ENCODING_JSON:
-            raise SessionError("binary encoding requires protocol v2")
-        session = cls(version=version, timeout=timeout, encoding=encoding, tracing=tracing)
+        session = cls(timeout=timeout, tracing=tracing)
         session._address = (host, port)
         session._pool_target = pool
         try:
-            if version == GATEWAY_PROTOCOL_V2:
-                for _ in range(pool):
-                    session._v2.append(
-                        await _V2Connection.connect(
-                            host, port, encoding=encoding, tracing=tracing
-                        )
-                    )
-            else:
-                from repro.runtime.client import RuntimeClient
-
-                session._v1 = asyncio.Queue()
-                for _ in range(pool):
-                    client = await RuntimeClient.connect(host, port)
-                    session._v1_clients.append(client)
-                    session._v1.put_nowait(client)
+            for _ in range(pool):
+                session._v2.append(await _V2Connection.connect(host, port, tracing=tracing))
         except BaseException:
             await session.close()
             raise
@@ -314,19 +253,17 @@ class LiveSession(Session):
     @property
     def pool_size(self) -> int:
         """Number of gateway connections this session owns."""
-        return len(self._v2) if self.version == GATEWAY_PROTOCOL_V2 else len(self._v1_clients)
+        return len(self._v2)
 
     @property
     def tracing_granted(self) -> bool:
-        """True when every pooled v2 connection negotiated tracing."""
+        """True when every pooled connection negotiated tracing."""
         return bool(self._v2) and all(connection.tracing for connection in self._v2)
 
     @property
     def in_flight(self) -> int:
-        """Requests submitted but not yet answered (v2 only tracks exact)."""
-        if self.version == GATEWAY_PROTOCOL_V2:
-            return sum(connection.in_flight for connection in self._v2)
-        return self._submitted
+        """Requests submitted but not yet answered."""
+        return sum(connection.in_flight for connection in self._v2)
 
     # ------------------------------------------------------------------ #
     # submission                                                           #
@@ -349,9 +286,7 @@ class LiveSession(Session):
     async def _redial_one(self) -> Optional[_V2Connection]:
         for address in self._gateway_candidates():
             try:
-                connection = await _V2Connection.connect(
-                    *address, encoding=self.encoding, tracing=self.tracing
-                )
+                connection = await _V2Connection.connect(*address, tracing=self.tracing)
             except (OSError, ConnectionError, ApiError, ProtocolError):
                 continue
             # Future replacements dial the gateway that actually answered
@@ -389,59 +324,23 @@ class LiveSession(Session):
     ) -> Reply:
         if self._closed:
             raise SessionError("session is closed")
-        self._submitted += 1
+        connection = await self._pick_connection()
+        future = connection.post(request, on_chunk)
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        try:
-            if self.version == GATEWAY_PROTOCOL_V2:
-                connection = await self._pick_connection()
-                future = connection.post(request, on_chunk)
-                await connection.drain()
-                payload, chunks = await asyncio.wait_for(future, self._reply_timeout(request))
-                return reply_from_payload(request, payload, chunks=chunks)
-            return await self._submit_v1(request)
-        finally:
-            self._submitted -= 1
-
-    async def _submit_v1(self, request: Request) -> Reply:
-        assert self._v1 is not None
-        client = await self._v1.get()
-        try:
-            payload = await asyncio.wait_for(
-                client.execute(request), self._reply_timeout(request)
-            )
-        except asyncio.TimeoutError:
-            # The line protocol has no request ids: if the late reply ever
-            # arrives it would be read as the *next* command's answer.  A
-            # timed-out connection is FIFO-poisoned — retire it and pool a
-            # fresh one (best effort; the timeout still propagates).
-            await client.close()
-            self._v1_clients.remove(client)
-            try:
-                from repro.runtime.client import RuntimeClient
-
-                replacement = await RuntimeClient.connect(*self._address)
-            except OSError:
-                pass
-            else:
-                self._v1_clients.append(replacement)
-                self._v1.put_nowait(replacement)
-            raise
-        else:
-            self._v1.put_nowait(client)
-        return reply_from_payload(request, payload)
+        await connection.drain()
+        payload, chunks = await asyncio.wait_for(future, self._reply_timeout(request))
+        return reply_from_payload(request, payload, chunks=chunks)
 
     async def batch(
         self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
     ) -> List[Reply]:
         """Submit many requests with one flush per connection.
 
-        On v2 the whole batch is posted before the first drain — one
+        The whole batch is posted before the first drain — one
         syscall-ish burst instead of a write/await per request.  Note the
         per-request ``replicas``/``retries`` options are *not* applied on
         this path (use :meth:`submit` per request for those).
         """
-        if self.version != GATEWAY_PROTOCOL_V2:
-            return await super().batch(requests, on_chunk)
         if self._closed:
             raise SessionError("session is closed")
         posted = []
@@ -450,20 +349,16 @@ class LiveSession(Session):
             connection = await self._pick_connection()
             posted.append((request, connection.post(request, on_chunk)))
             touched.add(id(connection))
-            self._submitted += 1
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        try:
-            for connection in self._v2:
-                if id(connection) in touched and not connection.closed:
-                    await connection.drain()
-            return [
-                reply_from_payload(request, *await asyncio.wait_for(
-                    future, self._reply_timeout(request)
-                ))
-                for request, future in posted
-            ]
-        finally:
-            self._submitted -= len(posted)
+        for connection in self._v2:
+            if id(connection) in touched and not connection.closed:
+                await connection.drain()
+        return [
+            reply_from_payload(request, *await asyncio.wait_for(
+                future, self._reply_timeout(request)
+            ))
+            for request, future in posted
+        ]
 
     # ------------------------------------------------------------------ #
     # membership-fed failover                                              #
@@ -524,7 +419,3 @@ class LiveSession(Session):
         for connection in self._v2:
             await connection.close()
         self._v2.clear()
-        for client in self._v1_clients:
-            await client.close()
-        self._v1_clients.clear()
-        self._v1 = None

@@ -391,11 +391,7 @@ class PongReply(Reply):
 
 
 def reply_from_payload(request: Request, payload: Dict[str, Any], chunks: int = 0) -> Reply:
-    """Decode a gateway JSON reply payload into the typed reply for ``request``.
-
-    The payload shape is shared by protocol v1 (one JSON line) and v2
-    (a ``reply`` frame); only the envelope differs.
-    """
+    """Decode a gateway ``reply`` frame's payload into the typed reply for ``request``."""
     if not payload.get("ok", False):
         raise ApiError(payload.get("error", "unknown gateway error"))
     kind = payload.get("type")

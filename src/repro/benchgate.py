@@ -12,8 +12,7 @@ Two classes of gated metric, because the CI container has one CPU and a
 developer laptop does not:
 
 * ``"ratio"`` metrics (success ratios, completeness, deterministic
-  counts, v2-over-v1 speedup — both sides measured on the *same* machine)
-  are machine-independent and always gated.
+  counts) are machine-independent and always gated.
 * ``"rate"`` metrics (queries/sec, events/sec) are wall-clock throughput
   and only gated when the baseline artifact's ``cpu_count`` stamp matches
   the current machine — otherwise the comparison is reported but skipped.
@@ -43,16 +42,6 @@ GATED_METRICS: Dict[str, Dict[str, str]] = {
     "load": {
         "events_per_sec": "rate",
         "queries_per_sec": "rate",
-    },
-    "runtime": {
-        "queries_per_sec": "rate",
-        "v1_queries_per_sec": "rate",
-        "binary_queries_per_sec": "rate",
-        "v2_speedup_over_v1": "ratio",
-        "binary_speedup_over_json": "ratio",
-        "recorder_overhead_ratio": "ratio",
-        "recorder_overhead_median": "ratio",
-        "success_ratio": "ratio",
     },
     "faults": {
         "success_ratio_resilient": "ratio",
@@ -169,8 +158,7 @@ def compare(
             if not isinstance(cur, (int, float)) or isinstance(cur, bool):
                 cur = None
             if base is None or cur is None:
-                # A metric absent on both sides isn't worth a table row
-                # (e.g. binary metrics before their baseline first lands).
+                # A metric absent on both sides isn't worth a table row.
                 if base is not None or cur is not None:
                     deltas.append(Delta(bench, metric, kind, base, cur, "missing"))
                 continue

@@ -1,36 +1,29 @@
-"""Compact binary frame bodies for the high-volume v2 gateway frames.
+"""A compact, deterministic binary encoding of the JSON type universe.
 
-The JSON frame codec in :mod:`repro.runtime.protocol` is the lingua franca
-of the gateway: every client speaks it, every control frame (``hello`` /
-``welcome`` / ``error`` / ``quit``) stays JSON forever so that a human with
-``nc`` and a hex dump can always debug a handshake.  But the *high-volume*
-frames — ``request``, ``reply``, ``chunk``, ``batch`` — are structurally
-repetitive, and profiling the closed-loop soak shows ``json.dumps`` /
-``json.loads`` of nested result payloads on the gateway's hot path.  This
-module provides the negotiated alternative: a hand-rolled, stdlib-only
-binary encoding over exactly the JSON type universe.
+Two on-disk formats are built from it: the storage layer's WAL and SQLite
+records (:mod:`repro.storage`; the content digest hashes these bytes, so
+two stores holding the same objects agree byte for byte) and the flight
+recorder's ``ARFR2`` dumps (:mod:`repro.obs.recorder`).  Nothing on a
+socket uses it: every runtime frame body is JSON
+(:mod:`repro.runtime.protocol`), which the repo's benchmark measured as
+the faster codec on the program's own frames.
 
 Design rules
 ------------
 * **Same value space as JSON.**  ``decode(encode(x)) ==
   json.loads(json.dumps(x))`` for every encodable ``x``: tuples become
   lists, dict keys must be strings (we *reject* non-string keys instead of
-  silently coercing them the way ``json.dumps`` does — a binary frame must
+  silently coercing them the way ``json.dumps`` does — a binary body must
   never decode to something JSON would have spelled differently).
 * **Self-identifying bodies.**  Every binary body starts with the magic
   byte ``0xC1`` — deliberately the one byte msgpack reserves as
   "never used", and one no JSON body can start with (JSON objects start
-  with ``{`` = 0x7B).  The length-prefix framing is shared with JSON, so a
-  receiver distinguishes the two encodings per frame, not per connection.
+  with ``{`` = 0x7B).
 * **msgpack-compatible core tags.**  The type tags follow the msgpack
   layout (fixint/fixstr/fixarray/fixmap, ``0xC0`` nil, ``0xCB`` float64,
   ``0xD3`` int64, …) so the format is boring and auditable; arbitrary-
   precision ints ride in an ext payload (``0xC7``) because the paper's
   query ids are unbounded Python ints.
-
-Only the codec lives here; negotiation (the ``encoding`` key in
-``hello``/``welcome``) and the per-connection rules live in
-:mod:`repro.runtime.protocol` and the gateway.
 """
 
 from __future__ import annotations

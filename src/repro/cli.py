@@ -223,31 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak only: fraction of queries that are multi-attribute (MIRA)",
     )
     parser.add_argument(
-        "--protocol",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help=(
-            "soak only: gateway wire protocol (2 = multiplexed frames via a "
-            "pooled session, 1 = the deprecated FIFO line protocol, kept for "
-            "before/after comparisons)"
-        ),
-    )
-    parser.add_argument(
         "--pool",
         type=int,
         default=4,
-        help="soak only: session connection-pool size (protocol 2)",
-    )
-    parser.add_argument(
-        "--encoding",
-        choices=("json", "binary"),
-        default="json",
-        help=(
-            "soak only: v2 frame-body encoding — json (default, what every "
-            "client speaks) or binary (the compact negotiated bodies for the "
-            "high-volume request/reply/chunk/batch frames)"
-        ),
+        help="soak only: session connection-pool size",
     )
     parser.add_argument(
         "--storage",
@@ -325,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "soak only: exit non-zero unless the gateway observed at least "
-            "this many concurrently in-flight requests (proof of protocol-v2 "
+            "this many concurrently in-flight requests (proof of "
             "multiplexing, via the stats peak_in_flight field)"
         ),
     )
@@ -578,9 +557,7 @@ def make_soak_spec(args: argparse.Namespace, config: ExperimentConfig):
             mira_fraction=args.mira_fraction,
             deadline=args.deadline if args.deadline is not None else 5.0,
             attribute_interval=(config.attribute_low, config.attribute_high),
-            protocol=args.protocol,
             pool=args.pool,
-            encoding=args.encoding,
             storage=args.storage,
             data_dir=args.data_dir,
             replicas=args.replicas,
@@ -637,7 +614,6 @@ def make_trace_spec(args: argparse.Namespace, config: ExperimentConfig):
             objects=args.objects if args.objects is not None else 500,
             deadline=args.deadline if args.deadline is not None else 5.0,
             attribute_interval=(config.attribute_low, config.attribute_high),
-            encoding=args.encoding,
             trace_out=args.trace_out,
             trace_jsonl=args.trace_jsonl,
         )

@@ -11,15 +11,9 @@ uses.  Results persist through
 :class:`~repro.analysis.store.ResultStore` records and the
 ``BENCH_runtime.json`` benchmark artifact.
 
-``protocol`` selects the wire dialect: **2** (default) multiplexes every
-worker over ``pool`` handshaken connections — many requests in flight per
-connection, replies out of order; **1** replays the deprecated line
-protocol (one FIFO connection per worker) so a before/after throughput
-comparison runs on otherwise identical code paths.  Under v2,
-``encoding="binary"`` additionally negotiates the compact binary frame
-bodies (:mod:`repro.runtime.binframe`) for the high-volume frames, which
-is how ``BENCH_runtime.json`` gets its three-way v1 / v2-JSON / v2-binary
-comparison.
+Every closed-loop worker multiplexes over the session's ``pool``
+handshaken gateway connections — many requests in flight per connection,
+replies out of order.
 
 The run asserts nothing by itself; the CLI's ``--require-success`` turns
 the success ratio into an exit code (and ``--require-pipelined`` does the
@@ -66,12 +60,8 @@ class SoakSpec:
     mira_fraction: float = 0.2
     deadline: float = 5.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
-    #: gateway wire dialect: 2 = multiplexed frames, 1 = deprecated lines
-    protocol: int = 2
-    #: session connection-pool size (protocol 1 pools one per worker)
+    #: session connection-pool size
     pool: int = 4
-    #: v2 frame-body encoding: "json" (default) or "binary"
-    encoding: str = "json"
     #: peer storage backend: "memory" (default), "wal" or "sqlite"
     storage: str = "memory"
     #: directory for durable logs (auto temp dir when unset)
@@ -113,14 +103,8 @@ class SoakSpec:
         low, high = self.attribute_interval
         if high <= low:
             raise ValueError("attribute interval must have positive width")
-        if self.protocol not in (1, 2):
-            raise ValueError("protocol must be 1 or 2")
         if self.pool < 1:
             raise ValueError("pool must be at least 1")
-        if self.encoding not in ("json", "binary"):
-            raise ValueError("encoding must be 'json' or 'binary'")
-        if self.encoding == "binary" and self.protocol != 2:
-            raise ValueError("binary encoding requires protocol 2")
         if self.storage not in BACKENDS:
             raise ValueError(f"storage must be one of {', '.join(BACKENDS)}")
         if self.replicas < 1:
@@ -134,12 +118,6 @@ class SoakSpec:
             raise ValueError("metrics-port must be within [0, 65535]")
         if self.postmortem_on_fail and self.record_dir is None:
             raise ValueError("postmortem-on-fail requires --record-dir")
-
-    @property
-    def pool_size(self) -> int:
-        """Connections the session opens: ``pool`` under v2 multiplexing,
-        one per closed-loop worker under FIFO v1 (its only concurrency)."""
-        return self.pool if self.protocol == 2 else self.concurrency
 
 
 @dataclass
@@ -170,9 +148,7 @@ class SoakResult:
             "nodes": self.stats.get("nodes", self.spec.nodes or self.spec.peers),
             "queries": self.report.queries,
             "concurrency": self.spec.concurrency,
-            "protocol": self.spec.protocol,
-            "encoding": self.spec.encoding,
-            "pool": self.spec.pool_size,
+            "pool": self.spec.pool,
             "peak_in_flight": self.stats.get("peak_in_flight", 0),
             "success_ratio": self.report.success_ratio,
             "wall_seconds": self.wall_seconds,
@@ -185,8 +161,7 @@ class SoakResult:
             "messages": self.report.messages,
             # Registry snapshot slices: the gateway's own counters for the
             # run, so the artifact records the observability plane too.
-            "frames_json": int(obs.get("repro_gateway_frames_total{json}", 0)),
-            "frames_binary": int(obs.get("repro_gateway_frames_total{binary}", 0)),
+            "frames": int(obs.get("repro_gateway_frames_total", 0)),
             "query_retries": int(obs.get("repro_query_retries_total", 0)),
             "query_reroutes": int(obs.get("repro_query_reroutes_total", 0)),
         }
@@ -220,8 +195,7 @@ class SoakResult:
             ),
             f"workload          : {self.spec.queries} queries "
             f"({self.spec.mira_fraction:.0%} MIRA), closed loop x{self.spec.concurrency} "
-            f"over protocol v{self.spec.protocol} [{self.spec.encoding}] "
-            f"({self.spec.pool_size} connections, "
+            f"over {self.spec.pool} connections ("
             f"gateway peak in-flight {self.stats.get('peak_in_flight', 0)})",
             f"wall time         : {self.wall_seconds:.2f}s "
             f"({self.queries_per_second:,.0f} queries/sec)",
@@ -364,16 +338,11 @@ async def run_async(spec: SoakSpec) -> SoakResult:
     try:
         low, high = spec.attribute_interval
         rng = DeterministicRNG(spec.seed)
-        session = await LiveSession.connect(
-            *gateway.address,
-            pool=spec.pool_size,
-            version=spec.protocol,
-            encoding=spec.encoding,
-        )
+        session = await LiveSession.connect(*gateway.address, pool=spec.pool)
         try:
-            # Publish in batches: under protocol v2 each batch is posted
-            # back-to-back on the pooled connections and the replies stream
-            # in concurrently, so the seeding phase pipelines too.
+            # Publish in batches: each batch is posted back-to-back on the
+            # pooled connections and the replies stream in concurrently, so
+            # the seeding phase pipelines too.
             write_options = RequestOptions(replicas=spec.replicas)
             inserts: List[Request] = [
                 Insert(value=value, options=write_options)

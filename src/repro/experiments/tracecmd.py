@@ -7,10 +7,10 @@ backends behind the same flags:
   publish a uniform object population, and run the query through a
   :class:`~repro.api.sim.SimSession` with a tracer attached.  Span
   durations are in simulated hop units.
-- **live** (``--connect HOST:PORT``): open a protocol-v2
+- **live** (``--connect HOST:PORT``): open a
   :class:`~repro.api.live.LiveSession` with the ``tracing`` capability and
   let the gateway's tracer collect the spans server-side; the reply ships
-  them back.  Durations are wall-clock seconds.  A v1 or non-tracing
+  them back.  Durations are wall-clock seconds.  A non-tracing
   gateway degrades to an untraced reply — reported, never an error.
 
 Either way the output is :func:`~repro.obs.spans.format_span_tree` — the
@@ -52,8 +52,6 @@ class TraceSpec:
     objects: int = 500
     deadline: float = 5.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
-    #: v2 frame-body encoding for the live path
-    encoding: str = "json"
     #: write Chrome ``trace_event`` JSON here (Perfetto-loadable)
     trace_out: Optional[str] = None
     #: write one span per line here (grep-friendly)
@@ -68,8 +66,6 @@ class TraceSpec:
             raise ValueError("objects must be non-negative")
         if self.deadline <= 0:
             raise ValueError("deadline must be positive")
-        if self.encoding not in ("json", "binary"):
-            raise ValueError("encoding must be 'json' or 'binary'")
         if self.connect is not None:
             host, _, port = self.connect.rpartition(":")
             if not host or not port.isdigit():
@@ -161,9 +157,7 @@ async def _run_live(spec: TraceSpec) -> TraceResult:
     from repro.api.live import LiveSession
 
     host, port = spec.address
-    session = await LiveSession.connect(
-        host, port, pool=1, encoding=spec.encoding, tracing=True
-    )
+    session = await LiveSession.connect(host, port, pool=1, tracing=True)
     try:
         options = RequestOptions(
             origin=spec.origin, deadline=spec.deadline, trace=True

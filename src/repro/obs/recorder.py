@@ -52,21 +52,6 @@ DUMP_MAGIC = b"ARFR2\n"
 _LOG = get_logger("obs.recorder")
 
 
-def _decode_frame_bytes(raw: bytes) -> Dict[str, Any]:
-    """Decode retained wire bytes: binframe (``0xC1`` magic) or JSON."""
-    if raw[:1] == b"\xc1":
-        return decode_binary(raw)
-    return json.loads(raw)
-
-
-def _decode_reply_bytes(raw: bytes) -> Dict[str, Any]:
-    """Decode a retained gateway response: a 4-byte-length-prefixed v2
-    frame, or a bare v1 JSON line (which always starts with ``{``)."""
-    if raw[:1] == b"{":
-        return json.loads(raw)
-    return _decode_frame_bytes(raw[4:])
-
-
 class DumpError(RuntimeError):
     """Raised when a dump file is missing, truncated or corrupt."""
 
@@ -153,14 +138,11 @@ class FlightRecorder:
             if "raw" in fields or "raw_reply" in fields:
                 for key, value in fields.items():
                     if key == "raw":
-                        event["frame"] = _decode_frame_bytes(value)
+                        event["frame"] = json.loads(value)
                     elif key == "raw_reply":
-                        # A written gateway response: a length-prefixed v2
-                        # frame ({"type": "reply", "payload": {...}}) or a
-                        # bare v1 JSON line — either way the query result
-                        # lives under "result".
-                        decoded = _decode_reply_bytes(value)
-                        event["result"] = decoded.get("payload", decoded).get("result")
+                        # A written gateway response: a length-prefixed
+                        # frame {"type": "reply", "payload": {"result": ...}}.
+                        event["result"] = json.loads(value[4:])["payload"].get("result")
                     else:
                         event[key] = value
             else:

@@ -15,7 +15,7 @@ Design constraints, in order:
    installed the only overhead is that ``None`` check.
 3. **Wire neutrality.**  Span context crosses the transport seam as
    two small metadata fields (``trace``, ``span``) that serialise
-   through both the JSON and binary frame codecs unchanged.
+   through the JSON frame codec unchanged.
 
 Exporters: :func:`spans_to_jsonl` (one span per line, grep-friendly)
 and :func:`spans_to_chrome` (Chrome ``trace_event`` JSON — load the

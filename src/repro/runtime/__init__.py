@@ -7,9 +7,9 @@ worlds.  Client-facing code should not import this package directly but go
 through :mod:`repro.api` (``LiveSession`` for a gateway, ``SimSession``
 for the simulator).  The pieces:
 
-* :mod:`~repro.runtime.protocol` — length-prefixed JSON frames, the
-  message↔wire mapping, the gateway protocol-version vocabulary
-  (``hello``/``welcome``/``error`` frames) and a small RPC channel;
+* :mod:`~repro.runtime.protocol` — length-prefixed JSON frames (the one
+  body encoding of every runtime socket), the message↔wire mapping, the
+  gateway's ``hello``/``welcome``/``error`` frames and a small RPC channel;
 * :mod:`~repro.runtime.transport` — :class:`AsyncioTransport`, the live
   :class:`~repro.core.transport.Transport`: peer→address routing, per-node
   TCP links, ``loop.call_later`` timers;
@@ -22,11 +22,8 @@ for the simulator).  The pieces:
   topologically identical);
 * :mod:`~repro.runtime.gateway` — the TCP front door, speaking the
   multiplexed **protocol v2** (rid-tagged frames, batch submission,
-  streamed partial replies) with the deprecated v1 line protocol behind
-  the handshake fallback;
-* :mod:`~repro.runtime.client` — :class:`RuntimeClient`, the deprecated
-  v1 line-protocol client (one FIFO request at a time; use
-  :class:`repro.api.LiveSession` instead);
+  streamed partial replies) and nothing else; its client is
+  :class:`repro.api.LiveSession`;
 * :mod:`~repro.runtime.loadgen` — open/closed-loop load generation over
   any :class:`~repro.api.session.Session`, reporting through the shared
   :class:`~repro.engine.reporting.RunReporter`;
@@ -34,7 +31,6 @@ for the simulator).  The pieces:
   SIGINT/SIGTERM draining.
 """
 
-from repro.runtime.client import QueryReply, RuntimeClient
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop, run_open_loop
@@ -44,8 +40,6 @@ __all__ = [
     "AsyncioTransport",
     "Gateway",
     "LiveCluster",
-    "QueryReply",
-    "RuntimeClient",
     "make_mixed_jobs",
     "run_closed_loop",
     "run_open_loop",

@@ -1,12 +1,9 @@
-"""The gateway: the TCP front door of a live cluster, speaking v1 and v2.
+"""The gateway: the TCP front door of a live cluster.
 
-Every client connection is version-sniffed on its first byte: a v2
-connection opens with a length-prefixed ``hello`` frame (whose 4-byte
-big-endian length prefix always starts ``0x00`` — no v1 text command can),
-anything else falls back to the **deprecated** v1 line protocol.
-
-**Protocol v2** (framed JSON, multiplexed — see
-:mod:`repro.runtime.protocol` for the framing):
+A client connection speaks one dialect: **protocol v2**, multiplexed
+length-prefixed JSON frames (see :mod:`repro.runtime.protocol` for the
+framing).  It opens with a ``hello``/``welcome`` exchange and then carries
+rid-tagged requests:
 
 =========================================  ========================================
 client frame                                gateway frames
@@ -29,45 +26,29 @@ request with ``"options":{"stream":true}``  ``{"type":"chunk","rid":N,"peer":..,
 ``{"type":"quit"}``                         closes the connection
 =========================================  ========================================
 
-The ``hello`` frame may also carry ``"encoding": "binary"`` to switch the
-high-volume frames (``request``/``reply``/``chunk``/``batch``) to the
-compact binary bodies of :mod:`repro.runtime.binframe`; the ``welcome``
-echoes the negotiated encoding.  Control frames (``hello``/``welcome``/
-``error``/``quit``) stay JSON on every connection, an unknown encoding in
-the hello gets a fatal structured error, and a binary body on a
-JSON-negotiated connection gets a *non-fatal* structured error (the shared
-length framing keeps the stream resynchronisable).
+The ``hello`` may also carry ``"tracing": true``; keys the gateway does not
+know are ignored, so a newer or older client is still welcomed.
 
 Request objects are the :mod:`repro.api.requests` wire forms —
 ``range`` / ``mrange`` / ``insert`` / ``minsert`` / ``stats`` / ``ping``
 ops with per-request options (``origin``, ``deadline``, ``stream``).
-Malformed frames get structured ``error`` frames: with a ``rid`` when the
-failure kills exactly that request (unknown op, malformed fields, an
-unrecognised frame type carrying a rid — the connection survives), without
-one for a duplicate rid (the *original* request still owns it and will get
-its reply — tagging would make clients drop that reply), and with
-``"fatal":true`` when the connection cannot
-continue (oversized frame, broken handshake) — written *before* the close,
-so clients always learn why.
 
-**Protocol v1** (deprecated: newline-terminated text commands, exactly one
-JSON reply line per command, strictly FIFO — a single connection cannot
-pipeline.  Kept behind the handshake fallback for old scripts; new code
-should use :class:`repro.api.LiveSession`):
+Bad input has exactly three outcomes, and every one of them is a structured
+``error`` frame — the gateway never closes a connection silently:
 
-=====================================  ==========================================
-command                                 reply (always has ``"ok"``)
-=====================================  ==========================================
-``ping``                                ``{"ok": true, "type": "pong"}``
-``stats``                               cluster statistics + gateway counters
-``insert <value>``                      publishes a single-attribute object
-``minsert <v1> <v2> ...``               publishes a multi-attribute object
-``range <low> <high> [origin=<peer>]``  runs a PIRA query, full result inline
-``mrange <l1> <u1> [<l2> <u2> ...]``    runs a MIRA box query (``origin=`` too)
-``quit``                                closes the connection
-=====================================  ==========================================
+* **The stream cannot be framed** — a length prefix above the frame limit
+  (which is also what the first four bytes of any text line read as) or a
+  broken handshake: one ``"fatal":true`` error frame, written *before* the
+  close.
+* **A well-framed body that is not a JSON object**: a non-fatal error
+  frame; the length framing is intact, so the connection keeps serving.
+* **A bad request inside a good frame**: an error tagged with the ``rid``
+  when the failure kills exactly that request (unknown op, malformed
+  fields, an unrecognised frame type carrying a rid), untagged for a
+  duplicate rid (the *original* request still owns it and will get its
+  reply — tagging would make clients drop that reply).
 
-Query replies (both versions) carry the complete
+Query replies carry the complete
 :meth:`~repro.core.pira.RangeQueryResult.to_wire` payload plus the
 gateway-measured wall-clock latency, so a client can rebuild the exact
 result object the simulator would have produced.  Its ``matches`` travel
@@ -85,7 +66,6 @@ the deadline caps how long that can take.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.requests import (
@@ -97,7 +77,6 @@ from repro.api.requests import (
     Ping,
     RangeQuery,
     Request,
-    RequestOptions,
     Stats,
     request_from_wire,
 )
@@ -105,20 +84,12 @@ from repro.core.errors import ArmadaError
 from repro.core.pira import RangeQueryResult
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.protocol import (
-    ENCODING_BINARY,
-    ENCODING_JSON,
     GATEWAY_PROTOCOL_V2,
-    GATEWAY_PROTOCOL_VERSIONS,
-    MAX_FRAME_BYTES,
-    SUPPORTED_ENCODINGS,
-    EncodingError,
+    FrameBodyError,
     ProtocolError,
-    decode_frame,
     encode_frame,
-    encode_frame_binary,
     error_frame,
     read_frame,
-    warn_v1_once,
     welcome_frame,
 )
 from repro.sim.rng import DeterministicRNG
@@ -131,7 +102,7 @@ REPLY_RECORD_KEY = "_reply_record"
 
 
 class Gateway:
-    """TCP front door: negotiates the protocol, drives the executors."""
+    """TCP front door: handshake, request table, reply writer."""
 
     def __init__(
         self,
@@ -164,38 +135,19 @@ class Gateway:
         self._connections: Set[asyncio.StreamWriter] = set()
         self._closing = False
         self._started_at: Optional[float] = None
-        #: total connections accepted, per negotiated protocol version
-        self.connections_by_version: Dict[int, int] = {1: 0, 2: 0}
-        #: total v2 connections accepted, per negotiated body encoding
-        self.connections_by_encoding: Dict[str, int] = {
-            ENCODING_JSON: 0,
-            ENCODING_BINARY: 0,
-        }
-        #: negotiated encoding of each *live* v2 connection (stats reports
-        #: the per-encoding counts so an operator can see who upgraded)
-        self._connection_encodings: Dict[asyncio.StreamWriter, str] = {}
 
     def _init_metrics(self, metrics: Optional[Any]) -> None:
-        """Register the gateway's instruments on the shared registry.
-
-        Counter children are cached per encoding so the frame-write hot
-        path increments a bound slot instead of hashing label tuples.
-        """
+        """Register the gateway's instruments on the shared registry."""
         if metrics is None:
-            self._frame_counters = None
+            self._m_frames = None
             self._m_latency = None
             return
         from repro.obs.metrics import HOP_BUCKETS, LATENCY_BUCKETS_S
 
-        frames = metrics.counter(
-            "gateway_frames_total",
-            "Frames written by the gateway, per negotiated body encoding",
-            ("encoding",),
-        )
-        self._frame_counters = {
-            ENCODING_JSON: frames.child(ENCODING_JSON),
-            ENCODING_BINARY: frames.child(ENCODING_BINARY),
-        }
+        # A bound child: the frame-write hot path increments one slot.
+        self._m_frames = metrics.counter(
+            "gateway_frames_total", "Frames written by the gateway"
+        ).child()
         self._m_queries = metrics.counter(
             "gateway_queries_total", "Range queries answered, per executor kind", ("kind",)
         )
@@ -311,24 +263,10 @@ class Gateway:
     # ------------------------------------------------------------------ #
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Sniff the protocol version from the first byte and dispatch.
-
-        A v2 frame's 4-byte length prefix always begins ``0x00`` (frames
-        are capped far below 2**24 bytes); v1 text commands start with a
-        printable character.  One byte decides the connection's dialect.
-        """
+        """One client connection, from accept to close."""
         self._connections.add(writer)
         try:
-            try:
-                first = await reader.readexactly(1)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return
-            if first == b"\x00":
-                self.connections_by_version[2] += 1
-                await self._serve_v2(reader, writer)
-            else:
-                self.connections_by_version[1] += 1
-                await self._serve_v1(first, reader, writer)
+            await self._converse(reader, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
@@ -339,197 +277,52 @@ class Gateway:
             except (OSError, asyncio.CancelledError):
                 pass
 
-    # -- v1: the deprecated line protocol ------------------------------------
-
-    async def _serve_v1(
-        self, first: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """The legacy FIFO loop: one text command, one JSON reply line."""
-        warn_v1_once("gateway accept")
-        pending = first
-        while True:
-            line = pending + await reader.readline()
-            pending = b""
-            if not line.strip() and not line:
-                break
-            command = line.decode("utf-8", errors="replace").strip()
-            if not command:
-                if not line.endswith(b"\n"):
-                    break  # EOF mid-line
-                continue
-            if command in ("quit", "exit"):
-                break
-            response = await self._dispatch_v1(command)
-            attach = (
-                response.pop(REPLY_RECORD_KEY, None)
-                if isinstance(response, dict)
-                else None
-            )
-            line_out = (json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8")
-            writer.write(line_out)
-            if attach is not None:
-                attach(raw_reply=line_out)
-            await writer.drain()
-            if not line.endswith(b"\n"):
-                break  # the command was cut short by EOF; answer it, then stop
-
-    async def _dispatch_v1(self, command: str) -> Dict[str, Any]:
-        """Parse one v1 text command into a request and execute it."""
-        tokens = command.split()
-        verb, args = tokens[0], tokens[1:]
-        try:
-            request = self._parse_v1(verb, args)
-            if request is None:
-                return {
-                    "ok": False,
-                    "error": f"unknown command {verb!r} (try: ping, stats, insert, minsert, range, mrange, quit)",
-                }
-            return await self._execute(request)
-        except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
-            # ArmadaError covers QueryError/NamingError from the executors
-            # and namers (e.g. an mrange with the wrong dimension count, an
-            # insert outside the attribute interval): the client must get a
-            # JSON error line, never a dead connection.
-            return {"ok": False, "error": str(exc)}
-
-    @staticmethod
-    def _split_origin(args: List[str]) -> Tuple[List[str], Optional[str]]:
-        """Strip a trailing ``origin=<peer>`` token."""
-        if args and args[-1].startswith("origin="):
-            return args[:-1], args[-1].split("=", 1)[1]
-        return args, None
-
-    def _parse_v1(self, verb: str, args: List[str]) -> Optional[Request]:
-        """The v1 text grammar, mapped onto the shared request objects."""
-        if verb == "ping":
-            return Ping()
-        if verb == "stats":
-            return Stats()
-        if verb == "insert":
-            if len(args) != 1:
-                raise ValueError("usage: insert <value>")
-            return Insert(value=float(args[0]))
-        if verb == "minsert":
-            if not args:
-                raise ValueError("usage: minsert <v1> <v2> ...")
-            return MultiInsert(values=tuple(float(token) for token in args))
-        if verb == "range":
-            args, origin = self._split_origin(args)
-            if len(args) != 2:
-                raise ValueError("usage: range <low> <high> [origin=<peer>]")
-            return RangeQuery(
-                low=float(args[0]),
-                high=float(args[1]),
-                options=RequestOptions(origin=origin),
-            )
-        if verb == "mrange":
-            args, origin = self._split_origin(args)
-            if not args or len(args) % 2 != 0:
-                raise ValueError("usage: mrange <l1> <u1> [<l2> <u2> ...] [origin=<peer>]")
-            bounds = [float(token) for token in args]
-            ranges = tuple(
-                (bounds[index], bounds[index + 1]) for index in range(0, len(bounds), 2)
-            )
-            return MultiRangeQuery(ranges=ranges, options=RequestOptions(origin=origin))
-        return None
-
-    # -- v2: the multiplexed frame protocol ----------------------------------
-
-    def _write_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        frame: Dict[str, Any],
-        encoding: str = ENCODING_JSON,
-    ) -> None:
+    def _write_frame(self, writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> None:
         """Buffer one frame (a single ``write`` call, so frames never
-        interleave even when several reply tasks share the connection).
-
-        ``encoding`` is the connection's negotiated body encoding; it only
-        applies to the high-volume frames (``reply``/``chunk``) — control
-        frames (``welcome``/``error``) are always JSON, even on a binary
-        connection, so failures stay debuggable on the wire.
-        """
+        interleave even when several reply tasks share the connection)."""
         payload = frame.get("payload")
         attach = payload.pop(REPLY_RECORD_KEY, None) if isinstance(payload, dict) else None
         if not writer.is_closing():
-            if encoding == ENCODING_BINARY and frame.get("type") in ("reply", "chunk"):
-                body = encode_frame_binary(frame)
-            else:
-                body = encode_frame(frame)
+            body = encode_frame(frame)
             writer.write(body)
             if attach is not None:
                 attach(raw_reply=body)
-            if self._frame_counters is not None:
-                self._frame_counters[encoding].inc()
+            if self._m_frames is not None:
+                self._m_frames.inc()
 
-    async def _read_handshake_frame(self, reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-        """Read the first v2 frame, whose leading length byte (``0x00``)
-        the protocol sniffer already consumed."""
-        try:
-            rest = await reader.readexactly(3)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
-        length = int.from_bytes(b"\x00" + rest, "big")
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} exceeds the {MAX_FRAME_BYTES} limit")
-        try:
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
-        return decode_frame(body)
+    async def _fatal(self, writer: asyncio.StreamWriter, error: str) -> None:
+        """Tell the client why, then let the caller close the connection."""
+        self._write_frame(writer, error_frame(error, fatal=True))
+        await self._safe_drain(writer)
 
-    async def _serve_v2(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _converse(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """Handshake, then the multiplexed request loop."""
         try:
-            hello = await self._read_handshake_frame(reader)
+            hello = await read_frame(reader)
         except ProtocolError as exc:
-            self._write_frame(writer, error_frame(str(exc), fatal=True))
-            await self._safe_drain(writer)
+            await self._fatal(writer, str(exc))
             return
         if hello is None:
             return
         if hello.get("type") != "hello":
-            self._write_frame(
+            await self._fatal(
                 writer,
-                error_frame(
-                    f"a v2 connection must open with a hello frame, got {hello.get('type')!r}",
-                    fatal=True,
-                ),
+                f"a connection must open with a hello frame, got {hello.get('type')!r}",
             )
-            await self._safe_drain(writer)
             return
         versions = hello.get("versions") or []
         if GATEWAY_PROTOCOL_V2 not in versions:
-            self._write_frame(
+            await self._fatal(
                 writer,
-                error_frame(
-                    f"unsupported protocol versions {versions}; this gateway speaks "
-                    f"{list(GATEWAY_PROTOCOL_VERSIONS)} (1 is the legacy line protocol)",
-                    fatal=True,
-                ),
+                f"unsupported protocol versions {versions}; this gateway speaks "
+                f"[{GATEWAY_PROTOCOL_V2}]",
             )
-            await self._safe_drain(writer)
             return
-        encoding = hello.get("encoding", ENCODING_JSON)
-        if encoding not in SUPPORTED_ENCODINGS:
-            self._write_frame(
-                writer,
-                error_frame(
-                    f"unsupported encoding {encoding!r}; this gateway speaks "
-                    f"{list(SUPPORTED_ENCODINGS)}",
-                    fatal=True,
-                ),
-            )
-            await self._safe_drain(writer)
-            return
-        self.connections_by_encoding[encoding] += 1
-        self._connection_encodings[writer] = encoding
-        allow_binary = encoding == ENCODING_BINARY
         # Tracing is granted only when the client asked AND this gateway
         # has a tracer; either side lacking it degrades to untraced
         # replies — the absence of the key is the whole negotiation.
         tracing = bool(hello.get("tracing")) and self.tracer is not None
-        self._write_frame(writer, welcome_frame(encoding=encoding, tracing=tracing))
+        self._write_frame(writer, welcome_frame(tracing=tracing))
         await self._safe_drain(writer)
 
         pending_rids: Set[int] = set()
@@ -537,11 +330,11 @@ class Gateway:
         try:
             while True:
                 try:
-                    frame = await read_frame(reader, allow_binary=allow_binary)
-                except EncodingError as exc:
-                    # A binary body on a JSON-negotiated connection: the
-                    # length framing is intact, so the stream resynchronises
-                    # on the next frame — error the offender, keep serving.
+                    frame = await read_frame(reader)
+                except FrameBodyError as exc:
+                    # The length framing is intact, so the stream
+                    # resynchronises on the next frame — error the
+                    # offender, keep serving.
                     self._write_frame(writer, error_frame(str(exc)))
                     await self._safe_drain(writer)
                     continue
@@ -549,8 +342,7 @@ class Gateway:
                     # An unframeable stream (oversized/corrupt length) cannot
                     # be resynchronised — but the client still gets a
                     # structured error before the close, never silence.
-                    self._write_frame(writer, error_frame(str(exc), fatal=True))
-                    await self._safe_drain(writer)
+                    await self._fatal(writer, str(exc))
                     break
                 if frame is None:
                     break
@@ -559,7 +351,7 @@ class Gateway:
                     # No await here: the answering task owns the reply, and
                     # the loop goes straight back to reading — that is the
                     # multiplexing (frame intake never waits on execution).
-                    self._start_request(frame, writer, pending_rids, tasks, encoding, tracing)
+                    self._start_request(frame, writer, pending_rids, tasks, tracing)
                 elif kind == "batch":
                     entries = frame.get("requests")
                     if not isinstance(entries, list):
@@ -576,7 +368,7 @@ class Gateway:
                             )
                             await self._safe_drain(writer)
                             continue
-                        self._start_request(entry, writer, pending_rids, tasks, encoding, tracing)
+                        self._start_request(entry, writer, pending_rids, tasks, tracing)
                 elif kind == "quit":
                     break
                 else:
@@ -589,7 +381,6 @@ class Gateway:
                     )
                     await self._safe_drain(writer)
         finally:
-            self._connection_encodings.pop(writer, None)
             if tasks:
                 # The client is gone (or quitting): let in-flight replies
                 # finish against the closing writer rather than cancelling
@@ -602,7 +393,6 @@ class Gateway:
         writer: asyncio.StreamWriter,
         pending_rids: Set[int],
         tasks: Set[asyncio.Task],
-        encoding: str = ENCODING_JSON,
         tracing: bool = False,
     ) -> None:
         """Validate the rid and launch the request (no await: this is what
@@ -644,17 +434,13 @@ class Gateway:
             if request.options.stream:
 
                 def on_chunk(chunk: Dict[str, Any], rid: int = rid) -> None:
-                    self._write_frame(
-                        writer, {"type": "chunk", "rid": rid, **chunk}, encoding
-                    )
+                    self._write_frame(writer, {"type": "chunk", "rid": rid, **chunk})
 
             def finish(payload: Dict[str, Any], rid: int = rid) -> None:
                 pending_rids.discard(rid)
-                # The payload (shared with v1) nests under the envelope so
-                # the frame's own "type" stays "reply" for the client.
-                self._write_frame(
-                    writer, {"type": "reply", "rid": rid, "payload": payload}, encoding
-                )
+                # The payload nests under the envelope so the frame's own
+                # "type" stays "reply" for the client.
+                self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
 
             try:
                 self._start_query(request, on_chunk, finish, tracing=tracing)
@@ -663,7 +449,7 @@ class Gateway:
             return
 
         task = asyncio.get_running_loop().create_task(
-            self._answer_simple(rid, request, writer, encoding)
+            self._answer_simple(rid, request, writer)
         )
         tasks.add(task)
 
@@ -674,18 +460,14 @@ class Gateway:
         task.add_done_callback(_finished)
 
     async def _answer_simple(
-        self,
-        rid: int,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        encoding: str = ENCODING_JSON,
+        self, rid: int, request: Request, writer: asyncio.StreamWriter
     ) -> None:
         """Answer a non-query request (ping/stats/insert) as its own task."""
         try:
             payload = await self._execute(request)
         except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
             payload = {"ok": False, "error": str(exc)}
-        self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload}, encoding)
+        self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
         await self._safe_drain(writer)
 
     @staticmethod
@@ -696,13 +478,11 @@ class Gateway:
             pass
 
     # ------------------------------------------------------------------ #
-    # shared command execution                                             #
+    # non-query requests                                                   #
     # ------------------------------------------------------------------ #
 
-    async def _execute(
-        self, request: Request, on_chunk: Optional[Callable[[Dict[str, Any]], None]] = None
-    ) -> Dict[str, Any]:
-        """Run one request object; both protocol loops end up here."""
+    async def _execute(self, request: Request) -> Dict[str, Any]:
+        """Run one non-query request (queries go through :meth:`_start_query`)."""
         if isinstance(request, Ping):
             return {"ok": True, "type": "pong"}
         if isinstance(request, Stats):
@@ -713,8 +493,6 @@ class Gateway:
             return await self._minsert(request.values, request.options.replicas)
         if isinstance(request, Get):
             return await self._get(request.value)
-        if isinstance(request, (RangeQuery, MultiRangeQuery)):
-            return await self._run_query(request, on_chunk)
         raise ValueError(f"the gateway cannot execute request op {request.op!r}")
 
     def _stats(self) -> Dict[str, Any]:
@@ -725,24 +503,8 @@ class Gateway:
                 "queries_served": self.queries_served,
                 "in_flight": len(self._inflight),
                 "peak_in_flight": self._peak_inflight,
-                "protocol_versions": list(GATEWAY_PROTOCOL_VERSIONS),
+                "protocol_versions": [GATEWAY_PROTOCOL_V2],
                 "connections": len(self._connections),
-                "v1_connections": self.connections_by_version[1],
-                "v2_connections": self.connections_by_version[2],
-                "encodings": list(SUPPORTED_ENCODINGS),
-                "json_connections": self.connections_by_encoding[ENCODING_JSON],
-                "binary_connections": self.connections_by_encoding[ENCODING_BINARY],
-                "active_encodings": {
-                    name: sum(
-                        1 for enc in self._connection_encodings.values() if enc == name
-                    )
-                    for name in SUPPORTED_ENCODINGS
-                },
-                # The tracing capability and the per-encoding counts above are
-                # part of the *shared* stats payload on purpose: the v1 line
-                # protocol and every v2 connection answer a stats request
-                # through this one method, so the field set can never drift
-                # between protocol versions.
                 "tracing": self.tracer is not None,
                 "uptime_seconds": (now - self._started_at) if self._started_at is not None else 0.0,
             }
@@ -829,14 +591,14 @@ class Gateway:
         reply payload — synchronously when the query completes at its
         origin, from the executor's completion callback otherwise.
 
-        This is the event-driven core: no task, no future await — the v2
-        loop pipelines queries at the cost of one ``call_later`` handle
-        each.  Validation failures raise before anything is registered.
+        This is the event-driven core: no task, no future await — the
+        request loop pipelines queries at the cost of one ``call_later``
+        handle each.  Validation failures raise before anything is
+        registered.
 
         ``tracing`` is the connection's negotiated capability; a query is
         actually traced only when the *request* also opted in
-        (``options.trace``).  The v1 path never negotiates tracing, so a
-        v1 request's ``trace`` option is dropped cleanly — never an error.
+        (``options.trace``).
         """
         if self._closing:
             finish({"ok": False, "error": "shutting down"})
@@ -970,18 +732,3 @@ class Gateway:
                 deadline,
                 lambda query_id=result.query_id: executor.cancel(query_id),
             )
-
-    async def _run_query(
-        self,
-        request: Request,
-        on_chunk: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> Dict[str, Any]:
-        """Awaitable wrapper over :meth:`_start_query` (the v1 FIFO path)."""
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-
-        def finish(payload: Dict[str, Any]) -> None:
-            if not future.done():
-                future.set_result(payload)
-
-        self._start_query(request, on_chunk, finish)
-        return await future

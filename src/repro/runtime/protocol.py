@@ -1,7 +1,17 @@
 """Wire protocol: length-prefixed JSON frames and the message mapping.
 
-Every byte that crosses a runtime socket is a **frame**: a 4-byte
-big-endian payload length followed by that many bytes of UTF-8 JSON.
+Every byte that crosses a runtime socket — peer to peer and client to
+gateway alike — is a **frame**: a 4-byte big-endian payload length followed
+by that many bytes of UTF-8 JSON holding one object.  There is one body
+encoding and nothing to negotiate about it.  Two things can be wrong with
+incoming bytes, and they differ in what the receiver can do next:
+
+* a length prefix above :data:`MAX_FRAME_BYTES` (:class:`ProtocolError`) —
+  the stream cannot be resynchronised, the connection ends;
+* a well-framed body that is not a JSON object (:class:`FrameBodyError`) —
+  the next frame starts where this one ended, so the receiver may answer
+  with an ``error`` frame and keep reading.
+
 Frames carry either
 
 * **casts** — fire-and-forget protocol traffic, today the ``"msg"`` frames
@@ -10,6 +20,11 @@ Frames carry either
 * **requests** — frames carrying an ``"rid"``; the receiving node replies
   with a ``"reply"`` frame echoing the rid (join/announce during bootstrap,
   ``store`` for object publication, ``ping``).
+
+A gateway connection additionally opens with a ``hello``/``welcome``
+exchange (:func:`hello_frame`, :func:`welcome_frame`) and reports failures
+as :func:`error_frame` objects; :mod:`repro.runtime.gateway` documents that
+dialogue.
 
 The mapping between the simulator's :class:`~repro.sim.network.Message`
 and its wire form is deliberately lossy in one direction only: the
@@ -29,106 +44,35 @@ import itertools
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.runtime.binframe import (
-    BINARY_MAGIC,
-    BinaryCodecError,
-    decode_binary,
-    encode_binary,
-)
+from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
 
 #: frames above this size are protocol errors (corrupt length prefix)
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: frame-body encodings a v2 connection can negotiate.  ``"json"`` is the
-#: default (and the only encoding old clients know); ``"binary"`` switches
-#: the high-volume frames (``request``/``reply``/``chunk``/``batch``) to
-#: the compact codec in :mod:`repro.runtime.binframe`.  Control frames
-#: (``hello``/``welcome``/``error``/``quit``) are *always* JSON so the
-#: handshake and every failure stay debuggable with a hex dump.
-ENCODING_JSON = "json"
-ENCODING_BINARY = "binary"
-SUPPORTED_ENCODINGS = (ENCODING_JSON, ENCODING_BINARY)
-
 #: message-metadata keys that cross the wire (all JSON scalars).  The
 #: ``trace``/``span`` pair is the distributed-tracing context: present only
-#: on traced queries, carried identically by the JSON and binary codecs,
-#: and simply absent (never an error) when tracing is off or unsupported.
+#: on traced queries and simply absent (never an error) when tracing is
+#: off or unsupported.
 WIRE_METADATA_KEYS = ("level", "branch", "send", "latency", "trace", "span")
 
-#: gateway protocol versions this codebase speaks.  v1 is the legacy
-#: newline-terminated line protocol (one strictly-ordered reply per
-#: command — deprecated, kept behind the handshake fallback); v2 is the
-#: multiplexed frame protocol below.
-GATEWAY_PROTOCOL_VERSIONS = (1, 2)
-
-#: the version a v2 handshake negotiates today
+#: the gateway protocol version the handshake negotiates
 GATEWAY_PROTOCOL_V2 = 2
-
-#: contexts that already warned about protocol v1 (one warning per context
-#: per process: a soak over v1 must not emit one line per connection)
-_V1_WARNED: set = set()
-
-
-def warn_v1_once(context: str) -> bool:
-    """Emit the one-time protocol-v1 deprecation warning for ``context``.
-
-    v1 (the newline-terminated line protocol) has been documented as
-    deprecated since PR 3 but never said so at runtime.  Both accept paths
-    — a v1 connection reaching the gateway, a :class:`RuntimeClient` being
-    constructed — call this: one ``DeprecationWarning`` plus one
-    ``repro.runtime`` log line per context per process, so operators see
-    it in both the warnings machinery and the structured log stream.
-    Returns True when this call actually warned.
-    """
-    if context in _V1_WARNED:
-        return False
-    _V1_WARNED.add(context)
-    import warnings
-
-    from repro.obs.logs import get_logger
-
-    warnings.warn(
-        f"gateway protocol v1 ({context}) is deprecated; "
-        "use protocol v2 via repro.api.LiveSession",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    get_logger("runtime").warning(
-        "protocol v1 is deprecated (context=%s); use protocol v2 via "
-        "repro.api.LiveSession",
-        context,
-    )
-    return True
 
 
 def hello_frame(
     versions: tuple = (GATEWAY_PROTOCOL_V2,),
     client: str = "repro.api",
-    encoding: str = ENCODING_JSON,
     tracing: bool = False,
 ) -> Dict[str, Any]:
-    """The client's opening frame of a v2 gateway connection.
-
-    Because every frame starts with a 4-byte big-endian length and
-    ``MAX_FRAME_BYTES`` < 2**24, the first byte on the wire is always
-    ``0x00`` — which no v1 text command can start with.  That single byte
-    is the whole version negotiation: the gateway peeks it and routes the
-    connection to the framed v2 loop or the legacy v1 line loop.
-
-    ``encoding`` asks the gateway to carry the high-volume frames in that
-    body encoding.  Old clients (which never send the key) and old
-    gateways (which ignore it) both degrade to JSON, so the negotiation
-    is backwards- and forwards-compatible.
+    """The client's opening frame of a gateway connection.
 
     ``tracing`` asks the gateway to honour per-request ``trace`` options
-    and attach span trees to replies.  Same degradation contract as
-    ``encoding``: the key is only present when requested, and either side
-    not understanding it silently means "no tracing" — never an error.
+    and attach span trees to replies.  The key is only present when
+    requested, and either side not understanding it silently means "no
+    tracing" — never an error.  The gateway ignores keys it does not know.
     """
     frame = {"type": "hello", "versions": list(versions), "client": client}
-    if encoding != ENCODING_JSON:
-        frame["encoding"] = encoding
     if tracing:
         frame["tracing"] = True
     return frame
@@ -137,13 +81,10 @@ def hello_frame(
 def welcome_frame(
     version: int = GATEWAY_PROTOCOL_V2,
     server: str = "armada-gateway",
-    encoding: str = ENCODING_JSON,
     tracing: bool = False,
 ) -> Dict[str, Any]:
     """The gateway's handshake acceptance.
 
-    ``encoding`` echoes what the gateway actually negotiated; clients
-    treat an absent key as ``"json"`` (pre-binary gateways never send it).
     ``tracing`` confirms the connection may request traced queries; an
     absent key means the gateway has no tracer (or predates tracing) and
     clients degrade to untraced replies.
@@ -153,7 +94,6 @@ def welcome_frame(
         "version": version,
         "server": server,
         "features": ["batch", "stream"],
-        "encoding": encoding,
     }
     if tracing:
         frame["tracing"] = True
@@ -180,8 +120,8 @@ class ProtocolError(RuntimeError):
     """Raised on malformed frames or replies."""
 
 
-class EncodingError(ProtocolError):
-    """A well-framed body in an encoding this connection did not negotiate.
+class FrameBodyError(ProtocolError):
+    """A well-framed body that does not decode to a JSON object.
 
     Distinct from :class:`ProtocolError` because it is *recoverable*: the
     4-byte length framing is intact, so the receiver can answer with a
@@ -202,44 +142,33 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 
 
 def encode_frame_binary(payload: Dict[str, Any]) -> bytes:
-    """One frame with a binary body: 4-byte big-endian length + 0xC1 + value.
-
-    Shares the length framing (and the size limit) with JSON frames; only
-    the body bytes differ, so a connection can interleave both encodings.
-    """
+    # Called by nothing in src/: kept (with ``allow_binary`` below) only for
+    # bench/layers.py's codec.binary_vs_json_ratio reference comparison.
     body = encode_binary(payload)
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit")
     return len(body).to_bytes(4, "big") + body
 
 
 def decode_frame(body: bytes, allow_binary: bool = False) -> Dict[str, Any]:
     """Decode a frame payload (the bytes after the length prefix).
 
-    Binary bodies are self-identifying (leading ``0xC1``; JSON objects
-    start with ``{``).  A binary body arriving where ``allow_binary`` is
-    False raises :class:`EncodingError` — the framing survived, so the
-    caller can reply with a structured error instead of dropping the
-    connection.
+    Any body that is not one UTF-8 JSON object raises
+    :class:`FrameBodyError` — the framing survived, so the caller can
+    reply with a structured error instead of dropping the connection.
     """
-    if body and body[0] == BINARY_MAGIC:
-        if not allow_binary:
-            raise EncodingError(
-                "binary frame on a connection that negotiated JSON encoding"
-            )
-        try:
+    try:
+        if allow_binary and body[:1] == b"\xc1":
             payload = decode_binary(body)
-        except BinaryCodecError as exc:
-            raise ProtocolError(f"malformed binary frame: {exc}") from exc
-    else:
-        payload = json.loads(body.decode("utf-8"))
+        else:
+            payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:
+        raise FrameBodyError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ProtocolError("frame payload must be a JSON object")
+        raise FrameBodyError("frame payload must be a JSON object")
     return payload
 
 
 async def read_frame_raw(
-    reader: asyncio.StreamReader, allow_binary: bool = False
+    reader: asyncio.StreamReader,
 ) -> Optional[Tuple[Dict[str, Any], bytes]]:
     """Read one frame from ``reader`` as ``(frame, body_bytes)``.
 
@@ -259,14 +188,12 @@ async def read_frame_raw(
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
-    return decode_frame(body, allow_binary=allow_binary), body
+    return decode_frame(body), body
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, allow_binary: bool = False
-) -> Optional[Dict[str, Any]]:
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     """Read one frame from ``reader``; ``None`` on clean EOF."""
-    pair = await read_frame_raw(reader, allow_binary=allow_binary)
+    pair = await read_frame_raw(reader)
     return None if pair is None else pair[0]
 
 

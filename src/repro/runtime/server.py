@@ -219,7 +219,7 @@ async def serve_async(
     print(
         f"gateway listening on {gateway.host}:{gateway.port} "
         f"({cluster.network.size} peers on {len(cluster.nodes)} nodes, "
-        f"deadline {settings.deadline:g}s, protocols v2+v1)",
+        f"deadline {settings.deadline:g}s, protocol v2)",
         file=out,
         flush=True,
     )

@@ -208,7 +208,7 @@ class TestPipelining:
                 # ... and so did the gateway, on that single connection
                 stats = await session.stats()
                 assert stats["peak_in_flight"] >= 4
-                assert stats["v2_connections"] == 1
+                assert stats["connections"] == 1
             finally:
                 await session.close()
                 await gateway.shutdown()

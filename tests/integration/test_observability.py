@@ -18,7 +18,6 @@ from repro.core.armada import ArmadaSystem
 from repro.obs.exposition import MetricsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer, trace_from_wire
-from repro.runtime.client import RuntimeClient
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.protocol import encode_frame, hello_frame, read_frame
@@ -109,30 +108,6 @@ class TestTracingNegotiation:
 
         asyncio.run(scenario())
 
-    def test_v1_fallback_drops_trace_context_cleanly(self):
-        async def scenario():
-            cluster, gateway, _ = await boot()
-            try:
-                session = await LiveSession.connect(
-                    *gateway.address, version=1, tracing=True
-                )
-                try:
-                    assert not session.tracing_granted
-                    reply = await session.submit(
-                        RangeQuery(
-                            low=LOW, high=HIGH, options=RequestOptions(trace=True)
-                        )
-                    )
-                    assert reply.status == "ok"
-                    assert reply.trace_id is None
-                    assert reply.trace == ()
-                finally:
-                    await session.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
 
 class TestTracedQueries:
     def test_traced_reply_ships_the_span_tree(self):
@@ -184,67 +159,37 @@ class TestTracedQueries:
 
         asyncio.run(scenario())
 
-    def test_binary_encoding_carries_the_trace_fields(self):
-        async def scenario():
-            cluster, gateway, _ = await boot()
-            try:
-                session = await LiveSession.connect(
-                    *gateway.address, encoding="binary", tracing=True
-                )
-                try:
-                    await seed_objects(session)
-                    reply = await session.submit(
-                        RangeQuery(
-                            low=LOW, high=HIGH, options=RequestOptions(trace=True)
-                        )
-                    )
-                    assert reply.status == "ok"
-                    assert reply.trace_id is not None
-                    assert trace_from_wire(reply.trace).done
-                finally:
-                    await session.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
 
 class TestStatsParity:
-    def test_v1_and_v2_stats_share_one_payload(self):
+    def test_every_connection_sees_one_stats_field_set(self):
+        """``stats`` is answered by one method for every connection, so what
+        a connection negotiated never changes which fields it sees."""
+
         async def scenario():
             cluster, gateway, _ = await boot()
             try:
-                v2 = await LiveSession.connect(*gateway.address, tracing=True)
-                v1 = await RuntimeClient.connect(*gateway.address)
+                traced = await LiveSession.connect(*gateway.address, tracing=True)
+                plain = await LiveSession.connect(*gateway.address, pool=1)
                 try:
-                    v2_stats = await v2.stats()
-                    v1_stats = await v1.stats()
-                    assert set(v1_stats) == set(v2_stats)
-                    assert v1_stats["tracing"] is True
-                    assert "active_encodings" in v1_stats
-                    assert set(v1_stats["active_encodings"]) == {"json", "binary"}
-                    # one raw v1 line client + one pooled v2 session connected
-                    assert v2_stats["active_encodings"]["json"] >= 1
+                    traced_stats = await traced.stats()
+                    plain_stats = await plain.stats()
+                    assert set(plain_stats) == set(traced_stats)
+                    assert plain_stats["tracing"] is True
+                    assert plain_stats["connections"] == traced.pool_size + 1
                 finally:
-                    await v1.close()
-                    await v2.close()
+                    await plain.close()
+                    await traced.close()
             finally:
                 await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 
-    def test_tracing_false_without_tracer_in_both_protocols(self):
+    def test_tracing_false_without_tracer(self):
         async def scenario():
             cluster, gateway, _ = await boot(observed=False)
             try:
-                v2 = await LiveSession.connect(*gateway.address)
-                v1 = await RuntimeClient.connect(*gateway.address)
-                try:
-                    assert (await v2.stats())["tracing"] is False
-                    assert (await v1.stats())["tracing"] is False
-                finally:
-                    await v1.close()
-                    await v2.close()
+                async with await LiveSession.connect(*gateway.address) as session:
+                    assert (await session.stats())["tracing"] is False
             finally:
                 await teardown(cluster, gateway)
 
@@ -324,11 +269,10 @@ class TestSoakObservability:
             )
         )
         obs = result.stats["obs"]
-        assert obs["repro_gateway_frames_total{json}"] > 0
+        assert obs["repro_gateway_frames_total"] > 0
         assert obs["repro_gateway_query_latency_seconds_count"] == 20.0
         bench = result.bench_metrics()
-        assert bench["frames_json"] > 0
-        assert bench["frames_binary"] == 0
+        assert bench["frames"] > 0
         info = result.stats["trace_out"]
         assert info["traces"] == 20
         payload = json.loads(trace_path.read_text())

@@ -9,21 +9,16 @@ how requests interleave.
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
 from repro.api.live import LiveSession
 from repro.api.requests import ApiError
-from repro.runtime.client import RuntimeClient
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.protocol import (
-    ENCODING_BINARY,
     MAX_FRAME_BYTES,
-    ProtocolError,
     encode_frame,
-    encode_frame_binary,
     hello_frame,
     read_frame,
 )
@@ -44,10 +39,10 @@ async def teardown(cluster, gateway):
     await cluster.stop()
 
 
-async def raw_v2(gateway, versions=(2,), encoding="json"):
+async def raw_v2(gateway, versions=(2,), **extra_hello_keys):
     """A raw handshaken v2 connection (reader, writer)."""
     reader, writer = await asyncio.open_connection(*gateway.address)
-    writer.write(encode_frame(hello_frame(versions=versions, encoding=encoding)))
+    writer.write(encode_frame({**hello_frame(versions=versions), **extra_hello_keys}))
     await writer.drain()
     return reader, writer
 
@@ -69,6 +64,50 @@ class TestHandshake:
 
         asyncio.run(scenario())
 
+    def test_unknown_hello_keys_are_ignored(self):
+        """An old client still asking for ``"encoding": "binary"`` is
+        welcomed, and the welcome makes no promise about encodings."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            try:
+                reader, writer = await raw_v2(gateway, encoding="binary", shiny=True)
+                welcome = await read_frame(reader)
+                assert welcome["type"] == "welcome"
+                assert "encoding" not in welcome
+                writer.write(
+                    encode_frame({"type": "request", "rid": 1, "request": {"op": "ping"}})
+                )
+                await writer.drain()
+                assert (await read_frame(reader))["payload"]["type"] == "pong"
+                writer.close()
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
+    def test_text_line_opening_gets_one_fatal_error_then_eof(self):
+        """The first four bytes of a text command read as an absurd frame
+        length: the old line protocol is answered like any unframeable
+        stream — told why, then closed — not left hanging."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            try:
+                reader, writer = await asyncio.open_connection(*gateway.address)
+                writer.write(b"ping\n")
+                await writer.drain()
+                error = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert error["type"] == "error"
+                assert error["fatal"] is True
+                assert "exceeds" in error["error"]
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                writer.close()
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
     def test_version_mismatch_gets_structured_error_not_silence(self):
         async def scenario():
             cluster, gateway = await boot()
@@ -78,7 +117,7 @@ class TestHandshake:
                 assert error["type"] == "error"
                 assert error["fatal"] is True
                 assert "unsupported protocol versions [99]" in error["error"]
-                assert "[1, 2]" in error["error"]  # tells the client what works
+                assert "[2]" in error["error"]  # tells the client what works
                 assert await read_frame(reader) is None  # then the close
                 writer.close()
             finally:
@@ -265,302 +304,63 @@ class TestFrameErrors:
         asyncio.run(scenario())
 
 
-class TestEncodingNegotiation:
-    """Satellite of the binary-hot-path PR: the ``encoding`` handshake key
-    and the per-connection rules it creates."""
+class TestBadBody:
+    """A well-framed body that is not a JSON object has one outcome, whatever
+    is wrong with it: a non-fatal error frame, and the connection — whose
+    length framing is intact — keeps serving."""
 
-    def test_welcome_defaults_to_json_for_old_clients(self):
+    @pytest.mark.parametrize(
+        "body",
+        [b"abc", b"\xff\xfe{", b"[1]", b"\xc1\x00"],
+        ids=["not-json", "not-utf8", "not-an-object", "binframe"],
+    )
+    def test_error_then_still_serving(self, body):
         async def scenario():
             cluster, gateway = await boot()
             try:
                 reader, writer = await raw_v2(gateway)
-                welcome = await read_frame(reader)
-                assert welcome["type"] == "welcome"
-                assert welcome["encoding"] == "json"
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_binary_negotiation_round_trip(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway, encoding=ENCODING_BINARY)
-                welcome = await read_frame(reader)  # control frames stay JSON
-                assert welcome["type"] == "welcome"
-                assert welcome["encoding"] == "binary"
-                writer.write(
-                    encode_frame_binary(
-                        {"type": "request", "rid": 1, "request": {"op": "ping"}}
-                    )
-                )
-                await writer.drain()
-                # Peek the raw reply body: it must be a binary frame.
-                prefix = await reader.readexactly(4)
-                body = await reader.readexactly(int.from_bytes(prefix, "big"))
-                assert body[0] == 0xC1
-                from repro.runtime.binframe import decode_binary
-
-                reply = decode_binary(body)
-                assert reply["type"] == "reply"
-                assert reply["rid"] == 1
-                assert reply["payload"]["type"] == "pong"
-                # And the gateway's stats report the negotiation.
-                reader2, writer2 = await raw_v2(gateway)
-                await read_frame(reader2)
-                writer2.write(
-                    encode_frame(
-                        {"type": "request", "rid": 1, "request": {"op": "stats"}}
-                    )
-                )
-                await writer2.drain()
-                stats = (await read_frame(reader2))["payload"]["stats"]
-                assert stats["binary_connections"] >= 1
-                assert stats["active_encodings"]["binary"] >= 1
-                assert stats["active_encodings"]["json"] >= 1
-                writer.close()
-                writer2.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_unknown_encoding_gets_fatal_structured_error(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway, encoding="zstd")
-                error = await read_frame(reader)
-                assert error["type"] == "error"
-                assert error["fatal"] is True
-                assert "zstd" in error["error"]
-                # tells the client what would have worked
-                assert "json" in error["error"] and "binary" in error["error"]
-                assert await read_frame(reader) is None  # then the close
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_binary_frame_on_json_connection_errors_but_survives(self):
-        """Length framing is intact, so an unexpected binary body is
-        recoverable: structured error, then the connection keeps working."""
-
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway)  # negotiated JSON
                 await read_frame(reader)  # welcome
+                writer.write(len(body).to_bytes(4, "big") + body)
                 writer.write(
-                    encode_frame_binary(
-                        {"type": "request", "rid": 9, "request": {"op": "ping"}}
-                    )
-                )
-                writer.write(
-                    encode_frame(
-                        {"type": "request", "rid": 10, "request": {"op": "ping"}}
-                    )
+                    encode_frame({"type": "request", "rid": 10, "request": {"op": "ping"}})
                 )
                 await writer.drain()
-                error = await read_frame(reader)
+                error = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert error["type"] == "error"
-                assert error.get("fatal") is not True
-                assert "binary" in error["error"]
-                reply = await read_frame(reader)  # the JSON ping still answers
+                assert "fatal" not in error and "rid" not in error
+                reply = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert reply["type"] == "reply"
                 assert reply["rid"] == 10
+                assert reply["payload"]["type"] == "pong"
                 writer.close()
             finally:
                 await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 
-    def test_oversized_binary_frame_fatal_like_oversized_json(self):
+    def test_stats_has_no_per_dialect_keys(self):
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway, encoding=ENCODING_BINARY)
-                await read_frame(reader)  # welcome
-                writer.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\xc1")
-                await writer.drain()
-                error = await read_frame(reader)
-                assert error["type"] == "error"
-                assert error["fatal"] is True
-                assert "exceeds" in error["error"]
-                assert await read_frame(reader) is None
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_client_side_oversized_binary_encode_rejected(self):
-        with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame_binary({"type": "reply", "rid": 1, "blob": "x" * (MAX_FRAME_BYTES + 1)})
-
-    def test_mixed_encoding_clients_pipeline_on_one_gateway(self):
-        """One JSON session and one binary session, interleaved requests —
-        every reply re-associates on the right connection with identical
-        results (the encoding changes bytes, never semantics)."""
-
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                json_session = await LiveSession.connect(*gateway.address, pool=2)
-                bin_session = await LiveSession.connect(
-                    *gateway.address, pool=2, encoding=ENCODING_BINARY
-                )
-                assert bin_session.encoding == ENCODING_BINARY
-                await json_session.insert(123.0)
-                origin = sorted(cluster.network.peer_ids())[0]
-                json_replies, bin_replies = await asyncio.gather(
-                    asyncio.gather(
-                        *(json_session.range(0.0, 500.0, origin=origin) for _ in range(6))
-                    ),
-                    asyncio.gather(
-                        *(bin_session.range(0.0, 500.0, origin=origin) for _ in range(6))
-                    ),
-                )
-                for json_reply, bin_reply in zip(json_replies, bin_replies):
-                    assert json_reply.result.matching_values() == [123.0]
-                    assert (
-                        bin_reply.result.matching_values()
-                        == json_reply.result.matching_values()
-                    )
-                    assert bin_reply.result.messages == json_reply.result.messages
-                stats = await json_session.stats()
-                assert stats["active_encodings"] == {"json": 2, "binary": 2}
-                await json_session.close()
-                await bin_session.close()
+                async with await LiveSession.connect(*gateway.address, pool=1) as session:
+                    stats = await session.stats()
+                assert stats["protocol_versions"] == [2]
+                assert stats["connections"] == 1
+                assert not {
+                    "v1_connections",
+                    "v2_connections",
+                    "encodings",
+                    "json_connections",
+                    "binary_connections",
+                    "active_encodings",
+                } & set(stats)
             finally:
                 await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 
 
-class TestV1Fallback:
-    def test_v1_lines_still_work_on_the_same_port(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                client = await RuntimeClient.connect(*gateway.address)
-                assert await client.ping()
-                await client.insert(500.0)
-                reply = await client.range(0.0, 1000.0)
-                assert reply.result.matching_values() == [500.0]
-                stats = await client.stats()
-                assert stats["v1_connections"] >= 1
-                await client.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_v1_error_replies_stay_json_lines(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await asyncio.open_connection(*gateway.address)
-                writer.write(b"range 1\n")
-                await writer.drain()
-                reply = json.loads(await reader.readline())
-                assert reply["ok"] is False
-                assert "usage: range" in reply["error"]
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-
-class TestRuntimeClientErrors:
-    """Satellite: the v1 client surfaces clear errors, never silent hangs."""
-
-    async def _serve_once(self, payload: bytes):
-        """A fake gateway that answers any line with ``payload`` then closes."""
-
-        async def handler(reader, writer):
-            await reader.readline()
-            writer.write(payload)
-            await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(handler, "127.0.0.1", 0)
-        return server, server.sockets[0].getsockname()[1]
-
-    def test_unparseable_reply_line_raises_protocol_error(self):
-        async def scenario():
-            server, port = await self._serve_once(b"this is not json\n")
-            try:
-                client = await RuntimeClient.connect("127.0.0.1", port)
-                with pytest.raises(ProtocolError, match="unparseable gateway reply"):
-                    await client.ping()
-                await client.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_connection_dropped_mid_reply_raises_connection_error(self):
-        async def scenario():
-            server, port = await self._serve_once(b'{"ok": true, "type"')  # no newline
-            try:
-                client = await RuntimeClient.connect("127.0.0.1", port)
-                with pytest.raises(ConnectionError, match="mid-reply"):
-                    await client.ping()
-                await client.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_closed_before_reply_raises_connection_error(self):
-        async def scenario():
-            server, port = await self._serve_once(b"")
-            try:
-                client = await RuntimeClient.connect("127.0.0.1", port)
-                with pytest.raises(ConnectionError, match="before replying"):
-                    await client.ping()
-                await client.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_v1_session_times_out_instead_of_hanging(self):
-        """A wedged gateway (accepts, never replies) must bound the v1
-        path by the session timeout, and the FIFO-poisoned connection must
-        not be reused."""
-
-        async def scenario():
-            async def handler(reader, writer):
-                await reader.readline()  # swallow the command, reply never
-
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                session = await LiveSession.connect(
-                    "127.0.0.1", port, pool=1, version=1, timeout=0.2
-                )
-                poisoned = session._v1_clients[0]
-                with pytest.raises(asyncio.TimeoutError):
-                    await session.ping()
-                # the timed-out connection was retired and replaced
-                assert poisoned not in session._v1_clients
-                assert session.pool_size == 1
-                await session.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
-
+class TestSessionClose:
     def test_v2_close_fails_in_flight_requests_promptly(self):
         """Closing a session must fail pending futures immediately, not
         leave them to sit out the full reply timeout."""
@@ -592,22 +392,6 @@ class TestRuntimeClientErrors:
             finally:
                 server.close()
                 await server.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_overlapping_callers_serialise_instead_of_interleaving(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                client = await RuntimeClient.connect(*gateway.address)
-                await client.insert(500.0)
-                replies = await asyncio.gather(
-                    *(client.range(0.0, 1000.0) for _ in range(8))
-                )
-                assert all(reply.result.matching_values() == [500.0] for reply in replies)
-                await client.close()
-            finally:
-                await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 

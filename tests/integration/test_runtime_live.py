@@ -14,9 +14,9 @@ import asyncio
 import pytest
 
 from repro.api.live import LiveSession
+from repro.api.requests import ApiError
 from repro.core.armada import ArmadaSystem
 from repro.engine.reporting import QueryJob
-from repro.runtime.client import GatewayError, RuntimeClient
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop, run_open_loop
@@ -42,7 +42,7 @@ async def boot_cluster(num_peers: int, **kwargs):
     )
     await cluster.start()
     gateway = await Gateway(cluster).start()
-    client = await RuntimeClient.connect(*gateway.address)
+    client = await LiveSession.connect(*gateway.address, pool=2)
     for value in VALUES:
         await client.insert(value)
     for pair in MULTI_VALUES:
@@ -51,18 +51,12 @@ async def boot_cluster(num_peers: int, **kwargs):
 
 
 class TestSimLiveEquivalence:
-    @pytest.mark.parametrize("encoding", ["json", "binary"])
-    def test_n32_identical_results(self, encoding):
-        """Same seed, same queries → byte-equal result sets, sim vs live —
-        over both negotiated frame encodings (the binary bodies change
-        bytes on the wire, never the deterministic query semantics)."""
+    def test_n32_identical_results(self):
+        """Same seed, same queries → byte-equal result sets, sim vs live."""
         system = build_reference(32)
 
         async def scenario():
-            cluster, gateway, client = await boot_cluster(32)
-            session = await LiveSession.connect(
-                *gateway.address, pool=2, encoding=encoding
-            )
+            cluster, gateway, session = await boot_cluster(32)
             try:
                 assert sorted(cluster.network.peer_ids()) == sorted(
                     system.network.peer_ids()
@@ -96,7 +90,6 @@ class TestSimLiveEquivalence:
                 assert checked == 32
             finally:
                 await session.close()
-                await client.close()
                 await gateway.shutdown()
                 await cluster.stop()
 
@@ -152,14 +145,27 @@ class TestGatewaySmoke:
                 # protocol v2 multiplexing really happened: more requests
                 # were concurrently in flight than pooled connections
                 assert stats["peak_in_flight"] > 2
-                assert stats["protocol_versions"] == [1, 2]
-                assert stats["v2_connections"] >= 2
+                assert stats["protocol_versions"] == [2]
             finally:
                 await client.close()
                 await gateway.shutdown()
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+    def test_32_peers_1000_mixed_queries_soak(self):
+        """The full-size ``repro soak`` defaults: nothing lost, nothing
+        stalled, and the pooled connections really multiplexed."""
+        from repro.experiments.soak import SoakSpec, run as run_soak
+
+        spec = SoakSpec(
+            peers=32, nodes=8, queries=1000, concurrency=16, objects=500, seed=42, pool=4
+        )
+        result = run_soak(spec)
+        assert result.report.queries == 1000
+        assert result.report.stalled == 0
+        assert result.report.success_ratio >= 0.99
+        assert result.stats["peak_in_flight"] > spec.pool
 
     def test_open_loop_load(self):
         async def scenario():
@@ -186,13 +192,9 @@ class TestGatewaySmoke:
         async def scenario():
             cluster, gateway, client = await boot_cluster(8)
             try:
-                with pytest.raises(GatewayError, match="usage: range"):
-                    await client._command("range 1")
-                with pytest.raises(GatewayError, match="unknown command"):
-                    await client._command("frobnicate")
-                with pytest.raises(GatewayError, match="unknown origin"):
+                with pytest.raises(ApiError, match="unknown origin"):
                     await client.range(1.0, 2.0, origin="nonexistent")
-                with pytest.raises(GatewayError, match="exceeds"):
+                with pytest.raises(ApiError, match="exceeds"):
                     await client.range(10.0, 1.0)
                 # the connection survives every error reply
                 assert await client.ping()

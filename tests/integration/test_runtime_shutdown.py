@@ -18,7 +18,8 @@ import sys
 
 import pytest
 
-from repro.runtime.client import GatewayError, RuntimeClient
+from repro.api.live import LiveSession
+from repro.api.requests import ApiError
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.server import ServeSettings, serve_async
@@ -40,7 +41,7 @@ class TestGatewayDrain:
             # 150ms of artificial transit keeps the query genuinely in
             # flight (frames scheduled but not yet delivered) at shutdown.
             cluster, gateway = await boot(extra_transit=0.15)
-            client = await RuntimeClient.connect(*gateway.address)
+            client = await LiveSession.connect(*gateway.address, pool=1)
             await client.insert(500.0)
 
             pending = asyncio.create_task(client.range(0.0, 1000.0))
@@ -68,7 +69,7 @@ class TestGatewayDrain:
 
         async def scenario():
             cluster, gateway = await boot()
-            idle = await RuntimeClient.connect(*gateway.address)
+            idle = await LiveSession.connect(*gateway.address, pool=1)
             try:
                 await asyncio.wait_for(gateway.shutdown(drain=True), timeout=10.0)
             finally:
@@ -80,21 +81,19 @@ class TestGatewayDrain:
     def test_new_queries_refused_while_draining(self):
         async def scenario():
             cluster, gateway = await boot(extra_transit=0.15)
-            client = await RuntimeClient.connect(*gateway.address)
+            client = await LiveSession.connect(*gateway.address, pool=1)
             pending = asyncio.create_task(client.range(0.0, 1000.0))
             await asyncio.sleep(0.05)
 
             shutdown = asyncio.create_task(gateway.shutdown(drain=True))
             await asyncio.sleep(0.01)
-            # New work is refused while the drain runs: either the listener
-            # is already closed (connect fails) or an accepted command gets
-            # the parseable "shutting down" error.
-            with pytest.raises((GatewayError, ConnectionError, OSError)):
-                probe = await RuntimeClient.connect(*gateway.address)
-                try:
-                    await probe.range(1.0, 2.0)
-                finally:
-                    await probe.close()
+            # New work is refused while the drain runs: the listener is
+            # closed (a new connection fails) and an already-connected
+            # client gets the parseable "shutting down" error.
+            with pytest.raises((ConnectionError, OSError)):
+                await LiveSession.connect(*gateway.address, pool=1)
+            with pytest.raises(ApiError, match="shutting down"):
+                await client.range(1.0, 2.0)
 
             await shutdown
             assert (await pending).status == "ok"
@@ -110,7 +109,7 @@ class TestGatewayDrain:
 
         async def scenario():
             cluster, gateway = await boot(extra_transit=0.1, deadline=0.4)
-            client = await RuntimeClient.connect(*gateway.address)
+            client = await LiveSession.connect(*gateway.address, pool=1)
 
             pending = asyncio.create_task(client.range(0.0, 1000.0))
             await asyncio.sleep(0.02)
@@ -168,15 +167,11 @@ class TestServeRunner:
             host_port = banner.split("listening on ")[1].split()[0]
             host, port = host_port.rsplit(":", 1)
 
-            import json as json_module
-            import socket
+            async def one_query():
+                async with await LiveSession.connect(host, int(port), pool=1) as session:
+                    return await session.range(100.0, 300.0)
 
-            with socket.create_connection((host, int(port)), timeout=10) as sock:
-                handle = sock.makefile("rw")
-                handle.write("range 100 300\n")
-                handle.flush()
-                reply = json_module.loads(handle.readline())
-                assert reply["ok"] is True
+            assert asyncio.run(one_query()).ok
 
             proc.send_signal(signal.SIGINT)
             out, _ = proc.communicate(timeout=30)

@@ -1,15 +1,15 @@
 """Property tests: binary frame bodies are JSON-equivalent, bit for bit.
 
-Satellite of the binary-hot-path PR.  The negotiated binary encoding
-(:mod:`repro.runtime.binframe`) promises *exactly* the JSON value space:
+The binary codec (:mod:`repro.binframe`: WAL records, flight-recorder
+dumps) promises *exactly* the JSON value space:
 for every encodable value ``x``,
 
     ``decode_binary(encode_binary(x)) == json.loads(json.dumps(x))``
 
 — tuples collapse to lists, unicode survives, arbitrary-precision ints
 round-trip, dict insertion order is preserved.  If that identity ever
-breaks, a binary client and a JSON client would disagree about the same
-reply, so Hypothesis hammers it with structurally arbitrary values, with
+breaks, a frame recorded into a flight dump would replay as something the
+wire never carried, so Hypothesis hammers it with structurally arbitrary values, with
 every v2 frame shape (``request``/``reply``/``chunk``/``batch``), and
 through the tuple-tagging :mod:`repro.wire` layer the chunk values ride.
 """
@@ -21,8 +21,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.binframe import decode_binary, encode_binary
-from repro.runtime.protocol import decode_frame, encode_frame, encode_frame_binary
+from repro.binframe import decode_binary, encode_binary
+from repro.runtime.protocol import decode_frame, encode_frame
 from repro.wire import decode_value, encode_value
 
 # -- strategies --------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_binary_round_trip_equals_a_json_round_trip(value):
 @given(v2_frames)
 def test_every_v2_frame_type_is_encoding_agnostic(frame):
     """A frame read back from binary equals the same frame read from JSON."""
-    via_binary = decode_frame(encode_frame_binary(frame)[4:], allow_binary=True)
+    via_binary = decode_binary(encode_binary(frame))
     via_json = decode_frame(encode_frame(frame)[4:])
     assert via_binary == via_json
 

@@ -66,9 +66,9 @@ class TestCompare:
 
     def test_ratio_gated_regardless_of_cpu_count(self):
         baselines = {
-            "runtime": {"cpu_count": CPUS + 7, "metrics": {"success_ratio": 1.0}}
+            "livefaults": {"cpu_count": CPUS + 7, "metrics": {"success_ratio": 1.0}}
         }
-        currents = {"runtime": {"metrics": {"success_ratio": 0.5}}}
+        currents = {"livefaults": {"metrics": {"success_ratio": 0.5}}}
         deltas = compare(baselines, currents)
         delta = next(d for d in deltas if d.metric == "success_ratio")
         assert delta.status == "regressed"

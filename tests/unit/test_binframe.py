@@ -1,4 +1,4 @@
-"""Unit tests for the binary frame codec (:mod:`repro.runtime.binframe`).
+"""Unit tests for the binary codec (:mod:`repro.binframe`).
 
 The property suite (``tests/property/test_prop_binframe.py``) hammers the
 JSON-identity contract with random structures; these tests pin the exact
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.runtime.binframe import (
+from repro.binframe import (
     BINARY_MAGIC,
     BinaryCodecError,
     decode_binary,

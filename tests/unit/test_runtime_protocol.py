@@ -9,6 +9,7 @@ import pytest
 
 from repro.runtime.protocol import (
     MAX_FRAME_BYTES,
+    FrameBodyError,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -30,6 +31,15 @@ class TestFraming:
     def test_non_object_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_frame(json.dumps([1, 2, 3]).encode())
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"abc", b"\xff\xfe{", b"[1]", b"\xc1\x00", b""],
+        ids=["not-json", "not-utf8", "not-an-object", "binframe", "empty"],
+    )
+    def test_undecodable_body_is_recoverable(self, body):
+        with pytest.raises(FrameBodyError):
+            decode_frame(body)
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(ProtocolError):
@@ -61,8 +71,9 @@ class TestFraming:
         async def scenario():
             reader = asyncio.StreamReader()
             reader.feed_data((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError) as caught:
                 await read_frame(reader)
+            assert not isinstance(caught.value, FrameBodyError)  # not recoverable
 
         asyncio.run(scenario())
 
@@ -151,26 +162,3 @@ class TestValueCodec:
     def test_reserved_key_rejected(self):
         with pytest.raises(ValueError):
             encode_value({"__tuple__": 1})
-
-
-class TestV1Deprecation:
-    def test_warns_once_per_context(self):
-        import warnings
-
-        from repro.runtime import protocol
-
-        saved = set(protocol._V1_WARNED)
-        protocol._V1_WARNED.clear()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert protocol.warn_v1_once("unit test") is True
-                assert protocol.warn_v1_once("unit test") is False
-                assert protocol.warn_v1_once("other context") is True
-            deprecations = [w for w in caught if w.category is DeprecationWarning]
-            assert len(deprecations) == 2
-            assert "protocol v1" in str(deprecations[0].message)
-            assert "LiveSession" in str(deprecations[0].message)
-        finally:
-            protocol._V1_WARNED.clear()
-            protocol._V1_WARNED.update(saved)
