@@ -52,7 +52,6 @@ _COMMANDS = (
     "livefaults",
     "trace",
     "replay",
-    "bench",
     "all",
 )
 
@@ -112,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help=(
-            "sweep only: JSONL result-store path; records stream into "
-            "<path>.tmp and replace <path> on success, so each run is a "
-            "clean snapshot and a crash leaves the previous file untouched"
+            "sweep/faults/soak/livefaults: JSONL result-store path; records "
+            "stream into <path>.tmp and replace <path> on success, so each run "
+            "is a clean snapshot and a crash leaves the previous file untouched"
         ),
     )
     parser.add_argument(
@@ -309,15 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--bench-dir",
-        default=None,
-        help=(
-            "soak: directory to write BENCH_runtime.json into; "
-            "bench: directory holding the BENCH_*.json artifacts "
-            "(default ./benchmarks)"
-        ),
-    )
-    parser.add_argument(
         "--require-success",
         type=float,
         default=None,
@@ -415,27 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--origin",
         default=None,
         help="trace only: origin peer id (default: a seeded random peer)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "bench only: exit non-zero when a gated metric regresses by more "
-            "than the threshold vs the committed baselines (the CI gate)"
-        ),
-    )
-    parser.add_argument(
-        "--skip-run",
-        action="store_true",
-        help="bench only: gate the on-disk BENCH_*.json without rerunning the suite",
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        default=None,
-        help=(
-            "bench only: read baseline BENCH_*.json from this directory "
-            "instead of the files committed at git HEAD"
-        ),
     )
     return parser
 
@@ -586,8 +555,8 @@ def make_livefaults_spec(args: argparse.Namespace, config: ExperimentConfig):
             queries=args.queries if args.queries is not None else 400,
             concurrency=args.concurrency,
             objects=args.objects if args.objects is not None else 300,
-            # Not config.seed: the live default is its own baseline (the
-            # committed BENCH_livefaults.json is generated at this seed).
+            # Not config.seed: the default run is the one
+            # tests/paper/test_livefaults.py holds against the sim figure.
             seed=args.seed if args.seed is not None else 1,
             fraction=args.fraction,
             range_size=config.fixed_range_size,
@@ -679,7 +648,6 @@ def run_command(
     workers: int = 1,
     store_path: Optional[str] = None,
     soak_spec=None,
-    bench_dir: Optional[str] = None,
     require_success: Optional[float] = None,
     require_pipelined: Optional[int] = None,
     trace_spec=None,
@@ -715,8 +683,6 @@ def run_command(
         parts = [result.format()]
         if store_path is not None:
             parts.append(_replace_store(store_path, [result.record()]))
-        if bench_dir is not None:
-            parts.append(f"wrote {soak_experiment.write_bench(result, bench_dir)}")
         output = "\n\n".join(parts)
         if require_success is not None and result.report.success_ratio < require_success:
             raise SystemExit(
@@ -740,16 +706,9 @@ def run_command(
             else livefaults_experiment.LiveFaultsSpec()
         )
         result = livefaults_experiment.run(spec)
-        baseline = livefaults_experiment.sim_baseline(
-            os.path.join(os.getcwd(), "benchmarks", "BENCH_faults.json")
-        )
-        parts = [result.format(baseline=baseline)]
+        parts = [result.format()]
         if store_path is not None:
             parts.append(_replace_store(store_path, [result.record()]))
-        if bench_dir is not None:
-            parts.append(
-                f"wrote {livefaults_experiment.write_bench(result, bench_dir)}"
-            )
         output = "\n\n".join(parts)
         if require_success is not None and result.success_ratio < require_success:
             raise SystemExit(
@@ -826,20 +785,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = make_config(args)
-    if args.command == "bench":
-        # The perf-regression gate: run the benchmark suite, append to
-        # benchmarks/history.jsonl, and diff the gated metrics against
-        # the committed baselines (see tools/bench_check.py for the
-        # standalone CI wrapper).
-        from repro.benchgate import run_gate
-
-        return run_gate(
-            repo_root=os.getcwd(),
-            bench_dir=args.bench_dir,
-            baseline_dir=args.baseline_dir,
-            check=args.check,
-            skip_run=args.skip_run,
-        )
     if args.command == "serve":
         # Blocking: boots the live cluster and runs until SIGINT/SIGTERM.
         return serve_runtime(make_serve_settings(args, config))
@@ -884,7 +829,6 @@ def main(argv=None) -> int:
             workers=args.workers,
             store_path=args.store,
             soak_spec=soak_spec,
-            bench_dir=args.bench_dir,
             require_success=args.require_success,
             require_pipelined=args.require_pipelined,
             trace_spec=trace_spec,

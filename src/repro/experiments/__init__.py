@@ -2,8 +2,8 @@
 
 Every module exposes a ``run(config)`` function returning plain data
 structures plus formatting helpers, so the same code backs the CLI
-(``armada-repro``), the benchmark suite under ``benchmarks/`` and the
-integration tests.
+(``armada-repro``), the paper's shape checks under ``tests/paper/`` and
+the integration tests.
 """
 
 from repro.experiments.common import ExperimentConfig, SchemePointResult, run_scheme_queries

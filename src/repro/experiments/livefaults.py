@@ -15,10 +15,10 @@ Every completed query is then scored exactly the way the simulated sweep
 scores its queries: completeness against the engine's own
 ``ground_truth_destinations`` restricted to live peers, success =
 "complete against the surviving world and not deadline-failed".  That
-makes ``BENCH_livefaults.json`` directly comparable to the committed
-``BENCH_faults.json`` sim baseline — the headline acceptance check is
-that the live resilient success ratio lands within a small gap of the
-sim's ``success_ratio_resilient`` at the same failed fraction.
+makes the live ``success_ratio`` directly comparable to the ``repro
+faults`` figure for resilient PIRA at the same failed fraction —
+``tests/paper/test_livefaults.py`` asserts the two land within a small
+gap of each other.
 
 The run asserts nothing by itself; the CLI's ``--require-success`` and
 ``--require-convergence`` turn the success ratio and the membership
@@ -28,8 +28,6 @@ verdict into exit codes for the CI churn-smoke job.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -37,7 +35,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.api.live import LiveSession
 from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
 from repro.engine.reporting import EngineReport, RunReporter
-from repro.envinfo import environment_stamp
 from repro.faults import ResiliencePolicy
 from repro.gossip import SwimConfig
 from repro.runtime.cluster import LiveCluster
@@ -144,9 +141,14 @@ class LiveFaultsResult:
         """The realized kill fraction (victims / boot peers)."""
         return len(self.killed) / self.spec.peers
 
-    def bench_metrics(self) -> Dict[str, float]:
-        """The flat metrics payload for ``BENCH_livefaults.json``."""
+    def record(self) -> Dict[str, Any]:
+        """One flat :class:`~repro.analysis.store.ResultStore` record."""
         return {
+            "experiment": "livefaults",
+            "scheme": "Armada (live)",
+            "seed": self.spec.seed,
+            "fraction": self.spec.fraction,
+            "mira_fraction": self.spec.mira_fraction,
             "peers": self.spec.peers,
             "nodes": self.stats.get("nodes", self.spec.nodes or self.spec.peers),
             "queries": self.report.queries,
@@ -167,20 +169,8 @@ class LiveFaultsResult:
             ),
         }
 
-    def record(self) -> Dict[str, Any]:
-        """One flat :class:`~repro.analysis.store.ResultStore` record."""
-        record: Dict[str, Any] = {
-            "experiment": "livefaults",
-            "scheme": "Armada (live)",
-            "seed": self.spec.seed,
-            "fraction": self.spec.fraction,
-            "mira_fraction": self.spec.mira_fraction,
-        }
-        record.update(self.bench_metrics())
-        return record
-
-    def format(self, baseline: Optional[Dict[str, float]] = None) -> str:
-        """Human-readable summary; pass a sim baseline to print the gap."""
+    def format(self) -> str:
+        """Human-readable summary."""
         lines = [
             "Live faults (SIGKILL mid-soak, gossip detection, resilient queries)",
             f"cluster           : {self.spec.peers} peers on "
@@ -204,51 +194,7 @@ class LiveFaultsResult:
             f"wall time         : {self.wall_seconds:.2f}s "
             f"({self.report.queries / max(self.wall_seconds, 1e-9):,.0f} queries/sec)",
         ]
-        if baseline:
-            sim_ratio = baseline.get("success_ratio_resilient")
-            sim_fraction = baseline.get("worst_failed_fraction")
-            if sim_ratio is not None:
-                gap = self.success_ratio - float(sim_ratio)
-                lines.append(
-                    f"sim baseline      : success_ratio_resilient "
-                    f"{float(sim_ratio):.4f} at fraction "
-                    f"{float(sim_fraction or 0.0):g} -> live gap {gap:+.4f}"
-                )
         return "\n".join(lines)
-
-
-def sim_baseline(path: str) -> Optional[Dict[str, float]]:
-    """Load the committed sim ``BENCH_faults.json`` metrics, if present."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    metrics = payload.get("metrics")
-    return metrics if isinstance(metrics, dict) else None
-
-
-def write_bench(result: LiveFaultsResult, directory: str) -> str:
-    """Write ``BENCH_livefaults.json`` into ``directory``; returns its path."""
-    payload = {
-        "name": "livefaults",
-        **environment_stamp(),
-        "metrics": {
-            key: (
-                value
-                if isinstance(value, str)
-                or (isinstance(value, int) and not isinstance(value, bool))
-                else float(value)
-            )
-            for key, value in result.bench_metrics().items()
-        },
-    }
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_livefaults.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def run(spec: Optional[LiveFaultsSpec] = None) -> LiveFaultsResult:

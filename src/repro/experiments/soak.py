@@ -7,9 +7,8 @@ through a pooled :class:`~repro.api.LiveSession` (closed loop, a fixed
 population of synchronous clients), reporting wall-clock throughput and
 latency percentiles through the same
 :class:`~repro.engine.reporting.EngineReport` pipeline the simulator
-uses.  Results persist through
-:class:`~repro.analysis.store.ResultStore` records and the
-``BENCH_runtime.json`` benchmark artifact.
+uses.  Results persist as
+:class:`~repro.analysis.store.ResultStore` records (``--store PATH``).
 
 Every closed-loop worker multiplexes over the session's ``pool``
 handshaken gateway connections — many requests in flight per connection,
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.live import LiveSession
-from repro.envinfo import environment_stamp
 from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
 from repro.engine.reporting import EngineReport
 from repro.obs.exposition import MetricsServer
@@ -136,11 +134,16 @@ class SoakResult:
             return 0.0
         return self.report.queries / self.wall_seconds
 
-    def bench_metrics(self) -> Dict[str, float]:
-        """The flat metrics payload for ``BENCH_runtime.json``."""
+    def record(self) -> Dict[str, Any]:
+        """One flat :class:`~repro.analysis.store.ResultStore` record."""
         lat = self.report.latency_percentiles
         obs = self.stats.get("obs", {})
         return {
+            "experiment": "soak",
+            "scheme": "Armada (live)",
+            "seed": self.spec.seed,
+            "mira_fraction": self.spec.mira_fraction,
+            "range_size": self.spec.range_size,
             "peers": self.spec.peers,
             "storage": self.spec.storage,
             "write_replicas": self.spec.replicas,
@@ -160,23 +163,11 @@ class SoakResult:
             "delay_hops_p95": self.report.delay_percentiles.get("p95", 0.0),
             "messages": self.report.messages,
             # Registry snapshot slices: the gateway's own counters for the
-            # run, so the artifact records the observability plane too.
+            # run, so the record covers the observability plane too.
             "frames": int(obs.get("repro_gateway_frames_total", 0)),
             "query_retries": int(obs.get("repro_query_retries_total", 0)),
             "query_reroutes": int(obs.get("repro_query_reroutes_total", 0)),
         }
-
-    def record(self) -> Dict[str, Any]:
-        """One flat :class:`~repro.analysis.store.ResultStore` record."""
-        record: Dict[str, Any] = {
-            "experiment": "soak",
-            "scheme": "Armada (live)",
-            "seed": self.spec.seed,
-            "mira_fraction": self.spec.mira_fraction,
-            "range_size": self.spec.range_size,
-        }
-        record.update(self.bench_metrics())
-        return record
 
     def format(self) -> str:
         """Human-readable summary."""
@@ -214,34 +205,6 @@ class SoakResult:
                 f"({pm['evicted']} evicted) dumped to {pm['path']} [{pm['reason']}]"
             )
         return "\n".join(lines)
-
-
-def write_bench(result: SoakResult, directory: str) -> str:
-    """Write ``BENCH_runtime.json`` into ``directory`` and return its path.
-
-    Same payload shape as ``benchmarks/emit.py`` (integer counts stay
-    ints), so the CLI-written artifact and the benchmark-suite one diff
-    cleanly against each other.
-    """
-    payload = {
-        "name": "runtime",
-        **environment_stamp(),
-        "metrics": {
-            key: (
-                value
-                if isinstance(value, str)
-                or (isinstance(value, int) and not isinstance(value, bool))
-                else float(value)
-            )
-            for key, value in result.bench_metrics().items()
-        },
-    }
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_runtime.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def run(spec: Optional[SoakSpec] = None) -> SoakResult:

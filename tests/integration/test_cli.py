@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -64,6 +65,23 @@ class TestArgumentHandling:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["soak", "--bench-dir", "."],
+            ["livefaults", "--bench-dir", "."],
+            ["soak", "--check"],
+            ["soak", "--skip-run"],
+            ["soak", "--baseline-dir", "."],
+        ],
+        ids=" ".join,
+    )
+    def test_benchmark_gate_command_and_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
     def test_serve_soak_defaults(self):
         parser = build_parser()
@@ -283,9 +301,7 @@ class TestExecution:
         assert "Traced range query" in captured
         assert "pira" in captured
         assert "hop " in captured
-        import json as json_module
-
-        payload = json_module.loads(out_path.read_text())
+        payload = json.loads(out_path.read_text())
         assert payload["traceEvents"]
 
     def test_run_command_figures_with_csv(self, tmp_path):
@@ -327,3 +343,37 @@ class TestExecution:
     def test_run_command_load_with_churn(self):
         output = run_command("load", self.TINY, rates=(4.0,), churn=True)
         assert "with churn" in output
+
+    def test_soak_store_holds_one_record_of_the_run(self, capsys, tmp_path):
+        store = tmp_path / "soak.jsonl"
+        exit_code = main(
+            ["soak", "--peers", "8", "--nodes", "4", "--queries", "40",
+             "--objects", "40", "--store", str(store), "--require-success", "1.0"]
+        )
+        assert exit_code == 0
+        assert f"streamed 1 records into {store}" in capsys.readouterr().out
+        (record,) = [json.loads(line) for line in store.read_text().splitlines()]
+        assert record["experiment"] == "soak"
+        assert record["queries"] == 40
+        assert record["success_ratio"] == 1.0
+        assert record["queries_per_sec"] > 0
+        assert record["peak_in_flight"] >= 1
+        assert record["frames"] > 0
+
+    def test_livefaults_output_does_not_depend_on_cwd(self, capsys, tmp_path, monkeypatch):
+        # The command used to print a "sim baseline" line whenever the CWD
+        # happened to hold the deleted gate's faults baseline; plant one.
+        planted = tmp_path / "benchmarks"
+        planted.mkdir()
+        (planted / ("BENCH" + "_faults.json")).write_text(
+            json.dumps({"metrics": {"success_ratio_resilient": 0.85, "worst_failed_fraction": 0.2}})
+        )
+        monkeypatch.chdir(tmp_path)
+        exit_code = main(
+            ["livefaults", "--peers", "8", "--nodes", "4", "--queries", "40",
+             "--objects", "40", "--fraction", "0.25", "--concurrency", "8"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "success ratio" in output
+        assert "sim baseline" not in output

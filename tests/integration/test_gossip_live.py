@@ -197,6 +197,6 @@ class TestLiveFaultsExperiment:
         assert len(result.killed) == 2
         assert result.success_ratio >= 0.8
         assert result.report.queries == spec.queries
-        metrics = result.bench_metrics()
+        metrics = result.record()
         assert metrics["converged"] == 1.0
         assert metrics["gossip_frames"] > 0

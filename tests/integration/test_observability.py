@@ -271,8 +271,7 @@ class TestSoakObservability:
         obs = result.stats["obs"]
         assert obs["repro_gateway_frames_total"] > 0
         assert obs["repro_gateway_query_latency_seconds_count"] == 20.0
-        bench = result.bench_metrics()
-        assert bench["frames"] > 0
+        assert result.record()["frames"] > 0
         info = result.stats["trace_out"]
         assert info["traces"] == 20
         payload = json.loads(trace_path.read_text())

@@ -7,16 +7,12 @@ message cost grow towards the network size, especially for small ranges.
 
 from __future__ import annotations
 
-from conftest import bench_config, emit
-
 from repro.experiments import ablation
 
 
-def test_ablation_pruning_effectiveness(benchmark):
-    config = bench_config().with_overrides(peers=800, range_sizes=(2, 20, 100, 300))
-    result = benchmark.pedantic(
-        lambda: ablation.run(config, queries_per_point=10), rounds=1, iterations=1
-    )
+def test_ablation_pruning_effectiveness(config):
+    config = config.with_overrides(peers=800, range_sizes=(2, 20, 100, 300))
+    result = ablation.run(config, queries_per_point=10)
 
     assert result.points
     for point in result.points:
@@ -26,5 +22,3 @@ def test_ablation_pruning_effectiveness(benchmark):
     assert result.points[0].message_savings > 5.0
     # Savings shrink as the query covers more of the network.
     assert result.points[0].message_savings > result.points[-1].message_savings
-
-    emit("Ablation (new): PIRA pruning vs unpruned FRT descent", result.format())

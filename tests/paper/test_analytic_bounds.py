@@ -8,14 +8,11 @@
 
 from __future__ import annotations
 
-from conftest import bench_config, emit
-
 from repro.experiments import analytics
 
 
-def test_section_4_3_2_analytic_bounds(benchmark):
-    config = bench_config().with_overrides(queries_per_point=40)
-    result = benchmark.pedantic(lambda: analytics.run(config), rounds=1, iterations=1)
+def test_section_4_3_2_analytic_bounds(config):
+    result = analytics.run(config.with_overrides(queries_per_point=40))
 
     assert result.points
     assert result.all_delay_bounded(), "every query must finish within 2*logN hops"
@@ -26,5 +23,3 @@ def test_section_4_3_2_analytic_bounds(benchmark):
             )
         assert point.avg_messages >= point.lower_bound_messages * 0.9
         assert point.message_prediction_error < 0.35
-
-    emit("Section 4.3.2 (reproduced): analytic claims vs measurement", result.format())

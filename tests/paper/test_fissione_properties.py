@@ -7,16 +7,11 @@ routing delay below logN.
 
 from __future__ import annotations
 
-from conftest import bench_config, emit
-
 from repro.experiments import fissione_props
 
 
-def test_section_3_fissione_topology_properties(benchmark):
-    config = bench_config()
-    result = benchmark.pedantic(
-        lambda: fissione_props.run(config, routing_samples=150), rounds=1, iterations=1
-    )
+def test_section_3_fissione_topology_properties(config):
+    result = fissione_props.run(config, routing_samples=150)
 
     assert result.points
     assert result.all_within_bounds()
@@ -24,5 +19,3 @@ def test_section_3_fissione_topology_properties(benchmark):
         assert point.healthy
         assert 1.5 <= point.average_out_degree <= 2.5
         assert point.average_route_hops < point.log_n + 1
-
-    emit("Section 3 (reproduced): FISSIONE topology properties", result.format())

@@ -8,16 +8,13 @@ pays a multiple of logN, DCF-CAN grows with N^(1/d).
 
 from __future__ import annotations
 
-from conftest import bench_config, emit
-
 from repro.experiments import table1
 
 
-def test_table1_scheme_comparison(benchmark):
-    config = bench_config().with_overrides(
-        peers=512, queries_per_point=40, objects=2000
+def test_table1_scheme_comparison(config):
+    result = table1.run(
+        config.with_overrides(peers=512, queries_per_point=40, objects=2000)
     )
-    result = benchmark.pedantic(lambda: table1.run(config), rounds=1, iterations=1)
 
     armada = result.row_for("Armada (PIRA)")
     assert armada.delay_bounded
@@ -40,5 +37,3 @@ def test_table1_scheme_comparison(benchmark):
         skip_graph.measured.avg_delay
         <= skip_graph.measured.log_n + 2 * skip_graph.measured.avg_destinations + 5
     ), "Skip Graph delay should look like logN + n"
-
-    emit("Table 1 (reproduced)", result.format())

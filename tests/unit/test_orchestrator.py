@@ -103,8 +103,10 @@ class TestMergeDeterminism:
         spec = tiny_spec()
         serial_store = ResultStore(os.fspath(tmp_path / "serial.jsonl"))
         parallel_store = ResultStore(os.fspath(tmp_path / "parallel.jsonl"))
-        run_sweep(spec, workers=1, store=serial_store)
-        run_sweep(spec, workers=2, store=parallel_store)
+        serial = run_sweep(spec, workers=1, store=serial_store)
+        parallel = run_sweep(spec, workers=2, store=parallel_store)
+        assert parallel.jobs == len(spec.jobs())
+        assert parallel_store.load() == serial.records
         with open(serial_store.path, "rb") as handle:
             serial_bytes = handle.read()
         with open(parallel_store.path, "rb") as handle:
