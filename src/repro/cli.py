@@ -1,5 +1,9 @@
 """Command-line entry point: regenerate the paper's tables and figures.
 
+Every command is its own subparser, so ``repro <command> --help`` lists
+exactly the flags that command reads and a flag it does not read is an
+argparse error (exit 2), never silently ignored.
+
 Examples
 --------
 Run everything with the quick (CI-sized) configuration::
@@ -17,7 +21,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, Optional
+from dataclasses import fields
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.analysis.store import ResultStore
 from repro.experiments import analytics as analytics_experiment
@@ -34,392 +40,485 @@ from repro.experiments import tracecmd
 from repro.experiments import table1 as table1_experiment
 from repro.experiments import orchestrator
 from repro.experiments.common import ExperimentConfig
+from repro.obs.logs import configure_logging
 from repro.runtime.server import ServeSettings, serve as serve_runtime
 
-_COMMANDS = (
-    "table1",
-    "figures-rangesize",
-    "figures-netsize",
-    "analytics",
-    "fissione",
-    "mira",
-    "ablation",
-    "load",
-    "sweep",
-    "faults",
-    "serve",
-    "soak",
-    "livefaults",
-    "trace",
-    "replay",
-    "all",
-)
+Handler = Callable[[argparse.Namespace], str]
 
-#: live commands default to a small cluster, not the simulator's 2000 peers
-_LIVE_DEFAULT_PEERS = 32
-_LIVE_DEFAULT_QUERIES = 1000
+#: help texts of the live commands' sizing flags (defaults come from each
+#: command's spec dataclass, see :func:`_add_sizing`)
+_SIZING_HELP = {
+    "peers": "network size",
+    "nodes": (
+        "peer-node count; peers are distributed round-robin "
+        "(None hosts one node per peer)"
+    ),
+    "queries": "number of queries in the run",
+    "objects": "number of objects published before the queries",
+    "seed": "seed of the overlay, the published values and the workload",
+}
+
+
+def _flags() -> argparse.ArgumentParser:
+    """An empty parent parser: flags several commands share are declared
+    once on one of these and attached only to the commands that read them."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _add_sizing(sub: argparse.ArgumentParser, spec: type, *names: str) -> None:
+    """Declare ``--peers``/``--nodes``/... with the spec dataclass's defaults."""
+    for name in names:
+        sub.add_argument(
+            f"--{name}",
+            type=int,
+            default=getattr(spec, name),
+            help=f"{_SIZING_HELP[name]} (default %(default)s)",
+        )
+
+
+def _unit_interval(text: str) -> float:
+    """``type=`` of a ratio flag: a float within [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
+    """The CLI argument parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="armada-repro",
         description="Reproduce the tables and figures of the Armada paper (ICDCS 2006).",
     )
-    parser.add_argument("command", choices=_COMMANDS, help="experiment to run")
-    parser.add_argument(
-        "dumps",
-        nargs="*",
-        metavar="DUMP",
-        help=(
-            "replay only: flight-recorder .dump files to merge and re-execute "
-            "(exits non-zero at the first divergence from the recording)"
-        ),
-    )
-    parser.add_argument(
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, handler, parents=(), help: Optional[str] = None):
+        # No abbreviations: ``sweep --scheme`` must not read as ``--schemes``.
+        sub = commands.add_parser(
+            name, parents=list(parents), help=help, description=help, allow_abbrev=False
+        )
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sizing = _flags()
+    sizing.add_argument(
         "--profile",
         choices=("quick", "default", "paper"),
         default="default",
         help="experiment size: quick (seconds), default, or paper (1000 queries/point)",
     )
-    parser.add_argument("--peers", type=int, default=None, help="override the network size")
-    parser.add_argument(
+    sizing.add_argument("--peers", type=int, default=None, help="override the network size")
+    sizing.add_argument(
         "--queries", type=int, default=None, help="override the number of queries per point"
     )
-    parser.add_argument("--objects", type=int, default=None, help="override the number of objects")
-    parser.add_argument("--seed", type=int, default=None, help="override the experiment seed")
-    parser.add_argument(
+    sizing.add_argument("--objects", type=int, default=None, help="override the number of objects")
+    sizing.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+
+    csv_dir = _flags()
+    csv_dir.add_argument(
         "--csv-dir", default=None, help="directory to write figure CSV series into"
     )
-    parser.add_argument(
+
+    load_shape = _flags()
+    load_shape.add_argument(
         "--rates",
         default=None,
         help="comma-separated offered rates for the load sweep (queries per sim unit)",
     )
-    parser.add_argument(
+    load_shape.add_argument(
         "--churn",
         action="store_true",
         help="interleave periodic join/leave events with the load sweep's queries",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep only: process-pool size (1 = serial reference path)",
-    )
-    parser.add_argument(
+
+    store = _flags()
+    store.add_argument(
         "--store",
         default=None,
         help=(
-            "sweep/faults/soak/livefaults: JSONL result-store path; records "
+            "JSONL result-store path; records "
             "stream into <path>.tmp and replace <path> on success, so each run "
             "is a clean snapshot and a crash leaves the previous file untouched"
         ),
     )
-    parser.add_argument(
-        "--schemes",
-        default=None,
-        help=(
-            "sweep only: comma-separated scheme names "
-            f"(default {','.join(orchestrator.DEFAULT_SCHEMES)}; "
-            f"available: {','.join(sorted(orchestrator.SCHEME_FACTORIES))})"
-        ),
+
+    grid = _flags()
+    grid.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool size (1 = serial reference path)",
     )
-    parser.add_argument(
-        "--network-sizes",
-        default=None,
-        help="sweep only: comma-separated network sizes (default: the profile's peers)",
-    )
-    parser.add_argument(
-        "--range-sizes",
-        default=None,
-        help="sweep only: comma-separated range sizes (default: the profile's range sizes)",
-    )
-    parser.add_argument(
+    grid.add_argument(
         "--replicas",
         type=int,
         default=1,
-        help=(
-            "sweep/faults: independent repetitions of every grid point; "
-            "soak: durable copies per insert (owner + prefix siblings, "
-            "acked only after every copy is synced)"
-        ),
+        help="independent repetitions of every grid point",
     )
-    parser.add_argument(
-        "--failed-fraction",
-        default=None,
-        help=(
-            "faults only: comma-separated fractions of peers crash-stopped "
-            f"at time zero (default {','.join(str(f) for f in faults_experiment.DEFAULT_FRACTIONS)})"
-        ),
+
+    logging_flags = _flags()
+    logging_flags.add_argument(
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        default="info",
+        help="structured-logging threshold for the repro loggers",
     )
-    parser.add_argument(
-        "--scheme",
-        default=None,
-        help=(
-            "faults only: comma-separated scheme variants "
-            f"(default {','.join(faults_experiment.DEFAULT_FAULT_SCHEMES)}; "
-            f"available: {','.join(faults_experiment.FAULT_SCHEMES)})"
-        ),
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=4.0,
-        help="faults only: per-hop timeout in simulated units",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="faults only: retransmissions per hop after the initial send",
-    )
-    parser.add_argument(
-        "--no-reroute",
+    logging_flags.add_argument(
+        "--log-json",
         action="store_true",
-        help="faults only: disable sibling rerouting around dead hops",
+        help="emit log records as JSON objects (one per line)",
     )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help=(
-            "per-query deadline: simulated units for faults (default derived "
-            "from N and the retry budget), wall-clock seconds for serve/soak "
-            "(default 5.0)"
-        ),
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve/soak: interface the live cluster binds on",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=7411,
-        help="serve only: gateway port (0 picks an ephemeral port)",
-    )
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help=(
-            "serve/soak: peer-node count; peers are distributed round-robin "
-            "(default: serve hosts one node per peer, soak uses 8)"
-        ),
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=16,
-        help="soak only: closed-loop client population",
-    )
-    parser.add_argument(
-        "--mira-fraction",
-        type=float,
-        default=0.2,
-        help="soak only: fraction of queries that are multi-attribute (MIRA)",
-    )
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=4,
-        help="soak only: session connection-pool size",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=("memory", "wal", "sqlite"),
-        default="memory",
-        help=(
-            "soak only: peer storage backend — memory (default, volatile), "
-            "wal (append-only checksummed log per peer) or sqlite"
-        ),
-    )
-    parser.add_argument(
-        "--data-dir",
-        default=None,
-        help=(
-            "soak only: directory for the durable per-peer logs "
-            "(default: a fresh temp dir per run)"
-        ),
-    )
-    parser.add_argument(
-        "--kill-restart",
-        action="store_true",
-        help=(
-            "soak only: after seeding, hard-kill one peer (volatile state "
-            "and unsynced bytes dropped), restart it from its log, and fail "
-            "the run unless every acknowledged write survived"
-        ),
-    )
-    parser.add_argument(
-        "--kill-peer",
-        action="store_true",
-        help=(
-            "soak only: after seeding, hard-kill one peer and withdraw its "
-            "route without restarting it, so queries through its subtree "
-            "genuinely fail — the forced-failure half of a postmortem drill"
-        ),
-    )
-    parser.add_argument(
-        "--record-dir",
-        default=None,
-        help=(
-            "serve/soak: arm the flight recorder; the event ring is dumped "
-            "into this directory (soak writes flight.dump at the end of the "
-            "run, serve dumps on shutdown and on SIGUSR1)"
-        ),
-    )
-    parser.add_argument(
-        "--postmortem-on-fail",
-        action="store_true",
-        help=(
-            "soak only: write the flight.dump only when the run lost queries "
-            "(success ratio < 1), keeping healthy CI runs dump-free"
-        ),
-    )
-    parser.add_argument(
-        "--timeline",
-        action="store_true",
-        help=(
-            "replay only: render a terminal timeline of the recorded event "
-            "tail, centred on the divergence when one is found"
-        ),
-    )
-    parser.add_argument(
+
+    cprofile = _flags()
+    cprofile.add_argument(
         "--cprofile",
         default=None,
         metavar="PATH",
         help=(
-            "soak/load: run the experiment under cProfile, dump the pstats "
+            "run the experiment under cProfile, dump the pstats "
             "file to PATH and print the top-20 functions by cumulative time "
             "(named --cprofile because --profile selects the experiment size)"
         ),
     )
-    parser.add_argument(
-        "--require-pipelined",
-        type=int,
-        default=None,
-        help=(
-            "soak only: exit non-zero unless the gateway observed at least "
-            "this many concurrently in-flight requests (proof of "
-            "multiplexing, via the stats peak_in_flight field)"
-        ),
-    )
-    parser.add_argument(
-        "--require-success",
+
+    wall_deadline = _flags()
+    wall_deadline.add_argument(
+        "--deadline",
         type=float,
-        default=None,
-        help=(
-            "soak/livefaults: exit non-zero unless the success ratio reaches "
-            "this bound"
-        ),
+        default=ServeSettings.deadline,
+        help="per-query deadline in wall-clock seconds (default %(default)s)",
     )
-    parser.add_argument(
-        "--gossip",
-        action="store_true",
-        help=(
-            "soak only: run the SWIM gossip membership plane alongside the "
-            "soak (livefaults always runs it)"
-        ),
-    )
-    parser.add_argument(
-        "--fraction",
-        type=float,
-        default=0.2,
-        help="livefaults only: fraction of peers SIGKILLed mid-run",
-    )
-    parser.add_argument(
-        "--kill-after",
-        type=float,
-        default=0.25,
-        help=(
-            "livefaults only: fraction of the workload that must complete "
-            "before the victims are killed"
-        ),
-    )
-    parser.add_argument(
-        "--require-convergence",
-        action="store_true",
-        help=(
-            "livefaults only: exit non-zero unless every surviving membership "
-            "view converged on the deaths"
-        ),
-    )
-    parser.add_argument(
+
+    observe = _flags()
+    observe.add_argument(
         "--metrics-port",
         type=int,
         default=None,
         help=(
-            "serve/soak: expose the metric registry as Prometheus text on "
+            "expose the metric registry as Prometheus text on "
             "this port at /metrics (0 picks an ephemeral port; off by default)"
         ),
     )
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="info",
-        help="serve/soak/load: structured-logging threshold for the repro loggers",
+    observe.add_argument(
+        "--record-dir",
+        default=None,
+        help=(
+            "arm the flight recorder; the event ring is dumped "
+            "into this directory (soak writes flight.dump at the end of the "
+            "run, serve dumps on shutdown and on SIGUSR1)"
+        ),
     )
-    parser.add_argument(
-        "--log-json",
-        action="store_true",
-        help="serve/soak/load: emit log records as JSON objects (one per line)",
-    )
-    parser.add_argument(
+
+    trace_out = _flags()
+    trace_out.add_argument(
         "--trace-out",
         default=None,
         help=(
-            "soak/trace: write a Chrome trace_event JSON of the collected "
+            "write a Chrome trace_event JSON of the collected "
             "span trees to this path (load it in Perfetto or chrome://tracing)"
         ),
     )
-    parser.add_argument(
+
+    clients = _flags()
+    clients.add_argument(
+        "--concurrency",
+        type=int,
+        default=soak_experiment.SoakSpec.concurrency,
+        help="closed-loop client population",
+    )
+    clients.add_argument(
+        "--mira-fraction",
+        type=float,
+        default=soak_experiment.SoakSpec.mira_fraction,
+        help="fraction of queries that are multi-attribute (MIRA)",
+    )
+    clients.add_argument(
+        "--pool",
+        type=int,
+        default=soak_experiment.SoakSpec.pool,
+        help="session connection-pool size",
+    )
+    clients.add_argument(
+        "--require-success",
+        type=_unit_interval,
+        default=None,
+        help="exit non-zero unless the success ratio reaches this bound",
+    )
+
+    for name, experiment, about in (
+        ("table1", table1_experiment, "Table 1: qualitative comparison of the range-query schemes"),
+        ("analytics", analytics_experiment, "the section 4.3.2 delay and message bounds, checked"),
+        ("fissione", fissione_experiment, "FISSIONE degree, PeerID-length and routing properties"),
+        ("mira", mira_experiment, "MIRA multi-attribute range queries"),
+        ("ablation", ablation_experiment, "PIRA with its pruning ablated"),
+    ):
+        command(name, partial(_run_paper, experiment), [sizing], help=about)
+    for name, experiment, about in (
+        ("figures-rangesize", figures_rangesize, "Figures 5/6: delay and messages vs range size"),
+        ("figures-netsize", figures_netsize, "Figures 7/8: delay and messages vs network size"),
+    ):
+        command(name, partial(_run_figures, experiment), [sizing, csv_dir], help=about)
+    command(
+        "load", _logged(_profiled(_run_load)),
+        [sizing, csv_dir, load_shape, logging_flags, cprofile],
+        help="concurrent load sweep on the simulator clock",
+    )
+    command(
+        "all", _run_all, [sizing, csv_dir, load_shape],
+        help="every simulated command above, plus faults with its defaults",
+    )
+
+    sweep = command(
+        "sweep", _run_sweep, [sizing, grid, store],
+        help="schemes x network-sizes x range-sizes x replicas grid on a process pool",
+    )
+    sweep.add_argument(
+        "--schemes",
+        default=",".join(orchestrator.DEFAULT_SCHEMES),
+        help=(
+            "comma-separated scheme names "
+            "(default %(default)s; "
+            f"available: {','.join(sorted(orchestrator.SCHEME_FACTORIES))})"
+        ),
+    )
+    sweep.add_argument(
+        "--network-sizes",
+        default=None,
+        help="comma-separated network sizes (default: the profile's peers)",
+    )
+    sweep.add_argument(
+        "--range-sizes",
+        default=None,
+        help="comma-separated range sizes (default: the profile's range sizes)",
+    )
+
+    faults = command(
+        "faults", _run_faults, [sizing, grid, store],
+        help="success ratio and completeness vs the fraction of crashed peers",
+    )
+    faults.add_argument(
+        "--failed-fraction",
+        default=",".join(str(f) for f in faults_experiment.DEFAULT_FRACTIONS),
+        help=(
+            "comma-separated fractions of peers crash-stopped "
+            "at time zero (default %(default)s)"
+        ),
+    )
+    faults.add_argument(
+        "--scheme",
+        default=",".join(faults_experiment.DEFAULT_FAULT_SCHEMES),
+        help=(
+            "comma-separated scheme variants "
+            "(default %(default)s; "
+            f"available: {','.join(faults_experiment.FAULT_SCHEMES)})"
+        ),
+    )
+    faults.add_argument(
+        "--timeout",
+        type=float,
+        default=faults_experiment.FaultSweepSpec.timeout,
+        help="per-hop timeout in simulated units",
+    )
+    faults.add_argument(
+        "--retries",
+        type=int,
+        default=faults_experiment.FaultSweepSpec.retries,
+        help="retransmissions per hop after the initial send",
+    )
+    faults.add_argument(
+        "--no-reroute",
+        action="store_true",
+        help="disable sibling rerouting around dead hops",
+    )
+    faults.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        help=(
+            "per-query deadline in simulated units (default derived "
+            "from N and the retry budget)"
+        ),
+    )
+
+    serve = command(
+        "serve", _run_serve, [wall_deadline, observe, logging_flags],
+        help="boot a live cluster behind a gateway and serve until SIGINT/SIGTERM",
+    )
+    _add_sizing(serve, ServeSettings, "peers", "nodes", "seed")
+    serve.add_argument(
+        "--host",
+        default=ServeSettings.host,
+        help="interface the live cluster binds on",
+    )
+    serve.add_argument(
+        "--port",
+        type=int,
+        default=ServeSettings.port,
+        help="gateway port (0 picks an ephemeral port)",
+    )
+
+    soak = command(
+        "soak", _logged(_profiled(_run_soak)),
+        [clients, wall_deadline, observe, trace_out, store, logging_flags, cprofile],
+        help="sustained mixed PIRA/MIRA load against a live cluster on localhost",
+    )
+    _add_sizing(
+        soak, soak_experiment.SoakSpec, "peers", "nodes", "queries", "objects", "seed"
+    )
+    soak.add_argument(
+        "--storage",
+        choices=("memory", "wal", "sqlite"),
+        default="memory",
+        help=(
+            "peer storage backend — memory (default, volatile), "
+            "wal (append-only checksummed log per peer) or sqlite"
+        ),
+    )
+    soak.add_argument(
+        "--data-dir",
+        default=None,
+        help=(
+            "directory for the durable per-peer logs "
+            "(default: a fresh temp dir per run)"
+        ),
+    )
+    soak.add_argument(
+        "--replicas",
+        type=int,
+        default=soak_experiment.SoakSpec.replicas,
+        help=(
+            "durable copies per insert (owner + prefix siblings, "
+            "acked only after every copy is synced)"
+        ),
+    )
+    soak.add_argument(
+        "--kill-restart",
+        action="store_true",
+        help=(
+            "after seeding, hard-kill one peer (volatile state "
+            "and unsynced bytes dropped), restart it from its log, and fail "
+            "the run unless every acknowledged write survived"
+        ),
+    )
+    soak.add_argument(
+        "--kill-peer",
+        action="store_true",
+        help=(
+            "after seeding, hard-kill one peer and withdraw its "
+            "route without restarting it, so queries through its subtree "
+            "genuinely fail — the forced-failure half of a postmortem drill"
+        ),
+    )
+    soak.add_argument(
+        "--postmortem-on-fail",
+        action="store_true",
+        help=(
+            "write the flight.dump only when the run lost queries "
+            "(success ratio < 1), keeping healthy CI runs dump-free"
+        ),
+    )
+    soak.add_argument(
+        "--require-pipelined",
+        type=int,
+        default=None,
+        help=(
+            "exit non-zero unless the gateway observed at least "
+            "this many concurrently in-flight requests (proof of "
+            "multiplexing, via the stats peak_in_flight field)"
+        ),
+    )
+    soak.add_argument(
+        "--gossip",
+        action="store_true",
+        help=(
+            "run the SWIM gossip membership plane alongside the "
+            "soak (livefaults always runs it)"
+        ),
+    )
+
+    livefaults = command(
+        "livefaults", _logged(_run_livefaults),
+        [clients, wall_deadline, store, logging_flags],
+        help="kill -9 a fraction of the peers mid-soak; gossip must detect it",
+    )
+    _add_sizing(
+        livefaults, livefaults_experiment.LiveFaultsSpec,
+        "peers", "nodes", "queries", "objects", "seed",
+    )
+    livefaults.add_argument(
+        "--fraction",
+        type=float,
+        default=livefaults_experiment.LiveFaultsSpec.fraction,
+        help="fraction of peers SIGKILLed mid-run",
+    )
+    livefaults.add_argument(
+        "--require-convergence",
+        action="store_true",
+        help=(
+            "exit non-zero unless every surviving membership "
+            "view converged on the deaths"
+        ),
+    )
+
+    trace = command(
+        "trace", _logged(_run_trace), [wall_deadline, trace_out, logging_flags],
+        help="run one traced range query and print its span tree",
+    )
+    _add_sizing(trace, tracecmd.TraceSpec, "peers", "objects", "seed")
+    trace.add_argument(
         "--trace-jsonl",
         default=None,
-        help="trace only: write the spans as JSON lines to this path",
+        help="write the spans as JSON lines to this path",
     )
-    parser.add_argument(
+    trace.add_argument(
         "--connect",
         default=None,
         metavar="HOST:PORT",
         help=(
-            "trace only: run the traced query against a live gateway "
+            "run the traced query against a live gateway "
             "instead of the simulator (negotiates the v2 tracing capability)"
         ),
     )
-    parser.add_argument(
+    trace.add_argument(
         "--low",
         type=float,
-        default=400.0,
-        help="trace only: lower bound of the traced range query",
+        default=tracecmd.TraceSpec.low,
+        help="lower bound of the traced range query",
     )
-    parser.add_argument(
+    trace.add_argument(
         "--high",
         type=float,
-        default=420.0,
-        help="trace only: upper bound of the traced range query",
+        default=tracecmd.TraceSpec.high,
+        help="upper bound of the traced range query",
     )
-    parser.add_argument(
+    trace.add_argument(
         "--origin",
         default=None,
-        help="trace only: origin peer id (default: a seeded random peer)",
+        help="origin peer id (default: a seeded random peer)",
+    )
+
+    replay = command(
+        "replay", _run_replay,
+        help="re-execute flight-recorder dumps in the simulator and diff against the recording",
+    )
+    replay.add_argument(
+        "dumps",
+        nargs="+",
+        metavar="DUMP",
+        help=(
+            "flight-recorder .dump files to merge and re-execute "
+            "(exits non-zero at the first divergence from the recording)"
+        ),
+    )
+    replay.add_argument(
+        "--timeline",
+        action="store_true",
+        help=(
+            "render a terminal timeline of the recorded event "
+            "tail, centred on the divergence when one is found"
+        ),
     )
     return parser
-
-
-def parse_rates(text: Optional[str]):
-    """Parse ``--rates`` (``\"0.5,1,2\"``) into a tuple of floats, or ``None``."""
-    if text is None:
-        return None
-    try:
-        rates = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise SystemExit(f"invalid --rates value {text!r}: {exc}")
-    if not rates or any(rate <= 0 for rate in rates):
-        raise SystemExit(f"--rates needs one or more positive numbers, got {text!r}")
-    return rates
 
 
 def _parse_number_list(text: Optional[str], flag: str, cast):
@@ -435,159 +534,36 @@ def _parse_number_list(text: Optional[str], flag: str, cast):
     return values
 
 
-def make_sweep_spec(args: argparse.Namespace, config: ExperimentConfig):
-    """Resolve the sweep grid from the CLI arguments."""
-    if args.scheme is not None:
-        raise SystemExit("--scheme selects faults variants; use --schemes for sweep")
-    schemes = (
-        tuple(part.strip() for part in args.schemes.split(",") if part.strip())
-        if args.schemes is not None
-        else orchestrator.DEFAULT_SCHEMES
-    )
+def parse_rates(text: Optional[str]):
+    """Parse ``--rates`` (``\"0.5,1,2\"``) into a tuple of floats, or ``None``."""
+    rates = _parse_number_list(text, "--rates", float)
+    if rates is not None and any(rate <= 0 for rate in rates):
+        raise SystemExit(f"--rates needs one or more positive numbers, got {text!r}")
+    return rates
+
+
+def _parse_names(text: str):
+    """Split a comma-separated list of scheme names."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _validated(factory, *args, **kwargs):
+    """Build a spec; a value its ``__post_init__`` rejects is a clean exit."""
     try:
-        return orchestrator.SweepSpec.from_config(
-            config,
-            schemes=schemes,
-            network_sizes=_parse_number_list(args.network_sizes, "--network-sizes", int),
-            range_sizes=_parse_number_list(args.range_sizes, "--range-sizes", float),
-            replicas=args.replicas,
-        )
+        return factory(*args, **kwargs)
     except ValueError as exc:
         raise SystemExit(str(exc))
 
 
-def make_faults_spec(args: argparse.Namespace, config: ExperimentConfig):
-    """Resolve the robustness grid from the CLI arguments."""
-    if args.schemes is not None:
-        raise SystemExit("--schemes selects sweep schemes; use --scheme for faults")
-    schemes = (
-        tuple(part.strip() for part in args.scheme.split(",") if part.strip())
-        if args.scheme is not None
-        else faults_experiment.DEFAULT_FAULT_SCHEMES
-    )
-    try:
-        return faults_experiment.FaultSweepSpec.from_config(
-            config,
-            schemes=schemes,
-            fractions=_parse_number_list(args.failed_fraction, "--failed-fraction", float),
-            replicas=args.replicas,
-            timeout=args.timeout,
-            retries=args.retries,
-            reroute=not args.no_reroute,
-            deadline=args.deadline,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+def make_spec(spec_class: type, args: argparse.Namespace):
+    """Build a live command's spec from its flags.
 
-
-def make_serve_settings(args: argparse.Namespace, config: ExperimentConfig) -> ServeSettings:
-    """Resolve the live-serving settings from the CLI arguments."""
-    try:
-        return ServeSettings(
-            peers=args.peers if args.peers is not None else _LIVE_DEFAULT_PEERS,
-            seed=config.seed,
-            host=args.host,
-            port=args.port,
-            nodes=args.nodes,
-            deadline=args.deadline if args.deadline is not None else 5.0,
-            attribute_interval=(config.attribute_low, config.attribute_high),
-            attribute_intervals=(
-                (config.attribute_low, config.attribute_high),
-                (config.attribute_low, config.attribute_high),
-            ),
-            metrics_port=args.metrics_port,
-            log_level=args.log_level,
-            log_json=args.log_json,
-            record_dir=args.record_dir,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def make_soak_spec(args: argparse.Namespace, config: ExperimentConfig):
-    """Resolve the soak-run spec from the CLI arguments."""
-    if args.require_success is not None and not 0.0 <= args.require_success <= 1.0:
-        raise SystemExit(
-            f"--require-success must be within [0, 1], got {args.require_success}"
-        )
-    if args.require_pipelined is not None and args.require_pipelined < 1:
-        raise SystemExit(
-            f"--require-pipelined must be at least 1, got {args.require_pipelined}"
-        )
-    try:
-        return soak_experiment.SoakSpec(
-            peers=args.peers if args.peers is not None else _LIVE_DEFAULT_PEERS,
-            nodes=args.nodes if args.nodes is not None else 8,
-            queries=args.queries if args.queries is not None else _LIVE_DEFAULT_QUERIES,
-            concurrency=args.concurrency,
-            objects=args.objects if args.objects is not None else 1000,
-            seed=config.seed,
-            range_size=config.fixed_range_size,
-            mira_fraction=args.mira_fraction,
-            deadline=args.deadline if args.deadline is not None else 5.0,
-            attribute_interval=(config.attribute_low, config.attribute_high),
-            pool=args.pool,
-            storage=args.storage,
-            data_dir=args.data_dir,
-            replicas=args.replicas,
-            kill_restart=args.kill_restart,
-            metrics_port=args.metrics_port,
-            trace_out=args.trace_out,
-            record_dir=args.record_dir,
-            postmortem_on_fail=args.postmortem_on_fail,
-            kill_peer=args.kill_peer,
-            gossip=args.gossip,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def make_livefaults_spec(args: argparse.Namespace, config: ExperimentConfig):
-    """Resolve the live-faults spec from the CLI arguments."""
-    if args.require_success is not None and not 0.0 <= args.require_success <= 1.0:
-        raise SystemExit(
-            f"--require-success must be within [0, 1], got {args.require_success}"
-        )
-    try:
-        return livefaults_experiment.LiveFaultsSpec(
-            peers=args.peers if args.peers is not None else _LIVE_DEFAULT_PEERS,
-            nodes=args.nodes if args.nodes is not None else 8,
-            queries=args.queries if args.queries is not None else 400,
-            concurrency=args.concurrency,
-            objects=args.objects if args.objects is not None else 300,
-            # Not config.seed: the default run is the one
-            # tests/paper/test_livefaults.py holds against the sim figure.
-            seed=args.seed if args.seed is not None else 1,
-            fraction=args.fraction,
-            range_size=config.fixed_range_size,
-            mira_fraction=args.mira_fraction,
-            deadline=args.deadline if args.deadline is not None else 5.0,
-            attribute_interval=(config.attribute_low, config.attribute_high),
-            pool=args.pool,
-            kill_after_fraction=args.kill_after,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def make_trace_spec(args: argparse.Namespace, config: ExperimentConfig):
-    """Resolve the traced-query spec from the CLI arguments."""
-    try:
-        return tracecmd.TraceSpec(
-            low=args.low,
-            high=args.high,
-            connect=args.connect,
-            origin=args.origin,
-            peers=args.peers if args.peers is not None else 64,
-            seed=config.seed,
-            objects=args.objects if args.objects is not None else 500,
-            deadline=args.deadline if args.deadline is not None else 5.0,
-            attribute_interval=(config.attribute_low, config.attribute_high),
-            trace_out=args.trace_out,
-            trace_jsonl=args.trace_jsonl,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    Every flag of ``serve``/``soak``/``livefaults``/``trace`` is named after
+    the spec field it sets, so the parsed values map over by name; fields
+    without a flag keep the dataclass's default.
+    """
+    values = {f.name: getattr(args, f.name) for f in fields(spec_class) if f.name in args}
+    return _validated(spec_class, **values)
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -638,214 +614,29 @@ def _write_csvs(csv_dir: Optional[str], csvs: Dict[str, str]) -> None:
         print(f"wrote {path}")
 
 
-def run_command(
-    command: str,
-    config: ExperimentConfig,
-    csv_dir: Optional[str] = None,
-    rates=None,
-    churn: bool = False,
-    sweep_spec=None,
-    workers: int = 1,
-    store_path: Optional[str] = None,
-    soak_spec=None,
-    require_success: Optional[float] = None,
-    require_pipelined: Optional[int] = None,
-    trace_spec=None,
-    postmortem_spec=None,
-    livefaults_spec=None,
-    require_convergence: bool = False,
-) -> str:
-    """Run one experiment command and return its formatted output."""
-    if command == "replay":
-        from repro.obs.recorder import DumpError
-        from repro.obs.replay import ReplayError
+def _logged(handler: Handler) -> Handler:
+    """Apply the command's ``--log-level/--log-json`` before it runs (serve
+    leaves that to ``serve_async``)."""
 
-        if postmortem_spec is None:
-            raise SystemExit("replay needs at least one DUMP file argument")
-        try:
-            result = postmortem_experiment.run(postmortem_spec)
-        except (DumpError, ReplayError) as exc:
-            raise SystemExit(f"replay failed: {exc}") from exc
-        output = result.format()
-        if not result.ok:
-            # The divergence is the finding: print the full report and make
-            # the exit code say "the recording does not replay cleanly".
-            raise SystemExit(output)
-        return output
-    if command == "trace":
-        result = tracecmd.run(
-            trace_spec if trace_spec is not None else tracecmd.TraceSpec()
-        )
-        return result.format()
-    if command == "soak":
-        spec = soak_spec if soak_spec is not None else soak_experiment.SoakSpec()
-        result = soak_experiment.run(spec)
-        parts = [result.format()]
-        if store_path is not None:
-            parts.append(_replace_store(store_path, [result.record()]))
-        output = "\n\n".join(parts)
-        if require_success is not None and result.report.success_ratio < require_success:
-            raise SystemExit(
-                output
-                + f"\n\nsoak failed: success ratio {result.report.success_ratio:.4f}"
-                f" below the required {require_success:g}"
-            )
-        if require_pipelined is not None:
-            observed = int(result.stats.get("peak_in_flight", 0))
-            if observed < require_pipelined:
-                raise SystemExit(
-                    output
-                    + f"\n\nsoak failed: gateway peak in-flight {observed}"
-                    f" below the required pipelining depth {require_pipelined}"
-                )
-        return output
-    if command == "livefaults":
-        spec = (
-            livefaults_spec
-            if livefaults_spec is not None
-            else livefaults_experiment.LiveFaultsSpec()
-        )
-        result = livefaults_experiment.run(spec)
-        parts = [result.format()]
-        if store_path is not None:
-            parts.append(_replace_store(store_path, [result.record()]))
-        output = "\n\n".join(parts)
-        if require_success is not None and result.success_ratio < require_success:
-            raise SystemExit(
-                output
-                + f"\n\nlivefaults failed: success ratio {result.success_ratio:.4f}"
-                f" below the required {require_success:g}"
-            )
-        if require_convergence and not result.converged:
-            raise SystemExit(
-                output
-                + "\n\nlivefaults failed: membership views did not converge on "
-                f"the deaths within {spec.convergence_timeout:g}s"
-            )
-        return output
-    if command in ("sweep", "faults"):
-        if command == "sweep":
-            spec = (
-                sweep_spec
-                if sweep_spec is not None
-                else orchestrator.SweepSpec.from_config(config)
-            )
-            runner = orchestrator.run_sweep
-        else:
-            spec = (
-                sweep_spec
-                if sweep_spec is not None
-                else faults_experiment.FaultSweepSpec.from_config(config)
-            )
-            runner = faults_experiment.run_sweep
-        # Stream into a scratch file and rename on success: re-running the
-        # same command never duplicates records, and a crashed or
-        # interrupted sweep leaves any previous result file untouched.
-        scratch = ResultStore(store_path + ".tmp") if store_path is not None else None
-        if scratch is not None:
-            scratch.clear()
-        outcome = runner(spec, workers=workers, store=scratch)
-        parts = [outcome.format()]
-        if scratch is not None and store_path is not None:
-            os.replace(scratch.path, store_path)
-            parts.append(f"streamed {outcome.jobs} records into {store_path}")
-        return "\n\n".join(parts)
-    if command == "load":
-        result = load_experiment.run(config, rates=rates, churn=churn)
-        _write_csvs(csv_dir, result.to_csv())
-        return result.format()
-    if command == "table1":
-        return table1_experiment.run(config).format()
-    if command == "figures-rangesize":
-        result = figures_rangesize.run(config)
-        _write_csvs(csv_dir, result.to_csv())
-        return result.format()
-    if command == "figures-netsize":
-        result = figures_netsize.run(config)
-        _write_csvs(csv_dir, result.to_csv())
-        return result.format()
-    if command == "analytics":
-        return analytics_experiment.run(config).format()
-    if command == "fissione":
-        return fissione_experiment.run(config).format()
-    if command == "mira":
-        return mira_experiment.run(config).format()
-    if command == "ablation":
-        return ablation_experiment.run(config).format()
-    if command == "all":
-        outputs = []
-        for sub_command in ("fissione", "table1", "figures-rangesize", "figures-netsize", "analytics", "mira", "ablation", "load", "faults"):
-            outputs.append(run_command(sub_command, config, csv_dir, rates=rates, churn=churn))
-        return "\n\n".join(outputs)
-    raise ValueError(f"unknown command {command!r}")
-
-
-def main(argv=None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = make_config(args)
-    if args.command == "serve":
-        # Blocking: boots the live cluster and runs until SIGINT/SIGTERM.
-        return serve_runtime(make_serve_settings(args, config))
-    if args.command in ("soak", "livefaults", "load", "trace"):
-        # serve configures logging inside serve_async; the other live-ish
-        # commands do it here so --log-level/--log-json apply end to end.
-        from repro.obs.logs import configure_logging
-
+    def run(args: argparse.Namespace) -> str:
         configure_logging(args.log_level, args.log_json)
-    spec = None
-    soak_spec = None
-    trace_spec = None
-    postmortem_spec = None
-    livefaults_spec = None
-    if args.command == "sweep":
-        spec = make_sweep_spec(args, config)
-    elif args.command == "faults":
-        spec = make_faults_spec(args, config)
-    elif args.command == "soak":
-        soak_spec = make_soak_spec(args, config)
-    elif args.command == "livefaults":
-        livefaults_spec = make_livefaults_spec(args, config)
-    elif args.command == "trace":
-        trace_spec = make_trace_spec(args, config)
-    elif args.command == "replay":
-        if not args.dumps:
-            raise SystemExit("replay needs at least one DUMP file argument")
-        postmortem_spec = postmortem_experiment.PostmortemSpec(
-            dumps=tuple(args.dumps), timeline=args.timeline
-        )
-    if args.dumps and args.command != "replay":
-        raise SystemExit(f"positional DUMP arguments only apply to replay, not {args.command}")
+        return handler(args)
 
-    def _run() -> str:
-        return run_command(
-            args.command,
-            config,
-            csv_dir=args.csv_dir,
-            rates=parse_rates(args.rates),
-            churn=args.churn,
-            sweep_spec=spec,
-            workers=args.workers,
-            store_path=args.store,
-            soak_spec=soak_spec,
-            require_success=args.require_success,
-            require_pipelined=args.require_pipelined,
-            trace_spec=trace_spec,
-            postmortem_spec=postmortem_spec,
-            livefaults_spec=livefaults_spec,
-            require_convergence=args.require_convergence,
-        )
+    return run
 
-    if args.cprofile is not None:
-        if args.command not in ("soak", "load"):
-            raise SystemExit("--cprofile is only supported for the soak and load commands")
+
+def _profiled(handler: Handler) -> Handler:
+    """Run the command under cProfile when its ``--cprofile PATH`` is set."""
+
+    def run(args: argparse.Namespace) -> str:
+        if args.cprofile is None:
+            return handler(args)
         import cProfile
         import pstats
 
         profiler = cProfile.Profile()
         try:
-            output = profiler.runcall(_run)
+            return profiler.runcall(handler, args)
         finally:
             # Dump even when the run fails a --require-* gate: a failing
             # run's profile is exactly the one worth reading.
@@ -853,9 +644,179 @@ def main(argv=None) -> int:
             stats = pstats.Stats(profiler)
             stats.sort_stats("cumulative").print_stats(20)
             print(f"wrote cProfile stats to {args.cprofile}")
-    else:
-        output = _run()
-    print(output)
+
+    return run
+
+
+def _run_paper(experiment, args: argparse.Namespace) -> str:
+    """A paper command: one experiment module's ``run(config)``, formatted."""
+    return experiment.run(make_config(args)).format()
+
+
+def _run_figures(experiment, args: argparse.Namespace, **knobs) -> str:
+    """A paper command that also writes its series into ``--csv-dir``."""
+    result = experiment.run(make_config(args), **knobs)
+    _write_csvs(args.csv_dir, result.to_csv())
+    return result.format()
+
+
+def _run_load(args: argparse.Namespace) -> str:
+    return _run_figures(
+        load_experiment, args, rates=parse_rates(args.rates), churn=args.churn
+    )
+
+
+def _run_grid(runner, spec, workers: int = 1, store_path: Optional[str] = None) -> str:
+    """Run a sweep or faults grid, streaming its records into ``store_path``."""
+    # Stream into a scratch file and rename on success: re-running the
+    # same command never duplicates records, and a crashed or
+    # interrupted sweep leaves any previous result file untouched.
+    scratch = ResultStore(store_path + ".tmp") if store_path is not None else None
+    if scratch is not None:
+        scratch.clear()
+    outcome = runner(spec, workers=workers, store=scratch)
+    parts = [outcome.format()]
+    if scratch is not None:
+        os.replace(scratch.path, store_path)
+        parts.append(f"streamed {outcome.jobs} records into {store_path}")
+    return "\n\n".join(parts)
+
+
+def _run_sweep(args: argparse.Namespace) -> str:
+    spec = _validated(
+        orchestrator.SweepSpec.from_config,
+        make_config(args),
+        schemes=_parse_names(args.schemes),
+        network_sizes=_parse_number_list(args.network_sizes, "--network-sizes", int),
+        range_sizes=_parse_number_list(args.range_sizes, "--range-sizes", float),
+        replicas=args.replicas,
+    )
+    return _run_grid(orchestrator.run_sweep, spec, args.workers, args.store)
+
+
+def _run_faults(args: argparse.Namespace) -> str:
+    spec = _validated(
+        faults_experiment.FaultSweepSpec.from_config,
+        make_config(args),
+        schemes=_parse_names(args.scheme),
+        fractions=_parse_number_list(args.failed_fraction, "--failed-fraction", float),
+        replicas=args.replicas,
+        timeout=args.timeout,
+        retries=args.retries,
+        reroute=not args.no_reroute,
+        deadline=args.deadline,
+    )
+    return _run_grid(faults_experiment.run_sweep, spec, args.workers, args.store)
+
+
+def _run_all(args: argparse.Namespace) -> str:
+    """Every simulated command on one configuration (faults with its defaults)."""
+    return "\n\n".join(
+        [
+            _run_paper(fissione_experiment, args),
+            _run_paper(table1_experiment, args),
+            _run_figures(figures_rangesize, args),
+            _run_figures(figures_netsize, args),
+            _run_paper(analytics_experiment, args),
+            _run_paper(mira_experiment, args),
+            _run_paper(ablation_experiment, args),
+            _run_load(args),
+            _run_grid(
+                faults_experiment.run_sweep,
+                faults_experiment.FaultSweepSpec.from_config(make_config(args)),
+            ),
+        ]
+    )
+
+
+def _run_serve(args: argparse.Namespace) -> int:
+    """Blocking: boots the live cluster and runs until SIGINT/SIGTERM."""
+    return serve_runtime(make_spec(ServeSettings, args))
+
+
+def _run_soak(args: argparse.Namespace) -> str:
+    if args.require_pipelined is not None and args.require_pipelined < 1:
+        raise SystemExit(
+            f"--require-pipelined must be at least 1, got {args.require_pipelined}"
+        )
+    result = soak_experiment.run(make_spec(soak_experiment.SoakSpec, args))
+    parts = [result.format()]
+    if args.store is not None:
+        parts.append(_replace_store(args.store, [result.record()]))
+    output = "\n\n".join(parts)
+    if (
+        args.require_success is not None
+        and result.report.success_ratio < args.require_success
+    ):
+        raise SystemExit(
+            output
+            + f"\n\nsoak failed: success ratio {result.report.success_ratio:.4f}"
+            f" below the required {args.require_success:g}"
+        )
+    if args.require_pipelined is not None:
+        observed = int(result.stats.get("peak_in_flight", 0))
+        if observed < args.require_pipelined:
+            raise SystemExit(
+                output
+                + f"\n\nsoak failed: gateway peak in-flight {observed}"
+                f" below the required pipelining depth {args.require_pipelined}"
+            )
+    return output
+
+
+def _run_livefaults(args: argparse.Namespace) -> str:
+    spec = make_spec(livefaults_experiment.LiveFaultsSpec, args)
+    result = livefaults_experiment.run(spec)
+    parts = [result.format()]
+    if args.store is not None:
+        parts.append(_replace_store(args.store, [result.record()]))
+    output = "\n\n".join(parts)
+    if args.require_success is not None and result.success_ratio < args.require_success:
+        raise SystemExit(
+            output
+            + f"\n\nlivefaults failed: success ratio {result.success_ratio:.4f}"
+            f" below the required {args.require_success:g}"
+        )
+    if args.require_convergence and not result.converged:
+        raise SystemExit(
+            output
+            + "\n\nlivefaults failed: membership views did not converge on "
+            f"the deaths within {spec.convergence_timeout:g}s"
+        )
+    return output
+
+
+def _run_trace(args: argparse.Namespace) -> str:
+    return tracecmd.run(make_spec(tracecmd.TraceSpec, args)).format()
+
+
+def _run_replay(args: argparse.Namespace) -> str:
+    from repro.obs.recorder import DumpError
+    from repro.obs.replay import ReplayError
+
+    spec = postmortem_experiment.PostmortemSpec(
+        dumps=tuple(args.dumps), timeline=args.timeline
+    )
+    try:
+        result = postmortem_experiment.run(spec)
+    except (DumpError, ReplayError) as exc:
+        raise SystemExit(f"replay failed: {exc}") from exc
+    output = result.format()
+    if not result.ok:
+        # The divergence is the finding: print the full report and make
+        # the exit code say "the recording does not replay cleanly".
+        raise SystemExit(output)
+    return output
+
+
+def main(argv=None) -> int:
+    """CLI entry point: parse, run the command's handler, print its output."""
+    args = build_parser().parse_args(argv)
+    if args.command == "serve":
+        # serve prints its own contract lines while it runs and returns
+        # the process exit code once it has drained.
+        return args.handler(args)
+    print(args.handler(args))
     return 0
 
 

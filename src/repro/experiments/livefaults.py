@@ -38,9 +38,8 @@ from repro.engine.reporting import EngineReport, RunReporter
 from repro.faults import ResiliencePolicy
 from repro.gossip import SwimConfig
 from repro.runtime.cluster import LiveCluster
-from repro.runtime.gateway import Gateway
 from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop
-from repro.runtime.server import build_observability
+from repro.runtime.server import live_gateway
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.values import uniform_values
 
@@ -262,20 +261,15 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
         gossip=True,
         gossip_config=spec.gossip_config,
     )
-    await cluster.start()
-    policy = ResiliencePolicy(
-        per_hop_timeout=spec.hop_timeout,
-        max_retries=spec.retries,
-        reroute=spec.reroute,
-    )
-    cluster.pira.set_resilience(policy)
-    if cluster.mira is not None:
-        cluster.mira.set_resilience(policy)
-    tracer, registry = build_observability(cluster)
-    gateway = await Gateway(
-        cluster, deadline=spec.deadline, tracer=tracer, metrics=registry
-    ).start()
-    try:
+    async with live_gateway(cluster, deadline=spec.deadline) as (gateway, _):
+        policy = ResiliencePolicy(
+            per_hop_timeout=spec.hop_timeout,
+            max_retries=spec.retries,
+            reroute=spec.reroute,
+        )
+        cluster.pira.set_resilience(policy)
+        if cluster.mira is not None:
+            cluster.mira.set_resilience(policy)
         low, high = spec.attribute_interval
         rng = DeterministicRNG(spec.seed)
         session = await LiveSession.connect(*gateway.address, pool=spec.pool)
@@ -335,12 +329,9 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
             wall = time.perf_counter() - started
             stats = await session.stats()
             stats["killed_after"] = killed_after
-            stats["obs"] = registry.snapshot()
+            stats["obs"] = gateway.metrics.snapshot()
         finally:
             await session.close()
-    finally:
-        await gateway.shutdown(drain=True)
-        await cluster.stop()
     ratio, mean_c, min_c, deadline_failed = _measure(cluster, reporter)
     return LiveFaultsResult(
         spec=spec,

@@ -33,12 +33,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.live import LiveSession
 from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
 from repro.engine.reporting import EngineReport
-from repro.obs.exposition import MetricsServer
 from repro.obs.spans import spans_to_chrome
 from repro.runtime.cluster import LiveCluster
-from repro.runtime.gateway import Gateway
-from repro.runtime.server import build_observability
 from repro.runtime.loadgen import make_mixed_jobs
+from repro.runtime.server import live_gateway
 from repro.sim.rng import DeterministicRNG
 from repro.storage import BACKENDS
 from repro.workloads.values import uniform_values
@@ -271,100 +269,87 @@ async def run_async(spec: SoakSpec) -> SoakResult:
         data_dir=data_dir,
         gossip=spec.gossip,
     )
-    await cluster.start()
-    tracer, registry = build_observability(cluster)
-    recorder = None
-    if spec.record_dir is not None:
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder()
-        cluster.attach_recorder(recorder)
-    gateway = await Gateway(
-        cluster, deadline=spec.deadline, tracer=tracer, metrics=registry,
-        recorder=recorder,
-    ).start()
-    if spec.trace_out is not None:
-        # Server-side tracing: every query gets a span tree whether or not
-        # the client negotiated the capability, so the Chrome trace covers
-        # the whole soak.
-        cluster.pira.set_tracer(tracer, all_queries=True)
-        if cluster.mira is not None:
-            cluster.mira.set_tracer(tracer, all_queries=True)
-    metrics_server = None
-    if spec.metrics_port is not None:
-        metrics_server = MetricsServer(registry, port=spec.metrics_port)
-        await metrics_server.start()
-        print(
-            f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",
-            flush=True,
-        )
-    try:
-        low, high = spec.attribute_interval
-        rng = DeterministicRNG(spec.seed)
-        session = await LiveSession.connect(*gateway.address, pool=spec.pool)
+    async with live_gateway(
+        cluster,
+        deadline=spec.deadline,
+        metrics_port=spec.metrics_port,
+        record=spec.record_dir is not None,
+    ) as (gateway, metrics_server):
+        tracer, registry, recorder = gateway.tracer, gateway.metrics, gateway.recorder
         try:
-            # Publish in batches: each batch is posted back-to-back on the
-            # pooled connections and the replies stream in concurrently, so
-            # the seeding phase pipelines too.
-            write_options = RequestOptions(replicas=spec.replicas)
-            inserts: List[Request] = [
-                Insert(value=value, options=write_options)
-                for value in uniform_values(
-                    rng.substream("soak-values"), spec.objects, low, high
-                )
-            ]
-            # A smaller multi-attribute population so MIRA queries have
-            # something to match.
-            mrng = rng.substream("soak-mvalues")
-            inserts.extend(
-                MultiInsert(
-                    values=(mrng.uniform(low, high), mrng.uniform(low, high)),
-                    options=write_options,
-                )
-                for _ in range(spec.objects // 4)
-            )
-            for index in range(0, len(inserts), 256):
-                await session.batch(inserts[index : index + 256])
-            # The crash-consistency probe: every insert above was acked as
-            # durable, so a peer must survive kill -9 with nothing lost.
-            kill_stats = _kill_restart(cluster) if spec.kill_restart else None
-            dead_peer = _kill_peer(cluster) if spec.kill_peer else None
-            jobs = make_mixed_jobs(
-                seed=spec.seed,
-                count=spec.queries,
-                peer_ids=cluster.network.peer_ids(),
-                interval=spec.attribute_interval,
-                range_size=spec.range_size,
-                mira_fraction=spec.mira_fraction,
-            )
-            started = time.perf_counter()
-            report = await session.run_jobs(
-                jobs, mode="closed", concurrency=spec.concurrency
-            )
-            wall = time.perf_counter() - started
-            stats = await session.stats()
-            if kill_stats is not None:
-                stats["kill_restart"] = kill_stats
-            if dead_peer is not None:
-                stats["kill_peer"] = dead_peer
-            stats["obs"] = registry.snapshot()
             if spec.trace_out is not None:
-                stats["trace_out"] = _write_trace(tracer, spec.trace_out)
-        finally:
-            await session.close()
-    except BaseException:
-        # A soak that dies mid-run is exactly what the flight recorder is
-        # for: capture everything seen so far before the exception escapes.
-        if recorder is not None:
-            recorder.dump(
-                os.path.join(spec.record_dir, "flight.dump"), reason="exception"
-            )
-        raise
-    finally:
-        if metrics_server is not None:
-            await metrics_server.stop()
-        await gateway.shutdown(drain=True)
-        await cluster.stop()
+                # Server-side tracing: every query gets a span tree whether or
+                # not the client negotiated the capability, so the Chrome trace
+                # covers the whole soak.
+                cluster.pira.set_tracer(tracer, all_queries=True)
+                if cluster.mira is not None:
+                    cluster.mira.set_tracer(tracer, all_queries=True)
+            if metrics_server is not None:
+                print(
+                    f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",
+                    flush=True,
+                )
+            low, high = spec.attribute_interval
+            rng = DeterministicRNG(spec.seed)
+            session = await LiveSession.connect(*gateway.address, pool=spec.pool)
+            try:
+                # Publish in batches: each batch is posted back-to-back on the
+                # pooled connections and the replies stream in concurrently, so
+                # the seeding phase pipelines too.
+                write_options = RequestOptions(replicas=spec.replicas)
+                inserts: List[Request] = [
+                    Insert(value=value, options=write_options)
+                    for value in uniform_values(
+                        rng.substream("soak-values"), spec.objects, low, high
+                    )
+                ]
+                # A smaller multi-attribute population so MIRA queries have
+                # something to match.
+                mrng = rng.substream("soak-mvalues")
+                inserts.extend(
+                    MultiInsert(
+                        values=(mrng.uniform(low, high), mrng.uniform(low, high)),
+                        options=write_options,
+                    )
+                    for _ in range(spec.objects // 4)
+                )
+                for index in range(0, len(inserts), 256):
+                    await session.batch(inserts[index : index + 256])
+                # The crash-consistency probe: every insert above was acked as
+                # durable, so a peer must survive kill -9 with nothing lost.
+                kill_stats = _kill_restart(cluster) if spec.kill_restart else None
+                dead_peer = _kill_peer(cluster) if spec.kill_peer else None
+                jobs = make_mixed_jobs(
+                    seed=spec.seed,
+                    count=spec.queries,
+                    peer_ids=cluster.network.peer_ids(),
+                    interval=spec.attribute_interval,
+                    range_size=spec.range_size,
+                    mira_fraction=spec.mira_fraction,
+                )
+                started = time.perf_counter()
+                report = await session.run_jobs(
+                    jobs, mode="closed", concurrency=spec.concurrency
+                )
+                wall = time.perf_counter() - started
+                stats = await session.stats()
+                if kill_stats is not None:
+                    stats["kill_restart"] = kill_stats
+                if dead_peer is not None:
+                    stats["kill_peer"] = dead_peer
+                stats["obs"] = registry.snapshot()
+                if spec.trace_out is not None:
+                    stats["trace_out"] = _write_trace(tracer, spec.trace_out)
+            finally:
+                await session.close()
+        except BaseException:
+            # A soak that dies mid-run is exactly what the flight recorder is
+            # for: capture everything seen so far before the exception escapes.
+            if recorder is not None:
+                recorder.dump(
+                    os.path.join(spec.record_dir, "flight.dump"), reason="exception"
+                )
+            raise
     if recorder is not None:
         # ``postmortem_on_fail`` keeps healthy runs dump-free; without it a
         # record_dir always gets the full ring (the replay-test workflow).

@@ -292,13 +292,3 @@ class MetricsRegistry:
                 suffix = "" if not labels else "{" + ",".join(labels) + "}"
                 out[f"{name}{suffix}"] = float(value)
         return out
-
-    def absorb_sim_metrics(self, sim_registry: Any, prefix: str = "sim") -> None:
-        """Mirror a :class:`repro.sim.metrics.MetricsRegistry` snapshot.
-
-        Sim counters become gauges here (the sim registry stays the
-        source of truth and may be reset between runs).
-        """
-        for key, value in sim_registry.snapshot().items():
-            safe = key.replace(".", "_")
-            self.gauge(f"{prefix}_{safe}").set(value)

@@ -128,8 +128,7 @@ class Tracer:
     only the *context ids* travel inside message metadata).
 
     ``max_spans_per_trace`` bounds memory per query; spans beyond the
-    cap are counted in ``dropped`` rather than stored, mirroring the
-    sim ``TraceRecorder`` contract.
+    cap are counted in ``dropped`` rather than stored.
     """
 
     def __init__(self, max_spans_per_trace: Optional[int] = None) -> None:

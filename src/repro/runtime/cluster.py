@@ -372,14 +372,11 @@ class LiveCluster:
         child zone); its route moves with it atomically, before the reply,
         so no frame is ever addressed to the retired id.
         """
-        before = set(self.network.peer_ids())
-        self.network.join(target_key=frame["target"])
-        victims = before - set(self.network.peer_ids())
-        if len(victims) != 1:
-            return {"ok": False, "error": f"join produced {len(victims)} renamed peers"}
-        victim = victims.pop()
-        children = [victim + symbol for symbol in ks.allowed_symbols(victim[-1], base=self.network.base)]
-        left, right = children[0], children[-1]
+        # join returns the new right child; its id minus the last symbol is
+        # the split peer, which keeps the left child zone.
+        right = self.network.join(target_key=frame["target"]).peer_id
+        victim = right[:-1]
+        left = victim + ks.allowed_symbols(victim[-1], base=self.network.base)[0]
         address = self.transport.address_of(victim)
         if address is not None:
             self.transport.assign(left, address)

@@ -3,7 +3,9 @@
 The runner owns the process lifecycle:
 
 1. boot the :class:`~repro.runtime.cluster.LiveCluster` (bootstrap joins
-   over localhost TCP) and the :class:`~repro.runtime.gateway.Gateway`;
+   over localhost TCP) and the :class:`~repro.runtime.gateway.Gateway`
+   (:func:`live_gateway` — the one boot and teardown order ``repro soak``
+   and ``repro livefaults`` share);
 2. print the connect line (``gateway listening on HOST:PORT ...``) — the
    CLI contract scripts and the CI smoke job parse;
 3. wait for SIGINT/SIGTERM (or a programmatic stop event);
@@ -23,10 +25,13 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
+from contextlib import AsyncExitStack, asynccontextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Tuple
+from typing import AsyncIterator, Optional, Sequence, TextIO, Tuple
 
+from repro.obs.exposition import MetricsServer
 from repro.obs.logs import configure_logging, get_logger
+from repro.obs.recorder import FlightRecorder
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 
@@ -38,7 +43,7 @@ class ServeSettings:
     """Everything ``repro serve`` needs to boot."""
 
     peers: int = 32
-    seed: int = 1
+    seed: int = 42
     host: str = "127.0.0.1"
     port: int = 7411
     nodes: Optional[int] = None
@@ -160,6 +165,51 @@ def build_observability(cluster: LiveCluster):
     return tracer, registry
 
 
+@asynccontextmanager
+async def live_gateway(
+    cluster: LiveCluster,
+    *,
+    deadline: float,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    metrics_port: Optional[int] = None,
+    record: bool = False,
+) -> AsyncIterator[Tuple[Gateway, Optional[MetricsServer]]]:
+    """Boot ``cluster`` behind a gateway; tear down in one order.
+
+    Boot: cluster → tracer + registry (:func:`build_observability`) →
+    flight recorder (``record``) → ``/metrics`` endpoint (``metrics_port``)
+    → gateway.  Teardown is the reverse: the gateway drains first, so the
+    endpoint stays scrapeable while in-flight queries finish, and the
+    cluster's sockets close last.  Yields ``(gateway, metrics_server)``;
+    the tracer, registry and recorder are the gateway's ``tracer``,
+    ``metrics`` and ``recorder``.
+    """
+    async with AsyncExitStack() as stack:
+        await cluster.start()
+        stack.push_async_callback(cluster.stop)
+        tracer, registry = build_observability(cluster)
+        recorder = None
+        if record:
+            recorder = FlightRecorder()
+            cluster.attach_recorder(recorder)
+        metrics_server = None
+        if metrics_port is not None:
+            metrics_server = await MetricsServer(registry, host=host, port=metrics_port).start()
+            stack.push_async_callback(metrics_server.stop)
+        gateway = await Gateway(
+            cluster,
+            host=host,
+            port=port,
+            deadline=deadline,
+            tracer=tracer,
+            metrics=registry,
+            recorder=recorder,
+        ).start()
+        stack.push_async_callback(gateway.shutdown, drain=True)
+        yield gateway, metrics_server
+
+
 async def serve_async(
     settings: ServeSettings,
     stop_event: Optional[asyncio.Event] = None,
@@ -182,79 +232,61 @@ async def serve_async(
         attribute_interval=settings.attribute_interval,
         attribute_intervals=settings.attribute_intervals,
     )
-    await cluster.start()
-    tracer, registry = build_observability(cluster)
-    recorder = None
-    if settings.record_dir is not None:
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder()
-        recorder.install(settings.record_dir)
-        cluster.attach_recorder(recorder)
-    gateway = Gateway(
-        cluster,
-        host=settings.host,
-        port=settings.port,
-        deadline=settings.deadline,
-        tracer=tracer,
-        metrics=registry,
-        recorder=recorder,
-    )
-    await gateway.start()
-    metrics_server = None
-    if settings.metrics_port is not None:
-        from repro.obs.exposition import MetricsServer
-
-        metrics_server = MetricsServer(registry, host=settings.host, port=settings.metrics_port)
-        await metrics_server.start()
-
     installed_signals = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-            installed_signals.append(signum)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover - non-unix
-            pass
-
-    print(
-        f"gateway listening on {gateway.host}:{gateway.port} "
-        f"({cluster.network.size} peers on {len(cluster.nodes)} nodes, "
-        f"deadline {settings.deadline:g}s, protocol v2)",
-        file=out,
-        flush=True,
-    )
-    if metrics_server is not None:
-        print(
-            f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",
-            file=out,
-            flush=True,
-        )
-    if recorder is not None:
-        print(
-            f"flight recorder armed, dumps land in {settings.record_dir} "
-            "(SIGUSR1 dumps on demand)",
-            file=out,
-            flush=True,
-        )
-    log.info(
-        "gateway up",
-        extra={
-            "peers": cluster.network.size,
-            "nodes": len(cluster.nodes),
-            "port": gateway.port,
-        },
-    )
+    recorder = None
     try:
-        await stop.wait()
-        print(f"draining {gateway.in_flight} in-flight queries", file=out, flush=True)
-        log.info("draining", extra={"in_flight": gateway.in_flight})
-        await gateway.shutdown(drain=True)
+        async with live_gateway(
+            cluster,
+            deadline=settings.deadline,
+            host=settings.host,
+            port=settings.port,
+            metrics_port=settings.metrics_port,
+            record=settings.record_dir is not None,
+        ) as (gateway, metrics_server):
+            recorder = gateway.recorder
+            if recorder is not None:
+                recorder.install(settings.record_dir)
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(signum, stop.set)
+                    installed_signals.append(signum)
+                except (NotImplementedError, RuntimeError):  # pragma: no cover - non-unix
+                    pass
+
+            print(
+                f"gateway listening on {gateway.host}:{gateway.port} "
+                f"({cluster.network.size} peers on {len(cluster.nodes)} nodes, "
+                f"deadline {settings.deadline:g}s, protocol v2)",
+                file=out,
+                flush=True,
+            )
+            if metrics_server is not None:
+                print(
+                    f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",
+                    file=out,
+                    flush=True,
+                )
+            if recorder is not None:
+                print(
+                    f"flight recorder armed, dumps land in {settings.record_dir} "
+                    "(SIGUSR1 dumps on demand)",
+                    file=out,
+                    flush=True,
+                )
+            log.info(
+                "gateway up",
+                extra={
+                    "peers": cluster.network.size,
+                    "nodes": len(cluster.nodes),
+                    "port": gateway.port,
+                },
+            )
+            await stop.wait()
+            print(f"draining {gateway.in_flight} in-flight queries", file=out, flush=True)
+            log.info("draining", extra={"in_flight": gateway.in_flight})
     finally:
         for signum in installed_signals:
             loop.remove_signal_handler(signum)
-        if metrics_server is not None:
-            await metrics_server.stop()
-        await cluster.stop()
         if recorder is not None:
             dump_path = recorder.dump(reason="shutdown")
             recorder.uninstall()

@@ -11,8 +11,6 @@ such a simulator needs:
 * :mod:`repro.sim.metrics` -- counters / summary statistics helpers.
 * :mod:`repro.sim.rng` -- seeded random-source helpers so experiments are
   reproducible.
-* :mod:`repro.sim.trace` -- structured trace recording for debugging and for
-  the example scripts.
 """
 
 from repro.sim.engine import Simulator
@@ -20,7 +18,6 @@ from repro.sim.events import Event, MessageDelivery, TimerFired
 from repro.sim.metrics import Counter, MetricsRegistry, SummaryStats
 from repro.sim.network import HopLatencyModel, Message, OverlayNetwork, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG, derive_seed
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -36,6 +33,4 @@ __all__ = [
     "UniformLatencyModel",
     "DeterministicRNG",
     "derive_seed",
-    "TraceEvent",
-    "TraceRecorder",
 ]

@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, Hashable, Optional, Protocol, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.trace import TraceRecorder
 
 
 @dataclass(slots=True)
@@ -141,12 +140,10 @@ class OverlayNetwork:
         simulator: Optional[Simulator] = None,
         latency_model: Optional[LatencyModel] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.simulator = simulator if simulator is not None else Simulator()
         self.latency_model = latency_model if latency_model is not None else HopLatencyModel()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace = trace
         self._nodes: Dict[Hashable, NodeProtocol] = {}
         self._drop_filter: Optional[Callable[[Message], bool]] = None
         self._fault_injector: Optional["FaultInjectorProtocol"] = None
@@ -245,16 +242,6 @@ class OverlayNetwork:
             kind_counter = self.metrics.counter(f"messages.{kind}")
             self._kind_cache[kind] = kind_counter
         kind_counter.value += 1
-        if self.trace is not None:
-            self.trace.record(
-                self.simulator.now,
-                "send",
-                sender=message.sender,
-                receiver=message.receiver,
-                message_kind=message.kind,
-                hop=message.hop,
-                query_id=message.query_id,
-            )
         if self._drop_filter is not None and self._drop_filter(message):
             self.metrics.counter("messages.dropped").increment()
             self._notify_drop(message)
@@ -330,16 +317,6 @@ class OverlayNetwork:
                     self.metrics.counter(f"messages.dropped.{blocked}").increment()
                 self._notify_drop(message)
                 return
-        if self.trace is not None:
-            self.trace.record(
-                self.simulator.now,
-                "deliver",
-                sender=message.sender,
-                receiver=message.receiver,
-                message_kind=message.kind,
-                hop=message.hop,
-                query_id=message.query_id,
-            )
         # Messages carrying a ``handler`` metadata hook (the query executors'
         # per-message dispatch) are routed to it directly — same contract as
         # FissionePeer.handle_message's shim, minus one call per message.

@@ -2,21 +2,61 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import pytest
 
-from repro.cli import (
-    build_parser,
-    main,
-    make_config,
-    make_serve_settings,
-    make_soak_spec,
-    make_trace_spec,
-    run_command,
-)
-from repro.experiments.common import ExperimentConfig
+from repro.cli import build_parser, main, make_config, make_spec
+from repro.experiments.soak import SoakSpec
+from repro.experiments.tracecmd import TraceSpec
+from repro.runtime.server import ServeSettings
+
+SIZING = {"--profile", "--peers", "--queries", "--objects", "--seed"}
+GRID = SIZING | {"--workers", "--replicas", "--store"}
+LOGGING = {"--log-level", "--log-json"}
+CLIENTS = {"--concurrency", "--mira-fraction", "--pool", "--require-success"}
+LIVE_SIZING = {"--peers", "--nodes", "--queries", "--objects", "--seed"}
+
+#: every flag each command's subparser offers — exactly the ones it reads
+COMMAND_FLAGS = {
+    "table1": SIZING,
+    "analytics": SIZING,
+    "fissione": SIZING,
+    "mira": SIZING,
+    "ablation": SIZING,
+    "figures-rangesize": SIZING | {"--csv-dir"},
+    "figures-netsize": SIZING | {"--csv-dir"},
+    "load": SIZING | LOGGING | {"--csv-dir", "--rates", "--churn", "--cprofile"},
+    "all": SIZING | {"--csv-dir", "--rates", "--churn"},
+    "sweep": GRID | {"--schemes", "--network-sizes", "--range-sizes"},
+    "faults": GRID
+    | {"--scheme", "--failed-fraction", "--timeout", "--retries", "--no-reroute", "--deadline"},
+    "serve": LOGGING
+    | {"--peers", "--nodes", "--seed", "--host", "--port", "--deadline",
+       "--metrics-port", "--record-dir"},
+    "soak": LIVE_SIZING | CLIENTS | LOGGING
+    | {"--deadline", "--metrics-port", "--record-dir", "--trace-out", "--store", "--cprofile",
+       "--storage", "--data-dir", "--replicas", "--kill-restart", "--kill-peer",
+       "--postmortem-on-fail", "--require-pipelined", "--gossip"},
+    "livefaults": LIVE_SIZING | CLIENTS | LOGGING
+    | {"--deadline", "--store", "--fraction", "--require-convergence"},
+    "trace": LOGGING
+    | {"--peers", "--objects", "--seed", "--deadline", "--low", "--high", "--connect",
+       "--origin", "--trace-out", "--trace-jsonl"},
+    "replay": {"--timeline"},
+}
+
+
+def subparsers():
+    """``{command: its subparser}`` of the CLI parser."""
+    (action,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
 
 
 class TestArgumentHandling:
@@ -24,8 +64,78 @@ class TestArgumentHandling:
         parser = build_parser()
         for command in ("table1", "figures-rangesize", "figures-netsize", "analytics",
                         "fissione", "mira", "ablation", "load", "sweep", "faults",
-                        "serve", "soak", "trace", "all"):
+                        "serve", "soak", "livefaults", "trace", "all"):
             assert parser.parse_args([command]).command == command
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_offers_exactly_the_flags_it_reads(self, command):
+        choices = subparsers()
+        assert set(choices) == set(COMMAND_FLAGS)
+        offered = {
+            option
+            for action in choices[command]._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert offered == COMMAND_FLAGS[command]
+
+    def test_flag_budget(self):
+        assert len(COMMAND_FLAGS["soak"]) <= 25
+        assert sum(len(flags) for flags in COMMAND_FLAGS.values()) <= 150
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--kill-peer"],
+            ["soak", "--schemes", "armada"],
+            ["sweep", "--scheme", "pira"],
+            ["soak", "--host", "0.0.0.0"],
+            ["fissione", "x.dump"],
+            ["livefaults", "--kill-after", "0.5"],
+            ["serve", "--profile", "quick"],
+            ["replay"],
+            ["soak", "--require-success", "1.5"],
+            ["livefaults", "--require-success", "1.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_a_command_does_not_read_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    def test_live_defaults_are_the_spec_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["soak"]).peers == 32
+        assert parser.parse_args(["livefaults"]).seed == 1
+        assert parser.parse_args(["trace"]).objects == TraceSpec.objects
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the seven `repro ...` invocations of .github/workflows/ci.yml
+            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
+            " --mira-fraction 0.3 --pool 4 --require-pipelined 2 --require-success 1.0"
+            " --store soak.jsonl",
+            "soak --peers 8 --nodes 8 --queries 400 --objects 200 --concurrency 8"
+            " --mira-fraction 0.3 --gossip --pool 4 --require-success 1.0"
+            " --metrics-port 9109 --trace-out soak_trace.json",
+            "soak --peers 8 --nodes 8 --queries 60 --objects 200 --concurrency 8"
+            " --mira-fraction 0.3 --pool 4 --kill-peer --record-dir postmortem"
+            " --postmortem-on-fail --require-success 1.0",
+            "replay postmortem/flight.dump --timeline",
+            "livefaults --peers 8 --nodes 4 --queries 150 --objects 150 --fraction 0.25"
+            " --concurrency 8 --require-success 0.9 --require-convergence"
+            " --store livefaults.jsonl",
+            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
+            " --mira-fraction 0.3 --storage wal --kill-restart --replicas 2"
+            " --require-success 1.0",
+            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
+            " --mira-fraction 0.3 --storage sqlite --kill-restart --require-success 1.0",
+        ],
+    )
+    def test_ci_invocations_parse(self, argv):
+        args = build_parser().parse_args(argv.split())
+        assert callable(args.handler)
 
     def test_rates_parsing(self):
         from repro.cli import parse_rates
@@ -63,8 +173,9 @@ class TestArgumentHandling:
         assert config.seed == 9
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["frobnicate"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -85,12 +196,11 @@ class TestArgumentHandling:
 
     def test_serve_soak_defaults(self):
         parser = build_parser()
-        config = ExperimentConfig()
-        serve = make_serve_settings(parser.parse_args(["serve"]), config)
+        serve = make_spec(ServeSettings, parser.parse_args(["serve"]))
         assert serve.peers == 32
         assert serve.port == 7411
         assert serve.deadline == 5.0
-        soak = make_soak_spec(parser.parse_args(["soak"]), config)
+        soak = make_spec(SoakSpec, parser.parse_args(["soak"]))
         assert soak.peers == 32
         assert soak.queries == 1000
         assert soak.nodes == 8
@@ -98,49 +208,46 @@ class TestArgumentHandling:
 
     def test_serve_soak_overrides(self):
         parser = build_parser()
-        config = ExperimentConfig()
         args = parser.parse_args(
             ["soak", "--peers", "16", "--queries", "200", "--nodes", "4",
              "--concurrency", "8", "--mira-fraction", "0.5", "--deadline", "2.5"]
         )
-        spec = make_soak_spec(args, make_config(args))
+        spec = make_spec(SoakSpec, args)
         assert (spec.peers, spec.queries, spec.nodes) == (16, 200, 4)
         assert (spec.concurrency, spec.mira_fraction, spec.deadline) == (8, 0.5, 2.5)
 
     def test_observability_flags_reach_the_specs(self):
         parser = build_parser()
-        config = ExperimentConfig()
-        serve = make_serve_settings(
+        serve = make_spec(
+            ServeSettings,
             parser.parse_args(
                 ["serve", "--metrics-port", "9109", "--log-level", "debug", "--log-json"]
             ),
-            config,
         )
         assert serve.metrics_port == 9109
         assert serve.log_level == "debug"
         assert serve.log_json is True
-        assert make_serve_settings(parser.parse_args(["serve"]), config).metrics_port is None
-        soak = make_soak_spec(
+        assert make_spec(ServeSettings, parser.parse_args(["serve"])).metrics_port is None
+        soak = make_spec(
+            SoakSpec,
             parser.parse_args(
                 ["soak", "--metrics-port", "0", "--trace-out", "trace.json"]
             ),
-            config,
         )
         assert soak.metrics_port == 0
         assert soak.trace_out == "trace.json"
 
     def test_trace_defaults_and_overrides(self):
         parser = build_parser()
-        config = ExperimentConfig()
-        spec = make_trace_spec(parser.parse_args(["trace"]), config)
+        spec = make_spec(TraceSpec, parser.parse_args(["trace"]))
         assert spec.connect is None
         assert (spec.low, spec.high) == (400.0, 420.0)
-        spec = make_trace_spec(
+        spec = make_spec(
+            TraceSpec,
             parser.parse_args(
                 ["trace", "--low", "10", "--high", "50", "--connect",
                  "127.0.0.1:7411", "--origin", "012", "--trace-jsonl", "t.jsonl"]
             ),
-            config,
         )
         assert spec.address == ("127.0.0.1", 7411)
         assert spec.origin == "012"
@@ -185,11 +292,12 @@ class TestParseErrors:
         )
         assert "--network-sizes" in str(message)
 
-    def test_sweep_rejects_faults_flag(self):
-        message = self.run_main_expecting_exit(
+    def test_sweep_rejects_faults_flag(self, capsys):
+        code = self.run_main_expecting_exit(
             ["sweep", "--profile", "quick", "--scheme", "pira"]
         )
-        assert "--schemes" in str(message)
+        assert code == 2
+        assert "unrecognized arguments: --scheme pira" in capsys.readouterr().err
 
     # -- faults -------------------------------------------------------------
 
@@ -205,11 +313,12 @@ class TestParseErrors:
         )
         assert "0.9" in str(message)
 
-    def test_faults_rejects_sweep_flag(self):
-        message = self.run_main_expecting_exit(
+    def test_faults_rejects_sweep_flag(self, capsys):
+        code = self.run_main_expecting_exit(
             ["faults", "--profile", "quick", "--schemes", "pira"]
         )
-        assert "--scheme" in str(message)
+        assert code == 2
+        assert "unrecognized arguments: --schemes pira" in capsys.readouterr().err
 
     # -- serve --------------------------------------------------------------
 
@@ -243,9 +352,14 @@ class TestParseErrors:
         message = self.run_main_expecting_exit(["soak", "--mira-fraction", "1.5"])
         assert "mira" in str(message)
 
-    def test_soak_bad_require_success(self):
-        message = self.run_main_expecting_exit(["soak", "--require-success", "3"])
-        assert "--require-success" in str(message)
+    def test_soak_bad_require_success(self, capsys):
+        code = self.run_main_expecting_exit(["soak", "--require-success", "3"])
+        assert code == 2
+        assert "--require-success: must be within [0, 1]" in capsys.readouterr().err
+
+    def test_soak_bad_require_pipelined(self):
+        message = self.run_main_expecting_exit(["soak", "--require-pipelined", "0"])
+        assert "--require-pipelined" in str(message)
 
     def test_non_numeric_flag_exits_cleanly(self):
         # argparse-level type errors (exit code 2, message on stderr)
@@ -271,18 +385,11 @@ class TestParseErrors:
 
 
 class TestExecution:
-    TINY = ExperimentConfig(
-        peers=120,
-        queries_per_point=8,
-        objects=200,
-        range_sizes=(10, 100),
-        network_sizes=(60, 120),
-        fixed_range_size=20.0,
-    )
+    TINY = ["--profile", "quick", "--peers", "120", "--queries", "8", "--objects", "200"]
 
-    def test_run_command_fissione(self):
-        output = run_command("fissione", self.TINY)
-        assert "FISSIONE" in output
+    def test_run_command_fissione(self, capsys):
+        assert main(["fissione"] + self.TINY) == 0
+        assert "FISSIONE" in capsys.readouterr().out
 
     def test_trace_command_prints_span_tree(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
@@ -304,9 +411,9 @@ class TestExecution:
         payload = json.loads(out_path.read_text())
         assert payload["traceEvents"]
 
-    def test_run_command_figures_with_csv(self, tmp_path):
-        output = run_command("figures-rangesize", self.TINY, csv_dir=str(tmp_path))
-        assert "Figure 5" in output
+    def test_run_command_figures_with_csv(self, capsys, tmp_path):
+        assert main(["figures-rangesize"] + self.TINY + ["--csv-dir", str(tmp_path)]) == 0
+        assert "Figure 5" in capsys.readouterr().out
         assert os.path.exists(tmp_path / "figure5.csv")
         assert os.path.exists(tmp_path / "figure6a.csv")
 
@@ -328,21 +435,16 @@ class TestExecution:
         captured = capsys.readouterr()
         assert "FISSIONE" in captured.out
 
-    def test_run_command_unknown_raises(self):
-        with pytest.raises(ValueError):
-            run_command("nonsense", self.TINY)
-
-    def test_run_command_load(self, tmp_path):
-        output = run_command(
-            "load", self.TINY, csv_dir=str(tmp_path), rates=(2.0, 8.0), churn=False
-        )
+    def test_run_command_load(self, capsys, tmp_path):
+        assert main(["load"] + self.TINY + ["--rates", "2,8", "--csv-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
         assert "Concurrent load sweep" in output
         assert "Throughput vs offered load" in output
         assert os.path.exists(tmp_path / "load.csv")
 
-    def test_run_command_load_with_churn(self):
-        output = run_command("load", self.TINY, rates=(4.0,), churn=True)
-        assert "with churn" in output
+    def test_run_command_load_with_churn(self, capsys):
+        assert main(["load"] + self.TINY + ["--rates", "4", "--churn"]) == 0
+        assert "with churn" in capsys.readouterr().out
 
     def test_soak_store_holds_one_record_of_the_run(self, capsys, tmp_path):
         store = tmp_path / "soak.jsonl"

@@ -136,13 +136,17 @@ class TestFaultsCli:
         with pytest.raises(SystemExit, match="deadline must be positive"):
             main(["faults", "--profile", "quick", "--deadline", "0"])
 
-    def test_cross_command_scheme_flags_rejected(self):
+    def test_cross_command_scheme_flags_rejected(self, capsys):
         """--scheme belongs to faults, --schemes to sweep; mixing them up
-        errors instead of being silently ignored."""
-        with pytest.raises(SystemExit, match="use --scheme for faults"):
+        is an argparse error instead of being silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["faults", "--profile", "quick", "--schemes", "pira"])
-        with pytest.raises(SystemExit, match="use --schemes for sweep"):
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --schemes pira" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--profile", "quick", "--scheme", "armada"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --scheme armada" in capsys.readouterr().err
 
     def test_cli_store_is_deterministic(self, tmp_path, capsys):
         """The acceptance criterion: the CLI curve is seed-fixed and the

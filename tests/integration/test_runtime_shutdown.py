@@ -22,7 +22,8 @@ from repro.api.live import LiveSession
 from repro.api.requests import ApiError
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.server import ServeSettings, serve_async
+from repro.obs.exposition import MetricsServer
+from repro.runtime.server import ServeSettings, live_gateway, serve_async
 
 
 async def boot(extra_transit: float = 0.0, deadline: float = 5.0):
@@ -130,6 +131,43 @@ class TestGatewayDrain:
             await cluster.stop()
 
         asyncio.run(scenario())
+
+
+class TestLiveGateway:
+    def test_one_boot_and_one_teardown_order(self, monkeypatch):
+        """serve, soak and livefaults share this context: the gateway
+        drains first (metrics stay scrapeable meanwhile), the cluster's
+        sockets close last — also when the body raises."""
+        order = []
+
+        def recording(cls, method, label):
+            original = getattr(cls, method)
+
+            async def wrapper(self, *args, **kwargs):
+                order.append(label)
+                return await original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        recording(Gateway, "shutdown", "gateway")
+        recording(MetricsServer, "stop", "metrics")
+        recording(LiveCluster, "stop", "cluster")
+
+        async def scenario():
+            cluster = LiveCluster(num_peers=8, seed=3, num_nodes=4)
+            with pytest.raises(RuntimeError, match="boom"):
+                async with live_gateway(
+                    cluster, deadline=2.0, metrics_port=0, record=True
+                ) as (gateway, metrics_server):
+                    assert gateway.recorder is not None
+                    assert gateway.tracer is not None and gateway.metrics is not None
+                    assert metrics_server.port > 0
+                    async with await LiveSession.connect(*gateway.address, pool=1) as session:
+                        assert await session.ping()
+                    raise RuntimeError("boom")
+
+        asyncio.run(scenario())
+        assert order == ["gateway", "metrics", "cluster"]
 
 
 class TestServeRunner:

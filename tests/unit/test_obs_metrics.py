@@ -120,14 +120,3 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.register_callback("peers", lambda: 8.0, "Peers in the overlay")
         assert "repro_peers 8" in registry.render()
-
-    def test_absorb_sim_metrics(self):
-        class FakeSimRegistry:
-            def snapshot(self):
-                return {"pira.messages": 12, "mira.queries": 3}
-
-        registry = MetricsRegistry()
-        registry.absorb_sim_metrics(FakeSimRegistry())
-        snapshot = registry.snapshot()
-        assert snapshot["repro_sim_pira_messages"] == 12.0
-        assert snapshot["repro_sim_mira_queries"] == 3.0

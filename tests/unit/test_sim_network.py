@@ -12,7 +12,6 @@ from repro.sim.network import (
     UniformLatencyModel,
 )
 from repro.sim.rng import DeterministicRNG
-from repro.sim.trace import TraceRecorder
 
 
 class EchoNode:
@@ -114,16 +113,6 @@ class TestDelivery:
         assert len(b.received) == 1
         assert b.received[0].kind == "data"
         assert overlay.metrics.counter_value("messages.dropped") == 1
-
-    def test_trace_records_send_and_deliver(self):
-        trace = TraceRecorder()
-        overlay = OverlayNetwork(trace=trace)
-        overlay.register(EchoNode("a"))
-        overlay.register(EchoNode("b"))
-        overlay.send(Message(sender="a", receiver="b", kind="query"))
-        overlay.run()
-        assert len(trace.filter(kind="send")) == 1
-        assert len(trace.filter(kind="deliver")) == 1
 
 
 class TestLatencyModels:

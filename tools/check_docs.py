@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Documentation link checker (used by the CI docs job).
+"""Documentation checker (used by the CI docs job): links and commands.
 
 Scans the repository's markdown files for inline links ``[text](target)``
 and verifies that every *relative* target exists on disk, resolved against
@@ -7,19 +7,34 @@ the file containing the link.  External links (``http(s)://``, ``mailto:``)
 and pure in-page anchors (``#...``) are skipped; a relative target's own
 ``#anchor`` suffix is stripped before the existence check.
 
-Exit status: 0 when every link resolves, 1 otherwise (missing targets are
-listed on stderr).
+It also feeds every ``repro ...`` / ``armada-repro ...`` / ``python -m
+repro ...`` line inside a fenced code block to the CLI's own parser
+(continuation lines joined, cut at the first shell operator or comment):
+each command rejects the flags it does not read, so a documented
+invocation that no longer parses (argparse exit 2) is an error here.
+
+Exit status: 0 when every link resolves and every command parses, 1
+otherwise (the failures are listed on stderr).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
+import shlex
 import sys
 from typing import Iterator, List, Tuple
 
 #: inline markdown link, non-greedy so adjacent links split correctly
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: a documented CLI invocation (after any ``VAR=value`` prefixes)
+_COMMAND = re.compile(r"^(?:\w+=\S+\s+)*(?:repro|armada-repro|python3? -m repro)\s+(.*)$")
+
+#: where the shell, not the CLI, takes over the rest of the line
+_SHELL_OPERATOR = re.compile(r"\s(?:[|&;<>#]|\d>)")
 
 #: markdown files checked by default (relative to the repo root)
 DEFAULT_FILES = ("README.md", "docs/ARCHITECTURE.md")
@@ -49,8 +64,52 @@ def check_file(markdown_path: str) -> List[str]:
     return errors
 
 
+def iter_commands(markdown_path: str) -> Iterator[Tuple[int, List[str]]]:
+    """Yield ``(line_number, argv)`` for every CLI line in a fenced block."""
+    fenced = False
+    pending = ""
+    with open(markdown_path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line.startswith("```"):
+                fenced = not fenced
+                continue
+            if not fenced:
+                continue
+            line = pending + line
+            if line.endswith("\\"):
+                pending = line[:-1]
+                continue
+            pending = ""
+            match = _COMMAND.match(line)
+            if match is not None:
+                yield line_number, shlex.split(_SHELL_OPERATOR.split(match.group(1))[0])
+
+
+def check_commands(markdown_path: str, parser) -> List[str]:
+    """Return an error string for every documented command argparse rejects."""
+    errors: List[str] = []
+    for line_number, argv in iter_commands(markdown_path):
+        captured = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+                parser.parse_args(argv)
+        except SystemExit as exit_:  # --help exits 0; a rejected flag exits 2
+            if exit_.code:
+                message = captured.getvalue().strip().splitlines()[-1]
+                errors.append(
+                    f"{markdown_path}:{line_number}: `repro {' '.join(argv)}` "
+                    f"does not parse -> {message}"
+                )
+    return errors
+
+
 def main(argv: List[str]) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "src"))
+    from repro.cli import build_parser
+
+    parser = build_parser()
     files = argv[1:] if len(argv) > 1 else [os.path.join(root, name) for name in DEFAULT_FILES]
     errors: List[str] = []
     checked = 0
@@ -60,10 +119,11 @@ def main(argv: List[str]) -> int:
             continue
         checked += 1
         errors.extend(check_file(markdown_path))
+        errors.extend(check_commands(markdown_path, parser))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
-    print(f"checked {checked} file(s): all links resolve")
+    print(f"checked {checked} file(s): all links resolve, all repro commands parse")
     return 0
 
 
