@@ -10,13 +10,12 @@ live — is a :class:`Request` object:
 * :class:`Ping` — liveness probe.
 
 Each request carries :class:`RequestOptions`: the per-request knobs
-(origin pinning, deadline, replica count, retry budget, streaming) that
-previously lived scattered across the gateway's line grammar, the query
-engine's constructor and the load generator.  A request serialises to a
-JSON object (:meth:`Request.to_wire`) — the exact payload a protocol-v2
-``request`` frame carries — and :func:`request_from_wire` rebuilds it on
-the gateway side, so the wire format and the in-process API share one
-definition.
+(origin pinning, deadline, replica count, retry budget, streaming); the
+two query requests also present ``(kind, ranges)`` — which executor, and
+its ``start`` argument.  A request serialises to a JSON object
+(:meth:`Request.to_wire`) — the exact payload a protocol-v2 ``request``
+frame carries — and :func:`request_from_wire` rebuilds it on the gateway
+side, so the wire format and the in-process API share one definition.
 
 Replies are typed too: :class:`QueryReply` (status, latency, the full
 :class:`~repro.core.pira.RangeQueryResult`), :class:`InsertReply`,
@@ -29,7 +28,7 @@ equivalence test run entirely through the API layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import QueryJob
@@ -150,12 +149,18 @@ class RangeQuery(Request):
     """Single-attribute range query ``[low, high]`` (PIRA)."""
 
     op = "range"
+    kind = "pira"
     low: float = 0.0
     high: float = 0.0
 
     def __post_init__(self) -> None:
         if self.high < self.low:
             raise ApiError(f"range low bound {self.low} exceeds high bound {self.high}")
+
+    @property
+    def ranges(self) -> Tuple[Tuple[float, float], ...]:
+        """The executors' ``ranges`` argument: the one ``(low, high)`` pair."""
+        return ((self.low, self.high),)
 
     def payload(self) -> Dict[str, Any]:
         return {"low": self.low, "high": self.high}
@@ -166,6 +171,7 @@ class MultiRangeQuery(Request):
     """Multi-attribute box query (MIRA): one ``(low, high)`` per dimension."""
 
     op = "mrange"
+    kind = "mira"
     ranges: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -247,8 +253,6 @@ REQUEST_TYPES: Dict[str, type] = {
     for cls in (RangeQuery, MultiRangeQuery, Insert, MultiInsert, Get, Stats, Ping)
 }
 
-QueryRequest = Union[RangeQuery, MultiRangeQuery]
-
 
 def request_from_wire(wire: Dict[str, Any]) -> Request:
     """Rebuild a :class:`Request` from its :meth:`~Request.to_wire` form.
@@ -268,10 +272,7 @@ def request_from_wire(wire: Dict[str, Any]) -> Request:
         if cls is RangeQuery:
             return RangeQuery(low=float(wire["low"]), high=float(wire["high"]), options=options)
         if cls is MultiRangeQuery:
-            return MultiRangeQuery(
-                ranges=tuple((float(low), float(high)) for low, high in wire["ranges"]),
-                options=options,
-            )
+            return MultiRangeQuery(ranges=wire["ranges"], options=options)
         if cls is Insert:
             return Insert(value=float(wire["value"]), options=options)
         if cls is MultiInsert:
@@ -285,11 +286,9 @@ def request_from_wire(wire: Dict[str, Any]) -> Request:
     return cls(options=options)
 
 
-def request_from_job(job: QueryJob, **option_changes: Any) -> QueryRequest:
+def request_from_job(job: QueryJob, **option_changes: Any) -> Request:
     """The API request for one :class:`~repro.engine.reporting.QueryJob`."""
-    options = RequestOptions(origin=job.origin)
-    if option_changes:
-        options = replace(options, **option_changes)
+    options = replace(RequestOptions(origin=job.origin), **option_changes)
     if job.kind == "mira":
         return MultiRangeQuery(ranges=job.ranges, options=options)
     return RangeQuery(low=job.low, high=job.high, options=options)

@@ -5,7 +5,8 @@ requests run the resumable PIRA/MIRA executors to completion on the
 discrete-event clock, workloads go through the concurrent
 :class:`~repro.engine.query_engine.QueryEngine`.  Latencies and deadlines
 are in **simulated time units** (the live binding measures the same
-fields in wall-clock seconds).
+fields in wall-clock seconds); a deadline is handed to the executor's
+``start``, which owns the timer.
 
 The replies are byte-identical in structure to the live binding's — the
 same :class:`~repro.core.pira.RangeQueryResult` a gateway would ship over
@@ -15,7 +16,7 @@ cannot tell the backends apart except by the clock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.api.requests import (
     ApiError,
@@ -105,8 +106,10 @@ class SimSession(Session):
                     {
                         "backend": "sim",
                         "queries_served": self.queries_served,
-                        "in_flight": self.system.pira.active_queries
-                        + (self.system.mira.active_queries if self.system.mira else 0),
+                        "in_flight": sum(
+                            executor.active_queries
+                            for executor in self.system.executors.values()
+                        ),
                     }
                 )
                 return StatsReply(stats=stats)
@@ -125,22 +128,18 @@ class SimSession(Session):
         origin = options.origin if options.origin is not None else self.system.random_peer_id()
         if not self.system.network.has_peer(origin):
             raise ApiError(f"unknown origin peer {origin!r}")
-        if isinstance(request, MultiRangeQuery) and self.system.mira is None:
+        executor = self.system.executors.get(request.kind)
+        if executor is None:
             raise ApiError("this system was not configured with attribute_intervals")
 
         simulator = self.system.overlay.simulator
         started = simulator.now
-        finished: Dict[str, Any] = {}
+        completed_at = started
         chunks = 0
 
         def complete(result: RangeQueryResult) -> None:
-            finished["result"] = result
-            finished["at"] = simulator.now
-            # Cancel the deadline timer at completion, or the drain below
-            # would keep running (and the clock advancing) until it fired.
-            handle = finished.pop("deadline", None)
-            if handle is not None:
-                handle.cancel()
+            nonlocal completed_at
+            completed_at = simulator.now
 
         def destination(peer_id: str, hop: int, new_matches: list) -> None:
             nonlocal chunks
@@ -154,53 +153,33 @@ class SimSession(Session):
                     )
                 )
 
-        executor = self.system.mira if isinstance(request, MultiRangeQuery) else self.system.pira
         traced = options.trace and self.tracer is not None
         if traced and executor.tracer is None:
             executor.set_tracer(self.tracer)
-        if isinstance(request, MultiRangeQuery):
-            result = executor.start(
-                origin,
-                request.ranges,
-                on_complete=complete,
-                on_destination=destination,
-                trace=traced,
-            )
-        else:
-            result = executor.start(
-                origin,
-                request.low,
-                request.high,
-                on_complete=complete,
-                on_destination=destination,
-                trace=traced,
-            )
-
-        deadline = options.deadline if options.deadline is not None else self.deadline
-        if deadline is not None and executor.is_active(result.query_id):
-            finished["deadline"] = simulator.schedule_after(
-                deadline,
-                lambda: executor.cancel(result.query_id),
-                label="api-deadline",
-            )
+        # The executor's deadline timer is cancelled at completion, so the
+        # drain below stops (and the clock with it) when the query does.
+        result = executor.start(
+            origin,
+            request.ranges,
+            deadline=options.deadline if options.deadline is not None else self.deadline,
+            on_complete=complete,
+            on_destination=destination,
+            trace=traced,
+        )
         self.system.overlay.run()
 
-        final = finished.get("result", result)
         self.queries_served += 1
-        status = "deadline" if final.resilience.deadline_expired else (
-            "ok" if final.complete else "partial"
-        )
         trace_id: Optional[str] = None
         trace: tuple = ()
         if traced:
-            collected = self.tracer.take(f"{executor.message_kind}-{final.query_id}")
+            collected = self.tracer.take(f"{executor.message_kind}-{result.query_id}")
             if collected is not None:
                 trace_id = collected.trace_id
                 trace = tuple(collected.to_wire())
         return QueryReply(
-            status=status,
-            latency=finished.get("at", simulator.now) - started,
-            result=final,
+            status=result.status,
+            latency=completed_at - started,
+            result=result,
             chunks=chunks,
             trace_id=trace_id,
             trace=trace,

@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline",
         type=float,
         default=ServeSettings.deadline,
-        help="per-query deadline in wall-clock seconds (default %(default)s)",
+        help="per-query deadline, wall-clock seconds (default %(default)s; trace: --connect only)",
     )
 
     observe = _flags()
@@ -475,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help=(
-            "run the traced query against a live gateway "
-            "instead of the simulator (negotiates the v2 tracing capability)"
+            "run the traced query against a live gateway instead of the simulator "
+            "(negotiates the v2 tracing capability; the only leg --deadline bounds)"
         ),
     )
     trace.add_argument(

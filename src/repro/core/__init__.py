@@ -15,8 +15,6 @@ Public entry points
   -- the pruning routing algorithms (single / multi attribute).
 * :class:`repro.core.frt.ForwardRoutingTree` -- explicit forward routing
   trees for inspection and testing.
-* :class:`repro.core.topk.TopKExecutor` -- the top-k extension sketched as
-  future work in the paper.
 """
 
 from repro.core.armada import ArmadaSystem, ExactQueryResult
@@ -27,7 +25,6 @@ from repro.core.multiple_hash import Box, MultiAttributeNamer, multiple_hash
 from repro.core.partition_tree import Interval, PartitionTree
 from repro.core.pira import PiraExecutor, RangeQueryResult
 from repro.core.single_hash import SingleAttributeNamer, range_to_region, single_hash
-from repro.core.topk import TopKExecutor, TopKResult
 
 __all__ = [
     "ArmadaSystem",
@@ -50,6 +47,4 @@ __all__ = [
     "SingleAttributeNamer",
     "range_to_region",
     "single_hash",
-    "TopKExecutor",
-    "TopKResult",
 ]

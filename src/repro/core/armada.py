@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ArmadaError, QueryError
 from repro.core.mira import MiraExecutor
@@ -91,6 +91,7 @@ class ArmadaSystem:
             low=low, high=high, length=self.network.object_id_length, base=self.network.base
         )
         self.pira = PiraExecutor(self.network, self.single_namer, overlay=self.overlay)
+        self.executors: Dict[str, Any] = {"pira": self.pira}  # by message kind
 
         self.multi_namer: Optional[MultiAttributeNamer] = None
         self.mira: Optional[MiraExecutor] = None
@@ -101,6 +102,7 @@ class ArmadaSystem:
                 base=self.network.base,
             )
             self.mira = MiraExecutor(self.network, self.multi_namer, overlay=self.overlay)
+            self.executors["mira"] = self.mira
 
     # ------------------------------------------------------------------ #
     # basic information                                                    #
@@ -130,9 +132,8 @@ class ArmadaSystem:
     def set_resilience(self, policy) -> None:
         """Apply a :class:`~repro.faults.resilience.ResiliencePolicy` (or
         ``None``) to every query executor of this system."""
-        self.pira.set_resilience(policy)
-        if self.mira is not None:
-            self.mira.set_resilience(policy)
+        for executor in self.executors.values():
+            executor.set_resilience(policy)
 
     def install_faults(self, plan):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the overlay.
@@ -247,7 +248,7 @@ class ArmadaSystem:
         if high < low:
             raise QueryError(f"range low bound {low} exceeds high bound {high}")
         origin_id = origin if origin is not None else self.random_peer_id()
-        return self.pira.execute(origin_id, low, high)
+        return self.pira.execute(origin_id, [(low, high)])
 
     def multi_range_query(
         self,
@@ -295,9 +296,8 @@ class ArmadaSystem:
         self._refresh()
 
     def _refresh(self) -> None:
-        self.pira.refresh_membership()
-        if self.mira is not None:
-            self.mira.refresh_membership()
+        for executor in self.executors.values():
+            executor.refresh_membership()
 
     # ------------------------------------------------------------------ #
     # statistics                                                           #

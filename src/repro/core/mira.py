@@ -16,29 +16,25 @@ Delay remains bounded by the FRT height, i.e. by the origin's PeerID length:
 less than ``2 log N`` worst case, less than ``log N`` on average, regardless
 of the query-space size.
 
-Like PIRA, MIRA queries are resumable: :meth:`MiraExecutor.start` registers
-per-query state and returns, :meth:`MiraExecutor.handle_message` resumes an
-in-flight query on each delivery, and completion is detected by outstanding
-message counting — so any number of MIRA (and PIRA) queries overlap on one
-simulator clock.
+Like PIRA, MIRA queries are resumable: :meth:`MiraExecutor.start` takes the
+same call (``start(origin, ranges, *, deadline=None, ...)``), builds the
+subtree branches and hands to the launch routine of
+:mod:`repro.core.resumable`; ``handle_message`` resumes an in-flight query
+on each delivery, and completion is detected by outstanding message
+counting — so any number of MIRA (and PIRA) queries overlap on one clock.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.errors import QueryError
 from repro.core.frt import descendant_prefix, longest_suffix_prefix
-from repro.core.multiple_hash import Box, MultiAttributeNamer
+from repro.core.multiple_hash import Box
 from repro.core.pira import RangeQueryResult
 from repro.core.resumable import QueryState, ResumableExecutor
-from repro.core.transport import Transport
-from repro.fissione.network import FissioneNetwork
-from repro.fissione.peer import FissionePeer
+from repro.fissione.peer import FissionePeer, StoredObject
 from repro.kautz import strings as ks
-from repro.sim.network import OverlayNetwork
 
 
 @dataclass
@@ -62,71 +58,27 @@ class MiraExecutor(ResumableExecutor):
 
     message_kind = "mira"
 
-    def __init__(
-        self,
-        network: FissioneNetwork,
-        namer: MultiAttributeNamer,
-        overlay: Optional[OverlayNetwork] = None,
-        transport: Optional[Transport] = None,
-    ) -> None:
-        self.network = network
-        self.namer = namer
-        # Same transport seam as PiraExecutor: explicit transport wins and
-        # ``overlay`` only exists when the transport wraps one.
-        if transport is None:
-            self.overlay = overlay if overlay is not None else OverlayNetwork()
-        else:
-            self.overlay = getattr(transport, "overlay", None)
-        self._query_ids = itertools.count(1)
-        self._active: Dict[int, QueryState] = {}
-        self._init_lifecycle(transport)
-        self.refresh_membership()
-
     # ------------------------------------------------------------------ #
     # public API                                                           #
     # ------------------------------------------------------------------ #
-
-    def execute(
-        self,
-        origin_peer_id: str,
-        ranges: Sequence[Tuple[float, float]],
-    ) -> RangeQueryResult:
-        """Run the multi-attribute range query ``ranges`` from ``origin_peer_id``."""
-        if self.overlay is None:
-            raise QueryError(
-                "synchronous execute() needs the simulator transport; "
-                "live transports drive queries via start()/on_complete"
-            )
-        result = self.start(origin_peer_id, ranges)
-        self.overlay.run()
-        return result
 
     def start(
         self,
         origin_peer_id: str,
         ranges: Sequence[Tuple[float, float]],
+        *,
+        deadline: Optional[float] = None,
         query_id: Optional[int] = None,
         on_complete: Optional[Callable[[RangeQueryResult], None]] = None,
-        on_destination: Optional[Callable[[str, int, list], None]] = None,
+        on_destination: Optional[Callable[[str, int, List[StoredObject]], None]] = None,
         trace: bool = False,
     ) -> RangeQueryResult:
-        """Start a MIRA query without running the simulator (see PIRA)."""
-        if not self.network.has_peer(origin_peer_id):
-            raise QueryError(f"unknown origin peer {origin_peer_id!r}")
+        """Start the box query ``ranges`` (one ``(low, high)`` pair per
+        attribute) without running the simulator — the same call, with the
+        same keywords, as :meth:`repro.core.pira.PiraExecutor.start`."""
         query_box = self.namer.query_box(ranges)
-        if query_id is None:
-            query_id = next(self._query_ids)
-        if query_id in self._active:
-            raise QueryError(f"query id {query_id} is already in flight")
-        result = RangeQueryResult(origin=origin_peer_id, query_id=query_id)
-        origin = self.network.peer(origin_peer_id)
-
-        state = QueryState(
-            result=result,
-            started_at=self.transport.now,
-            on_complete=on_complete,
-            on_destination=on_destination,
-        )
+        query_id = self._claim_query_id(origin_peer_id, query_id)
+        state = QueryState(result=RangeQueryResult(origin=origin_peer_id, query_id=query_id))
         # Like PIRA's sub-region split, the query is processed once per
         # first-level subtree of the partition tree whose subspace intersects
         # the query box; within each subtree the destination level follows
@@ -146,18 +98,7 @@ class MiraExecutor(ResumableExecutor):
                     dest_level=len(origin_peer_id) - len(com_s),
                 )
             )
-        self._active[query_id] = state
-        if self.tracer is not None:
-            self._begin_trace(state, trace)
-
-        state.processing = True
-        try:
-            for index in range(len(state.branches)):
-                self._process(origin, level=0, hop=0, branch_index=index, state=state)
-        finally:
-            state.processing = False
-        self._maybe_complete(state)
-        return result
+        return self._launch(state, deadline, on_complete, on_destination, trace)
 
     def ground_truth_destinations(self, ranges: Sequence[Tuple[float, float]]) -> Set[str]:
         """Peers whose zone box intersects the query box (oracle, for tests)."""

@@ -21,36 +21,34 @@ The execution is message-driven through the discrete-event overlay network,
 so per-query delay (hops), message cost and destination count come straight
 out of the simulation, mirroring the measurements of Figures 5-8.
 
-Queries are *resumable*: :meth:`PiraExecutor.start` registers per-query state
-keyed by ``query_id`` and returns immediately, every subsequent forwarding
-step is handled by :meth:`PiraExecutor.handle_message`, and the query
-completes (firing its ``on_complete`` callback) when its last outstanding
-message has been processed.  Any number of queries can therefore interleave
-on one simulator clock — the concurrent query engine in
-:mod:`repro.engine` builds on exactly this.  :meth:`PiraExecutor.execute`
-remains the synchronous single-query wrapper (start, then drain the
-overlay).
+Queries are *resumable*: :meth:`PiraExecutor.start` validates the range,
+builds the sub-region branches and hands to the shared launch routine of
+:mod:`repro.core.resumable`, which registers per-query state keyed by
+``query_id``, bounds the query with its deadline timer and returns
+immediately; every subsequent forwarding step is handled by
+``handle_message``, and the query completes (firing its ``on_complete``
+callback) when its last outstanding message has been processed.  Any
+number of queries can therefore interleave on one clock — the concurrent
+query engine in :mod:`repro.engine` builds on exactly this.  The call is
+``start(origin, ranges, *, deadline=None, ...)`` — the same as MIRA's, with
+exactly one ``(low, high)`` pair; ``execute(origin, ranges)`` is the
+synchronous single-query wrapper (start, then drain the overlay).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import QueryError
 from repro.core.frt import destination_level
 from repro.core.resumable import QueryState, ResumableExecutor
-from repro.core.single_hash import SingleAttributeNamer
-from repro.core.transport import Transport
 from repro.faults.resilience import ResilienceStats
-from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import FissionePeer, StoredObject
 # The memoised pruning predicate is called directly (hoisting the region's
 # endpoint reads out of the per-neighbour loop); same verdicts as
 # KautzRegion.contains_prefix.
 from repro.kautz.region import KautzRegion, _contains_prefix_memo
-from repro.sim.network import OverlayNetwork
 from repro.storage.base import objects_from_wire, objects_to_wire
 
 
@@ -99,8 +97,17 @@ class RangeQueryResult:
 
     @property
     def failed(self) -> bool:
-        """True when the engine's deadline force-completed this query."""
+        """True when its deadline force-completed this query."""
         return self.resilience.deadline_expired
+
+    @property
+    def status(self) -> str:
+        """The verdict: ``"deadline"`` (force-completed), ``"ok"`` (complete)
+        or ``"partial"`` (lost subtrees) — the one spelling every reply,
+        report and trace uses."""
+        return "deadline" if self.resilience.deadline_expired else (
+            "ok" if self.complete else "partial"
+        )
 
     def mesg_ratio(self) -> float:
         """``MesgRatio`` = messages / destination peers (0 when no destination)."""
@@ -185,93 +192,42 @@ class PiraExecutor(ResumableExecutor):
 
     message_kind = "pira"
 
-    def __init__(
-        self,
-        network: FissioneNetwork,
-        namer: SingleAttributeNamer,
-        overlay: Optional[OverlayNetwork] = None,
-        transport: Optional[Transport] = None,
-    ) -> None:
-        self.network = network
-        self.namer = namer
-        # With an explicit transport the executor is transport-agnostic and
-        # ``overlay`` stays None (unless the transport exposes one); the
-        # default remains a private overlay wrapped in a SimTransport.
-        if transport is None:
-            self.overlay = overlay if overlay is not None else OverlayNetwork()
-        else:
-            self.overlay = getattr(transport, "overlay", None)
-        self._query_ids = itertools.count(1)
-        self._active: Dict[int, QueryState] = {}
-        # Bound once: the executor's network never changes, and the
-        # neighbour-view lookup runs once per forwarding occurrence.
-        self._out_view = network.out_neighbors_view
-        self._init_lifecycle(transport)
-        self.refresh_membership()
-
     # ------------------------------------------------------------------ #
     # public API                                                           #
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self,
-        origin_peer_id: str,
-        low_value: float,
-        high_value: float,
-    ) -> RangeQueryResult:
-        """Run the range query ``[low_value, high_value]`` from ``origin_peer_id``."""
-        if self.overlay is None:
-            raise QueryError(
-                "synchronous execute() needs the simulator transport; "
-                "live transports drive queries via start()/on_complete"
-            )
-        result = self.start(origin_peer_id, low_value, high_value)
-        # Drain the scheduled message deliveries for this query.
-        self.overlay.run()
-        return result
-
     def start(
         self,
         origin_peer_id: str,
-        low_value: float,
-        high_value: float,
+        ranges: Sequence[Tuple[float, float]],
+        *,
+        deadline: Optional[float] = None,
         query_id: Optional[int] = None,
         on_complete: Optional[Callable[[RangeQueryResult], None]] = None,
         on_destination: Optional[Callable[[str, int, List[StoredObject]], None]] = None,
         trace: bool = False,
     ) -> RangeQueryResult:
-        """Start a query without running the simulator.
+        """Start the query ``ranges = [(low, high)]`` without running the simulator.
 
-        The returned :class:`RangeQueryResult` fills in as the simulation
-        delivers the query's messages; once the last outstanding message is
-        processed the query is deregistered and ``on_complete`` (if given)
-        fires.  Many started queries interleave on one simulator clock.
+        PIRA is the one-attribute case of the executors' shared call: exactly
+        one ``(low, high)`` pair.  The returned :class:`RangeQueryResult`
+        fills in as the query's messages are delivered (see
+        :meth:`~repro.core.resumable.ResumableExecutor._launch`); many
+        started queries interleave on one clock.  ``deadline`` bounds the
+        query on the transport's clock (``None`` = unbounded).
         ``on_destination`` streams ``(peer_id, hop, new_matches)`` as each
         destination peer is first reached — partial results before the
         query completes.  ``trace=True`` opens a span tree for this query
         when a tracer is attached (see :meth:`set_tracer`).
         """
-        if high_value < low_value:
-            raise QueryError(f"range low bound {low_value} exceeds high bound {high_value}")
-        if not self.network.has_peer(origin_peer_id):
-            raise QueryError(f"unknown origin peer {origin_peer_id!r}")
-
-        if query_id is None:
-            query_id = next(self._query_ids)
-        if query_id in self._active:
-            raise QueryError(f"query id {query_id} is already in flight")
-        result = RangeQueryResult(origin=origin_peer_id, query_id=query_id)
-        region = self.namer.region_for_range(low_value, high_value)
-        origin = self.network.peer(origin_peer_id)
-
+        low_value, high_value = self._single_range(ranges)
+        query_id = self._claim_query_id(origin_peer_id, query_id)
         state = _QueryState(
-            result=result,
+            result=RangeQueryResult(origin=origin_peer_id, query_id=query_id),
             low_value=low_value,
             high_value=high_value,
-            started_at=self.transport.now,
-            on_complete=on_complete,
-            on_destination=on_destination,
         )
+        region = self.namer.region_for_range(low_value, high_value)
         for subregion in region.split_by_first_symbol():
             state.branches.append(
                 _SubQuery(
@@ -279,22 +235,23 @@ class PiraExecutor(ResumableExecutor):
                     dest_level=destination_level(origin_peer_id, subregion),
                 )
             )
-        self._active[query_id] = state
-        if self.tracer is not None:
-            self._begin_trace(state, trace, low=low_value, high=high_value)
+        return self._launch(
+            state, deadline, on_complete, on_destination, trace, low=low_value, high=high_value
+        )
 
-        state.processing = True
-        try:
-            for index in range(len(state.branches)):
-                self._process(peer=origin, level=0, hop=0, branch_index=index, state=state)
-        finally:
-            state.processing = False
-        self._maybe_complete(state)
-        return result
+    @staticmethod
+    def _single_range(ranges: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+        """The one ``(low, high)`` pair of a single-attribute query."""
+        if len(ranges) != 1:
+            raise QueryError(f"PIRA takes exactly one (low, high) range, got {len(ranges)}")
+        low_value, high_value = ranges[0]
+        if high_value < low_value:
+            raise QueryError(f"range low bound {low_value} exceeds high bound {high_value}")
+        return low_value, high_value
 
-    def ground_truth_destinations(self, low_value: float, high_value: float) -> Set[str]:
+    def ground_truth_destinations(self, ranges: Sequence[Tuple[float, float]]) -> Set[str]:
         """Peers whose zone intersects the query region (oracle, for tests)."""
-        region = self.namer.region_for_range(low_value, high_value)
+        region = self.namer.region_for_range(*self._single_range(ranges))
         return {
             peer_id
             for peer_id in self.network.peer_ids()

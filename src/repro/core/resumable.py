@@ -33,17 +33,28 @@ send immediately (and are recorded as lost subtrees), nothing is retried,
 and no timers are scheduled — the fault-free path is byte-identical to the
 pre-resilience code.
 
+A query is owned here **from start to verdict**.  Both executors take the
+same call, ``start(origin, ranges, *, deadline=None, query_id=None,
+on_complete=None, on_destination=None, trace=False)``: each validates its
+``ranges`` and builds its branches, then hands to :meth:`ResumableExecutor._launch`,
+which registers the state, opens the trace, fans out from the origin and —
+if the query is still in flight and ``deadline`` is not ``None`` — arms the
+one deadline timer a query has (``transport.schedule_after``, so it counts
+simulated units on the simulator and wall-clock seconds live, and the
+flight recorder sees it fire).  The timer is cancelled at completion;
+on expiry :meth:`ResumableExecutor.cancel` force-completes the query with
+whatever it gathered.  The drivers above (engine, session, gateway) only
+say *what* the bound is.
+
 A concrete executor must provide
 
-* ``self.network`` (peer lookup via ``has_peer`` / ``peer``),
 * ``message_kind`` (the overlay message kind string),
+* ``start(origin, ranges, ...)`` as above,
 * ``_process(peer, level, hop, branch_index, state)`` — resume the query at
   ``peer`` for one branch (PIRA sub-region / MIRA subtree), and
 * optionally ``_detour_candidates(prefix, branch)`` — live peers covering
   the namespace slice ``prefix`` that pass the executor's destination
-  predicate (the sibling-reroute targets; the default is none),
-
-and call :meth:`_init_lifecycle` from its ``__init__``.
+  predicate (the sibling-reroute targets; the default is none).
 
 All sending, timer scheduling, clock reads and reachability checks go
 through ``self.transport`` (a :class:`~repro.core.transport.Transport`).
@@ -59,6 +70,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.errors import QueryError
 from repro.core.frt import descendant_prefix
 from repro.core.transport import SimTransport, Transport
 from repro.faults.resilience import ResiliencePolicy
@@ -108,7 +120,6 @@ class QueryState:
     pending: Dict[int, _PendingSend] = field(default_factory=dict)
     #: detour targets already tried, per ``(branch_index, peer_id)``
     detoured: Set[Tuple[int, str]] = field(default_factory=set)
-    started_at: float = 0.0
     done: bool = False
     #: True while a processing step runs, deferring completion checks (a
     #: synchronous drop inside :meth:`OverlayNetwork.send` must not finish
@@ -125,6 +136,8 @@ class QueryState:
     trace: Any = None
     #: span id to parent new hop spans under (the hop currently processing)
     trace_parent: Any = None
+    #: the armed deadline timer (``None``: unbounded, or already settled)
+    deadline_timer: Any = None
 
     @property
     def outstanding(self) -> int:
@@ -133,41 +146,119 @@ class QueryState:
 
 
 class ResumableExecutor:
-    """Mixin implementing the in-flight query lifecycle."""
+    """The in-flight query lifecycle, from launch to verdict."""
 
     #: overlay message kind, set by the concrete executor
     message_kind: str = "query"
 
-    network: Any
-    overlay: Optional[OverlayNetwork]
-    transport: Transport
-    _active: Dict[int, QueryState]
-
-    def _init_lifecycle(self, transport: Optional[Transport] = None) -> None:
-        """Initialise the shared lifecycle state (call from ``__init__``).
-
-        ``transport`` defaults to a :class:`SimTransport` over the
-        executor's overlay; the live runtime passes its asyncio transport
-        instead.
-        """
+    def __init__(
+        self,
+        network: Any,
+        namer: Any,
+        overlay: Optional[OverlayNetwork] = None,
+        transport: Optional[Transport] = None,
+    ) -> None:
+        self.network = network
+        self.namer = namer
+        # With an explicit transport the executor is transport-agnostic and
+        # ``overlay`` stays None (unless the transport exposes one); the
+        # default is a private overlay wrapped in a SimTransport.  The live
+        # runtime passes its asyncio transport instead.
         if transport is None:
+            self.overlay = overlay if overlay is not None else OverlayNetwork()
             transport = SimTransport(self.overlay)
+        else:
+            self.overlay = getattr(transport, "overlay", None)
         self.transport = transport
         # Hot-path bindings: a SimTransport is pure delegation, so the
         # per-message send / reachability probes go straight to the overlay's
         # bound methods, skipping one Python call per message.  (Both objects
         # live as long as the executor, so the bindings never go stale.)
-        overlay = getattr(transport, "overlay", None)
-        if overlay is not None:
-            self._send = overlay.send
-            self._has_node = overlay.has_node
+        if self.overlay is not None:
+            self._send = self.overlay.send
+            self._has_node = self.overlay.has_node
         else:
             self._send = transport.send
             self._has_node = transport.has_node
+        # Bound once: the executor's network never changes, and the
+        # neighbour-view lookup runs once per forwarding occurrence.
+        self._out_view = network.out_neighbors_view
+        self._query_ids = itertools.count(1)
         self._send_ids = itertools.count(1)
+        self._active: Dict[int, QueryState] = {}
         self.resilience: Optional[ResiliencePolicy] = None
         self.tracer: Any = None
         self._trace_all = False
+        self.refresh_membership()
+
+    # ------------------------------------------------------------------ #
+    # launch                                                               #
+    # ------------------------------------------------------------------ #
+
+    def execute(self, origin_peer_id: str, ranges: Sequence[Tuple[float, float]]) -> Any:
+        """Run the query ``ranges`` from ``origin_peer_id`` to completion
+        (the synchronous single-query wrapper: start, then drain the overlay)."""
+        if self.overlay is None:
+            raise QueryError(
+                "synchronous execute() needs the simulator transport; "
+                "live transports drive queries via start()/on_complete"
+            )
+        result = self.start(origin_peer_id, ranges)
+        self.overlay.run()
+        return result
+
+    def _claim_query_id(self, origin_peer_id: str, query_id: Optional[int]) -> int:
+        """Check the origin and allocate (or accept the caller's) query id."""
+        if not self.network.has_peer(origin_peer_id):
+            raise QueryError(f"unknown origin peer {origin_peer_id!r}")
+        if query_id is None:
+            query_id = next(self._query_ids)
+        if query_id in self._active:
+            raise QueryError(f"query id {query_id} is already in flight")
+        return query_id
+
+    def _launch(
+        self,
+        state: QueryState,
+        deadline: Optional[float],
+        on_complete: Optional[Callable[[Any], None]],
+        on_destination: Optional[Callable[[str, int, List[Any]], None]],
+        trace: bool,
+        **trace_attributes: Any,
+    ) -> Any:
+        """Register ``state``, fan out from the origin, bound what remains.
+
+        Returns the result object, which fills in as deliveries resume the
+        query; once the last outstanding message is processed the query is
+        deregistered and ``on_complete`` fires.  A query answered (or pruned)
+        at its origin completes here, synchronously, and never gets a timer.
+        Otherwise ``deadline`` (transport clock units; ``None`` = unbounded)
+        arms the query's one deadline timer — after the fan-out, so on the
+        simulator it takes the scheduler sequence number right behind the
+        origin's sends.
+        """
+        state.on_complete = on_complete
+        state.on_destination = on_destination
+        result = state.result
+        self._active[result.query_id] = state
+        if self.tracer is not None:
+            self._begin_trace(state, trace, **trace_attributes)
+        origin = self.network.peer(result.origin)
+        state.processing = True
+        try:
+            for index in range(len(state.branches)):
+                self._process(peer=origin, level=0, hop=0, branch_index=index, state=state)
+        finally:
+            state.processing = False
+        self._maybe_complete(state)
+        if deadline is not None and not state.done:
+            # The id is bound now: a cancelled timer must not pin the result.
+            state.deadline_timer = self.transport.schedule_after(
+                deadline,
+                lambda query_id=result.query_id: self.cancel(query_id),
+                label="query-deadline",
+            )
+        return result
 
     # ------------------------------------------------------------------ #
     # resilience configuration                                             #
@@ -194,7 +285,7 @@ class ResumableExecutor:
         self._trace_all = bool(all_queries and tracer is not None)
 
     def _begin_trace(self, state: QueryState, trace: bool, **attributes: Any) -> None:
-        """Open the query's root span (called from the executors' start)."""
+        """Open the query's root span (called from :meth:`_launch`)."""
         tracer = self.tracer
         if tracer is None or not (trace or self._trace_all):
             return
@@ -352,25 +443,28 @@ class ResumableExecutor:
             return
         state.done = True
         self._active.pop(state.result.query_id, None)
+        if state.deadline_timer is not None:
+            state.deadline_timer.cancel()
         if state.trace is not None:
             # Archive the trace before on_complete fires so a completion
             # callback (the gateway) can collect it from the tracer.
-            stats = state.result.resilience
-            status = "ok" if stats.subtrees_lost == 0 else "partial"
-            self.tracer.finish_query(state.trace, self.transport.now, status=status)
+            self.tracer.finish_query(state.trace, self.transport.now, status=state.result.status)
         if state.on_complete is not None:
             state.on_complete(state.result)
 
     def cancel(self, query_id: int) -> bool:
         """Force-complete an in-flight query as *failed* (deadline expiry).
 
-        Cancels every per-hop timer, marks the result's resilience ledger
+        What the deadline timer runs; also callable directly.  Cancels every
+        timer of the query, marks the result's resilience ledger
         ``deadline_expired`` and fires ``on_complete`` with whatever partial
         results were gathered.  Returns False for unknown/finished queries.
         """
         state = self._active.pop(query_id, None)
         if state is None:
             return False
+        if state.deadline_timer is not None:
+            state.deadline_timer.cancel()
         for pending in state.pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()
@@ -378,7 +472,7 @@ class ResumableExecutor:
         state.done = True
         state.result.resilience.deadline_expired = True
         if state.trace is not None:
-            self.tracer.finish_query(state.trace, self.transport.now, status="deadline")
+            self.tracer.finish_query(state.trace, self.transport.now, status=state.result.status)
         if state.on_complete is not None:
             state.on_complete(state.result)
         return True

@@ -82,9 +82,9 @@ class SimTransport:
     :class:`~repro.sim.network.OverlayNetwork` / simulator pair, so an
     executor constructed with (or defaulting to) a ``SimTransport`` behaves
     byte-identically to the pre-seam code.  The wrapped overlay stays public
-    as :attr:`overlay` because the synchronous drivers
-    (:meth:`~repro.core.pira.PiraExecutor.execute`, the engine, the sweep
-    orchestrator) still run the simulator directly.
+    as :attr:`overlay` because the synchronous drivers (the executors'
+    :meth:`~repro.core.resumable.ResumableExecutor.execute`, the engine, the
+    sweep orchestrator) still run the simulator directly.
     """
 
     __slots__ = ("overlay",)

@@ -2,9 +2,9 @@
 
 The seed executed every range query synchronously to completion, one at a
 time.  This engine drives the *resumable* PIRA/MIRA executors
-(:meth:`~repro.core.pira.PiraExecutor.start` /
-:meth:`~repro.core.pira.PiraExecutor.handle_message`) so that thousands of
-queries can be in flight simultaneously:
+(``system.executors[job.kind].start(origin, ranges, deadline=...)``; the
+executor, not the engine, arms and cancels the deadline timer) so that
+thousands of queries can be in flight simultaneously:
 
 * **open loop** — jobs arrive at workload-defined times (e.g. a Poisson
   process) regardless of how many queries are already in flight, modelling
@@ -73,8 +73,6 @@ class QueryEngine:
         self._on_query_complete: List[Callable[[CompletedQuery], None]] = []
         #: job id -> (kind, executor query id) for jobs still in flight
         self._inflight: Dict[int, Tuple[str, int]] = {}
-        #: job id -> deadline timer handle (cancelled at completion)
-        self._deadline_handles: Dict[int, object] = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -214,33 +212,21 @@ class QueryEngine:
         on_complete = lambda result, job=job, job_id=job_id, started=now: self._finish(
             job, job_id, started, result
         )
-        if job.kind == "mira":
-            if self.system.mira is None:
-                raise ArmadaError(
-                    "multi-attribute job submitted to a system without attribute_intervals"
-                )
-            executor = self.system.mira
-            result = executor.start(origin, job.ranges, on_complete=on_complete)
-        else:
-            executor = self.system.pira
-            result = executor.start(origin, job.low, job.high, on_complete=on_complete)
+        executor = self.system.executors.get(job.kind)
+        if executor is None:
+            raise ArmadaError(
+                "multi-attribute job submitted to a system without attribute_intervals"
+            )
+        # The executor enforces the deadline: a stalled/slow query is
+        # force-completed as failed (partial results kept), never leaked.
+        result = executor.start(
+            origin, job.query_ranges, deadline=self.deadline, on_complete=on_complete
+        )
         # ``start`` may have completed the query synchronously (everything
-        # pruned at the origin); only genuinely in-flight queries get a
-        # deadline timer and drop tracking.
+        # pruned at the origin); only genuinely in-flight queries get drop
+        # tracking.
         if executor.is_active(result.query_id):
             self._inflight[job_id] = (job.kind, result.query_id)
-            if self.deadline is not None:
-                self._deadline_handles[job_id] = self.overlay.simulator.schedule_after(
-                    self.deadline,
-                    lambda kind=job.kind, query_id=result.query_id: self._expire(kind, query_id),
-                    label="query-deadline",
-                )
-
-    def _expire(self, kind: str, query_id: int) -> None:
-        """Deadline enforcement: force-complete a stalled/slow query as
-        failed instead of letting it leak; partial results are kept."""
-        executor = self.system.mira if kind == "mira" else self.system.pira
-        executor.cancel(query_id)
 
     def _finish(self, job: QueryJob, job_id: int, started: float, result: RangeQueryResult) -> None:
         now = self.overlay.simulator.now
@@ -248,9 +234,6 @@ class QueryEngine:
         # The completed query's drops live on in result.resilience; drop the
         # overlay's ledger entry so long-lived overlays stay O(in-flight).
         self.overlay.clear_query_drops(job.kind, result.query_id)
-        handle = self._deadline_handles.pop(job_id, None)
-        if handle is not None:
-            handle.cancel()
         record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
         self._completed.append(record)
         self.tracker.complete(job_id, now, delay_hops=result.delay_hops, success=result.complete)

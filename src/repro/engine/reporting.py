@@ -54,6 +54,11 @@ class QueryJob:
         """``"mira"`` for box queries, ``"pira"`` for single-attribute."""
         return "mira" if self.ranges is not None else "pira"
 
+    @property
+    def query_ranges(self) -> Tuple[Tuple[float, float], ...]:
+        """The executors' ``ranges`` argument: one ``(low, high)`` per attribute."""
+        return self.ranges if self.ranges is not None else ((self.low, self.high),)
+
     def to_wire(self) -> Dict[str, Any]:
         """JSON-compatible form carrying every field."""
         return {
@@ -95,11 +100,8 @@ class CompletedQuery:
 
     @property
     def status(self) -> str:
-        """``"ok"`` (full results), ``"partial"`` (lost subtrees) or
-        ``"deadline"`` (force-completed by the engine's deadline)."""
-        if self.result.resilience.deadline_expired:
-            return "deadline"
-        return "ok" if self.result.complete else "partial"
+        """The result's verdict (see :attr:`RangeQueryResult.status`)."""
+        return self.result.status
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-compatible form carrying every field."""
@@ -337,11 +339,6 @@ class RunReporter:
         record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
         self.completed.append(record)
         return record
-
-    def abandon(self, key: int, job: QueryJob, result: RangeQueryResult, now: float) -> CompletedQuery:
-        """Record a query force-completed by a deadline as failed."""
-        result.resilience.deadline_expired = True
-        return self.finish(key, job, result, now)
 
     @property
     def in_flight(self) -> int:

@@ -269,10 +269,8 @@ def run_fault_job(job: FaultJob) -> Dict[str, Any]:
 
     def measure(record) -> None:
         """Oracle completeness vs the live ground truth, at completion time."""
-        if record.job.kind == "mira":
-            truth = system.mira.ground_truth_destinations(record.job.ranges)
-        else:
-            truth = system.pira.ground_truth_destinations(record.job.low, record.job.high)
+        job = record.job
+        truth = system.executors[job.kind].ground_truth_destinations(job.query_ranges)
         live_truth = {peer_id for peer_id in truth if peer_id not in down}
         reached = len(live_truth.intersection(record.result.destinations))
         completeness = reached / len(live_truth) if live_truth else 1.0

@@ -221,18 +221,13 @@ def _measure(
     too, which only helps them (their reach is a superset of it).
     """
     down: Set[str] = set(cluster.down_peers)
-    pira = cluster.pira
-    mira = cluster.mira
     successes = 0
     total = 0.0
     worst = 1.0
     deadline_failed = 0
     for record in reporter.completed:
         job = record.job
-        if job.ranges is not None and mira is not None:
-            truth = mira.ground_truth_destinations(job.ranges)
-        else:
-            truth = pira.ground_truth_destinations(job.low, job.high)
+        truth = cluster.executors[job.kind].ground_truth_destinations(job.query_ranges)
         live_truth = truth - down
         if live_truth:
             reached = len(live_truth & set(record.result.destinations))
@@ -267,9 +262,8 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
             max_retries=spec.retries,
             reroute=spec.reroute,
         )
-        cluster.pira.set_resilience(policy)
-        if cluster.mira is not None:
-            cluster.mira.set_resilience(policy)
+        for executor in cluster.executors.values():
+            executor.set_resilience(policy)
         low, high = spec.attribute_interval
         rng = DeterministicRNG(spec.seed)
         session = await LiveSession.connect(*gateway.address, pool=spec.pool)

@@ -281,9 +281,8 @@ async def run_async(spec: SoakSpec) -> SoakResult:
                 # Server-side tracing: every query gets a span tree whether or
                 # not the client negotiated the capability, so the Chrome trace
                 # covers the whole soak.
-                cluster.pira.set_tracer(tracer, all_queries=True)
-                if cluster.mira is not None:
-                    cluster.mira.set_tracer(tracer, all_queries=True)
+                for executor in cluster.executors.values():
+                    executor.set_tracer(tracer, all_queries=True)
             if metrics_server is not None:
                 print(
                     f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",

@@ -6,7 +6,7 @@ backends behind the same flags:
 - **sim** (default): build a seeded :class:`~repro.core.armada.ArmadaSystem`,
   publish a uniform object population, and run the query through a
   :class:`~repro.api.sim.SimSession` with a tracer attached.  Span
-  durations are in simulated hop units.
+  durations are in simulated hop units; no deadline (it cannot hang).
 - **live** (``--connect HOST:PORT``): open a
   :class:`~repro.api.live.LiveSession` with the ``tracing`` capability and
   let the gateway's tracer collect the spans server-side; the reply ships
@@ -50,7 +50,7 @@ class TraceSpec:
     peers: int = 64
     seed: int = 42
     objects: int = 500
-    deadline: float = 5.0
+    deadline: float = 5.0  # wall-clock seconds; bounds the ``connect`` (live) leg only
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
     #: write Chrome ``trace_event`` JSON here (Perfetto-loadable)
     trace_out: Optional[str] = None
@@ -145,7 +145,7 @@ async def _run_sim(spec: TraceSpec) -> TraceResult:
     rng = DeterministicRNG(spec.seed)
     for value in uniform_values(rng.substream("trace-values"), spec.objects, low, high):
         system.insert(value, payload=float(value))
-    session = SimSession(system, deadline=spec.deadline, tracer=Tracer())
+    session = SimSession(system, tracer=Tracer())
     options = RequestOptions(origin=spec.origin, trace=True)
     reply = await session.submit(
         RangeQuery(low=spec.low, high=spec.high, options=options)

@@ -76,7 +76,7 @@ class ReplayTransport:
     the live timings.
 
     Deliberately has **no** ``overlay`` attribute: the executors'
-    ``_init_lifecycle`` must bind ``send``/``has_node`` to this object.
+    ``__init__`` must bind ``send``/``has_node`` to this object.
     """
 
     def __init__(self, node_ids: Iterable[str]) -> None:
@@ -340,16 +340,12 @@ class _Replayer:
                 query_id=query_id,
             )
         try:
-            if kind == "mira":
-                ranges = tuple((float(l), float(h)) for l, h in event["ranges"])
-                result = executor.start(event["origin"], ranges, query_id=query_id)
-            else:
-                result = executor.start(
-                    event["origin"],
-                    float(event["low"]),
-                    float(event["high"]),
-                    query_id=query_id,
-                )
+            # The recorded fields are the request's wire payload: ``ranges``
+            # for a box query, ``low``/``high`` for a single-attribute one.
+            # No deadline: the recorded reply's status applies the cut.
+            pairs = event["ranges"] if "ranges" in event else [(event["low"], event["high"])]
+            ranges = tuple((float(l), float(h)) for l, h in pairs)
+            result = executor.start(event["origin"], ranges, query_id=query_id)
         except Exception as exc:  # noqa: BLE001
             return self._diverge(
                 event,

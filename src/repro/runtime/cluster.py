@@ -149,8 +149,7 @@ class LiveCluster:
             self.multi_namer = MultiAttributeNamer(
                 intervals=self.attribute_intervals, length=object_id_length, base=base
             )
-        self.pira: Optional[PiraExecutor] = None
-        self.mira: Optional[MiraExecutor] = None
+        self.executors: Dict[str, Any] = {}  # by message kind; filled by start()
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                            #
@@ -173,9 +172,9 @@ class LiveCluster:
             node.hosted.add(peer_id)
             self.transport.assign(peer_id, node.address)
 
-        self.pira = PiraExecutor(self.network, self.single_namer, transport=self.transport)
-        if self.multi_namer is not None:
-            self.mira = MiraExecutor(self.network, self.multi_namer, transport=self.transport)
+        for cls, namer in ((PiraExecutor, self.single_namer), (MiraExecutor, self.multi_namer)):
+            if namer is not None:
+                self.executors[cls.message_kind] = cls(self.network, namer, None, self.transport)
 
         # Keep the substream: live churn joins (join_peer) continue drawing
         # from it, so a cluster started at N and grown to N+k has the same
@@ -343,7 +342,7 @@ class LiveCluster:
             # gossip dead report withdraws the route.
             return
         message = wire_to_message(frame)
-        executor = self.pira if message.kind == "pira" else self.mira
+        executor = self.executors.get(message.kind)
         if executor is None:
             return
         # Delivery recording happens in PeerNode._serve (which holds the
@@ -872,6 +871,7 @@ class LiveCluster:
 
     def stats(self) -> Dict[str, Any]:
         """Cluster-level statistics for the gateway's ``stats`` command."""
+        in_flight = {kind: executor.active_queries for kind, executor in self.executors.items()}
         return {
             "peers": self.network.size,
             "nodes": len(self.nodes),
@@ -884,8 +884,8 @@ class LiveCluster:
             "down_peers": len(self.down_peers),
             "messages_sent": self.transport.messages_sent,
             "messages_dropped": self.transport.messages_dropped,
-            "pira_in_flight": self.pira.active_queries if self.pira is not None else 0,
-            "mira_in_flight": self.mira.active_queries if self.mira is not None else 0,
+            "pira_in_flight": in_flight.get("pira", 0),
+            "mira_in_flight": in_flight.get("mira", 0),
             "gossip": self.gossip_enabled,
             "membership": self.membership_counts(),
             "gossip_frames": int(sum(self.gossip_frames.values())),

@@ -56,9 +56,10 @@ as columns (:func:`repro.storage.base.objects_to_wire`): a reply grows with
 the range, and a dict per match was most of what a wide query cost.
 
 Every in-flight query is guarded by a **deadline** (wall-clock seconds,
-per-request option or the gateway default): on expiry the executor
-force-completes it as failed with partial results, exactly like the
-engine's simulated deadline.  The same bound is what makes
+per-request option or the gateway default), handed to the executor's
+``start``: the executor arms the timer on the cluster's transport and on
+expiry force-completes the query as failed with partial results — the same
+timer as the engine's simulated deadline.  The same bound is what makes
 :meth:`Gateway.shutdown` safe — draining waits for the in-flight set, and
 the deadline caps how long that can take.
 """
@@ -66,7 +67,7 @@ the deadline caps how long that can take.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.api.requests import (
     ApiError,
@@ -562,8 +563,14 @@ class Gateway:
     # ------------------------------------------------------------------ #
 
     def _pick_origin(self) -> str:
-        """A deterministic (seeded) origin for clients that name none."""
-        return self._origin_rng.choice(self.cluster.network.peer_ids())
+        """A deterministic (seeded) origin for clients that name none: a peer
+        whose process is up (the same draws as ever while nothing is down)."""
+        live, down = self.cluster.network.peer_ids(), self.cluster.down_peers
+        if down:
+            live = [peer_id for peer_id in live if peer_id not in down]
+        if not live:
+            raise ClusterError("every peer is down: no origin to launch the query from")
+        return self._origin_rng.choice(live)
 
     def _observe_query(self, result: RangeQueryResult, latency: float, kind: str) -> None:
         """Feed one completed query into the metrics plane."""
@@ -592,8 +599,8 @@ class Gateway:
         origin, from the executor's completion callback otherwise.
 
         This is the event-driven core: no task, no future await — the
-        request loop pipelines queries at the cost of one ``call_later``
-        handle each.  Validation failures raise before anything is
+        request loop pipelines queries at the cost of the executor's one
+        deadline timer each.  Validation failures raise before anything is
         registered.
 
         ``tracing`` is the connection's negotiated capability; a query is
@@ -603,11 +610,9 @@ class Gateway:
         if self._closing:
             finish({"ok": False, "error": "shutting down"})
             return
-        is_mira = isinstance(request, MultiRangeQuery)
-        if is_mira and self.cluster.mira is None:
+        executor = self.cluster.executors.get(request.kind)
+        if executor is None:
             raise ValueError("this cluster was not configured with attribute_intervals")
-        executor = self.cluster.mira if is_mira else self.cluster.pira
-        assert executor is not None
         origin = request.options.origin
         if origin is None:
             origin = self._pick_origin()
@@ -631,12 +636,8 @@ class Gateway:
                 "query_id": query_id,
                 "origin": origin,
                 "deadline": deadline,
+                **request.payload(),
             }
-            if is_mira:
-                query_event["ranges"] = [list(pair) for pair in request.ranges]
-            else:
-                query_event["low"] = request.low
-                query_event["high"] = request.high
             recorder.record("query", **query_event)
 
         loop = asyncio.get_running_loop()
@@ -645,22 +646,17 @@ class Gateway:
         marker: asyncio.Future = loop.create_future()
         self._inflight.add(marker)
         self._peak_inflight = max(self._peak_inflight, len(self._inflight))
-        deadline_handle: List[Any] = [None]
 
         def complete(result: RangeQueryResult) -> None:
             if marker.done():
                 return
             marker.set_result(None)
             self._inflight.discard(marker)
-            if deadline_handle[0] is not None:
-                deadline_handle[0].cancel()
             self.queries_served += 1
-            status = "deadline" if result.resilience.deadline_expired else (
-                "ok" if result.complete else "partial"
-            )
+            status = result.status
             latency = loop.time() - started
             if self._m_latency is not None:
-                self._observe_query(result, latency, "mira" if is_mira else "pira")
+                self._observe_query(result, latency, executor.message_kind)
             wire = result.to_wire()
             payload = {
                 "ok": True,
@@ -703,32 +699,17 @@ class Gateway:
                 on_chunk(chunk)
 
         try:
-            if is_mira:
-                result = executor.start(
-                    origin,
-                    request.ranges,
-                    query_id=query_id,
-                    on_complete=complete,
-                    on_destination=on_destination,
-                    trace=traced,
-                )
-            else:
-                result = executor.start(
-                    origin,
-                    request.low,
-                    request.high,
-                    query_id=query_id,
-                    on_complete=complete,
-                    on_destination=on_destination,
-                    trace=traced,
-                )
+            executor.start(
+                origin,
+                request.ranges,
+                deadline=deadline,
+                query_id=query_id,
+                on_complete=complete,
+                on_destination=on_destination,
+                trace=traced,
+            )
         except BaseException:
             self._inflight.discard(marker)
             if not marker.done():
                 marker.set_result(None)
             raise
-        if executor.is_active(result.query_id):
-            deadline_handle[0] = loop.call_later(
-                deadline,
-                lambda query_id=result.query_id: executor.cancel(query_id),
-            )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -410,6 +412,17 @@ class TestExecution:
         assert "hop " in captured
         payload = json.loads(out_path.read_text())
         assert payload["traceEvents"]
+
+    def test_trace_sim_leg_is_not_cut_by_the_wall_clock_deadline(self, capsys):
+        """``--deadline`` (default 5.0) is seconds; the simulator counts
+        hops, where a wide query needs more than five."""
+        assert main(["trace", "--peers", "256", "--low", "100", "--high", "900"]) == 0
+        status = re.search(
+            r"status  : (\w+), (\d+) matches over (\d+) hops", capsys.readouterr().out
+        )
+        assert status is not None and status.group(1) == "ok"
+        assert int(status.group(2)) > 0
+        assert 5 < int(status.group(3)) <= 2 * math.log2(256) + 1
 
     def test_run_command_figures_with_csv(self, capsys, tmp_path):
         assert main(["figures-rangesize"] + self.TINY + ["--csv-dir", str(tmp_path)]) == 0

@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.core.armada import ArmadaSystem
-from repro.core.topk import TopKExecutor
 from repro.rangequery import (
     ArmadaScheme,
     DcfCanScheme,
@@ -120,14 +119,6 @@ class TestChurnWorkflow:
         system.remove_peers(60)
         check()
         assert system.topology_report().healthy
-
-    def test_topk_after_churn(self):
-        system = ArmadaSystem(num_peers=80, seed=113, attribute_interval=(0.0, 1000.0))
-        values = uniform_values(DeterministicRNG(113).substream("values"), 800, 0.0, 1000.0)
-        system.insert_many(values)
-        system.add_peers(20)
-        result = TopKExecutor(system).top_k(7)
-        assert result.values == sorted(values, reverse=True)[:7]
 
 
 class TestCrossSchemeAgreement:

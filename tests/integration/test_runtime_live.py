@@ -205,6 +205,31 @@ class TestGatewaySmoke:
 
         asyncio.run(scenario())
 
+    def test_no_query_is_launched_from_a_crashed_peer(self):
+        """A client that names no origin gets one whose process is up."""
+
+        async def scenario():
+            cluster = LiveCluster(num_peers=8, seed=SEED)
+            await cluster.start()
+            # A short deadline: queries that reach a crashed zone stall.
+            gateway = await Gateway(cluster, deadline=0.05).start()
+            down = set(cluster.network.peer_ids()[::3])
+            for peer_id in down:
+                cluster.crash_peer(peer_id)
+            try:
+                async with await LiveSession.connect(*gateway.address, pool=2) as client:
+                    replies = await asyncio.gather(
+                        *(client.range(float(i), float(i) + 1.0) for i in range(200))
+                    )
+            finally:
+                await gateway.shutdown()
+                await cluster.stop()
+            return down, {reply.result.origin for reply in replies}
+
+        down, origins = asyncio.run(scenario())
+        assert len(down) == 3 and len(origins) > 1
+        assert not origins & down
+
     def test_cluster_validation(self):
         with pytest.raises(ClusterError):
             LiveCluster(num_peers=2)

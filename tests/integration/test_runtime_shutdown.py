@@ -19,10 +19,12 @@ import sys
 import pytest
 
 from repro.api.live import LiveSession
-from repro.api.requests import ApiError
+from repro.api.requests import ApiError, RangeQuery, RequestOptions
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.obs.exposition import MetricsServer
+from repro.obs.recorder import FlightRecorder
+from repro.obs.replay import replay_events
 from repro.runtime.server import ServeSettings, live_gateway, serve_async
 
 
@@ -131,6 +133,39 @@ class TestGatewayDrain:
             await cluster.stop()
 
         asyncio.run(scenario())
+
+
+    def test_fired_deadline_is_a_recorded_timer(self):
+        """The gateway's deadline is the executor's timer on the cluster's
+        transport, so a flight recorder sees it fire like any other timer
+        ("every timer fire is recorded"), and a replay of the dump agrees."""
+
+        async def scenario():
+            cluster, _ = await boot()
+            recorder = FlightRecorder()
+            cluster.attach_recorder(recorder)
+            gateway = await Gateway(cluster, deadline=0.2, recorder=recorder).start()
+            origin, victim = cluster.network.peer_ids()[:2]
+            # kill -9: frames to the victim die on the floor and, with no
+            # resilience policy, nothing but the deadline ends the query.
+            cluster.crash_peer(victim)
+            async with await LiveSession.connect(*gateway.address, pool=1) as client:
+                reply = await client.submit(
+                    RangeQuery(low=0.0, high=1000.0, options=RequestOptions(origin=origin))
+                )
+            assert reply.status == "deadline"
+            assert victim not in reply.result.destinations
+            events = recorder.events()
+            await gateway.shutdown(drain=True)
+            await cluster.stop()
+            return events
+
+        events = asyncio.run(scenario())
+        fired = [event for event in events if event["type"] == "timer"]
+        assert [event["label"] for event in fired] == ["query-deadline"]
+        assert fired[0]["delay"] == 0.2
+        report = replay_events(events)
+        assert report.ok and report.timers == 1
 
 
 class TestLiveGateway:

@@ -52,7 +52,7 @@ class TestPiraProperties:
         system = get_system(topology_seed)
         low, high = min(bounds), max(bounds)
         result = system.range_query(low, high)
-        assert set(result.destinations) == system.pira.ground_truth_destinations(low, high)
+        assert set(result.destinations) == system.pira.ground_truth_destinations([(low, high)])
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=0, max_value=3), query_bounds)

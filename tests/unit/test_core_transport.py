@@ -64,8 +64,8 @@ class TestSimTransport:
         )
 
         origin = sorted(baseline.network.peer_ids())[0]
-        want = baseline.pira.execute(origin, 100.0, 300.0)
-        got = explicit.execute(origin, 100.0, 300.0)
+        want = baseline.pira.execute(origin, [(100.0, 300.0)])
+        got = explicit.execute(origin, [(100.0, 300.0)])
         assert got.destinations == want.destinations
         assert got.messages == want.messages
         assert got.delay_hops == want.delay_hops
@@ -133,4 +133,4 @@ class TestAsyncioTransport:
         )
         assert executor.overlay is None
         with pytest.raises(QueryError):
-            executor.execute("0", 1.0, 2.0)
+            executor.execute("0", [(1.0, 2.0)])

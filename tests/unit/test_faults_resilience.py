@@ -192,7 +192,7 @@ class TestExecutorCancel:
         system = build_system()
         done = []
         result = system.pira.start(
-            system.network.peer_ids()[0], LOW, HIGH, on_complete=done.append
+            system.network.peer_ids()[0], [(LOW, HIGH)], on_complete=done.append
         )
         assert system.pira.is_active(result.query_id)
         assert system.pira.cancel(result.query_id) is True

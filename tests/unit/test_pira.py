@@ -37,7 +37,7 @@ class TestPiraExactness:
     def test_reaches_exactly_the_intersecting_peers(self, loaded_system):
         for low, high in ((100.0, 300.0), (0.0, 5.0), (990.0, 1000.0), (499.0, 501.0)):
             result = loaded_system.range_query(low, high)
-            truth = loaded_system.pira.ground_truth_destinations(low, high)
+            truth = loaded_system.pira.ground_truth_destinations([(low, high)])
             assert set(result.destinations) == truth
 
     def test_returns_exactly_the_matching_objects(self, loaded_system):
@@ -128,7 +128,7 @@ class TestPiraValidation:
 
     def test_unknown_origin_raises(self, loaded_system):
         with pytest.raises(QueryError):
-            loaded_system.pira.execute("0000", 1.0, 2.0)
+            loaded_system.pira.execute("0000", [(1.0, 2.0)])
 
     def test_forwarding_steps_follow_out_neighbor_edges(self, loaded_system):
         result = loaded_system.range_query(400.0, 450.0)
@@ -155,6 +155,6 @@ class TestStandaloneExecutor:
         for value in range(10):
             network.publish(namer.name(float(value)), key=float(value), value=value)
         origin = network.peer_ids()[0]
-        result = executor.execute(origin, 2.0, 7.0)
+        result = executor.execute(origin, [(2.0, 7.0)])
         assert sorted(result.matching_values()) == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        assert set(result.destinations) == executor.ground_truth_destinations(2.0, 7.0)
+        assert set(result.destinations) == executor.ground_truth_destinations([(2.0, 7.0)])

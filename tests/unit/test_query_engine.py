@@ -203,7 +203,7 @@ class TestChurn:
         executor = system.pira
         origin = system.network.peer_ids()[0]
         done = []
-        result = executor.start(origin, 100.0, 400.0, on_complete=done.append)
+        result = executor.start(origin, [(100.0, 400.0)], on_complete=done.append)
         assert executor.active_queries == 1 and not done
         # Pick the receiver of an in-flight first-hop message and depart it
         # abruptly (overlay-level, before the DHT merges its zone — a
@@ -263,7 +263,7 @@ class TestChurn:
 class TestResumableExecutors:
     def test_active_queries_tracked(self):
         system = build_system()
-        result = system.pira.start(system.random_peer_id(), 100.0, 300.0)
+        result = system.pira.start(system.random_peer_id(), [(100.0, 300.0)])
         assert system.pira.active_queries == 1
         system.overlay.run()
         assert system.pira.active_queries == 0
@@ -273,16 +273,16 @@ class TestResumableExecutors:
         from repro.core.errors import QueryError
 
         system = build_system()
-        system.pira.start(system.random_peer_id(), 100.0, 300.0, query_id=77)
+        system.pira.start(system.random_peer_id(), [(100.0, 300.0)], query_id=77)
         with pytest.raises(QueryError):
-            system.pira.start(system.random_peer_id(), 100.0, 300.0, query_id=77)
+            system.pira.start(system.random_peer_id(), [(100.0, 300.0)], query_id=77)
         system.overlay.run()
 
     def test_on_complete_fires_exactly_once(self):
         system = build_system()
         completions = []
         system.pira.start(
-            system.random_peer_id(), 0.0, 500.0, on_complete=completions.append
+            system.random_peer_id(), [(0.0, 500.0)], on_complete=completions.append
         )
         system.overlay.run()
         assert len(completions) == 1
