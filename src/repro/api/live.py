@@ -400,14 +400,13 @@ class LiveSession(Session):
         concurrency: int = 8,
         time_scale: float = 0.001,
     ) -> EngineReport:
-        """Drive a workload through this session's connection pool."""
-        from repro.runtime.loadgen import run_closed_loop, run_open_loop
+        """Drive a workload through this session's connection pool (the
+        load driver on the asyncio clock)."""
+        from repro.runtime.loadgen import run_jobs
 
-        if mode == "open":
-            return await run_open_loop(self, jobs, time_scale=time_scale)
-        if mode == "closed":
-            return await run_closed_loop(self, jobs, concurrency=concurrency)
-        raise SessionError(f"unknown workload mode {mode!r} (use 'open' or 'closed')")
+        return await run_jobs(
+            self, jobs, mode=mode, concurrency=concurrency, time_scale=time_scale
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                            #

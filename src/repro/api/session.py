@@ -28,8 +28,9 @@ The base class implements everything that is backend-independent:
   connection pool before a single flush per connection).
 
 Backends implement :meth:`_submit_once` (execute one request once) and
-:meth:`run_jobs` (drive a whole workload, reporting through the shared
-:class:`~repro.engine.reporting.EngineReport` pipeline).
+:meth:`run_jobs` (bind the one load driver,
+:class:`~repro.engine.query_engine.LoadDriver`, to the backend's clock and
+return its :class:`~repro.engine.reporting.EngineReport`).
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class Session:
         ``mode="closed"`` keeps ``concurrency`` queries outstanding
         (synchronous-client population); ``mode="open"`` fires jobs at
         their arrival times (offered load), with ``time_scale`` mapping
-        workload time units to the backend clock where needed.
+        workload time units to the backend clock where needed.  A bad
+        argument is an :class:`~repro.api.requests.ApiError` on every
+        backend.
         """
         raise NotImplementedError
 

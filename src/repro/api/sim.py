@@ -2,11 +2,11 @@
 
 Drives an :class:`~repro.core.armada.ArmadaSystem` directly: single
 requests run the resumable PIRA/MIRA executors to completion on the
-discrete-event clock, workloads go through the concurrent
-:class:`~repro.engine.query_engine.QueryEngine`.  Latencies and deadlines
-are in **simulated time units** (the live binding measures the same
-fields in wall-clock seconds); a deadline is handed to the executor's
-``start``, which owns the timer.
+discrete-event clock, workloads go through the one load driver bound to
+that clock (:class:`~repro.engine.query_engine.QueryEngine`).  Latencies
+and deadlines are in **simulated time units** (the live binding measures
+the same fields in wall-clock seconds); a deadline is handed to the
+executor's ``start``, which owns the timer.
 
 The replies are byte-identical in structure to the live binding's — the
 same :class:`~repro.core.pira.RangeQueryResult` a gateway would ship over
@@ -197,7 +197,7 @@ class SimSession(Session):
         time_scale: float = 0.001,
         churn: Optional[Sequence[Any]] = None,
     ) -> EngineReport:
-        """Drive a workload through the concurrent query engine.
+        """Drive a workload with the load driver on the simulator clock.
 
         The simulator *is* the workload clock, so ``time_scale`` is
         ignored here; open-loop jobs fire at their arrival instants and

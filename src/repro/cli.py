@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command(name, partial(_run_figures, experiment), [sizing, csv_dir], help=about)
     command(
-        "load", _logged(_profiled(_run_load)),
-        [sizing, csv_dir, load_shape, logging_flags, cprofile],
+        "load", _profiled(_run_load),
+        [sizing, csv_dir, load_shape, cprofile],
         help="concurrent load sweep on the simulator clock",
     )
     command(
@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     livefaults = command(
-        "livefaults", _logged(_run_livefaults),
-        [clients, wall_deadline, store, logging_flags],
+        "livefaults", _run_livefaults,
+        [clients, wall_deadline, store],
         help="kill -9 a fraction of the peers mid-soak; gossip must detect it",
     )
     _add_sizing(
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = command(
-        "trace", _logged(_run_trace), [wall_deadline, trace_out, logging_flags],
+        "trace", _run_trace, [wall_deadline, trace_out],
         help="run one traced range query and print its span tree",
     )
     _add_sizing(trace, tracecmd.TraceSpec, "peers", "objects", "seed")

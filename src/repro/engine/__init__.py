@@ -1,27 +1,31 @@
-"""Concurrent query engine: overlapping in-flight queries on the simulator.
+"""The load driver: overlapping in-flight queries on a clock it is handed.
 
 See :mod:`repro.engine.query_engine` for the full story; the short version
-is that :class:`QueryEngine` schedules time-stamped :class:`QueryJob`
-batches (open- or closed-loop, optionally under churn) onto an
-:class:`~repro.core.armada.ArmadaSystem` whose PIRA/MIRA executors resume
-per message, and reports throughput plus latency/delay percentiles.
+is that :class:`LoadDriver` runs time-stamped :class:`QueryJob` batches
+open- or closed-loop and records each query once, for both clocks.
+:class:`QueryEngine` is that driver on the simulator (optionally under
+churn), over an :class:`~repro.core.armada.ArmadaSystem` whose PIRA/MIRA
+executors resume per message; :func:`repro.runtime.loadgen.run_jobs` is the
+same driver on asyncio.  Both report throughput plus latency/delay
+percentiles through :func:`build_report`.
 """
 
-from repro.engine.query_engine import QueryEngine, offered_load
+from repro.engine.query_engine import LoadDriver, QueryEngine, offered_load
 from repro.engine.reporting import (
     CompletedQuery,
     EngineReport,
     QueryJob,
-    RunReporter,
     build_report,
+    score_completeness,
 )
 
 __all__ = [
     "CompletedQuery",
     "EngineReport",
+    "LoadDriver",
     "QueryEngine",
     "QueryJob",
-    "RunReporter",
     "build_report",
     "offered_load",
+    "score_completeness",
 ]

@@ -1,20 +1,23 @@
-"""Concurrent query engine: many overlapping queries on one simulator clock.
+"""The load driver: many overlapping queries, written once for both clocks.
 
 The seed executed every range query synchronously to completion, one at a
-time.  This engine drives the *resumable* PIRA/MIRA executors
-(``system.executors[job.kind].start(origin, ranges, deadline=...)``; the
-executor, not the engine, arms and cancels the deadline timer) so that
-thousands of queries can be in flight simultaneously:
+time.  :class:`LoadDriver` keeps thousands in flight, on a clock and a
+launcher it is handed, under one of two disciplines:
 
 * **open loop** — jobs arrive at workload-defined times (e.g. a Poisson
   process) regardless of how many queries are already in flight, modelling
   offered load;
 * **closed loop** — a fixed number of outstanding queries is maintained;
-  each completion immediately launches the next job, modelling a population
-  of synchronous clients;
-* **churn** — peer joins/departures are scheduled as simulator events and
-  interleave with in-flight queries, which survive via the overlay's drop
-  accounting.
+  each completion launches the next job, modelling a population of
+  synchronous clients.
+
+:class:`QueryEngine` binds it to the simulator clock and the resumable
+PIRA/MIRA executors (``system.executors[job.kind].start(origin, ranges,
+deadline=...)``; the executor, not the engine, arms and cancels the deadline
+timer) and adds what only a simulation has: **churn** — peer joins/departures
+scheduled as simulator events that interleave with in-flight queries, which
+survive via the overlay's drop accounting.  The asyncio binding is
+:func:`repro.runtime.loadgen.run_jobs`.
 
 Because query forwarding is deterministic given the topology and independent
 of the simulation clock, every query produces measurements (destinations,
@@ -27,7 +30,7 @@ percentiles under load.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from collections import deque
 
@@ -40,11 +43,104 @@ from repro.workloads.arrivals import ChurnEvent
 
 # The job/record/report vocabulary lives in repro.engine.reporting (shared
 # with the live runtime); re-exported here for backwards compatibility.
-__all__ = ["CompletedQuery", "EngineReport", "QueryEngine", "QueryJob", "offered_load"]
+__all__ = [
+    "CompletedQuery", "EngineReport", "LoadDriver", "QueryEngine", "QueryJob", "offered_load",
+]
 
 
-class QueryEngine:
-    """Schedules :class:`QueryJob` batches onto an :class:`ArmadaSystem`.
+class LoadDriver:
+    """Open loop, closed loop and per-query bookkeeping on a borrowed clock.
+
+    ``now()`` reads the clock the run is measured on.  ``call_at(arrival,
+    callback)`` runs ``callback`` at workload time ``arrival`` — as soon as
+    possible when that is already past, on the next turn of the loop when it
+    is ``None`` — and must never run it inline.  ``launch(job, done)``
+    starts one query and calls ``done(result)`` exactly once, with its
+    :class:`~repro.core.pira.RangeQueryResult`, when it ends (possibly
+    before ``launch`` returns).
+    """
+
+    def __init__(
+        self,
+        now: Callable[[], float],
+        call_at: Callable[[Optional[float], Callable[[], None]], object],
+        launch: Callable[[QueryJob, Callable[[RangeQueryResult], None]], None],
+    ) -> None:
+        self.now = now
+        self.call_at = call_at
+        self.launch = launch
+        self.tracker = QueryTracker()
+        self.completed: List[CompletedQuery] = []
+        self._job_ids = itertools.count(1)
+        self._queue: Deque[QueryJob] = deque()
+        self._on_query_complete: List[Callable[[CompletedQuery], None]] = []
+
+    def on_query_complete(self, callback: Callable[[CompletedQuery], None]) -> None:
+        """Register ``callback(completed)`` fired at each query completion."""
+        self._on_query_complete.append(callback)
+
+    def submit(self, job: QueryJob) -> None:
+        """Schedule one job at its arrival time (arrivals already in the
+        past are launched at the current instant)."""
+        self.call_at(job.arrival, lambda: self._start(job))
+
+    def submit_many(self, jobs: Sequence[QueryJob]) -> None:
+        """Schedule a batch of jobs at their arrival times."""
+        for job in jobs:
+            self.submit(job)
+
+    def start(self, jobs: Sequence[QueryJob], mode: str = "closed", concurrency: int = 8) -> None:
+        """Hand ``jobs`` to the clock.  ``mode="open"`` fires each at its
+        arrival time whatever is in flight, so latency percentiles reflect
+        queueing under the offered rate; ``mode="closed"`` ignores arrival
+        times: the first ``concurrency`` jobs launch on the next turn and
+        every completion triggers the next job."""
+        if mode == "open":
+            self.submit_many(jobs)
+        elif mode == "closed":
+            if concurrency < 1:
+                raise ValueError("concurrency must be at least 1")
+            self._queue.extend(jobs)
+            for _ in range(min(concurrency, len(self._queue))):
+                self._start_next()
+        else:
+            raise ValueError(f"unknown workload mode {mode!r} (use 'open' or 'closed')")
+
+    @property
+    def in_flight(self) -> int:
+        """Queries started but not yet completed."""
+        return self.tracker.in_flight
+
+    def _start_next(self) -> None:
+        job = self._queue.popleft()
+        # Through the clock, never directly: a query that completes inside
+        # launch() would otherwise chain one stack frame per job and
+        # overflow on large closed-loop workloads.
+        self.call_at(None, lambda: self._start(job))
+
+    def _start(self, job: QueryJob) -> None:
+        job_id = next(self._job_ids)
+        started = self.now()
+        self.tracker.start(job_id, started)
+
+        def done(result: RangeQueryResult) -> None:
+            now = self.now()
+            # Raises on a second call: the tracker has forgotten ``job_id``.
+            self.tracker.complete(
+                job_id, now, delay_hops=result.delay_hops, success=result.complete
+            )
+            record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
+            self.completed.append(record)
+            for callback in self._on_query_complete:
+                callback(record)
+            if self._queue:
+                self._start_next()
+
+        self.launch(job, done)
+
+
+class QueryEngine(LoadDriver):
+    """The driver on the simulator clock of an :class:`ArmadaSystem`.
 
     Example
     -------
@@ -64,33 +160,21 @@ class QueryEngine:
         self.system = system
         self.overlay = system.overlay
         self.deadline = deadline
-        self.tracker = QueryTracker()
-        self._job_ids = itertools.count(1)
-        self._completed: List[CompletedQuery] = []
-        self._closed_queue: Deque[QueryJob] = deque()
+        simulator = self.overlay.simulator
+        super().__init__(
+            now=lambda: simulator.now,
+            call_at=lambda arrival, callback: simulator.schedule_at(
+                simulator.now if arrival is None else max(arrival, simulator.now),
+                callback,
+                label="query-arrival",
+            ),
+            launch=self._launch,
+        )
         self._messages_at_start = self.overlay.metrics.counter_value("messages.total")
-        self._events_at_start = self.overlay.simulator.processed_events
-        self._on_query_complete: List[Callable[[CompletedQuery], None]] = []
-        #: job id -> (kind, executor query id) for jobs still in flight
-        self._inflight: Dict[int, Tuple[str, int]] = {}
-
-    # -- submission ---------------------------------------------------------
-
-    def submit(self, job: QueryJob) -> None:
-        """Schedule one job at its arrival time (relative times in the past
-        are launched at the current simulation instant)."""
-        now = self.overlay.simulator.now
-        at = max(job.arrival, now)
-        self.overlay.simulator.schedule_at(at, lambda: self._launch(job), label="query-arrival")
-
-    def submit_many(self, jobs: Sequence[QueryJob]) -> None:
-        """Schedule a batch of jobs at their arrival times."""
-        for job in jobs:
-            self.submit(job)
-
-    def on_query_complete(self, callback: Callable[[CompletedQuery], None]) -> None:
-        """Register ``callback(completed)`` fired at each query completion."""
-        self._on_query_complete.append(callback)
+        self._events_at_start = simulator.processed_events
+        #: (kind, executor query id) of the queries still in flight
+        self._inflight: Set[Tuple[str, int]] = set()
+        self.on_query_complete(self._forget)
 
     # -- churn --------------------------------------------------------------
 
@@ -125,50 +209,24 @@ class QueryEngine:
         concurrency: int = 8,
         churn: Optional[Sequence[ChurnEvent]] = None,
     ) -> EngineReport:
-        """One entry point for both loop disciplines (the session API's
-        workload vocabulary): ``mode="open"`` fires jobs at their arrival
-        times, ``mode="closed"`` maintains ``concurrency`` outstanding
-        queries, and ``churn`` events (if any) interleave with either."""
+        """Start ``jobs`` under either discipline (see :meth:`start`), with
+        ``churn`` events (if any) interleaved, and drain the simulator."""
         if churn:
             self.schedule_churn(churn)
-        if mode == "open":
-            return self.run_open_loop(jobs)
-        if mode == "closed":
-            return self.run_closed_loop(jobs, concurrency=concurrency)
-        raise ValueError(f"unknown workload mode {mode!r} (use 'open' or 'closed')")
-
-    def run_open_loop(self, jobs: Sequence[QueryJob], until: Optional[float] = None) -> EngineReport:
-        """Submit all jobs at their arrival times and drain the simulator.
-
-        This models *offered load*: arrivals fire on the workload's clock
-        regardless of how many queries are already in flight, so latency
-        percentiles in the report reflect queueing under the offered rate.
-        With ``until`` the run stops at that simulation instant and the
-        report covers whatever completed by then.
-        """
-        self.submit_many(jobs)
-        return self.run(until=until)
-
-    def run_closed_loop(self, jobs: Sequence[QueryJob], concurrency: int) -> EngineReport:
-        """Maintain ``concurrency`` outstanding queries until ``jobs`` drain.
-
-        Arrival times are ignored: the first ``concurrency`` jobs launch
-        immediately and every completion triggers the next job, as if issued
-        by that many synchronous clients.
-        """
-        if concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        self._closed_queue.extend(jobs)
-        for _ in range(min(concurrency, len(self._closed_queue))):
-            job = self._closed_queue.popleft()
-            self.overlay.simulator.schedule_after(
-                0.0, lambda job=job: self._launch(job), label="query-arrival"
-            )
+        self.start(jobs, mode, concurrency)
         return self.run()
 
-    def run(self, until: Optional[float] = None) -> EngineReport:
+    def run_open_loop(self, jobs: Sequence[QueryJob]) -> EngineReport:
+        """Submit all jobs at their arrival times and drain the simulator."""
+        return self.run_jobs(jobs, mode="open")
+
+    def run_closed_loop(self, jobs: Sequence[QueryJob], concurrency: int) -> EngineReport:
+        """Maintain ``concurrency`` outstanding queries until ``jobs`` drain."""
+        return self.run_jobs(jobs, mode="closed", concurrency=concurrency)
+
+    def run(self) -> EngineReport:
         """Drain the simulator and report on everything that completed."""
-        self.overlay.run(until=until)
+        self.overlay.run()
         return self.report()
 
     def report(self) -> EngineReport:
@@ -183,35 +241,24 @@ class QueryEngine:
         # per-query ledger, so a query lost to drops is visible even though
         # it never completed.
         inflight_drops = 0
-        for kind, query_id in self._inflight.values():
+        for kind, query_id in self._inflight:
             inflight_drops += self.overlay.drops_for_query(kind, query_id)
         return build_report(
             self.tracker,
-            self._completed,
+            self.completed,
             messages=self.overlay.metrics.counter_value("messages.total") - self._messages_at_start,
             events=self.overlay.simulator.processed_events - self._events_at_start,
             extra_dropped=inflight_drops,
         )
 
-    @property
-    def in_flight(self) -> int:
-        """Queries started but not yet completed."""
-        return self.tracker.in_flight
-
     # -- internals ----------------------------------------------------------
 
-    def _launch(self, job: QueryJob) -> None:
-        now = self.overlay.simulator.now
+    def _launch(self, job: QueryJob, done: Callable[[RangeQueryResult], None]) -> None:
         origin = job.origin if job.origin is not None else self.system.random_peer_id()
         # Churn may have removed the chosen origin between workload
         # generation and launch; fall back to a live peer.
         if not self.system.network.has_peer(origin):
             origin = self.system.random_peer_id()
-        job_id = next(self._job_ids)
-        self.tracker.start(job_id, now)
-        on_complete = lambda result, job=job, job_id=job_id, started=now: self._finish(
-            job, job_id, started, result
-        )
         executor = self.system.executors.get(job.kind)
         if executor is None:
             raise ArmadaError(
@@ -219,34 +266,19 @@ class QueryEngine:
             )
         # The executor enforces the deadline: a stalled/slow query is
         # force-completed as failed (partial results kept), never leaked.
-        result = executor.start(
-            origin, job.query_ranges, deadline=self.deadline, on_complete=on_complete
-        )
+        result = executor.start(origin, job.query_ranges, deadline=self.deadline, on_complete=done)
         # ``start`` may have completed the query synchronously (everything
         # pruned at the origin); only genuinely in-flight queries get drop
         # tracking.
         if executor.is_active(result.query_id):
-            self._inflight[job_id] = (job.kind, result.query_id)
+            self._inflight.add((job.kind, result.query_id))
 
-    def _finish(self, job: QueryJob, job_id: int, started: float, result: RangeQueryResult) -> None:
-        now = self.overlay.simulator.now
-        self._inflight.pop(job_id, None)
+    def _forget(self, record: CompletedQuery) -> None:
         # The completed query's drops live on in result.resilience; drop the
         # overlay's ledger entry so long-lived overlays stay O(in-flight).
-        self.overlay.clear_query_drops(job.kind, result.query_id)
-        record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
-        self._completed.append(record)
-        self.tracker.complete(job_id, now, delay_hops=result.delay_hops, success=result.complete)
-        for callback in self._on_query_complete:
-            callback(record)
-        if self._closed_queue:
-            next_job = self._closed_queue.popleft()
-            # Launch via the scheduler, not directly: a query that completes
-            # synchronously inside start() would otherwise chain one stack
-            # frame per job and overflow on large closed-loop workloads.
-            self.overlay.simulator.schedule_after(
-                0.0, lambda job=next_job: self._launch(job), label="query-arrival"
-            )
+        key = (record.job.kind, record.result.query_id)
+        self._inflight.discard(key)
+        self.overlay.clear_query_drops(*key)
 
 
 def offered_load(jobs: Sequence[QueryJob]) -> float:

@@ -1,21 +1,20 @@
 """Query jobs, per-query records and the aggregate run report.
 
-One reporter, two worlds.  The discrete-event :class:`~repro.engine.query_engine.QueryEngine`
-and the live asyncio runtime (:mod:`repro.runtime`) measure the same
-things — sojourn latency percentiles, throughput over the makespan,
-success/failure splits, resilience ledgers — just on different clocks
-(simulated units vs wall-clock seconds).  This module holds the shared
-vocabulary so the two never drift:
+One vocabulary, two clocks.  The one load driver
+(:class:`~repro.engine.query_engine.LoadDriver`) measures the same things
+on the simulator clock and on the asyncio clock — sojourn latency
+percentiles, throughput over the makespan, success/failure splits,
+resilience ledgers — in simulated units or wall-clock seconds.  This module
+holds what it records and how a run is summed up:
 
 * :class:`QueryJob` — one query to run (single-attribute PIRA or
   multi-attribute MIRA), with an arrival time on whichever clock drives it;
 * :class:`CompletedQuery` — a finished job with its result and timing;
 * :class:`EngineReport` — the aggregate outcome of a run, built by
-  :func:`build_report` from a :class:`~repro.sim.metrics.QueryTracker` plus
-  the completed records;
-* :class:`RunReporter` — the thin stateful wrapper the live load generator
-  (and anything else without a simulator) uses to drive the same tracker
-  and produce the same :class:`EngineReport`.
+  :func:`build_report` from the driver's
+  :class:`~repro.sim.metrics.QueryTracker` plus its completed records;
+* :func:`score_completeness` — how ``repro faults`` and ``repro livefaults``
+  judge a run's records against the ground truth that is still alive.
 
 Everything here serialises: ``to_wire`` / ``from_wire`` round-trip every
 field through JSON, which is what lets the gateway ship query results and
@@ -24,13 +23,12 @@ soak reports over the wire protocol byte-faithfully.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pira import RangeQueryResult
 from repro.faults.resilience import ResilienceStats
-from repro.sim.metrics import QueryTracker, safe_ratio
+from repro.sim.metrics import QueryTracker, SummaryStats, safe_ratio
 
 
 @dataclass(frozen=True)
@@ -308,43 +306,31 @@ def build_report(
     )
 
 
-class RunReporter:
-    """Per-query bookkeeping for runs without a simulator.
+def score_completeness(
+    completed: Sequence[CompletedQuery], executors: Mapping[str, Any], down: Collection[str]
+) -> Tuple[int, float, float, int]:
+    """Score records against the live oracle: ``(successes, mean
+    completeness, min completeness, deadline-failed)``.
 
-    The live load generator calls :meth:`begin` when a query leaves the
-    client and :meth:`finish` when its reply arrives (both stamped with the
-    caller's clock — wall-clock seconds in the runtime), and gets the same
-    :class:`EngineReport` the simulated engine produces, from the same
-    :class:`~repro.sim.metrics.QueryTracker` arithmetic.
+    Ground truth is the executors' own ``ground_truth_destinations`` — the
+    peers that *should* answer given the key-space partition — minus the
+    ``down`` peers, whose data is genuinely unreachable and not charged
+    against the scheme.  Completeness is the fraction of that live truth a
+    query reached; it succeeds when it reached all of it and beat its
+    deadline.
     """
-
-    def __init__(self) -> None:
-        self.tracker = QueryTracker()
-        self.completed: List[CompletedQuery] = []
-        self._keys = itertools.count(1)
-
-    def begin(self, now: float) -> int:
-        """Record a query start at ``now``; returns its tracking key."""
-        key = next(self._keys)
-        self.tracker.start(key, now)
-        return key
-
-    def finish(
-        self, key: int, job: QueryJob, result: RangeQueryResult, now: float
-    ) -> CompletedQuery:
-        """Record the completion of the query tracked as ``key``."""
-        started = now - self.tracker.complete(
-            key, now, delay_hops=result.delay_hops, success=result.complete
-        )
-        record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
-        self.completed.append(record)
-        return record
-
-    @property
-    def in_flight(self) -> int:
-        """Queries begun but not yet finished."""
-        return self.tracker.in_flight
-
-    def report(self, messages: int = 0, events: int = 0) -> EngineReport:
-        """The aggregate :class:`EngineReport` for everything recorded."""
-        return build_report(self.tracker, self.completed, messages=messages, events=events)
+    completeness = SummaryStats()
+    successes = deadline_failed = 0
+    down = set(down)
+    for record in completed:
+        job = record.job
+        truth = executors[job.kind].ground_truth_destinations(job.query_ranges)
+        live_truth = truth - down
+        reached = len(live_truth.intersection(record.result.destinations))
+        fraction = reached / len(live_truth) if live_truth else 1.0
+        completeness.add(fraction)
+        if record.result.failed:
+            deadline_failed += 1
+        elif fraction >= 1.0:
+            successes += 1
+    return successes, completeness.mean, completeness.minimum, deadline_failed

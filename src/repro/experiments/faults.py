@@ -13,8 +13,9 @@ fault-injection subsystem (:mod:`repro.faults`):
 * each job crash-stops ``failed_fraction`` of the peers at time zero (no
   repair — the namespace keeps the dead zones, as in the paper's failure
   model), then pushes an open-loop Poisson batch of Zipf-positioned range
-  queries from surviving origins through the concurrent
-  :class:`~repro.engine.QueryEngine` with a per-query deadline;
+  queries from surviving origins through the one load driver on the
+  simulator clock (:class:`~repro.engine.QueryEngine`) with a per-query
+  deadline;
 * ``pira`` runs with the full resilience policy (per-hop timeouts, bounded
   retries, sibling rerouting); ``pira-basic`` runs the seed protocol with
   no recovery, which is the degradation curve the paper's baseline shows;
@@ -22,7 +23,9 @@ fault-injection subsystem (:mod:`repro.faults`):
 * per query, result **completeness** is measured against the oracle of
   *live* ground-truth destinations (data on crashed peers is genuinely
   unreachable and not charged against the scheme); a query **succeeds**
-  when it beats its deadline and retrieves every live result.
+  when it beats its deadline and retrieves every live result
+  (:func:`~repro.engine.reporting.score_completeness`, shared with
+  ``repro livefaults``).
 
 Reported per point: success ratio, mean/min completeness, deadline
 failures, retry/reroute counts and the retry overhead (extra transmissions
@@ -38,7 +41,7 @@ from repro.analysis.figures import ascii_chart
 from repro.analysis.store import ResultStore
 from repro.analysis.tables import format_records
 from repro.core.armada import ArmadaSystem
-from repro.engine import QueryEngine, QueryJob
+from repro.engine import QueryEngine, QueryJob, score_completeness
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.orchestrator import run_jobs
 from repro.faults import CrashStop, FaultPlan, ResiliencePolicy, default_deadline
@@ -263,29 +266,13 @@ def run_fault_job(job: FaultJob) -> Dict[str, Any]:
     deadline = (
         job.deadline if job.deadline is not None else default_deadline(policy, system.log_size())
     )
-    engine = QueryEngine(system, deadline=deadline)
-
-    outcome = {"data_successes": 0}
-
-    def measure(record) -> None:
-        """Oracle completeness vs the live ground truth, at completion time."""
-        job = record.job
-        truth = system.executors[job.kind].ground_truth_destinations(job.query_ranges)
-        live_truth = {peer_id for peer_id in truth if peer_id not in down}
-        reached = len(live_truth.intersection(record.result.destinations))
-        completeness = reached / len(live_truth) if live_truth else 1.0
-        engine.tracker.record_completeness(completeness)
-        if completeness >= 1.0 and not record.result.failed:
-            outcome["data_successes"] += 1
-
-    engine.on_query_complete(measure)
-    report = engine.run_open_loop(_make_jobs(job, system, live))
-
-    completeness = engine.tracker.completeness
-    res = report.resilience
-    deadline_failed = sum(
-        1 for completed in report.completed if completed.result.resilience.deadline_expired
+    report = QueryEngine(system, deadline=deadline).run_open_loop(_make_jobs(job, system, live))
+    # Oracle completeness vs the live ground truth (the crash set is fixed
+    # at time zero, so scoring after the run equals scoring at completion).
+    successes, mean_completeness, min_completeness, deadline_failed = score_completeness(
+        report.completed, system.executors, down
     )
+    res = report.resilience
     record: Dict[str, Any] = {
         "scheme": job.scheme,
         "failed_fraction": job.failed_fraction,
@@ -294,10 +281,10 @@ def run_fault_job(job: FaultJob) -> Dict[str, Any]:
         "peers": system.size,
         "failed_peers": len(down),
         "queries": report.queries,
-        "succeeded": outcome["data_successes"],
-        "success_ratio": safe_ratio(float(outcome["data_successes"]), float(report.queries), 1.0),
-        "mean_completeness": completeness.mean,
-        "min_completeness": completeness.minimum,
+        "succeeded": successes,
+        "success_ratio": safe_ratio(float(successes), float(report.queries), 1.0),
+        "mean_completeness": mean_completeness,
+        "min_completeness": min_completeness,
         "deadline_failed": deadline_failed,
         # protocol-level partial completions: some subtree was lost, which
         # includes subtrees whose only data sat on crashed peers

@@ -3,18 +3,21 @@
 ``repro livefaults`` is the live counterpart of the simulated fault sweep
 (``repro faults``): it boots a gossip-enabled asyncio cluster behind a
 gateway, starts a deterministic mixed PIRA/MIRA soak through a pooled
-:class:`~repro.api.LiveSession`, and — once a fraction of the workload has
-completed — hard-kills (``kill -9`` semantics: no goodbye, route left
-dangling) a seeded sample of peers *mid-run*.  No component is told about
+:class:`~repro.api.LiveSession` with the one load driver
+(:func:`repro.runtime.loadgen.run_jobs`), and — from the driver's
+completion listener, exactly after query ``k = queries ×
+kill_after_fraction`` — hard-kills (``kill -9`` semantics: no goodbye, route
+left dangling) a seeded sample of peers *mid-run*.  No component is told about
 the failures out of band: the SWIM control plane has to detect them
 (ping → ping-req → suspect → dead), withdraw the victims' routes, and the
 resilience layer has to detour the in-flight and subsequent queries around
 the holes.
 
-Every completed query is then scored exactly the way the simulated sweep
-scores its queries: completeness against the engine's own
-``ground_truth_destinations`` restricted to live peers, success =
-"complete against the surviving world and not deadline-failed".  That
+Every completed query is then scored by the function the simulated sweep
+scores its queries with (:func:`~repro.engine.reporting.score_completeness`):
+completeness against the executors' own ``ground_truth_destinations``
+restricted to live peers, success = "complete against the surviving world
+and not deadline-failed".  That
 makes the live ``success_ratio`` directly comparable to the ``repro
 faults`` figure for resilient PIRA at the same failed fraction —
 ``tests/paper/test_livefaults.py`` asserts the two land within a small
@@ -30,18 +33,17 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.live import LiveSession
-from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
-from repro.engine.reporting import EngineReport, RunReporter
+from repro.engine.reporting import CompletedQuery, EngineReport, score_completeness
+from repro.experiments.soak import check_sizing, seed_population
 from repro.faults import ResiliencePolicy
 from repro.gossip import SwimConfig
 from repro.runtime.cluster import LiveCluster
-from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop
+from repro.runtime.loadgen import make_mixed_jobs, run_jobs
 from repro.runtime.server import live_gateway
 from repro.sim.rng import DeterministicRNG
-from repro.workloads.values import uniform_values
 
 #: Gossip timing for the experiment: brisk enough that detection completes
 #: well inside a short soak, still multi-round (ping → indirect → suspicion)
@@ -84,33 +86,17 @@ class LiveFaultsSpec:
     def __post_init__(self) -> None:
         if self.peers < 4:
             raise ValueError("need at least 4 peers")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValueError("nodes must be positive")
-        if self.queries < 1:
-            raise ValueError("need at least one query")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        if self.objects < 0:
-            raise ValueError("objects must be non-negative")
+        check_sizing(self)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be within (0, 1)")
-        if not 0.0 <= self.mira_fraction <= 1.0:
-            raise ValueError("mira-fraction must be within [0, 1]")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
         if self.hop_timeout <= 0:
             raise ValueError("hop-timeout must be positive")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
-        if self.pool < 1:
-            raise ValueError("pool must be at least 1")
         if not 0.0 <= self.kill_after_fraction < 1.0:
             raise ValueError("kill-after-fraction must be within [0, 1)")
         if self.convergence_timeout <= 0:
             raise ValueError("convergence-timeout must be positive")
-        low, high = self.attribute_interval
-        if high <= low:
-            raise ValueError("attribute interval must have positive width")
 
     @property
     def victims(self) -> int:
@@ -207,44 +193,6 @@ def _pick_victims(spec: LiveFaultsSpec, peer_ids: List[str]) -> List[str]:
     return sorted(rng.sample(sorted(peer_ids), spec.victims))
 
 
-def _measure(
-    cluster: LiveCluster, reporter: RunReporter
-) -> Tuple[float, float, float, int]:
-    """Score every completed query the way the simulated fault sweep does.
-
-    Ground truth comes from the engines' own
-    ``ground_truth_destinations`` — the peers that *should* answer given
-    the current key-space partition — restricted to peers still up.
-    Completeness is the fraction of that live truth the query actually
-    reached; success requires full completeness *and* no deadline expiry.
-    Queries answered before the kill score against the post-kill truth
-    too, which only helps them (their reach is a superset of it).
-    """
-    down: Set[str] = set(cluster.down_peers)
-    successes = 0
-    total = 0.0
-    worst = 1.0
-    deadline_failed = 0
-    for record in reporter.completed:
-        job = record.job
-        truth = cluster.executors[job.kind].ground_truth_destinations(job.query_ranges)
-        live_truth = truth - down
-        if live_truth:
-            reached = len(live_truth & set(record.result.destinations))
-            completeness = reached / len(live_truth)
-        else:
-            completeness = 1.0
-        failed = record.result.failed
-        if failed:
-            deadline_failed += 1
-        if completeness >= 1.0 and not failed:
-            successes += 1
-        total += completeness
-        worst = min(worst, completeness)
-    count = max(1, len(reporter.completed))
-    return successes / count, total / count, worst, deadline_failed
-
-
 async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
     """Boot with gossip, soak, SIGKILL mid-run, converge, score."""
     cluster = LiveCluster(
@@ -264,24 +212,9 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
         )
         for executor in cluster.executors.values():
             executor.set_resilience(policy)
-        low, high = spec.attribute_interval
-        rng = DeterministicRNG(spec.seed)
         session = await LiveSession.connect(*gateway.address, pool=spec.pool)
         try:
-            inserts: List[Request] = [
-                Insert(value=value, options=RequestOptions(replicas=1))
-                for value in uniform_values(
-                    rng.substream("livefaults-values"), spec.objects, low, high
-                )
-            ]
-            mrng = rng.substream("livefaults-mvalues")
-            inserts.extend(
-                MultiInsert(values=(mrng.uniform(low, high), mrng.uniform(low, high)))
-                for _ in range(spec.objects // 4)
-            )
-            for index in range(0, len(inserts), 256):
-                await session.batch(inserts[index : index + 256])
-
+            await seed_population(session, spec, "livefaults")
             peer_ids = list(cluster.network.peer_ids())
             victims = _pick_victims(spec, peer_ids)
             # Queries originate at survivors (dead origins can't issue
@@ -297,19 +230,35 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
                 range_size=spec.range_size,
                 mira_fraction=spec.mira_fraction,
             )
-            reporter = RunReporter()
+            kill_at = int(spec.queries * spec.kill_after_fraction)
+            #: resolves, at the kill, to the completions counted by then
+            killed: "asyncio.Future[int]" = asyncio.get_running_loop().create_future()
+            completions = 0
+
+            def kill() -> None:
+                for victim in victims:
+                    # kill -9: the cluster only marks the process down; route
+                    # withdrawal is the gossip plane's job.
+                    cluster.crash_peer(victim)
+                killed.set_result(completions)
+
+            def count(_record: CompletedQuery) -> None:
+                # The driver's completion listener, so the kill lands exactly
+                # after query k and before the driver launches the next job.
+                nonlocal completions
+                completions += 1
+                if completions == kill_at:
+                    kill()
+
+            if kill_at == 0:
+                kill()
             started = time.perf_counter()
             soak = asyncio.create_task(
-                run_closed_loop(session, jobs, spec.concurrency, reporter=reporter)
+                run_jobs(session, jobs, concurrency=spec.concurrency, on_query_complete=count)
             )
-            kill_at = int(spec.queries * spec.kill_after_fraction)
-            while len(reporter.completed) < kill_at and not soak.done():
-                await asyncio.sleep(0.005)
-            killed_after = len(reporter.completed)
-            for victim in victims:
-                # kill -9: the cluster only marks the process down; route
-                # withdrawal is the gossip plane's job.
-                cluster.crash_peer(victim)
+            await asyncio.wait([soak, killed], return_when=asyncio.FIRST_COMPLETED)
+            if not killed.done():
+                await soak  # it ended before the kill point: raise what ended it
             kill_time = time.perf_counter()
             converged = False
             detection = float("nan")
@@ -322,17 +271,22 @@ async def run_async(spec: LiveFaultsSpec) -> LiveFaultsResult:
             report = await soak
             wall = time.perf_counter() - started
             stats = await session.stats()
-            stats["killed_after"] = killed_after
+            stats["killed_after"] = killed.result()
             stats["obs"] = gateway.metrics.snapshot()
         finally:
             await session.close()
-    ratio, mean_c, min_c, deadline_failed = _measure(cluster, reporter)
+    # Scored the way the simulated fault sweep scores its queries.  Queries
+    # answered before the kill score against the post-kill truth too, which
+    # only helps them (their reach is a superset of it).
+    successes, mean_c, min_c, deadline_failed = score_completeness(
+        report.completed, cluster.executors, cluster.down_peers
+    )
     return LiveFaultsResult(
         spec=spec,
         report=report,
         wall_seconds=wall,
         killed=victims,
-        success_ratio=ratio,
+        success_ratio=successes / max(1, report.queries),
         mean_completeness=mean_c,
         min_completeness=min_c,
         deadline_failed=deadline_failed,

@@ -4,15 +4,16 @@
 N-peer asyncio cluster behind a gateway on localhost, publishes a seeded
 object population, and replays a deterministic mixed PIRA/MIRA workload
 through a pooled :class:`~repro.api.LiveSession` (closed loop, a fixed
-population of synchronous clients), reporting wall-clock throughput and
-latency percentiles through the same
-:class:`~repro.engine.reporting.EngineReport` pipeline the simulator
-uses.  Results persist as
-:class:`~repro.analysis.store.ResultStore` records (``--store PATH``).
+population of synchronous clients) with the one load driver
+(:func:`repro.runtime.loadgen.run_jobs`, the driver ``repro load`` runs on
+the simulator clock), reporting wall-clock throughput and latency
+percentiles in the same :class:`~repro.engine.reporting.EngineReport`.
+Results persist as :class:`~repro.analysis.store.ResultStore` records
+(``--store PATH``).
 
-Every closed-loop worker multiplexes over the session's ``pool``
-handshaken gateway connections — many requests in flight per connection,
-replies out of order.
+The outstanding queries multiplex over the session's ``pool`` handshaken
+gateway connections — many requests in flight per connection, replies out
+of order.
 
 The run asserts nothing by itself; the CLI's ``--require-success`` turns
 the success ratio into an exit code (and ``--require-pipelined`` does the
@@ -40,6 +41,54 @@ from repro.runtime.server import live_gateway
 from repro.sim.rng import DeterministicRNG
 from repro.storage import BACKENDS
 from repro.workloads.values import uniform_values
+
+
+def check_sizing(spec: Any) -> None:
+    """The sizing checks every live experiment's spec shares (``repro
+    livefaults`` imports them); the minimum peer count is the caller's."""
+    if spec.nodes is not None and spec.nodes < 1:
+        raise ValueError("nodes must be positive")
+    if spec.queries < 1:
+        raise ValueError("need at least one query")
+    if spec.concurrency < 1:
+        raise ValueError("concurrency must be at least 1")
+    if spec.objects < 0:
+        raise ValueError("objects must be non-negative")
+    if not 0.0 <= spec.mira_fraction <= 1.0:
+        raise ValueError("mira-fraction must be within [0, 1]")
+    if spec.deadline <= 0:
+        raise ValueError("deadline must be positive")
+    low, high = spec.attribute_interval
+    if high <= low:
+        raise ValueError("attribute interval must have positive width")
+    if spec.pool < 1:
+        raise ValueError("pool must be at least 1")
+
+
+async def seed_population(session: LiveSession, spec: Any, prefix: str, replicas: int = 1) -> None:
+    """Publish ``spec.objects`` seeded single-attribute values, plus a
+    quarter as many two-attribute records so MIRA queries have something to
+    match, drawn from the ``<prefix>-values`` / ``<prefix>-mvalues``
+    substreams of ``spec.seed``.
+
+    Published in batches: each batch is posted back-to-back on the pooled
+    connections and the replies stream in concurrently, so the seeding
+    phase pipelines too.
+    """
+    low, high = spec.attribute_interval
+    rng = DeterministicRNG(spec.seed)
+    options = RequestOptions(replicas=replicas)
+    inserts: List[Request] = [
+        Insert(value=value, options=options)
+        for value in uniform_values(rng.substream(f"{prefix}-values"), spec.objects, low, high)
+    ]
+    mrng = rng.substream(f"{prefix}-mvalues")
+    inserts.extend(
+        MultiInsert(values=(mrng.uniform(low, high), mrng.uniform(low, high)), options=options)
+        for _ in range(spec.objects // 4)
+    )
+    for index in range(0, len(inserts), 256):
+        await session.batch(inserts[index : index + 256])
 
 
 @dataclass(frozen=True)
@@ -84,23 +133,7 @@ class SoakSpec:
     def __post_init__(self) -> None:
         if self.peers < 3:
             raise ValueError("need at least 3 peers")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValueError("nodes must be positive")
-        if self.queries < 1:
-            raise ValueError("need at least one query")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        if self.objects < 0:
-            raise ValueError("objects must be non-negative")
-        if not 0.0 <= self.mira_fraction <= 1.0:
-            raise ValueError("mira-fraction must be within [0, 1]")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        low, high = self.attribute_interval
-        if high <= low:
-            raise ValueError("attribute interval must have positive width")
-        if self.pool < 1:
-            raise ValueError("pool must be at least 1")
+        check_sizing(self)
         if self.storage not in BACKENDS:
             raise ValueError(f"storage must be one of {', '.join(BACKENDS)}")
         if self.replicas < 1:
@@ -288,32 +321,9 @@ async def run_async(spec: SoakSpec) -> SoakResult:
                     f"metrics listening on {metrics_server.host}:{metrics_server.port}/metrics",
                     flush=True,
                 )
-            low, high = spec.attribute_interval
-            rng = DeterministicRNG(spec.seed)
             session = await LiveSession.connect(*gateway.address, pool=spec.pool)
             try:
-                # Publish in batches: each batch is posted back-to-back on the
-                # pooled connections and the replies stream in concurrently, so
-                # the seeding phase pipelines too.
-                write_options = RequestOptions(replicas=spec.replicas)
-                inserts: List[Request] = [
-                    Insert(value=value, options=write_options)
-                    for value in uniform_values(
-                        rng.substream("soak-values"), spec.objects, low, high
-                    )
-                ]
-                # A smaller multi-attribute population so MIRA queries have
-                # something to match.
-                mrng = rng.substream("soak-mvalues")
-                inserts.extend(
-                    MultiInsert(
-                        values=(mrng.uniform(low, high), mrng.uniform(low, high)),
-                        options=write_options,
-                    )
-                    for _ in range(spec.objects // 4)
-                )
-                for index in range(0, len(inserts), 256):
-                    await session.batch(inserts[index : index + 256])
+                await seed_population(session, spec, "soak", replicas=spec.replicas)
                 # The crash-consistency probe: every insert above was acked as
                 # durable, so a peer must survive kill -9 with nothing lost.
                 kill_stats = _kill_restart(cluster) if spec.kill_restart else None

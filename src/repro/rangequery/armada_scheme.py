@@ -9,12 +9,10 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.core.armada import ArmadaSystem
-from repro.engine import QueryEngine, QueryJob
 from repro.rangequery.base import (
     AttributeSpace,
     QueryMeasurement,
     RangeQueryScheme,
-    WorkloadReport,
     record_query,
 )
 
@@ -80,56 +78,6 @@ class ArmadaScheme(RangeQueryScheme):
             messages=result.messages,
             destinations=result.destination_count,
             matches=[],
-        )
-
-    def run_workload(
-        self,
-        queries: Sequence[Tuple[float, float]],
-        arrivals: Optional[Sequence[float]] = None,
-    ) -> WorkloadReport:
-        """True concurrent execution on the discrete-event overlay.
-
-        Unlike the flow-level default, every forwarding message of every
-        query is simulated, and all queries are genuinely in flight together
-        on one simulator clock.  Without ``arrivals`` the batch runs
-        closed-loop with a single outstanding query.
-        """
-        self._require_built()
-        assert self.system is not None
-        if arrivals is not None and len(arrivals) != len(queries):
-            raise ValueError("arrivals and queries must have equal length")
-        now = self.system.overlay.simulator.now
-        jobs = []
-        for index, (low, high) in enumerate(queries):
-            arrival = now + arrivals[index] if arrivals is not None else now
-            jobs.append(
-                QueryJob(arrival=arrival, low=self.space.clamp(low), high=self.space.clamp(high))
-            )
-        engine = QueryEngine(self.system)
-        if arrivals is None:
-            report = engine.run_closed_loop(jobs, concurrency=1)
-        else:
-            report = engine.run_open_loop(jobs)
-        by_job = {id(record.job): record for record in report.completed}
-        measurements = []
-        latencies = []
-        for job in jobs:
-            record = by_job[id(job)]
-            measurements.append(
-                record_query(
-                    delay_hops=record.result.delay_hops,
-                    messages=record.result.messages,
-                    destinations=record.result.destination_count,
-                    matches=[float(value) for value in record.result.matching_values()],
-                )
-            )
-            latencies.append(record.latency)
-        return WorkloadReport(
-            scheme=self.name,
-            measurements=measurements,
-            latencies=latencies,
-            makespan=report.makespan,
-            messages=report.messages,
         )
 
     @property

@@ -125,8 +125,8 @@ class RangeQueryScheme(abc.ABC):
         occupying the timeline from its arrival until ``arrival +
         delay_hops`` (one simulated time unit per hop, no queueing).  When
         ``arrivals`` is omitted the batch runs closed-loop back-to-back.
-        Schemes with a message-level engine (Armada) override this with true
-        concurrent execution on the event simulator.
+        Message-level concurrent execution (Armada only) is
+        :class:`repro.engine.QueryEngine`'s job, not a scheme's.
         """
         if arrivals is not None and len(arrivals) != len(queries):
             raise ValueError("arrivals and queries must have equal length")

@@ -24,16 +24,16 @@ for the simulator).  The pieces:
   multiplexed **protocol v2** (rid-tagged frames, batch submission,
   streamed partial replies) and nothing else; its client is
   :class:`repro.api.LiveSession`;
-* :mod:`~repro.runtime.loadgen` — open/closed-loop load generation over
-  any :class:`~repro.api.session.Session`, reporting through the shared
-  :class:`~repro.engine.reporting.RunReporter`;
+* :mod:`~repro.runtime.loadgen` — the seeded mixed workload, and the one
+  load driver (:class:`~repro.engine.query_engine.LoadDriver`) bound to the
+  asyncio clock and a :class:`~repro.api.session.Session`;
 * :mod:`~repro.runtime.server` — the ``repro serve`` runner with
   SIGINT/SIGTERM draining.
 """
 
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop, run_open_loop
+from repro.runtime.loadgen import make_mixed_jobs, run_jobs
 from repro.runtime.transport import AsyncioTransport
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "Gateway",
     "LiveCluster",
     "make_mixed_jobs",
-    "run_closed_loop",
-    "run_open_loop",
+    "run_jobs",
 ]

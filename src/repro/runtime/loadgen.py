@@ -3,38 +3,32 @@
 The generator replays the same deterministic workloads the simulated
 engine consumes — Poisson/uniform arrivals from
 :mod:`repro.workloads.arrivals`, Zipf-skewed range positions, a seeded
-PIRA/MIRA mix — but drives them through a
-:class:`~repro.api.session.Session`, so the *same* driver code pushes
-load at a live gateway (:class:`~repro.api.LiveSession`, wall-clock
-latencies) or the simulator (:class:`~repro.api.SimSession` exposes the
-engine path through :meth:`~repro.api.session.Session.run_jobs` instead,
-where the simulator itself is the clock).  Reporting goes through the
-shared :class:`~repro.engine.reporting.RunReporter`, producing the same
+PIRA/MIRA mix (:func:`make_mixed_jobs`) — and :func:`run_jobs` drives them
+through a live :class:`~repro.api.session.Session` with the *same* driver
+that runs them on the simulator: it binds
+:class:`~repro.engine.query_engine.LoadDriver` — both loop disciplines and
+the per-query bookkeeping, written once — to the asyncio clock
+(``loop.time`` / ``loop.call_at``) and to ``session.run_job`` as its
+launcher, where :class:`~repro.engine.query_engine.QueryEngine` binds it to
+the simulator.  Latencies are wall-clock seconds; the report is the same
 :class:`~repro.engine.reporting.EngineReport` everywhere.
 
-Two loops, mirroring :class:`~repro.engine.query_engine.QueryEngine`:
-
-* **closed loop** (:func:`run_closed_loop`) — ``concurrency`` workers
-  issue queries back-to-back through the shared session: a fixed
-  population of synchronous clients, the natural shape for soak tests
-  and throughput ceilings.  On protocol v2 the workers multiplex over
-  the session's pooled connections — ``concurrency`` no longer costs one
-  TCP connection each, which is exactly the head-of-line fix the v2
-  redesign exists for;
-* **open loop** (:func:`run_open_loop`) — jobs fire at their workload
-  arrival times (scaled by ``time_scale`` seconds per workload unit),
-  optionally bounded by ``max_in_flight``, modelling offered load.
+A closed loop keeps ``concurrency`` queries outstanding on the shared
+session, multiplexed over its pooled connections — ``concurrency`` does not
+cost one TCP connection each; an open loop fires jobs at their workload
+arrival times, scaled by ``time_scale`` seconds per workload unit.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.requests import ApiError
 from repro.api.session import Session
 from repro.core.pira import RangeQueryResult
-from repro.engine.reporting import EngineReport, QueryJob, RunReporter
+from repro.engine.query_engine import LoadDriver
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob, build_report
 from repro.runtime.protocol import ProtocolError
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import poisson_arrival_times, zipf_range_queries
@@ -91,94 +85,79 @@ def make_mixed_jobs(
     return jobs
 
 
-async def run_closed_loop(
+async def run_jobs(
     session: Session,
     jobs: Sequence[QueryJob],
+    mode: str = "closed",
     concurrency: int = 8,
-    reporter: Optional[RunReporter] = None,
-) -> EngineReport:
-    """Drive ``jobs`` through ``concurrency`` synchronous workers on one
-    session."""
-    if concurrency < 1:
-        raise ValueError("concurrency must be at least 1")
-    reporter = reporter if reporter is not None else RunReporter()
-    queue: "asyncio.Queue[QueryJob]" = asyncio.Queue()
-    for job in jobs:
-        queue.put_nowait(job)
-    loop = asyncio.get_running_loop()
-
-    async def worker() -> None:
-        while True:
-            try:
-                job = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            await _run_one(session, job, reporter, loop)
-
-    workers = [worker() for _ in range(min(concurrency, max(1, len(jobs))))]
-    await asyncio.gather(*workers)
-    messages = sum(record.result.messages for record in reporter.completed)
-    return reporter.report(messages=messages)
-
-
-async def run_open_loop(
-    session: Session,
-    jobs: Sequence[QueryJob],
     time_scale: float = 0.001,
-    max_in_flight: Optional[int] = None,
-    reporter: Optional[RunReporter] = None,
+    on_query_complete: Optional[Callable[[CompletedQuery], None]] = None,
 ) -> EngineReport:
-    """Fire ``jobs`` at their arrival times through one session.
+    """Drive ``jobs`` through one session on the asyncio clock.
 
-    ``time_scale`` converts workload time units to seconds (the default
-    compresses one workload unit to a millisecond).  ``max_in_flight``
-    caps concurrent submissions; when the cap is hit an arrival waits —
-    offered load degrades into queueing, which is exactly what the
-    latency percentiles should show.  ``None`` leaves admission to the
-    session's own multiplexing (protocol v2 has no hard cap).
+    ``mode`` and ``concurrency`` are the driver's (see
+    :meth:`LoadDriver.start <repro.engine.query_engine.LoadDriver.start>`);
+    ``time_scale`` converts open-loop arrival times to seconds (the default
+    compresses one workload unit to a millisecond); ``on_query_complete``
+    is called with each record as its query ends.  Bad arguments raise
+    :class:`~repro.api.requests.ApiError`, as on the simulator.
     """
     if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    if max_in_flight is not None and max_in_flight < 1:
-        raise ValueError("max_in_flight must be at least 1")
-    reporter = reporter if reporter is not None else RunReporter()
+        raise ApiError("time_scale must be positive")
     loop = asyncio.get_running_loop()
-    gate = asyncio.Semaphore(max_in_flight) if max_in_flight is not None else None
-
-    start = loop.time()
+    epoch = loop.time()
     first_arrival = min((job.arrival for job in jobs), default=0.0)
+    finished: "asyncio.Future[None]" = loop.create_future()
+    timers: List[asyncio.Handle] = []
+    tasks: Set["asyncio.Task[None]"] = set()
 
-    async def fire(job: QueryJob) -> None:
-        delay = start + (job.arrival - first_arrival) * time_scale - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        if gate is not None:
-            async with gate:
-                await _run_one(session, job, reporter, loop)
+    def call_at(arrival: Optional[float], callback: Callable[[], None]) -> None:
+        if arrival is None:
+            timers.append(loop.call_soon(callback))
         else:
-            await _run_one(session, job, reporter, loop)
+            timers.append(loop.call_at(epoch + (arrival - first_arrival) * time_scale, callback))
 
-    await asyncio.gather(*(fire(job) for job in jobs))
-    messages = sum(record.result.messages for record in reporter.completed)
-    return reporter.report(messages=messages)
+    async def run_one(job: QueryJob, done: Callable[[RangeQueryResult], None]) -> None:
+        try:
+            result = (await session.run_job(job)).result
+        except (ApiError, ProtocolError, ConnectionError, asyncio.TimeoutError):
+            # The gateway refused (shutdown), the link died or the reply never
+            # came: account the query as failed rather than losing it from the
+            # report.
+            result = RangeQueryResult(origin=job.origin or "", query_id=-1)
+            result.resilience.deadline_expired = True
+        done(result)
 
+    def launch(job: QueryJob, done: Callable[[RangeQueryResult], None]) -> None:
+        task = loop.create_task(run_one(job, done))
+        tasks.add(task)
+        task.add_done_callback(settle)
 
-async def _run_one(
-    session: Session,
-    job: QueryJob,
-    reporter: RunReporter,
-    loop: asyncio.AbstractEventLoop,
-) -> None:
-    """Issue one job, recording its wall-clock sojourn in the reporter."""
-    key = reporter.begin(loop.time())
+    def settle(task: "asyncio.Task[None]") -> None:
+        tasks.discard(task)
+        if finished.done() or task.cancelled():
+            return
+        if task.exception() is not None:
+            # Anything run_one does not catch ends the run.
+            finished.set_exception(task.exception())
+        elif len(driver.completed) == len(jobs):
+            finished.set_result(None)
+
+    driver = LoadDriver(loop.time, call_at, launch)
+    if on_query_complete is not None:
+        driver.on_query_complete(on_query_complete)
     try:
-        reply = await session.run_job(job)
-    except (ApiError, ProtocolError, ConnectionError, asyncio.TimeoutError):
-        # The gateway refused (shutdown), the link died or the reply never
-        # came: account the query as failed rather than losing it from the
-        # report.
-        placeholder = RangeQueryResult(origin=job.origin or "", query_id=-1)
-        placeholder.resilience.deadline_expired = True
-        reporter.finish(key, job, placeholder, loop.time())
-        return
-    reporter.finish(key, job, reply.result, loop.time())
+        driver.start(jobs, mode, concurrency)
+    except ValueError as exc:
+        raise ApiError(str(exc)) from exc
+    try:
+        if jobs:
+            await finished
+    finally:
+        for timer in timers:
+            timer.cancel()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+    messages = sum(record.result.messages for record in driver.completed)
+    return build_report(driver.tracker, driver.completed, messages=messages)

@@ -196,7 +196,6 @@ class QueryTracker:
         self.name = name
         self.latency = SummaryStats(f"{name}.latency")
         self.delay_hops = SummaryStats(f"{name}.delay_hops")
-        self.completeness = SummaryStats(f"{name}.completeness")
         self._started_at: Dict[object, float] = {}
         self._started = 0
         self._completed = 0
@@ -245,12 +244,6 @@ class QueryTracker:
         if self._last_completion is None or time > self._last_completion:
             self._last_completion = time
         return latency
-
-    def record_completeness(self, fraction: float) -> None:
-        """Record one query's result completeness (``[0, 1]``, vs an oracle)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("completeness must be within [0, 1]")
-        self.completeness.add(fraction)
 
     # -- statistics ---------------------------------------------------------
 
@@ -306,8 +299,6 @@ class QueryTracker:
             "makespan": self.makespan,
             "throughput": self.throughput(),
         }
-        if self.completeness.count:
-            summary["mean_completeness"] = self.completeness.mean
         for key, value in self.latency.percentiles().items():
             summary[f"latency_{key}"] = value
         for key, value in self.delay_hops.percentiles().items():

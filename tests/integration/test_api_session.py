@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.api import RangeQuery
 from repro.api.live import LiveSession
-from repro.api.requests import Chunk, InsertReply, PongReply, QueryReply
+from repro.api.requests import ApiError, Chunk, InsertReply, PongReply, QueryReply
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
+from repro.engine import QueryJob
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.protocol import encode_frame, hello_frame, read_frame
@@ -312,3 +315,40 @@ class TestBatch:
             assert replies[1].result.matching_values() == [100.0]
 
         asyncio.run(scenario())
+
+
+class TestRunJobsArguments:
+    """One driver, one validation site: both backends reject a bad
+    ``run_jobs`` argument the same way."""
+
+    @pytest.mark.parametrize("backend", ["sim", "live"])
+    def test_bad_mode_and_concurrency_are_api_errors(self, backend):
+        jobs = [QueryJob(arrival=0.0, low=100.0, high=200.0)]
+
+        async def messages(session):
+            found = []
+            for arguments in ({"mode": "sideways"}, {"concurrency": 0}):
+                with pytest.raises(ApiError) as caught:
+                    await session.run_jobs(jobs, **arguments)
+                found.append(str(caught.value))
+            report = await session.run_jobs(jobs)  # still usable afterwards
+            assert report.queries == 1
+            return found
+
+        async def scenario():
+            if backend == "sim":
+                return await messages(make_sim_session(8))
+            cluster, gateway, session = await boot_live(8)
+            try:
+                with pytest.raises(ApiError, match="time_scale must be positive"):
+                    await session.run_jobs(jobs, mode="open", time_scale=0.0)
+                return await messages(session)
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        assert asyncio.run(scenario()) == [
+            "unknown workload mode 'sideways' (use 'open' or 'closed')",
+            "concurrency must be at least 1",
+        ]

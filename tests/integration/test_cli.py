@@ -30,7 +30,7 @@ COMMAND_FLAGS = {
     "ablation": SIZING,
     "figures-rangesize": SIZING | {"--csv-dir"},
     "figures-netsize": SIZING | {"--csv-dir"},
-    "load": SIZING | LOGGING | {"--csv-dir", "--rates", "--churn", "--cprofile"},
+    "load": SIZING | {"--csv-dir", "--rates", "--churn", "--cprofile"},
     "all": SIZING | {"--csv-dir", "--rates", "--churn"},
     "sweep": GRID | {"--schemes", "--network-sizes", "--range-sizes"},
     "faults": GRID
@@ -42,11 +42,10 @@ COMMAND_FLAGS = {
     | {"--deadline", "--metrics-port", "--record-dir", "--trace-out", "--store", "--cprofile",
        "--storage", "--data-dir", "--replicas", "--kill-restart", "--kill-peer",
        "--postmortem-on-fail", "--require-pipelined", "--gossip"},
-    "livefaults": LIVE_SIZING | CLIENTS | LOGGING
+    "livefaults": LIVE_SIZING | CLIENTS
     | {"--deadline", "--store", "--fraction", "--require-convergence"},
-    "trace": LOGGING
-    | {"--peers", "--objects", "--seed", "--deadline", "--low", "--high", "--connect",
-       "--origin", "--trace-out", "--trace-jsonl"},
+    "trace": {"--peers", "--objects", "--seed", "--deadline", "--low", "--high", "--connect",
+              "--origin", "--trace-out", "--trace-jsonl"},
     "replay": {"--timeline"},
 }
 

@@ -200,3 +200,18 @@ class TestLiveFaultsExperiment:
         metrics = result.record()
         assert metrics["converged"] == 1.0
         assert metrics["gossip_frames"] > 0
+
+    def test_kill_lands_exactly_after_query_k(self):
+        """The victims die from the driver's completion listener, so the
+        kill point is a query count — not wherever a 5 ms poll caught it."""
+        from repro.experiments.livefaults import LiveFaultsSpec, run_async
+
+        spec = LiveFaultsSpec(
+            peers=16, nodes=4, queries=200, objects=100, concurrency=16, gossip_config=FAST
+        )
+        result = asyncio.run(run_async(spec))
+        assert result.stats["killed_after"] == int(spec.queries * spec.kill_after_fraction) == 50
+        assert result.report.queries == spec.queries
+        # Every job — so every job launched after the kill — has a survivor
+        # as its origin.
+        assert all(record.job.origin not in result.killed for record in result.report.completed)

@@ -19,7 +19,7 @@ from repro.core.armada import ArmadaSystem
 from repro.engine.reporting import QueryJob
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.loadgen import make_mixed_jobs, run_closed_loop, run_open_loop
+from repro.runtime.loadgen import make_mixed_jobs, run_jobs
 from repro.sim.rng import DeterministicRNG
 
 SEED = 7
@@ -131,7 +131,7 @@ class TestGatewaySmoke:
                 )
                 session = await LiveSession.connect(*gateway.address, pool=2)
                 try:
-                    report = await run_closed_loop(session, jobs, concurrency=8)
+                    report = await run_jobs(session, jobs, mode="closed", concurrency=8)
                 finally:
                     await session.close()
                 assert report.queries == 50
@@ -176,7 +176,7 @@ class TestGatewaySmoke:
                 )
                 session = await LiveSession.connect(*gateway.address, pool=4)
                 try:
-                    report = await run_open_loop(session, jobs, time_scale=0.001)
+                    report = await run_jobs(session, jobs, mode="open", time_scale=0.001)
                 finally:
                     await session.close()
                 assert report.queries == 20

@@ -48,7 +48,7 @@ class TestFlowLevelDefault:
         assert report.throughput() == 0.0
 
 
-class TestArmadaConcurrentOverride:
+class TestArmadaOnFlowLevelDefault:
     def test_concurrent_batch_matches_sequential_measurements(self):
         concurrent = build(ArmadaScheme(space=AttributeSpace()))
         arrivals = uniform_arrival_times(rate=5.0, count=len(QUERIES))
