@@ -5,15 +5,16 @@ the gateway's one dialect (protocol v2, JSON frames) and fully
 multiplexed: requests are rid-tagged frames, a background reader
 re-associates every reply (and streamed ``chunk`` frame) with its
 per-request future, so any number of requests can be in flight on one
-connection and complete out of order.  The pool spreads load across
+connection and complete out of order.  That machinery is the runtime's
+one framed connection (:class:`repro.runtime.protocol.Connection`, the
+class a peer link is too); a gateway connection adds the handshake and
+the ``chunk``/``error`` frames.  The pool spreads load across
 connections by picking the least-loaded one per request.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.requests import (
@@ -30,7 +31,9 @@ from repro.api.session import ChunkCallback, Session, SessionError
 from repro.engine.reporting import EngineReport, QueryJob
 from repro.runtime.protocol import (
     GATEWAY_PROTOCOL_V2,
+    Connection,
     ProtocolError,
+    close_stream,
     encode_frame,
     hello_frame,
     read_frame,
@@ -38,162 +41,91 @@ from repro.runtime.protocol import (
 from repro.wire import decode_value
 
 
-@dataclass
-class _Pending:
-    """Client-side state of one in-flight request."""
+class _Pending(asyncio.Future):
+    """The reply future of one gateway request, with its chunk sink and count."""
 
-    request: Request
-    future: asyncio.Future
-    on_chunk: Optional[ChunkCallback] = None
-    chunks: int = 0
+    def __init__(self, on_chunk: Optional[ChunkCallback]) -> None:
+        super().__init__(loop=asyncio.get_running_loop())
+        self.on_chunk = on_chunk
+        self.chunks = 0
 
 
-class _V2Connection:
+class _V2Connection(Connection):
     """One handshaken protocol-v2 gateway connection.
 
-    The reader task is the re-association point: every incoming frame
-    carries the rid of the request it answers, so replies may arrive in
-    any order — the property test in ``tests/property`` hammers exactly
-    this path.
+    Adds to the framed connection the ``hello``/``welcome`` handshake
+    (before the reader starts) and the two frame types only a gateway
+    sends, ``chunk`` and ``error``.  Replies may arrive in any order — the
+    property test in ``tests/property`` hammers exactly this path.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        tracing: bool = False,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._pending: Dict[int, _Pending] = {}
-        self._rids = itertools.count(1)
-        self._reader_task: Optional[asyncio.Task] = None
-        self.closed = False
-        #: True when the gateway granted the ``tracing`` capability
-        self.tracing = tracing
+    #: True when the gateway granted the ``tracing`` capability
+    tracing = False
 
     @classmethod
     async def connect(cls, host: str, port: int, tracing: bool = False) -> "_V2Connection":
         """Open the socket and perform the version handshake."""
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_frame(hello_frame(tracing=tracing)))
-        await writer.drain()
-        first = await read_frame(reader)
-        if first is None:
-            raise ConnectionError("gateway closed the connection during the handshake")
-        if first.get("type") == "error":
-            raise ApiError(f"handshake rejected: {first.get('error', 'unknown error')}")
-        if first.get("type") != "welcome" or first.get("version") != GATEWAY_PROTOCOL_V2:
-            raise ProtocolError(f"unexpected handshake reply {first!r}")
+        try:
+            writer.write(encode_frame(hello_frame(tracing=tracing)))
+            await writer.drain()
+            first = await read_frame(reader)
+            if first is None:
+                raise ConnectionError("gateway closed the connection during the handshake")
+            if first.get("type") == "error":
+                raise ApiError(f"handshake rejected: {first.get('error', 'unknown error')}")
+            if first.get("type") != "welcome" or first.get("version") != GATEWAY_PROTOCOL_V2:
+                raise ProtocolError(f"unexpected handshake reply {first!r}")
+        except BaseException:
+            await close_stream(writer)
+            raise
+        connection = cls(reader, writer)
         # A gateway without a tracer never sends the key: absent means
         # not granted.
-        connection = cls(reader, writer, tracing=bool(first.get("tracing", False)))
-        connection._reader_task = asyncio.get_running_loop().create_task(
-            connection._read_replies()
-        )
+        connection.tracing = bool(first.get("tracing", False))
         return connection
 
-    @property
-    def in_flight(self) -> int:
-        """Requests awaiting their reply frame on this connection."""
-        return len(self._pending)
-
-    # -- submission ----------------------------------------------------------
-
     def post(self, request: Request, on_chunk: Optional[ChunkCallback] = None) -> asyncio.Future:
-        """Register and buffer one request frame; returns its reply future.
+        """Register and buffer one request frame; returns its reply future,
+        which resolves to ``(payload, chunks)``.
 
         The caller owns flushing (:meth:`drain`) — :meth:`LiveSession.batch`
         posts many requests back-to-back and drains once.
         """
-        if self.closed:
-            raise ConnectionError("connection to the gateway is closed")
-        rid = next(self._rids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[rid] = _Pending(request=request, future=future, on_chunk=on_chunk)
-        self._writer.write(
-            encode_frame({"type": "request", "rid": rid, "request": request.to_wire()})
+        return self.post_frame(
+            {"type": "request", "request": request.to_wire()}, _Pending(on_chunk)
         )
-        return future
 
-    async def drain(self) -> None:
-        await self._writer.drain()
+    def _resolve(self, future: asyncio.Future, frame: Dict[str, Any]) -> None:
+        future.set_result((frame.get("payload", {}), future.chunks))
 
-    # -- the re-association loop --------------------------------------------
-
-    async def _read_replies(self) -> None:
-        error: Optional[Exception] = None
-        try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                kind = frame.get("type")
-                if kind == "chunk":
-                    pending = self._pending.get(frame.get("rid"))
-                    if pending is not None:
-                        pending.chunks += 1
-                        if pending.on_chunk is not None:
-                            pending.on_chunk(
-                                Chunk(
-                                    peer=frame.get("peer", ""),
-                                    hop=int(frame.get("hop", 0)),
-                                    values=[decode_value(v) for v in frame.get("values", [])],
-                                    trace_id=frame.get("trace_id"),
-                                )
-                            )
-                    continue
-                if kind == "reply":
-                    pending = self._pending.pop(frame.get("rid"), None)
-                    if pending is not None and not pending.future.done():
-                        pending.future.set_result((frame.get("payload", {}), pending.chunks))
-                    continue
-                if kind == "error":
-                    rid = frame.get("rid")
-                    message = frame.get("error", "unknown gateway error")
-                    if rid is not None:
-                        pending = self._pending.pop(rid, None)
-                        if pending is not None and not pending.future.done():
-                            pending.future.set_exception(ApiError(message))
-                        continue
-                    if frame.get("fatal"):
-                        error = ApiError(f"gateway closed the connection: {message}")
-                        break
-                    continue
-                # Unknown server frame types are ignored for forward
-                # compatibility (a v2.x gateway may stream new telemetry).
-        except ProtocolError as exc:
-            error = exc
-        except (ConnectionResetError, OSError) as exc:
-            error = ConnectionError(str(exc))
-        finally:
-            # Runs on EOF, on error AND on cancellation (close() cancels
-            # this task): whatever ends the reader must fail every pending
-            # future immediately, or their awaiters would sit out the full
-            # reply timeout against a connection that can never answer.
-            self.closed = True
-            failure = error if error is not None else ConnectionError(
-                "gateway connection closed with requests in flight"
-            )
-            for pending in list(self._pending.values()):
-                if not pending.future.done():
-                    pending.future.set_exception(failure)
-            self._pending.clear()
-
-    async def close(self) -> None:
-        self.closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (OSError, asyncio.CancelledError):
-            pass
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        kind = frame.get("type")
+        if kind == "chunk":
+            pending = self._pending.get(frame.get("rid"))
+            if pending is not None:
+                pending.chunks += 1
+                if pending.on_chunk is not None:
+                    pending.on_chunk(
+                        Chunk(
+                            peer=frame.get("peer", ""),
+                            hop=int(frame.get("hop", 0)),
+                            values=[decode_value(v) for v in frame.get("values", [])],
+                            trace_id=frame.get("trace_id"),
+                        )
+                    )
+        elif kind == "error":
+            rid = frame.get("rid")
+            message = frame.get("error", "unknown gateway error")
+            if rid is not None:
+                pending = self._pending.pop(rid, None)
+                if pending is not None and not pending.done():
+                    pending.set_exception(ApiError(message))
+            elif frame.get("fatal"):
+                # Ends the reader: every pending future fails with this.
+                raise ApiError(f"gateway closed the connection: {message}")
+        # Unknown server frame types are ignored for forward
+        # compatibility (a v2.x gateway may stream new telemetry).
 
 
 class LiveSession(Session):

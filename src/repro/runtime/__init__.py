@@ -9,10 +9,15 @@ for the simulator).  The pieces:
 
 * :mod:`~repro.runtime.protocol` — length-prefixed JSON frames (the one
   body encoding of every runtime socket), the message↔wire mapping, the
-  gateway's ``hello``/``welcome``/``error`` frames and a small RPC channel;
+  gateway's ``hello``/``welcome``/``error`` frames, and the framed TCP
+  connection written once: :class:`~repro.runtime.protocol.Connection`
+  (the client end — casts, rid-matched requests, one reader) and
+  :func:`~repro.runtime.protocol.serve_connection` (the server loop every
+  listener runs);
 * :mod:`~repro.runtime.transport` — :class:`AsyncioTransport`, the live
-  :class:`~repro.core.transport.Transport`: peer→address routing, per-node
-  TCP links, ``loop.call_later`` timers;
+  :class:`~repro.core.transport.Transport`: peer→address routing, one TCP
+  connection per node for casts and requests alike, ``loop.call_later``
+  timers;
 * :mod:`~repro.runtime.node` — :class:`PeerNode`, one TCP server hosting
   one or more FISSIONE peers;
 * :mod:`~repro.runtime.cluster` — :class:`LiveCluster`, which boots N

@@ -5,15 +5,17 @@
 1. the **seed node** starts first, owning the authoritative topology (an
    ordinary :class:`~repro.fissione.network.FissioneNetwork`, seeded with
    the initial ``base + 1`` zones);
-2. every further peer **joins through the seed protocol**: the joiner
-   opens a TCP connection to the seed, sends a ``join`` request carrying a
-   target key, and the seed splits the owning zone, rebinds the renamed
-   incumbent's route, and replies with the joiner's assigned PeerID; the
+2. every further peer **joins through the seed protocol**: a ``join``
+   request crosses TCP to the seed (:meth:`AsyncioTransport.request` — the
+   cluster has no connection plumbing of its own) carrying a target key,
+   and the seed splits the owning zone, rebinds the renamed incumbent's
+   route, and replies with the joiner's assigned PeerID; the
    joiner then ``announce``-s the address of the node hosting it, which is
    what makes it routable — peers become reachable only through announced
    addresses, never by global knowledge;
 3. query messages between peers travel as ``msg`` casts over the
-   :class:`~repro.runtime.transport.AsyncioTransport`, and each node
+   :class:`~repro.runtime.transport.AsyncioTransport` — on the same one
+   socket per node as the ``store``/``fetch`` requests — and each node
    dispatches them into the **same** resumable PIRA/MIRA executors the
    simulator drives.
 
@@ -52,7 +54,7 @@ from repro.gossip.swim import (
 )
 from repro.kautz import strings as ks
 from repro.runtime.node import PeerNode
-from repro.runtime.protocol import RpcChannel, wire_to_message
+from repro.runtime.protocol import wire_to_message
 from repro.runtime.transport import Address, AsyncioTransport
 from repro.core.pira import PiraExecutor
 from repro.sim.rng import DeterministicRNG
@@ -136,7 +138,6 @@ class LiveCluster:
         self.seed_node: Optional[PeerNode] = None
         self.nodes: List[PeerNode] = []
         self._node_by_address: Dict[Address, PeerNode] = {}
-        self._channels: Dict[Address, RpcChannel] = {}
         self._next_node_index = 0
         self.started = False
 
@@ -257,12 +258,9 @@ class LiveCluster:
         return self._node_by_address.get(address)
 
     async def stop(self) -> None:
-        """Close channels, links, every node's listener, and peer stores."""
+        """Close the links, every node's listener, and peer stores."""
         for agent in self.agents.values():
             agent.stop()
-        for channel in self._channels.values():
-            await channel.close()
-        self._channels.clear()
         await self.transport.close()
         for node in self.nodes:
             await node.stop()
@@ -298,33 +296,17 @@ class LiveCluster:
         """
         assert self.seed_node is not None
         target = self.network.random_object_id(rng)
-        reply = await self._request(self.seed_node.address, {"type": "join", "target": target})
+        seed = self.seed_node.address
+        reply = await self.transport.request(seed, {"type": "join", "target": target})
+        if not reply.get("ok", False):
+            raise ClusterError(f"join refused by the seed: {reply.get('error', 'unknown error')}")
         assigned = reply["assigned"]
         node = await self._next_node()
-        await self._request(
-            self.seed_node.address,
-            {"type": "announce", "peer": assigned, "host": node.host, "port": node.port},
+        await self.transport.request(
+            seed, {"type": "announce", "peer": assigned, "host": node.host, "port": node.port}
         )
         node.hosted.add(assigned)
         return assigned, dict(reply.get("renamed", {})), node
-
-    async def _request(self, address: Address, frame: Dict[str, Any]) -> Dict[str, Any]:
-        channel = self._channels.get(address)
-        if channel is None:
-            channel = await RpcChannel(*address).connect()
-            existing = self._channels.get(address)
-            if existing is not None:
-                # Lost a connect race against a concurrent caller: keep the
-                # cached winner, close ours (leaked reader tasks otherwise
-                # pile up one per raced request).
-                await channel.close()
-                channel = existing
-            else:
-                self._channels[address] = channel
-        return await channel.request(frame)
-
-    # Public RPC surface, used by the gateway.
-    request = _request
 
     # ------------------------------------------------------------------ #
     # frame handlers (shared by every node endpoint)                       #
@@ -349,7 +331,7 @@ class LiveCluster:
         # undecoded wire bytes), before this dispatch runs.
         executor.handle_message(self.transport, message)
 
-    async def _handle_request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         kind = frame.get("type")
         if kind == "ping":
             return {"ok": True}
@@ -468,7 +450,7 @@ class LiveCluster:
                 raise ClusterError(
                     f"peer {peer_id!r} for {object_id!r} has no announced address"
                 )
-            reply = await self._request(
+            reply = await self.transport.request(
                 address,
                 {
                     "type": "store",
@@ -503,7 +485,7 @@ class LiveCluster:
             address = self.transport.address_of(peer_id)
             if address is None:
                 continue
-            reply = await self._request(
+            reply = await self.transport.request(
                 address, {"type": "fetch", "object_id": object_id, "peer": peer_id}
             )
             if not reply.get("ok", False):

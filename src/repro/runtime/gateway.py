@@ -67,6 +67,7 @@ the deadline caps how long that can take.
 from __future__ import annotations
 
 import asyncio
+import logging
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.api.requests import (
@@ -86,15 +87,17 @@ from repro.core.pira import RangeQueryResult
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.protocol import (
     GATEWAY_PROTOCOL_V2,
-    FrameBodyError,
-    ProtocolError,
+    Hangup,
     encode_frame,
     error_frame,
-    read_frame,
+    failure_payload,
+    serve_connection,
     welcome_frame,
 )
 from repro.sim.rng import DeterministicRNG
 from repro.wire import encode_value
+
+log = logging.getLogger("repro.gateway")
 
 #: private payload key carrying the flight recorder's reply-event merge
 #: callback from _start_query to the write path (popped before encoding,
@@ -264,19 +267,36 @@ class Gateway:
     # ------------------------------------------------------------------ #
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """One client connection, from accept to close."""
+        """One client connection: the hello, then the multiplexed requests."""
         self._connections.add(writer)
+        pending_rids: Set[int] = set()
+        tasks: Set[asyncio.Task] = set()
+        tracing: Optional[bool] = None  # None until the hello was welcomed
+
+        def on_frame(frame: Dict[str, Any], body: bytes) -> None:
+            nonlocal tracing
+            if tracing is None:
+                tracing = self._welcome(frame, writer)
+            else:
+                self._dispatch(frame, writer, pending_rids, tasks, tracing)
+
+        async def finish_replies() -> None:
+            # The client is gone (or quitting): let in-flight replies finish
+            # against the closing writer rather than cancelling queries that
+            # the cluster has already paid for.
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+
         try:
-            await self._converse(reader, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
+            await serve_connection(
+                reader,
+                writer,
+                on_frame,
+                write=lambda frame: self._write_frame(writer, frame),
+                before_close=finish_replies,
+            )
         finally:
             self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
 
     def _write_frame(self, writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> None:
         """Buffer one frame (a single ``write`` call, so frames never
@@ -291,102 +311,74 @@ class Gateway:
             if self._m_frames is not None:
                 self._m_frames.inc()
 
-    async def _fatal(self, writer: asyncio.StreamWriter, error: str) -> None:
-        """Tell the client why, then let the caller close the connection."""
-        self._write_frame(writer, error_frame(error, fatal=True))
-        await self._safe_drain(writer)
+    def _welcome(self, hello: Dict[str, Any], writer: asyncio.StreamWriter) -> bool:
+        """Answer the opening frame; returns the negotiated ``tracing``.
 
-    async def _converse(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Handshake, then the multiplexed request loop."""
-        try:
-            hello = await read_frame(reader)
-        except ProtocolError as exc:
-            await self._fatal(writer, str(exc))
-            return
-        if hello is None:
-            return
+        A broken handshake hangs up — after a ``fatal`` error frame that
+        tells the client why."""
         if hello.get("type") != "hello":
-            await self._fatal(
-                writer,
-                f"a connection must open with a hello frame, got {hello.get('type')!r}",
+            raise Hangup(
+                error_frame(
+                    f"a connection must open with a hello frame, got {hello.get('type')!r}",
+                    fatal=True,
+                )
             )
-            return
         versions = hello.get("versions") or []
         if GATEWAY_PROTOCOL_V2 not in versions:
-            await self._fatal(
-                writer,
-                f"unsupported protocol versions {versions}; this gateway speaks "
-                f"[{GATEWAY_PROTOCOL_V2}]",
+            raise Hangup(
+                error_frame(
+                    f"unsupported protocol versions {versions}; this gateway speaks "
+                    f"[{GATEWAY_PROTOCOL_V2}]",
+                    fatal=True,
+                )
             )
-            return
         # Tracing is granted only when the client asked AND this gateway
         # has a tracer; either side lacking it degrades to untraced
         # replies — the absence of the key is the whole negotiation.
         tracing = bool(hello.get("tracing")) and self.tracer is not None
         self._write_frame(writer, welcome_frame(tracing=tracing))
-        await self._safe_drain(writer)
+        return tracing
 
-        pending_rids: Set[int] = set()
-        tasks: Set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except FrameBodyError as exc:
-                    # The length framing is intact, so the stream
-                    # resynchronises on the next frame — error the
-                    # offender, keep serving.
-                    self._write_frame(writer, error_frame(str(exc)))
-                    await self._safe_drain(writer)
-                    continue
-                except ProtocolError as exc:
-                    # An unframeable stream (oversized/corrupt length) cannot
-                    # be resynchronised — but the client still gets a
-                    # structured error before the close, never silence.
-                    await self._fatal(writer, str(exc))
-                    break
-                if frame is None:
-                    break
-                kind = frame.get("type")
-                if kind == "request":
-                    # No await here: the answering task owns the reply, and
-                    # the loop goes straight back to reading — that is the
-                    # multiplexing (frame intake never waits on execution).
-                    self._start_request(frame, writer, pending_rids, tasks, tracing)
-                elif kind == "batch":
-                    entries = frame.get("requests")
-                    if not isinstance(entries, list):
-                        self._write_frame(
-                            writer,
-                            error_frame("batch frame needs a 'requests' list", rid=frame.get("rid")),
-                        )
-                        await self._safe_drain(writer)
-                        continue
-                    for entry in entries:
-                        if not isinstance(entry, dict):
-                            self._write_frame(
-                                writer, error_frame("batch entries must be request objects")
-                            )
-                            await self._safe_drain(writer)
-                            continue
-                        self._start_request(entry, writer, pending_rids, tasks, tracing)
-                elif kind == "quit":
-                    break
+    def _dispatch(
+        self,
+        frame: Dict[str, Any],
+        writer: asyncio.StreamWriter,
+        pending_rids: Set[int],
+        tasks: Set[asyncio.Task],
+        tracing: bool,
+    ) -> None:
+        """One frame of a welcomed connection.  No await anywhere below: the
+        answering task or callback owns the reply, and the read loop goes
+        straight back to reading — that is the multiplexing (frame intake
+        never waits on execution)."""
+        kind = frame.get("type")
+        if kind == "request":
+            self._start_request(frame, writer, pending_rids, tasks, tracing)
+        elif kind == "batch":
+            entries = frame.get("requests")
+            if not isinstance(entries, list):
+                self._write_frame(
+                    writer,
+                    error_frame("batch frame needs a 'requests' list", rid=frame.get("rid")),
+                )
+                return
+            for entry in entries:
+                if isinstance(entry, dict):
+                    self._start_request(entry, writer, pending_rids, tasks, tracing)
                 else:
                     self._write_frame(
-                        writer,
-                        error_frame(
-                            f"unknown frame type {kind!r} (known: request, batch, quit)",
-                            rid=frame.get("rid") if isinstance(frame.get("rid"), int) else None,
-                        ),
+                        writer, error_frame("batch entries must be request objects")
                     )
-                    await self._safe_drain(writer)
-        finally:
-            if tasks:
-                # The client is gone (or quitting): let in-flight replies
-                # finish against the closing writer rather than cancelling
-                # queries that the cluster has already paid for.
-                await asyncio.gather(*tasks, return_exceptions=True)
+        elif kind == "quit":
+            raise Hangup()
+        else:
+            self._write_frame(
+                writer,
+                error_frame(
+                    f"unknown frame type {kind!r} (known: request, batch, quit)",
+                    rid=frame.get("rid") if isinstance(frame.get("rid"), int) else None,
+                ),
+            )
 
     def _start_request(
         self,
@@ -468,15 +460,12 @@ class Gateway:
             payload = await self._execute(request)
         except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
             payload = {"ok": False, "error": str(exc)}
+        except Exception as exc:
+            # Whatever went wrong, the rid gets its one reply frame — an
+            # unanswered request would sit out the client's whole timeout.
+            log.exception("request %s (rid %s) failed unexpectedly", request.op, rid)
+            payload = failure_payload(exc)
         self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
-        await self._safe_drain(writer)
-
-    @staticmethod
-    async def _safe_drain(writer: asyncio.StreamWriter) -> None:
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
 
     # ------------------------------------------------------------------ #
     # non-query requests                                                   #

@@ -4,20 +4,23 @@ A :class:`PeerNode` owns a listening socket and the set of PeerIDs whose
 zones it currently hosts.  It is deliberately thin: frames arriving on its
 socket are either **casts** (query forwarding messages — dispatched
 synchronously into the cluster's shared handlers, the way the simulated
-overlay delivers into ``handle_message``) or **requests** (join / announce
-/ store / ping — answered with a ``reply`` frame).  All protocol logic
-lives in the cluster; the node is the network endpoint.
+overlay delivers into ``handle_message`` — and gossip control frames) or
+**requests** (join / announce / store / fetch / ping — answered with a
+``reply`` frame).  Both arrive on one connection per sender, read by the
+runtime's one server loop (:func:`~repro.runtime.protocol.serve_connection`);
+the node only sorts each frame (:meth:`PeerNode._on_frame`).  All protocol
+logic lives in the cluster; the node is the network endpoint.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
-from repro.runtime.protocol import ProtocolError, encode_frame, read_frame_raw
+from repro.runtime.protocol import serve_connection
 
-#: async request handler: frame in, reply payload out (without the rid)
-RequestHandler = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
+#: request handler: frame in, reply payload out (without the rid)
+RequestHandler = Callable[[Dict[str, Any]], Dict[str, Any]]
 #: sync cast handler: fire-and-forget frame in, nothing out
 CastHandler = Callable[[Dict[str, Any]], None]
 
@@ -44,7 +47,6 @@ class PeerNode:
         self._on_request = on_request
         self._server: Optional[asyncio.base_events.Server] = None
         self.frames_received = 0
-        self.gossip_frames_received = 0
         #: optional gossip control-plane handler, called as
         #: ``on_gossip(node, frame)`` — the handler needs to know *which*
         #: endpoint a frame arrived at, because each node holds its own
@@ -62,70 +64,47 @@ class PeerNode:
 
     async def start(self) -> "PeerNode":
         """Bind an ephemeral port and start serving frames."""
-        self._server = await asyncio.start_server(self._serve, self.host, 0)
+        self._server = await asyncio.start_server(
+            lambda reader, writer: serve_connection(reader, writer, self._on_frame),
+            self.host,
+            0,
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    pair = await read_frame_raw(reader)
-                except ProtocolError:
-                    break
-                if pair is None:
-                    break
-                frame, body = pair
-                self.frames_received += 1
-                rid = frame.get("rid")
-                if rid is None:
-                    if frame.get("type") == "gossip":
-                        # Control plane: membership gossip is per-endpoint
-                        # state, handled outside the shared cast dispatch
-                        # (and outside the flight-recorder deliver tap —
-                        # the replay engine re-executes the data plane
-                        # only; membership transitions are recorded as
-                        # their own ``gossip`` events by the cluster).
-                        self.gossip_frames_received += 1
-                        if self.on_gossip is not None:
-                            self.on_gossip(self, frame)
-                        continue
-                    if self.recorder is not None and frame.get("type") == "msg":
-                        # Recorded before the handler runs: the delivery's
-                        # sequence number must precede the sends it fans
-                        # out, because the global seq order is the
-                        # interleaving the replay engine re-executes.  The
-                        # ring keeps the *wire bytes* — retaining the
-                        # decoded frame's object graph would grow every GC
-                        # pass for the rest of the run; events() re-decodes
-                        # at dump time.
-                        self.recorder.record("deliver", node=self.name, raw=body)
-                    self._on_cast(frame)
-                    continue
-                if self.recorder is not None:
-                    self.recorder.record(
-                        "frame",
-                        node=self.name,
-                        frame_type=frame.get("type"),
-                        kind=frame.get("kind"),
-                        rid=rid,
-                    )
-                try:
-                    payload = await self._on_request(frame)
-                except Exception as exc:  # surface handler failures to the caller
-                    payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                reply = {"type": "reply", "rid": rid}
-                reply.update(payload)
-                writer.write(encode_frame(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+    def _on_frame(self, frame: Dict[str, Any], body: bytes) -> Optional[Dict[str, Any]]:
+        """One incoming frame: a request's reply payload, ``None`` for a cast."""
+        self.frames_received += 1
+        rid = frame.get("rid")
+        if rid is not None:
+            if self.recorder is not None:
+                self.recorder.record(
+                    "frame",
+                    node=self.name,
+                    frame_type=frame.get("type"),
+                    kind=frame.get("kind"),
+                    rid=rid,
+                )
+            return self._on_request(frame)
+        if frame.get("type") == "gossip":
+            # Control plane: membership gossip is per-endpoint state,
+            # handled outside the shared cast dispatch (and outside the
+            # flight-recorder deliver tap — the replay engine re-executes
+            # the data plane only; membership transitions are recorded as
+            # their own ``gossip`` events by the cluster).
+            if self.on_gossip is not None:
+                self.on_gossip(self, frame)
+            return None
+        if self.recorder is not None and frame.get("type") == "msg":
+            # Recorded before the handler runs: the delivery's sequence
+            # number must precede the sends it fans out, because the global
+            # seq order is the interleaving the replay engine re-executes.
+            # The ring keeps the *wire bytes* — retaining the decoded
+            # frame's object graph would grow every GC pass for the rest of
+            # the run; events() re-decodes at dump time.
+            self.recorder.record("deliver", node=self.name, raw=body)
+        self._on_cast(frame)
+        return None
 
     async def stop(self) -> None:
         """Stop accepting connections, close the listener, flush stores."""

@@ -7,19 +7,27 @@ encoding and nothing to negotiate about it.  Two things can be wrong with
 incoming bytes, and they differ in what the receiver can do next:
 
 * a length prefix above :data:`MAX_FRAME_BYTES` (:class:`ProtocolError`) —
-  the stream cannot be resynchronised, the connection ends;
+  the stream cannot be resynchronised, the connection ends (after one
+  ``fatal`` ``error`` frame saying why);
 * a well-framed body that is not a JSON object (:class:`FrameBodyError`) —
-  the next frame starts where this one ended, so the receiver may answer
-  with an ``error`` frame and keep reading.
+  the next frame starts where this one ended, so the receiver answers
+  with a non-fatal ``error`` frame and keeps reading.
 
 Frames carry either
 
-* **casts** — fire-and-forget protocol traffic, today the ``"msg"`` frames
-  that move PIRA/MIRA forwarding messages between peer nodes (the live
-  analogue of :meth:`OverlayNetwork.send`), or
+* **casts** — fire-and-forget protocol traffic: the ``"msg"`` frames that
+  move PIRA/MIRA forwarding messages between peer nodes (the live analogue
+  of :meth:`OverlayNetwork.send`) and the ``"gossip"`` control frames, or
 * **requests** — frames carrying an ``"rid"``; the receiving node replies
-  with a ``"reply"`` frame echoing the rid (join/announce during bootstrap,
-  ``store`` for object publication, ``ping``).
+  with a ``"reply"`` frame echoing the rid (``join``/``announce`` during
+  bootstrap, ``store`` for object publication, ``fetch`` for an exact
+  read, ``ping``).
+
+Both travel on the same socket, and that socket is written once, here:
+:class:`Connection` is its client end, :func:`serve_connection` its server
+end.  Peer links (:mod:`repro.runtime.transport`), gateway client
+connections (:mod:`repro.api.live`) and the three listeners (peer node,
+storenode, gateway) are all these two.
 
 A gateway connection additionally opens with a ``hello``/``welcome``
 exchange (:func:`hello_frame`, :func:`welcome_frame`) and reports failures
@@ -42,7 +50,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
@@ -231,86 +239,214 @@ def wire_to_message(frame: Dict[str, Any]) -> Message:
     )
 
 
-class RpcChannel:
-    """A persistent request/response connection to one peer node.
+async def close_stream(writer: asyncio.StreamWriter) -> None:
+    """Close a framed socket and wait for it, whatever state it is in."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (OSError, asyncio.CancelledError):
+        pass
 
-    Requests are frames stamped with a fresh ``rid``; a background reader
-    task resolves the matching future when the ``reply`` frame arrives, so
-    several requests can be in flight on one connection.
+
+class Connection:
+    """The client end of one framed TCP connection.
+
+    One socket carries both kinds of traffic: :meth:`write` buffers an
+    already-encoded cast, :meth:`request` stamps a frame with a fresh
+    ``rid`` and awaits the ``reply`` frame echoing it.  A single reader task
+    re-associates replies with their futures by rid — so any number of
+    requests may be in flight and complete out of order — and hands every
+    other frame to :meth:`_on_frame`.
+
+    A ``reply`` is returned to its caller as a value whatever its ``ok``
+    field says; only a transport failure raises.  Whatever ends the reader
+    — peer EOF, an unframeable stream, an exception out of ``_on_frame``,
+    cancellation by :meth:`close` — fails every pending future at once, so
+    no awaiter sits out its timeout against a socket that can never answer.
     """
 
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        self._reader = reader
+        self._writer = writer
         self._pending: Dict[int, asyncio.Future] = {}
         self._rids = itertools.count(1)
-        self._reader_task: Optional[asyncio.Task] = None
+        #: True once the reader has ended or :meth:`close` was called
+        self.closed = False
+        self._reader_task = asyncio.get_running_loop().create_task(self._read_frames())
+        self._reader_task.add_done_callback(self._reader_ended)
 
-    async def connect(self) -> "RpcChannel":
-        """Open the connection and start the reply reader."""
-        self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_replies())
-        return self
+    @classmethod
+    async def open(cls, host: str, port: int) -> "Connection":
+        """Dial ``host:port`` and start the reader."""
+        return cls(*await asyncio.open_connection(host, port))
 
-    async def _read_replies(self) -> None:
-        assert self._reader is not None
-        while True:
-            try:
-                frame = await read_frame(self._reader)
-            except (ProtocolError, OSError):
-                frame = None
-            if frame is None:
-                break
-            future = self._pending.pop(frame.get("rid"), None)
-            if future is not None and not future.done():
-                future.set_result(frame)
-        self._fail_pending(ConnectionError(f"rpc channel to {self.host}:{self.port} closed"))
+    @property
+    def in_flight(self) -> int:
+        """Requests awaiting their reply frame on this connection."""
+        return len(self._pending)
 
-    def _fail_pending(self, error: Exception) -> None:
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(error)
-        self._pending.clear()
+    # -- sending -------------------------------------------------------------
+
+    def write(self, data: bytes) -> None:
+        """Buffer one encoded frame that expects no answer (a cast)."""
+        self._writer.write(data)
+
+    async def drain(self) -> None:
+        await self._writer.drain()
+
+    def post_frame(
+        self, frame: Dict[str, Any], future: Optional[asyncio.Future] = None
+    ) -> asyncio.Future:
+        """Stamp ``frame`` (in place) with a fresh ``rid``, register the
+        future its reply resolves and buffer the frame — straight onto the
+        socket, one ``encode_frame`` and one ``write``.  The caller owns
+        flushing (:meth:`drain`)."""
+        if self.closed:
+            raise ConnectionError("connection is closed")
+        if future is None:
+            future = asyncio.get_running_loop().create_future()
+        rid = frame["rid"] = next(self._rids)
+        self._pending[rid] = future
+        self._writer.write(encode_frame(frame))
+        return future
 
     async def request(self, frame: Dict[str, Any], timeout: Optional[float] = 10.0) -> Dict[str, Any]:
-        """Send ``frame`` (stamped with a fresh rid) and await its reply."""
-        if self._writer is None:
-            raise ProtocolError("rpc channel is not connected")
-        rid = next(self._rids)
-        frame = dict(frame)
-        frame["rid"] = rid
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[rid] = future
+        """Send ``frame`` as a request and return its ``reply`` frame."""
+        future = self.post_frame(frame)
         try:
-            self._writer.write(encode_frame(frame))
             await self._writer.drain()
-            reply = await asyncio.wait_for(future, timeout)
+            return await asyncio.wait_for(future, timeout)
         finally:
             # On timeout/cancellation the rid must not linger: a leak would
             # grow _pending forever and hand any late reply to a dead future.
-            self._pending.pop(rid, None)
-        if not reply.get("ok", False):
-            raise ProtocolError(
-                f"request {frame.get('type')!r} failed: {reply.get('error', 'unknown error')}"
-            )
-        return reply
+            self._pending.pop(frame["rid"], None)
+
+    # -- the re-association loop ---------------------------------------------
+
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        """Every incoming frame that is not a ``reply``.  A node sends
+        nothing else, and unknown frames are ignored for forward
+        compatibility; raising ends the connection with that error."""
+
+    def _resolve(self, future: asyncio.Future, frame: Dict[str, Any]) -> None:
+        """What a ``reply`` frame is worth to the request's awaiter."""
+        future.set_result(frame)
+
+    async def _read_frames(self) -> None:
+        while (frame := await read_frame(self._reader)) is not None:
+            if frame.get("type") == "reply":
+                future = self._pending.pop(frame.get("rid"), None)
+                if future is not None and not future.done():
+                    self._resolve(future, frame)
+            else:
+                self._on_frame(frame)
+
+    def _reader_ended(self, reader_task: asyncio.Task) -> None:
+        """The connection is over, whatever ended the reader — EOF, an
+        unframeable stream, ``_on_frame``'s verdict, cancellation (even
+        before its first step): fail what is pending, release the socket."""
+        failure = None if reader_task.cancelled() else reader_task.exception()
+        if failure is None:
+            failure = ConnectionError("connection closed with requests in flight")
+        elif isinstance(failure, OSError):
+            failure = ConnectionError(str(failure))
+        self.closed = True
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(failure)
+        self._pending.clear()
+        self._writer.close()
 
     async def close(self) -> None:
-        """Close the connection and cancel the reader."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+        """Cancel the reader (which fails what is pending) and close the
+        socket; idempotent."""
+        self._reader_task.cancel()
+        try:
+            await self._reader_task
+        except (asyncio.CancelledError, Exception):  # its ending is _reader_ended's business
+            pass
+        await close_stream(self._writer)
+
+
+class Hangup(Exception):
+    """Raised by a frame handler to end its connection.
+
+    ``last_frame``, if given, is written as it is before the close — a
+    ``fatal`` error frame, the reply to a ``quit``.
+    """
+
+    def __init__(self, last_frame: Optional[Dict[str, Any]] = None) -> None:
+        super().__init__()
+        self.last_frame = last_frame
+
+
+def failure_payload(exc: Exception) -> Dict[str, Any]:
+    """The reply payload that surfaces a handler failure to the caller."""
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle: Callable[[Dict[str, Any], bytes], Optional[Dict[str, Any]]],
+    write: Optional[Callable[[Dict[str, Any]], None]] = None,
+    before_close: Optional[Callable[[], Awaitable[None]]] = None,
+) -> None:
+    """The server end of one framed connection, from accept to close.
+
+    Every frame goes to ``handle(frame, body)`` (``body`` is the undecoded
+    payload, for the flight recorder).  What it returns is the payload of
+    the ``reply`` frame echoing the frame's ``rid`` — or ``None`` when
+    there is nothing to answer (a cast) or the handler answers later
+    itself (the gateway's multiplexed requests).  An exception out of the
+    handler of a frame that carries a rid is answered the same way, as
+    :func:`failure_payload`; :class:`Hangup` ends the connection.
+
+    Bad input has one rule on every server: a well-framed body that is not
+    a JSON object gets a non-fatal ``error`` frame and the connection keeps
+    serving; a stream that cannot be framed gets a ``fatal`` one, then the
+    close.  ``write`` replaces the plain encode-and-write of the frames
+    this loop sends (the gateway counts its frames); ``before_close`` runs
+    after the last frame was read and before the socket closes.
+    """
+    if write is None:
+
+        def write(frame: Dict[str, Any]) -> None:
+            writer.write(encode_frame(frame))
+
+    try:
+        while True:
             try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
+                pair = await read_frame_raw(reader)
+            except FrameBodyError as exc:
+                # The length framing is intact, so the stream resynchronises
+                # on the next frame — error the offender, keep serving.
+                write(error_frame(str(exc)))
+                continue
+            except ProtocolError as exc:
+                # An oversized/corrupt length cannot be resynchronised — but
+                # the client is told why before the close, never silence.
+                write(error_frame(str(exc), fatal=True))
+                break
+            if pair is None:
+                break
+            frame, body = pair
             try:
-                await self._writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-            self._writer = None
-        self._fail_pending(ConnectionError("rpc channel closed"))
+                payload = handle(frame, body)
+            except Hangup as bye:
+                if bye.last_frame is not None:
+                    write(bye.last_frame)
+                break
+            except Exception as exc:
+                if frame.get("rid") is None:
+                    raise
+                payload = failure_payload(exc)
+            if payload is not None:
+                write({"type": "reply", "rid": frame.get("rid"), **payload})
+                await writer.drain()
+        if before_close is not None:
+            await before_close()
+    except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+        pass
+    finally:
+        await close_stream(writer)

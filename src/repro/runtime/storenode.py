@@ -46,7 +46,7 @@ import json
 import sys
 from typing import Any, Dict
 
-from repro.runtime.protocol import ProtocolError, encode_frame, read_frame
+from repro.runtime.protocol import Hangup, serve_connection
 from repro.storage import BACKENDS, open_store
 from repro.wire import decode_value, encode_value
 
@@ -62,7 +62,9 @@ class StoreNodeServer:
         self._quit = asyncio.Event()
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        self._server = await asyncio.start_server(self._serve, host, port)
+        self._server = await asyncio.start_server(
+            lambda reader, writer: serve_connection(reader, writer, self._handle), host, port
+        )
         return self._server.sockets[0].getsockname()[1]
 
     async def wait_quit(self) -> None:
@@ -79,7 +81,7 @@ class StoreNodeServer:
     # request handling                                                     #
     # ------------------------------------------------------------------ #
 
-    def _handle(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(self, frame: Dict[str, Any], body: bytes) -> Dict[str, Any]:
         op = frame.get("op")
         if op == "put":
             self.store.put(
@@ -108,40 +110,9 @@ class StoreNodeServer:
         if op == "ping":
             return {"ok": True}
         if op == "quit":
-            return {"ok": True, "quit": True}
+            self._quit.set()
+            raise Hangup({"type": "reply", "rid": frame.get("rid"), "ok": True, "quit": True})
         return {"ok": False, "error": f"unknown op {op!r}"}
-
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except ProtocolError:
-                    break
-                if frame is None:
-                    break
-                rid = frame.get("rid")
-                try:
-                    payload = self._handle(frame)
-                except Exception as exc:  # surface store failures to the caller
-                    payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                reply = {"type": "reply", "rid": rid}
-                reply.update(payload)
-                writer.write(encode_frame(reply))
-                await writer.drain()
-                if payload.get("quit"):
-                    self._quit.set()
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
 
 
 async def _amain(args: argparse.Namespace) -> int:

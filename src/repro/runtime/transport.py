@@ -9,16 +9,19 @@ a message by scheduling an event, this transport
   protocol, not global knowledge),
 * frames the message as length-prefixed JSON
   (:func:`~repro.runtime.protocol.message_to_wire`), and
-* enqueues it on a per-node **link** — one long-lived outgoing TCP
-  connection per destination node, drained by a writer task, so the
-  executor's synchronous ``send()`` never blocks the event loop.
+* writes it on the per-node **link** — the one long-lived TCP connection
+  to the destination node (a :class:`~repro.runtime.protocol.Connection`,
+  dialled lazily; frames are buffered until it is up), so the executor's
+  synchronous ``send()`` never blocks the event loop.  The same socket
+  carries the gossip plane's control frames (:meth:`~AsyncioTransport.send_frame`)
+  and the cluster's node requests (:meth:`~AsyncioTransport.request`).
 
 Clock and timers come from the running asyncio loop (``loop.time()`` /
 ``loop.call_later``), so the per-hop resilience timers and query deadlines
 of the core executors work unchanged — in seconds instead of simulated
 units.
 
-A send whose receiver has no route, or whose link dies, degrades into a
+A send whose receiver has no route, or whose link is refused, degrades into a
 **drop**: the message's local ``on_drop`` callback fires, exactly the
 signal the executors already understand from the simulated overlay.
 """
@@ -26,91 +29,101 @@ signal the executors already understand from the simulated overlay.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.runtime.protocol import encode_frame, message_to_wire
+from repro.runtime.protocol import Connection, encode_frame, message_to_wire
 from repro.sim.network import Message
 
 Address = Tuple[str, int]
 
 
 class _Link:
-    """One outgoing TCP connection to a peer node, drained by a task.
+    """The one TCP connection from this process to a peer node.
 
-    The queue carries two item kinds: executor :class:`Message` objects
-    (framed lazily by the writer) and pre-encoded ``bytes`` — control
-    frames from the gossip plane.  Only messages get drop callbacks; a
-    lost control frame needs no notification, because for the gossip
-    protocol the loss itself *is* the signal.
+    Casts and requests share it (a :class:`~repro.runtime.protocol.Connection`).
+    What the link adds is its own: the connection is dialled lazily, on
+    first use; whatever is enqueued before the dial completes is buffered
+    and flushed in order the moment it does; and a dial that fails with
+    ``OSError`` drops every buffered item.  Only executor
+    :class:`Message` objects get drop callbacks — a lost control frame
+    (pre-encoded ``bytes`` from the gossip plane) needs no notification,
+    because for the gossip protocol the loss itself *is* the signal.
     """
 
     def __init__(self, address: Address, on_drop: Callable[[Message], None]) -> None:
         self.address = address
         self._on_drop = on_drop
-        self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        self._task: Optional[asyncio.Task] = None
-        self.broken = False
+        self._connection: Optional[Connection] = None
+        self._dial: Optional[asyncio.Task] = None
+        self._backlog: List[Any] = []
+        self._refused = False
+
+    @property
+    def broken(self) -> bool:
+        """True once the dial failed or the connection ended: everything
+        enqueued from now on is undeliverable (the transport dials anew)."""
+        return self._refused or (self._connection is not None and self._connection.closed)
 
     def enqueue(self, item: Any) -> None:
-        """Queue one message or raw frame (starts the writer lazily)."""
+        """Write one message or raw frame — or buffer it while dialling."""
         if self.broken:
             self._discard(item)
-            return
-        self._queue.put_nowait(item)
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        elif self._connection is not None:
+            self._write(item)
+        else:
+            self._backlog.append(item)
+            self._dialled()
+
+    async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one request on the link's socket and return its reply frame.
+
+        Written straight to the connected socket; raises
+        :class:`ConnectionError` when the node cannot be reached.
+        """
+        if self._connection is None and not self._refused:
+            # Shielded: the dial is shared, one cancelled caller must not
+            # cancel it under the others.
+            await asyncio.shield(self._dialled())
+        if self.broken:
+            host, port = self.address
+            raise ConnectionError(f"no connection to the node at {host}:{port}")
+        return await self._connection.request(frame)
+
+    def _dialled(self) -> asyncio.Task:
+        if self._dial is None:
+            self._dial = asyncio.get_running_loop().create_task(self._open())
+        return self._dial
+
+    async def _open(self) -> None:
+        try:
+            self._connection = await Connection.open(*self.address)
+        except OSError:
+            # Connection refused: everything buffered (and everything
+            # enqueued from now on) is undeliverable — report every
+            # message as a drop.
+            self._refused = True
+        backlog, self._backlog = self._backlog, []
+        for item in backlog:
+            self.enqueue(item)
+
+    def _write(self, item: Any) -> None:
+        if isinstance(item, Message):
+            item = encode_frame(message_to_wire(item))
+        self._connection.write(item)
 
     def _discard(self, item: Any) -> None:
         if isinstance(item, Message):
             self._on_drop(item)
 
-    async def _run(self) -> None:
-        writer: Optional[asyncio.StreamWriter] = None
-        item: Any = None
-        try:
-            host, port = self.address
-            _, writer = await asyncio.open_connection(host, port)
-            while True:
-                item = await self._queue.get()
-                if item is None:
-                    break
-                if isinstance(item, Message):
-                    writer.write(encode_frame(message_to_wire(item)))
-                else:
-                    writer.write(item)
-                await writer.drain()
-                item = None
-        except asyncio.CancelledError:
-            raise
-        except OSError:
-            # Connection refused / reset: the message being written, plus
-            # everything queued (and everything enqueued from now on), is
-            # undeliverable — report every one as a drop.
-            self.broken = True
-            if item is not None:
-                self._discard(item)
-            while not self._queue.empty():
-                pending = self._queue.get_nowait()
-                if pending is not None:
-                    self._discard(pending)
-        finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, asyncio.CancelledError):
-                    pass
-
     async def close(self) -> None:
-        """Flush the queue sentinel and wait for the writer to finish."""
-        if self._task is None:
-            return
-        self._queue.put_nowait(None)
-        try:
-            await asyncio.wait_for(self._task, timeout=5.0)
-        except (asyncio.TimeoutError, asyncio.CancelledError):
-            self._task.cancel()
-        self._task = None
+        """Let a dial in progress finish (it flushes the backlog), then close."""
+        if self._dial is not None:
+            try:
+                await asyncio.wait_for(self._dial, timeout=5.0)
+            except (asyncio.TimeoutError, asyncio.CancelledError):
+                pass
+        if self._connection is not None:
+            await self._connection.close()
 
 
 class AsyncioTransport:
@@ -137,9 +150,6 @@ class AsyncioTransport:
         self._links: Dict[Address, _Link] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
-        #: raw control frames (gossip plane) put on links; they bypass the
-        #: PeerID route table and are never retried
-        self.control_frames_sent = 0
         #: optional flight recorder (set by the cluster's attach_recorder);
         #: None keeps every hot path at one attribute check of overhead
         self.recorder: Optional[Any] = None
@@ -213,10 +223,10 @@ class AsyncioTransport:
             )
         if self.extra_transit > 0.0:
             asyncio.get_running_loop().call_later(
-                self.extra_transit, lambda: self._enqueue(address, message)
+                self.extra_transit, lambda: self._link(address).enqueue(message)
             )
         else:
-            self._enqueue(address, message)
+            self._link(address).enqueue(message)
 
     def send_frame(self, address: Address, frame: Dict[str, Any]) -> None:
         """Enqueue one raw control frame on the link to ``address``.
@@ -228,15 +238,23 @@ class AsyncioTransport:
         just loses the frame, and that silence is exactly the liveness
         signal the SWIM loop is built to read.
         """
-        self.control_frames_sent += 1
-        self._enqueue(address, encode_frame(frame))
+        self._link(address).enqueue(encode_frame(frame))
 
-    def _enqueue(self, address: Address, item: Any) -> None:
+    def request(self, address: Address, frame: Dict[str, Any]) -> Awaitable[Dict[str, Any]]:
+        """Send one request frame to the node at ``address``; awaiting the
+        result gives its ``reply`` frame, whatever its ``ok`` field says.
+
+        It travels on the same socket as the casts to that node.  Only a
+        transport failure raises: :class:`ConnectionError` (unreachable
+        node, connection lost), ``asyncio.TimeoutError``.
+        """
+        return self._link(address).request(frame)
+
+    def _link(self, address: Address) -> _Link:
         link = self._links.get(address)
         if link is None or link.broken:
-            link = _Link(address, self._drop)
-            self._links[address] = link
-        link.enqueue(item)
+            link = self._links[address] = _Link(address, self._drop)
+        return link
 
     def _drop(self, message: Message) -> None:
         """Tell the sender's protocol layer this message will never arrive."""

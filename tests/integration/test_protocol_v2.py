@@ -9,6 +9,7 @@ how requests interleave.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -16,12 +17,14 @@ from repro.api.live import LiveSession
 from repro.api.requests import ApiError
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
+from repro.runtime.node import PeerNode
 from repro.runtime.protocol import (
     MAX_FRAME_BYTES,
     encode_frame,
     hello_frame,
     read_frame,
 )
+from repro.runtime.storenode import StoreNodeServer
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
@@ -45,6 +48,52 @@ async def raw_v2(gateway, versions=(2,), **extra_hello_keys):
     writer.write(encode_frame({**hello_frame(versions=versions), **extra_hello_keys}))
     await writer.drain()
     return reader, writer
+
+
+@contextlib.asynccontextmanager
+async def gateway_connection(tmp_path):
+    """A welcomed gateway connection, its ping frame and what a pong looks like."""
+    cluster, gateway = await boot()
+    try:
+        reader, writer = await raw_v2(gateway)
+        await read_frame(reader)  # welcome
+        ping = {"type": "request", "rid": 10, "request": {"op": "ping"}}
+        yield reader, writer, ping, lambda reply: reply["payload"]["type"] == "pong"
+        writer.close()
+    finally:
+        await teardown(cluster, gateway)
+
+
+@contextlib.asynccontextmanager
+async def peer_node_connection(tmp_path):
+    node = await PeerNode(
+        "node-0", "127.0.0.1", on_cast=lambda frame: None, on_request=lambda frame: {"ok": True}
+    ).start()
+    try:
+        reader, writer = await asyncio.open_connection(*node.address)
+        yield reader, writer, {"type": "ping", "rid": 10}, lambda reply: reply["ok"] is True
+        writer.close()
+    finally:
+        await node.stop()
+
+
+@contextlib.asynccontextmanager
+async def storenode_connection(tmp_path):
+    server = StoreNodeServer("wal", str(tmp_path / "peer.wal"))
+    port = await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        yield reader, writer, {"op": "ping", "rid": 10}, lambda reply: reply["ok"] is True
+        writer.close()
+    finally:
+        await server.stop()
+
+
+SERVERS = pytest.mark.parametrize(
+    "connect",
+    [gateway_connection, peer_node_connection, storenode_connection],
+    ids=["gateway", "peer-node", "storenode"],
+)
 
 
 class TestHandshake:
@@ -262,12 +311,10 @@ class TestFrameErrors:
 
         asyncio.run(scenario())
 
-    def test_oversized_frame_gets_fatal_error_then_close(self):
+    @SERVERS
+    def test_oversized_frame_gets_fatal_error_then_close(self, connect, tmp_path):
         async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)  # welcome
+            async with connect(tmp_path) as (reader, writer, _ping, _is_pong):
                 # A length prefix beyond the cap: unframeable, unrecoverable.
                 writer.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
                 await writer.drain()
@@ -276,9 +323,6 @@ class TestFrameErrors:
                 assert error["fatal"] is True
                 assert "exceeds" in error["error"]
                 assert await read_frame(reader) is None  # close follows
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 
@@ -306,24 +350,20 @@ class TestFrameErrors:
 
 class TestBadBody:
     """A well-framed body that is not a JSON object has one outcome, whatever
-    is wrong with it: a non-fatal error frame, and the connection — whose
-    length framing is intact — keeps serving."""
+    is wrong with it and whichever server reads it: a non-fatal error frame,
+    and the connection — whose length framing is intact — keeps serving."""
 
+    @SERVERS
     @pytest.mark.parametrize(
         "body",
         [b"abc", b"\xff\xfe{", b"[1]", b"\xc1\x00"],
         ids=["not-json", "not-utf8", "not-an-object", "binframe"],
     )
-    def test_error_then_still_serving(self, body):
+    def test_error_then_still_serving(self, body, connect, tmp_path):
         async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)  # welcome
+            async with connect(tmp_path) as (reader, writer, ping, is_pong):
                 writer.write(len(body).to_bytes(4, "big") + body)
-                writer.write(
-                    encode_frame({"type": "request", "rid": 10, "request": {"op": "ping"}})
-                )
+                writer.write(encode_frame(ping))
                 await writer.drain()
                 error = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert error["type"] == "error"
@@ -331,10 +371,7 @@ class TestBadBody:
                 reply = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert reply["type"] == "reply"
                 assert reply["rid"] == 10
-                assert reply["payload"]["type"] == "pong"
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
+                assert is_pong(reply)
 
         asyncio.run(scenario())
 
@@ -373,8 +410,11 @@ class TestSessionClose:
 
                 writer.write(encode_frame(welcome_frame()))
                 await writer.drain()
-                while await read_frame(reader) is not None:
-                    pass  # swallow every request silently
+                try:
+                    while await read_frame(reader) is not None:
+                        pass  # swallow every request silently
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(v2_handler, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -416,15 +456,18 @@ class TestMalformedResult:
             async def gateway(reader, writer):
                 assert (await read_frame(reader))["type"] == "hello"
                 writer.write(encode_frame(welcome_frame()))
-                while (frame := await read_frame(reader)) is not None:
-                    payload = {
-                        "ok": True, "type": "result", "status": "ok",
-                        "latency": 0.0, "result": wire,
-                    }
-                    writer.write(
-                        encode_frame({"type": "reply", "rid": frame["rid"], "payload": payload})
-                    )
-                    await writer.drain()
+                try:
+                    while (frame := await read_frame(reader)) is not None:
+                        payload = {
+                            "ok": True, "type": "result", "status": "ok",
+                            "latency": 0.0, "result": wire,
+                        }
+                        writer.write(
+                            encode_frame({"type": "reply", "rid": frame["rid"], "payload": payload})
+                        )
+                        await writer.drain()
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(gateway, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

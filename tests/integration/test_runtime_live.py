@@ -116,6 +116,43 @@ class TestSimLiveEquivalence:
         asyncio.run(scenario())
 
 
+    def test_one_socket_per_node(self, monkeypatch):
+        """Casts (query forwarding, gossip) and requests (join, announce,
+        store, fetch) to a node share one TCP connection: after the
+        bootstrap, inserts, queries and gossip rounds the cluster process
+        has dialled every node exactly once."""
+        dials: dict = {}
+        open_connection = asyncio.open_connection
+
+        async def counting_open_connection(host, port, *args, **kwargs):
+            dials[(host, port)] = dials.get((host, port), 0) + 1
+            return await open_connection(host, port, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "open_connection", counting_open_connection)
+
+        async def scenario():
+            cluster, gateway, client = await boot_cluster(8, gossip=True)
+            try:
+                for value in VALUES[:5]:
+                    assert (await client.get(value)).found
+                for origin in cluster.network.peer_ids():
+                    assert (await client.range(0.0, 1000.0, origin=origin)).result.complete
+                rounds = cluster.gossip_frames.get("ping", 0)
+                while cluster.gossip_frames.get("ping", 0) < rounds + 2 * len(cluster.nodes):
+                    await asyncio.sleep(0.01)
+                assert len(cluster.nodes) == 8
+                nodes = [cluster.seed_node, *cluster.nodes]
+                assert {node.address: dials.get(node.address) for node in nodes} == {
+                    node.address: 1 for node in nodes
+                }
+            finally:
+                await client.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+
 class TestGatewaySmoke:
     def test_8_peers_50_mixed_queries_all_succeed(self):
         """The CI smoke contract: 8 peers, ~50 mixed queries, 100% success."""

@@ -141,7 +141,7 @@ class TestGatewayDrain:
         ("every timer fire is recorded"), and a replay of the dump agrees."""
 
         async def scenario():
-            cluster, _ = await boot()
+            cluster = await LiveCluster(num_peers=8, seed=3).start()
             recorder = FlightRecorder()
             cluster.attach_recorder(recorder)
             gateway = await Gateway(cluster, deadline=0.2, recorder=recorder).start()

@@ -59,6 +59,12 @@ def launch_storenode(path: str):
     return proc, hello
 
 
+def reap(proc) -> None:
+    """Wait for a storenode process to exit and close our end of its pipe."""
+    proc.wait(timeout=10)
+    proc.stdout.close()
+
+
 async def storenode_rpc(port: int, **frame):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
@@ -89,7 +95,7 @@ class TestStoreNodeSigkill:
                 digest = (await storenode_rpc(hello["port"], op="digest"))["digest"]
             finally:
                 proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=10)
+                reap(proc)
 
             proc, hello = launch_storenode(path)
             try:
@@ -99,7 +105,7 @@ class TestStoreNodeSigkill:
                 assert reply["objects"] == [[7.0, 70.0]]
             finally:
                 await storenode_rpc(hello["port"], op="quit")
-                proc.wait(timeout=10)
+                reap(proc)
 
         asyncio.run(scenario())
 
@@ -131,7 +137,7 @@ class TestStoreNodeSigkill:
                     acked += 1
             finally:
                 proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=10)
+                reap(proc)
                 writer.close()
 
             proc, hello = launch_storenode(path)
@@ -146,7 +152,7 @@ class TestStoreNodeSigkill:
                     )
             finally:
                 await storenode_rpc(hello["port"], op="quit")
-                proc.wait(timeout=10)
+                reap(proc)
 
         asyncio.run(scenario())
 
@@ -280,6 +286,86 @@ class TestReplication:
                         reply = await session.insert(value, replicas=2)
                         assert len(reply.replicas) == 2
                 assert hit > 0 and ok > 0  # both paths actually exercised
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_refused_copy_is_reported_with_the_durable_count(self):
+        """A node that *answers* ``ok: false`` to a ``store`` is a reply, not
+        a transport failure: the client gets the (k/n copies durable) error
+        promptly instead of sitting out its session timeout."""
+        async def scenario():
+            cluster = await LiveCluster(num_peers=8, seed=SEED).start()
+            gateway = await Gateway(cluster).start()
+            session = await LiveSession.connect(*gateway.address, pool=1, timeout=3.0)
+            handle_store = cluster._handle_store
+
+            def refuse_replicas(frame):
+                if frame.get("role") == "replica":
+                    return {"ok": False, "error": "disk full"}
+                return handle_store(frame)
+
+            cluster._handle_store = refuse_replicas
+            loop = asyncio.get_running_loop()
+            try:
+                started = loop.time()
+                with pytest.raises(ApiError, match="disk full.*1/2 copies durable"):
+                    await session.insert(VALUES[3], replicas=2)
+                assert loop.time() - started < 1.0
+                assert await session.ping()  # the connection is still serving
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_get_falls_over_when_the_holder_refuses(self):
+        """``ok: false`` from the first copy holder's ``fetch`` sends the
+        read to the next replica holder."""
+        async def scenario():
+            cluster = await LiveCluster(num_peers=8, seed=SEED).start()
+            gateway = await Gateway(cluster).start()
+            session = await LiveSession.connect(*gateway.address, pool=1, timeout=3.0)
+            handle_fetch = cluster._handle_fetch
+            try:
+                owner, sibling = (await session.insert(VALUES[3], replicas=2)).replicas
+
+                def owner_refuses(frame):
+                    if frame["peer"] == owner:
+                        return {"ok": False, "error": "compacting"}
+                    return handle_fetch(frame)
+
+                cluster._handle_fetch = owner_refuses
+                reply = await session.get(VALUES[3])
+                assert reply.found and reply.values == (VALUES[3],)
+                assert reply.peer == sibling
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_unexpected_failure_still_answers_the_request(self):
+        """Whatever an insert dies of, its rid gets exactly one reply frame:
+        ``<Type>: <message>``, the rule a peer node applies to its handlers."""
+        async def scenario():
+            cluster = await LiveCluster(num_peers=8, seed=SEED).start()
+            gateway = await Gateway(cluster).start()
+            session = await LiveSession.connect(*gateway.address, pool=1, timeout=3.0)
+
+            async def broken_store(*args, **kwargs):
+                raise RuntimeError("placement table corrupt")
+
+            cluster.store = broken_store
+            try:
+                with pytest.raises(ApiError, match="RuntimeError: placement table corrupt"):
+                    await session.insert(VALUES[3])
+                assert await session.ping()
             finally:
                 await session.close()
                 await gateway.shutdown()

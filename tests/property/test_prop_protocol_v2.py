@@ -69,6 +69,7 @@ async def _permuting_server_round(permutation, chunk_counts):
                 )
             )
         await writer.drain()
+        writer.close()
 
     server = await asyncio.start_server(handler, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
