@@ -38,7 +38,6 @@ from repro.runtime.protocol import (
     hello_frame,
     read_frame,
 )
-from repro.wire import decode_value
 
 
 class _Pending(asyncio.Future):
@@ -106,14 +105,7 @@ class _V2Connection(Connection):
             if pending is not None:
                 pending.chunks += 1
                 if pending.on_chunk is not None:
-                    pending.on_chunk(
-                        Chunk(
-                            peer=frame.get("peer", ""),
-                            hop=int(frame.get("hop", 0)),
-                            values=[decode_value(v) for v in frame.get("values", [])],
-                            trace_id=frame.get("trace_id"),
-                        )
-                    )
+                    pending.on_chunk(Chunk.from_wire(frame))
         elif kind == "error":
             rid = frame.get("rid")
             message = frame.get("error", "unknown gateway error")

@@ -19,20 +19,26 @@ side, so the wire format and the in-process API share one definition.
 
 Replies are typed too: :class:`QueryReply` (status, latency, the full
 :class:`~repro.core.pira.RangeQueryResult`), :class:`InsertReply`,
-:class:`StatsReply` and :class:`PongReply`, decoded from the gateway's
-JSON payloads by :func:`reply_from_payload`.  Both session bindings
-return the *same* reply types, which is what lets the sim≡live
-equivalence test run entirely through the API layer.
+:class:`GetReply`, :class:`StatsReply` and :class:`PongReply`.  Like a
+request, each defines its wire form once, encoder next to decoder:
+``wire_type``, :meth:`Reply.to_wire` (what the gateway writes into a
+``reply`` frame) and ``from_wire`` (what :func:`reply_from_payload`
+dispatches to on the client); a streamed :class:`Chunk` likewise
+(``to_wire`` / ``from_wire``, defined with the launch that emits it in
+:mod:`repro.core.deployment`).  Both session bindings return the *same*
+reply types, which is what lets the sim≡live equivalence test run entirely
+through the API layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core.deployment import Chunk, Deployment  # noqa: F401 - Chunk is re-exported
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import QueryJob
-from repro.wire import decode_value
+from repro.wire import decode_value, encode_value
 
 
 class ApiError(RuntimeError):
@@ -197,6 +203,10 @@ class Insert(Request):
     def payload(self) -> Dict[str, Any]:
         return {"value": float(self.value)}
 
+    def name(self, deployment: Deployment) -> Tuple[str, Any, Any]:
+        """``(object_id, key, value)`` to store: the value is its own payload."""
+        return deployment.name_insert(self.value, float(self.value))
+
 
 @dataclass(frozen=True)
 class MultiInsert(Request):
@@ -213,6 +223,10 @@ class MultiInsert(Request):
 
     def payload(self) -> Dict[str, Any]:
         return {"values": list(self.values)}
+
+    def name(self, deployment: Deployment) -> Tuple[str, Any, Any]:
+        """``(object_id, key, value)`` to store (no payload)."""
+        return deployment.name_multi_insert(self.values)
 
 
 @dataclass(frozen=True)
@@ -231,6 +245,16 @@ class Get(Request):
 
     def payload(self) -> Dict[str, Any]:
         return {"value": float(self.value)}
+
+    def reply(self, object_id: str, peer_id: Optional[str], objects: Sequence[Any]) -> "GetReply":
+        """The reply for a failover read that found ``objects`` under this
+        value's ObjectID on ``peer_id`` (other keys sharing the id drop out)."""
+        key = float(self.value)
+        return GetReply(
+            object_id=object_id,
+            peer=peer_id,
+            values=tuple(stored.value for stored in objects if stored.key == key),
+        )
 
 
 @dataclass(frozen=True)
@@ -301,9 +325,23 @@ def request_from_job(job: QueryJob, **option_changes: Any) -> Request:
 
 @dataclass(frozen=True)
 class Reply:
-    """Base reply: everything a session hands back is one of these."""
+    """Base reply: everything a session hands back is one of these.
 
+    Each concrete reply defines its wire form once: ``wire_type`` (the payload's
+    tag), :meth:`to_wire` (what the gateway writes) and ``from_wire`` (what
+    :func:`reply_from_payload` reads), side by side.
+    """
+
+    wire_type = ""
     ok: bool = True
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The payload of a protocol-v2 ``reply`` frame."""
+        return {"ok": True, "type": self.wire_type}
+
+    @classmethod
+    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "Reply":
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -314,12 +352,13 @@ class QueryReply(Reply):
     ``"deadline"``; ``latency`` is measured on the backend's clock
     (wall-clock seconds live, simulated units sim); ``chunks`` counts the
     streamed partial-result frames that preceded this summary (0 for
-    non-streaming requests).  ``trace`` holds the query's span tree (a
-    list of span dicts — see :mod:`repro.obs.spans`) when the request
-    asked for one and the backend granted it; otherwise it is empty and
-    ``trace_id`` is ``None``.
+    non-streaming requests; never on the wire — the client counts).
+    ``trace`` holds the query's span tree (a list of span dicts — see
+    :mod:`repro.obs.spans`) when the request asked for one and the backend
+    granted it; otherwise it is empty and ``trace_id`` is ``None``.
     """
 
+    wire_type = "result"
     status: str = "ok"
     latency: float = 0.0
     result: RangeQueryResult = None  # type: ignore[assignment]
@@ -330,19 +369,47 @@ class QueryReply(Reply):
     def __post_init__(self) -> None:
         object.__setattr__(self, "ok", self.status == "ok")
 
+    @classmethod
+    def completed(
+        cls, result: RangeQueryResult, latency: float, trace: Any = None, chunks: int = 0
+    ) -> "QueryReply":
+        """The reply for one :meth:`Deployment.launch` completion (``trace``
+        is the collected :class:`~repro.obs.spans.QueryTrace`, or ``None``)."""
+        return cls(
+            status=result.status,
+            latency=latency,
+            result=result,
+            chunks=chunks,
+            trace_id=trace.trace_id if trace is not None else None,
+            trace=tuple(trace.to_wire()) if trace is not None else (),
+        )
 
-@dataclass(frozen=True)
-class Chunk:
-    """One streamed partial result: a destination peer's report.
+    def to_wire(self) -> Dict[str, Any]:
+        wire = dict(
+            super().to_wire(),
+            status=self.status,
+            latency=self.latency,
+            result=self.result.to_wire(),
+        )
+        if self.trace_id is not None:
+            wire["trace_id"] = self.trace_id
+            wire["trace"] = list(self.trace)
+        return wire
 
-    ``trace_id`` ties the chunk to its query's span tree when the request
-    was traced; ``None`` otherwise.
-    """
-
-    peer: str
-    hop: int
-    values: List[Any]
-    trace_id: Optional[str] = None
+    @classmethod
+    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "QueryReply":
+        try:
+            result = RangeQueryResult.from_wire(payload["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ApiError(f"malformed result payload: {exc!r}") from exc
+        return cls(
+            status=payload["status"],
+            latency=float(payload["latency"]),
+            result=result,
+            chunks=chunks,
+            trace_id=payload.get("trace_id"),
+            trace=tuple(payload.get("trace", ())),
+        )
 
 
 @dataclass(frozen=True)
@@ -350,13 +417,29 @@ class InsertReply(Reply):
     """Publication acknowledged: the ObjectID and its owning peer.
 
     ``replicas`` lists every peer whose store durably appended the object
-    before the ack (owner first); empty means the pre-replication wire
-    form (a single-copy write on the owner).
+    before the ack (owner first).
     """
 
+    wire_type = "inserted"
     object_id: str = ""
     owner: str = ""
     replicas: Tuple[str, ...] = ()
+
+    def to_wire(self) -> Dict[str, Any]:
+        return dict(
+            super().to_wire(),
+            object_id=self.object_id,
+            owner=self.owner,
+            replicas=list(self.replicas),
+        )
+
+    @classmethod
+    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "InsertReply":
+        return cls(
+            object_id=payload["object_id"],
+            owner=payload["owner"],
+            replicas=tuple(payload.get("replicas", ())),
+        )
 
 
 @dataclass(frozen=True)
@@ -367,6 +450,7 @@ class GetReply(Reply):
     copy; ``values`` are the stored payloads under the value's ObjectID.
     """
 
+    wire_type = "found"
     object_id: str = ""
     peer: Optional[str] = None
     values: Tuple[Any, ...] = ()
@@ -376,54 +460,61 @@ class GetReply(Reply):
         """True when some live peer served a copy."""
         return self.peer is not None
 
+    def to_wire(self) -> Dict[str, Any]:
+        return dict(
+            super().to_wire(),
+            object_id=self.object_id,
+            peer=self.peer,
+            values=[encode_value(value) for value in self.values],
+        )
+
+    @classmethod
+    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "GetReply":
+        return cls(
+            object_id=payload["object_id"],
+            peer=payload.get("peer"),
+            values=tuple(decode_value(value) for value in payload.get("values", ())),
+        )
+
 
 @dataclass(frozen=True)
 class StatsReply(Reply):
     """Backend statistics."""
 
+    wire_type = "stats"
     stats: Dict[str, Any] = field(default_factory=dict)
+
+    def to_wire(self) -> Dict[str, Any]:
+        return dict(super().to_wire(), stats=self.stats)
+
+    @classmethod
+    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "StatsReply":
+        return cls(stats=payload["stats"])
 
 
 @dataclass(frozen=True)
 class PongReply(Reply):
     """Answer to a :class:`Ping`."""
 
+    wire_type = "pong"
+
+
+#: every concrete reply type, keyed by its wire ``type``
+REPLY_TYPES: Dict[str, type] = {
+    cls.wire_type: cls for cls in (QueryReply, InsertReply, GetReply, StatsReply, PongReply)
+}
+
 
 def reply_from_payload(request: Request, payload: Dict[str, Any], chunks: int = 0) -> Reply:
     """Decode a gateway ``reply`` frame's payload into the typed reply for ``request``."""
     if not payload.get("ok", False):
         raise ApiError(payload.get("error", "unknown gateway error"))
-    kind = payload.get("type")
-    if kind == "result":
-        try:
-            result = RangeQueryResult.from_wire(payload["result"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ApiError(f"malformed result payload: {exc!r}") from exc
-        return QueryReply(
-            status=payload["status"],
-            latency=float(payload["latency"]),
-            result=result,
-            chunks=chunks,
-            trace_id=payload.get("trace_id"),
-            trace=tuple(payload.get("trace", ())),
+    cls = REPLY_TYPES.get(payload.get("type"))
+    if cls is None:
+        raise ApiError(
+            f"undecodable reply type {payload.get('type')!r} for request op {request.op!r}"
         )
-    if kind == "inserted":
-        return InsertReply(
-            object_id=payload["object_id"],
-            owner=payload["owner"],
-            replicas=tuple(payload.get("replicas", ())),
-        )
-    if kind == "found":
-        return GetReply(
-            object_id=payload["object_id"],
-            peer=payload.get("peer"),
-            values=tuple(decode_value(value) for value in payload.get("values", ())),
-        )
-    if kind == "stats":
-        return StatsReply(stats=payload["stats"])
-    if kind == "pong":
-        return PongReply()
-    raise ApiError(f"undecodable reply type {kind!r} for request op {request.op!r}")
+    return cls.from_wire(payload, chunks)
 
 
 def better_query_reply(left: QueryReply, right: QueryReply) -> QueryReply:

@@ -30,7 +30,12 @@ The base class implements everything that is backend-independent:
 Backends implement :meth:`_submit_once` (execute one request once) and
 :meth:`run_jobs` (bind the one load driver,
 :class:`~repro.engine.query_engine.LoadDriver`, to the backend's clock and
-return its :class:`~repro.engine.reporting.EngineReport`).
+return its :class:`~repro.engine.reporting.EngineReport`).  Neither backend
+decides what a request means: ``SimSession`` directly, and ``LiveSession``
+through the gateway, end up in one :class:`~repro.core.deployment.Deployment`
+(write naming and placement, failover read, query launch), so a rule such
+as "the default origin is never a down peer" or "a write with a down target
+is refused before any copy" is a property of both by construction.
 """
 
 from __future__ import annotations

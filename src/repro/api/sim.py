@@ -1,12 +1,18 @@
 """:class:`SimSession` — the simulator binding of the session API.
 
-Drives an :class:`~repro.core.armada.ArmadaSystem` directly: single
-requests run the resumable PIRA/MIRA executors to completion on the
-discrete-event clock, workloads go through the one load driver bound to
-that clock (:class:`~repro.engine.query_engine.QueryEngine`).  Latencies
-and deadlines are in **simulated time units** (the live binding measures
-the same fields in wall-clock seconds); a deadline is handed to the
-executor's ``start``, which owns the timer.
+Drives an :class:`~repro.core.armada.ArmadaSystem`.  What each request does
+is the system's :class:`~repro.core.deployment.Deployment` — the same class,
+so the same rules, the live gateway calls: writes are named, placed (a
+placement with a crashed peer is refused before any copy) and copied by it,
+exact reads walk its failover order, and a query is its one ``launch``
+(default origin never a crashed peer, executor by kind, tracer on demand,
+chunks carrying the trace id).  This binding only adds the clock: a single
+query is launched and the discrete-event overlay drained to completion;
+workloads go through the one load driver bound to that clock
+(:class:`~repro.engine.query_engine.QueryEngine`).  Latencies and deadlines
+are in **simulated time units** (the live binding measures the same fields
+in wall-clock seconds); a deadline is handed down to the executor's
+``start``, which owns the timer.
 
 The replies are byte-identical in structure to the live binding's — the
 same :class:`~repro.core.pira.RangeQueryResult` a gateway would ship over
@@ -22,7 +28,6 @@ from repro.api.requests import (
     ApiError,
     Chunk,
     Get,
-    GetReply,
     Insert,
     InsertReply,
     MultiInsert,
@@ -39,7 +44,6 @@ from repro.api.requests import (
 from repro.api.session import ChunkCallback, Session
 from repro.core.armada import ArmadaSystem
 from repro.core.errors import ArmadaError
-from repro.core.pira import RangeQueryResult
 from repro.engine.query_engine import QueryEngine
 from repro.engine.reporting import EngineReport, QueryJob
 
@@ -74,32 +78,17 @@ class SimSession(Session):
     async def _submit_once(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
+        deployment = self.system.deployment
         try:
             if isinstance(request, (RangeQuery, MultiRangeQuery)):
                 return self._run_query(request, on_chunk)
-            if isinstance(request, Insert):
-                object_id, peers = self.system.insert_replicated(
-                    request.value,
-                    payload=float(request.value),
-                    replicas=request.options.replicas,
-                )
-                return InsertReply(
-                    object_id=object_id, owner=peers[0], replicas=tuple(peers)
-                )
-            if isinstance(request, MultiInsert):
-                object_id, peers = self.system.insert_multi_replicated(
-                    request.values, replicas=request.options.replicas
-                )
-                return InsertReply(
-                    object_id=object_id, owner=peers[0], replicas=tuple(peers)
-                )
+            if isinstance(request, (Insert, MultiInsert)):
+                object_id, key, value = request.name(deployment)
+                peers = deployment.write(object_id, key, value, request.options.replicas)
+                return InsertReply(object_id=object_id, owner=peers[0], replicas=tuple(peers))
             if isinstance(request, Get):
-                peer_id, objects = self.system.durable_get(request.value)
-                return GetReply(
-                    object_id=self.system.single_namer.name(request.value),
-                    peer=peer_id,
-                    values=tuple(stored.value for stored in objects),
-                )
+                object_id = deployment.single_namer.name(request.value)
+                return request.reply(object_id, *deployment.read(object_id))
             if isinstance(request, Stats):
                 stats = dict(self.system.stats())
                 stats.update(
@@ -107,8 +96,7 @@ class SimSession(Session):
                         "backend": "sim",
                         "queries_served": self.queries_served,
                         "in_flight": sum(
-                            executor.active_queries
-                            for executor in self.system.executors.values()
+                            executor.active_queries for executor in deployment.executors.values()
                         ),
                     }
                 )
@@ -116,8 +104,8 @@ class SimSession(Session):
             if isinstance(request, Ping):
                 return PongReply()
         except ArmadaError as exc:
-            # QueryError / NamingError from the executors and namers: the
-            # same failures the gateway reports as error payloads.
+            # QueryError / NamingError / a refused write from the deployment:
+            # the same failures the gateway reports as error payloads.
             raise ApiError(str(exc)) from exc
         raise ApiError(f"SimSession cannot execute request op {request.op!r}")
 
@@ -125,65 +113,29 @@ class SimSession(Session):
         self, request: Request, on_chunk: Optional[ChunkCallback]
     ) -> QueryReply:
         options = request.options
-        origin = options.origin if options.origin is not None else self.system.random_peer_id()
-        if not self.system.network.has_peer(origin):
-            raise ApiError(f"unknown origin peer {origin!r}")
-        executor = self.system.executors.get(request.kind)
-        if executor is None:
-            raise ApiError("this system was not configured with attribute_intervals")
-
-        simulator = self.system.overlay.simulator
-        started = simulator.now
-        completed_at = started
         chunks = 0
+        completed: list = []
 
-        def complete(result: RangeQueryResult) -> None:
-            nonlocal completed_at
-            completed_at = simulator.now
-
-        def destination(peer_id: str, hop: int, new_matches: list) -> None:
+        def count(chunk: Chunk) -> None:
             nonlocal chunks
             chunks += 1
             if on_chunk is not None:
-                on_chunk(
-                    Chunk(
-                        peer=peer_id,
-                        hop=hop,
-                        values=[stored.key for stored in new_matches],
-                    )
-                )
+                on_chunk(chunk)
 
-        traced = options.trace and self.tracer is not None
-        if traced and executor.tracer is None:
-            executor.set_tracer(self.tracer)
         # The executor's deadline timer is cancelled at completion, so the
         # drain below stops (and the clock with it) when the query does.
-        result = executor.start(
-            origin,
+        self.system.deployment.launch(
+            request.kind,
             request.ranges,
-            deadline=options.deadline if options.deadline is not None else self.deadline,
-            on_complete=complete,
-            on_destination=destination,
-            trace=traced,
+            options.origin,
+            options.deadline if options.deadline is not None else self.deadline,
+            tracer=self.tracer if options.trace else None,
+            on_chunk=count if options.stream or on_chunk is not None else None,
+            on_complete=lambda *completion: completed.append(completion),
         )
         self.system.overlay.run()
-
         self.queries_served += 1
-        trace_id: Optional[str] = None
-        trace: tuple = ()
-        if traced:
-            collected = self.tracer.take(f"{executor.message_kind}-{result.query_id}")
-            if collected is not None:
-                trace_id = collected.trace_id
-                trace = tuple(collected.to_wire())
-        return QueryReply(
-            status=result.status,
-            latency=completed_at - started,
-            result=result,
-            chunks=chunks,
-            trace_id=trace_id,
-            trace=trace,
-        )
+        return QueryReply.completed(*completed[0], chunks=chunks)
 
     # ------------------------------------------------------------------ #
     # workloads                                                            #

@@ -4,9 +4,11 @@
 
 * a FISSIONE network of ``num_peers`` peers (built deterministically from a
   seed),
-* order-preserving naming (``Single_hash`` and, when configured with several
-  attribute intervals, ``Multiple_hash``),
-* PIRA / MIRA query execution over the discrete-event overlay, and
+* one :class:`~repro.core.deployment.Deployment` over that network and the
+  discrete-event overlay — naming (``Single_hash`` and, when configured
+  with several attribute intervals, ``Multiple_hash``), the PIRA / MIRA
+  executors, and the write / failover-read / launch rules the live cluster
+  runs too (this class adds nothing to them but the simulator's clock), and
 * convenience helpers for publishing objects, exact-match lookups, churn and
   topology statistics.
 
@@ -26,13 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.errors import ArmadaError, QueryError
-from repro.core.mira import MiraExecutor
-from repro.core.multiple_hash import MultiAttributeNamer
-from repro.core.pira import PiraExecutor, RangeQueryResult
-from repro.core.single_hash import SingleAttributeNamer
+from repro.core.deployment import Deployment
+from repro.core.errors import QueryError
+from repro.core.pira import RangeQueryResult
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import StoredObject
 from repro.fissione.routing import RoutePath, route
@@ -86,23 +86,19 @@ class ArmadaSystem:
         self._join_rng = self.rng.substream("late-joins")
         self._leave_rng = self.rng.substream("departures")
 
-        low, high = attribute_interval
-        self.single_namer = SingleAttributeNamer(
-            low=low, high=high, length=self.network.object_id_length, base=self.network.base
+        self.deployment = Deployment(
+            self.network,
+            self.overlay,
+            attribute_interval,
+            attribute_intervals,
+            origin_rng=self._origin_rng,
+            down=self._down_ids,
         )
-        self.pira = PiraExecutor(self.network, self.single_namer, overlay=self.overlay)
-        self.executors: Dict[str, Any] = {"pira": self.pira}  # by message kind
-
-        self.multi_namer: Optional[MultiAttributeNamer] = None
-        self.mira: Optional[MiraExecutor] = None
-        if attribute_intervals is not None:
-            self.multi_namer = MultiAttributeNamer(
-                intervals=attribute_intervals,
-                length=self.network.object_id_length,
-                base=self.network.base,
-            )
-            self.mira = MiraExecutor(self.network, self.multi_namer, overlay=self.overlay)
-            self.executors["mira"] = self.mira
+        self.single_namer = self.deployment.single_namer
+        self.multi_namer = self.deployment.multi_namer
+        self.executors = self.deployment.executors  # by message kind
+        self.pira = self.executors["pira"]
+        self.mira = self.executors.get("mira")
 
     # ------------------------------------------------------------------ #
     # basic information                                                    #
@@ -122,8 +118,8 @@ class ArmadaSystem:
         return check_topology(self.network)
 
     def random_peer_id(self) -> str:
-        """A uniformly random PeerID (used as default query origin)."""
-        return self.network.random_peer(self._origin_rng).peer_id
+        """A uniformly random PeerID whose peer is up (the default query origin)."""
+        return self.deployment.default_origin()
 
     # ------------------------------------------------------------------ #
     # faults & resilience                                                  #
@@ -144,17 +140,17 @@ class ArmadaSystem:
         """
         return plan.install(self.overlay)
 
+    def _down_ids(self):
+        """PeerIDs crash-stopped by an installed fault plan (the
+        deployment's ``down`` view)."""
+        injector = self.overlay.fault_injector
+        return injector.down_ids if injector is not None else ()
+
     def live_peer_ids(self) -> List[str]:
         """PeerIDs not currently crash-stopped by an installed fault plan
         (all peers when no injector is installed), sorted."""
-        injector = self.overlay.fault_injector
-        if injector is None:
-            return self.network.peer_ids()
-        return [
-            peer_id
-            for peer_id in self.network.peer_ids()
-            if not injector.is_down(peer_id)
-        ]
+        down = self._down_ids()
+        return [peer_id for peer_id in self.network.peer_ids() if peer_id not in down]
 
     # ------------------------------------------------------------------ #
     # publishing                                                           #
@@ -163,27 +159,13 @@ class ArmadaSystem:
     def insert(self, value: float, payload: Any = None, replicas: int = 1) -> str:
         """Publish a single-attribute object; returns its ObjectID.
 
-        ``replicas=1`` is the pre-storage-seam write path, byte-identical
-        to every earlier release; ``replicas=k`` durably appends the
-        object on the owner plus ``k-1`` prefix siblings before returning
-        (see :meth:`insert_replicated` for the replica set).
+        ``replicas=k`` durably appends the object on the owner plus ``k-1``
+        prefix siblings before returning; a placement that includes a
+        crashed peer is refused (:meth:`Deployment.place`).
         """
-        object_id, _ = self.insert_replicated(value, payload=payload, replicas=replicas)
+        object_id, key, payload = self.deployment.name_insert(value, payload)
+        self.deployment.write(object_id, key, payload, replicas)
         return object_id
-
-    def insert_replicated(
-        self, value: float, payload: Any = None, replicas: int = 1
-    ) -> Tuple[str, List[str]]:
-        """Publish a single-attribute object; returns ``(object_id, peers)``."""
-        object_id = self.single_namer.name(value)
-        if replicas <= 1:
-            peer = self.network.publish(object_id, key=float(value), value=payload)
-            peer.backend.sync()
-            return object_id, [peer.peer_id]
-        targets = self.network.publish_replicated(
-            object_id, key=float(value), value=payload, replicas=replicas
-        )
-        return object_id, targets
 
     def insert_many(self, values: Sequence[float]) -> List[str]:
         """Publish many single-attribute objects (payload defaults to the value)."""
@@ -193,46 +175,9 @@ class ArmadaSystem:
         self, values: Sequence[float], payload: Any = None, replicas: int = 1
     ) -> str:
         """Publish a multi-attribute object; returns its ObjectID."""
-        object_id, _ = self.insert_multi_replicated(
-            values, payload=payload, replicas=replicas
-        )
+        object_id, key, payload = self.deployment.name_multi_insert(values, payload)
+        self.deployment.write(object_id, key, payload, replicas)
         return object_id
-
-    def insert_multi_replicated(
-        self, values: Sequence[float], payload: Any = None, replicas: int = 1
-    ) -> Tuple[str, List[str]]:
-        """Publish a multi-attribute object; returns ``(object_id, peers)``."""
-        if self.multi_namer is None:
-            raise ArmadaError(
-                "this ArmadaSystem was not configured with attribute_intervals; "
-                "multi-attribute publishing is unavailable"
-            )
-        object_id = self.multi_namer.name(values)
-        key = tuple(float(v) for v in values)
-        if replicas <= 1:
-            peer = self.network.publish(object_id, key=key, value=payload)
-            peer.backend.sync()
-            return object_id, [peer.peer_id]
-        targets = self.network.publish_replicated(
-            object_id, key=key, value=payload, replicas=replicas
-        )
-        return object_id, targets
-
-    def durable_get(self, value: float):
-        """Exact read with replica failover, honouring crashed peers.
-
-        Returns ``(peer_id, objects)`` from the first live copy holder in
-        replica-placement order (owner first), or ``(None, [])`` when no
-        live peer holds the value.  This is the read-side counterpart of
-        ``replicas=k`` writes: after the owner crashes, an acknowledged
-        write is still served from a prefix sibling's replica copy.
-        """
-        object_id = self.single_namer.name(value)
-        injector = self.overlay.fault_injector
-        down = injector.down_ids if injector is not None else None
-        peer_id, objects = self.network.lookup_with_failover(object_id, down=down)
-        key = float(value)
-        return peer_id, [stored for stored in objects if stored.key == key]
 
     # ------------------------------------------------------------------ #
     # queries                                                              #
@@ -247,8 +192,7 @@ class ArmadaSystem:
         """Single-attribute range query ``[low, high]`` via PIRA."""
         if high < low:
             raise QueryError(f"range low bound {low} exceeds high bound {high}")
-        origin_id = origin if origin is not None else self.random_peer_id()
-        return self.pira.execute(origin_id, [(low, high)])
+        return self._execute("pira", [(low, high)], origin)
 
     def multi_range_query(
         self,
@@ -256,13 +200,13 @@ class ArmadaSystem:
         origin: Optional[str] = None,
     ) -> RangeQueryResult:
         """Multi-attribute range query via MIRA."""
-        if self.mira is None:
-            raise ArmadaError(
-                "this ArmadaSystem was not configured with attribute_intervals; "
-                "multi-attribute queries are unavailable"
-            )
-        origin_id = origin if origin is not None else self.random_peer_id()
-        return self.mira.execute(origin_id, ranges)
+        return self._execute("mira", ranges, origin)
+
+    def _execute(self, kind: str, ranges, origin: Optional[str]) -> RangeQueryResult:
+        """Launch one query and drain the overlay (the blocking wrapper)."""
+        result = self.deployment.launch(kind, ranges, origin)
+        self.overlay.run()
+        return result
 
     def exact_query(self, value: float, origin: Optional[str] = None) -> ExactQueryResult:
         """Exact-match query for one attribute value (plain FISSIONE routing)."""

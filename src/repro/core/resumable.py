@@ -57,11 +57,11 @@ A concrete executor must provide
   predicate (the sibling-reroute targets; the default is none).
 
 All sending, timer scheduling, clock reads and reachability checks go
-through ``self.transport`` (a :class:`~repro.core.transport.Transport`).
-The default is a :class:`~repro.core.transport.SimTransport` over the
-executor's overlay — byte-identical to the pre-seam behaviour — and the
-live runtime (:mod:`repro.runtime`) substitutes an asyncio/TCP transport
-without the handlers changing at all.
+through ``self.transport``, the one :class:`~repro.core.transport.Transport`
+an executor is built over: the simulator's
+:class:`~repro.sim.network.OverlayNetwork` itself, the live runtime's
+asyncio/TCP transport, or the replayer's outbox — the handlers do not
+change at all between them.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import QueryError
 from repro.core.frt import descendant_prefix
-from repro.core.transport import SimTransport, Transport
+from repro.core.transport import Transport
 from repro.faults.resilience import ResiliencePolicy
-from repro.sim.network import Message, OverlayNetwork
+from repro.sim.network import Message
 
 
 @dataclass(slots=True)
@@ -151,35 +151,13 @@ class ResumableExecutor:
     #: overlay message kind, set by the concrete executor
     message_kind: str = "query"
 
-    def __init__(
-        self,
-        network: Any,
-        namer: Any,
-        overlay: Optional[OverlayNetwork] = None,
-        transport: Optional[Transport] = None,
-    ) -> None:
+    def __init__(self, network: Any, namer: Any, transport: Transport) -> None:
         self.network = network
         self.namer = namer
-        # With an explicit transport the executor is transport-agnostic and
-        # ``overlay`` stays None (unless the transport exposes one); the
-        # default is a private overlay wrapped in a SimTransport.  The live
-        # runtime passes its asyncio transport instead.
-        if transport is None:
-            self.overlay = overlay if overlay is not None else OverlayNetwork()
-            transport = SimTransport(self.overlay)
-        else:
-            self.overlay = getattr(transport, "overlay", None)
         self.transport = transport
-        # Hot-path bindings: a SimTransport is pure delegation, so the
-        # per-message send / reachability probes go straight to the overlay's
-        # bound methods, skipping one Python call per message.  (Both objects
-        # live as long as the executor, so the bindings never go stale.)
-        if self.overlay is not None:
-            self._send = self.overlay.send
-            self._has_node = self.overlay.has_node
-        else:
-            self._send = transport.send
-            self._has_node = transport.has_node
+        # Hot-path bindings: one attribute lookup less per message.
+        self._send = transport.send
+        self._has_node = transport.has_node
         # Bound once: the executor's network never changes, and the
         # neighbour-view lookup runs once per forwarding occurrence.
         self._out_view = network.out_neighbors_view
@@ -197,14 +175,15 @@ class ResumableExecutor:
 
     def execute(self, origin_peer_id: str, ranges: Sequence[Tuple[float, float]]) -> Any:
         """Run the query ``ranges`` from ``origin_peer_id`` to completion
-        (the synchronous single-query wrapper: start, then drain the overlay)."""
-        if self.overlay is None:
+        (the synchronous single-query wrapper: start, then drain the transport)."""
+        run = getattr(self.transport, "run", None)
+        if run is None:
             raise QueryError(
                 "synchronous execute() needs the simulator transport; "
                 "live transports drive queries via start()/on_complete"
             )
         result = self.start(origin_peer_id, ranges)
-        self.overlay.run()
+        run()
         return result
 
     def _claim_query_id(self, origin_peer_id: str, query_id: Optional[int]) -> int:
@@ -305,7 +284,7 @@ class ResumableExecutor:
     # message handling                                                     #
     # ------------------------------------------------------------------ #
 
-    def handle_message(self, network: OverlayNetwork, message: Message) -> None:
+    def handle_message(self, network: Any, message: Message) -> None:
         """Resume the in-flight query ``message.query_id`` at the receiver.
 
         This is the per-message entry point: it looks up the query state by
@@ -315,7 +294,7 @@ class ResumableExecutor:
         """
         self._dispatch(None, network, message)
 
-    def _dispatch(self, peer: Any, network: OverlayNetwork, message: Message) -> None:
+    def _dispatch(self, peer: Any, network: Any, message: Message) -> None:
         """Per-message worker, registered as the ``handler`` metadata hook.
 
         Carries the full dispatch body (rather than delegating to

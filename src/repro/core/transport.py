@@ -1,33 +1,36 @@
 """The transport seam between query executors and the world below them.
 
-The resumable PIRA/MIRA executors (:mod:`repro.core.resumable`) were written
-against the discrete-event :class:`~repro.sim.network.OverlayNetwork`, but
-everything they actually need from it is narrow: put a message on the wire,
-arm a cancellable timer, read a clock, and track which node ids are
-reachable.  :class:`Transport` names exactly that surface, and the executors
-now talk to ``self.transport`` instead of reaching into the overlay — which
-is the seam that lets the *same* handler code run
+Everything the resumable PIRA/MIRA executors (:mod:`repro.core.resumable`)
+need from the layer that moves their messages is narrow: put a message on
+the wire, arm a cancellable timer, read a clock, and track which node ids
+are reachable.  :class:`Transport` names exactly that surface; an executor
+is built over one transport and talks to nothing else, which is what lets
+the *same* handler code run
 
-* on the simulator, via :class:`SimTransport` (a zero-logic delegation to
-  ``OverlayNetwork``; the fault-free simulated path stays byte-identical to
-  the pre-seam code), and
+* on the simulator: :class:`~repro.sim.network.OverlayNetwork` *is* a
+  transport (``send``, the node registry, ``now`` / ``schedule_after``
+  delegating to its scheduler) — there is no adapter in between;
 * on real asyncio TCP sockets, via
   :class:`repro.runtime.transport.AsyncioTransport` (frames each message as
   length-prefixed JSON and delivers it to the peer node hosting the
-  receiver).
+  receiver);
+* on a recording, via :class:`repro.obs.replay.ReplayTransport` (parks each
+  send until the recorded delivery releases it).
 
 ``register``/``unregister``/``node_ids`` exist because the executors'
 :meth:`~repro.core.resumable.ResumableExecutor.refresh_membership` keeps the
 reachable-node set in sync with the peer table after churn; a transport is
 free to interpret registration however it routes (the simulator stores the
 node object, the asyncio transport keeps an address book bound separately).
+A transport that can drain itself synchronously offers ``run()`` (only the
+overlay does); the executors' blocking ``execute()`` needs it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable, Protocol
 
-from repro.sim.network import Message, OverlayNetwork
+from repro.sim.network import Message
 
 
 class TimerHandle(Protocol):
@@ -73,46 +76,3 @@ class Transport(Protocol):
 
     def node_ids(self) -> Iterable[Hashable]:
         """Snapshot of the currently reachable node ids."""
-
-
-class SimTransport:
-    """:class:`Transport` over the discrete-event overlay network.
-
-    Pure delegation — every call forwards to the wrapped
-    :class:`~repro.sim.network.OverlayNetwork` / simulator pair, so an
-    executor constructed with (or defaulting to) a ``SimTransport`` behaves
-    byte-identically to the pre-seam code.  The wrapped overlay stays public
-    as :attr:`overlay` because the synchronous drivers (the executors'
-    :meth:`~repro.core.resumable.ResumableExecutor.execute`, the engine, the
-    sweep orchestrator) still run the simulator directly.
-    """
-
-    __slots__ = ("overlay",)
-
-    def __init__(self, overlay: OverlayNetwork) -> None:
-        self.overlay = overlay
-
-    @property
-    def now(self) -> float:
-        return self.overlay.simulator.now
-
-    def send(self, message: Message) -> None:
-        self.overlay.send(message)
-
-    def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Any:
-        return self.overlay.simulator.schedule_after(delay, callback, label=label)
-
-    def has_node(self, node_id: Hashable) -> bool:
-        return self.overlay.has_node(node_id)
-
-    def register(self, node: Any) -> None:
-        self.overlay.register(node)
-
-    def unregister(self, node_id: Hashable) -> None:
-        self.overlay.unregister(node_id)
-
-    def node_ids(self) -> Iterable[Hashable]:
-        return self.overlay.node_ids()
-
-    def __repr__(self) -> str:
-        return f"SimTransport(overlay={self.overlay!r})"

@@ -12,9 +12,9 @@ launcher it is handed, under one of two disciplines:
   synchronous clients.
 
 :class:`QueryEngine` binds it to the simulator clock and the resumable
-PIRA/MIRA executors (``system.executors[job.kind].start(origin, ranges,
-deadline=...)``; the executor, not the engine, arms and cancels the deadline
-timer) and adds what only a simulation has: **churn** — peer joins/departures
+PIRA/MIRA executors (``system.deployment.launch(kind, ranges, origin,
+deadline, ...)`` — the one launch every driver calls; the executor, not the
+engine, arms and cancels the deadline timer) and adds what only a simulation has: **churn** — peer joins/departures
 scheduled as simulator events that interleave with in-flight queries, which
 survive via the overlay's drop accounting.  The asyncio binding is
 :func:`repro.runtime.loadgen.run_jobs`.
@@ -35,7 +35,6 @@ from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
 from collections import deque
 
 from repro.core.armada import ArmadaSystem
-from repro.core.errors import ArmadaError
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob, build_report
 from repro.sim.metrics import QueryTracker, safe_ratio
@@ -254,23 +253,25 @@ class QueryEngine(LoadDriver):
     # -- internals ----------------------------------------------------------
 
     def _launch(self, job: QueryJob, done: Callable[[RangeQueryResult], None]) -> None:
-        origin = job.origin if job.origin is not None else self.system.random_peer_id()
-        # Churn may have removed the chosen origin between workload
-        # generation and launch; fall back to a live peer.
-        if not self.system.network.has_peer(origin):
-            origin = self.system.random_peer_id()
-        executor = self.system.executors.get(job.kind)
-        if executor is None:
-            raise ArmadaError(
-                "multi-attribute job submitted to a system without attribute_intervals"
-            )
+        # The engine's own rule: churn may have removed a pinned origin
+        # between workload generation and launch; redraw it like an unpinned
+        # one.  Everything else is the deployment's launch.
+        origin = job.origin
+        if origin is not None and not self.system.network.has_peer(origin):
+            origin = None
         # The executor enforces the deadline: a stalled/slow query is
         # force-completed as failed (partial results kept), never leaked.
-        result = executor.start(origin, job.query_ranges, deadline=self.deadline, on_complete=done)
-        # ``start`` may have completed the query synchronously (everything
+        result = self.system.deployment.launch(
+            job.kind,
+            job.query_ranges,
+            origin,
+            self.deadline,
+            on_complete=lambda result, latency, trace: done(result),
+        )
+        # The launch may have completed the query synchronously (everything
         # pruned at the origin); only genuinely in-flight queries get drop
         # tracking.
-        if executor.is_active(result.query_id):
+        if self.system.executors[job.kind].is_active(result.query_id):
             self._inflight.add((job.kind, result.query_id))
 
     def _forget(self, record: CompletedQuery) -> None:

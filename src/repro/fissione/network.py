@@ -462,58 +462,10 @@ class FissioneNetwork:
             raise FissioneError("replicas must be at least 1")
         return list(itertools.islice(self.replica_order(object_id), replicas))
 
-    def publish_replicated(
-        self, object_id: str, key: Any, value: Any, replicas: int = 1
-    ) -> List[str]:
-        """Durably store an object on ``replicas`` peers; returns their ids.
-
-        The owner takes the primary copy, the prefix siblings take replica
-        copies (held outside the query-scanned view), and every backend is
-        synced before this returns — the simulator's version of the
-        gateway ack rule: a write acknowledged here survives any single
-        replica's crash.
-        """
-        self._validate_object_id(object_id)
-        targets = self.replica_peers(object_id, replicas)
-        primary = self._peers[targets[0]]
-        primary.put(object_id, key, value)
-        primary.backend.sync()
-        for sibling_id in targets[1:]:
-            sibling = self._peers[sibling_id]
-            sibling.put_replica(object_id, key, value)
-            sibling.backend.sync()
-        return targets
-
     def lookup(self, object_id: str) -> List[StoredObject]:
         """Objects stored under ``object_id`` (no routing cost accounted)."""
         self._validate_object_id(object_id)
         return self.owner(object_id).get(object_id)
-
-    def lookup_with_failover(
-        self, object_id: str, down: Optional[Iterable[str]] = None
-    ) -> Tuple[Optional[str], List[StoredObject]]:
-        """Read ``object_id`` from the first live peer holding any copy.
-
-        Consults the owner's primary copy first, then walks the prefix
-        siblings (the replica placement order) reading replica copies.
-        ``down`` names peers that must be skipped (crashed in the fault
-        injector, or unreachable live nodes).  Returns ``(peer_id,
-        objects)`` for the first peer with a non-empty copy set, or
-        ``(None, [])`` when no live peer holds the object.
-        """
-        self._validate_object_id(object_id)
-        down_set = set(down) if down is not None else set()
-        # A copy written with any replication factor k sits on one of the
-        # first k entries of the placement order, so walking it finds the
-        # nearest live copy; only a miss walks all of it.
-        for index, peer_id in enumerate(self.replica_order(object_id)):
-            if peer_id in down_set:
-                continue
-            peer = self._peers[peer_id]
-            found = peer.get(object_id) if index == 0 else peer.get_any(object_id)
-            if found:
-                return peer_id, found
-        return None, []
 
     def total_objects(self) -> int:
         """Total number of stored objects across all peers."""

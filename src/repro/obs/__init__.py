@@ -31,7 +31,6 @@ from repro.obs.replay import (
     ReplayError,
     ReplayReport,
     ReplayTransport,
-    rebuild_network,
     replay_events,
 )
 from repro.obs.metrics import (
@@ -76,7 +75,6 @@ __all__ = [
     "format_span_tree",
     "get_logger",
     "load_dump",
-    "rebuild_network",
     "replay_events",
     "span_from_dict",
     "span_to_dict",

@@ -7,10 +7,12 @@ cluster draws its topology from the same seeded RNG substream as
 everything needed to re-execute a live run deterministically:
 
 1. the ``meta`` event rebuilds the identical overlay topology from the
-   recorded seed (seed zones + one join per RNG draw, exactly the live
-   bootstrap sequence);
-2. ``store`` events re-publish the recorded objects (wire forms, so keys
-   and values round-trip exactly);
+   recorded seed (:meth:`FissioneNetwork.build`: seed zones + one join per
+   RNG draw, exactly the live bootstrap sequence) and the same
+   :class:`~repro.core.deployment.Deployment` the live cluster ran — same
+   namers, same executors — over a :class:`ReplayTransport`;
+2. ``store`` events re-apply the recorded copies through the deployment's
+   one copy-write (wire forms, so keys and values round-trip exactly);
 3. each ``query`` event re-starts the query on a fresh executor with the
    *recorded* query id — the executor's deterministic send-id counter then
    re-allocates the same send ids the live run used;
@@ -38,10 +40,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.mira import MiraExecutor
-from repro.core.multiple_hash import MultiAttributeNamer
-from repro.core.pira import PiraExecutor
-from repro.core.single_hash import SingleAttributeNamer
+from repro.core.deployment import Deployment
 from repro.fissione.network import FissioneNetwork
 from repro.obs.spans import QueryTrace, Tracer
 from repro.sim.rng import DeterministicRNG
@@ -74,9 +73,6 @@ class ReplayTransport:
     is on the recorded path.  ``now`` is set from each recorded event's
     monotonic timestamp before it is applied, so replayed span trees carry
     the live timings.
-
-    Deliberately has **no** ``overlay`` attribute: the executors'
-    ``__init__`` must bind ``send``/``has_node`` to this object.
     """
 
     def __init__(self, node_ids: Iterable[str]) -> None:
@@ -148,23 +144,6 @@ class ReplayReport:
         return self.divergence is None
 
 
-def rebuild_network(meta: Dict[str, Any]) -> FissioneNetwork:
-    """Reconstruct the recorded cluster's topology from its seed.
-
-    Mirrors the live bootstrap exactly: seed the initial ``base + 1``
-    zones, then draw one join target per remaining peer from the
-    ``seed → "topology"`` RNG substream.
-    """
-    network = FissioneNetwork(
-        object_id_length=int(meta["object_id_length"]), base=int(meta.get("base", 2))
-    )
-    network.seed_initial()
-    rng = DeterministicRNG(int(meta["seed"])).substream("topology")
-    while network.size < int(meta["peers"]):
-        network.join(target_key=network.random_object_id(rng))
-    return network
-
-
 def _canonical(value: Any) -> Any:
     """JSON-normalised form for structural comparison (tuples → lists)."""
     return json.loads(json.dumps(value, sort_keys=True))
@@ -205,25 +184,29 @@ class _Replayer:
             )
         self.meta = meta
         self.report.meta = {k: v for k, v in meta.items() if k not in ("seq", "ts", "type")}
-        self.network = rebuild_network(meta)
+        # The live bootstrap draws one join target per peer from the
+        # ``seed -> "topology"`` substream, exactly as ``build`` does.
+        self.network = FissioneNetwork.build(
+            num_peers=int(meta["peers"]),
+            rng=DeterministicRNG(int(meta["seed"])).substream("topology"),
+            object_id_length=int(meta["object_id_length"]),
+            base=int(meta.get("base", 2)),
+        )
         self.transport = ReplayTransport(self.network.peer_ids())
         self.tracer = Tracer()
-
-        length = int(meta["object_id_length"])
-        base = int(meta.get("base", 2))
-        low, high = meta["attribute_interval"]
-        namer = SingleAttributeNamer(low=float(low), high=float(high), length=length, base=base)
-        self.executors: Dict[str, Any] = {
-            "pira": PiraExecutor(self.network, namer, transport=self.transport)
-        }
-        intervals = meta.get("attribute_intervals")
-        if intervals:
-            multi = MultiAttributeNamer(
-                intervals=tuple((float(l), float(h)) for l, h in intervals),
-                length=length,
-                base=base,
-            )
-            self.executors["mira"] = MiraExecutor(self.network, multi, transport=self.transport)
+        #: peers hard-killed as of the current event (driven by the fault
+        #: stream) — the live node records a delivery *before* the cluster's
+        #: down-peer check drops it on the floor, so the replay pops the
+        #: message but must apply the same drop
+        self.down: set = set()
+        self.deployment = Deployment(
+            self.network,
+            self.transport,
+            meta["attribute_interval"],
+            meta.get("attribute_intervals") or None,
+            down=lambda: self.down,
+        )
+        self.executors = self.deployment.executors
         for executor in self.executors.values():
             executor.set_tracer(self.tracer, all_queries=True)
 
@@ -231,11 +214,6 @@ class _Replayer:
         self.results: Dict[Tuple[str, int], Any] = {}
         #: per-peer recorded store events, for durable-restart re-application
         self.store_log: Dict[str, List[Dict[str, Any]]] = {}
-        #: peers hard-killed as of the current event (driven by the fault
-        #: stream) — the live node records a delivery *before* the cluster's
-        #: down-peer check drops it on the floor, so the replay pops the
-        #: message but must apply the same drop
-        self.down: set = set()
 
     # -- event application -------------------------------------------------
 
@@ -291,40 +269,28 @@ class _Replayer:
             details=details,
         )
 
+    def _write_recorded_copy(self, event: Dict[str, Any]) -> None:
+        self.deployment.write_copy(
+            event["peer"],
+            event.get("role"),
+            event["object_id"],
+            decode_value(event["key"]),
+            decode_value(event["value"]),
+        )
+
     def _apply_store(self, event: Dict[str, Any]) -> Optional[Divergence]:
         self.report.stores += 1
-        object_id = event["object_id"]
-        key = decode_value(event["key"])
-        value = decode_value(event["value"])
-        peer_id = event.get("peer")
         try:
-            if peer_id is None:
-                peer = self.network.publish(object_id, key=key, value=value)
-            else:
-                peer = self.network.peer(peer_id)
-                if event.get("role") == "replica":
-                    peer.put_replica(object_id, key, value)
-                else:
-                    peer.put(object_id, key, value)
+            self._write_recorded_copy(event)
         except Exception as exc:  # noqa: BLE001 - topology drift is a divergence
             return self._diverge(
                 event,
                 "recorded store does not apply to the rebuilt topology",
-                object_id=object_id,
-                peer=peer_id,
+                object_id=event.get("object_id"),
+                peer=event.get("peer"),
                 error=f"{type(exc).__name__}: {exc}",
             )
-        owner = event.get("owner")
-        if owner is not None and peer.peer_id != owner:
-            return self._diverge(
-                event,
-                "store landed on a different peer than it did live "
-                "(rebuilt topology differs)",
-                object_id=object_id,
-                live_owner=owner,
-                replay_owner=peer.peer_id,
-            )
-        self.store_log.setdefault(peer.peer_id, []).append(event)
+        self.store_log.setdefault(event["peer"], []).append(event)
         return None
 
     def _apply_query(self, event: Dict[str, Any]) -> Optional[Divergence]:
@@ -480,12 +446,7 @@ class _Replayer:
                 # its log; the replay peer (memory backend) re-applies the
                 # recorded acknowledged stores instead.
                 for store_event in self.store_log.get(peer_id, ()):
-                    key = decode_value(store_event["key"])
-                    value = decode_value(store_event["value"])
-                    if store_event.get("role") == "replica":
-                        peer.put_replica(store_event["object_id"], key, value)
-                    else:
-                        peer.put(store_event["object_id"], key, value)
+                    self._write_recorded_copy(store_event)
         return None
 
 

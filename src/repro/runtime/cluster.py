@@ -19,6 +19,18 @@
    dispatches them into the **same** resumable PIRA/MIRA executors the
    simulator drives.
 
+What a request *does* to the system is not decided here: the cluster builds
+one :class:`~repro.core.deployment.Deployment` over its topology and its
+asyncio transport — the class :class:`~repro.core.armada.ArmadaSystem`
+builds over the overlay — and that owns the namers, the executors, write
+placement and its refusal rule, the one copy write, the failover read rule
+and the query launch.  What is left in this module is what only a live
+cluster has: the bootstrap/join protocol (topology authority), cast
+dispatch, the per-copy TCP round trips of :meth:`LiveCluster.store` /
+:meth:`LiveCluster.fetch` (whose far ends, ``_handle_store`` /
+``_handle_fetch``, are calls into the deployment), the gossip binding, and
+the churn / crash / restart operations.
+
 Determinism: the join targets are drawn from the exact RNG substream
 (``seed → "topology"``) that :meth:`FissioneNetwork.build` uses, one draw
 per join, so a live cluster and an :class:`~repro.core.armada.ArmadaSystem`
@@ -26,9 +38,10 @@ built from the same seed have identical topologies — the foundation of the
 sim≡live equivalence test.
 
 Single-process caveat (documented in ``docs/ARCHITECTURE.md``): peers are
-asyncio tasks sharing one process, so the topology object and the
-executors' per-query state are shared memory, while every forwarding
-message genuinely crosses a TCP socket.  A multi-host deployment would
+asyncio tasks sharing one process, so the topology object and the one
+deployment — its executors' per-query state included — are shared memory,
+while every forwarding message and every stored or fetched copy genuinely
+crosses a TCP socket.  A multi-host deployment would
 replicate the topology through the same join/announce frames; the wire
 protocol is already shaped for it.
 """
@@ -39,9 +52,7 @@ import asyncio
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mira import MiraExecutor
-from repro.core.multiple_hash import MultiAttributeNamer
-from repro.core.single_hash import SingleAttributeNamer
+from repro.core.deployment import Deployment
 from repro.fissione.network import FissioneNetwork
 from repro.gossip.membership import ALIVE, DEAD, LEFT, MembershipTable
 from repro.gossip.swim import (
@@ -56,7 +67,6 @@ from repro.kautz import strings as ks
 from repro.runtime.node import PeerNode
 from repro.runtime.protocol import wire_to_message
 from repro.runtime.transport import Address, AsyncioTransport
-from repro.core.pira import PiraExecutor
 from repro.sim.rng import DeterministicRNG
 from repro.storage import BACKENDS, StoredObject, open_store, store_path
 from repro.storage.base import objects_from_wire, objects_to_wire
@@ -141,16 +151,19 @@ class LiveCluster:
         self._next_node_index = 0
         self.started = False
 
-        low, high = attribute_interval
-        self.single_namer = SingleAttributeNamer(
-            low=low, high=high, length=object_id_length, base=base
+        #: the request rules shared with the simulator: namers, executors
+        #: (one per message kind, for all hosted peers), placement, the
+        #: copy write / read and the query launch
+        self.deployment = Deployment(
+            self.network,
+            self.transport,
+            attribute_interval,
+            self.attribute_intervals,
+            origin_rng=DeterministicRNG(seed).substream("gateway-origins"),
+            down=lambda: self.down_peers,
         )
-        self.multi_namer: Optional[MultiAttributeNamer] = None
-        if self.attribute_intervals is not None:
-            self.multi_namer = MultiAttributeNamer(
-                intervals=self.attribute_intervals, length=object_id_length, base=base
-            )
-        self.executors: Dict[str, Any] = {}  # by message kind; filled by start()
+        self.single_namer = self.deployment.single_namer
+        self.executors = self.deployment.executors
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                            #
@@ -172,10 +185,6 @@ class LiveCluster:
             node = await self._next_node()
             node.hosted.add(peer_id)
             self.transport.assign(peer_id, node.address)
-
-        for cls, namer in ((PiraExecutor, self.single_namer), (MiraExecutor, self.multi_namer)):
-            if namer is not None:
-                self.executors[cls.message_kind] = cls(self.network, namer, None, self.transport)
 
         # Keep the substream: live churn joins (join_peer) continue drawing
         # from it, so a cluster started at N and grown to N+k has the same
@@ -371,49 +380,37 @@ class LiveCluster:
     def _handle_store(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Durably append one copy of an object on the addressed peer.
 
-        ``role`` selects primary (the owner's query-scanned copy) or
-        replica (a prefix sibling's failover copy); frames without a
-        ``peer`` field keep the pre-replication behavior of publishing on
-        whoever owns the ObjectID.  The reply is sent only after the
-        peer's backend has synced — the per-copy durability ack.
+        The far end of one :meth:`store` round trip: ``peer`` and ``role``
+        go to :meth:`Deployment.write_copy`, and the reply is sent only
+        after the peer's backend has synced — the per-copy durability ack.
+        A frame without ``peer`` is malformed (an ``ok: false`` reply).
         """
-        object_id = frame["object_id"]
-        key = decode_value(frame["key"])
-        value = decode_value(frame["value"])
-        peer_id = frame.get("peer")
-        if peer_id is None:
-            peer = self.network.publish(object_id, key=key, value=value)
-        else:
-            if peer_id in self.down_peers:
-                return {"ok": False, "error": f"peer {peer_id!r} is down"}
-            peer = self.network.peer(peer_id)
-            if frame.get("role") == "replica":
-                peer.put_replica(object_id, key, value)
-            else:
-                peer.put(object_id, key, value)
-        peer.backend.sync()
+        peer_id = frame["peer"]
+        self.deployment.write_copy(
+            peer_id,
+            frame.get("role"),
+            frame["object_id"],
+            decode_value(frame["key"]),
+            decode_value(frame["value"]),
+        )
         self.store_syncs += 1
         if self.recorder is not None:
             # Wire forms straight off the frame: the replay engine re-applies
             # them through decode_value, exactly like this handler did.
             self.recorder.record(
                 "store",
-                object_id=object_id,
+                object_id=frame["object_id"],
                 key=frame["key"],
                 value=frame["value"],
                 peer=peer_id,
-                owner=peer.peer_id,
+                owner=peer_id,
                 role=frame.get("role"),
             )
-        return {"ok": True, "owner": peer.peer_id}
+        return {"ok": True, "owner": peer_id}
 
     def _handle_fetch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Read one peer's copies of an ObjectID (primary, else replica)."""
-        peer_id = frame["peer"]
-        if peer_id in self.down_peers:
-            return {"ok": False, "error": f"peer {peer_id!r} is down"}
-        peer = self.network.peer(peer_id)
-        found = peer.get_any(frame["object_id"])
+        found = self.deployment.read_copy(frame["peer"], frame["object_id"])
         return {"ok": True, "objects": objects_to_wire(found)}
 
     # ------------------------------------------------------------------ #
@@ -432,17 +429,11 @@ class LiveCluster:
         every target's backend has synced its append.  Any per-copy
         failure raises :class:`ClusterError`, so a partially-replicated
         write is always reported failed, never silently dropped.  Known
-        dead targets fail the write *before* any copy is appended, so the
-        common crash case leaves no partial ghost behind either.
+        dead targets fail the write *before* any copy is appended
+        (:meth:`Deployment.place`), so the common crash case leaves no
+        partial ghost behind either.
         """
-        targets = self.network.replica_peers(object_id, replicas)
-        dead = [peer_id for peer_id in targets if peer_id in self.down_peers]
-        if dead:
-            raise ClusterError(
-                f"store of {object_id!r} failed: peer(s) "
-                f"{', '.join(repr(p) for p in dead)} down "
-                f"(0/{len(targets)} copies durable)"
-            )
+        targets = self.deployment.place(object_id, replicas)
         acked: List[str] = []
         for index, peer_id in enumerate(targets):
             address = self.transport.address_of(peer_id)
@@ -473,15 +464,13 @@ class LiveCluster:
     async def fetch(self, object_id: str) -> Tuple[Optional[str], List[StoredObject]]:
         """Read ``object_id`` from the first live copy holder.
 
-        Walks the replica-placement order (owner first, then prefix
-        siblings), skipping peers that are down, and issues a ``fetch``
-        frame to each candidate's hosting node until one returns a
-        non-empty copy set.  Returns ``(peer_id, objects)`` or
-        ``(None, [])`` when no live peer holds the object.
+        Walks :meth:`Deployment.read_candidates` (placement order, down
+        peers skipped) and issues a ``fetch`` frame to each candidate's
+        hosting node until one returns a non-empty copy set.  Returns
+        ``(peer_id, objects)`` or ``(None, [])`` when no live peer holds
+        the object.
         """
-        for peer_id in self.network.replica_order(object_id):
-            if peer_id in self.down_peers:
-                continue
+        for peer_id in self.deployment.read_candidates(object_id):
             address = self.transport.address_of(peer_id)
             if address is None:
                 continue

@@ -30,8 +30,16 @@ The ``hello`` may also carry ``"tracing": true``; keys the gateway does not
 know are ignored, so a newer or older client is still welcomed.
 
 Request objects are the :mod:`repro.api.requests` wire forms —
-``range`` / ``mrange`` / ``insert`` / ``minsert`` / ``stats`` / ``ping``
-ops with per-request options (``origin``, ``deadline``, ``stream``).
+``range`` / ``mrange`` / ``insert`` / ``minsert`` / ``get`` / ``stats`` /
+``ping`` ops with per-request options (``origin``, ``deadline``,
+``stream``) — and so are the replies: the gateway builds the typed
+:class:`~repro.api.requests.Reply` and writes its ``to_wire()``, the same
+definition the client decodes with.  What a request *does* is not decided
+here either: naming a write, and launching a query (origin default and
+validation, executor by kind, tracer, chunks), are calls into the cluster's
+:class:`~repro.core.deployment.Deployment` — the calls ``SimSession`` makes.
+The gateway owns the connection: handshake, rid table, in-flight set,
+deadline default, metrics and recorder taps, reply writer.
 
 Bad input has exactly three outcomes, and every one of them is a structured
 ``error`` frame — the gateway never closes a connection silently:
@@ -72,14 +80,20 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.api.requests import (
     ApiError,
+    Chunk,
     Get,
     Insert,
+    InsertReply,
     MultiInsert,
     MultiRangeQuery,
     Ping,
+    PongReply,
+    QueryReply,
     RangeQuery,
+    Reply,
     Request,
     Stats,
+    StatsReply,
     request_from_wire,
 )
 from repro.core.errors import ArmadaError
@@ -94,8 +108,6 @@ from repro.runtime.protocol import (
     serve_connection,
     welcome_frame,
 )
-from repro.sim.rng import DeterministicRNG
-from repro.wire import encode_value
 
 log = logging.getLogger("repro.gateway")
 
@@ -132,7 +144,6 @@ class Gateway:
         self.metrics = metrics
         self.recorder = recorder
         self._init_metrics(metrics)
-        self._origin_rng = DeterministicRNG(cluster.seed).substream("gateway-origins")
         self._server: Optional[asyncio.base_events.Server] = None
         self._inflight: Set[asyncio.Future] = set()
         self._peak_inflight = 0
@@ -423,11 +434,11 @@ class Gateway:
             return
 
         if isinstance(request, (RangeQuery, MultiRangeQuery)):
-            on_chunk: Optional[Callable[[Dict[str, Any]], None]] = None
+            on_chunk: Optional[Callable[[Chunk], None]] = None
             if request.options.stream:
 
-                def on_chunk(chunk: Dict[str, Any], rid: int = rid) -> None:
-                    self._write_frame(writer, {"type": "chunk", "rid": rid, **chunk})
+                def on_chunk(chunk: Chunk, rid: int = rid) -> None:
+                    self._write_frame(writer, {"type": "chunk", "rid": rid, **chunk.to_wire()})
 
             def finish(payload: Dict[str, Any], rid: int = rid) -> None:
                 pending_rids.discard(rid)
@@ -457,7 +468,7 @@ class Gateway:
     ) -> None:
         """Answer a non-query request (ping/stats/insert) as its own task."""
         try:
-            payload = await self._execute(request)
+            payload = (await self._execute(request)).to_wire()
         except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
             payload = {"ok": False, "error": str(exc)}
         except Exception as exc:
@@ -471,18 +482,20 @@ class Gateway:
     # non-query requests                                                   #
     # ------------------------------------------------------------------ #
 
-    async def _execute(self, request: Request) -> Dict[str, Any]:
+    async def _execute(self, request: Request) -> Reply:
         """Run one non-query request (queries go through :meth:`_start_query`)."""
+        deployment = self.cluster.deployment
         if isinstance(request, Ping):
-            return {"ok": True, "type": "pong"}
+            return PongReply()
         if isinstance(request, Stats):
-            return self._stats()
-        if isinstance(request, Insert):
-            return await self._insert(request.value, request.options.replicas)
-        if isinstance(request, MultiInsert):
-            return await self._minsert(request.values, request.options.replicas)
+            return StatsReply(stats=self._stats())
+        if isinstance(request, (Insert, MultiInsert)):
+            object_id, key, value = request.name(deployment)
+            acked = await self.cluster.store(object_id, key, value, request.options.replicas)
+            return InsertReply(object_id=object_id, owner=acked[0], replicas=tuple(acked))
         if isinstance(request, Get):
-            return await self._get(request.value)
+            object_id = deployment.single_namer.name(request.value)
+            return request.reply(object_id, *await self.cluster.fetch(object_id))
         raise ValueError(f"the gateway cannot execute request op {request.op!r}")
 
     def _stats(self) -> Dict[str, Any]:
@@ -499,67 +512,11 @@ class Gateway:
                 "uptime_seconds": (now - self._started_at) if self._started_at is not None else 0.0,
             }
         )
-        return {"ok": True, "type": "stats", "stats": stats}
-
-    async def _insert(self, value: float, replicas: int = 1) -> Dict[str, Any]:
-        object_id = self.cluster.single_namer.name(value)
-        acked = await self.cluster.store(
-            object_id, key=float(value), value=float(value), replicas=replicas
-        )
-        return {
-            "ok": True,
-            "type": "inserted",
-            "object_id": object_id,
-            "owner": acked[0],
-            "replicas": acked,
-        }
-
-    async def _minsert(self, values: Tuple[float, ...], replicas: int = 1) -> Dict[str, Any]:
-        if self.cluster.multi_namer is None:
-            raise ValueError("this cluster was not configured with attribute_intervals")
-        if len(values) != self.cluster.multi_namer.dimensions:
-            raise ValueError(
-                f"minsert needs {self.cluster.multi_namer.dimensions} values, got {len(values)}"
-            )
-        object_id = self.cluster.multi_namer.name(values)
-        acked = await self.cluster.store(
-            object_id, key=tuple(values), value=None, replicas=replicas
-        )
-        return {
-            "ok": True,
-            "type": "inserted",
-            "object_id": object_id,
-            "owner": acked[0],
-            "replicas": acked,
-        }
-
-    async def _get(self, value: float) -> Dict[str, Any]:
-        object_id = self.cluster.single_namer.name(value)
-        peer_id, objects = await self.cluster.fetch(object_id)
-        key = float(value)
-        return {
-            "ok": True,
-            "type": "found",
-            "object_id": object_id,
-            "peer": peer_id,
-            "values": [
-                encode_value(stored.value) for stored in objects if stored.key == key
-            ],
-        }
+        return stats
 
     # ------------------------------------------------------------------ #
     # query execution                                                      #
     # ------------------------------------------------------------------ #
-
-    def _pick_origin(self) -> str:
-        """A deterministic (seeded) origin for clients that name none: a peer
-        whose process is up (the same draws as ever while nothing is down)."""
-        live, down = self.cluster.network.peer_ids(), self.cluster.down_peers
-        if down:
-            live = [peer_id for peer_id in live if peer_id not in down]
-        if not live:
-            raise ClusterError("every peer is down: no origin to launch the query from")
-        return self._origin_rng.choice(live)
 
     def _observe_query(self, result: RangeQueryResult, latency: float, kind: str) -> None:
         """Feed one completed query into the metrics plane."""
@@ -579,7 +536,7 @@ class Gateway:
     def _start_query(
         self,
         request: Request,
-        on_chunk: Optional[Callable[[Dict[str, Any]], None]],
+        on_chunk: Optional[Callable[[Chunk], None]],
         finish: Callable[[Dict[str, Any]], None],
         tracing: bool = False,
     ) -> None:
@@ -589,8 +546,10 @@ class Gateway:
 
         This is the event-driven core: no task, no future await — the
         request loop pipelines queries at the cost of the executor's one
-        deadline timer each.  Validation failures raise before anything is
-        registered.
+        deadline timer each.  What the request *does* is the deployment's
+        one :meth:`~repro.core.deployment.Deployment.launch` (origin,
+        executor, tracer, chunks); validation failures raise out of it
+        before anything is registered here.
 
         ``tracing`` is the connection's negotiated capability; a query is
         actually traced only when the *request* also opted in
@@ -599,61 +558,37 @@ class Gateway:
         if self._closing:
             finish({"ok": False, "error": "shutting down"})
             return
-        executor = self.cluster.executors.get(request.kind)
-        if executor is None:
-            raise ValueError("this cluster was not configured with attribute_intervals")
-        origin = request.options.origin
-        if origin is None:
-            origin = self._pick_origin()
-        elif not self.cluster.network.has_peer(origin):
-            raise ValueError(f"unknown origin peer {origin!r}")
-        deadline = request.options.deadline if request.options.deadline is not None else self.deadline
-
-        traced = tracing and request.options.trace and self.tracer is not None
-        if traced and executor.tracer is None:
-            executor.set_tracer(self.tracer)
-        # Pre-allocate the query id so streamed chunks can carry the trace
-        # id from the very first (synchronous, origin-local) destination.
-        query_id = next(executor._query_ids)
-        trace_ref = f"{executor.message_kind}-{query_id}" if traced else None
+        options = request.options
+        kind = request.kind
+        deadline = options.deadline if options.deadline is not None else self.deadline
         recorder = self.recorder
-        if recorder is not None:
-            # Before executor.start: the query's sequence number must
-            # precede its origin fan-out sends in the flight-recorder ring.
-            query_event: Dict[str, Any] = {
-                "kind": executor.message_kind,
-                "query_id": query_id,
-                "origin": origin,
-                "deadline": deadline,
-                **request.payload(),
-            }
-            recorder.record("query", **query_event)
-
-        loop = asyncio.get_running_loop()
-        started = loop.time()
         #: resolves at completion — what the shutdown drain gathers on
-        marker: asyncio.Future = loop.create_future()
-        self._inflight.add(marker)
-        self._peak_inflight = max(self._peak_inflight, len(self._inflight))
+        marker: asyncio.Future = asyncio.get_running_loop().create_future()
 
-        def complete(result: RangeQueryResult) -> None:
+        def started(query_id: int, origin: str) -> None:
+            if recorder is not None:
+                # Before the origin fans out: the query's sequence number
+                # must precede its sends in the flight-recorder ring.
+                recorder.record(
+                    "query",
+                    kind=kind,
+                    query_id=query_id,
+                    origin=origin,
+                    deadline=deadline,
+                    **request.payload(),
+                )
+            self._inflight.add(marker)
+            self._peak_inflight = max(self._peak_inflight, len(self._inflight))
+
+        def complete(result: RangeQueryResult, latency: float, trace: Any) -> None:
             if marker.done():
                 return
             marker.set_result(None)
             self._inflight.discard(marker)
             self.queries_served += 1
-            status = result.status
-            latency = loop.time() - started
             if self._m_latency is not None:
-                self._observe_query(result, latency, executor.message_kind)
-            wire = result.to_wire()
-            payload = {
-                "ok": True,
-                "type": "result",
-                "status": status,
-                "latency": latency,
-                "result": wire,
-            }
+                self._observe_query(result, latency, kind)
+            payload = QueryReply.completed(result, latency, trace).to_wire()
             if recorder is not None:
                 # Recorded here so the reply's sequence number is truthful,
                 # but the result content is attached by the write path as
@@ -662,40 +597,20 @@ class Gateway:
                 # GC pass for the rest of the run scan it, and serialising
                 # it again just for the ring costs more than the write.
                 payload[REPLY_RECORD_KEY] = recorder.record_open(
-                    "reply",
-                    kind=executor.message_kind,
-                    query_id=result.query_id,
-                    status=status,
+                    "reply", kind=kind, query_id=result.query_id, status=result.status
                 )
-            if trace_ref is not None:
-                trace = self.tracer.take(trace_ref)
-                if trace is not None:
-                    payload["trace_id"] = trace.trace_id
-                    payload["trace"] = trace.to_wire()
             finish(payload)
 
-        on_destination = None
-        if on_chunk is not None:
-
-            def on_destination(peer_id: str, hop: int, new_matches: list) -> None:
-                chunk = {
-                    "peer": peer_id,
-                    "hop": hop,
-                    "values": [encode_value(stored.key) for stored in new_matches],
-                }
-                if trace_ref is not None:
-                    chunk["trace_id"] = trace_ref
-                on_chunk(chunk)
-
         try:
-            executor.start(
-                origin,
+            self.cluster.deployment.launch(
+                kind,
                 request.ranges,
-                deadline=deadline,
-                query_id=query_id,
+                options.origin,
+                deadline,
+                tracer=self.tracer if tracing and options.trace else None,
+                on_start=started,
+                on_chunk=on_chunk,
                 on_complete=complete,
-                on_destination=on_destination,
-                trace=traced,
             )
         except BaseException:
             self._inflight.discard(marker)

@@ -1,8 +1,8 @@
 """The live :class:`~repro.core.transport.Transport`: asyncio TCP links.
 
-:class:`AsyncioTransport` is the runtime's answer to
-:class:`~repro.core.transport.SimTransport`.  Where the simulator delivers
-a message by scheduling an event, this transport
+:class:`AsyncioTransport` is the runtime's counterpart of the simulator's
+:class:`~repro.sim.network.OverlayNetwork`.  Where the overlay delivers a
+message by scheduling an event, this transport
 
 * resolves the receiver PeerID to the **address** of the node hosting it
   (the address book is populated by the cluster's bootstrap/announce

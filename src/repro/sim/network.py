@@ -157,6 +157,18 @@ class OverlayNetwork:
         self._total_counter = self.metrics.counter("messages.total")
         self._kind_cache: Dict[str, Any] = {}
 
+    # -- clock & timers (with the node registry and ``send``, what makes the
+    # -- overlay the simulator's :class:`~repro.core.transport.Transport`) ----
+
+    @property
+    def now(self) -> float:
+        """The simulator's clock."""
+        return self.simulator.now
+
+    def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Any:
+        """A cancellable simulator timer firing ``callback`` after ``delay``."""
+        return self.simulator.schedule_after(delay, callback, label=label)
+
     # -- node management ---------------------------------------------------
 
     def register(self, node: NodeProtocol) -> None:

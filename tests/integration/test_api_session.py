@@ -15,15 +15,19 @@ engine or client calls — because that is the redesign's contract:
 from __future__ import annotations
 
 import asyncio
+import re
 
 import pytest
 
-from repro.api import RangeQuery
+from repro.api import RangeQuery, RequestOptions
 from repro.api.live import LiveSession
 from repro.api.requests import ApiError, Chunk, InsertReply, PongReply, QueryReply
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
 from repro.engine import QueryJob
+from repro.faults.models import CrashStop
+from repro.faults.plan import FaultPlan
+from repro.obs.spans import Tracer
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.protocol import encode_frame, hello_frame, read_frame
@@ -45,17 +49,20 @@ async def seed_through_session(session) -> None:
         assert isinstance(reply, InsertReply) and reply.object_id
 
 
-async def boot_live(num_peers: int, pool: int = 2):
+async def boot_live(num_peers: int, pool: int = 2, tracer=None):
     cluster = LiveCluster(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS)
     await cluster.start()
-    gateway = await Gateway(cluster).start()
-    session = await LiveSession.connect(*gateway.address, pool=pool)
+    gateway = await Gateway(cluster, tracer=tracer).start()
+    session = await LiveSession.connect(
+        *gateway.address, pool=pool, tracing=tracer is not None
+    )
     return cluster, gateway, session
 
 
-def make_sim_session(num_peers: int) -> SimSession:
+def make_sim_session(num_peers: int, tracer=None) -> SimSession:
     return SimSession(
-        ArmadaSystem(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS)
+        ArmadaSystem(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS),
+        tracer=tracer,
     )
 
 
@@ -168,6 +175,106 @@ class TestSimLiveEquivalenceThroughSession:
                 await live.close()
                 await gateway.shutdown()
                 await cluster.stop()
+
+        asyncio.run(scenario())
+
+
+class TestOneRuleOnBothBackends:
+    """What a request does to a deployment is decided once
+    (:class:`repro.core.deployment.Deployment`), so each rule below holds
+    on the simulator and on the live cluster alike."""
+
+    @staticmethod
+    async def boot(backend: str, num_peers: int, tracer=None):
+        """``(session, owner, close)``: ``owner`` is the ``ArmadaSystem`` or
+        ``LiveCluster`` — either way it has ``.network`` and ``.single_namer``."""
+        if backend == "sim":
+            session = make_sim_session(num_peers, tracer=tracer)
+            return session, session.system, session.close
+        cluster, gateway, session = await boot_live(num_peers, tracer=tracer)
+
+        async def close() -> None:
+            await session.close()
+            await gateway.shutdown()
+            await cluster.stop()
+
+        return session, cluster, close
+
+    @staticmethod
+    def crash(backend: str, owner, peer_ids) -> None:
+        if backend == "sim":
+            owner.install_faults(FaultPlan().add(CrashStop(peer_ids=list(peer_ids))))
+            owner.overlay.run()  # the crash is a simulator event at t = 0
+        else:
+            for peer_id in peer_ids:
+                owner.crash_peer(peer_id)
+
+    @pytest.mark.parametrize("backend", ["sim", "live"])
+    def test_default_origin_is_never_a_down_peer(self, backend):
+        async def scenario():
+            session, owner, close = await self.boot(backend, 32)
+            try:
+                down = set(owner.network.peer_ids()[::4])
+                assert len(down) == 8
+                self.crash(backend, owner, down)
+                # A query that reaches a crashed zone stalls live (no
+                # resilience policy), hence the short wall-clock deadline;
+                # the simulator settles the drop at once.
+                deadline = 0.05 if backend == "live" else None
+                replies = await asyncio.gather(
+                    *(
+                        session.range(float(i * 20), float(i * 20) + 1.0, deadline=deadline)
+                        for i in range(40)
+                    )
+                )
+                assert [r.result.origin for r in replies if r.result.origin in down] == []
+            finally:
+                await close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("backend", ["sim", "live"])
+    def test_write_with_a_down_target_is_refused_before_any_copy(self, backend):
+        async def scenario():
+            session, owner, close = await self.boot(backend, 16)
+            try:
+                value = 512.5
+                object_id = owner.single_namer.name(value)
+                victim = owner.network.replica_peers(object_id, 2)[1]
+                self.crash(backend, owner, [victim])
+                with pytest.raises(ApiError, match=re.escape(repr(victim))):
+                    await session.insert(value, replicas=2)
+                copies = sum(
+                    peer.backend.object_count() + peer.backend.replica_count()
+                    for peer in owner.network.peers()
+                )
+                assert copies == 0
+                assert not (await session.get(value)).found
+            finally:
+                await close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("backend", ["sim", "live"])
+    def test_streamed_chunks_carry_the_trace_id(self, backend):
+        async def scenario():
+            session, owner, close = await self.boot(backend, 16, tracer=Tracer())
+            try:
+                await seed_through_session(session)
+                chunks: list = []
+                request = RangeQuery(
+                    low=100.0,
+                    high=700.0,
+                    options=RequestOptions(
+                        origin=owner.network.peer_ids()[0], stream=True, trace=True
+                    ),
+                )
+                reply = await session.submit(request, chunks.append)
+                assert reply.trace_id is not None and reply.trace
+                assert reply.chunks == len(chunks) > 0
+                assert {chunk.trace_id for chunk in chunks} == {reply.trace_id}
+            finally:
+                await close()
 
         asyncio.run(scenario())
 

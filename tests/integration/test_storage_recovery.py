@@ -323,6 +323,25 @@ class TestReplication:
 
         asyncio.run(scenario())
 
+    def test_store_frame_without_a_peer_is_malformed(self):
+        """Every ``store`` frame names the peer and role of its one copy; one
+        that does not is answered ``ok: false`` and appends nothing."""
+        async def scenario():
+            cluster = await LiveCluster(num_peers=8, seed=SEED).start()
+            try:
+                object_id = cluster.single_namer.name(VALUES[3])
+                address = cluster.transport.address_of(cluster.network.owner_id(object_id))
+                reply = await cluster.transport.request(
+                    address,
+                    {"type": "store", "object_id": object_id, "key": VALUES[3], "value": None},
+                )
+                assert reply["ok"] is False and "peer" in reply["error"]
+                assert cluster.network.total_objects() == 0 and cluster.store_syncs == 0
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_get_falls_over_when_the_holder_refuses(self):
         """``ok: false`` from the first copy holder's ``fetch`` sends the
         read to the next replica holder."""

@@ -1,4 +1,4 @@
-"""Unit tests for the core transport seam (SimTransport / AsyncioTransport)."""
+"""Unit tests for the core transport seam (OverlayNetwork / AsyncioTransport)."""
 
 from __future__ import annotations
 
@@ -9,16 +9,15 @@ import pytest
 from repro.core.armada import ArmadaSystem
 from repro.core.errors import QueryError
 from repro.core.pira import PiraExecutor
-from repro.core.transport import SimTransport
 from repro.runtime.transport import AsyncioTransport
 from repro.sim.network import Message, OverlayNetwork
 
 
-class TestSimTransport:
+class TestOverlayTransport:
     def test_delegates_to_overlay(self):
         overlay = OverlayNetwork()
-        transport = SimTransport(overlay)
-        assert transport.overlay is overlay
+        transport = overlay
+        assert transport is overlay
         assert transport.now == overlay.simulator.now
 
         class Node:
@@ -38,7 +37,7 @@ class TestSimTransport:
 
     def test_timer_handle_cancels(self):
         overlay = OverlayNetwork()
-        transport = SimTransport(overlay)
+        transport = overlay
         fired = []
         handle = transport.schedule_after(1.0, lambda: fired.append(True), label="t")
         handle.cancel()
@@ -47,8 +46,8 @@ class TestSimTransport:
 
     def test_default_executor_transport_is_sim(self):
         system = ArmadaSystem(num_peers=16, seed=5)
-        assert isinstance(system.pira.transport, SimTransport)
-        assert system.pira.transport.overlay is system.overlay
+        assert isinstance(system.pira.transport, OverlayNetwork)
+        assert system.pira.transport is system.overlay
 
     def test_explicit_transport_equals_default(self):
         """The seam itself must not change any measurement."""
@@ -60,7 +59,7 @@ class TestSimTransport:
         explicit = PiraExecutor(
             seamed.network,
             seamed.single_namer,
-            transport=SimTransport(seamed.overlay),
+            seamed.overlay,
         )
 
         origin = sorted(baseline.network.peer_ids())[0]
@@ -129,8 +128,8 @@ class TestAsyncioTransport:
     def test_live_executor_refuses_sync_execute(self):
         system = ArmadaSystem(num_peers=8, seed=2)
         executor = PiraExecutor(
-            system.network, system.single_namer, transport=AsyncioTransport()
+            system.network, system.single_namer, AsyncioTransport()
         )
-        assert executor.overlay is None
+        assert not hasattr(executor.transport, "run")
         with pytest.raises(QueryError):
             executor.execute("0", [(1.0, 2.0)])

@@ -8,9 +8,11 @@ from typing import List
 
 import pytest
 
+from repro.core.deployment import Deployment
 from repro.fissione.network import FissioneError, FissioneNetwork
 from repro.fissione.stabilize import check_topology
 from repro.kautz import strings as ks
+from repro.sim.network import OverlayNetwork
 from repro.sim.rng import DeterministicRNG
 from repro.storage.memory import MemoryStore
 
@@ -305,20 +307,24 @@ class TestReplicaPlacement:
             object_id_length=16,
             store_factory=lambda peer_id: CountingStore(peer_id, reads),
         )
+        down: List[str] = []
+        deployment = Deployment(network, OverlayNetwork(), (0.0, 1000.0), down=lambda: down)
         stored_id = ks.min_extension("102", 16)
-        owner_id = network.publish_replicated(stored_id, key=1.0, value="x", replicas=3)[0]
+        owner_id = deployment.write(stored_id, key=1.0, value="x", replicas=3)[0]
 
         reads.clear()
-        holder, found = network.lookup_with_failover(stored_id)
+        holder, found = deployment.read(stored_id)
         assert holder == owner_id and [stored.value for stored in found] == ["x"]
         assert reads == [owner_id]
 
         reads.clear()
-        holder, found = network.lookup_with_failover(stored_id, down=[owner_id])
+        down.append(owner_id)
+        holder, found = deployment.read(stored_id)
         assert holder == network.replica_peers(stored_id, 2)[1]
         assert reads == [holder]
 
         reads.clear()
         missing_id = ks.max_extension("21", 16)
-        assert network.lookup_with_failover(missing_id) == (None, [])
+        down.clear()
+        assert deployment.read(missing_id) == (None, [])
         assert reads == list(network.replica_order(missing_id))

@@ -11,6 +11,7 @@ from repro.core.errors import QueryError
 from repro.core.pira import PiraExecutor, RangeQueryResult
 from repro.core.single_hash import SingleAttributeNamer
 from repro.fissione.network import FissioneNetwork
+from repro.sim.network import OverlayNetwork
 from repro.sim.rng import DeterministicRNG
 
 
@@ -151,7 +152,7 @@ class TestStandaloneExecutor:
             48, DeterministicRNG(5).substream("topology"), object_id_length=20
         )
         namer = SingleAttributeNamer(low=0.0, high=10.0, length=20)
-        executor = PiraExecutor(network, namer)
+        executor = PiraExecutor(network, namer, OverlayNetwork())
         for value in range(10):
             network.publish(namer.name(float(value)), key=float(value), value=value)
         origin = network.peer_ids()[0]

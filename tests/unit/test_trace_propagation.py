@@ -36,7 +36,7 @@ def build_system(num_peers: int = 150, seed: int = 88, replicas: int = 1) -> Arm
     values = uniform_values(DeterministicRNG(seed).substream("values"), 800, 0.0, 1000.0)
     if replicas > 1:
         for value in values:
-            system.insert_replicated(value, replicas=replicas)
+            system.insert(value, replicas=replicas)
     else:
         system.insert_many(values)
     return system
