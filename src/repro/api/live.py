@@ -105,7 +105,16 @@ class _V2Connection(Connection):
             if pending is not None:
                 pending.chunks += 1
                 if pending.on_chunk is not None:
-                    pending.on_chunk(Chunk.from_wire(frame))
+                    try:
+                        chunk = Chunk.from_wire(frame)
+                    except (TypeError, ValueError) as exc:
+                        # The framing is intact: this request fails, the
+                        # connection keeps serving the others.
+                        del self._pending[frame["rid"]]
+                        if not pending.done():
+                            pending.set_exception(ApiError(f"malformed chunk: {exc!r}"))
+                    else:
+                        pending.on_chunk(chunk)
         elif kind == "error":
             rid = frame.get("rid")
             message = frame.get("error", "unknown gateway error")

@@ -3,7 +3,7 @@
 Two on-disk formats are built from it: the storage layer's WAL and SQLite
 records (:mod:`repro.storage`; the content digest hashes these bytes, so
 two stores holding the same objects agree byte for byte) and the flight
-recorder's ``ARFR2`` dumps (:mod:`repro.obs.recorder`).  Nothing on a
+recorder's ``ARFR3`` dumps (:mod:`repro.obs.recorder`).  Nothing on a
 socket uses it: every runtime frame body is JSON
 (:mod:`repro.runtime.protocol`), which the repo's benchmark measured as
 the faster codec on the program's own frames.

@@ -40,7 +40,7 @@ from repro.core.single_hash import SingleAttributeNamer
 from repro.core.transport import Transport
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import StoredObject
-from repro.wire import decode_value, encode_value
+from repro.wire import decode_column, encode_column
 
 Interval = Tuple[float, float]
 
@@ -63,7 +63,7 @@ class Chunk:
         wire = {
             "peer": self.peer,
             "hop": self.hop,
-            "values": [encode_value(value) for value in self.values],
+            "values": encode_column(self.values),
         }
         if self.trace_id is not None:
             wire["trace_id"] = self.trace_id
@@ -74,7 +74,7 @@ class Chunk:
         return cls(
             peer=wire.get("peer", ""),
             hop=int(wire.get("hop", 0)),
-            values=[decode_value(value) for value in wire.get("values", [])],
+            values=decode_column(wire.get("values", []), "values"),
             trace_id=wire.get("trace_id"),
         )
 

@@ -49,7 +49,7 @@ from repro.fissione.peer import FissionePeer, StoredObject
 # endpoint reads out of the per-neighbour loop); same verdicts as
 # KautzRegion.contains_prefix.
 from repro.kautz.region import KautzRegion, _contains_prefix_memo
-from repro.storage.base import objects_from_wire, objects_to_wire
+from repro.storage.base import ObjectList, objects_from_wire, objects_to_wire
 
 
 @dataclass(slots=True)
@@ -62,8 +62,9 @@ class RangeQueryResult:
     destinations: Dict[str, int] = field(default_factory=dict)
     #: number of query (forwarding) messages sent
     messages: int = 0
-    #: matching objects gathered from destination peers
-    matches: List[StoredObject] = field(default_factory=list)
+    #: matching objects gathered from destination peers — the store's own
+    #: objects at the executor, the reply's columns in a client
+    matches: ObjectList = field(default_factory=ObjectList)
     #: every (sender, receiver, hop) forwarding step, for traces and tests
     forwarding_steps: List[Tuple[str, str, int]] = field(default_factory=list)
     #: failure/recovery ledger (drops, retries, reroutes, lost subtrees)
@@ -117,7 +118,7 @@ class RangeQueryResult:
 
     def matching_values(self) -> List[object]:
         """Attribute values (keys) of the matching objects."""
-        return [stored.key for stored in self.matches]
+        return self.matches.keys()
 
     def to_wire(self) -> Dict[str, object]:
         """JSON-compatible form carrying every field (``matches`` as the
@@ -139,7 +140,11 @@ class RangeQueryResult:
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object]) -> "RangeQueryResult":
-        """Rebuild a result from :meth:`to_wire` output (post-JSON)."""
+        """Rebuild a result from :meth:`to_wire` output (post-JSON).
+
+        ``matches`` stay the decoded columns: no :class:`StoredObject` is
+        built until a caller iterates or indexes them.
+        """
         return cls(
             origin=wire["origin"],
             query_id=int(wire["query_id"]),

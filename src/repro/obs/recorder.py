@@ -22,10 +22,16 @@ trailer so post-mortem tooling knows when the window was clipped.
 
 Dump format (``.dump`` files)::
 
-    ARFR2\\n                       # magic + version (2: matches as columns)
+    ARFR3\\n                       # magic + version (3: typed columns)
     [4-byte BE length][binframe]   # one record per event, in seq order
     ...                            # last record is a synthetic "dump"
                                    # trailer: reason, totals, evictions
+
+A recorded ``reply`` holds the bytes the connection wrote, so the version
+moves whenever the reply's wire form does: ``ARFR2`` files spell a float
+column as JSON text, ``ARFR1`` files spell matches as rows, and replaying
+either would report every query as diverged — :func:`load_dump` refuses
+them in one line instead (a dump is a post-mortem artefact, not an archive).
 
 Dumps are triggered on demand (``SIGUSR1``), on unhandled exception (a
 chained ``sys.excepthook``), and by the serving/soak entry points on
@@ -47,7 +53,10 @@ from repro.binframe import encode_binary, decode_binary
 from repro.obs.logs import get_logger
 
 #: dump file header: magic + format version, newline-terminated
-DUMP_MAGIC = b"ARFR2\n"
+DUMP_MAGIC = b"ARFR3\n"
+
+#: magics of earlier reply wire forms, and what each file predates
+_OLDER_DUMPS = {b"ARFR1\n": "the column wire form", b"ARFR2\n": "typed columns"}
 
 _LOG = get_logger("obs.recorder")
 
@@ -237,7 +246,7 @@ class FlightRecorder:
 
 
 def write_dump(events: List[Dict[str, Any]], path: str) -> None:
-    """Write ``events`` (in order) as an ``ARFR2`` dump file."""
+    """Write ``events`` (in order) as an ``ARFR3`` dump file."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -250,14 +259,15 @@ def write_dump(events: List[Dict[str, Any]], path: str) -> None:
 
 
 def load_dump(path: str) -> List[Dict[str, Any]]:
-    """Read an ``ARFR2`` dump file back into its event list."""
+    """Read an ``ARFR3`` dump file back into its event list."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise DumpError(f"cannot read dump {path!r}: {exc}") from exc
-    if blob.startswith(b"ARFR1\n"):
-        raise DumpError(f"{path!r} is an ARFR1 dump: it predates the column wire form")
+    predates = _OLDER_DUMPS.get(blob[: len(DUMP_MAGIC)])
+    if predates is not None:
+        raise DumpError(f"{path!r} is an {blob[:5].decode()} dump: it predates {predates}")
     if not blob.startswith(DUMP_MAGIC):
         raise DumpError(f"{path!r} is not a flight-recorder dump (bad magic)")
     events: List[Dict[str, Any]] = []

@@ -60,8 +60,11 @@ Query replies carry the complete
 :meth:`~repro.core.pira.RangeQueryResult.to_wire` payload plus the
 gateway-measured wall-clock latency, so a client can rebuild the exact
 result object the simulator would have produced.  Its ``matches`` travel
-as columns (:func:`repro.storage.base.objects_to_wire`): a reply grows with
-the range, and a dict per match was most of what a wide query cost.
+as columns (:func:`repro.storage.base.objects_to_wire`), and a column of
+floats as packed doubles (:func:`repro.wire.encode_column`): a reply grows
+with the range, a dict per match was most of what a wide query cost, and
+printing each double as decimal text was most of what was left.  A
+streamed ``chunk`` spells its ``values`` with the same column codec.
 
 Every in-flight query is guarded by a **deadline** (wall-clock seconds,
 per-request option or the gateway default), handed to the executor's

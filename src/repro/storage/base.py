@@ -42,11 +42,12 @@ both owned by one peer and replicated on another.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.binframe import encode_binary
-from repro.wire import SCALAR_TYPES, decode_value, encode_value
+from repro.wire import decode_column, encode_column, encode_value
 
 
 class StorageError(RuntimeError):
@@ -66,30 +67,115 @@ class StoredObject:
 OBJECT_COLUMNS = ("object_id", "key", "value")
 
 
-def objects_to_wire(objects: Sequence[StoredObject]) -> Dict[str, List[Any]]:
-    """Column form: no dict and no repeated field names per object, and no
-    codec call for a scalar key or value (tuples are tagged as ever)."""
-    scalars = SCALAR_TYPES
-    return {
-        "object_id": [s.object_id for s in objects],
-        "key": [s.key if type(s.key) in scalars else encode_value(s.key) for s in objects],
-        "value": [s.value if type(s.value) in scalars else encode_value(s.value) for s in objects],
-    }
+class ObjectList(Sequence):
+    """A list of stored objects, held as objects *or* as columns.
+
+    The two ends of a reply want different forms of the same list.  The
+    executor gathers matches by reference to the store's own objects
+    (:meth:`extend`), and only the gateway ever wants their columns — once,
+    to write them.  A client receives columns (:meth:`from_columns` adopts
+    the decoded lists as they are), and most callers ask only how many
+    matches there are or what their keys are (:meth:`keys`), which the
+    columns answer without building one :class:`StoredObject` per match.
+
+    So the list holds one form and derives the other on demand: iterating
+    or indexing a column-form list builds the objects once and drops the
+    columns (a caller that does iterate pays for one form, not two);
+    :meth:`columns` of an object-form list is computed per call.  Either
+    form is the same sequence — it compares equal to the other form and to
+    a plain ``list`` of the same objects, field for field.
+    """
+
+    __slots__ = ("_objects", "_columns")
+
+    def __init__(self, objects: Iterable[StoredObject] = ()) -> None:
+        self._objects: Optional[List[StoredObject]] = list(objects)
+        self._columns: Optional[Tuple[List[str], List[Any], List[Any]]] = None
+
+    @classmethod
+    def from_columns(
+        cls, object_ids: List[str], keys: List[Any], values: List[Any]
+    ) -> "ObjectList":
+        """Adopt three equally long columns (not copied, not checked)."""
+        self = cls.__new__(cls)
+        self._objects = None
+        self._columns = (object_ids, keys, values)
+        return self
+
+    @classmethod
+    def of(cls, objects: Iterable[StoredObject]) -> "ObjectList":
+        """``objects`` itself when it already is one, else a new list of them."""
+        return objects if isinstance(objects, cls) else cls(objects)
+
+    def objects(self) -> List[StoredObject]:
+        """The object form — the list itself, so appends to it are kept."""
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = list(map(StoredObject, *self._columns))
+            self._columns = None
+        return objects
+
+    def columns(self) -> Tuple[List[str], List[Any], List[Any]]:
+        """``(object_ids, keys, values)``, in :data:`OBJECT_COLUMNS` order."""
+        if self._columns is not None:
+            return self._columns
+        objects = self._objects
+        return (
+            [stored.object_id for stored in objects],
+            [stored.key for stored in objects],
+            [stored.value for stored in objects],
+        )
+
+    def keys(self) -> List[Any]:
+        """The ``key`` column, as a list the caller owns."""
+        if self._columns is not None:
+            return list(self._columns[1])
+        return [stored.key for stored in self._objects]
+
+    def append(self, stored: StoredObject) -> None:
+        self.objects().append(stored)
+
+    def extend(self, objects: Iterable[StoredObject]) -> None:
+        # Runs once per destination peer of every query: calls nothing it can avoid.
+        if self._objects is None:
+            self.objects()
+        self._objects.extend(objects)
+
+    def __len__(self) -> int:
+        return len(self._columns[0] if self._objects is None else self._objects)
+
+    def __getitem__(self, index):
+        return self.objects()[index]
+
+    def __iter__(self) -> Iterator[StoredObject]:
+        return iter(self.objects())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ObjectList, list)):
+            return NotImplemented
+        return self.columns() == ObjectList.of(other).columns()
+
+    def __repr__(self) -> str:
+        return repr(list(map(StoredObject, *self.columns())))  # a list's, in either form
 
 
-def objects_from_wire(wire: Dict[str, List[Any]]) -> List[StoredObject]:
-    """Inverse of :func:`objects_to_wire`; a missing column or columns of
-    unequal length are a :class:`ValueError` naming the lengths."""
-    columns = [wire[name] if name in wire else None for name in OBJECT_COLUMNS]
-    lengths = [len(column) if isinstance(column, list) else None for column in columns]
+def objects_to_wire(objects: Iterable[StoredObject]) -> Dict[str, Any]:
+    """Column form: no dict and no repeated field names per object, each
+    column spelled by :func:`repro.wire.encode_column`."""
+    return dict(zip(OBJECT_COLUMNS, map(encode_column, ObjectList.of(objects).columns())))
+
+
+def objects_from_wire(wire: Dict[str, Any]) -> ObjectList:
+    """Inverse of :func:`objects_to_wire`; a missing column or (decoded)
+    columns of unequal length are a :class:`ValueError` naming the lengths."""
+    columns = [
+        decode_column(wire[name], name) if name in wire else None for name in OBJECT_COLUMNS
+    ]
+    lengths = [None if column is None else len(column) for column in columns]
     if None in lengths or len(set(lengths)) != 1:
         named = dict(zip(OBJECT_COLUMNS, lengths))
         raise ValueError(f"object columns missing or of unequal length: {named}")
-    plain, decode = SCALAR_TYPES, decode_value
-    return [
-        StoredObject(oid, k if type(k) in plain else decode(k), v if type(v) in plain else decode(v))
-        for oid, k, v in zip(*columns)
-    ]
+    return ObjectList.from_columns(*columns)
 
 
 class Store:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import re
+import struct
 
 import pytest
 
@@ -47,6 +48,15 @@ async def seed_through_session(session) -> None:
     for pair in MULTI_VALUES:
         reply = await session.insert_multi(pair)
         assert isinstance(reply, InsertReply) and reply.object_id
+
+
+def exact_bits(values) -> list:
+    """Sorted ``(type name, IEEE-754 bytes)`` of keys: floats or tuples of floats."""
+    return sorted(
+        (type(value).__name__, b"".join(struct.pack("<d", part) for part in parts))
+        for value in values
+        for parts in [value if isinstance(value, tuple) else (value,)]
+    )
 
 
 async def boot_live(num_peers: int, pool: int = 2, tracer=None):
@@ -148,6 +158,27 @@ class TestSimLiveEquivalenceThroughSession:
                 assert sorted(
                     value for c in live_chunks for value in c.values
                 ) == sorted(live_reply.result.matching_values())
+
+                # A chunk and the final reply spell a list of keys with the
+                # same column codec: what streamed is type- and bit-equal to
+                # the reply's keys (and to the simulator's, which crossed no
+                # socket) — for PIRA's floats and MIRA's tuples of floats.
+                box = ((0.0, 1000.0), (100.0, 900.0))
+                sim_box_chunks: list = []
+                live_box_chunks: list = []
+                sim_box = await sim.multi_range(box, origin=origin, on_chunk=sim_box_chunks.append)
+                live_box = await live.multi_range(
+                    box, origin=origin, on_chunk=live_box_chunks.append
+                )
+                for kind, sim_side, live_side, reply in (
+                    (float, sim_chunks, live_chunks, live_reply),
+                    (tuple, sim_box_chunks, live_box_chunks, live_box),
+                ):
+                    streamed = exact_bits(value for c in live_side for value in c.values)
+                    assert len(streamed) > 1 and {name for name, _ in streamed} == {kind.__name__}
+                    assert streamed == exact_bits(reply.result.matching_values())
+                    assert streamed == exact_bits(value for c in sim_side for value in c.values)
+                assert sim_box.result.destinations == live_box.result.destinations
             finally:
                 await live.close()
                 await gateway.shutdown()

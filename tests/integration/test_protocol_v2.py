@@ -25,6 +25,7 @@ from repro.runtime.protocol import (
     read_frame,
 )
 from repro.runtime.storenode import StoreNodeServer
+from repro.wire import encode_column
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
@@ -441,8 +442,12 @@ class TestMalformedResult:
     that request — never a ``KeyError`` out of ``submit``/``batch`` — and
     the connection (whose framing is intact) keeps serving."""
 
-    def test_unequal_match_columns_raise_api_error_through_a_session(self):
-        from repro.api.requests import RangeQuery
+    @staticmethod
+    def run_against_damaged_gateway(damage, scenario, chunk_values=None):
+        """Run ``scenario(session)`` against a gateway that answers every
+        range query with a two-match result whose ``matches`` went through
+        ``damage`` (preceded by one ``chunk`` carrying ``chunk_values``, if
+        given) — and a ``ping`` honestly."""
         from repro.core.pira import RangeQueryResult
         from repro.fissione.peer import StoredObject
         from repro.runtime.protocol import welcome_frame
@@ -450,21 +455,23 @@ class TestMalformedResult:
         result = RangeQueryResult(origin="010", query_id=1)
         result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
         wire = result.to_wire()
-        wire["matches"]["key"].pop()
+        assert wire["matches"]["key"] == encode_column([1.0, 2.0])
+        damage(wire["matches"])
+        answer = {"ok": True, "type": "result", "status": "ok", "latency": 0.0, "result": wire}
 
-        async def scenario():
+        async def run():
             async def gateway(reader, writer):
                 assert (await read_frame(reader))["type"] == "hello"
                 writer.write(encode_frame(welcome_frame()))
                 try:
                     while (frame := await read_frame(reader)) is not None:
-                        payload = {
-                            "ok": True, "type": "result", "status": "ok",
-                            "latency": 0.0, "result": wire,
-                        }
-                        writer.write(
-                            encode_frame({"type": "reply", "rid": frame["rid"], "payload": payload})
-                        )
+                        rid, ping = frame["rid"], frame["request"]["op"] == "ping"
+                        if chunk_values is not None and not ping:
+                            chunk = {"type": "chunk", "rid": rid, "peer": "010", "hop": 1}
+                            writer.write(encode_frame({**chunk, "values": chunk_values}))
+                        payload = {"ok": True, "type": "pong"} if ping else answer
+                        reply = {"type": "reply", "rid": rid, "payload": payload}
+                        writer.write(encode_frame(reply))
                         await writer.drain()
                 finally:
                     writer.close()
@@ -473,14 +480,62 @@ class TestMalformedResult:
             port = server.sockets[0].getsockname()[1]
             try:
                 session = await LiveSession.connect("127.0.0.1", port, pool=1, timeout=5.0)
-                query = RangeQuery(low=0.0, high=10.0)
-                with pytest.raises(ApiError, match="malformed result payload.*unequal length"):
-                    await session.submit(query)
-                with pytest.raises(ApiError, match="'key': 1"):
-                    await session.batch([query, query])
+                await scenario(session)
                 await session.close()
             finally:
                 server.close()
                 await server.wait_closed()
 
-        asyncio.run(scenario())
+        asyncio.run(run())
+
+    def test_unequal_match_columns_raise_api_error_through_a_session(self):
+        from repro.api.requests import RangeQuery
+
+        async def scenario(session):
+            query = RangeQuery(low=0.0, high=10.0)
+            with pytest.raises(ApiError, match="malformed result payload.*unequal length"):
+                await session.submit(query)
+            with pytest.raises(ApiError, match="'key': 1"):
+                await session.batch([query, query])
+            await session.ping()  # pool=1: the same connection, still serving
+
+        self.run_against_damaged_gateway(
+            lambda matches: matches.update(key=encode_column([1.0])), scenario
+        )
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            (lambda matches: matches["key"].update(f64="AAAA AAAA"), "not valid base64"),
+            (lambda matches: matches["key"].update(f64="AAAAAAAA"), "not a whole number"),
+            (lambda matches: matches["key"].update(f64=[1.0, 2.0]), "not a string"),
+            (lambda matches: matches["key"].update(f32=""), "keys beside 'f64'"),
+        ],
+    )
+    def test_malformed_packed_column_fails_one_request_not_the_connection(self, damage, complaint):
+        from repro.api.requests import RangeQuery
+
+        async def scenario(session):
+            with pytest.raises(ApiError, match=f"malformed result.*column 'key'.*{complaint}"):
+                await session.range(0.0, 10.0)
+            await session.ping()
+            with pytest.raises(ApiError, match="column 'key'"):
+                await session.batch([RangeQuery(low=0.0, high=10.0)])
+            await session.ping()
+
+        self.run_against_damaged_gateway(damage, scenario)
+
+    def test_malformed_chunk_column_fails_one_request_not_the_connection(self):
+        """A streamed ``chunk`` spells its values with the same column codec,
+        and a damaged one costs the request it belongs to, nothing else."""
+
+        async def scenario(session):
+            with pytest.raises(ApiError, match="malformed chunk.*column 'values'"):
+                await session.range(0.0, 10.0, on_chunk=lambda chunk: None)
+            await session.ping()
+            reply = await session.range(0.0, 10.0)  # nobody listening: chunk not decoded
+            assert reply.chunks == 1 and reply.result.matching_values() == [1.0, 2.0]
+
+        self.run_against_damaged_gateway(
+            lambda matches: None, scenario, chunk_values={"f64": "AAAAAAAA"}
+        )

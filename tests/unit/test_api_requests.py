@@ -24,6 +24,7 @@ from repro.api.requests import (
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import QueryJob
 from repro.storage.base import StoredObject
+from repro.wire import encode_column
 
 
 class TestRequestWire:
@@ -134,7 +135,12 @@ class TestReplies:
     @pytest.mark.parametrize(
         "damage, complaint",
         [
-            (lambda wire: wire["matches"]["key"].pop(), "unequal length"),
+            (lambda wire: wire["matches"].update(key=encode_column([1.0])), "unequal length"),
+            (lambda wire: wire["matches"]["key"].update(f64="AAAA AAAA"), "not valid base64"),
+            (lambda wire: wire["matches"]["key"].update(f64="AAAAAAAA"), "6 bytes is not a whole"),
+            (lambda wire: wire["matches"]["key"].update(f64=[1.0]), "f64 is list, not a string"),
+            (lambda wire: wire["matches"]["key"].update(f32=""), r"keys beside 'f64': \['f32'\]"),
+            (lambda wire: wire["matches"].update(key=7), "neither a list nor a packed"),
             (lambda wire: wire["matches"].pop("value"), "missing"),
             (lambda wire: wire.pop("matches"), "KeyError"),
             (lambda wire: wire.update(query_id=None), "TypeError"),

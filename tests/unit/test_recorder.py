@@ -89,8 +89,16 @@ class TestDumpFormat:
         report every query as diverged, so loading it says why instead."""
         path = tmp_path / "old.dump"
         path.write_bytes(b"ARFR1\n")
-        assert DUMP_MAGIC == b"ARFR2\n"
+        assert DUMP_MAGIC == b"ARFR3\n"
         with pytest.raises(DumpError, match="predates the column wire form"):
+            load_dump(str(path))
+
+    def test_text_float_era_dump_is_rejected_in_one_line(self, tmp_path):
+        """An ``ARFR2`` dump's replies spell float columns as JSON text: its
+        recorded bytes can never equal a replayed ``to_wire()``."""
+        path = tmp_path / "parent.dump"
+        path.write_bytes(b"ARFR2\n" + b"\x00\x00\x00\x01\x80")
+        with pytest.raises(DumpError, match=r"is an ARFR2 dump: it predates typed columns$"):
             load_dump(str(path))
 
     def test_missing_file_is_a_dump_error(self, tmp_path):

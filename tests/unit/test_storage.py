@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import struct
 import zlib
 
@@ -27,6 +28,7 @@ from repro.storage import BACKENDS, open_store, store_factory, store_path
 from repro.storage.base import (
     StorageError,
     StoredObject,
+    ObjectList,
     objects_from_wire,
     objects_to_wire,
 )
@@ -259,3 +261,53 @@ class TestObjectColumns:
         """One wire form: the list of per-object dicts it replaced is malformed."""
         with pytest.raises(ValueError, match="missing"):
             objects_from_wire([{"object_id": "0101", "key": 1.0, "value": 1.0}])
+
+
+class TestObjectList:
+    """One sequence, two forms: the executor's objects, a client's columns."""
+
+    OBJECTS = [StoredObject("0101", 1.5, "a"), StoredObject("0120", (2.0, 3.0), None)]
+
+    def columns_form(self) -> ObjectList:
+        return objects_from_wire(json.loads(json.dumps(objects_to_wire(self.OBJECTS))))
+
+    def test_either_form_is_the_same_sequence(self):
+        built, adopted = ObjectList(self.OBJECTS), self.columns_form()
+        for matches in (built, adopted):
+            assert len(matches) == 2 and matches
+            assert matches.keys() == [1.5, (2.0, 3.0)]
+            assert matches.columns() == (["0101", "0120"], [1.5, (2.0, 3.0)], ["a", None])
+            assert matches == self.OBJECTS and matches == built and matches == adopted
+            assert matches != self.OBJECTS[:1] and matches != "0101"
+            assert repr(matches) == repr(self.OBJECTS)
+        assert list(adopted) == self.OBJECTS and adopted[1] == self.OBJECTS[1]
+        assert adopted[0] is adopted[0]  # built once, then kept
+        assert self.OBJECTS[0] in adopted and adopted.index(self.OBJECTS[1]) == 1
+
+    def test_keys_belong_to_the_caller(self):
+        adopted = self.columns_form()
+        adopted.keys().clear()
+        assert adopted.keys() == [1.5, (2.0, 3.0)]
+
+    def test_a_column_form_list_can_still_grow(self):
+        """``append`` / ``extend`` build the objects first: nothing is lost."""
+        extra = StoredObject("0201", 9.0, 9.0)
+        for grow in (lambda m: m.append(extra), lambda m: m.extend([extra])):
+            adopted = self.columns_form()
+            grow(adopted)
+            assert list(adopted) == self.OBJECTS + [extra]
+            assert objects_to_wire(adopted)["object_id"] == ["0101", "0120", "0201"]
+
+    def test_the_executor_form_holds_the_stores_objects_by_reference(self):
+        matches = ObjectList()
+        matches.extend(self.OBJECTS)
+        matches.append(self.OBJECTS[0])
+        assert len(matches) == 3 and matches.keys() == [1.5, (2.0, 3.0), 1.5]
+        assert all(kept is stored for kept, stored in zip(matches, self.OBJECTS))
+
+    def test_both_forms_survive_pickle(self):
+        for matches in (ObjectList(self.OBJECTS), self.columns_form()):
+            copy = pickle.loads(pickle.dumps(matches))
+            assert copy == matches
+            copy.extend(self.OBJECTS[:1])
+            assert len(copy) == 3 and len(matches) == 2
