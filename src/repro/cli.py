@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.store import ResultStore
 from repro.experiments import analytics as analytics_experiment
@@ -586,21 +587,25 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     return config.with_overrides(**overrides) if overrides else config
 
 
-def _replace_store(store_path: str, records) -> str:
-    """Atomically replace ``store_path`` with the given records.
+@contextmanager
+def _replacing(store_path: str) -> Iterator[ResultStore]:
+    """A store streaming into ``<path>.tmp``, renamed over ``store_path``
+    only when the block succeeds.
 
-    Streams into ``<path>.tmp`` and renames on success, so re-running the
-    same command never duplicates records and a crashed or interrupted run
-    leaves any previous result file untouched.  Returns a summary line.
+    So re-running the same command never duplicates records, and a crashed
+    or interrupted run leaves any previous result file untouched.
     """
     scratch = ResultStore(store_path + ".tmp")
     scratch.clear()
-    count = 0
-    for record in records:
-        scratch.append(record)
-        count += 1
+    yield scratch
     os.replace(scratch.path, store_path)
-    return f"streamed {count} records into {store_path}"
+
+
+def _replace_store(store_path: str, records: List[Dict[str, Any]]) -> str:
+    """Replace ``store_path`` with ``records``; returns a summary line."""
+    with _replacing(store_path) as store:
+        store.append_many(records)
+    return f"streamed {len(records)} records into {store_path}"
 
 
 def _write_csvs(csv_dir: Optional[str], csvs: Dict[str, str]) -> None:
@@ -668,18 +673,11 @@ def _run_load(args: argparse.Namespace) -> str:
 
 def _run_grid(runner, spec, workers: int = 1, store_path: Optional[str] = None) -> str:
     """Run a sweep or faults grid, streaming its records into ``store_path``."""
-    # Stream into a scratch file and rename on success: re-running the
-    # same command never duplicates records, and a crashed or
-    # interrupted sweep leaves any previous result file untouched.
-    scratch = ResultStore(store_path + ".tmp") if store_path is not None else None
-    if scratch is not None:
-        scratch.clear()
-    outcome = runner(spec, workers=workers, store=scratch)
-    parts = [outcome.format()]
-    if scratch is not None:
-        os.replace(scratch.path, store_path)
-        parts.append(f"streamed {outcome.jobs} records into {store_path}")
-    return "\n\n".join(parts)
+    if store_path is None:
+        return runner(spec, workers=workers, store=None).format()
+    with _replacing(store_path) as store:
+        outcome = runner(spec, workers=workers, store=store)
+    return f"{outcome.format()}\n\nstreamed {outcome.jobs} records into {store_path}"
 
 
 def _run_sweep(args: argparse.Namespace) -> str:

@@ -1,7 +1,7 @@
 """The gossip membership table: alive / suspect / dead with incarnations.
 
 This is the control plane's single shared data structure.  Every
-:class:`~repro.runtime.node.PeerNode` (and the gateway) holds one
+:class:`~repro.runtime.node.PeerNode`'s SWIM agent holds one
 :class:`MembershipTable` mapping PeerIDs to :class:`MemberEntry` records;
 the SWIM loop (:mod:`repro.gossip.swim`) mutates it through :meth:`apply`
 and views converge by exchanging **digests** — compact wire lists of the
@@ -36,7 +36,7 @@ through arbitrary interleavings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: membership states, in increasing order of pessimism
 ALIVE = "alive"
@@ -147,6 +147,16 @@ class MembershipTable:
             self._notify(peer_id, old_state, state, entry)
         return True
 
+    def bump(self, peer_id: str, state: str, address: Optional[Address] = None) -> int:
+        """Apply ``state`` one incarnation above this view's record (0 for
+        an unknown peer), so it supersedes whatever the view holds — a
+        refutation, a restart, a relocation, a rename's goodbye.  Returns
+        the incarnation applied."""
+        entry = self.entries.get(peer_id)
+        incarnation = entry.incarnation + 1 if entry is not None else 0
+        self.apply(peer_id, state, incarnation, address)
+        return incarnation
+
     def merge(self, rows: Sequence[Sequence[Any]]) -> List[Tuple[str, str]]:
         """Merge a wire digest; returns the ``(peer, new_state)`` accepted."""
         accepted: List[Tuple[str, str]] = []
@@ -229,3 +239,18 @@ class MembershipTable:
             f"MembershipTable(alive={counts[ALIVE]}, suspect={counts[SUSPECT]}, "
             f"dead={counts[DEAD]}, left={counts[LEFT]})"
         )
+
+
+def views_converged(views: Iterable[MembershipTable], expect_dead: Iterable[str] = ()) -> bool:
+    """True when every view has the same :meth:`~MembershipTable.liveness_view`
+    and it holds ``expect_dead`` dead (a victim still only suspected is not).
+
+    No views at all is *not* converged: a caller whose empty case means
+    something else (the simulator with every node crashed) decides it first.
+    """
+    fingerprints = {view.liveness_view() for view in views}
+    if len(fingerprints) != 1:
+        return False
+    alive, dead = fingerprints.pop()
+    expected = set(expect_dead)
+    return expected.issubset(dead) and expected.isdisjoint(alive)

@@ -210,13 +210,11 @@ class SwimNode:
             if not self._is_up(peer_id):
                 continue
             entry = self.table.get(peer_id)
-            if entry is None:
-                self.table.apply(peer_id, ALIVE, 0, self.address)
-            elif entry.address != self.address and entry.state == ALIVE:
-                # Relocated onto this node (zone handoff): re-announce the
-                # same liveness fact at the new address with a fresh
-                # incarnation so it supersedes the stale address everywhere.
-                self.table.apply(peer_id, ALIVE, entry.incarnation + 1, self.address)
+            # Unknown here, or relocated onto this node (zone handoff):
+            # announce it alive at our address, one incarnation above any
+            # record of it, so it supersedes the stale address everywhere.
+            if entry is None or (entry.address != self.address and entry.state == ALIVE):
+                self.table.bump(peer_id, ALIVE, self.address)
 
     def _refute(self) -> None:
         """Kill rumors about our own live tenants with a bumped incarnation.
@@ -230,8 +228,7 @@ class SwimNode:
                 continue
             entry = self.table.get(peer_id)
             if entry is not None and entry.state in (SUSPECT, DEAD, LEFT):
-                incarnation = entry.incarnation + 1
-                self.table.apply(peer_id, ALIVE, incarnation, self.address)
+                incarnation = self.table.bump(peer_id, ALIVE, self.address)
                 self._emit(EVENT_REFUTE, peer=peer_id, incarnation=incarnation)
 
     def _next_target(self) -> Optional[str]:

@@ -1,9 +1,11 @@
-"""The metrics plane: one registry, Prometheus text exposition.
+"""The live runtime's metrics registry, with Prometheus text exposition.
 
-This unifies the two half-metrics systems that grew up separately —
-the simulator's counter/summary registry (:mod:`repro.sim.metrics`)
-and the gateway's ad-hoc ``_stats`` dict — behind a single
-:class:`MetricsRegistry` with three instrument kinds:
+The gateway, the cluster and its peer nodes register here (see
+:func:`repro.runtime.server.build_observability`) and ``/metrics``
+renders it.  It is
+one of two registries: the simulator's overlay still counts into its own
+:class:`repro.sim.metrics.MetricsRegistry`, which this module does not
+read or replace.  This one has three instrument kinds:
 
 - :class:`Counter` — monotone, optionally labelled.
 - :class:`Gauge` — settable point-in-time value, with optional

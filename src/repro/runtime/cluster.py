@@ -31,6 +31,17 @@ dispatch, the per-copy TCP round trips of :meth:`LiveCluster.store` /
 ``_handle_fetch``, are calls into the deployment), the gossip binding, and
 the churn / crash / restart operations.
 
+Tenancy: in FISSIONE a PeerID *is* its zone, so a join renames the split
+incumbent and a leave hands the leaver's id to a relocated sibling.  Where
+each live PeerID lives is recorded once, in :attr:`LiveCluster.homes`
+(PeerID → hosting :class:`PeerNode`), and edited by exactly two methods,
+each together with the transport route: :meth:`LiveCluster._place`
+(bootstrap, ``announce``, a route restored by a restart or an ``alive``
+record) and :meth:`LiveCluster._move`
+(the join split, both shapes of a leave).  A rename carries the peer's
+down flag to its heir, so a crashed zone stays crashed under its new name.
+SWIM's ``hosted()`` callback reads the same map.
+
 Determinism: the join targets are drawn from the exact RNG substream
 (``seed → "topology"``) that :meth:`FissioneNetwork.build` uses, one draw
 per join, so a live cluster and an :class:`~repro.core.armada.ArmadaSystem`
@@ -54,7 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.deployment import Deployment
 from repro.fissione.network import FissioneNetwork
-from repro.gossip.membership import ALIVE, DEAD, LEFT, MembershipTable
+from repro.gossip.membership import ALIVE, DEAD, LEFT, MembershipTable, views_converged
 from repro.gossip.swim import (
     EVENT_FRAME,
     OP_ACK,
@@ -147,7 +158,9 @@ class LiveCluster:
         self.network = FissioneNetwork(object_id_length=object_id_length, base=base)
         self.seed_node: Optional[PeerNode] = None
         self.nodes: List[PeerNode] = []
-        self._node_by_address: Dict[Address, PeerNode] = {}
+        #: the tenancy map: every live PeerID → the node hosting it (a
+        #: routed peer's route is its home's address; see _place / _move)
+        self.homes: Dict[str, PeerNode] = {}
         self._next_node_index = 0
         self.started = False
 
@@ -182,9 +195,7 @@ class LiveCluster:
             for index in range(self.num_nodes):
                 await self._start_node(f"node-{index}")
         for peer_id in self.network.peer_ids():
-            node = await self._next_node()
-            node.hosted.add(peer_id)
-            self.transport.assign(peer_id, node.address)
+            self._place(peer_id, await self._next_node())
 
         # Keep the substream: live churn joins (join_peer) continue drawing
         # from it, so a cluster started at N and grown to N+k has the same
@@ -217,9 +228,6 @@ class LiveCluster:
                 self.storage, store_path(self.data_dir, peer.peer_id, self.storage)
             )
             self.replayed_records += store.replay()
-            node = self._hosting_node(peer.peer_id)
-            if node is not None:
-                node.stores[peer.peer_id] = store
             if peer.backend.object_count() or peer.backend.replica_count():
                 peer.set_backend(store)
             else:
@@ -260,12 +268,6 @@ class LiveCluster:
             nodes=len(self.nodes),
         )
 
-    def _hosting_node(self, peer_id: str) -> Optional[PeerNode]:
-        address = self.transport.address_of(peer_id)
-        if address is None:
-            return None
-        return self._node_by_address.get(address)
-
     async def stop(self) -> None:
         """Close the links, every node's listener, and peer stores."""
         for agent in self.agents.values():
@@ -282,7 +284,6 @@ class LiveCluster:
     async def _start_node(self, name: str) -> PeerNode:
         node = await PeerNode(name, self.host, self._dispatch_cast, self._handle_request).start()
         self.nodes.append(node)
-        self._node_by_address[node.address] = node
         return node
 
     async def _next_node(self) -> PeerNode:
@@ -293,6 +294,30 @@ class LiveCluster:
         node = self.nodes[self._next_node_index % len(self.nodes)]
         self._next_node_index += 1
         return node
+
+    # ------------------------------------------------------------------ #
+    # tenancy: where each PeerID lives                                     #
+    # ------------------------------------------------------------------ #
+
+    def _place(self, peer_id: str, node: PeerNode) -> None:
+        """Make ``node`` the home of ``peer_id`` and route the id to it."""
+        self.homes[peer_id] = node
+        self.transport.assign(peer_id, node.address)
+
+    def _move(self, old_id: str, new_id: str) -> None:
+        """Rename a tenant in place: its home, its route (or, if gossip
+        withdrew it, the lack of one) and its down flag pass from the
+        retired id to the heir, and the retired id keeps none of them."""
+        node = self.homes.pop(old_id)
+        self.homes[new_id] = node
+        if self.transport.address_of(old_id) is not None:
+            self.transport.assign(new_id, node.address)
+        else:
+            self.transport.unregister(new_id)
+        self.transport.unregister(old_id)
+        if old_id in self.down_peers:
+            self.down_peers.discard(old_id)
+            self.down_peers.add(new_id)
 
     # ------------------------------------------------------------------ #
     # bootstrap protocol                                                   #
@@ -314,7 +339,6 @@ class LiveCluster:
         await self.transport.request(
             seed, {"type": "announce", "peer": assigned, "host": node.host, "port": node.port}
         )
-        node.hosted.add(assigned)
         return assigned, dict(reply.get("renamed", {})), node
 
     # ------------------------------------------------------------------ #
@@ -347,7 +371,8 @@ class LiveCluster:
         if kind == "join":
             return self._handle_join(frame)
         if kind == "announce":
-            self.transport.assign(frame["peer"], (frame["host"], int(frame["port"])))
+            address = (frame["host"], int(frame["port"]))
+            self._place(frame["peer"], next(n for n in self.nodes if n.address == address))
             return {"ok": True}
         if kind == "store":
             return self._handle_store(frame)
@@ -367,14 +392,7 @@ class LiveCluster:
         right = self.network.join(target_key=frame["target"]).peer_id
         victim = right[:-1]
         left = victim + ks.allowed_symbols(victim[-1], base=self.network.base)[0]
-        address = self.transport.address_of(victim)
-        if address is not None:
-            self.transport.assign(left, address)
-            node = self._node_by_address.get(address)
-            if node is not None:
-                node.hosted.discard(victim)
-                node.hosted.add(left)
-        self.transport.unregister(victim)
+        self._move(victim, left)
         return {"ok": True, "assigned": right, "renamed": {victim: left}}
 
     def _handle_store(self, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -530,7 +548,9 @@ class LiveCluster:
                 delay, callback
             ),
             send=self.transport.send_frame,
-            hosted=(lambda node=node: node.hosted),
+            hosted=lambda node=node: [
+                peer_id for peer_id, home in self.homes.items() if home is node
+            ],
             is_up=lambda peer_id: peer_id not in self.down_peers,
             on_event=self._on_gossip_event,
         )
@@ -577,8 +597,8 @@ class LiveCluster:
         from then on executor sends to it degrade into *immediate* drops,
         so in-flight queries retry/reroute through prefix siblings instead
         of burning per-hop timeouts against a corpse.  A later alive
-        record (refutation, restart, relocation) rebinds the route from
-        the gossiped address.
+        record (refutation, restart, relocation) of a live, up peer routes
+        it to its home again.
         """
         if new_state in (DEAD, LEFT):
             if peer_id not in self._dead_handled:
@@ -588,13 +608,13 @@ class LiveCluster:
         if new_state != ALIVE:
             return
         self._dead_handled.discard(peer_id)
+        node = self.homes.get(peer_id)
         if (
-            entry.address is not None
+            node is not None
             and self.transport.address_of(peer_id) is None
             and peer_id not in self.down_peers
-            and peer_id in self.network.peer_ids()
         ):
-            self.transport.assign(peer_id, tuple(entry.address))
+            self._place(peer_id, node)
 
     @property
     def membership(self) -> Optional[MembershipTable]:
@@ -620,16 +640,11 @@ class LiveCluster:
         }
 
     def membership_converged(self, expect_dead: Any = ()) -> bool:
-        """True when every agent's view agrees — same alive and dead/left
-        sets — and agrees that ``expect_dead`` are dead."""
-        if not self.agents:
-            return False
-        expected = set(expect_dead)
-        fingerprints = {agent.table.liveness_view() for agent in self.agents.values()}
-        if len(fingerprints) != 1:
-            return False
-        alive, dead = next(iter(fingerprints))
-        return expected.issubset(set(dead)) and expected.isdisjoint(set(alive))
+        """:func:`~repro.gossip.membership.views_converged` over every
+        agent's view; never true before the control plane has an agent."""
+        return bool(self.agents) and views_converged(
+            (agent.table for agent in self.agents.values()), expect_dead
+        )
 
     def register_gateway(self, address: Address) -> None:
         """A gateway fronting this cluster announces itself (stats carries
@@ -656,21 +671,6 @@ class LiveCluster:
                 "bootstrap-final PeerIDs, and live churn renames zones"
             )
 
-    @staticmethod
-    def _gossip_alive(table: MembershipTable, peer_id: str, address: Address) -> None:
-        """Announce ``peer_id`` alive at ``address``, superseding whatever
-        the table already holds — churn recycles PeerIDs, so a fresh id may
-        collide with a ``left`` record from an earlier departure."""
-        entry = table.get(peer_id)
-        incarnation = entry.incarnation + 1 if entry is not None else 0
-        table.apply(peer_id, ALIVE, incarnation, address)
-
-    @staticmethod
-    def _gossip_left(table: MembershipTable, peer_id: str) -> None:
-        entry = table.get(peer_id)
-        incarnation = entry.incarnation + 1 if entry is not None else 0
-        table.apply(peer_id, LEFT, incarnation)
-
     async def join_peer(self) -> str:
         """Live churn: one new peer joins the running overlay.
 
@@ -679,7 +679,10 @@ class LiveCluster:
         substream — so a cluster grown by ``k`` joins matches a cluster
         *started* with ``num_peers + k``.  With gossip enabled the new
         peer and the renamed incumbent enter the hosting node's view and
-        spread epidemically; the retired id is gossiped ``left``.
+        spread epidemically; the retired id is gossiped ``left``.  Every
+        record is bumped past what the view holds: churn recycles PeerIDs,
+        so a fresh id may collide with a ``left`` record from an earlier
+        departure.
         """
         self._require_churn("join_peer")
         assert self._topology_rng is not None
@@ -688,29 +691,17 @@ class LiveCluster:
             agent = self._ensure_agent(node)
             if not agent.running:
                 agent.start()
-            self._gossip_alive(agent.table, assigned, node.address)
+            agent.table.bump(assigned, ALIVE, node.address)
             for victim, new_id in renamed.items():
                 address = self.transport.address_of(new_id)
                 if address is not None:
-                    self._gossip_alive(agent.table, new_id, address)
-                self._gossip_left(agent.table, victim)
+                    agent.table.bump(new_id, ALIVE, address)
+                agent.table.bump(victim, LEFT)
         if self.recorder is not None:
             self.recorder.record(
                 "gossip", event="join", peer=assigned, renamed=renamed
             )
         return assigned
-
-    def _rebind_route(
-        self, old_id: str, new_id: str, address: Optional[Address]
-    ) -> None:
-        """Atomically move a node's tenancy from a retired id to its heir."""
-        if address is not None:
-            node = self._node_by_address.get(address)
-            if node is not None:
-                node.hosted.discard(old_id)
-                node.hosted.add(new_id)
-            self.transport.assign(new_id, address)
-        self.transport.unregister(old_id)
 
     async def leave_peer(self, peer_id: str) -> str:
         """Graceful departure: merge the deepest sibling pair, hand the
@@ -718,11 +709,12 @@ class LiveCluster:
 
         :meth:`~repro.fissione.network.FissioneNetwork.leave` does the
         namespace surgery (the freed sibling adopts the leaver's PeerID
-        *and its objects* — the prefix-slice handoff); this method moves
-        the routes and hosted sets to match, then gossips the changes:
-        retired ids as ``left``, the merged parent and the relocated heir
-        as fresh ``alive`` records carrying their addresses.  Returns the
-        merged parent's PeerID.
+        *and its objects* — the prefix-slice handoff); this method drops
+        the leaver's home and route and renames the survivors to match
+        (:meth:`_move`), then gossips the changes: retired ids as
+        ``left``, the merged parent and the relocated heir as fresh
+        ``alive`` records carrying their addresses.  Returns the merged
+        parent's PeerID.
         """
         self._require_churn("leave_peer")
         if peer_id in self.down_peers:
@@ -732,7 +724,6 @@ class LiveCluster:
         before = set(self.network.peer_ids())
         if peer_id not in before:
             raise ClusterError(f"no peer with id {peer_id!r}")
-        addresses = {pid: self.transport.address_of(pid) for pid in before}
         self.network.leave(peer_id)
         after = set(self.network.peer_ids())
         removed = before - after
@@ -740,42 +731,28 @@ class LiveCluster:
         if len(added) != 1:
             raise ClusterError(f"leave produced {len(added)} merged peers")
         parent = added.pop()
-        children = [
-            parent + symbol
-            for symbol in ks.allowed_symbols(parent[-1], base=self.network.base)
-        ]
-        left_id, right_id = children[0], children[-1]
-
-        relocated_address: Optional[Address] = None
+        del self.homes[peer_id]
         if peer_id in removed:
             # The leaver was one of the deepest siblings: its sibling
             # absorbs the parent zone in place, nobody relocates.
-            survivor = (removed - {peer_id}).pop()
-            self._rebind_route(survivor, parent, addresses.get(survivor))
-            node = self._node_by_address.get(addresses.get(peer_id))
-            if node is not None:
-                node.hosted.discard(peer_id)
+            self._move((removed - {peer_id}).pop(), parent)
             self.transport.unregister(peer_id)
         else:
             # The freed sibling (right child) relocates into the leaver's
-            # zone under the leaver's PeerID; the left child grows into
-            # the parent zone.
-            self._rebind_route(left_id, parent, addresses.get(left_id))
-            relocated_address = addresses.get(right_id)
-            self._rebind_route(right_id, peer_id, relocated_address)
-            node = self._node_by_address.get(addresses.get(peer_id))
-            if node is not None:
-                node.hosted.discard(peer_id)
+            # zone under the leaver's PeerID, taking over its route; the
+            # left child grows into the parent zone.
+            children = ks.allowed_symbols(parent[-1], base=self.network.base)
+            self._move(parent + children[0], parent)
+            self._move(parent + children[-1], peer_id)
 
         if self.gossip_enabled and self.agents:
             observer = next(iter(self.agents.values()))
             for gone in sorted(removed):
-                self._gossip_left(observer.table, gone)
-            parent_address = self.transport.address_of(parent)
-            if parent_address is not None:
-                self._gossip_alive(observer.table, parent, parent_address)
-            if relocated_address is not None:
-                self._gossip_alive(observer.table, peer_id, relocated_address)
+                observer.table.bump(gone, LEFT)
+            for heir in (parent, peer_id):
+                address = self.transport.address_of(heir)
+                if address is not None:
+                    observer.table.bump(heir, ALIVE, address)
         if self.recorder is not None:
             self.recorder.record(
                 "gossip", event="leave", peer=peer_id, merged=parent
@@ -823,22 +800,16 @@ class LiveCluster:
     def _gossip_rejoin(self, peer_id: str) -> None:
         """Announce a restarted peer alive at a fresh incarnation.
 
-        The restart happens *on its hosting node*, so that node's agent is
-        the one entitled to bump the incarnation — the bumped record then
-        supersedes any ``dead`` rumor still circulating, and the routing
-        listener (or this direct assign, whichever runs first) restores
-        the withdrawn route.
+        The restart happens *on its home node*, so that node's agent is the
+        one entitled to bump the incarnation — the bumped record then
+        supersedes any ``dead`` rumor still circulating — and the route
+        gossip withdrew is restored at the home first.
         """
-        node = next((n for n in self.nodes if peer_id in n.hosted), None)
-        if node is None:
-            return
-        self.transport.assign(peer_id, node.address)
+        node = self.homes[peer_id]
+        self._place(peer_id, node)
         agent = self.agents.get(node.name)
-        if agent is None:
-            return
-        entry = agent.table.get(peer_id)
-        incarnation = entry.incarnation + 1 if entry is not None else 0
-        agent.table.apply(peer_id, ALIVE, incarnation, node.address)
+        if agent is not None:
+            agent.table.bump(peer_id, ALIVE, node.address)
 
     def stats(self) -> Dict[str, Any]:
         """Cluster-level statistics for the gateway's ``stats`` command."""

@@ -214,12 +214,9 @@ class Gateway:
         self._server = await asyncio.start_server(self._serve, self.host, self.requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = asyncio.get_running_loop().time()
-        register = getattr(self.cluster, "register_gateway", None)
-        if register is not None:
-            # Announce this gateway in the cluster's membership view: stats
-            # replies carry the gateway list, which is what sessions use to
-            # fail over when their original gateway dies.
-            register(self.address)
+        # Stats replies carry the cluster's gateway list, which is what
+        # sessions use to fail over when their original gateway dies.
+        self.cluster.register_gateway(self.address)
         return self
 
     @property
@@ -257,9 +254,8 @@ class Gateway:
         """
         self._closing = True
         draining = len(self._inflight)
-        unregister = getattr(self.cluster, "unregister_gateway", None)
-        if unregister is not None and self.port is not None:
-            unregister(self.address)
+        if self.port is not None:
+            self.cluster.unregister_gateway(self.address)
         server, self._server = self._server, None
         if server is not None:
             # Stop accepting.  Do NOT await wait_closed() yet: since Python

@@ -1,7 +1,9 @@
 """A peer node: one asyncio TCP server hosting FISSIONE peers.
 
-A :class:`PeerNode` owns a listening socket and the set of PeerIDs whose
-zones it currently hosts.  It is deliberately thin: frames arriving on its
+A :class:`PeerNode` owns a listening socket and no peer state: which
+PeerIDs it hosts is recorded once, in the cluster's tenancy map
+(``LiveCluster.homes``), and its peers' stores are the peers' own backends,
+which the cluster closes.  It is deliberately thin: frames arriving on its
 socket are either **casts** (query forwarding messages — dispatched
 synchronously into the cluster's shared handlers, the way the simulated
 overlay delivers into ``handle_message`` — and gossip control frames) or
@@ -15,7 +17,7 @@ logic lives in the cluster; the node is the network endpoint.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 from repro.runtime.protocol import serve_connection
 
@@ -38,11 +40,6 @@ class PeerNode:
         self.name = name
         self.host = host
         self.port: Optional[int] = None
-        self.hosted: Set[str] = set()
-        #: durable store handles for hosted peers, keyed by PeerID — the
-        #: node owns the disk its peers log to, so stopping the node
-        #: flushes and closes every log it holds open
-        self.stores: Dict[str, Any] = {}
         self._on_cast = on_cast
         self._on_request = on_request
         self._server: Optional[asyncio.base_events.Server] = None
@@ -107,14 +104,11 @@ class PeerNode:
         return None
 
     async def stop(self) -> None:
-        """Stop accepting connections, close the listener, flush stores."""
+        """Stop accepting connections and close the listener."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for store in self.stores.values():
-            store.close()
-        self.stores.clear()
 
     def __repr__(self) -> str:
-        return f"PeerNode(name={self.name!r}, port={self.port}, hosted={sorted(self.hosted)})"
+        return f"PeerNode(name={self.name!r}, port={self.port})"
