@@ -16,6 +16,8 @@ Given a range query ``[LowV, HighV]`` issued by peer ``P = u1 .. ub``:
    ``region.contains_prefix(neighbour.id[(dest - i - 1):])``.
 5. Peers reached at the destination level whose zone intersects the region
    are destination peers: they filter their local store and report matches.
+   ``Single_hash`` preserves order, so the filter is a bisected slice of the
+   store's key-sorted run, and a destination's matches come in key order.
 
 The execution is message-driven through the discrete-event overlay network,
 so per-query delay (hops), message cost and destination count come straight
@@ -322,7 +324,8 @@ class PiraExecutor(ResumableExecutor):
         subquery: _SubQuery,
         state: _QueryState,
     ) -> None:
-        """Destination-level processing: record the peer and filter its store."""
+        """Destination-level processing: record the peer and take its matches,
+        a key-ordered slice of its store (:meth:`~repro.storage.base.Store.scan`)."""
         region = subquery.region
         peer_id = peer.peer_id
         if not _contains_prefix_memo(region.low, region.high, region.base, peer_id):
@@ -332,14 +335,7 @@ class PiraExecutor(ResumableExecutor):
         if previous is None or hop < previous:
             result.destinations[peer_id] = hop
         if previous is None:
-            low, high = state.low_value, state.high_value
-            new_matches = []
-            append = new_matches.append
-            for bucket in peer.store.values():
-                for stored in bucket:
-                    key = stored.key
-                    if isinstance(key, (int, float)) and low <= key <= high:
-                        append(stored)
+            new_matches = peer.backend.scan(state.low_value, state.high_value)
             result.matches.extend(new_matches)
             if state.on_destination is not None:
                 state.on_destination(peer_id, hop, new_matches)

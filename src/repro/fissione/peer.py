@@ -11,15 +11,16 @@ Objects live behind the storage seam (:mod:`repro.storage`): every peer
 delegates to a :class:`~repro.storage.base.Store` backend — the default
 :class:`~repro.storage.memory.MemoryStore` reproduces the pre-seam dict
 semantics byte for byte, while the WAL/SQLite backends add a durable log
-the peer can replay after a crash.  The :attr:`FissionePeer.store`
-property still exposes the raw ``{object_id: [StoredObject, ...]}`` dict
-because the query executors scan it directly on the hot path.
+the peer can replay after a crash.  The query executors read the backend
+directly: a PIRA destination takes ``peer.backend.scan(low, high)``, a
+slice of the store's key-sorted run, and a MIRA destination filters
+:meth:`FissionePeer.objects`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.storage.base import Store, StoredObject
 from repro.storage.memory import MemoryStore
@@ -33,11 +34,6 @@ class FissionePeer:
 
     peer_id: str
     backend: Store = field(default_factory=MemoryStore)
-
-    @property
-    def store(self) -> Dict[str, List[StoredObject]]:
-        """The primary read view — scanned directly by query executors."""
-        return self.backend.view
 
     @property
     def node_id(self) -> str:

@@ -7,11 +7,15 @@ the ``replicas`` request option could only re-run queries.  A
 :class:`Store` separates the two concerns a real deployment has to keep
 apart:
 
-* the **read view** (:attr:`Store.view`): the in-memory
-  ``{object_id: [StoredObject, ...]}`` buckets the query executors scan on
-  the hot path.  The view is plain data — the PIRA destination loop reads
-  it directly, so the simulator's fault-free byte-identical guarantee is
-  preserved no matter which backend maintains it;
+* the **read views**: :attr:`Store.view`, the in-memory
+  ``{object_id: [StoredObject, ...]}`` buckets that ``get``, ``digest``,
+  ``objects`` and ``take_prefix`` read, and :attr:`Store.run`, the same
+  primary objects with a numeric key in one list sorted by key.
+  ``Single_hash`` is order-preserving, so a PIRA destination's matches
+  are one contiguous slice of its run: :meth:`Store.scan` bisects the two
+  bounds instead of walking the zone.  Every edit of the views goes
+  through ``_add`` / ``_drop_prefix`` / ``_reset_views``, so the two
+  cannot disagree;
 * the **durable log** (backend-specific): an ordered record of every write
   (`put` / `rput` / `take`) that survives a process kill.  A write is
   *acknowledged* only once :meth:`Store.sync` has returned — the
@@ -27,9 +31,12 @@ The crash/recovery contract (exercised by the crash-consistency suite in
   under :meth:`power_fail` holds under a mere process kill too;
 * :meth:`replay` rebuilds the views from the durable medium, tolerating a
   torn final record (a crash mid-append), and returns the number of
-  records applied.  After ``power_fail(); replay()`` the view must equal
-  the view at the last :meth:`sync` — that is the crash-consistency
-  property, word for word.
+  records applied.  After ``power_fail(); replay()`` the views must equal
+  the views at the last :meth:`sync` — that is the crash-consistency
+  property, word for word.  Replay appends each record's object to the
+  run unsorted and sorts the run once at the end; the sort is stable, so
+  equal keys keep log order, which is the order a live run inserted them
+  in.
 
 Replica copies (:attr:`Store.replica_view`) are objects this peer stores
 on behalf of a *prefix sibling* (see
@@ -42,8 +49,10 @@ both owned by one peer and replicated on another.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right, insort_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.binframe import encode_binary
@@ -61,6 +70,19 @@ class StoredObject:
     object_id: str
     key: Any
     value: Any
+
+
+_by_key = attrgetter("key")
+
+
+def _in_run(key: Any) -> bool:
+    """Does an object with this key belong in a store's key-sorted run?
+
+    Exactly the keys a PIRA destination has always matched: ``int`` /
+    ``float`` (``bool`` included).  NaN stays out — it matches no range,
+    and as an element it would break the run's order and so the bisect.
+    """
+    return isinstance(key, (int, float)) and key == key
 
 
 #: the wire columns of a list of stored objects, one list per field
@@ -182,32 +204,26 @@ class Store:
     """Base store: the in-memory read views plus no-op durability hooks.
 
     Used directly as the **memory backend** (see
-    :class:`~repro.storage.memory.MemoryStore`): the view manipulation
-    here is byte-for-byte the dict logic that used to live on
-    :class:`~repro.fissione.peer.FissionePeer`, so simulator runs on the
-    default backend are unchanged.  Durable backends override the three
-    ``_log_*`` hooks plus :meth:`sync` / :meth:`replay` /
-    :meth:`_drop_unsynced` / :meth:`close`.
+    :class:`~repro.storage.memory.MemoryStore`).  Durable backends
+    override the three ``_log_*`` hooks plus :meth:`sync` / :meth:`replay`
+    / :meth:`_drop_unsynced` / :meth:`close`.
     """
 
     #: short name reported in stats and CLI flags
     backend_name = "memory"
 
     def __init__(self) -> None:
-        #: primary read view — scanned directly by the query executors
-        self.view: Dict[str, List[StoredObject]] = {}
-        #: replica copies held for prefix siblings — never query-scanned
-        self.replica_view: Dict[str, List[StoredObject]] = {}
+        self._reset_views()
 
     # ------------------------------------------------------------------ #
     # write path                                                           #
     # ------------------------------------------------------------------ #
 
     def put(self, object_id: str, key: Any, value: Any) -> StoredObject:
-        """Append one primary object (durably logged, view updated)."""
+        """Append one primary object (durably logged, views updated)."""
         stored = StoredObject(object_id=object_id, key=key, value=value)
         self._log_record("put", object_id, key, value)
-        self.view.setdefault(object_id, []).append(stored)
+        self._add(stored)
         return stored
 
     def put_replica(self, object_id: str, key: Any, value: Any) -> StoredObject:
@@ -221,7 +237,7 @@ class Store:
         """Add primary objects handed over from another peer (zone moves)."""
         for stored in objects:
             self._log_record("put", stored.object_id, stored.key, stored.value)
-            self.view.setdefault(stored.object_id, []).append(stored)
+            self._add(stored)
 
     def take_prefix(self, prefix: str) -> List[StoredObject]:
         """Remove and return primary objects whose ObjectID extends ``prefix``.
@@ -230,6 +246,40 @@ class Store:
         peer; the removal is durably logged so a replay never resurrects
         handed-over objects.
         """
+        if any(object_id.startswith(prefix) for object_id in self.view):
+            self._log_take(prefix)
+        return self._drop_prefix(prefix)
+
+    # -- the view edits: every write and every replayed record is one of these
+
+    def _reset_views(self) -> None:
+        """Empty every view: a new store, a power failure, a replay's start."""
+        #: primary objects by ObjectID
+        self.view: Dict[str, List[StoredObject]] = {}
+        #: replica copies held for prefix siblings — never query-scanned
+        self.replica_view: Dict[str, List[StoredObject]] = {}
+        #: the primary objects :func:`_in_run` admits, sorted by key; equal
+        #: keys in the order they were added — what :meth:`scan` slices
+        self.run: List[StoredObject] = []
+
+    def _add(self, stored: StoredObject, ordered: bool = True) -> None:
+        """Enter one primary object into both views.
+
+        ``ordered=False`` appends it to the run unsorted: a replay adds
+        every record that way and then sorts the run once
+        (:meth:`_sort_run`), so a long log is one sort, not one insort
+        per record.
+        """
+        self.view.setdefault(stored.object_id, []).append(stored)
+        if _in_run(stored.key):
+            if ordered:
+                insort_right(self.run, stored, key=_by_key)
+            else:
+                self.run.append(stored)
+
+    def _drop_prefix(self, prefix: str) -> List[StoredObject]:
+        """Remove the primary objects whose ObjectID extends ``prefix`` from
+        both views and return them, bucket by bucket."""
         moved: List[StoredObject] = []
         remaining: Dict[str, List[StoredObject]] = {}
         for object_id, bucket in self.view.items():
@@ -237,10 +287,15 @@ class Store:
                 moved.extend(bucket)
             else:
                 remaining[object_id] = bucket
-        if moved:
-            self._log_take(prefix)
         self.view = remaining
+        if moved:
+            self.run = [stored for stored in self.run if not stored.object_id.startswith(prefix)]
         return moved
+
+    def _sort_run(self) -> None:
+        """Restore the run's order after unordered adds; stable, so equal
+        keys keep the order they were added in."""
+        self.run.sort(key=_by_key)
 
     # ------------------------------------------------------------------ #
     # durability barrier / crash / recovery                                #
@@ -258,12 +313,15 @@ class Store:
 
     def power_fail(self) -> None:
         """Crash the store: views are gone, the unsynced log tail is gone."""
-        self.view = {}
-        self.replica_view = {}
+        self._reset_views()
         self._drop_unsynced()
 
     def replay(self) -> int:
-        """Rebuild the views from the durable medium; returns records applied."""
+        """Rebuild the views from the durable medium; returns records applied.
+
+        A durable backend resets the views, feeds every record to
+        :meth:`_apply_record` in log order, then calls :meth:`_sort_run`.
+        """
         return 0
 
     def close(self) -> None:
@@ -283,22 +341,16 @@ class Store:
     # -- replay helper shared by the durable backends ----------------------
 
     def _apply_record(self, op: str, object_id: str, key: Any, value: Any) -> None:
-        """Apply one decoded log record to the in-memory views."""
+        """Apply one decoded log record to the in-memory views (the run is
+        left unsorted until the replay's :meth:`_sort_run`)."""
         if op == "put":
-            self.view.setdefault(object_id, []).append(
-                StoredObject(object_id=object_id, key=key, value=value)
-            )
+            self._add(StoredObject(object_id=object_id, key=key, value=value), ordered=False)
         elif op == "rput":
             self.replica_view.setdefault(object_id, []).append(
                 StoredObject(object_id=object_id, key=key, value=value)
             )
         elif op == "take":
-            prefix = object_id
-            self.view = {
-                oid: bucket
-                for oid, bucket in self.view.items()
-                if not oid.startswith(prefix)
-            }
+            self._drop_prefix(object_id)
         else:
             raise StorageError(f"unknown log record op {op!r}")
 
@@ -313,6 +365,20 @@ class Store:
     def get_replica(self, object_id: str) -> List[StoredObject]:
         """Replica copies held under ``object_id`` (empty when none)."""
         return list(self.replica_view.get(object_id, []))
+
+    def scan(self, low: Any, high: Any) -> List[StoredObject]:
+        """Primary objects with a numeric key in ``[low, high]``, in key order.
+
+        The objects that filtering :meth:`objects` with
+        ``isinstance(key, (int, float)) and low <= key <= high`` keeps —
+        as a slice of :attr:`run`: two bisects and one copy, however many
+        objects the zone holds.  Equal keys come in the order they were
+        added.
+        """
+        if not low <= high:  # an empty range, or a NaN bound: nothing matches
+            return []
+        run = self.run
+        return run[bisect_left(run, low, key=_by_key) : bisect_right(run, high, key=_by_key)]
 
     def objects(self) -> List[StoredObject]:
         """All primary objects, bucket by bucket."""

@@ -113,8 +113,7 @@ class SQLiteStore(Store):
         """Rebuild the views from the committed log rows, in sequence order."""
         if self._conn is None:
             self._connect()
-        self.view = {}
-        self.replica_view = {}
+        self._reset_views()
         applied = 0
         cursor = self._require_conn().execute(
             "SELECT op, object_id, body FROM log ORDER BY seq"
@@ -130,6 +129,7 @@ class SQLiteStore(Store):
             else:
                 raise StorageError(f"{self.path}: unknown log op {op!r}")
             applied += 1
+        self._sort_run()
         return applied
 
     def close(self) -> None:

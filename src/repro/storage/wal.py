@@ -31,13 +31,13 @@ dependence on what the OS page cache happened to flush.  This is the
 any recovery guarantee proven under this model also holds in practice.
 
 Replay walks records in file order, rebuilding the views via the shared
-``_apply_record``.  A torn tail — truncated header, truncated body, or a
-CRC mismatch on the final record, exactly what a crash mid-append leaves
-behind — ends the replay at the last good record and truncates the file
-there so later appends continue from a clean boundary.  Corruption
-*before* the tail (a bad record followed by good ones) is not a torn
-append but real damage, and raises :class:`StorageError` instead of
-silently dropping acknowledged data.
+``_apply_record``, then sorts the key-ordered run once.  A torn tail —
+truncated header, truncated body, or a CRC mismatch on the final record,
+exactly what a crash mid-append leaves behind — ends the replay at the
+last good record and truncates the file there so later appends continue
+from a clean boundary.  Corruption *before* the tail (a bad record
+followed by good ones) is not a torn append but real damage, and raises
+:class:`StorageError` instead of silently dropping acknowledged data.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ class WALStore(Store):
         if self._file is not None:
             self._file.close()
             self._file = None
-        self.view = {}
-        self.replica_view = {}
+        self._reset_views()
         self._pending.clear()
 
         try:
@@ -192,6 +191,7 @@ class WALStore(Store):
                 with open(self.path, "r+b") as handle:
                     handle.truncate(good_end)
 
+        self._sort_run()
         self._open_file()
         return applied
 

@@ -159,3 +159,42 @@ class TestStandaloneExecutor:
         result = executor.execute(origin, [(2.0, 7.0)])
         assert sorted(result.matching_values()) == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         assert set(result.destinations) == executor.ground_truth_destinations([(2.0, 7.0)])
+
+
+class TestMatchOrder:
+    def test_each_destination_reports_its_matches_in_key_order(self):
+        """A destination's batch is a slice of its key-sorted run; the
+        batches, in arrival order, are the query's matches."""
+        network = FissioneNetwork.build(
+            48, DeterministicRNG(6).substream("topology"), object_id_length=20
+        )
+        namer = SingleAttributeNamer(low=0.0, high=100.0, length=20)
+        overlay = OverlayNetwork()
+        executor = PiraExecutor(network, namer, overlay)
+        rng = DeterministicRNG(6).substream("values")
+        # published out of key order, with repeats (int and float spellings)
+        for index in range(400):
+            value = round(rng.uniform(0.0, 100.0), 0)
+            key = int(value) if index % 3 == 0 else value
+            network.publish(namer.name(float(value)), key=key, value=index)
+        origin = network.peer_ids()[0]
+        for low, high in ((0.0, 100.0), (12.5, 61.0), (40.0, 40.0)):
+            batches = []
+            result = executor.start(
+                origin,
+                [(low, high)],
+                on_destination=lambda peer, hop, found: batches.append(list(found)),
+            )
+            overlay.run()
+            assert len(batches) == result.destination_count
+            for batch in batches:
+                keys = [stored.key for stored in batch]
+                assert keys == sorted(keys)
+            assert [stored for batch in batches for stored in batch] == list(result.matches)
+            assert sorted(result.matching_values()) == sorted(
+                stored.key
+                for peer in network.peers()
+                for stored in peer.objects()
+                if low <= stored.key <= high
+            )
+        assert len(batches[0]) > 1  # the last query's one batch held repeats

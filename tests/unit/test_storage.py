@@ -133,6 +133,38 @@ class TestStoreContract:
         reopened.close()
 
 
+class TestRun:
+    """The key-sorted run :meth:`Store.scan` slices."""
+
+    @pytest.mark.parametrize("backend", DURABLE)
+    def test_replay_sorts_the_run_once(self, backend, tmp_path, monkeypatch):
+        """A replay appends and sorts once: never an insort per record."""
+        store = make_store(backend, tmp_path, sync_mode="manual")
+        for index, key in enumerate([3.0, 1, 2.5, True, -1.0, 1.0]):
+            store.put(f"01{index % 3}", key=key, value=index)
+        store.take_prefix("012")
+        store.sync()
+        before = [(s.object_id, s.key, s.value) for s in store.run]
+
+        def no_insort(*args, **kwargs):
+            raise AssertionError("replay insorted a record")
+
+        monkeypatch.setattr("repro.storage.base.insort_right", no_insort)
+        store.power_fail()
+        assert store.replay() == 7
+        assert [(s.object_id, s.key, s.value) for s in store.run] == before
+        assert [s.value for s in store.run] == [4, 1, 3, 0]  # equal keys 1 / True in put order
+        store.close()
+
+    def test_take_prefix_keeps_the_rest_of_the_run_in_order(self):
+        store = MemoryStore()
+        for index, key in enumerate([2.0, 1.0, 2.0, 1.0]):
+            store.put(("0101", "0201")[index % 2], key=key, value=index)
+        assert [s.value for s in store.take_prefix("02")] == [1, 3]
+        assert [s.value for s in store.run] == [0, 2]
+        assert store.scan(2.0, 2.0) == store.run and store.scan(1.0, 1.0) == []
+
+
 class TestWALIntegrity:
     def put_n(self, path, n):
         store = WALStore(path)
