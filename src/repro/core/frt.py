@@ -17,7 +17,6 @@ visualisations, so this module provides both:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional
 
 from repro.core.errors import QueryError
@@ -25,14 +24,12 @@ from repro.fissione.network import FissioneNetwork
 from repro.kautz.region import KautzRegion
 
 
-@lru_cache(maxsize=1 << 16)
 def longest_suffix_prefix(peer_id: str, target: str) -> str:
     """Longest string that is both a suffix of ``peer_id`` and a prefix of ``target``.
 
     This is ``ComS`` in the paper, with ``target = ComT`` (the common prefix
     of the query region's endpoints).  The empty string is returned when no
-    overlap exists.  Memoised: every query start evaluates it once per
-    (origin, sub-region) pair and workloads repeat both heavily.
+    overlap exists.
     """
     limit = min(len(peer_id), len(target))
     for length in range(limit, 0, -1):

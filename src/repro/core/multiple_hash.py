@@ -107,6 +107,7 @@ class MultiAttributeNamer:
                 raise NamingError("every attribute interval must have positive width")
         self._length = length
         self._base = base
+        self._symbols = ks.symbol_table(base)
         # label -> Box memo: MIRA's pruning predicate resolves the same
         # label prefixes over and over (once per forwarding decision), and
         # boxes are immutable, so sharing them is safe.  Bounded so a
@@ -149,24 +150,28 @@ class MultiAttributeNamer:
         # per-level float expressions are exactly Interval.locate's and
         # Interval.child's, applied to the bounds of the attribute being
         # split, so labels are bit-identical to a descent over Box objects.
-        base = self._base
+        # Binary levels skip the scan.
+        symbols = self._symbols
         dimensions = len(values)
         lows = [interval.low for interval in self._space.intervals]
         highs = [interval.high for interval in self._space.intervals]
         label: List[str] = []
         previous = None
         for depth in range(self._length):
-            choices = ks.allowed_symbols_tuple(previous, base=base)
+            choices = symbols[previous]
             pieces = len(choices)
             attribute = depth % dimensions
             value = values[attribute]
             low = lows[attribute]
             step = (highs[attribute] - low) / pieces
-            position = pieces - 1
-            for index in range(pieces - 1):
-                if value < low + step * (index + 1):
-                    position = index
-                    break
+            if pieces == 2:
+                position = 0 if value < low + step else 1
+            else:
+                position = pieces - 1
+                for index in range(pieces - 1):
+                    if value < low + step * (index + 1):
+                        position = index
+                        break
             previous = choices[position]
             label.append(previous)
             if position != pieces - 1:

@@ -102,6 +102,7 @@ class PartitionTree:
         self._interval = Interval(low, high)
         self._depth = depth
         self._base = base
+        self._symbols = ks.symbol_table(base)
 
     @property
     def depth(self) -> int:
@@ -168,28 +169,30 @@ class PartitionTree:
             raise NamingError(f"requested depth {target_depth} exceeds tree depth {self._depth}")
         # Allocation-free descent: the per-level float expressions are exactly
         # the ones Interval.locate / Interval.child use, so the resulting
-        # label is bit-identical to the historical Interval-based descent —
-        # it just skips building one Interval (and one symbol list) per level.
-        base = self._base
+        # label is bit-identical to a descent over Interval objects.  Binary
+        # levels (every level below the root in base 2) skip the scan.
+        symbols = self._symbols
         low = self._interval.low
         high = self._interval.high
         label: List[str] = []
         previous = None
         for _ in range(target_depth):
-            choices = ks.allowed_symbols_tuple(previous, base=base)
+            choices = symbols[previous]
             pieces = len(choices)
             step = (high - low) / pieces
-            position = pieces - 1
-            for index in range(pieces - 1):
-                if value < low + step * (index + 1):
-                    position = index
-                    break
-            symbol = choices[position]
-            label.append(symbol)
+            if pieces == 2:
+                position = 0 if value < low + step else 1
+            else:
+                position = pieces - 1
+                for index in range(pieces - 1):
+                    if value < low + step * (index + 1):
+                        position = index
+                        break
+            previous = choices[position]
+            label.append(previous)
             if position != pieces - 1:
                 high = low + step * (position + 1)
             low = low + step * position
-            previous = symbol
         return ks.intern_label("".join(label))
 
     def leaf_labels(self) -> List[str]:

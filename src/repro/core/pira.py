@@ -47,10 +47,7 @@ from repro.core.frt import destination_level
 from repro.core.resumable import QueryState, ResumableExecutor
 from repro.faults.resilience import ResilienceStats
 from repro.fissione.peer import FissionePeer, StoredObject
-# The memoised pruning predicate is called directly (hoisting the region's
-# endpoint reads out of the per-neighbour loop); same verdicts as
-# KautzRegion.contains_prefix.
-from repro.kautz.region import KautzRegion, _contains_prefix_memo
+from repro.kautz.region import KautzRegion
 from repro.storage.base import ObjectList, objects_from_wire, objects_to_wire
 
 
@@ -303,19 +300,20 @@ class PiraExecutor(ResumableExecutor):
         # Inlined ``descendant_prefix(neighbor_id, level + 1, dest_level)``:
         # ``drop`` is non-negative here (level < dest_level), so the hot loop
         # tests a bare suffix slice per neighbour.  This loop runs once per
-        # (peer, level) occurrence of every in-flight query.
-        #
+        # (peer, level) occurrence of every in-flight query.  The test is
+        # KautzRegion.contains_prefix (which states why it is exact), inlined:
+        # ``prefix`` is the suffix cut to the region length, ``k`` its length.
         next_level = level + 1
         next_hop = hop + 1
         drop = subquery.dest_level - next_level
-        region = subquery.region
-        low, high, rbase = region.low, region.high, region.base
-        contains = _contains_prefix_memo
+        low, high = subquery.region.low, subquery.region.high
+        end = drop + len(low)
         forward = self._forward_message
         for neighbor_id in self._out_view(peer_id):
-            if not contains(low, high, rbase, neighbor_id[drop:]):
-                continue
-            forward(peer_id, neighbor_id, next_level, next_hop, branch_index, state)
+            prefix = neighbor_id[drop:end]
+            k = len(prefix)
+            if low[:k] <= prefix <= high[:k]:
+                forward(peer_id, neighbor_id, next_level, next_hop, branch_index, state)
 
     def _handle_destination(
         self,
@@ -326,9 +324,8 @@ class PiraExecutor(ResumableExecutor):
     ) -> None:
         """Destination-level processing: record the peer and take its matches,
         a key-ordered slice of its store (:meth:`~repro.storage.base.Store.scan`)."""
-        region = subquery.region
         peer_id = peer.peer_id
-        if not _contains_prefix_memo(region.low, region.high, region.base, peer_id):
+        if not subquery.region.contains_prefix(peer_id):
             return
         result = state.result
         previous = result.destinations.get(peer_id)

@@ -12,12 +12,11 @@ peers.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.core.errors import QueryError
 from repro.core.partition_tree import Interval, PartitionTree
-from repro.kautz.region import KautzRegion
+from repro.kautz.region import KautzRegion, _contains_prefix_memo
 
 
 def single_hash(value: float, low: float, high: float, length: int, base: int = 2) -> str:
@@ -38,17 +37,13 @@ class SingleAttributeNamer:
     range-to-region conversion used by PIRA and by the tests.
     """
 
+    # The never-called compatibility cache of ``repro.kautz.region``.
+    _label_memo = _region_memo = staticmethod(_contains_prefix_memo)
+
     def __init__(self, low: float, high: float, length: int, base: int = 2) -> None:
         self._tree = PartitionTree(low=low, high=high, depth=length, base=base)
         self._length = length
         self._base = base
-        # Naming is a pure function of the value (the tree is immutable), and
-        # workloads name the same values over and over (zipf-skewed query
-        # endpoints, repeated range bounds), so both maps are memoised
-        # per-instance.  ``lru_cache`` does not cache raises, so out-of-range
-        # values still error every time.
-        self._label_memo = lru_cache(maxsize=1 << 16)(self._tree.label_for_value)
-        self._region_memo = lru_cache(maxsize=1 << 13)(self._region_uncached)
 
     @property
     def low(self) -> float:
@@ -77,7 +72,7 @@ class SingleAttributeNamer:
 
     def name(self, value: float) -> str:
         """ObjectID for an attribute value (``Single_hash``)."""
-        return self._label_memo(value)
+        return self._tree.label_for_value(value)
 
     def value_interval(self, object_id: str) -> Interval:
         """Subinterval of attribute values mapping onto ``object_id`` (inverse map)."""
@@ -89,14 +84,12 @@ class SingleAttributeNamer:
             raise QueryError(
                 f"range low bound {low_value} exceeds high bound {high_value}"
             )
-        return self._region_memo(low_value, high_value)
-
-    def _region_uncached(self, low_value: float, high_value: float) -> KautzRegion:
-        low_value = self._tree.interval.clamp(low_value)
-        high_value = self._tree.interval.clamp(high_value)
-        low_id = self.name(low_value)
-        high_id = self.name(high_value)
-        return KautzRegion(low=low_id, high=high_id, base=self._base)
+        interval = self._tree.interval
+        return KautzRegion(
+            low=self._tree.label_for_value(interval.clamp(low_value)),
+            high=self._tree.label_for_value(interval.clamp(high_value)),
+            base=self._base,
+        )
 
     def range_bounds(self, low_value: float, high_value: float) -> Tuple[str, str]:
         """The pair ``(LowT, HighT)`` used by PIRA."""

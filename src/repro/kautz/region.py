@@ -4,37 +4,17 @@ The Kautz region ``<low, high>`` is the set of length-``k`` Kautz strings
 ``s`` with ``low <= s <= high`` in lexicographic order.  Armada's
 ``Single_hash`` maps an attribute-value range onto exactly such a region, and
 PIRA's pruning test is "does the region contain a string with prefix ``p``?",
-which this module answers with an interval-intersection check on the
-lexicographically minimal / maximal extensions of ``p``.
+which this module answers with one comparison of equal-length prefixes
+(:meth:`KautzRegion.contains_prefix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.kautz import strings as ks
-
-
-@lru_cache(maxsize=1 << 17)
-def _contains_prefix_memo(low: str, high: str, base: int, prefix: str) -> bool:
-    """Memoised core of :meth:`KautzRegion.contains_prefix`.
-
-    Keyed by the region's endpoints rather than the region object so that
-    the many equal-but-distinct :class:`KautzRegion` instances produced per
-    query share one cache line per (region, prefix) pair.  Prefix validation
-    happens inside the memo: a cache hit costs a single lookup, and invalid
-    prefixes still raise every time (``lru_cache`` does not cache raises).
-    """
-    ks.validate_kautz_string(prefix, base=base, allow_empty=True)
-    length = len(low)
-    if len(prefix) > length:
-        head = prefix[:length]
-        return ks.is_kautz_string(head, base=base) and low <= head <= high
-    lowest = ks.min_extension(prefix, length, base=base)
-    highest = ks.max_extension(prefix, length, base=base)
-    return lowest <= high and highest >= low
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,14 +67,21 @@ class KautzRegion:
     def contains_prefix(self, prefix: str) -> bool:
         """True when some string of the region has ``prefix`` as a prefix.
 
-        This is PIRA's forwarding predicate, evaluated once per
-        (neighbour, sub-region) pair on every hop of every in-flight query,
-        so the verdict is memoised across queries.  It holds exactly when
-        the interval of strings extending ``prefix`` intersects
-        ``[low, high]``: the smallest extension must not exceed ``high``
-        and the largest extension must not fall below ``low``.
+        This is PIRA's forwarding predicate.  Precondition: ``prefix`` is a
+        Kautz string (or empty) of the region's base; every caller passes a
+        PeerID or a suffix of one, and PeerIDs are validated at join.
+
+        With ``k = min(len(prefix), L)`` the verdict is
+        ``low[:k] <= prefix[:k] <= high[:k]``.  For ``len(prefix) >= L`` that
+        is plain membership of ``prefix[:L]``.  For a shorter prefix the
+        region holds an extension of it iff its smallest extension is at
+        most ``high`` and its largest at least ``low``.  ``high`` is itself a
+        Kautz extension of ``high[:k]``, so the smallest extension of
+        ``prefix`` is at most ``high`` iff ``prefix <= high[:k]``; the ``low``
+        side is symmetric.
         """
-        return _contains_prefix_memo(self.low, self.high, self.base, prefix)
+        k = min(len(prefix), len(self.low))
+        return self.low[:k] <= prefix[:k] <= self.high[:k]
 
     def intersect_prefix_count(self, prefix: str) -> int:
         """Number of strings in the region that extend ``prefix``."""
@@ -114,20 +101,11 @@ class KautzRegion:
         region is split into at most ``base + 1`` sub-regions -- one per first
         symbol -- each of which trivially has a non-empty common prefix.  The
         paper notes at most three sub-regions are needed for base 2.
-
-        The split runs once per started query, so (like the pruning
-        predicate) it is memoised across equal regions.
         """
-        return list(_split_memo(self.low, self.high, self.base))
-
-    def _split_uncached(self) -> List["KautzRegion"]:
-        """The actual split behind :func:`_split_memo`."""
-        if self.common_prefix():
+        if self.low[0] == self.high[0]:
             return [self]
         subregions: List[KautzRegion] = []
-        first_low = int(self.low[0])
-        first_high = int(self.high[0])
-        for symbol_value in range(first_low, first_high + 1):
+        for symbol_value in range(int(self.low[0]), int(self.high[0]) + 1):
             symbol = str(symbol_value)
             sub_low = self.low if symbol == self.low[0] else ks.min_extension(
                 symbol, self.length, base=self.base
@@ -149,8 +127,10 @@ class KautzRegion:
         return f"KautzRegion(low={self.low!r}, high={self.high!r}, base={self.base})"
 
 
-@lru_cache(maxsize=1 << 14)
-def _split_memo(low: str, high: str, base: int) -> Tuple["KautzRegion", ...]:
-    """Memoised :meth:`KautzRegion.split_by_first_symbol` (regions are frozen,
-    so the shared sub-region instances are safe to hand out repeatedly)."""
-    return tuple(KautzRegion(low=low, high=high, base=base)._split_uncached())
+# ``bench/layers.py:memo_counts`` reads ``naming.cache_hit_share`` from
+# ``cache_info()`` of four names: these two and ``SingleAttributeNamer``'s
+# ``_label_memo`` / ``_region_memo``.  No memo keyed by a query's own values
+# is left on the naming or pruning path, so all four are this one cache,
+# which nothing calls: the metric reads 0.0.  ROADMAP item 1 drops the
+# metric, then these names.
+_contains_prefix_memo = _split_memo = lru_cache(maxsize=None)(lambda: None)

@@ -15,11 +15,11 @@ The functions here implement the pieces Armada's naming and routing need:
   interval of length-``k`` Kautz strings owned by a prefix,
 * counting and rank/unrank within ``KautzSpace(d, k)``.
 
-These helpers sit on the per-hop hot path of the event simulator (every
-PIRA forwarding decision extends peer-id prefixes to region length), so the
-pure string-valued functions are memoised: validation results, symbol
-tables and prefix extensions are computed once per distinct input and then
-served from caches.  All cached values are immutable (``str`` / ``tuple``),
+Functions whose inputs repeat across queries -- validation of PeerIDs,
+the alphabet's symbol tables, prefix extensions -- are memoised.  Values
+that belong to one query (its endpoints, their common prefix) are computed
+directly: their keys never repeat, so a memo would only add a miss and an
+eviction per call.  All cached values are immutable (``str`` / ``tuple``),
 so sharing them is safe.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class KautzStringError(ValueError):
@@ -128,10 +128,8 @@ def is_prefix(prefix: str, value: str) -> bool:
     return value.startswith(prefix)
 
 
-@lru_cache(maxsize=1 << 16)
 def common_prefix(first: str, second: str) -> str:
-    """Longest common prefix of two strings (memoised; inputs repeat across
-    queries on the naming and routing paths)."""
+    """Longest common prefix of two strings."""
     limit = min(len(first), len(second))
     for index in range(limit):
         if first[index] != second[index]:
@@ -159,6 +157,17 @@ def allowed_symbols(previous: Optional[str], base: int = 2) -> List[str]:
     return list(_allowed_symbols_memo(previous, base))
 
 
+def symbol_table(base: int = 2) -> Dict[Optional[str], Tuple[str, ...]]:
+    """``{previous symbol or None: allowed symbols}`` for the whole alphabet.
+
+    A naming descent builds this once per tree and then steps level by level
+    with one dict lookup, instead of one :func:`allowed_symbols_tuple` call.
+    """
+    return {
+        previous: _allowed_symbols_memo(previous, base) for previous in (None, *alphabet(base))
+    }
+
+
 def allowed_symbols_tuple(previous: Optional[str], base: int = 2) -> Tuple[str, ...]:
     """Like :func:`allowed_symbols` but returning the shared memoised tuple.
 
@@ -172,8 +181,7 @@ def allowed_symbols_tuple(previous: Optional[str], base: int = 2) -> Tuple[str, 
 def min_extension(prefix: str, length: int, base: int = 2) -> str:
     """Lexicographically smallest length-``length`` Kautz string with ``prefix``.
 
-    Memoised: PIRA evaluates the same (peer-id prefix, region length)
-    extensions on every forwarding hop.
+    Memoised: the prefixes are symbols and PeerIDs, which repeat.
 
     >>> min_extension("02", 4)
     '0201'

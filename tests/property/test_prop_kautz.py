@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.armada import ArmadaSystem
+from repro.core.pira import RangeQueryResult, _QueryState, _SubQuery
 from repro.kautz import strings as ks
 from repro.kautz.region import KautzRegion
 
@@ -123,3 +126,105 @@ class TestRegionProperties:
             union.extend(part)
         assert sorted(union) == sorted(region)
         assert len(union) == len(set(union))
+
+
+def extension_verdict(low: str, high: str, base: int, prefix: str) -> bool:
+    """The pruning predicate as it was defined before it became a prefix
+    comparison: does the interval of the prefix's extensions meet
+    ``[low, high]``?"""
+    ks.validate_kautz_string(prefix, base=base, allow_empty=True)
+    length = len(low)
+    if len(prefix) > length:
+        head = prefix[:length]
+        return ks.is_kautz_string(head, base=base) and low <= head <= high
+    lowest = ks.min_extension(prefix, length, base=base)
+    highest = ks.max_extension(prefix, length, base=base)
+    return lowest <= high and highest >= low
+
+
+def kautz_prefixes_upto(length: int, base: int):
+    """Every Kautz prefix of at most ``length`` symbols, the empty one included."""
+    result = [""]
+    for size in range(1, length + 1):
+        result.extend(ks.kautz_strings_with_prefix("", size, base=base))
+    return result
+
+
+class TestContainsPrefixIsTheExtensionTest:
+    #: (base, largest region length); base 3 stops at 3 symbols to keep the
+    #: pair-times-prefix product near a few hundred thousand checks
+    SPACES = [(2, length) for length in range(1, 6)] + [(3, length) for length in range(1, 4)]
+
+    @pytest.mark.parametrize("base, length", SPACES)
+    def test_every_region_and_every_prefix(self, base, length):
+        strings = ks.kautz_strings_with_prefix("", length, base=base)
+        prefixes = kautz_prefixes_upto(length + 2, base)
+        for first, low in enumerate(strings):
+            for high in strings[first:]:
+                region = KautzRegion(low, high, base=base)
+                for prefix in prefixes:
+                    assert region.contains_prefix(prefix) == extension_verdict(
+                        low, high, base, prefix
+                    ), (low, high, prefix)
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda base: st.tuples(
+                st.just(base),
+                kautz_strings(32, 32, base=base),
+                kautz_strings(32, 32, base=base),
+                kautz_prefixes(max_length=34, base=base),
+            )
+        )
+    )
+    def test_random_32_symbol_regions(self, case):
+        base, first, second, prefix = case
+        low, high = min(first, second), max(first, second)
+        # a prefix that shares a head with an endpoint lands on the boundary
+        for candidate in (prefix, low[: len(prefix) // 2] + prefix[len(prefix) // 2 :]):
+            if ks.is_kautz_string(candidate, base=base, allow_empty=True):
+                region = KautzRegion(low, high, base=base)
+                assert region.contains_prefix(candidate) == extension_verdict(
+                    low, high, base, candidate
+                )
+
+
+ARMADA = ArmadaSystem(num_peers=64, seed=5, attribute_interval=(0.0, 1000.0))
+
+
+class TestPiraInlinePruning:
+    """``PiraExecutor._process`` inlines ``contains_prefix``: the neighbours it
+    forwards to are exactly those the extension test keeps."""
+
+    @settings(max_examples=40)
+    @given(
+        kautz_strings(32, 32),
+        kautz_strings(32, 32),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=31),
+    )
+    def test_forwarded_neighbours_are_the_extension_verdict(self, first, second, dest, cut):
+        low, high = min(first, second), max(first, second)
+        # narrow regions prune more: also try the tail of ``low[:cut]``'s extensions
+        for region in (KautzRegion(low, high), KautzRegion(low, ks.max_extension(low[:cut], 32))):
+            pira = ARMADA.pira
+            forwarded = []
+            pira._forward_message = lambda sender, receiver, *rest: forwarded.append(
+                (sender, receiver)
+            )
+            try:
+                state = _QueryState(result=RangeQueryResult(origin="", query_id=0))
+                state.branches.append(_SubQuery(region=region, dest_level=dest))
+                expected = []
+                for peer in ARMADA.network.peers():
+                    for level in range(dest):
+                        pira._process(peer, level, 0, 0, state)
+                        drop = dest - level - 1
+                        expected.extend(
+                            (peer.peer_id, neighbor)
+                            for neighbor in ARMADA.network.out_neighbors_view(peer.peer_id)
+                            if extension_verdict(region.low, region.high, 2, neighbor[drop:])
+                        )
+            finally:
+                del pira._forward_message
+            assert forwarded == expected

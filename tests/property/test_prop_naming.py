@@ -161,3 +161,129 @@ class TestMultipleHashDescentEquivalence:
         for wrong_arity in (point[:1], point + (0.0,), ()):
             with pytest.raises(NamingError):
                 DEEP[2].name(wrong_arity)
+
+
+# --------------------------------------------------------------------- #
+# The symbol-table descents against the loops they replaced             #
+# --------------------------------------------------------------------- #
+
+
+def per_level_descent(tree: PartitionTree, value: float) -> str:
+    """``Single_hash`` as it was written before the symbol table: one
+    ``allowed_symbols_tuple`` call and one ``pieces``-way scan per level."""
+    low, high = tree.interval.low, tree.interval.high
+    label = []
+    previous = None
+    for _ in range(tree.depth):
+        choices = ks.allowed_symbols_tuple(previous, base=tree.base)
+        pieces = len(choices)
+        step = (high - low) / pieces
+        position = pieces - 1
+        for index in range(pieces - 1):
+            if value < low + step * (index + 1):
+                position = index
+                break
+        previous = choices[position]
+        label.append(previous)
+        if position != pieces - 1:
+            high = low + step * (position + 1)
+        low = low + step * position
+    return "".join(label)
+
+
+def per_level_multi_descent(namer: MultiAttributeNamer, values) -> str:
+    """``Multiple_hash`` as it was written before the symbol table."""
+    lows = [interval.low for interval in namer.space.intervals]
+    highs = [interval.high for interval in namer.space.intervals]
+    label = []
+    previous = None
+    for depth in range(namer.length):
+        choices = ks.allowed_symbols_tuple(previous, base=namer.base)
+        pieces = len(choices)
+        attribute = depth % namer.dimensions
+        value = values[attribute]
+        low = lows[attribute]
+        step = (highs[attribute] - low) / pieces
+        position = pieces - 1
+        for index in range(pieces - 1):
+            if value < low + step * (index + 1):
+                position = index
+                break
+        previous = choices[position]
+        label.append(previous)
+        if position != pieces - 1:
+            highs[attribute] = low + step * (position + 1)
+        lows[attribute] = low + step * position
+    return "".join(label)
+
+
+INTERVALS = ((0.0, 1000.0), (-5.0, 5.0))
+#: deepest level whose every subdivision boundary is checked, per base
+#: (a few thousand labels each)
+BOUNDARY_DEPTH = {2: 12, 3: 8, 4: 6}
+
+
+def trees(base: int, interval):
+    return [PartitionTree(*interval, depth=depth, base=base) for depth in (1, 3, 32)]
+
+
+def boundary_values(base: int, interval):
+    """Both ends of every node's subinterval down to ``BOUNDARY_DEPTH``, the
+    interval's ends and ``±0.0`` when the interval holds zero (a set keeps
+    only one of the two zeros, so they are appended after it)."""
+    tree = PartitionTree(*interval, depth=32, base=base)
+    found = {interval[0], interval[1]}
+    labels = [""]
+    for _ in range(BOUNDARY_DEPTH[base]):
+        labels = [child for label in labels for child in tree.children_labels(label)]
+        for label in labels:
+            node = tree.interval_for_label(label)
+            found |= {node.low, node.high}
+    return sorted(found) + ([0.0, -0.0] if interval[0] <= 0.0 <= interval[1] else [])
+
+
+class TestSingleHashTableWalk:
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_every_boundary_names_as_before(self, base, interval):
+        checked = boundary_values(base, interval)
+        for tree in trees(base, interval):
+            for value in checked:
+                assert tree.label_for_value(value) == per_level_descent(tree, value), value
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from(INTERVALS).flatmap(
+            lambda interval: st.tuples(
+                st.just(interval),
+                st.floats(min_value=interval[0], max_value=interval[1], allow_nan=False),
+            )
+        ),
+    )
+    def test_random_values_name_as_before(self, base, case):
+        interval, value = case
+        for tree in trees(base, interval):
+            assert tree.label_for_value(value) == per_level_descent(tree, value)
+
+    @given(values)
+    def test_namer_calls_straight_through(self, value):
+        assert NAMER.name(value) == per_level_descent(NAMER.tree, value)
+
+
+MULTI_BASES = {
+    (m, base): MultiAttributeNamer(intervals=space, length=32, base=base)
+    for m, space in SPACES.items()
+    for base in (2, 3)
+}
+
+
+class TestMultipleHashTableWalk:
+    @given(
+        st.sampled_from(sorted(MULTI_BASES)).flatmap(
+            lambda key: st.tuples(st.just(key), points(key[0]))
+        )
+    )
+    def test_name_equals_per_level_descent(self, case):
+        key, point = case
+        namer = MULTI_BASES[key]
+        assert namer.name(point) == per_level_multi_descent(namer, point)
