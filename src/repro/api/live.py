@@ -15,7 +15,7 @@ connections by picking the least-loaded one per request.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.requests import (
     ApiError,
@@ -28,7 +28,7 @@ from repro.api.requests import (
     reply_from_payload,
 )
 from repro.api.session import ChunkCallback, Session, SessionError
-from repro.engine.reporting import EngineReport, QueryJob
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 from repro.runtime.protocol import (
     GATEWAY_PROTOCOL_V2,
     Connection,
@@ -332,13 +332,19 @@ class LiveSession(Session):
         mode: str = "closed",
         concurrency: int = 8,
         time_scale: float = 0.001,
+        on_query_complete: Optional[Callable[[CompletedQuery], None]] = None,
     ) -> EngineReport:
         """Drive a workload through this session's connection pool (the
         load driver on the asyncio clock)."""
         from repro.runtime.loadgen import run_jobs
 
         return await run_jobs(
-            self, jobs, mode=mode, concurrency=concurrency, time_scale=time_scale
+            self,
+            jobs,
+            mode=mode,
+            concurrency=concurrency,
+            time_scale=time_scale,
+            on_query_complete=on_query_complete,
         )
 
     # ------------------------------------------------------------------ #

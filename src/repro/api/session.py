@@ -63,7 +63,7 @@ from repro.api.requests import (
     better_query_reply,
     request_from_job,
 )
-from repro.engine.reporting import EngineReport, QueryJob
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 
 #: callback receiving streamed partial results (``stream=True`` requests)
 ChunkCallback = Callable[[Chunk], None]
@@ -95,13 +95,16 @@ class Session:
         mode: str = "closed",
         concurrency: int = 8,
         time_scale: float = 0.001,
+        on_query_complete: Optional[Callable[[CompletedQuery], None]] = None,
     ) -> EngineReport:
         """Drive a whole workload and report through the shared pipeline.
 
         ``mode="closed"`` keeps ``concurrency`` queries outstanding
         (synchronous-client population); ``mode="open"`` fires jobs at
         their arrival times (offered load), with ``time_scale`` mapping
-        workload time units to the backend clock where needed.  A bad
+        workload time units to the backend clock where needed.
+        ``on_query_complete`` is the driver's completion listener: it gets
+        each record as its query ends, before the next job launches.  A bad
         argument is an :class:`~repro.api.requests.ApiError` on every
         backend.
         """

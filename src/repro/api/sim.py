@@ -22,7 +22,7 @@ cannot tell the backends apart except by the clock.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.api.requests import (
     ApiError,
@@ -45,7 +45,7 @@ from repro.api.session import ChunkCallback, Session
 from repro.core.armada import ArmadaSystem
 from repro.core.errors import ArmadaError
 from repro.engine.query_engine import QueryEngine
-from repro.engine.reporting import EngineReport, QueryJob
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 
 
 class SimSession(Session):
@@ -147,6 +147,7 @@ class SimSession(Session):
         mode: str = "closed",
         concurrency: int = 8,
         time_scale: float = 0.001,
+        on_query_complete: Optional[Callable[[CompletedQuery], None]] = None,
         churn: Optional[Sequence[Any]] = None,
     ) -> EngineReport:
         """Drive a workload with the load driver on the simulator clock.
@@ -157,10 +158,11 @@ class SimSession(Session):
         ``churn`` (:class:`~repro.workloads.arrivals.ChurnEvent` items) is
         a sim-only extra: join/leave events interleaved with the load.
         """
+        engine = QueryEngine(self.system, deadline=self.deadline)
+        if on_query_complete is not None:
+            engine.on_query_complete(on_query_complete)
         try:
-            report = QueryEngine(self.system, deadline=self.deadline).run_jobs(
-                jobs, mode=mode, concurrency=concurrency, churn=churn
-            )
+            report = engine.run_jobs(jobs, mode=mode, concurrency=concurrency, churn=churn)
         except ValueError as exc:
             raise ApiError(str(exc)) from exc
         self.queries_served += report.queries

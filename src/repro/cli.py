@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--failed-fraction",
         default=",".join(str(f) for f in faults_experiment.DEFAULT_FRACTIONS),
         help=(
-            "comma-separated fractions of peers crash-stopped "
-            "at time zero (default %(default)s)"
+            "comma-separated fractions of peers crashed once a "
+            "quarter of the queries have completed (default %(default)s)"
         ),
     )
     faults.add_argument(

@@ -33,6 +33,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.core.deployment import Deployment
 from repro.core.errors import QueryError
 from repro.core.pira import RangeQueryResult
+from repro.faults.injector import FaultInjector
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import StoredObject
 from repro.fissione.routing import RoutePath, route
@@ -140,17 +141,24 @@ class ArmadaSystem:
         """
         return plan.install(self.overlay)
 
+    def crash_peer(self, peer_id: str) -> None:
+        """Hard-kill one peer, as :meth:`LiveCluster.crash_peer
+        <repro.runtime.cluster.LiveCluster.crash_peer>` does: mark it down
+        and power-fail it (volatile state and unsynced writes are lost).
+
+        The down set is the overlay's fault injector; the first kill on a
+        fault-free system installs one with no models.
+        """
+        injector = self.overlay.fault_injector
+        if injector is None:
+            injector = FaultInjector(self.overlay, []).install()
+        injector.power_fail(peer_id)
+
     def _down_ids(self):
         """PeerIDs crash-stopped by an installed fault plan (the
         deployment's ``down`` view)."""
         injector = self.overlay.fault_injector
         return injector.down_ids if injector is not None else ()
-
-    def live_peer_ids(self) -> List[str]:
-        """PeerIDs not currently crash-stopped by an installed fault plan
-        (all peers when no injector is installed), sorted."""
-        down = self._down_ids()
-        return [peer_id for peer_id in self.network.peer_ids() if peer_id not in down]
 
     # ------------------------------------------------------------------ #
     # publishing                                                           #

@@ -13,6 +13,7 @@ percentiles through :func:`build_report`.
 from repro.engine.query_engine import LoadDriver, QueryEngine, offered_load
 from repro.engine.reporting import (
     CompletedQuery,
+    CompletenessScore,
     EngineReport,
     QueryJob,
     build_report,
@@ -21,6 +22,7 @@ from repro.engine.reporting import (
 
 __all__ = [
     "CompletedQuery",
+    "CompletenessScore",
     "EngineReport",
     "LoadDriver",
     "QueryEngine",

@@ -13,8 +13,9 @@ holds what it records and how a run is summed up:
 * :class:`EngineReport` — the aggregate outcome of a run, built by
   :func:`build_report` from the driver's
   :class:`~repro.sim.metrics.QueryTracker` plus its completed records;
-* :func:`score_completeness` — how ``repro faults`` and ``repro livefaults``
-  judge a run's records against the ground truth that is still alive.
+* :func:`score_completeness` — how the fault drill (``repro faults`` and
+  ``repro livefaults``) judges a run's records against the ground truth
+  that is still alive, and against all of it.
 
 Everything here serialises: ``to_wire`` / ``from_wire`` round-trip every
 field through JSON, which is what lets the gateway ship query results and
@@ -24,7 +25,7 @@ soak reports over the wire protocol byte-faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.pira import RangeQueryResult
 from repro.faults.resilience import ResilienceStats
@@ -306,31 +307,53 @@ def build_report(
     )
 
 
+class CompletenessScore(NamedTuple):
+    """A run's records scored against both oracles (see :func:`score_completeness`)."""
+
+    successes: int
+    #: mean / min completeness against the live oracle (the ``down`` peers forgiven)
+    mean: float
+    minimum: float
+    deadline_failed: int
+    #: mean / min completeness against the full oracle — what a client wanted
+    full_mean: float
+    full_minimum: float
+
+
 def score_completeness(
     completed: Sequence[CompletedQuery], executors: Mapping[str, Any], down: Collection[str]
-) -> Tuple[int, float, float, int]:
-    """Score records against the live oracle: ``(successes, mean
-    completeness, min completeness, deadline-failed)``.
+) -> CompletenessScore:
+    """Score records against the live oracle and against the full one.
 
     Ground truth is the executors' own ``ground_truth_destinations`` — the
-    peers that *should* answer given the key-space partition — minus the
-    ``down`` peers, whose data is genuinely unreachable and not charged
-    against the scheme.  Completeness is the fraction of that live truth a
-    query reached; it succeeds when it reached all of it and beat its
-    deadline.
+    peers that *should* answer given the key-space partition.  The live
+    oracle removes the ``down`` peers, whose data is genuinely unreachable
+    and not charged against the scheme; completeness is the fraction of
+    that live truth a query reached, and it succeeds when it reached all of
+    it and beat its deadline.  The full oracle keeps the ``down`` peers, so
+    its completeness charges the scheme for every zone it lost.
     """
     completeness = SummaryStats()
+    full_completeness = SummaryStats()
     successes = deadline_failed = 0
     down = set(down)
     for record in completed:
         job = record.job
         truth = executors[job.kind].ground_truth_destinations(job.query_ranges)
+        reached = truth.intersection(record.result.destinations)
         live_truth = truth - down
-        reached = len(live_truth.intersection(record.result.destinations))
-        fraction = reached / len(live_truth) if live_truth else 1.0
+        fraction = len(reached - down) / len(live_truth) if live_truth else 1.0
         completeness.add(fraction)
+        full_completeness.add(len(reached) / len(truth) if truth else 1.0)
         if record.result.failed:
             deadline_failed += 1
         elif fraction >= 1.0:
             successes += 1
-    return successes, completeness.mean, completeness.minimum, deadline_failed
+    return CompletenessScore(
+        successes,
+        completeness.mean,
+        completeness.minimum,
+        deadline_failed,
+        full_completeness.mean,
+        full_completeness.minimum,
+    )

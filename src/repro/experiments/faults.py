@@ -2,82 +2,93 @@
 
 The source paper evaluates its range-query schemes as peers fail: how many
 queries still succeed, and how complete their results are, when a fraction
-of the network has crashed.  This module reproduces that curve on the
-fault-injection subsystem (:mod:`repro.faults`):
+of the network has crashed.  This module reproduces that curve with the
+fault drill (:mod:`repro.experiments.drill`) on the simulator clock:
 
 * the grid is ``schemes × failed-fractions × replicas``; every point is an
-  independent, seeded :class:`FaultJob` routed through the shared
+  independent, seeded :class:`FaultPoint` — a
+  :class:`~repro.experiments.drill.FaultDrill` plus the scheme and the
+  resilience knobs in simulated time units — routed through the shared
   multiprocess fan-out engine (:func:`repro.experiments.orchestrator.run_jobs`)
   and streamed into a :class:`~repro.analysis.store.ResultStore`, exactly
   like the figure sweeps;
-* each job crash-stops ``failed_fraction`` of the peers at time zero (no
-  repair — the namespace keeps the dead zones, as in the paper's failure
-  model), then pushes an open-loop Poisson batch of Zipf-positioned range
-  queries from surviving origins through the one load driver on the
-  simulator clock (:class:`~repro.engine.QueryEngine`) with a per-query
-  deadline;
+* each point runs the drill through a :class:`~repro.api.sim.SimSession`
+  over an :class:`~repro.core.armada.ArmadaSystem`: the seeded population,
+  a closed-loop mixed workload from surviving origins, and — exactly after
+  a quarter of the queries have completed — ``failed_fraction`` of the
+  peers crash with no repair (the namespace keeps the dead zones, as in
+  the paper's failure model); the same drill ``repro livefaults`` runs on
+  a live cluster;
 * ``pira`` runs with the full resilience policy (per-hop timeouts, bounded
   retries, sibling rerouting); ``pira-basic`` runs the seed protocol with
   no recovery, which is the degradation curve the paper's baseline shows;
-  ``mira`` exercises the multi-attribute executor under the same faults;
+  ``mira`` exercises the multi-attribute executor under the same faults
+  (every query a box);
 * per query, result **completeness** is measured against the oracle of
   *live* ground-truth destinations (data on crashed peers is genuinely
-  unreachable and not charged against the scheme); a query **succeeds**
-  when it beats its deadline and retrieves every live result
-  (:func:`~repro.engine.reporting.score_completeness`, shared with
-  ``repro livefaults``).
+  unreachable and not charged against the scheme) and against the full
+  oracle; a query **succeeds** when it beats its deadline and retrieves
+  every live result (:func:`~repro.engine.reporting.score_completeness`).
 
-Reported per point: success ratio, mean/min completeness, deadline
-failures, retry/reroute counts and the retry overhead (extra transmissions
-per forwarding message), plus the usual latency and message statistics.
+Reported per point: success ratio, mean/min completeness against both
+oracles, deadline failures, retry/reroute counts and the retry overhead
+(extra transmissions per forwarding message), plus the usual latency and
+message statistics.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.figures import ascii_chart
+from repro.analysis.figures import ascii_chart, records_to_series
 from repro.analysis.store import ResultStore
 from repro.analysis.tables import format_records
+from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
-from repro.engine import QueryEngine, QueryJob, score_completeness
 from repro.experiments.common import ExperimentConfig
+from repro.experiments.drill import FaultDrill, run_drill
 from repro.experiments.orchestrator import run_jobs
-from repro.faults import CrashStop, FaultPlan, ResiliencePolicy, default_deadline
+from repro.faults import ResiliencePolicy, default_deadline
 from repro.sim.metrics import safe_ratio
-from repro.sim.rng import DeterministicRNG, derive_seed
-from repro.workloads.arrivals import poisson_arrival_times, zipf_range_queries
-from repro.workloads.values import uniform_values
+from repro.sim.rng import derive_seed
 
 #: failed fractions swept by default (the paper's x-axis)
 DEFAULT_FRACTIONS: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
 
-#: scheme variants of the faults grid
-FAULT_SCHEMES: Tuple[str, ...] = ("pira", "pira-basic", "mira")
+#: scheme variants of the faults grid, with the share of MIRA queries each drills
+FAULT_SCHEMES: Dict[str, float] = {"pira": 0.0, "pira-basic": 0.0, "mira": 1.0}
 
 #: swept when the caller does not choose: resilient PIRA vs the seed protocol
 DEFAULT_FAULT_SCHEMES: Tuple[str, ...] = ("pira", "pira-basic")
 
 
 @dataclass(frozen=True)
-class FaultJob:
-    """One independent point of the robustness grid (picklable)."""
+class FaultPoint(FaultDrill):
+    """One independent point of the robustness grid (picklable): the drill
+    plus its scheme, repetition and resilience knobs in simulated units."""
 
-    scheme: str
-    failed_fraction: float
-    replica: int
-    seed: int
-    config: ExperimentConfig
+    scheme: str = "pira"
+    replica: int = 0
+    object_id_length: int = 32
     timeout: float = 4.0
     retries: int = 2
     reroute: bool = True
     deadline: Optional[float] = None
-    rate: float = 4.0
 
     def key(self) -> Tuple[str, float, int]:
-        """Canonical sort/identity key of the job inside its sweep."""
-        return (self.scheme, self.failed_fraction, self.replica)
+        """Canonical sort/identity key of the point inside its sweep."""
+        return (self.scheme, self.fraction, self.replica)
+
+    @property
+    def policy(self) -> Optional[ResiliencePolicy]:
+        """The resilience policy the scheme runs with (none for ``pira-basic``)."""
+        if self.scheme == "pira-basic":
+            return None
+        return ResiliencePolicy(
+            per_hop_timeout=self.timeout, max_retries=self.retries, reroute=self.reroute
+        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,6 @@ class FaultSweepSpec:
     retries: int = 2
     reroute: bool = True
     deadline: Optional[float] = None
-    rate: float = 4.0
 
     def __post_init__(self) -> None:
         unknown = [name for name in self.schemes if name not in FAULT_SCHEMES]
@@ -104,9 +114,6 @@ class FaultSweepSpec:
             raise ValueError("a faults sweep needs at least one scheme")
         if not self.fractions:
             raise ValueError("a faults sweep needs at least one failed fraction")
-        bad = [f for f in self.fractions if not 0.0 <= f <= 0.9]
-        if bad:
-            raise ValueError(f"failed fractions must be within [0, 0.9], got {bad!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if self.timeout <= 0:
@@ -115,8 +122,7 @@ class FaultSweepSpec:
             raise ValueError("retries must be non-negative")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        self.jobs()  # every point is a FaultDrill, which validates itself
 
     @classmethod
     def from_config(
@@ -140,161 +146,77 @@ class FaultSweepSpec:
             **knobs,
         )
 
-    def jobs(self) -> List[FaultJob]:
-        """Expand the grid into jobs, in canonical (sorted-key) order.
+    def jobs(self) -> List[FaultPoint]:
+        """Expand the grid into points, in canonical (sorted-key) order.
 
-        As in the figure sweeps, each job's seed is derived from its
-        normalised grid coordinates, so any job re-runs identically in
+        As in the figure sweeps, each point's seed is derived from its
+        normalised grid coordinates, so any point re-runs identically in
         isolation, in any worker, in any order.
         """
-        result: List[FaultJob] = []
-        for scheme in self.schemes:
-            for raw_fraction in self.fractions:
-                for replica in range(self.replicas):
-                    fraction = float(raw_fraction)
-                    seed = derive_seed(self.config.seed, "faults", scheme, fraction, replica)
-                    result.append(
-                        FaultJob(
-                            scheme=scheme,
-                            failed_fraction=fraction,
-                            replica=replica,
-                            seed=seed,
-                            config=self.config,
-                            timeout=self.timeout,
-                            retries=self.retries,
-                            reroute=self.reroute,
-                            deadline=self.deadline,
-                            rate=self.rate,
-                        )
-                    )
-        result.sort(key=FaultJob.key)
+        config = self.config
+        result = [
+            FaultPoint(
+                peers=config.peers,
+                seed=derive_seed(config.seed, "faults", scheme, float(fraction), replica),
+                objects=config.objects,
+                queries=config.queries_per_point,
+                fraction=float(fraction),
+                mira_fraction=FAULT_SCHEMES[scheme],
+                range_size=config.fixed_range_size,
+                attribute_interval=(config.attribute_low, config.attribute_high),
+                scheme=scheme,
+                replica=replica,
+                object_id_length=config.object_id_length,
+                timeout=self.timeout,
+                retries=self.retries,
+                reroute=self.reroute,
+                deadline=self.deadline,
+            )
+            for scheme in self.schemes
+            for fraction in self.fractions
+            for replica in range(self.replicas)
+        ]
+        result.sort(key=FaultPoint.key)
         return result
 
 
-def _build_system(job: FaultJob) -> ArmadaSystem:
-    """Build and load the (seeded) system one fault job runs against."""
-    config = job.config
-    intervals = (
-        ((config.attribute_low, config.attribute_high),) * 2
-        if job.scheme == "mira"
-        else None
-    )
-    system = ArmadaSystem(
-        num_peers=config.peers,
-        seed=job.seed,
-        attribute_interval=(config.attribute_low, config.attribute_high),
-        attribute_intervals=intervals,
-        object_id_length=config.object_id_length,
-    )
-    rng = DeterministicRNG(job.seed).substream("fault-values")
-    if job.scheme == "mira":
-        for _ in range(config.objects):
-            record = (
-                rng.uniform(config.attribute_low, config.attribute_high),
-                rng.uniform(config.attribute_low, config.attribute_high),
-            )
-            system.insert_multi(record, payload=record)
-    else:
-        system.insert_many(
-            uniform_values(rng, config.objects, config.attribute_low, config.attribute_high)
-        )
-    return system
-
-
-def _make_jobs(job: FaultJob, system: ArmadaSystem, live: Sequence[str]) -> List[QueryJob]:
-    """The seeded open-loop workload issued from surviving origins."""
-    config = job.config
-    count = config.queries_per_point
-    rng = DeterministicRNG(job.seed)
-    start = system.overlay.simulator.now
-    arrivals = poisson_arrival_times(rng.substream("fault-arrivals"), job.rate, count, start=start)
-    origin_rng = rng.substream("fault-origins")
-    origins = [origin_rng.choice(live) for _ in range(count)]
-    if job.scheme == "mira":
-        first = zipf_range_queries(
-            rng.substream("fault-ranges", 0), count, config.fixed_range_size,
-            low=config.attribute_low, high=config.attribute_high,
-        )
-        second = zipf_range_queries(
-            rng.substream("fault-ranges", 1), count, config.fixed_range_size * 4,
-            low=config.attribute_low, high=config.attribute_high,
-        )
-        return [
-            QueryJob(arrival=arrivals[i], origin=origins[i], ranges=(first[i], second[i]))
-            for i in range(count)
-        ]
-    queries = zipf_range_queries(
-        rng.substream("fault-ranges"), count, config.fixed_range_size,
-        low=config.attribute_low, high=config.attribute_high,
-    )
-    return [
-        QueryJob(arrival=arrivals[i], origin=origins[i], low=low, high=high)
-        for i, (low, high) in enumerate(queries)
-    ]
-
-
-def run_fault_job(job: FaultJob) -> Dict[str, Any]:
+def run_fault_job(point: FaultPoint) -> Dict[str, Any]:
     """Run one robustness point to completion and return its flat record.
 
     Module-level and self-contained (the unit of work shipped to pool
-    workers): it builds the system, crashes the peers, runs the query batch
-    and measures completeness against the live oracle, from nothing but the
-    job description.  Counts land as ints, ratios as floats — JSON-ready.
+    workers): it builds the system and runs the drill on it from nothing
+    but the point.  Counts land as ints, ratios as floats — JSON-ready.
     """
-    system = _build_system(job)
-    resilient = job.scheme != "pira-basic"
-    policy = (
-        ResiliencePolicy(
-            per_hop_timeout=job.timeout, max_retries=job.retries, reroute=job.reroute
-        )
-        if resilient
-        else None
+    system = ArmadaSystem(
+        num_peers=point.peers,
+        seed=point.seed,
+        attribute_interval=point.attribute_interval,
+        attribute_intervals=(point.attribute_interval,) * 2,
+        object_id_length=point.object_id_length,
     )
-    system.set_resilience(policy)
-
-    plan = (
-        FaultPlan([CrashStop(fraction=job.failed_fraction, at=0.0)],
-                  seed=derive_seed(job.seed, "fault-plan"))
-        if job.failed_fraction > 0.0
-        else FaultPlan.empty()
-    )
-    injector = system.install_faults(plan)
-    system.overlay.run(until=0.0)  # fire the crash event before any query
-    down = injector.down_ids if injector is not None else set()
-    live = system.live_peer_ids()
-
-    deadline = (
-        job.deadline if job.deadline is not None else default_deadline(policy, system.log_size())
-    )
-    report = QueryEngine(system, deadline=deadline).run_open_loop(_make_jobs(job, system, live))
-    # Oracle completeness vs the live ground truth (the crash set is fixed
-    # at time zero, so scoring after the run equals scoring at completion).
-    successes, mean_completeness, min_completeness, deadline_failed = score_completeness(
-        report.completed, system.executors, down
-    )
+    policy = point.policy
+    deadline = point.deadline
+    if deadline is None:
+        deadline = default_deadline(policy, system.log_size())
+    outcome = asyncio.run(run_drill(point, SimSession(system, deadline), system, policy))
+    report = outcome.report
     res = report.resilience
-    record: Dict[str, Any] = {
-        "scheme": job.scheme,
-        "failed_fraction": job.failed_fraction,
-        "replica": job.replica,
-        "job_seed": job.seed,
+    return {
+        "scheme": point.scheme,
+        "failed_fraction": point.fraction,
+        "replica": point.replica,
+        "job_seed": point.seed,
         "peers": system.size,
-        "failed_peers": len(down),
-        "queries": report.queries,
-        "succeeded": successes,
-        "success_ratio": safe_ratio(float(successes), float(report.queries), 1.0),
-        "mean_completeness": mean_completeness,
-        "min_completeness": min_completeness,
-        "deadline_failed": deadline_failed,
+        "failed_peers": len(outcome.victims),
+        **outcome.record(),
+        "succeeded": outcome.score.successes,
         # protocol-level partial completions: some subtree was lost, which
         # includes subtrees whose only data sat on crashed peers
-        "partial": report.failed - deadline_failed,
+        "partial": report.failed - outcome.score.deadline_failed,
         "stalled": report.stalled,
         "messages": report.messages,
         "dropped": report.dropped,
         "timeouts": res.timeouts,
-        "retries": res.retries,
-        "reroutes": res.reroutes,
         "subtrees_lost": res.subtrees_lost,
         "recovered_destinations": res.recovered_destinations,
         "retry_overhead": safe_ratio(float(res.retries + res.reroutes), float(report.messages)),
@@ -303,7 +225,6 @@ def run_fault_job(job: FaultJob) -> Dict[str, Any]:
         "mean_delay_hops": report.mean_delay_hops,
         "deadline": deadline,
     }
-    return record
 
 
 @dataclass
@@ -318,21 +239,11 @@ class FaultSweepOutcome:
         """Number of completed grid points."""
         return len(self.records)
 
-    def curve(self, metric: str = "success_ratio") -> Tuple[List[float], Dict[str, List[float]]]:
+    def curve(
+        self, metric: str = "success_ratio"
+    ) -> Tuple[List[float], Dict[str, List[Optional[float]]]]:
         """``metric`` vs failed fraction, averaged over replicas, per scheme."""
-        xs = sorted({record["failed_fraction"] for record in self.records})
-        series: Dict[str, List[float]] = {}
-        for scheme in self.spec.schemes:
-            row: List[float] = []
-            for fraction in xs:
-                points = [
-                    record[metric]
-                    for record in self.records
-                    if record["scheme"] == scheme and record["failed_fraction"] == fraction
-                ]
-                row.append(sum(points) / len(points) if points else 0.0)
-            series[scheme] = row
-        return xs, series
+        return records_to_series(self.records, "failed_fraction", metric, group_key="scheme")
 
     def format(self) -> str:
         """Aligned table plus the success/completeness curves, for the terminal."""
@@ -342,6 +253,7 @@ class FaultSweepOutcome:
             "replica",
             "success_ratio",
             "mean_completeness",
+            "full_mean_completeness",
             "deadline_failed",
             "partial",
             "stalled",

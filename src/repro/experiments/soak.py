@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.live import LiveSession
 from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
+from repro.api.session import Session
 from repro.engine.reporting import EngineReport
 from repro.obs.spans import spans_to_chrome
 from repro.runtime.cluster import LiveCluster
@@ -43,29 +44,7 @@ from repro.storage import BACKENDS
 from repro.workloads.values import uniform_values
 
 
-def check_sizing(spec: Any) -> None:
-    """The sizing checks every live experiment's spec shares (``repro
-    livefaults`` imports them); the minimum peer count is the caller's."""
-    if spec.nodes is not None and spec.nodes < 1:
-        raise ValueError("nodes must be positive")
-    if spec.queries < 1:
-        raise ValueError("need at least one query")
-    if spec.concurrency < 1:
-        raise ValueError("concurrency must be at least 1")
-    if spec.objects < 0:
-        raise ValueError("objects must be non-negative")
-    if not 0.0 <= spec.mira_fraction <= 1.0:
-        raise ValueError("mira-fraction must be within [0, 1]")
-    if spec.deadline <= 0:
-        raise ValueError("deadline must be positive")
-    low, high = spec.attribute_interval
-    if high <= low:
-        raise ValueError("attribute interval must have positive width")
-    if spec.pool < 1:
-        raise ValueError("pool must be at least 1")
-
-
-async def seed_population(session: LiveSession, spec: Any, prefix: str, replicas: int = 1) -> None:
+async def seed_population(session: Session, spec: Any, prefix: str, replicas: int = 1) -> None:
     """Publish ``spec.objects`` seeded single-attribute values, plus a
     quarter as many two-attribute records so MIRA queries have something to
     match, drawn from the ``<prefix>-values`` / ``<prefix>-mvalues``
@@ -133,7 +112,23 @@ class SoakSpec:
     def __post_init__(self) -> None:
         if self.peers < 3:
             raise ValueError("need at least 3 peers")
-        check_sizing(self)
+        if self.nodes is not None and self.nodes < 1:
+            raise ValueError("nodes must be positive")
+        if self.queries < 1:
+            raise ValueError("need at least one query")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be at least 1")
+        if self.objects < 0:
+            raise ValueError("objects must be non-negative")
+        if not 0.0 <= self.mira_fraction <= 1.0:
+            raise ValueError("mira-fraction must be within [0, 1]")
+        if self.deadline <= 0:
+            raise ValueError("deadline must be positive")
+        low, high = self.attribute_interval
+        if high <= low:
+            raise ValueError("attribute interval must have positive width")
+        if self.pool < 1:
+            raise ValueError("pool must be at least 1")
         if self.storage not in BACKENDS:
             raise ValueError(f"storage must be one of {', '.join(BACKENDS)}")
         if self.replicas < 1:

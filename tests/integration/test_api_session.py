@@ -26,8 +26,6 @@ from repro.api.requests import ApiError, Chunk, InsertReply, PongReply, QueryRep
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
 from repro.engine import QueryJob
-from repro.faults.models import CrashStop
-from repro.faults.plan import FaultPlan
 from repro.obs.spans import Tracer
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
@@ -218,7 +216,8 @@ class TestOneRuleOnBothBackends:
     @staticmethod
     async def boot(backend: str, num_peers: int, tracer=None):
         """``(session, owner, close)``: ``owner`` is the ``ArmadaSystem`` or
-        ``LiveCluster`` — either way it has ``.network`` and ``.single_namer``."""
+        ``LiveCluster`` — either way it has ``.network``, ``.single_namer``
+        and ``.crash_peer``."""
         if backend == "sim":
             session = make_sim_session(num_peers, tracer=tracer)
             return session, session.system, session.close
@@ -231,15 +230,6 @@ class TestOneRuleOnBothBackends:
 
         return session, cluster, close
 
-    @staticmethod
-    def crash(backend: str, owner, peer_ids) -> None:
-        if backend == "sim":
-            owner.install_faults(FaultPlan().add(CrashStop(peer_ids=list(peer_ids))))
-            owner.overlay.run()  # the crash is a simulator event at t = 0
-        else:
-            for peer_id in peer_ids:
-                owner.crash_peer(peer_id)
-
     @pytest.mark.parametrize("backend", ["sim", "live"])
     def test_default_origin_is_never_a_down_peer(self, backend):
         async def scenario():
@@ -247,7 +237,8 @@ class TestOneRuleOnBothBackends:
             try:
                 down = set(owner.network.peer_ids()[::4])
                 assert len(down) == 8
-                self.crash(backend, owner, down)
+                for peer_id in down:
+                    owner.crash_peer(peer_id)
                 # A query that reaches a crashed zone stalls live (no
                 # resilience policy), hence the short wall-clock deadline;
                 # the simulator settles the drop at once.
@@ -272,7 +263,7 @@ class TestOneRuleOnBothBackends:
                 value = 512.5
                 object_id = owner.single_namer.name(value)
                 victim = owner.network.replica_peers(object_id, 2)[1]
-                self.crash(backend, owner, [victim])
+                owner.crash_peer(victim)
                 with pytest.raises(ApiError, match=re.escape(repr(victim))):
                     await session.insert(value, replicas=2)
                 copies = sum(

@@ -395,7 +395,6 @@ class TestReplication:
     def test_sim_session_matches_live_semantics(self):
         """The sim binding honours the same replica ack rule and failover
         read — with the fault injector supplying the crash."""
-        from repro.faults import CrashStop, FaultPlan
 
         async def scenario():
             system = ArmadaSystem(num_peers=12, seed=SEED, attribute_intervals=INTERVALS)
@@ -407,8 +406,7 @@ class TestReplication:
                 placements[value] = reply.replicas
 
             victim = system.network.peer_ids()[0]
-            FaultPlan([CrashStop(peer_ids=[victim])], seed=1).install(system.overlay)
-            system.overlay.run(until=0.0)
+            system.crash_peer(victim)
 
             for value in VALUES:
                 reply = await session.get(value)

@@ -28,6 +28,6 @@ def test_faults_robustness_curve(faults_sweep):
     assert completeness["pira"][-1] > completeness["pira-basic"][-1]
 
     assert fractions[-1] == 0.2
-    assert success["pira"][-1] == pytest.approx(51 / 60)
-    assert completeness["pira"][-1] == pytest.approx(59 / 60)
-    assert success["pira-basic"][-1] == pytest.approx(7 / 60)
+    assert success["pira"][-1] == pytest.approx(56 / 60)
+    assert completeness["pira"][-1] == pytest.approx(60 / 60)
+    assert success["pira-basic"][-1] == pytest.approx(24 / 60)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.armada import ArmadaSystem
-from repro.engine import CompletedQuery, EngineReport, QueryEngine, QueryJob, offered_load
+from repro.core.pira import RangeQueryResult
+from repro.engine import (
+    CompletedQuery,
+    EngineReport,
+    QueryEngine,
+    QueryJob,
+    offered_load,
+    score_completeness,
+)
 from repro.sim.metrics import QueryTracker
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import ChurnEvent, periodic_churn, poisson_arrival_times
@@ -323,3 +331,27 @@ class TestOfferedLoad:
     def test_degenerate_batches(self):
         assert offered_load([]) == 0.0
         assert offered_load([QueryJob(arrival=1.0)]) == 0.0
+
+
+class TestScoreCompleteness:
+    def test_a_victim_holding_part_of_the_truth_is_charged_only_by_the_full_oracle(self):
+        system = build_system()
+        job = QueryJob(low=100.0, high=600.0)
+        truth = sorted(system.pira.ground_truth_destinations(job.query_ranges))
+        assert len(truth) >= 2
+        victim = truth[0]
+        # The query reached every destination but the victim's.
+        result = RangeQueryResult(origin=truth[-1], query_id=1)
+        result.destinations = {peer: 1 for peer in truth[1:]}
+        record = CompletedQuery(job=job, result=result, started_at=0.0, completed_at=1.0)
+
+        score = score_completeness([record], system.executors, down=[victim])
+        assert score.successes == 1  # complete against the live truth
+        assert score.mean == score.minimum == 1.0
+        assert score.full_mean == score.full_minimum == (len(truth) - 1) / len(truth)
+        assert score.full_mean < score.mean
+
+        # With nobody down the two oracles agree.
+        healthy = score_completeness([record], system.executors, down=())
+        assert healthy.mean == healthy.full_mean == (len(truth) - 1) / len(truth)
+        assert healthy.successes == 0
