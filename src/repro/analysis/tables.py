@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
 Two entry points: :func:`format_table` renders explicit header/row data
-(the serial experiment drivers build these directly), and
+(the experiment results and the figure projections build these), and
 :func:`format_records` renders flat record dictionaries — the form the
 sweep orchestrator produces and the JSONL result store
 (:mod:`repro.analysis.store`) reads back, so persisted sweeps can be

@@ -60,6 +60,16 @@ _SIZING_HELP = {
 }
 
 
+#: a simulated command's profile overrides: flag -> (the ExperimentConfig
+#: field it sets, help text)
+_OVERRIDES = {
+    "peers": ("peers", "network size"),
+    "queries": ("queries_per_point", "number of queries per point"),
+    "objects": ("objects", "number of objects"),
+    "seed": ("seed", "experiment seed"),
+}
+
+
 def _flags() -> argparse.ArgumentParser:
     """An empty parent parser: flags several commands share are declared
     once on one of these and attached only to the commands that read them."""
@@ -75,6 +85,22 @@ def _add_sizing(sub: argparse.ArgumentParser, spec: type, *names: str) -> None:
             default=getattr(spec, name),
             help=f"{_SIZING_HELP[name]} (default %(default)s)",
         )
+
+
+def _profile_flags(*overrides: str) -> argparse.ArgumentParser:
+    """``--profile`` and ``--seed``, plus the named profile overrides."""
+    parent = _flags()
+    parent.add_argument(
+        "--profile",
+        choices=("quick", "default", "paper"),
+        default="default",
+        help="experiment size: quick (seconds), default, or paper (1000 queries/point)",
+    )
+    for name in overrides + ("seed",):
+        parent.add_argument(
+            f"--{name}", type=int, default=None, help=f"override the {_OVERRIDES[name][1]}"
+        )
+    return parent
 
 
 def _unit_interval(text: str) -> float:
@@ -101,19 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
-    sizing = _flags()
-    sizing.add_argument(
-        "--profile",
-        choices=("quick", "default", "paper"),
-        default="default",
-        help="experiment size: quick (seconds), default, or paper (1000 queries/point)",
-    )
-    sizing.add_argument("--peers", type=int, default=None, help="override the network size")
-    sizing.add_argument(
-        "--queries", type=int, default=None, help="override the number of queries per point"
-    )
-    sizing.add_argument("--objects", type=int, default=None, help="override the number of objects")
-    sizing.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+    sizing = _profile_flags("peers", "queries", "objects")
+    # Commands that sweep config.network_sizes read no --peers; fissione
+    # runs no queries and publishes no objects either.
+    sized_workload = _profile_flags("queries", "objects")
+    topology_only = _profile_flags()
 
     csv_dir = _flags()
     csv_dir.add_argument(
@@ -246,19 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless the success ratio reaches this bound",
     )
 
-    for name, experiment, about in (
-        ("table1", table1_experiment, "Table 1: qualitative comparison of the range-query schemes"),
-        ("analytics", analytics_experiment, "the section 4.3.2 delay and message bounds, checked"),
-        ("fissione", fissione_experiment, "FISSIONE degree, PeerID-length and routing properties"),
-        ("mira", mira_experiment, "MIRA multi-attribute range queries"),
-        ("ablation", ablation_experiment, "PIRA with its pruning ablated"),
-    ):
-        command(name, partial(_run_paper, experiment), [sizing], help=about)
-    for name, experiment, about in (
-        ("figures-rangesize", figures_rangesize, "Figures 5/6: delay and messages vs range size"),
-        ("figures-netsize", figures_netsize, "Figures 7/8: delay and messages vs network size"),
-    ):
-        command(name, partial(_run_figures, experiment), [sizing, csv_dir], help=about)
+    for name, experiment, flags, about in (
+        ("table1", table1_experiment, sizing,
+         "Table 1: qualitative comparison of the range-query schemes"),
+        ("analytics", analytics_experiment, sized_workload,
+         "the section 4.3.2 delay and message bounds, checked"),
+        ("fissione", fissione_experiment, topology_only,
+         "FISSIONE degree, PeerID-length and routing properties"),
+        ("mira", mira_experiment, sizing, "MIRA multi-attribute range queries"),
+        ("ablation", ablation_experiment, sizing, "PIRA with its pruning ablated"),
+    ):  # fmt: skip
+        command(name, partial(_run_paper, experiment), [flags], help=about)
+    for name, experiment, flags, about in (
+        ("figures-rangesize", figures_rangesize, sizing,
+         "Figures 5/6: delay and messages vs range size"),
+        ("figures-netsize", figures_netsize, sized_workload,
+         "Figures 7/8: delay and messages vs network size"),
+    ):  # fmt: skip
+        command(name, partial(_run_figures, experiment), [flags, csv_dir], help=about)
     command(
         "load", _profiled(_run_load),
         [sizing, csv_dir, load_shape, cprofile],
@@ -575,15 +598,12 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig.paper()
     else:
         config = ExperimentConfig()
-    overrides = {}
-    if args.peers is not None:
-        overrides["peers"] = args.peers
-    if args.queries is not None:
-        overrides["queries_per_point"] = args.queries
-    if args.objects is not None:
-        overrides["objects"] = args.objects
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # A command offers only the overrides it reads, so read only those present.
+    overrides = {
+        field: getattr(args, flag)
+        for flag, (field, _) in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
     return config.with_overrides(**overrides) if overrides else config
 
 

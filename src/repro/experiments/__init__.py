@@ -6,6 +6,6 @@ structures plus formatting helpers, so the same code backs the CLI
 the integration tests.
 """
 
-from repro.experiments.common import ExperimentConfig, SchemePointResult, run_scheme_queries
+from repro.experiments.common import ExperimentConfig, run_scheme_queries
 
-__all__ = ["ExperimentConfig", "SchemePointResult", "run_scheme_queries"]
+__all__ = ["ExperimentConfig", "run_scheme_queries"]

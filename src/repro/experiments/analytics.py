@@ -7,18 +7,19 @@ The paper derives three properties of PIRA:
 * average message cost about ``log N + 2n - 2`` where ``n`` is the number of
   destination peers, close to the ``O(log N) + n - 1`` lower bound.
 
-This experiment sweeps network sizes and range sizes and reports, for each
+This experiment is one sweep grid (:func:`preset`: PIRA at every network
+size, at the fixed and at the largest range size) and reports, for each
 point, the measured quantities next to the analytic expressions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentConfig, build_and_load, make_values, run_scheme_queries
-from repro.rangequery.armada_scheme import ArmadaScheme
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.orchestrator import SweepSpec, run_sweep
 
 
 @dataclass
@@ -32,8 +33,21 @@ class AnalyticPoint:
     max_delay: float
     avg_messages: float
     avg_destinations: float
-    predicted_messages: float
-    lower_bound_messages: float
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "AnalyticPoint":
+        """The point of one sweep record (it carries every field by name)."""
+        return cls(**{f.name: record[f.name] for f in fields(cls)})
+
+    @property
+    def predicted_messages(self) -> float:
+        """The ``log N + 2n - 2`` message-cost prediction."""
+        return self.log_n + 2 * self.avg_destinations - 2
+
+    @property
+    def lower_bound_messages(self) -> float:
+        """The ``log N + n - 1`` message-cost lower bound."""
+        return self.log_n + self.avg_destinations - 1
 
     @property
     def delay_bounded(self) -> bool:
@@ -57,7 +71,11 @@ class AnalyticPoint:
 class AnalyticsResult:
     """All measured points of the analytic-claims experiment."""
 
-    points: List[AnalyticPoint] = field(default_factory=list)
+    records: List[Dict[str, Any]]
+    points: List[AnalyticPoint] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.points = [AnalyticPoint.from_record(record) for record in self.records]
 
     def all_delay_bounded(self) -> bool:
         """True when every point respects the ``2 log N`` bound."""
@@ -106,30 +124,16 @@ class AnalyticsResult:
         return format_table(headers, rows, title="Section 4.3.2: analytic claims vs measurements")
 
 
+def preset(config: ExperimentConfig) -> SweepSpec:
+    """PIRA at every network size, at the fixed and at the largest range size."""
+    return SweepSpec.from_config(
+        config,
+        schemes=("armada",),
+        network_sizes=config.network_sizes,
+        range_sizes=(config.fixed_range_size, max(config.range_sizes)),
+    )
+
+
 def run(config: ExperimentConfig) -> AnalyticsResult:
     """Measure PIRA against the analytic expressions across both sweeps."""
-    values = make_values(config)
-    result = AnalyticsResult()
-    for network_size in config.network_sizes:
-        scheme = build_and_load(
-            lambda: ArmadaScheme(space=config.space, object_id_length=config.object_id_length),
-            config,
-            network_size,
-            values,
-        )
-        for range_size in (config.fixed_range_size, max(config.range_sizes)):
-            row = run_scheme_queries(scheme, config, range_size, network_size).row
-            result.points.append(
-                AnalyticPoint(
-                    network_size=network_size,
-                    range_size=float(range_size),
-                    log_n=row.log_n,
-                    avg_delay=row.avg_delay,
-                    max_delay=row.max_delay,
-                    avg_messages=row.avg_messages,
-                    avg_destinations=row.avg_destinations,
-                    predicted_messages=row.log_n + 2 * row.avg_destinations - 2,
-                    lower_bound_messages=row.log_n + row.avg_destinations - 1,
-                )
-            )
-    return result
+    return AnalyticsResult(run_sweep(preset(config)).records)

@@ -1,8 +1,8 @@
 """Shared experiment configuration and driver helpers.
 
-Every experiment driver — the serial per-figure modules, the concurrent
-load sweep and the multiprocess orchestrator — is built from the same
-three ingredients defined here:
+Every experiment driver — the sweep orchestrator behind the figures, the
+concurrent load sweep and the table / ablation / MIRA modules — is built
+from the same three ingredients defined here:
 
 * :class:`ExperimentConfig`, the frozen parameter record (it is pickled
   into sweep jobs, so keep its fields plain values);
@@ -15,11 +15,11 @@ three ingredients defined here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
 
 from repro.analysis.stats import AggregateRow, aggregate_measurements
-from repro.rangequery.base import AttributeSpace, QueryMeasurement, RangeQueryScheme
+from repro.rangequery.base import AttributeSpace, RangeQueryScheme
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.queries import RangeQueryWorkload
 from repro.workloads.values import uniform_values
@@ -74,14 +74,6 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
 
-@dataclass
-class SchemePointResult:
-    """One experiment point: the aggregate row plus the raw measurements."""
-
-    row: AggregateRow
-    measurements: List[QueryMeasurement] = field(default_factory=list)
-
-
 def make_values(config: ExperimentConfig) -> List[float]:
     """The published attribute values (uniform over the attribute interval)."""
     rng = DeterministicRNG(config.seed).substream("values")
@@ -93,15 +85,12 @@ def run_scheme_queries(
     config: ExperimentConfig,
     range_size: float,
     x_value: float,
-    query_seed_label: str = "queries",
-) -> SchemePointResult:
+) -> AggregateRow:
     """Run ``queries_per_point`` random queries of one range size on a built scheme.
 
-    ``x_value`` is the point's position on the figure's x-axis (the range
-    size for Figures 5/6, the network size for Figures 7/8); together with
-    ``scheme.name`` and ``query_seed_label`` it keys the RNG substream, so
-    every (scheme, point) pair draws an independent, reproducible query
-    batch.  Returns the aggregate row plus the raw per-query measurements.
+    ``x_value`` is the point's position on its x-axis; together with
+    ``scheme.name`` it keys the ``"queries"`` RNG substream, so every
+    (scheme, point) pair draws an independent, reproducible query batch.
     """
     workload = RangeQueryWorkload(
         range_size=range_size,
@@ -109,10 +98,9 @@ def run_scheme_queries(
         high=config.attribute_high,
         count=config.queries_per_point,
     )
-    rng = DeterministicRNG(config.seed).substream(query_seed_label, scheme.name, x_value)
+    rng = DeterministicRNG(config.seed).substream("queries", scheme.name, x_value)
     measurements = [scheme.query(low, high) for low, high in workload.queries(rng)]
-    row = aggregate_measurements(scheme.name, x_value, measurements, scheme.size)
-    return SchemePointResult(row=row, measurements=measurements)
+    return aggregate_measurements(scheme.name, x_value, measurements, scheme.size)
 
 
 def build_and_load(

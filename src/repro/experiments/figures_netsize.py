@@ -10,120 +10,36 @@ range size fixed at 20 and reports, per point:
 Expected shape: PIRA's delay stays below ``log N`` and grows only
 logarithmically, while DCF-CAN's grows like ``N**(1/2)``; the message costs
 stay close, with PIRA slightly better; both ratios hover around 2.
+
+The figures are one sweep grid (:func:`preset`) run by the orchestrator,
+so every point builds its own overlay from its own derived seed and
+``repro sweep`` over the same grid yields the same records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro.analysis.figures import ascii_chart, series_to_csv
-from repro.analysis.stats import AggregateRow
-from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentConfig, build_and_load, make_values, run_scheme_queries
-from repro.rangequery.armada_scheme import ArmadaScheme
-from repro.rangequery.dcf_can import DcfCanScheme
+from repro.analysis.figures import FigureGrid
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.orchestrator import SweepSpec, run_sweep
 
 
-@dataclass
-class NetworkSizeSweepResult:
-    """All series of Figures 7, 8(a) and 8(b)."""
-
-    network_sizes: List[int] = field(default_factory=list)
-    pira_rows: List[AggregateRow] = field(default_factory=list)
-    dcf_rows: List[AggregateRow] = field(default_factory=list)
-
-    def delay_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 7 (delay vs network size)."""
-        return {
-            "PIRA": [row.avg_delay for row in self.pira_rows],
-            "DCF-CAN": [row.avg_delay for row in self.dcf_rows],
-            "logN": [row.log_n for row in self.pira_rows],
-        }
-
-    def message_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 8(a) (messages vs network size)."""
-        return {
-            "PIRA": [row.avg_messages for row in self.pira_rows],
-            "DCF-CAN": [row.avg_messages for row in self.dcf_rows],
-            "Destpeers": [row.avg_destinations for row in self.pira_rows],
-        }
-
-    def ratio_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 8(b) (MesgRatio / IncreRatio vs network size)."""
-        return {
-            "MesgRatio": [row.mesg_ratio for row in self.pira_rows],
-            "IncreRatio": [row.incre_ratio for row in self.pira_rows],
-        }
-
-    def to_csv(self) -> Dict[str, str]:
-        """CSV text for each figure."""
-        x_values = [float(size) for size in self.network_sizes]
-        return {
-            "figure7": series_to_csv("network_size", x_values, self.delay_series()),
-            "figure8a": series_to_csv("network_size", x_values, self.message_series()),
-            "figure8b": series_to_csv("network_size", x_values, self.ratio_series()),
-        }
-
-    def format(self) -> str:
-        """Tables plus ASCII charts for the terminal."""
-        headers = [
-            "peers",
-            "PIRA delay",
-            "DCF delay",
-            "logN",
-            "PIRA msgs",
-            "DCF msgs",
-            "Destpeers",
-            "MesgRatio",
-            "IncreRatio",
-        ]
-        rows = []
-        for index, size in enumerate(self.network_sizes):
-            pira = self.pira_rows[index]
-            dcf = self.dcf_rows[index]
-            rows.append(
-                [
-                    size,
-                    pira.avg_delay,
-                    dcf.avg_delay,
-                    pira.log_n,
-                    pira.avg_messages,
-                    dcf.avg_messages,
-                    pira.avg_destinations,
-                    pira.mesg_ratio,
-                    pira.incre_ratio,
-                ]
-            )
-        x_values = [float(size) for size in self.network_sizes]
-        parts = [
-            format_table(headers, rows, title="Figures 7 / 8: impact of network size (range size fixed)"),
-            ascii_chart(x_values, self.delay_series(), title="Figure 7: query delay vs network size"),
-            ascii_chart(x_values, self.message_series(), title="Figure 8(a): messages vs network size"),
-            ascii_chart(x_values, self.ratio_series(), title="Figure 8(b): MesgRatio / IncreRatio"),
-        ]
-        return "\n\n".join(parts)
+def preset(config: ExperimentConfig) -> SweepSpec:
+    """The Figure 7/8 grid: PIRA and DCF-CAN at every network size, fixed range size."""
+    return SweepSpec.from_config(
+        config, network_sizes=config.network_sizes, range_sizes=(config.fixed_range_size,)
+    )
 
 
-def run(config: ExperimentConfig) -> NetworkSizeSweepResult:
-    """Run the full network-size sweep of Figures 7 and 8."""
-    values = make_values(config)
-    space = config.space
-    result = NetworkSizeSweepResult()
-
-    for network_size in config.network_sizes:
-        pira_scheme = build_and_load(
-            lambda: ArmadaScheme(space=space, object_id_length=config.object_id_length),
-            config,
-            network_size,
-            values,
-        )
-        dcf_scheme = build_and_load(lambda: DcfCanScheme(space=space), config, network_size, values)
-        result.network_sizes.append(int(network_size))
-        result.pira_rows.append(
-            run_scheme_queries(pira_scheme, config, config.fixed_range_size, network_size).row
-        )
-        result.dcf_rows.append(
-            run_scheme_queries(dcf_scheme, config, config.fixed_range_size, network_size).row
-        )
-    return result
+def run(config: ExperimentConfig) -> FigureGrid:
+    """Run the network-size sweep of Figures 7 and 8."""
+    return FigureGrid(
+        records=run_sweep(preset(config)).records,
+        x_key="network_size",
+        x_header="peers",
+        title="Figures 7 / 8: impact of network size (range size fixed)",
+        figures=(
+            ("figure7", "Figure 7: query delay vs network size"),
+            ("figure8a", "Figure 8(a): messages vs network size"),
+            ("figure8b", "Figure 8(b): MesgRatio / IncreRatio"),
+        ),
+    )

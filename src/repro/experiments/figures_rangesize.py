@@ -10,128 +10,34 @@ network and reports, averaged over 1000 random queries per point:
 Expected shape: PIRA's delay is flat (delay-bounded, below ``log N``) while
 DCF-CAN's grows with the range size; the message costs of the two schemes are
 close; ``MesgRatio`` and ``IncreRatio`` hover around 2.
+
+The figures are one sweep grid (:func:`preset`) run by the orchestrator,
+so every point builds its own overlay from its own derived seed and
+``repro sweep`` over the same grid yields the same records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro.analysis.figures import ascii_chart, series_to_csv
-from repro.analysis.stats import AggregateRow
-from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentConfig, build_and_load, make_values, run_scheme_queries
-from repro.rangequery.armada_scheme import ArmadaScheme
-from repro.rangequery.dcf_can import DcfCanScheme
+from repro.analysis.figures import FigureGrid
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.orchestrator import SweepSpec, run_sweep
 
 
-@dataclass
-class RangeSizeSweepResult:
-    """All series of Figures 5, 6(a) and 6(b)."""
-
-    range_sizes: List[float] = field(default_factory=list)
-    pira_rows: List[AggregateRow] = field(default_factory=list)
-    dcf_rows: List[AggregateRow] = field(default_factory=list)
-    log_n: float = 0.0
-
-    # -- Figure 5 ---------------------------------------------------------
-
-    def delay_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 5 (delay vs range size)."""
-        return {
-            "PIRA": [row.avg_delay for row in self.pira_rows],
-            "DCF-CAN": [row.avg_delay for row in self.dcf_rows],
-            "logN": [self.log_n for _ in self.range_sizes],
-        }
-
-    # -- Figure 6(a) ------------------------------------------------------
-
-    def message_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 6(a) (messages vs range size)."""
-        return {
-            "PIRA": [row.avg_messages for row in self.pira_rows],
-            "DCF-CAN": [row.avg_messages for row in self.dcf_rows],
-            "Destpeers": [row.avg_destinations for row in self.pira_rows],
-        }
-
-    # -- Figure 6(b) ------------------------------------------------------
-
-    def ratio_series(self) -> Dict[str, List[float]]:
-        """Series of Figure 6(b) (MesgRatio / IncreRatio vs range size)."""
-        return {
-            "MesgRatio": [row.mesg_ratio for row in self.pira_rows],
-            "IncreRatio": [row.incre_ratio for row in self.pira_rows],
-        }
-
-    # -- emitters ---------------------------------------------------------
-
-    def to_csv(self) -> Dict[str, str]:
-        """CSV text for each figure."""
-        return {
-            "figure5": series_to_csv("range_size", self.range_sizes, self.delay_series()),
-            "figure6a": series_to_csv("range_size", self.range_sizes, self.message_series()),
-            "figure6b": series_to_csv("range_size", self.range_sizes, self.ratio_series()),
-        }
-
-    def format(self) -> str:
-        """Tables plus ASCII charts for the terminal."""
-        headers = [
-            "range size",
-            "PIRA delay",
-            "DCF delay",
-            "logN",
-            "PIRA msgs",
-            "DCF msgs",
-            "Destpeers",
-            "MesgRatio",
-            "IncreRatio",
-        ]
-        rows = []
-        for index, size in enumerate(self.range_sizes):
-            pira = self.pira_rows[index]
-            dcf = self.dcf_rows[index]
-            rows.append(
-                [
-                    size,
-                    pira.avg_delay,
-                    dcf.avg_delay,
-                    self.log_n,
-                    pira.avg_messages,
-                    dcf.avg_messages,
-                    pira.avg_destinations,
-                    pira.mesg_ratio,
-                    pira.incre_ratio,
-                ]
-            )
-        parts = [
-            format_table(headers, rows, title="Figures 5 / 6: impact of range size (N = %d)" % int(2 ** self.log_n + 0.5)),
-            ascii_chart(self.range_sizes, self.delay_series(), title="Figure 5: query delay vs range size"),
-            ascii_chart(self.range_sizes, self.message_series(), title="Figure 6(a): messages vs range size"),
-            ascii_chart(self.range_sizes, self.ratio_series(), title="Figure 6(b): MesgRatio / IncreRatio"),
-        ]
-        return "\n\n".join(parts)
+def preset(config: ExperimentConfig) -> SweepSpec:
+    """The Figure 5/6 grid: PIRA and DCF-CAN at every range size, N = ``config.peers``."""
+    return SweepSpec.from_config(config)
 
 
-def run(config: ExperimentConfig) -> RangeSizeSweepResult:
-    """Run the full range-size sweep of Figures 5 and 6."""
-    values = make_values(config)
-    space = config.space
-
-    pira_scheme = build_and_load(
-        lambda: ArmadaScheme(space=space, object_id_length=config.object_id_length),
-        config,
-        config.peers,
-        values,
+def run(config: ExperimentConfig) -> FigureGrid:
+    """Run the range-size sweep of Figures 5 and 6."""
+    return FigureGrid(
+        records=run_sweep(preset(config)).records,
+        x_key="range_size",
+        x_header="range size",
+        title=f"Figures 5 / 6: impact of range size (N = {config.peers})",
+        figures=(
+            ("figure5", "Figure 5: query delay vs range size"),
+            ("figure6a", "Figure 6(a): messages vs range size"),
+            ("figure6b", "Figure 6(b): MesgRatio / IncreRatio"),
+        ),
     )
-    dcf_scheme = build_and_load(lambda: DcfCanScheme(space=space), config, config.peers, values)
-
-    result = RangeSizeSweepResult(log_n=pira_scheme.log_size())
-    for range_size in config.range_sizes:
-        result.range_sizes.append(float(range_size))
-        result.pira_rows.append(
-            run_scheme_queries(pira_scheme, config, range_size, range_size).row
-        )
-        result.dcf_rows.append(
-            run_scheme_queries(dcf_scheme, config, range_size, range_size).row
-        )
-    return result

@@ -2,10 +2,11 @@
 
 Every figure of the paper is a parameter sweep — (scheme × range size) at a
 fixed network size for Figures 5/6, (scheme × network size) at a fixed range
-size for Figures 7/8 — and the serial experiment drivers in this package run
-one point after another in a single process.  This module shards such a
-grid into **independent jobs** and runs them on a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+size for Figures 7/8, PIRA at both for the section 4.3.2 bounds — and each
+of those drivers is a :class:`SweepSpec` preset run through
+:func:`run_sweep`, plus a projection of the records it returns.  This
+module shards such a grid into **independent jobs** and runs them
+in-process or on a :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * **Job independence.**  Each job rebuilds its own overlay, publishes its
   own values and runs its own query batch; nothing is shared between
@@ -219,7 +220,7 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
     space = config.space
     values = make_values(config)
     scheme = build_and_load(lambda: factory(space, config), config, job.network_size, values)
-    point = run_scheme_queries(scheme, config, job.range_size, x_value=job.range_size)
+    row = run_scheme_queries(scheme, config, job.range_size, x_value=job.range_size).as_dict()
     record: Dict[str, Any] = {
         "sweep_scheme": job.scheme,
         "network_size": job.network_size,
@@ -227,7 +228,6 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
         "replica": job.replica,
         "job_seed": job.seed,
     }
-    row = point.row.as_dict()
     row.pop("x", None)  # the explicit axes above replace the ambiguous x
     record.update(row)
     return record

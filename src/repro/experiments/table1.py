@@ -128,7 +128,7 @@ def run(
     result = Table1Result(network_size=config.peers, range_size=config.fixed_range_size)
     for name, factory in factories.items():
         scheme = build_and_load(factory, config, config.peers, values)
-        point = run_scheme_queries(scheme, config, config.fixed_range_size, config.peers)
+        row = run_scheme_queries(scheme, config, config.fixed_range_size, config.peers)
         description = scheme.describe()
         result.rows.append(
             Table1Row(
@@ -138,7 +138,7 @@ def run(
                 multi_attribute=description["multi_attribute"],
                 paper_delay=_PAPER_DELAY_CLAIMS.get(name, "-"),
                 delay_bounded=description["delay_bounded"],
-                measured=point.row,
+                measured=row,
             )
         )
     return result

@@ -16,6 +16,8 @@ from repro.experiments.tracecmd import TraceSpec
 from repro.runtime.server import ServeSettings
 
 SIZING = {"--profile", "--peers", "--queries", "--objects", "--seed"}
+#: the commands that sweep the profile's network sizes read no --peers
+SWEPT_SIZES = SIZING - {"--peers"}
 GRID = SIZING | {"--workers", "--replicas", "--store"}
 LOGGING = {"--log-level", "--log-json"}
 CLIENTS = {"--concurrency", "--mira-fraction", "--pool", "--require-success"}
@@ -24,12 +26,12 @@ LIVE_SIZING = {"--peers", "--nodes", "--queries", "--objects", "--seed"}
 #: every flag each command's subparser offers — exactly the ones it reads
 COMMAND_FLAGS = {
     "table1": SIZING,
-    "analytics": SIZING,
-    "fissione": SIZING,
+    "analytics": SWEPT_SIZES,
+    "fissione": {"--profile", "--seed"},
     "mira": SIZING,
     "ablation": SIZING,
     "figures-rangesize": SIZING | {"--csv-dir"},
-    "figures-netsize": SIZING | {"--csv-dir"},
+    "figures-netsize": SWEPT_SIZES | {"--csv-dir"},
     "load": SIZING | {"--csv-dir", "--rates", "--churn", "--cprofile"},
     "all": SIZING | {"--csv-dir", "--rates", "--churn"},
     "sweep": GRID | {"--schemes", "--network-sizes", "--range-sizes"},
@@ -96,6 +98,10 @@ class TestArgumentHandling:
             ["replay"],
             ["soak", "--require-success", "1.5"],
             ["livefaults", "--require-success", "1.5"],
+            ["fissione", "--peers", "80"],
+            ["fissione", "--queries", "5"],
+            ["analytics", "--peers", "90"],
+            ["figures-netsize", "--peers", "90"],
         ],
         ids=" ".join,
     )
@@ -389,7 +395,7 @@ class TestExecution:
     TINY = ["--profile", "quick", "--peers", "120", "--queries", "8", "--objects", "200"]
 
     def test_run_command_fissione(self, capsys):
-        assert main(["fissione"] + self.TINY) == 0
+        assert main(["fissione", "--profile", "quick"]) == 0
         assert "FISSIONE" in capsys.readouterr().out
 
     def test_trace_command_prints_span_tree(self, capsys, tmp_path):
@@ -429,20 +435,22 @@ class TestExecution:
         assert os.path.exists(tmp_path / "figure5.csv")
         assert os.path.exists(tmp_path / "figure6a.csv")
 
+    def test_figures_netsize_writes_its_csvs(self, capsys, tmp_path):
+        argv = ["figures-netsize", "--profile", "quick", "--queries", "8", "--objects", "200"]
+        assert main(argv + ["--csv-dir", str(tmp_path)]) == 0
+        assert "Figure 7" in capsys.readouterr().out
+        headers = {
+            name: (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+            for name in ("figure7", "figure8a", "figure8b")
+        }
+        assert headers == {
+            "figure7": "network_size,PIRA,DCF-CAN,logN",
+            "figure8a": "network_size,PIRA,DCF-CAN,Destpeers",
+            "figure8b": "network_size,MesgRatio,IncreRatio",
+        }
+
     def test_main_prints_output(self, capsys):
-        exit_code = main(
-            [
-                "fissione",
-                "--profile",
-                "quick",
-                "--peers",
-                "80",
-                "--queries",
-                "5",
-                "--objects",
-                "100",
-            ]
-        )
+        exit_code = main(["fissione", "--profile", "quick", "--seed", "5"])
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "FISSIONE" in captured.out

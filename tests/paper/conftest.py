@@ -1,8 +1,9 @@
 """Shared fixtures for the paper's figure/table checks.
 
 Each module asserts the shape of one table, figure or claim of the paper.
-The sweeps are deterministic, so each is computed once per session and
-shared.  The configuration is smaller than the paper's (fewer queries per
+The figure sweeps are orchestrator grids (every point with its own derived
+seed and overlay) and deterministic, so each is computed once per session
+and shared.  The configuration is smaller than the paper's (fewer queries per
 point, network sizes up to 4000 instead of 8000) so the directory finishes
 in well under a minute; ``repro <figure> --profile paper`` runs the
 full-size sweeps (N up to 8000, 1000 queries per point).

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.figures import records_to_series
 from repro.analysis.store import ResultStore, canonical_line, merge_stores
 from repro.analysis.tables import format_records
+from repro.experiments import analytics, figures_netsize, figures_rangesize
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.orchestrator import (
     DEFAULT_SCHEMES,
@@ -119,6 +120,25 @@ class TestMergeDeterminism:
         seen = []
         outcome = run_sweep(spec, workers=1, progress=seen.append)
         assert seen == outcome.records
+
+
+class TestFiguresAreTheGrid:
+    """Figures 5-8 and the section 4.3.2 bounds are sweep presets: the
+    records behind ``run(config)`` are the preset's ``run_sweep`` lines."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "experiment",
+        [figures_rangesize, figures_netsize, analytics],
+        ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+    )
+    def test_run_records_are_the_preset_sweep(self, experiment, workers):
+        config = tiny_config().with_overrides(
+            range_sizes=(10.0, 120.0), network_sizes=(48, 64)
+        )
+        lines = [canonical_line(record) for record in experiment.run(config).records]
+        assert lines == run_sweep(experiment.preset(config), workers=workers).lines()
+        assert lines
 
 
 class TestStore:

@@ -5,7 +5,10 @@ A code line carries at least one token that is not a comment, a blank or
 part of a docstring (``wc -l`` counts all three, so a PR that deletes code
 while its docstrings grow reads as growth).  Prints one line per top-level
 package of ``src/repro`` and the total; with paths as arguments, one line
-per given file and their total instead.
+per given file or directory (the sum over its ``.py`` files) and their
+total instead::
+
+    python tools/loc.py src/repro/experiments src/repro/analysis
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ def main(argv: list) -> int:
     counts: Dict[str, int] = {}
     if argv:
         for path in argv:
-            counts[path] = code_lines(path)
+            files = python_files(path) if os.path.isdir(path) else [path]
+            counts[path] = sum(code_lines(name) for name in files)
     else:
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro")
         for path in python_files(root):
