@@ -27,7 +27,7 @@ counting — so any number of MIRA (and PIRA) queries overlap on one clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.frt import descendant_prefix, longest_suffix_prefix
 from repro.core.multiple_hash import Box
@@ -37,16 +37,16 @@ from repro.fissione.peer import FissionePeer, StoredObject
 from repro.kautz import strings as ks
 
 
-@dataclass
+@dataclass(slots=True)
 class _MiraQuery:
-    """State shared by all forwarding steps of one MIRA query."""
+    """Per-subtree forwarding state: the clipped query box, the ranges, the
+    destination level, and the visited FRT occurrences (a per-peer level
+    bitmask, see :meth:`~repro.core.resumable.ResumableExecutor._dispatch`)."""
 
     query_box: Box
     ranges: Tuple[Tuple[float, float], ...]
     dest_level: int
-    #: visited FRT occurrences, keyed by (peer_id, level) -- see the matching
-    #: comment in :mod:`repro.core.pira`.
-    visited: Set[Tuple[str, int]] = field(default_factory=set)
+    visited: Dict[str, int] = field(default_factory=dict)
 
 
 class MiraExecutor(ResumableExecutor):
@@ -113,16 +113,7 @@ class MiraExecutor(ResumableExecutor):
     # forwarding (message lifecycle inherited from ResumableExecutor)       #
     # ------------------------------------------------------------------ #
 
-    def _detour_candidates(self, prefix: str, branch: _MiraQuery) -> list:
-        """Sibling-reroute targets: peers covering ``prefix`` whose zone box
-        intersects the branch's query box (sorted, deterministic)."""
-        return [
-            peer_id
-            for peer_id in self.network.compatible_peers(prefix)
-            if self._label_intersects(peer_id, branch)
-        ]
-
-    def _label_intersects(self, label: str, subtree: _MiraQuery) -> bool:
+    def _intersects(self, subtree: _MiraQuery, label: str) -> bool:
         """True when the partition-tree box of ``label`` intersects the query box."""
         if label == "":
             return True
@@ -137,50 +128,29 @@ class MiraExecutor(ResumableExecutor):
         branch_index: int,
         state: QueryState,
     ) -> None:
+        """Fan out from ``peer``, a relay at FRT level ``level``, to the
+        out-neighbours whose destination-level descendants' box meets the
+        query box."""
         subtree = state.branches[branch_index]
-        occurrence = (peer.peer_id, level)
-        if occurrence in subtree.visited:
-            return
-        subtree.visited.add(occurrence)
-
-        if level >= subtree.dest_level:
-            self._handle_destination(peer, hop, subtree, state)
-            return
-
         for neighbor_id in self.network.out_neighbors_view(peer.peer_id):
             prefix = descendant_prefix(neighbor_id, level + 1, subtree.dest_level)
-            if not self._label_intersects(prefix, subtree):
-                continue
-            self._forward_message(
-                peer.peer_id, neighbor_id, level + 1, hop + 1, branch_index, state
-            )
+            if self._intersects(subtree, prefix):
+                self._forward_message(
+                    peer.peer_id, neighbor_id, level + 1, hop + 1, branch_index, state
+                )
 
-    def _handle_destination(
-        self,
-        peer: FissionePeer,
-        hop: int,
-        subtree: _MiraQuery,
-        state: QueryState,
-    ) -> None:
-        if not self._label_intersects(peer.peer_id, subtree):
-            return
-        result = state.result
-        previous = result.destinations.get(peer.peer_id)
-        if previous is None or hop < previous:
-            result.destinations[peer.peer_id] = hop
-        if previous is None:
-            new_matches = []
-            for stored in peer.objects():
-                values = stored.key
-                if not isinstance(values, (tuple, list)):
-                    continue
-                if len(values) != self.namer.dimensions:
-                    continue
-                if all(
-                    low <= value <= high
-                    for value, (low, high) in zip(values, subtree.ranges)
-                ):
-                    new_matches.append(stored)
-            result.matches.extend(new_matches)
-            if state.on_destination is not None:
-                state.on_destination(peer.peer_id, hop, new_matches)
+    def _scan(
+        self, peer: FissionePeer, subtree: _MiraQuery, state: QueryState
+    ) -> List[StoredObject]:
+        """A destination's matches: its objects whose key tuple lies in the
+        query box (``Multiple_hash`` keeps no key order to slice)."""
+        dimensions = self.namer.dimensions
+        return [
+            stored
+            for stored in peer.objects()
+            if isinstance(stored.key, (tuple, list))
+            and len(stored.key) == dimensions
+            and all(
+                low <= value <= high for value, (low, high) in zip(stored.key, subtree.ranges)
+            )
+        ]

@@ -159,21 +159,9 @@ class RangeQueryResult:
 
 @dataclass(slots=True)
 class _SubQuery:
-    """Per-sub-region forwarding state.
-
-    ``visited`` de-duplicates peer *occurrences*: the forward routing tree is
-    a tree of occurrences, and the same peer can legitimately occur at
-    several levels (whenever one suffix of the origin's PeerID is a prefix of
-    a longer one).  Each occurrence forwards with its own level arithmetic, so
-    de-duplication must be per occurrence, not per peer -- otherwise peers
-    that first relay the query at a shallow level would never be recognised
-    as destinations when the query reaches them again at the destination
-    level.  Levels are bounded by the PeerID length, so the seen-set is a
-    per-peer level *bitmask* (bit ``i`` set = occurrence at level ``i``
-    seen) rather than a set of ``(peer_id, level)`` tuples -- one dict probe
-    on a cached string hash instead of a tuple allocation per arrival, on
-    the hottest path of the simulator.
-    """
+    """Per-sub-region forwarding state: the sub-region, its destination
+    level, and the visited FRT occurrences (a per-peer level bitmask, see
+    :meth:`~repro.core.resumable.ResumableExecutor._dispatch`)."""
 
     region: KautzRegion
     dest_level: int
@@ -262,15 +250,6 @@ class PiraExecutor(ResumableExecutor):
             if region.contains_prefix(peer_id)
         }
 
-    def _detour_candidates(self, prefix: str, branch: _SubQuery) -> List[str]:
-        """Sibling-reroute targets: peers covering ``prefix`` whose zone
-        intersects the branch's sub-region (sorted, deterministic)."""
-        return [
-            peer_id
-            for peer_id in self.network.compatible_peers(prefix)
-            if branch.region.contains_prefix(peer_id)
-        ]
-
     # ------------------------------------------------------------------ #
     # forwarding (message lifecycle inherited from ResumableExecutor)       #
     # ------------------------------------------------------------------ #
@@ -283,20 +262,11 @@ class PiraExecutor(ResumableExecutor):
         branch_index: int,
         state: _QueryState,
     ) -> None:
-        """Handle the query's arrival at ``peer`` (FRT level ``level``)."""
+        """Fan out from ``peer``, a relay at FRT level ``level``, to the
+        out-neighbours whose destination-level descendants can own ObjectIDs
+        of the sub-region."""
         subquery = state.branches[branch_index]
         peer_id = peer.peer_id
-        visited = subquery.visited
-        bit = 1 << level
-        mask = visited.get(peer_id, 0)
-        if mask & bit:
-            return
-        visited[peer_id] = mask | bit
-
-        if level >= subquery.dest_level:
-            self._handle_destination(peer, hop, subquery, state)
-            return
-
         # Inlined ``descendant_prefix(neighbor_id, level + 1, dest_level)``:
         # ``drop`` is non-negative here (level < dest_level), so the hot loop
         # tests a bare suffix slice per neighbour.  This loop runs once per
@@ -315,24 +285,13 @@ class PiraExecutor(ResumableExecutor):
             if low[:k] <= prefix <= high[:k]:
                 forward(peer_id, neighbor_id, next_level, next_hop, branch_index, state)
 
-    def _handle_destination(
-        self,
-        peer: FissionePeer,
-        hop: int,
-        subquery: _SubQuery,
-        state: _QueryState,
-    ) -> None:
-        """Destination-level processing: record the peer and take its matches,
-        a key-ordered slice of its store (:meth:`~repro.storage.base.Store.scan`)."""
-        peer_id = peer.peer_id
-        if not subquery.region.contains_prefix(peer_id):
-            return
-        result = state.result
-        previous = result.destinations.get(peer_id)
-        if previous is None or hop < previous:
-            result.destinations[peer_id] = hop
-        if previous is None:
-            new_matches = peer.backend.scan(state.low_value, state.high_value)
-            result.matches.extend(new_matches)
-            if state.on_destination is not None:
-                state.on_destination(peer_id, hop, new_matches)
+    def _intersects(self, branch: _SubQuery, label: str) -> bool:
+        """True when the zone named by ``label`` meets the sub-region."""
+        return branch.region.contains_prefix(label)
+
+    def _scan(
+        self, peer: FissionePeer, branch: _SubQuery, state: _QueryState
+    ) -> List[StoredObject]:
+        """A destination's matches: a key-ordered slice of its store
+        (:meth:`~repro.storage.base.Store.scan`)."""
+        return peer.backend.scan(state.low_value, state.high_value)

@@ -1,10 +1,27 @@
 """Shared machinery for resumable, message-driven query executors.
 
-PIRA and MIRA differ in *how* they prune the forward routing tree, but not
-in how an in-flight query lives on the simulator: per-query state keyed by
-``query_id``, per-send bookkeeping for completion detection, drop
-accounting so churn cannot strand a query, and a completion callback.  That
-shared lifecycle lives here, once.
+PIRA and MIRA are one descent of the origin's forward routing tree with two
+different pruning tests.  Everything but the pruning lives here, once:
+per-query state keyed by ``query_id``, per-send bookkeeping for completion
+detection, the visited dedup of FRT occurrences, the destination record
+(fewest hops, first-reach scan, streaming hook), drop accounting so churn
+cannot strand a query, and the completion callback.
+
+A query's lifecycle has one place for each rule:
+
+* **one wire-writer** — :meth:`ResumableExecutor._transmit` counts a send,
+  builds its :class:`~repro.sim.network.Message`, arms its per-hop timer
+  and hands it to the transport; first sends, retries and detours all go
+  through it;
+* **one opener** — :meth:`ResumableExecutor._forward_message` opens a
+  pending send and its ``hop`` (or ``detour``) span, for tree hops and
+  sibling reroutes alike;
+* **one write-off** — :meth:`ResumableExecutor._write_off` settles a lost
+  send, whatever lost it: a receiver unreachable before the send, a timeout
+  after the last retry, an overlay drop with no timer to wait for, or a
+  delivery to a PeerID that has left the topology;
+* **one teardown** — :meth:`ResumableExecutor._finish`, reached from normal
+  completion and from :meth:`ResumableExecutor.cancel` (deadline expiry).
 
 On top of the lifecycle this module implements the **resilience layer**
 (see :mod:`repro.faults.resilience`).  When a
@@ -16,7 +33,7 @@ On top of the lifecycle this module implements the **resilience layer**
   settle the send early — loss detection always costs a timeout, as it
   would in a deployment without the simulator's oracle;
 * duplicate deliveries (duplication faults, retransmission races) are
-  deduplicated by send id, so outstanding-send accounting never corrupts;
+  deduplicated by send id, so pending-send accounting never corrupts;
 * when retries to a next hop are exhausted, the sender writes the hop off
   and attempts a **sibling reroute**: the dead hop's FRT subtree covers a
   nameable slice of the Kautz namespace (``descendant_prefix``), so the
@@ -30,8 +47,7 @@ On top of the lifecycle this module implements the **resilience layer**
 
 Without a policy the behaviour is the seed behaviour: drops settle the
 send immediately (and are recorded as lost subtrees), nothing is retried,
-and no timers are scheduled — the fault-free path is byte-identical to the
-pre-resilience code.
+and no timers are scheduled.
 
 A query is owned here **from start to verdict**.  Both executors take the
 same call, ``start(origin, ranges, *, deadline=None, query_id=None,
@@ -46,15 +62,18 @@ on expiry :meth:`ResumableExecutor.cancel` force-completes the query with
 whatever it gathered.  The drivers above (engine, session, gateway) only
 say *what* the bound is.
 
-A concrete executor must provide
+A concrete executor supplies only its branches and its pruning:
 
-* ``message_kind`` (the overlay message kind string),
-* ``start(origin, ranges, ...)`` as above,
-* ``_process(peer, level, hop, branch_index, state)`` — resume the query at
-  ``peer`` for one branch (PIRA sub-region / MIRA subtree), and
-* optionally ``_detour_candidates(prefix, branch)`` — live peers covering
-  the namespace slice ``prefix`` that pass the executor's destination
-  predicate (the sibling-reroute targets; the default is none).
+* ``message_kind`` (the overlay message kind string);
+* ``start(origin, ranges, ...)`` as above, building ``state.branches`` —
+  one record per PIRA sub-region / MIRA subtree, each carrying
+  ``dest_level`` and a ``visited`` dict (see :meth:`ResumableExecutor._dispatch`);
+* ``_process(peer, level, hop, branch_index, state)`` — fan out from a
+  relay occurrence above the destination level;
+* ``_intersects(branch, label)`` — whether the namespace slice ``label``
+  can hold matches of the branch (the destination test, also used to pick
+  detour targets);
+* ``_scan(peer, branch, state)`` — a destination's matches.
 
 All sending, timer scheduling, clock reads and reachability checks go
 through ``self.transport``, the one :class:`~repro.core.transport.Transport`
@@ -139,11 +158,6 @@ class QueryState:
     #: the armed deadline timer (``None``: unbounded, or already settled)
     deadline_timer: Any = None
 
-    @property
-    def outstanding(self) -> int:
-        """Logical sends awaiting processing or settlement."""
-        return len(self.pending)
-
 
 class ResumableExecutor:
     """The in-flight query lifecycle, from launch to verdict."""
@@ -208,7 +222,7 @@ class ResumableExecutor:
         """Register ``state``, fan out from the origin, bound what remains.
 
         Returns the result object, which fills in as deliveries resume the
-        query; once the last outstanding message is processed the query is
+        query; once the last pending message is processed the query is
         deregistered and ``on_complete`` fires.  A query answered (or pruned)
         at its origin completes here, synchronously, and never gets a timer.
         Otherwise ``deadline`` (transport clock units; ``None`` = unbounded)
@@ -225,8 +239,13 @@ class ResumableExecutor:
         origin = self.network.peer(result.origin)
         state.processing = True
         try:
-            for index in range(len(state.branches)):
-                self._process(peer=origin, level=0, hop=0, branch_index=index, state=state)
+            # Level 0 is the origin's alone — every send goes one level
+            # deeper — so no occurrence there can repeat: no visited check.
+            for index, branch in enumerate(state.branches):
+                if branch.dest_level > 0:
+                    self._process(origin, 0, 0, index, state)
+                elif self._intersects(branch, origin.peer_id):
+                    self._reach(origin, 0, branch, state)
         finally:
             state.processing = False
         self._maybe_complete(state)
@@ -301,50 +320,99 @@ class ResumableExecutor:
         :meth:`handle_message`) because the overlay invokes it once per
         delivered message; ``peer`` is ignored — receiver liveness is always
         re-checked against the peer table, which is what churn updates.
+
+        The forward routing tree is a tree of *occurrences*: one peer can
+        occur at several levels (whenever a suffix of the origin's PeerID is
+        a prefix of a longer one), and each occurrence forwards with its own
+        level arithmetic, so a branch's dedup is per occurrence: deduped per
+        peer, a peer that first relays the query at a shallow level would
+        never be recognised as a destination when the query reaches it
+        again.  Levels are bounded by the PeerID length, so
+        ``branch.visited`` maps a peer to a level *bitmask* (bit ``i`` set =
+        occurrence at level ``i`` seen) — one dict probe on a cached string
+        hash per arrival.
         """
         state = self._active.get(message.query_id)
         if state is None:
             return
         metadata = message.metadata
-        pending = state.pending.pop(metadata.get("send"), None)
+        send_id = metadata.get("send")
+        pending = state.pending.pop(send_id, None)
         if pending is None:
             # A duplicate (duplication fault or retransmission race) of a
-            # send that was already processed or settled: drop it here so
-            # completion accounting never goes negative.
+            # send that was already processed or settled.
+            return
+        receiver = message.receiver
+        peer = self.network.get_peer(receiver)
+        if peer is None:
+            # The PeerID left the topology while this copy was in flight (a
+            # join split renamed it, or it departed before the overlay was
+            # refreshed): nobody searches the subtree behind it.
+            self._write_off(state, send_id, pending, "unreachable")
             return
         if pending.timer is not None:
             pending.timer.cancel()
         if pending.span is not None:
             self.tracer.end_span(pending.span, self.transport.now)
-        # A receiver that departed mid-flight (churn) silently absorbs the
-        # message; the overlay already counted it as delivered/undeliverable.
-        peer = self.network.get_peer(message.receiver)
-        if peer is not None:
-            result = state.result
-            newly_reached = pending.detour and message.receiver not in result.destinations
+            # Sends fanned out while processing this hop parent under it.
+            state.trace_parent = pending.span.span_id
+        level = metadata["level"]
+        branch_index = metadata["branch"]
+        branch = state.branches[branch_index]
+        visited = branch.visited
+        bit = 1 << level
+        mask = visited.get(receiver, 0)
+        if not mask & bit:
+            visited[receiver] = mask | bit
             state.processing = True
-            if pending.span is not None:
-                # Sends fanned out while processing this hop parent under it.
-                state.trace_parent = pending.span.span_id
             try:
-                self._process(
-                    peer=peer,
-                    level=metadata["level"],
-                    hop=message.hop,
-                    branch_index=metadata["branch"],
-                    state=state,
-                )
+                if level < branch.dest_level:
+                    self._process(peer, level, message.hop, branch_index, state)
+                elif self._reach(peer, message.hop, branch, state) and pending.detour:
+                    state.result.resilience.recovered_destinations += 1
             finally:
                 state.processing = False
-            if newly_reached and message.receiver in result.destinations:
-                result.resilience.recovered_destinations += 1
         # Inlined guard of _maybe_complete: on the common path (query still
         # has sends in flight) the call is skipped entirely.
         if not (state.done or state.pending):
             self._maybe_complete(state)
 
     def _process(self, peer: Any, level: int, hop: int, branch_index: int, state: QueryState) -> None:
+        """Fan out from ``peer``, a relay occurrence at ``level`` < the
+        branch's destination level, to the neighbours the pruning test keeps."""
         raise NotImplementedError
+
+    def _intersects(self, branch: Any, label: str) -> bool:
+        """True when the namespace slice ``label`` can hold matches of ``branch``."""
+        raise NotImplementedError
+
+    def _scan(self, peer: Any, branch: Any, state: QueryState) -> List[Any]:
+        """The matches destination ``peer`` holds for ``branch``."""
+        raise NotImplementedError
+
+    def _reach(self, peer: Any, hop: int, branch: Any, state: QueryState) -> bool:
+        """A destination-level occurrence of ``peer``: record its fewest hops
+        and, the first time it is reached, take its matches and stream them.
+
+        The destination test (:meth:`_intersects`) is applied where a send
+        is decided, not on arrival: a tree hop's last pruning test is that
+        test on the same PeerID, detour targets are filtered by it, and
+        :meth:`_launch` applies it to the origin.  Returns True when this
+        arrival reached ``peer`` for the first time.
+        """
+        peer_id = peer.peer_id
+        result = state.result
+        previous = result.destinations.get(peer_id)
+        if previous is not None:
+            if hop < previous:
+                result.destinations[peer_id] = hop
+            return False
+        result.destinations[peer_id] = hop
+        new_matches = self._scan(peer, branch, state)
+        result.matches.extend(new_matches)
+        if state.on_destination is not None:
+            state.on_destination(peer_id, hop, new_matches)
+        return True
 
     def _on_drop(self, message: Message) -> None:
         """Account for a forwarding message that will never be delivered."""
@@ -355,28 +423,21 @@ class ResumableExecutor:
         pending = state.pending.get(send_id)
         if pending is None:
             return  # a copy of a send that already settled
-        stats = state.result.resilience
-        stats.drops += 1
-        if self.resilience is not None and pending.timer is not None:
+        state.result.resilience.drops += 1
+        if self.resilience is None or pending.timer is None:
+            self._write_off(state, send_id, pending, "dropped")
+        elif pending.span is not None:
             # Timeout-based detection: the send stays open and its timer
             # will fire, retry, and eventually fail it.  Real systems learn
             # about loss by waiting, not from the simulator's oracle.
-            if pending.span is not None:
-                self.tracer.event(
-                    state.trace, "drop", self.transport.now, parent_id=pending.span.span_id
-                )
-            return
-        state.pending.pop(send_id, None)
-        stats.subtrees_lost += 1
-        if pending.span is not None:
-            self.tracer.end_span(pending.span, self.transport.now, status="dropped")
-        if not state.processing:
-            self._maybe_complete(state)
+            self.tracer.event(
+                state.trace, "drop", self.transport.now, parent_id=pending.span.span_id
+            )
 
     def _on_timeout(self, state: QueryState, send_id: int) -> None:
-        """A per-hop timer fired before the send was acknowledged."""
-        if state.done:
-            return
+        """A per-hop timer fired before the send was acknowledged: retry
+        while the policy allows and the receiver is still in the overlay,
+        else write the hop off."""
         pending = state.pending.get(send_id)
         if pending is None:
             return
@@ -386,7 +447,7 @@ class ResumableExecutor:
         if (
             policy is not None
             and pending.attempts < policy.attempts_per_hop
-            and self.transport.has_node(pending.receiver)
+            and self._has_node(pending.receiver)
         ):
             pending.attempts += 1
             stats.retries += 1
@@ -399,20 +460,36 @@ class ResumableExecutor:
                     attempt=pending.attempts,
                 )
             self._transmit(state, send_id, pending)
-            return
-        # Retries exhausted (or the receiver left the overlay entirely):
-        # the hop is dead.  Try to route around it; otherwise the subtree
-        # it guarded is lost and the query reports partial results.
+        else:
+            self._write_off(state, send_id, pending, "timeout")
+
+    def _write_off(
+        self, state: QueryState, send_id: int, pending: _PendingSend, status: str
+    ) -> None:
+        """Settle a lost send: close its span with ``status`` (``unreachable``
+        / ``timeout`` / ``dropped``), mark a failed detour as tried, then route
+        around the dead hop or count its subtree lost.
+
+        A ``dropped`` send is never rerouted: the overlay reported the loss
+        of a send no timer guards, and rerouting follows only the
+        timeout-based detection the policy models.  No charge to ``drops``
+        here — the overlay-reported losses are counted by :meth:`_on_drop`.
+        """
         state.pending.pop(send_id, None)
+        if pending.timer is not None:
+            pending.timer.cancel()
         if pending.span is not None:
-            self.tracer.end_span(pending.span, self.transport.now, status="timeout")
+            self.tracer.end_span(pending.span, self.transport.now, status=status)
         if pending.detour:
             state.detoured.add((pending.branch_index, pending.receiver))
-        rerouted = 0
-        if policy is not None and policy.reroute:
-            rerouted = self._reroute(state, pending)
-        if rerouted == 0:
-            stats.subtrees_lost += 1
+        policy = self.resilience
+        if (
+            status == "dropped"
+            or policy is None
+            or not policy.reroute
+            or not self._reroute(state, pending)
+        ):
+            state.result.resilience.subtrees_lost += 1
         if not state.processing:
             self._maybe_complete(state)
 
@@ -420,6 +497,30 @@ class ResumableExecutor:
         """Finish the query once no forwarding messages remain in flight."""
         if state.done or state.processing or state.pending:
             return
+        self._finish(state)
+
+    def cancel(self, query_id: int) -> bool:
+        """Force-complete an in-flight query as *failed* (deadline expiry).
+
+        What the deadline timer runs; also callable directly.  Cancels every
+        timer of the query, marks the result's resilience ledger
+        ``deadline_expired`` and fires ``on_complete`` with whatever partial
+        results were gathered.  Returns False for unknown/finished queries.
+        """
+        state = self._active.get(query_id)
+        if state is None:
+            return False
+        for pending in state.pending.values():
+            if pending.timer is not None:
+                pending.timer.cancel()
+        state.pending.clear()
+        state.result.resilience.deadline_expired = True
+        self._finish(state)
+        return True
+
+    def _finish(self, state: QueryState) -> None:
+        """The one teardown: deregister the query, cancel its deadline,
+        archive its trace, fire ``on_complete``."""
         state.done = True
         self._active.pop(state.result.query_id, None)
         if state.deadline_timer is not None:
@@ -430,31 +531,6 @@ class ResumableExecutor:
             self.tracer.finish_query(state.trace, self.transport.now, status=state.result.status)
         if state.on_complete is not None:
             state.on_complete(state.result)
-
-    def cancel(self, query_id: int) -> bool:
-        """Force-complete an in-flight query as *failed* (deadline expiry).
-
-        What the deadline timer runs; also callable directly.  Cancels every
-        timer of the query, marks the result's resilience ledger
-        ``deadline_expired`` and fires ``on_complete`` with whatever partial
-        results were gathered.  Returns False for unknown/finished queries.
-        """
-        state = self._active.pop(query_id, None)
-        if state is None:
-            return False
-        if state.deadline_timer is not None:
-            state.deadline_timer.cancel()
-        for pending in state.pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        state.pending.clear()
-        state.done = True
-        state.result.resilience.deadline_expired = True
-        if state.trace is not None:
-            self.tracer.finish_query(state.trace, self.transport.now, status=state.result.status)
-        if state.on_complete is not None:
-            state.on_complete(state.result)
-        return True
 
     @property
     def active_queries(self) -> int:
@@ -468,7 +544,7 @@ class ResumableExecutor:
     def pending_sends(self, query_id: int) -> List[Tuple[int, str, str, int]]:
         """The open logical sends of an in-flight query, for diagnostics.
 
-        Returns ``(send_id, sender, receiver, hop)`` per outstanding send,
+        Returns ``(send_id, sender, receiver, hop)`` per pending send,
         in send-id order — what the flight-recorder replay reports when a
         query is still waiting on deliveries at its recorded completion.
         Empty for unknown/finished queries.
@@ -508,14 +584,16 @@ class ResumableExecutor:
         hop: int,
         branch_index: int,
         state: QueryState,
+        around: Optional[_PendingSend] = None,
     ) -> None:
-        """Send one forwarding message through the discrete-event overlay.
+        """Open one forwarding send and its span, then transmit it.
 
-        This runs once per edge of every forward routing tree — the hottest
-        call in the repository — so the fault-free path inlines
-        :meth:`_transmit`'s body (minus the timer branch) and allocates the
-        slotted records without their ``__init__`` frames.  Retransmissions,
-        detours and policy-guarded sends still go through :meth:`_transmit`.
+        A tree hop by default; with ``around`` (the failed send it replaces)
+        a sibling-reroute detour, whose latency is the tree hops it replaces
+        plus the penalty — its hop count minus the failed send's.  This runs
+        once per edge of every forward routing tree — the hottest call in
+        the repository — so the slotted record is allocated without its
+        ``__init__`` frame.
         """
         send_id = next(self._send_ids)
         pending = _PendingSend.__new__(_PendingSend)
@@ -526,94 +604,54 @@ class ResumableExecutor:
         pending.branch_index = branch_index
         pending.attempts = 1
         pending.timer = None
-        pending.latency = None
-        pending.detour = False
+        pending.detour = around is not None
+        pending.latency = None if around is None else float(max(1, hop - around.hop))
         pending.span = None
         state.pending[send_id] = pending
         if state.trace is not None:
+            if around is None:
+                kind, parent_id, place = "hop", state.trace_parent, {"level": level}
+            else:
+                kind, parent_id, place = "detour", None, {"around": around.receiver}
+                if around.span is not None:
+                    parent_id = around.span.span_id
             pending.span = self.tracer.start_span(
                 state.trace,
-                f"hop {sender_id}->{receiver_id}",
+                f"{kind} {sender_id}->{receiver_id}",
                 self.transport.now,
-                parent_id=state.trace_parent,
+                parent_id=parent_id,
                 sender=sender_id,
                 receiver=receiver_id,
-                level=level,
+                **place,
                 hop=hop,
                 branch=branch_index,
             )
-        if self.resilience is not None:
-            self._transmit(state, send_id, pending)
-            return
-        if not self._has_node(receiver_id):
-            self._fail_send(state, send_id, pending)
-            return
-        result = state.result
-        result.messages += 1
-        result.forwarding_steps.append((sender_id, receiver_id, hop))
-        message = Message.__new__(Message)
-        message.sender = sender_id
-        message.receiver = receiver_id
-        message.kind = self.message_kind
-        message.payload = None
-        message.hop = hop
-        message.query_id = result.query_id
-        message.metadata = metadata = {
-            "handler": self._dispatch,
-            "on_drop": self._on_drop,
-            "level": level,
-            "branch": branch_index,
-            "send": send_id,
-        }
-        if pending.span is not None:
-            metadata["trace"] = state.trace.trace_id
-            metadata["span"] = pending.span.span_id
-        self._send(message)
-
-    def _fail_send(self, state: QueryState, send_id: int, pending: _PendingSend) -> None:
-        """Settle a send whose receiver is gone before transmission.
-
-        No message went on the wire, so the ``drops`` ledger (overlay-
-        reported losses) is *not* charged; the outcome shows up as a
-        reroute or a lost subtree."""
-        if pending.timer is not None:
-            pending.timer.cancel()
-        state.pending.pop(send_id, None)
-        if pending.detour:
-            state.detoured.add((pending.branch_index, pending.receiver))
-        if pending.span is not None:
-            self.tracer.end_span(pending.span, self.transport.now, status="unreachable")
-        policy = self.resilience
-        rerouted = 0
-        if policy is not None and policy.reroute:
-            rerouted = self._reroute(state, pending)
-        if rerouted == 0:
-            state.result.resilience.subtrees_lost += 1
-        if not state.processing:
-            self._maybe_complete(state)
+        self._transmit(state, send_id, pending)
 
     def _transmit(self, state: QueryState, send_id: int, pending: _PendingSend) -> None:
-        """Put one physical copy of a logical send on the wire."""
-        if not self._has_node(pending.receiver):
-            # The receiver departed the overlay between the neighbour-table
-            # lookup and this send (abrupt churn): degrade like a drop
-            # instead of crashing the whole simulation on NetworkError.
-            self._fail_send(state, send_id, pending)
+        """Put one physical copy of a logical send on the wire.
+
+        A receiver that left the overlay before the send (abrupt churn)
+        degrades into a write-off instead of crashing the whole simulation
+        on ``NetworkError``.  With a policy the per-hop timer is armed
+        before the send, so on the simulator it precedes the delivery in
+        scheduler order.
+        """
+        receiver = pending.receiver
+        if not self._has_node(receiver):
+            self._write_off(state, send_id, pending, "unreachable")
             return
         result = state.result
         result.messages += 1
-        result.forwarding_steps.append((pending.sender, pending.receiver, pending.hop))
-        if self.resilience is not None:
-            # Detour messages model multi-hop routes and carry a latency
-            # override > 1; their timers must budget for the longer transit
-            # or they would "time out" while legitimately still in flight.
-            transit = pending.latency if pending.latency is not None else 1.0
-            pending.timer = self.transport.schedule_after(
-                self.resilience.per_hop_timeout + (transit - 1.0),
-                lambda: self._on_timeout(state, send_id),
-                label="hop-timeout",
-            )
-        metadata: Dict[str, Any] = {
+        result.forwarding_steps.append((pending.sender, receiver, pending.hop))
+        message = Message.__new__(Message)
+        message.sender = pending.sender
+        message.receiver = receiver
+        message.kind = self.message_kind
+        message.payload = None
+        message.hop = pending.hop
+        message.query_id = result.query_id
+        message.metadata = metadata = {
             "handler": self._dispatch,
             "on_drop": self._on_drop,
             "level": pending.level,
@@ -625,26 +663,22 @@ class ResumableExecutor:
         if pending.span is not None:
             metadata["trace"] = state.trace.trace_id
             metadata["span"] = pending.span.span_id
-        self._send(
-            Message(
-                sender=pending.sender,
-                receiver=pending.receiver,
-                kind=self.message_kind,
-                hop=pending.hop,
-                query_id=result.query_id,
-                metadata=metadata,
+        policy = self.resilience
+        if policy is not None:
+            # Detour messages model multi-hop routes and carry a latency
+            # override > 1; their timers must budget for the longer transit
+            # or they would "time out" while legitimately still in flight.
+            transit = pending.latency if pending.latency is not None else 1.0
+            pending.timer = self.transport.schedule_after(
+                policy.per_hop_timeout + (transit - 1.0),
+                lambda: self._on_timeout(state, send_id),
+                label="hop-timeout",
             )
-        )
+        self._send(message)
 
     # ------------------------------------------------------------------ #
     # sibling rerouting                                                    #
     # ------------------------------------------------------------------ #
-
-    def _detour_candidates(self, prefix: str, branch: Any) -> Sequence[str]:
-        """Live peers covering namespace slice ``prefix`` that could be
-        destinations of ``branch``.  Executors with pruning knowledge
-        override this; the default (no candidates) disables rerouting."""
-        return ()
 
     def _reroute(self, state: QueryState, pending: _PendingSend) -> int:
         """Route around a dead next hop; returns the number of detours sent.
@@ -652,54 +686,33 @@ class ResumableExecutor:
         The dead receiver's FRT subtree covers the namespace slice
         ``descendant_prefix(receiver, level, dest_level)`` — a *nameable*
         region, so the sender can fall back to FISSIONE point-to-point
-        routing and contact the covering peers directly.  The detour is
-        modelled as one overlay message per candidate, charged the tree
-        hops it replaces plus ``detour_hop_penalty`` in both hop count and
-        delivery latency.  A candidate that fails as well is never
-        re-detoured (``state.detoured``), so recovery always terminates.
+        routing and contact the covering peers directly: every live peer
+        compatible with the slice that passes the branch's destination test
+        (:meth:`_intersects`), in PeerID order.  The detour is modelled as
+        one overlay message per target, charged the tree hops it replaces
+        plus ``detour_hop_penalty`` in both hop count and delivery latency.
+        A target that fails as well is never re-detoured (``state.detoured``),
+        so recovery always terminates.
         """
-        policy = self.resilience
-        branch = state.branches[pending.branch_index]
-        dest_level = getattr(branch, "dest_level", None)
-        if policy is None or dest_level is None:
-            return 0
+        branch_index = pending.branch_index
+        branch = state.branches[branch_index]
+        dest_level = branch.dest_level
         prefix = descendant_prefix(pending.receiver, pending.level, dest_level)
         if not prefix:
             return 0  # the subtree covers the whole namespace: not nameable
-        stats = state.result.resilience
+        hop = pending.hop + (dest_level - pending.level) + self.resilience.detour_hop_penalty
         sent = 0
-        for target in self._detour_candidates(prefix, branch):
-            if target == pending.receiver:
+        for target in self.network.compatible_peers(prefix):
+            if (
+                target == pending.receiver
+                or (branch_index, target) in state.detoured
+                or not self._has_node(target)
+                or not self._intersects(branch, target)
+            ):
                 continue
-            if (pending.branch_index, target) in state.detoured:
-                continue
-            if not self.transport.has_node(target):
-                continue
-            extra_hops = (dest_level - pending.level) + policy.detour_hop_penalty
-            send_id = next(self._send_ids)
-            detour = _PendingSend(
-                sender=pending.sender,
-                receiver=target,
-                level=dest_level,
-                hop=pending.hop + extra_hops,
-                branch_index=pending.branch_index,
-                latency=float(max(1, extra_hops)),
-                detour=True,
+            state.result.resilience.reroutes += 1
+            self._forward_message(
+                pending.sender, target, dest_level, hop, branch_index, state, around=pending
             )
-            if state.trace is not None:
-                detour.span = self.tracer.start_span(
-                    state.trace,
-                    f"detour {pending.sender}->{target}",
-                    self.transport.now,
-                    parent_id=pending.span.span_id if pending.span is not None else None,
-                    sender=pending.sender,
-                    receiver=target,
-                    around=pending.receiver,
-                    hop=detour.hop,
-                    branch=pending.branch_index,
-                )
-            state.pending[send_id] = detour
-            stats.reroutes += 1
-            self._transmit(state, send_id, detour)
             sent += 1
         return sent

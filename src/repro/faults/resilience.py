@@ -5,8 +5,9 @@ configured through :class:`ResiliencePolicy`:
 
 * **per-hop timeouts with bounded retries** — every forwarding message is
   guarded by a timer; a message that is neither processed nor explicitly
-  declared lost within ``per_hop_timeout`` simulated units is retransmitted,
-  up to ``max_retries`` times.  Drop *notifications* (the simulator's way of
+  declared lost within ``per_hop_timeout`` (transport clock units:
+  simulated units on the simulator, seconds live) is retransmitted, up to
+  ``max_retries`` times.  Drop *notifications* (the simulator's way of
   modelling loss) do not short-circuit the timer: detection always costs a
   timeout, exactly as it would in a deployment without an oracle;
 * **sibling rerouting** — once retries to a next hop are exhausted the
@@ -14,9 +15,12 @@ configured through :class:`ResiliencePolicy`:
   forward-routing-tree subtree as direct detour messages to the live peers
   covering the subtree's namespace (see
   :meth:`repro.core.resumable.ResumableExecutor._reroute`);
-* **query deadlines** — the concurrent engine force-completes queries that
-  outlive their deadline as *failed* instead of letting them leak
-  (:class:`repro.engine.QueryEngine`).
+* **query deadlines** — a query started with ``deadline=`` gets one
+  deadline timer, armed by the executor itself
+  (:meth:`repro.core.resumable.ResumableExecutor._launch`); a query that
+  outlives it is force-completed as *failed* instead of leaking.  The
+  layers above (:class:`repro.engine.QueryEngine`, the sessions, the
+  gateway) only say what the bound is.
 
 :class:`ResilienceStats` is the per-query ledger of everything the policy
 did (and everything the network did to the query); it travels on
@@ -37,9 +41,11 @@ class ResiliencePolicy:
     Attributes
     ----------
     per_hop_timeout:
-        Simulated time a forwarding message may stay unacknowledged before
-        it is considered lost.  Must exceed the per-hop delivery latency
-        (1.0 under the paper's hop metric) or healthy messages time out.
+        Time, in the transport's clock units (simulated units on the
+        simulator, seconds live), a forwarding message may stay
+        unacknowledged before it is considered lost.  Must exceed the
+        per-hop delivery latency (1.0 simulated unit under the paper's hop
+        metric) or healthy messages time out.
     max_retries:
         Retransmissions attempted per hop after the initial send.
     reroute:

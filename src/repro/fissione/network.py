@@ -44,21 +44,19 @@ class FissioneError(RuntimeError):
 class FissioneNetwork:
     """Membership, zone ownership and neighbour computation for FISSIONE.
 
-    Topology-derived lookups (out-/in-neighbour tables, owner-of-prefix
-    resolution) are cached between membership changes: the tables are
-    recomputed lazily per peer and every join or departure invalidates all
-    of them at once.  Queries vastly outnumber membership changes in every
-    experiment, so the event loop's per-hop neighbour and owner lookups
-    become dictionary hits instead of repeated Kautz-string derivations.
+    The out-/in-neighbour tables are cached between membership changes:
+    they are recomputed lazily per peer and every join or departure
+    invalidates all of them at once.  Queries vastly outnumber membership
+    changes in every experiment, so the event loop's per-hop neighbour
+    lookups become dictionary hits instead of repeated Kautz-string
+    derivations.  Ownership is not cached: it is two bisects of the sorted
+    PeerID list.
 
     The maximum PeerID length is not a cache: a ``{length: count}``
     histogram is updated by each added or removed peer, so no join or
     leave rescans the membership for it.  Prefix questions are answered by
     bisecting the sorted PeerID list, which is the overlay's prefix index.
     """
-
-    #: owner-cache capacity; a full cache is cleared, not grown (see owner_id)
-    _OWNER_CACHE_MAX = 1 << 17
 
     def __init__(
         self,
@@ -79,7 +77,6 @@ class FissioneNetwork:
         # Topology caches, invalidated wholesale on membership changes.
         self._out_cache: Dict[str, Tuple[str, ...]] = {}
         self._in_cache: Dict[str, Tuple[str, ...]] = {}
-        self._owner_cache: Dict[str, str] = {}
         # Exact at all times: PeerID length -> number of peers of that length.
         self._length_counts: Dict[int, int] = {}
         self._max_len = 0
@@ -194,29 +191,14 @@ class FissioneNetwork:
         """PeerID of the peer whose zone contains ``key``.
 
         ``key`` may be a full ObjectID or any Kautz string at least as long
-        as the deepest PeerID; ownership is determined by prefix.  Because
-        ownership only ever depends on the first ``max_id_length()`` symbols
-        of ``key``, the lookup key is truncated to that length and the
-        resolution is cached per prefix — the per-hop ``next hop`` lookup of
-        FISSIONE routing becomes a dictionary hit on a static topology.
+        as the deepest PeerID; ownership is determined by prefix, so only the
+        first ``max_id_length()`` symbols of ``key`` are looked at.
         """
         if not self._sorted_ids:
             raise FissioneError("network is empty")
         limit = self.max_id_length()
-        probe = key if len(key) <= limit else key[:limit]
-        cached = self._owner_cache.get(probe)
-        if cached is None:
-            cached = self._owner_id_uncached(probe)
-            # Epoch-style bound: on a static topology distinct probes can
-            # keep arriving forever (one per routed window), so reset the
-            # cache once it fills rather than letting it grow unbounded.
-            if len(self._owner_cache) >= self._OWNER_CACHE_MAX:
-                self._owner_cache.clear()
-            self._owner_cache[probe] = cached
-        return cached
-
-    def _owner_id_uncached(self, key: str) -> str:
-        """The bisect-based ownership resolution behind :meth:`owner_id`."""
+        if len(key) > limit:
+            key = key[:limit]
         index = bisect.bisect_right(self._sorted_ids, key) - 1
         if index < 0:
             # ``key`` sorts before every PeerID; with a complete cover this
@@ -548,8 +530,6 @@ class FissioneNetwork:
             self._out_cache.clear()
         if self._in_cache:
             self._in_cache.clear()
-        if self._owner_cache:
-            self._owner_cache.clear()
 
     def _add_peer(self, peer: FissionePeer) -> None:
         if peer.peer_id in self._peers:

@@ -10,6 +10,7 @@ from repro.core.armada import ArmadaSystem
 from repro.engine import QueryEngine, QueryJob
 from repro.faults import CrashStop, FaultInjector, FaultPlan, IidLoss, ResiliencePolicy
 from repro.faults.resilience import ResilienceStats, default_deadline
+from repro.obs.spans import Tracer
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.values import uniform_values
 
@@ -203,6 +204,71 @@ class TestExecutorCancel:
         # Cancelling again (or cancelling the unknown) is a no-op.
         assert system.pira.cancel(result.query_id) is False
         system.overlay.run()  # late deliveries for the dead query are ignored
+
+
+def single_send_receiver(origin: str) -> str:
+    """A peer the origin forwards to that no other send of the query reaches,
+    so losing that one send loses exactly one subtree."""
+    reference = build_system().range_query(LOW, HIGH, origin=origin)
+    receivers = [receiver for _sender, receiver, _hop in reference.forwarding_steps]
+    return next(
+        receiver
+        for sender, receiver, _hop in reference.forwarding_steps
+        if sender == origin and receivers.count(receiver) == 1
+    )
+
+
+class TestOneWriteOff:
+    """However a send is lost, the executor settles it the same way: the hop
+    span closes with the cause, and the subtree is rerouted or counted lost.
+
+    The last cause is a join split renaming a receiver while the query's
+    message to it is in flight, the overlay not refreshed: nobody searches
+    the subtree behind it, so the verdict is ``partial``, not ``ok``."""
+
+    @pytest.mark.parametrize(
+        "cause, policy, drops, timeouts, retries, span_status",
+        [
+            ("unreachable before the send", None, 0, 0, 0, "unreachable"),
+            (
+                "timeout after the retries",
+                ResiliencePolicy(per_hop_timeout=2.0, max_retries=1, reroute=False),
+                2,
+                2,
+                1,
+                "timeout",
+            ),
+            ("drop without a policy", None, 1, 0, 0, "dropped"),
+            ("delivery to a departed PeerID", None, 0, 0, 0, "unreachable"),
+        ],
+    )
+    def test_one_lost_send_is_one_lost_subtree(
+        self, cause, policy, drops, timeouts, retries, span_status
+    ):
+        system = build_system()
+        origin = system.network.peer_ids()[0]
+        victim = single_send_receiver(origin)
+        system.set_resilience(policy)
+        tracer = Tracer()
+        system.pira.set_tracer(tracer, all_queries=True)
+        if cause == "unreachable before the send":
+            system.overlay.unregister(victim)
+        elif cause != "delivery to a departed PeerID":
+            system.crash_peer(victim)
+        result = system.pira.start(origin, [(LOW, HIGH)])
+        if cause == "delivery to a departed PeerID":
+            system.network.join(target_key=victim)  # the overlay is not refreshed
+            assert not system.network.has_peer(victim)
+        system.overlay.run()
+
+        stats = result.resilience
+        assert (stats.drops, stats.timeouts, stats.retries) == (drops, timeouts, retries)
+        assert (stats.reroutes, stats.subtrees_lost) == (0, 1)
+        assert not stats.deadline_expired
+        assert result.status == "partial"
+        trace = tracer.completed[f"pira-{result.query_id}"]
+        [hop] = [span for span in trace.spans if span.name == f"hop {origin}->{victim}"]
+        assert hop.status == span_status
 
 
 class TestEngineDeadline:
