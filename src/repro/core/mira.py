@@ -10,7 +10,13 @@ interval preserving:
   the query's ObjectIDs, so it is never used as a filter;
 * the forwarding and destination predicates ask whether the axis-aligned box
   represented by a label prefix in the multi-attribute partition tree
-  intersects the query box (:meth:`MultiAttributeNamer.box_for_label`).
+  intersects the query box.  A neighbour's label is the relay's own label
+  plus the symbols the Kautz shift adds, so each forwarding message carries
+  its receiver's :class:`~repro.core.multiple_hash.Walk` (the send's
+  ``region``) and the receiver extends it by only those symbols
+  (:meth:`MultiAttributeNamer.walk`).  A label is walked from the root
+  only at the origin, for a detour target, or when it does not extend the
+  relay's own; nothing is memoised.
 
 Delay remains bounded by the FRT height, i.e. by the origin's PeerID length:
 less than ``2 log N`` worst case, less than ``log N`` on average, regardless
@@ -27,10 +33,11 @@ counting — so any number of MIRA (and PIRA) queries overlap on one clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.frt import descendant_prefix, longest_suffix_prefix
-from repro.core.multiple_hash import Box
+from repro.core.frt import longest_suffix_prefix
+from repro.core.multiple_hash import Walk
 from repro.core.pira import RangeQueryResult
 from repro.core.resumable import QueryState, ResumableExecutor
 from repro.fissione.peer import FissionePeer, StoredObject
@@ -39,12 +46,17 @@ from repro.kautz import strings as ks
 
 @dataclass(slots=True)
 class _MiraQuery:
-    """Per-subtree forwarding state: the clipped query box, the ranges, the
-    destination level, and the visited FRT occurrences (a per-peer level
-    bitmask, see :meth:`~repro.core.resumable.ResumableExecutor._dispatch`)."""
+    """Per-subtree forwarding state: the query box clipped to the subtree
+    (``lows`` / ``highs``, what the pruning test meets), the query's own
+    bounds (``key_lows`` / ``key_highs``, what a destination filters by),
+    the destination level, and the visited FRT occurrences (a per-peer
+    level bitmask, see
+    :meth:`~repro.core.resumable.ResumableExecutor._dispatch`)."""
 
-    query_box: Box
-    ranges: Tuple[Tuple[float, float], ...]
+    lows: Tuple[float, ...]
+    highs: Tuple[float, ...]
+    key_lows: Tuple[float, ...]
+    key_highs: Tuple[float, ...]
     dest_level: int
     visited: Dict[str, int] = field(default_factory=dict)
 
@@ -77,6 +89,7 @@ class MiraExecutor(ResumableExecutor):
         attribute) without running the simulator — the same call, with the
         same keywords, as :meth:`repro.core.pira.PiraExecutor.start`."""
         query_box = self.namer.query_box(ranges)
+        key_lows, key_highs = zip(*((float(low), float(high)) for low, high in ranges))
         query_id = self._claim_query_id(origin_peer_id, query_id)
         state = QueryState(result=RangeQueryResult(origin=origin_peer_id, query_id=query_id))
         # Like PIRA's sub-region split, the query is processed once per
@@ -93,9 +106,7 @@ class MiraExecutor(ResumableExecutor):
             com_s = longest_suffix_prefix(origin_peer_id, com_t)
             state.branches.append(
                 _MiraQuery(
-                    query_box=clipped,
-                    ranges=tuple((float(low), float(high)) for low, high in ranges),
-                    dest_level=len(origin_peer_id) - len(com_s),
+                    *clipped.bounds(), key_lows, key_highs, len(origin_peer_id) - len(com_s)
                 )
             )
         return self._launch(state, deadline, on_complete, on_destination, trace)
@@ -115,10 +126,7 @@ class MiraExecutor(ResumableExecutor):
 
     def _intersects(self, subtree: _MiraQuery, label: str) -> bool:
         """True when the partition-tree box of ``label`` intersects the query box."""
-        if label == "":
-            return True
-        clipped = label[: self.namer.length]
-        return self.namer.box_for_label(clipped).intersects(subtree.query_box)
+        return self.namer.walk(label[: self.namer.length]).meets(subtree.lows, subtree.highs)
 
     def _process(
         self,
@@ -127,30 +135,52 @@ class MiraExecutor(ResumableExecutor):
         hop: int,
         branch_index: int,
         state: QueryState,
+        region: Optional[Walk] = None,
     ) -> None:
         """Fan out from ``peer``, a relay at FRT level ``level``, to the
         out-neighbours whose destination-level descendants' box meets the
-        query box."""
+        query box.
+
+        ``region`` is the walk of the relay's own label (the slice of its
+        PeerID its sender tested; walked here at the origin).  Each
+        neighbour's label (inlined ``descendant_prefix`` cut to the tree
+        depth) is the relay's label shifted by one PeerID symbol, so it
+        usually extends the relay's label: that walk is extended by the one
+        or two symbols added, and only a label that does not extend it is
+        walked from the root.  Each kept neighbour's walk rides its send.
+        The test is :meth:`Walk.meets`, inlined: it runs once per neighbour
+        of every relay.
+        """
         subtree = state.branches[branch_index]
-        for neighbor_id in self.network.out_neighbors_view(peer.peer_id):
-            prefix = descendant_prefix(neighbor_id, level + 1, subtree.dest_level)
-            if self._intersects(subtree, prefix):
-                self._forward_message(
-                    peer.peer_id, neighbor_id, level + 1, hop + 1, branch_index, state
-                )
+        peer_id = peer.peer_id
+        next_level = level + 1
+        drop = subtree.dest_level - next_level
+        end = drop + self.namer.length
+        own = peer_id[drop + 1 : end + 1]
+        walk = self.namer.walk
+        region = walk(own) if region is None else region
+        cut = len(own)
+        lows, highs = subtree.lows, subtree.highs
+        forward = self._forward_message
+        for neighbor_id in self._out_view(peer_id):
+            label = neighbor_id[drop:end]
+            child = walk(label[cut:], region) if label[:cut] == own else walk(label)
+            if all(map(le, child.lows, highs)) and all(map(le, lows, child.highs)):
+                forward(peer_id, neighbor_id, next_level, hop + 1, branch_index, state, child)
 
     def _scan(
         self, peer: FissionePeer, subtree: _MiraQuery, state: QueryState
     ) -> List[StoredObject]:
         """A destination's matches: its objects whose key tuple lies in the
-        query box (``Multiple_hash`` keeps no key order to slice)."""
+        query box, bucket by bucket as the store's view holds them
+        (``Multiple_hash`` keeps no key order to slice)."""
         dimensions = self.namer.dimensions
         return [
             stored
-            for stored in peer.objects()
+            for bucket in peer.backend.view.values()
+            for stored in bucket
             if isinstance(stored.key, (tuple, list))
             and len(stored.key) == dimensions
-            and all(
-                low <= value <= high for value, (low, high) in zip(stored.key, subtree.ranges)
-            )
+            and all(map(le, subtree.key_lows, stored.key))
+            and all(map(le, stored.key, subtree.key_highs))
         ]

@@ -9,13 +9,19 @@ box, each leaf a small box, and the leaf label is the object's ObjectID.
 
 ``Multiple_hash`` preserves the coordinate-wise partial order (Definition 4)
 but not intervals, so MIRA cannot prune on a Kautz region alone: its pruning
-predicate is "does the box of this label prefix intersect the query box?",
-which :meth:`MultiAttributeNamer.box_for_label` provides.
+predicate is "does the box of this label prefix intersect the query box?".
+MIRA answers it with a carried :class:`Walk` — a descent stopped at a label,
+its box held as float bounds — that a relay extends by only the symbols each
+neighbour's label adds (:meth:`MultiAttributeNamer.walk`).
+:meth:`MultiAttributeNamer.box_for_label` is the same walk as a :class:`Box`,
+for the query's set-up, the oracle and the tests; it is not on the
+forwarding path.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from operator import le
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import NamingError, QueryError
 from repro.core.partition_tree import Interval
@@ -56,12 +62,6 @@ class Box:
             mine.intersects(theirs) for mine, theirs in zip(self._intervals, other._intervals)
         )
 
-    def replace(self, index: int, interval: Interval) -> "Box":
-        """A copy of the box with attribute ``index`` replaced."""
-        intervals = list(self._intervals)
-        intervals[index] = interval
-        return Box(intervals)
-
     def contains_box(self, other: "Box") -> bool:
         """True when ``other`` lies entirely inside this box."""
         if other.dimensions != self.dimensions:
@@ -82,9 +82,30 @@ class Box:
             ]
         )
 
+    def bounds(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """``(lows, highs)``: the per-attribute bounds a :class:`Walk` is
+        compared against."""
+        return tuple(i.low for i in self._intervals), tuple(i.high for i in self._intervals)
+
     def __repr__(self) -> str:
         parts = ", ".join(f"[{i.low:g}, {i.high:g}]" for i in self._intervals)
         return f"Box({parts})"
+
+
+class Walk(NamedTuple):
+    """A descent of the multi-attribute partition tree stopped at a label:
+    the label's box as per-attribute float bounds, its last symbol and its
+    depth.  Immutable, so a forwarding message can carry its receiver's
+    walk and the receiver extends it (:meth:`MultiAttributeNamer.walk`)."""
+
+    lows: Tuple[float, ...]
+    highs: Tuple[float, ...]
+    last: Optional[str]
+    depth: int
+
+    def meets(self, lows: Sequence[float], highs: Sequence[float]) -> bool:
+        """:meth:`Box.intersects` against the box ``(lows, highs)``."""
+        return all(map(le, self.lows, highs)) and all(map(le, lows, self.highs))
 
 
 class MultiAttributeNamer:
@@ -108,11 +129,7 @@ class MultiAttributeNamer:
         self._length = length
         self._base = base
         self._symbols = ks.symbol_table(base)
-        # label -> Box memo: MIRA's pruning predicate resolves the same
-        # label prefixes over and over (once per forwarding decision), and
-        # boxes are immutable, so sharing them is safe.  Bounded so a
-        # pathological label stream cannot grow it without limit.
-        self._box_cache: dict = {}
+        self._root = Walk(*self._space.bounds(), None, 0)
 
     @property
     def dimensions(self) -> int:
@@ -179,27 +196,48 @@ class MultiAttributeNamer:
             lows[attribute] = low + step * position
         return "".join(label)
 
-    def box_for_label(self, label: str) -> Box:
-        """The axis-aligned box represented by a label prefix (MIRA's pruning key)."""
-        cached = self._box_cache.get(label)
-        if cached is not None:
-            return cached
+    def walk(self, symbols: str, start: Optional[Walk] = None) -> Walk:
+        """``start`` (the root when ``None``) extended by ``symbols``.
+
+        Unchecked, for the forwarding path: ``symbols`` must continue
+        ``start``'s label as a Kautz string no deeper than the tree.  The
+        per-level float expressions are exactly :meth:`Interval.child`'s,
+        applied to the bounds of the attribute being split, so the bounds
+        are bit-identical to a descent over :class:`Box` objects.
+        """
+        walk = self._root if start is None else start
+        if not symbols:
+            return walk
+        lows, highs, previous, depth = list(walk.lows), list(walk.highs), walk.last, walk.depth
+        dimensions = len(lows)
+        for symbol in symbols:
+            choices = self._symbols[previous]
+            pieces = len(choices)
+            position = choices.index(symbol)
+            attribute = depth % dimensions
+            low = lows[attribute]
+            step = (highs[attribute] - low) / pieces
+            if position != pieces - 1:
+                highs[attribute] = low + step * (position + 1)
+            lows[attribute] = low + step * position
+            previous = symbol
+            depth += 1
+        # Allocated without the named tuple's ``__new__`` frame: this runs
+        # once per neighbour of every MIRA relay.
+        return tuple.__new__(Walk, (tuple(lows), tuple(highs), previous, depth))
+
+    def _checked_walk(self, label: str) -> Walk:
+        """:meth:`walk` from the root to ``label``, the label checked first."""
         ks.validate_kautz_string(label, base=self._base, allow_empty=True)
         if len(label) > self._length:
             raise NamingError(f"label {label!r} deeper than the tree depth {self._length}")
-        box = self._space
-        previous = None
-        for depth, symbol in enumerate(label):
-            choices = ks.allowed_symbols(previous, base=self._base)
-            position = choices.index(symbol)
-            attribute = depth % self.dimensions
-            interval = box.intervals[attribute]
-            box = box.replace(attribute, interval.child(position, len(choices)))
-            previous = symbol
-        if len(self._box_cache) >= 65536:
-            self._box_cache.clear()
-        self._box_cache[label] = box
-        return box
+        return self.walk(label)
+
+    def box_for_label(self, label: str) -> Box:
+        """The axis-aligned box represented by a label prefix: the
+        :class:`Box` of its :meth:`walk`."""
+        walk = self._checked_walk(label)
+        return Box([Interval(low, high) for low, high in zip(walk.lows, walk.highs)])
 
     # ------------------------------------------------------------------ #
     # range queries                                                        #
@@ -243,22 +281,27 @@ class MultiAttributeNamer:
         This is MIRA's analogue of the region common prefix ``ComT``: the
         query descends the partition tree while exactly one child subspace
         still contains the whole (clipped) query box, and the resulting label
-        determines the destination level of the forward routing tree.
+        determines the destination level of the forward routing tree.  One
+        descent: each level extends the last walk by one child's symbol.
         """
-        if not self.box_for_label(start).contains_box(box):
+        if box.dimensions != self.dimensions:
+            raise NamingError("boxes have different dimensionality")
+        lows, highs = box.bounds()
+        label, walk = start, self._checked_walk(start)
+        if not (all(map(le, walk.lows, lows)) and all(map(le, highs, walk.highs))):
             raise NamingError(f"label {start!r} does not contain the given box")
-        label = start
-        while len(label) < self._length:
-            previous = label[-1] if label else None
-            next_label = None
-            for symbol in ks.allowed_symbols(previous, base=self._base):
-                child = label + symbol
-                if self.box_for_label(child).contains_box(box):
-                    next_label = child
+        while walk.depth < self._length:
+            # The walk contains the box, and a child differs from it only on
+            # the attribute this level splits: contains_box is that one test.
+            split = walk.depth % len(lows)
+            for symbol in self._symbols[walk.last]:
+                child = self.walk(symbol, walk)
+                if child.lows[split] <= lows[split] and highs[split] <= child.highs[split]:
                     break
-            if next_label is None:
+            else:
                 break
-            label = next_label
+            walk = child
+            label += symbol
         return label
 
 

@@ -261,10 +261,11 @@ class PiraExecutor(ResumableExecutor):
         hop: int,
         branch_index: int,
         state: _QueryState,
+        region: None = None,
     ) -> None:
         """Fan out from ``peer``, a relay at FRT level ``level``, to the
         out-neighbours whose destination-level descendants can own ObjectIDs
-        of the sub-region."""
+        of the sub-region (PIRA's sends carry no ``region``)."""
         subquery = state.branches[branch_index]
         peer_id = peer.peer_id
         # Inlined ``descendant_prefix(neighbor_id, level + 1, dest_level)``:

@@ -68,8 +68,10 @@ A concrete executor supplies only its branches and its pruning:
 * ``start(origin, ranges, ...)`` as above, building ``state.branches`` —
   one record per PIRA sub-region / MIRA subtree, each carrying
   ``dest_level`` and a ``visited`` dict (see :meth:`ResumableExecutor._dispatch`);
-* ``_process(peer, level, hop, branch_index, state)`` — fan out from a
-  relay occurrence above the destination level;
+* ``_process(peer, level, hop, branch_index, state, region)`` — fan out
+  from a relay occurrence above the destination level; ``region`` is the
+  receiver's clipped region as the sender's pruning test left it, stored
+  on the send (``None`` at the origin, and always for PIRA);
 * ``_intersects(branch, label)`` — whether the namespace slice ``label``
   can hold matches of the branch (the destination test, also used to pick
   detour targets);
@@ -121,6 +123,9 @@ class _PendingSend:
     detour: bool = False
     #: open tracing span for this hop (only when the query is traced)
     span: Any = None
+    #: the receiver's clipped region as the sender's pruning test left it
+    #: (MIRA: the walk of its label; PIRA: ``None``), handed to ``_process``
+    region: Any = None
 
 
 @dataclass(slots=True)
@@ -367,7 +372,7 @@ class ResumableExecutor:
             state.processing = True
             try:
                 if level < branch.dest_level:
-                    self._process(peer, level, message.hop, branch_index, state)
+                    self._process(peer, level, message.hop, branch_index, state, pending.region)
                 elif self._reach(peer, message.hop, branch, state) and pending.detour:
                     state.result.resilience.recovered_destinations += 1
             finally:
@@ -377,9 +382,12 @@ class ResumableExecutor:
         if not (state.done or state.pending):
             self._maybe_complete(state)
 
-    def _process(self, peer: Any, level: int, hop: int, branch_index: int, state: QueryState) -> None:
+    def _process(
+        self, peer: Any, level: int, hop: int, branch_index: int, state: QueryState, region: Any
+    ) -> None:
         """Fan out from ``peer``, a relay occurrence at ``level`` < the
-        branch's destination level, to the neighbours the pruning test keeps."""
+        branch's destination level, to the neighbours the pruning test keeps
+        (``region``: the send's region, ``None`` at the origin)."""
         raise NotImplementedError
 
     def _intersects(self, branch: Any, label: str) -> bool:
@@ -584,16 +592,18 @@ class ResumableExecutor:
         hop: int,
         branch_index: int,
         state: QueryState,
+        region: Any = None,
         around: Optional[_PendingSend] = None,
     ) -> None:
         """Open one forwarding send and its span, then transmit it.
 
         A tree hop by default; with ``around`` (the failed send it replaces)
         a sibling-reroute detour, whose latency is the tree hops it replaces
-        plus the penalty — its hop count minus the failed send's.  This runs
-        once per edge of every forward routing tree — the hottest call in
-        the repository — so the slotted record is allocated without its
-        ``__init__`` frame.
+        plus the penalty — its hop count minus the failed send's.  ``region``
+        rides the send to the receiver's ``_process``; it never enters the
+        message.  This runs once per edge of every forward routing tree —
+        the hottest call in the repository — so the slotted record is
+        allocated without its ``__init__`` frame.
         """
         send_id = next(self._send_ids)
         pending = _PendingSend.__new__(_PendingSend)
@@ -607,6 +617,7 @@ class ResumableExecutor:
         pending.detour = around is not None
         pending.latency = None if around is None else float(max(1, hop - around.hop))
         pending.span = None
+        pending.region = region
         state.pending[send_id] = pending
         if state.trace is not None:
             if around is None:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import NamingError
-from repro.core.multiple_hash import MultiAttributeNamer
-from repro.core.partition_tree import PartitionTree
+from repro.core.multiple_hash import Box, MultiAttributeNamer
+from repro.core.partition_tree import Interval, PartitionTree
 from repro.core.single_hash import SingleAttributeNamer
 from repro.kautz import strings as ks
 
@@ -287,3 +287,102 @@ class TestMultipleHashTableWalk:
         key, point = case
         namer = MULTI_BASES[key]
         assert namer.name(point) == per_level_multi_descent(namer, point)
+
+
+# --------------------------------------------------------------------- #
+# MIRA's carried walk against the Box descent it replaced               #
+# --------------------------------------------------------------------- #
+
+WALKERS = {
+    (m, base): MultiAttributeNamer(intervals=SPACES[m], length=12, base=base)
+    for m in (2, 3)
+    for base in (2, 3)
+}
+
+
+def box_descent(namer: MultiAttributeNamer, label: str) -> Box:
+    """``box_for_label`` as it was written before the walk: one
+    ``Interval.child`` and one new ``Box`` per symbol."""
+    box = namer.space
+    previous = None
+    for depth, symbol in enumerate(label):
+        choices = ks.allowed_symbols(previous, base=namer.base)
+        attribute = depth % namer.dimensions
+        intervals = list(box.intervals)
+        intervals[attribute] = intervals[attribute].child(choices.index(symbol), len(choices))
+        box = Box(intervals)
+        previous = symbol
+    return box
+
+
+def containing_descent(namer: MultiAttributeNamer, box: Box, start: str) -> str:
+    """``containing_label`` as it was written before the walk: every child's
+    box resolved from the root."""
+    label = start
+    while len(label) < namer.length:
+        previous = label[-1] if label else None
+        for symbol in ks.allowed_symbols(previous, base=namer.base):
+            if box_descent(namer, label + symbol).contains_box(box):
+                label += symbol
+                break
+        else:
+            break
+    return label
+
+
+def exact(bounds):
+    """Bounds spelled bit for bit (``-0.0`` differs from ``0.0``)."""
+    return [[value.hex() for value in side] for side in bounds]
+
+
+@st.composite
+def split_labels_and_boxes(draw):
+    """A namer, a Kautz label cut into a prefix and an extension, and a query
+    box whose edges are anywhere in the space or on a partition boundary of
+    the label or one of its ancestors; about one box in four has a
+    zero-width side."""
+    key = draw(st.sampled_from(sorted(WALKERS)))
+    namer = WALKERS[key]
+    length = draw(st.integers(min_value=0, max_value=namer.length))
+    label = ""
+    if length:
+        rank = draw(st.integers(min_value=0, max_value=ks.space_size(namer.base, length) - 1))
+        label = ks.unrank(rank, length, base=namer.base)
+    cut = draw(st.integers(min_value=0, max_value=length))
+    ancestors = [box_descent(namer, label[:depth]) for depth in range(length + 1)]
+    intervals = []
+    for attribute, (low, high) in enumerate(SPACES[key[0]]):
+        sides = [box.intervals[attribute] for box in ancestors]
+        edges = sorted({side.low for side in sides} | {side.high for side in sides})
+        edge = st.one_of(
+            st.floats(min_value=low, max_value=high, allow_nan=False), st.sampled_from(edges)
+        )
+        first = draw(edge)
+        second = first if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(edge)
+        intervals.append(Interval(min(first, second), max(first, second)))
+    return key, label, cut, Box(intervals)
+
+
+class TestCarriedWalk:
+    @settings(max_examples=300)
+    @given(split_labels_and_boxes())
+    def test_extended_walk_meets_exactly_when_the_box_intersects(self, case):
+        key, label, cut, box = case
+        namer = WALKERS[key]
+        walk = namer.walk(label[cut:], namer.walk(label[:cut]))
+        reference = box_descent(namer, label)
+        assert walk.meets(*box.bounds()) == reference.intersects(box)
+        assert exact((walk.lows, walk.highs)) == exact(reference.bounds())
+        assert (walk.last, walk.depth) == (label[-1] if label else None, len(label))
+        assert exact(namer.box_for_label(label).bounds()) == exact(reference.bounds())
+
+    @given(split_labels_and_boxes())
+    def test_containing_label_is_the_per_child_descent(self, case):
+        key, label, _cut, box = case
+        namer = WALKERS[key]
+        for start in ("", label[:1], label[:3]):
+            if box_descent(namer, start).contains_box(box):
+                assert namer.containing_label(box, start) == containing_descent(namer, box, start)
+            else:
+                with pytest.raises(NamingError):
+                    namer.containing_label(box, start)

@@ -34,12 +34,6 @@ class TestBox:
         with pytest.raises(NamingError):
             Box([Interval(0, 1)]).intersects(Box([Interval(0, 1), Interval(0, 1)]))
 
-    def test_replace(self):
-        box = Box([Interval(0, 10), Interval(0, 10)])
-        replaced = box.replace(1, Interval(2, 3))
-        assert replaced.intervals[1].low == 2
-        assert box.intervals[1].low == 0  # original untouched
-
     def test_empty_box_rejected(self):
         with pytest.raises(NamingError):
             Box([])
