@@ -10,12 +10,12 @@ cannot strand a query, and the completion callback.
 A query's lifecycle has one place for each rule:
 
 * **one wire-writer** — :meth:`ResumableExecutor._transmit` counts a send,
-  builds its :class:`~repro.sim.network.Message`, arms its per-hop timer
-  and hands it to the transport; first sends, retries and detours all go
-  through it;
+  arms its per-hop timer and hands it to the transport; first sends,
+  retries and detours all go through it;
 * **one opener** — :meth:`ResumableExecutor._forward_message` opens a
-  pending send and its ``hop`` (or ``detour``) span, for tree hops and
-  sibling reroutes alike;
+  pending send — the :class:`~repro.sim.network.Message` itself, one
+  object however often it is transmitted — and its ``hop`` (or
+  ``detour``) span, for tree hops and sibling reroutes alike;
 * **one write-off** — :meth:`ResumableExecutor._write_off` settles a lost
   send, whatever lost it: a receiver unreachable before the send, a timeout
   after the last retry, an overlay drop with no timer to wait for, or a
@@ -99,30 +99,25 @@ from repro.sim.network import Message
 
 
 @dataclass(slots=True)
-class _PendingSend:
+class _PendingSend(Message):
     """One logical forwarding send awaiting processing (or settlement).
 
-    Retransmissions reuse the same logical send (and send id): physical
-    copies are indistinguishable on the wire and the first processed copy
-    wins; every later copy finds the send already settled and is ignored.
-    Slotted: one of these is allocated per forwarding message, on the
-    simulator's hottest path.
+    It is the :class:`~repro.sim.network.Message` the transport carries,
+    plus sender-side state that never crosses a socket.  Retransmissions
+    re-send the same object (and send id): physical copies are
+    indistinguishable on the wire and the first processed copy wins; every
+    later copy finds the send already settled and is ignored.  Slotted: one
+    of these is allocated per forwarding message, on the simulator's
+    hottest path, and nothing else is.
     """
 
-    sender: str
-    receiver: str
-    level: int
-    hop: int
-    branch_index: int
     attempts: int = 1
     #: per-hop timer (set only when a resilience policy is active)
     timer: Any = None
-    #: latency override for detour messages (they model multi-hop routes)
-    latency: Optional[float] = None
     #: True for sibling-reroute detours (recovered-destination accounting)
     detour: bool = False
     #: open tracing span for this hop (only when the query is traced)
-    span: Any = None
+    hop_span: Any = None
     #: the receiver's clipped region as the sender's pruning test left it
     #: (MIRA: the walk of its label; PIRA: ``None``), handed to ``_process``
     region: Any = None
@@ -174,12 +169,16 @@ class ResumableExecutor:
         self.network = network
         self.namer = namer
         self.transport = transport
-        # Hot-path bindings: one attribute lookup less per message.
+        # Hot-path bindings: one attribute lookup less per message, and the
+        # two hooks every send carries are bound once, not once per send.
         self._send = transport.send
         self._has_node = transport.has_node
+        self._handler = self._dispatch
+        self._drop_hook = self._on_drop
         # Bound once: the executor's network never changes, and the
         # neighbour-view lookup runs once per forwarding occurrence.
         self._out_view = network.out_neighbors_view
+        self._get_peer = network.get_peer
         self._query_ids = itertools.count(1)
         self._send_ids = itertools.count(1)
         self._active: Dict[int, QueryState] = {}
@@ -319,7 +318,7 @@ class ResumableExecutor:
         self._dispatch(None, network, message)
 
     def _dispatch(self, peer: Any, network: Any, message: Message) -> None:
-        """Per-message worker, registered as the ``handler`` metadata hook.
+        """Per-message worker, every send's ``handler`` hook.
 
         Carries the full dispatch body (rather than delegating to
         :meth:`handle_message`) because the overlay invokes it once per
@@ -340,15 +339,14 @@ class ResumableExecutor:
         state = self._active.get(message.query_id)
         if state is None:
             return
-        metadata = message.metadata
-        send_id = metadata.get("send")
+        send_id = message.send
         pending = state.pending.pop(send_id, None)
         if pending is None:
             # A duplicate (duplication fault or retransmission race) of a
             # send that was already processed or settled.
             return
         receiver = message.receiver
-        peer = self.network.get_peer(receiver)
+        peer = self._get_peer(receiver)
         if peer is None:
             # The PeerID left the topology while this copy was in flight (a
             # join split renamed it, or it departed before the overlay was
@@ -357,12 +355,12 @@ class ResumableExecutor:
             return
         if pending.timer is not None:
             pending.timer.cancel()
-        if pending.span is not None:
-            self.tracer.end_span(pending.span, self.transport.now)
+        if pending.hop_span is not None:
+            self.tracer.end_span(pending.hop_span, self.transport.now)
             # Sends fanned out while processing this hop parent under it.
-            state.trace_parent = pending.span.span_id
-        level = metadata["level"]
-        branch_index = metadata["branch"]
+            state.trace_parent = pending.span
+        level = message.level
+        branch_index = message.branch
         branch = state.branches[branch_index]
         visited = branch.visited
         bit = 1 << level
@@ -427,20 +425,18 @@ class ResumableExecutor:
         state = self._active.get(message.query_id)
         if state is None:
             return
-        send_id = message.metadata.get("send")
+        send_id = message.send
         pending = state.pending.get(send_id)
         if pending is None:
             return  # a copy of a send that already settled
         state.result.resilience.drops += 1
         if self.resilience is None or pending.timer is None:
             self._write_off(state, send_id, pending, "dropped")
-        elif pending.span is not None:
+        elif pending.hop_span is not None:
             # Timeout-based detection: the send stays open and its timer
             # will fire, retry, and eventually fail it.  Real systems learn
             # about loss by waiting, not from the simulator's oracle.
-            self.tracer.event(
-                state.trace, "drop", self.transport.now, parent_id=pending.span.span_id
-            )
+            self.tracer.event(state.trace, "drop", self.transport.now, parent_id=pending.span)
 
     def _on_timeout(self, state: QueryState, send_id: int) -> None:
         """A per-hop timer fired before the send was acknowledged: retry
@@ -459,12 +455,12 @@ class ResumableExecutor:
         ):
             pending.attempts += 1
             stats.retries += 1
-            if pending.span is not None:
+            if pending.hop_span is not None:
                 self.tracer.event(
                     state.trace,
                     "retry",
                     self.transport.now,
-                    parent_id=pending.span.span_id,
+                    parent_id=pending.span,
                     attempt=pending.attempts,
                 )
             self._transmit(state, send_id, pending)
@@ -486,10 +482,10 @@ class ResumableExecutor:
         state.pending.pop(send_id, None)
         if pending.timer is not None:
             pending.timer.cancel()
-        if pending.span is not None:
-            self.tracer.end_span(pending.span, self.transport.now, status=status)
+        if pending.hop_span is not None:
+            self.tracer.end_span(pending.hop_span, self.transport.now, status=status)
         if pending.detour:
-            state.detoured.add((pending.branch_index, pending.receiver))
+            state.detoured.add((pending.branch, pending.receiver))
         policy = self.resilience
         if (
             status == "dropped"
@@ -600,33 +596,35 @@ class ResumableExecutor:
         A tree hop by default; with ``around`` (the failed send it replaces)
         a sibling-reroute detour, whose latency is the tree hops it replaces
         plus the penalty — its hop count minus the failed send's.  ``region``
-        rides the send to the receiver's ``_process``; it never enters the
-        message.  This runs once per edge of every forward routing tree —
-        the hottest call in the repository — so the slotted record is
-        allocated without its ``__init__`` frame.
+        rides the send to the receiver's ``_process``; it never crosses a
+        socket.  This runs once per edge of every forward routing tree —
+        the hottest call in the repository — so the slotted record (the
+        message itself) is allocated without its ``__init__`` frame.
         """
         send_id = next(self._send_ids)
         pending = _PendingSend.__new__(_PendingSend)
         pending.sender = sender_id
         pending.receiver = receiver_id
-        pending.level = level
+        pending.kind = self.message_kind
         pending.hop = hop
-        pending.branch_index = branch_index
-        pending.attempts = 1
-        pending.timer = None
-        pending.detour = around is not None
+        pending.query_id = state.result.query_id
+        pending.level = level
+        pending.branch = branch_index
+        pending.send = send_id
         pending.latency = None if around is None else float(max(1, hop - around.hop))
-        pending.span = None
+        pending.trace = pending.span = pending.hop_span = pending.timer = None
+        pending.handler = self._handler
+        pending.on_drop = self._drop_hook
+        pending.attempts = 1
+        pending.detour = around is not None
         pending.region = region
         state.pending[send_id] = pending
         if state.trace is not None:
             if around is None:
                 kind, parent_id, place = "hop", state.trace_parent, {"level": level}
             else:
-                kind, parent_id, place = "detour", None, {"around": around.receiver}
-                if around.span is not None:
-                    parent_id = around.span.span_id
-            pending.span = self.tracer.start_span(
+                kind, parent_id, place = "detour", around.span, {"around": around.receiver}
+            pending.hop_span = self.tracer.start_span(
                 state.trace,
                 f"{kind} {sender_id}->{receiver_id}",
                 self.transport.now,
@@ -637,6 +635,8 @@ class ResumableExecutor:
                 hop=hop,
                 branch=branch_index,
             )
+            pending.trace = state.trace.trace_id
+            pending.span = pending.hop_span.span_id
         self._transmit(state, send_id, pending)
 
     def _transmit(self, state: QueryState, send_id: int, pending: _PendingSend) -> None:
@@ -655,37 +655,18 @@ class ResumableExecutor:
         result = state.result
         result.messages += 1
         result.forwarding_steps.append((pending.sender, receiver, pending.hop))
-        message = Message.__new__(Message)
-        message.sender = pending.sender
-        message.receiver = receiver
-        message.kind = self.message_kind
-        message.payload = None
-        message.hop = pending.hop
-        message.query_id = result.query_id
-        message.metadata = metadata = {
-            "handler": self._dispatch,
-            "on_drop": self._on_drop,
-            "level": pending.level,
-            "branch": pending.branch_index,
-            "send": send_id,
-        }
-        if pending.latency is not None:
-            metadata["latency"] = pending.latency
-        if pending.span is not None:
-            metadata["trace"] = state.trace.trace_id
-            metadata["span"] = pending.span.span_id
         policy = self.resilience
         if policy is not None:
-            # Detour messages model multi-hop routes and carry a latency
-            # override > 1; their timers must budget for the longer transit
-            # or they would "time out" while legitimately still in flight.
-            transit = pending.latency if pending.latency is not None else 1.0
+            # A detour models a multi-hop route and carries a latency > 1;
+            # its timer budgets for whatever the extra hops cost on this
+            # transport, or it would "time out" while legitimately in flight.
+            extra_hops = 0.0 if pending.latency is None else pending.latency - 1.0
             pending.timer = self.transport.schedule_after(
-                policy.per_hop_timeout + (transit - 1.0),
+                policy.per_hop_timeout + extra_hops * self.transport.detour_hop_transit,
                 lambda: self._on_timeout(state, send_id),
                 label="hop-timeout",
             )
-        self._send(message)
+        self._send(pending)
 
     # ------------------------------------------------------------------ #
     # sibling rerouting                                                    #
@@ -705,7 +686,7 @@ class ResumableExecutor:
         A target that fails as well is never re-detoured (``state.detoured``),
         so recovery always terminates.
         """
-        branch_index = pending.branch_index
+        branch_index = pending.branch
         branch = state.branches[branch_index]
         dest_level = branch.dest_level
         prefix = descendant_prefix(pending.receiver, pending.level, dest_level)

@@ -48,6 +48,12 @@ class TimerHandle(Protocol):
 class Transport(Protocol):
     """What a query executor needs from the layer that moves its messages."""
 
+    #: clock units each routed hop of a detour beyond the first adds to its
+    #: transit — what the per-hop timer of a detour allows on top of the
+    #: policy's timeout (the overlay delays a detour by its ``latency`` in
+    #: hops; a socket carries it as one hop)
+    detour_hop_transit: float
+
     @property
     def now(self) -> float:
         """The current time on this transport's clock (simulated units or
@@ -58,7 +64,7 @@ class Transport(Protocol):
 
         Must not raise for a receiver that disappeared after the caller's
         :meth:`has_node` check — undeliverable messages surface through the
-        message's ``on_drop`` metadata callback instead.
+        message's ``on_drop`` hook instead.
         """
 
     def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Any:

@@ -73,6 +73,10 @@ class FissioneNetwork:
         #: (volatile) memory backend every peer had before the seam
         self.store_factory = store_factory
         self._peers: Dict[str, FissionePeer] = {}
+        #: peer by PeerID, or ``None`` when absent — the hot-path variant of
+        #: :meth:`has_peer` + :meth:`peer` (the per-message dispatch asks
+        #: both about one id), bound to the table's own ``get``: no frame
+        self.get_peer: Callable[[str], Optional[FissionePeer]] = self._peers.get
         self._sorted_ids: List[str] = []
         # Topology caches, invalidated wholesale on membership changes.
         self._out_cache: Dict[str, Tuple[str, ...]] = {}
@@ -143,15 +147,6 @@ class FissioneNetwork:
     def has_peer(self, peer_id: str) -> bool:
         """True when a peer with that PeerID exists."""
         return peer_id in self._peers
-
-    def get_peer(self, peer_id: str) -> Optional[FissionePeer]:
-        """Peer by PeerID, or ``None`` when absent.
-
-        Hot-path variant of :meth:`has_peer` + :meth:`peer`: the per-message
-        dispatch asks both questions about the same id, and one dictionary
-        probe answers them together.
-        """
-        return self._peers.get(peer_id)
 
     def peers(self) -> Iterable[FissionePeer]:
         """Iterate over peers in lexicographic PeerID order."""

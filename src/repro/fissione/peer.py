@@ -118,7 +118,7 @@ class FissionePeer:
 
     def handle_message(self, network, message) -> None:  # pragma: no cover - thin shim
         """Messages are dispatched by the query-processing layer, not the peer."""
-        handler = message.metadata.get("handler")
+        handler = message.handler
         if handler is not None:
             handler(self, network, message)
 

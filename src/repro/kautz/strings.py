@@ -15,8 +15,9 @@ The functions here implement the pieces Armada's naming and routing need:
   interval of length-``k`` Kautz strings owned by a prefix,
 * counting and rank/unrank within ``KautzSpace(d, k)``.
 
-Functions whose inputs repeat across queries -- validation of PeerIDs,
-the alphabet's symbol tables, prefix extensions -- are memoised.  Values
+Functions whose inputs repeat across queries -- the alphabet's symbol
+tables, prefix extensions -- are memoised; validation is cheap enough
+without a memo.  Values
 that belong to one query (its endpoints, their common prefix) are computed
 directly: their keys never repeat, so a memo would only add a miss and an
 eviction per call.  All cached values are immutable (``str`` / ``tuple``),
@@ -47,20 +48,9 @@ def intern_label(label: str) -> str:
     profiling showed the hot cost is allocation and hashing churn, which
     interning removes, while a ``bytes`` representation would force an
     encode/decode at every JSON boundary (protocol frames, BENCH artifacts,
-    traces).  The wire layer gets canonical UTF-8 via :func:`label_bytes`
-    instead.
+    traces).
     """
     return sys.intern(label)
-
-
-@lru_cache(maxsize=1 << 17)
-def label_bytes(label: str) -> bytes:
-    """Canonical UTF-8 encoding of a label (one shared ``bytes`` per label).
-
-    Used by the binary wire codec so repeated peer ids and object names are
-    encoded once, not per frame.
-    """
-    return label.encode("utf-8")
 
 
 @lru_cache(maxsize=16)
@@ -90,25 +80,24 @@ def _validate_impl(value: str, base: int, allow_empty: bool) -> None:
             )
 
 
-@lru_cache(maxsize=1 << 17)
-def _is_valid_memo(value: str, base: int, allow_empty: bool) -> bool:
-    try:
-        _validate_impl(value, base, allow_empty)
-    except KautzStringError:
-        return False
-    return True
-
-
 def validate_kautz_string(value: str, base: int = 2, allow_empty: bool = False) -> str:
     """Validate ``value`` as a Kautz string (or prefix) and return it.
 
     Raises :class:`KautzStringError` if the string uses symbols outside the
-    alphabet or repeats a symbol in adjacent positions.  Validation verdicts
-    are memoised (peer ids and object-id prefixes are re-validated on every
-    routing hop); the slow path is only re-entered to build the error
-    message for invalid inputs.
+    alphabet or repeats a symbol in adjacent positions.  The check is two
+    C-level scans — stripping the alphabet must leave nothing, and no
+    doubled symbol may occur — so it needs no memo; the per-symbol walk is
+    only entered to build the error message for invalid inputs.
     """
-    if _is_valid_memo(value, base, allow_empty):
+    symbols = alphabet(base)
+    if value:
+        if not value.strip(symbols):
+            for symbol in symbols:
+                if symbol + symbol in value:
+                    break
+            else:
+                return value
+    elif allow_empty:
         return value
     _validate_impl(value, base, allow_empty)
     return value  # pragma: no cover - unreachable: invalid inputs raise above

@@ -4,8 +4,8 @@ Three planes, one package:
 
 - :mod:`repro.obs.spans` — query-scoped distributed tracing.  A
   :class:`~repro.obs.spans.Tracer` hands out span trees keyed by
-  ``trace_id``; the resumable executors attach span ids to message
-  metadata so a hop's lifetime is visible whether the message crossed a
+  ``trace_id``; the resumable executors set span ids on each message's
+  ``trace``/``span`` fields so a hop's lifetime is visible whether the message crossed a
   simulated overlay edge or a real TCP link.  Exporters serialise span
   trees to JSONL and to Chrome ``trace_event`` JSON (Perfetto-loadable).
 - :mod:`repro.obs.metrics` — a process-wide metric registry (counters,

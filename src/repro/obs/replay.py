@@ -69,11 +69,14 @@ class ReplayTransport:
     ``send()`` does not deliver: it parks the message in an **outbox**
     keyed by ``(kind, query_id, send_id)`` — the executors' send-id
     counters are deterministic, so the key matches the recorded wire
-    frame's metadata exactly when (and only when) the replayed execution
+    frame's ``meta`` exactly when (and only when) the replayed execution
     is on the recorded path.  ``now`` is set from each recorded event's
     monotonic timestamp before it is applied, so replayed span trees carry
     the live timings.
     """
+
+    #: mirrors the live transport it replays (timers never fire here)
+    detour_hop_transit = 0.0
 
     def __init__(self, node_ids: Iterable[str]) -> None:
         self.now = 0.0
@@ -83,7 +86,7 @@ class ReplayTransport:
 
     def send(self, message: Any) -> None:
         self.messages_sent += 1
-        key = (message.kind, message.query_id, message.metadata["send"])
+        key = (message.kind, message.query_id, message.send)
         self.outbox[key] = message
 
     def schedule_after(self, delay: float, callback, label: str = "") -> _NullTimer:
@@ -343,8 +346,8 @@ class _Replayer:
             ("sender", frame.get("sender"), message.sender),
             ("receiver", frame.get("receiver"), message.receiver),
             ("hop", frame.get("hop"), message.hop),
-            ("level", meta.get("level"), message.metadata.get("level")),
-            ("branch", meta.get("branch"), message.metadata.get("branch")),
+            ("level", meta.get("level"), message.level),
+            ("branch", meta.get("branch"), message.branch),
         ):
             if recorded != replayed:
                 mismatches[field_name] = f"live {recorded!r}, replay {replayed!r}"
@@ -376,7 +379,7 @@ class _Replayer:
                 query_id=key[1],
                 send=key[2],
             )
-        on_drop = message.metadata.get("on_drop")
+        on_drop = message.on_drop
         if on_drop is not None:
             on_drop(message)
         return None

@@ -14,7 +14,7 @@ Design constraints, in order:
    call behind ``state.trace is not None``; when no tracer is
    installed the only overhead is that ``None`` check.
 3. **Wire neutrality.**  Span context crosses the transport seam as
-   two small metadata fields (``trace``, ``span``) that serialise
+   two small message fields (``trace``, ``span``) that serialise
    through the JSON frame codec unchanged.
 
 Exporters: :func:`spans_to_jsonl` (one span per line, grep-friendly)
@@ -125,7 +125,7 @@ class Tracer:
     A single tracer instance serves every executor in a process (the
     simulator and the live cluster both run their executors centrally,
     so span bookkeeping never needs to cross a machine boundary —
-    only the *context ids* travel inside message metadata).
+    only the *context ids* travel, as message fields).
 
     ``max_spans_per_trace`` bounds memory per query; spans beyond the
     cap are counted in ``dropped`` rather than stored.

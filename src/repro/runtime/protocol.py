@@ -36,13 +36,16 @@ dialogue.
 
 The mapping between the simulator's :class:`~repro.sim.network.Message`
 and its wire form is deliberately lossy in one direction only: the
-``handler``/``on_drop`` metadata entries are *local callables* (sender-side
+``handler``/``on_drop`` hooks are *local callables* (sender-side
 bookkeeping) and never cross the wire — the receiving node re-binds the
-handler by message kind.  Everything the resumable executors need to resume
-the query (FRT ``level``, ``branch`` index, logical ``send`` id, a detour's
-``latency`` budget) does cross, so the receiving side's
+handler by message kind — and neither does the executor's sender-side
+state on its pending send.  Everything the resumable executors need to
+resume the query (FRT ``level``, ``branch`` index, logical ``send`` id, a
+detour's ``latency`` budget, the ``trace``/``span`` context) crosses in the
+frame's ``meta`` object, each key left out when its field is ``None``, so
+the receiving side's
 :meth:`~repro.core.resumable.ResumableExecutor.handle_message` sees exactly
-the metadata it would see on the simulator.
+the fields it would see on the simulator.
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ from repro.sim.network import Message
 
 #: frames above this size are protocol errors (corrupt length prefix)
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: message-metadata keys that cross the wire (all JSON scalars).  The
-#: ``trace``/``span`` pair is the distributed-tracing context: present only
-#: on traced queries and simply absent (never an error) when tracing is
-#: off or unsupported.
-WIRE_METADATA_KEYS = ("level", "branch", "send", "latency", "trace", "span")
 
 #: the gateway protocol version the handshake negotiates
 GATEWAY_PROTOCOL_V2 = 2
@@ -206,12 +203,26 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
 
 
 def message_to_wire(message: Message) -> Dict[str, Any]:
-    """The ``"msg"`` cast frame for one forwarding message."""
-    meta = {
-        key: message.metadata[key]
-        for key in WIRE_METADATA_KEYS
-        if message.metadata.get(key) is not None
-    }
+    """The ``"msg"`` cast frame for one forwarding message.
+
+    ``meta`` holds the message's scalar fields in a fixed order, each left
+    out when ``None``: the ``trace``/``span`` pair, the distributed-tracing
+    context, is present only on traced queries and simply absent (never an
+    error) when tracing is off or unsupported.
+    """
+    meta: Dict[str, Any] = {}
+    if message.level is not None:
+        meta["level"] = message.level
+    if message.branch is not None:
+        meta["branch"] = message.branch
+    if message.send is not None:
+        meta["send"] = message.send
+    if message.latency is not None:
+        meta["latency"] = message.latency
+    if message.trace is not None:
+        meta["trace"] = message.trace
+    if message.span is not None:
+        meta["span"] = message.span
     return {
         "type": "msg",
         "kind": message.kind,
@@ -226,16 +237,22 @@ def message_to_wire(message: Message) -> Dict[str, Any]:
 def wire_to_message(frame: Dict[str, Any]) -> Message:
     """Rebuild the :class:`Message` a ``"msg"`` frame carries.
 
-    The local-only metadata (``handler``/``on_drop``) is gone by design;
+    The local-only hooks (``handler``/``on_drop``) are gone by design;
     the dispatching node routes by ``kind`` instead.
     """
+    meta = frame.get("meta", {})
     return Message(
         sender=frame["sender"],
         receiver=frame["receiver"],
         kind=frame["kind"],
         hop=int(frame["hop"]),
         query_id=frame["query_id"],
-        metadata=dict(frame.get("meta", {})),
+        level=meta.get("level"),
+        branch=meta.get("branch"),
+        send=meta.get("send"),
+        latency=meta.get("latency"),
+        trace=meta.get("trace"),
+        span=meta.get("span"),
     )
 
 

@@ -142,6 +142,10 @@ class AsyncioTransport:
     test).
     """
 
+    #: a detour crosses one socket however many overlay hops it stands for,
+    #: so its per-hop timer gets no allowance beyond the policy's timeout
+    detour_hop_transit = 0.0
+
     def __init__(self, extra_transit: float = 0.0) -> None:
         if extra_transit < 0:
             raise ValueError("extra_transit must be non-negative")
@@ -216,7 +220,7 @@ class AsyncioTransport:
                 "send",
                 kind=message.kind,
                 query_id=message.query_id,
-                send=message.metadata.get("send"),
+                send=message.send,
                 sender=message.sender,
                 receiver=message.receiver,
                 hop=message.hop,
@@ -264,12 +268,12 @@ class AsyncioTransport:
                 "drop",
                 kind=message.kind,
                 query_id=message.query_id,
-                send=message.metadata.get("send"),
+                send=message.send,
                 sender=message.sender,
                 receiver=message.receiver,
                 hop=message.hop,
             )
-        on_drop = message.metadata.get("on_drop")
+        on_drop = message.on_drop
         if on_drop is not None:
             on_drop(message)
 

@@ -15,7 +15,7 @@ Nodes are any objects that expose a hashable ``node_id`` attribute and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional, Protocol, Tuple
 
 from repro.sim.engine import Simulator
@@ -26,29 +26,52 @@ from repro.sim.metrics import MetricsRegistry
 class Message:
     """A message travelling through the overlay.
 
+    One typed record, carried as it is: the overlay schedules the object
+    the sender passed to :meth:`OverlayNetwork.send`, and the query
+    executors' pending send *is* its message (a subclass adding only
+    sender-side state), so a retransmission re-sends the same object.
+
     Attributes
     ----------
     sender / receiver:
         Node identifiers (opaque, hashable).
     kind:
         Short string describing the message type, e.g. ``"range-query"``.
-    payload:
-        Arbitrary protocol payload.
     hop:
         Number of overlay hops this message (and its ancestors along the same
         query path) has travelled.  The sender sets it to its own hop + 1.
     query_id:
         Identifier tying together all messages of one query, used by the
         metrics collection in the experiments.
+    level / branch / send:
+        A forwarding message's place in its query: the FRT level of the
+        receiver's occurrence, the branch index, and the logical send id
+        (every physical copy of one send carries the same id).
+    latency:
+        Delivery latency override in hops — a detour models a multi-hop
+        route; ``None`` leaves it to the overlay's latency model.
+    trace / span:
+        Distributed-tracing context (trace id, the hop's span id); ``None``
+        unless the query is traced.
+    handler / on_drop:
+        Local hooks that never cross a socket: ``handler(node, network,
+        message)`` takes the delivery instead of ``node.handle_message``,
+        and ``on_drop(message)`` learns that the message will never arrive.
     """
 
     sender: Hashable
     receiver: Hashable
     kind: str
-    payload: Any = None
     hop: int = 0
     query_id: Optional[int] = None
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    level: Optional[int] = None
+    branch: Optional[int] = None
+    send: Optional[int] = None
+    latency: Optional[float] = None
+    trace: Optional[str] = None
+    span: Optional[int] = None
+    handler: Optional[Callable[[Any, "OverlayNetwork", "Message"], None]] = None
+    on_drop: Optional[Callable[["Message"], None]] = None
 
 
 class LatencyModel(Protocol):
@@ -135,6 +158,11 @@ class NetworkError(RuntimeError):
 class OverlayNetwork:
     """Registry of nodes plus message delivery through the scheduler."""
 
+    #: what one routed hop beyond the first adds to a detour's transit: the
+    #: overlay delivers a detour after its ``latency``, counted in hops of
+    #: one simulated unit each (the executors' per-hop timers budget for it)
+    detour_hop_transit = 1.0
+
     def __init__(
         self,
         simulator: Optional[Simulator] = None,
@@ -145,6 +173,9 @@ class OverlayNetwork:
         self.latency_model = latency_model if latency_model is not None else HopLatencyModel()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._nodes: Dict[Hashable, NodeProtocol] = {}
+        #: True when a node with that id is registered — the registry's own
+        #: membership test, so the executors' per-send check costs no frame
+        self.has_node: Callable[[Hashable], bool] = self._nodes.__contains__
         self._drop_filter: Optional[Callable[[Message], bool]] = None
         self._fault_injector: Optional["FaultInjectorProtocol"] = None
         # Per-query drop ledger, keyed by (kind, query_id): lost messages are
@@ -185,10 +216,6 @@ class OverlayNetwork:
             return self._nodes[node_id]
         except KeyError as exc:
             raise NetworkError(f"unknown node {node_id!r}") from exc
-
-    def has_node(self, node_id: Hashable) -> bool:
-        """True when a node with that id is registered."""
-        return node_id in self._nodes
 
     @property
     def node_count(self) -> int:
@@ -270,7 +297,7 @@ class OverlayNetwork:
                 return
             extra_delay = decision.extra_delay
             copies = decision.copies
-        override = message.metadata.get("latency")
+        override = message.latency
         if override is not None:
             latency = float(override) + extra_delay
         else:
@@ -301,7 +328,7 @@ class OverlayNetwork:
         """Tell the sender's protocol layer a message will never arrive.
 
         Senders that track outstanding messages (the concurrent query engine)
-        install an ``on_drop`` metadata callback; without it a dropped message
+        set the message's ``on_drop`` hook; without it a dropped message
         would leave its query waiting forever — which is why the drop is
         *always* charged to the query's ledger first: even callback-less
         queries show up in :meth:`drops_for_query` instead of stalling
@@ -310,7 +337,7 @@ class OverlayNetwork:
         if message.query_id is not None:
             key = (message.kind, message.query_id)
             self._query_drops[key] = self._query_drops.get(key, 0) + 1
-        on_drop = message.metadata.get("on_drop")
+        on_drop = message.on_drop
         if on_drop is not None:
             on_drop(message)
 
@@ -329,10 +356,10 @@ class OverlayNetwork:
                     self.metrics.counter(f"messages.dropped.{blocked}").increment()
                 self._notify_drop(message)
                 return
-        # Messages carrying a ``handler`` metadata hook (the query executors'
+        # Messages carrying a ``handler`` hook (the query executors'
         # per-message dispatch) are routed to it directly — same contract as
         # FissionePeer.handle_message's shim, minus one call per message.
-        handler = message.metadata.get("handler")
+        handler = message.handler
         if handler is not None:
             handler(node, self, message)
         else:

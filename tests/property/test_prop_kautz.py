@@ -80,6 +80,50 @@ class TestStringProperties:
             assert ks.rank(nxt) == ks.rank(value) + 1
 
 
+def walk_verdict(value: str, base: int, allow_empty: bool):
+    """The per-symbol walk's verdict: ``None`` or its error text."""
+    try:
+        ks._validate_impl(value, base, allow_empty)
+    except ks.KautzStringError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def candidate_strings(draw):
+    """``(value, base)``: alphabet symbols (doubled ones included) mixed
+    with stray characters, valid Kautz strings, and arbitrary text."""
+    base = draw(st.integers(min_value=1, max_value=8))
+    symbols = ks.alphabet(base)
+    value = draw(
+        st.one_of(
+            st.text(alphabet=symbols + "9x -", max_size=12),
+            st.text(alphabet=symbols, max_size=12),
+            kautz_strings(min_length=1, max_length=6, base=base),
+            st.text(max_size=8),
+        )
+    )
+    return value, base
+
+
+class TestValidationIsTheSymbolWalk:
+    """The memo-free check (strip the alphabet, look for doubled symbols)
+    gives the per-symbol walk's verdict, and its error text when invalid."""
+
+    @settings(max_examples=500)
+    @given(candidate_strings(), st.booleans())
+    def test_verdict_matches_the_walk(self, candidate, allow_empty):
+        value, base = candidate
+        expected = walk_verdict(value, base, allow_empty)
+        assert ks.is_kautz_string(value, base=base, allow_empty=allow_empty) == (expected is None)
+        if expected is None:
+            assert ks.validate_kautz_string(value, base=base, allow_empty=allow_empty) is value
+        else:
+            with pytest.raises(ks.KautzStringError) as raised:
+                ks.validate_kautz_string(value, base=base, allow_empty=allow_empty)
+            assert str(raised.value) == expected
+
+
 class TestRegionProperties:
     @given(
         st.integers(min_value=5, max_value=7),

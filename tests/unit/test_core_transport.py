@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.armada import ArmadaSystem
 from repro.core.errors import QueryError
 from repro.core.pira import PiraExecutor
+from repro.core.resumable import QueryState
+from repro.faults import ResiliencePolicy
 from repro.runtime.transport import AsyncioTransport
 from repro.sim.network import Message, OverlayNetwork
 
@@ -92,7 +95,7 @@ class TestAsyncioTransport:
                 sender="a",
                 receiver="missing",
                 kind="pira",
-                metadata={"on_drop": dropped.append},
+                on_drop=dropped.append,
             )
             transport.send(message)
             assert dropped == [message]
@@ -113,7 +116,7 @@ class TestAsyncioTransport:
             transport.assign("peer", ("127.0.0.1", port))
             dropped = []
             transport.send(
-                Message(sender="a", receiver="peer", kind="pira", metadata={"on_drop": dropped.append})
+                Message(sender="a", receiver="peer", kind="pira", on_drop=dropped.append)
             )
             await asyncio.sleep(0.1)
             await transport.close()
@@ -133,3 +136,50 @@ class TestAsyncioTransport:
         assert not hasattr(executor.transport, "run")
         with pytest.raises(QueryError):
             executor.execute("0", [(1.0, 2.0)])
+
+
+class TestDetourTimerAllowance:
+    """A detour's per-hop timer allows for the extra hops only where the
+    transport really spends them: the overlay delays a detour by its
+    ``latency`` in hops, a socket carries it as one hop."""
+
+    TIMEOUT = 0.5
+
+    def armed_delay(self, executor, sender, receiver):
+        """The hop-timeout delay armed for a 3-hop detour from ``sender``."""
+        executor.set_resilience(ResiliencePolicy(per_hop_timeout=self.TIMEOUT))
+        transport = executor.transport
+        armed = []
+        schedule = transport.schedule_after
+
+        def spy(delay, callback, label=""):
+            armed.append((label, delay))
+            return schedule(delay, callback, label)
+
+        transport.schedule_after = spy
+        executor._send = lambda message: None
+        state = QueryState(result=SimpleNamespace(query_id=1, messages=0, forwarding_steps=[]))
+        failed = SimpleNamespace(hop=2, receiver="gone", span=None)
+        executor._forward_message(sender, receiver, 3, 5, 0, state, around=failed)
+        (pending,) = state.pending.values()
+        pending.timer.cancel()
+        assert pending.latency == 3.0
+        return armed
+
+    def test_overlay_allows_one_unit_per_extra_hop(self):
+        system = ArmadaSystem(num_peers=8, seed=2)
+        sender, receiver = system.network.peer_ids()[:2]
+        armed = self.armed_delay(system.pira, sender, receiver)
+        assert armed == [("hop-timeout", self.TIMEOUT + 2.0)]
+
+    def test_asyncio_transport_allows_nothing_extra(self):
+        system = ArmadaSystem(num_peers=8, seed=2)
+        sender, receiver = system.network.peer_ids()[:2]
+        transport = AsyncioTransport()
+        transport.assign(receiver, ("127.0.0.1", 9))
+        executor = PiraExecutor(system.network, system.single_namer, transport)
+
+        async def scenario():
+            return self.armed_delay(executor, sender, receiver)
+
+        assert asyncio.run(scenario()) == [("hop-timeout", self.TIMEOUT)]

@@ -142,11 +142,11 @@ class TestExtraDelayAndDuplicate:
                     sender=nodes[0].node_id,
                     receiver=nodes[1].node_id,
                     kind="test",
-                    payload=index,
+                    send=index,
                 )
             )
         overlay.run()
-        order = [message.payload for message in nodes[1].received]
+        order = [message.send for message in nodes[1].received]
         assert len(order) == 50
         assert order != sorted(order)  # delayed messages arrived late
 

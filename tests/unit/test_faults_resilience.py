@@ -66,7 +66,7 @@ class TestTimeoutAndRetry:
         seen = set()
 
         def drop_first_copy(message):
-            key = (message.query_id, message.metadata.get("send"))
+            key = (message.query_id, message.send)
             if key in seen:
                 return False
             seen.add(key)

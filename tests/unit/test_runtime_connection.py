@@ -145,11 +145,11 @@ class TestRequests:
 
 
 def message(dropped):
-    return Message(sender="a", receiver="b", kind="pira", metadata={"on_drop": dropped.append})
+    return Message(sender="a", receiver="b", kind="pira", on_drop=dropped.append)
 
 
 def link_to(port):
-    return _Link(("127.0.0.1", port), lambda item: item.metadata["on_drop"](item))
+    return _Link(("127.0.0.1", port), lambda item: item.on_drop(item))
 
 
 class TestLink:

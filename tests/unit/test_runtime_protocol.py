@@ -118,13 +118,11 @@ class TestMessageMapping:
             kind="pira",
             hop=3,
             query_id=42,
-            metadata={
-                "level": 2,
-                "branch": 1,
-                "send": 17,
-                "handler": lambda *a: None,  # local-only, must not cross
-                "on_drop": lambda *a: None,
-            },
+            level=2,
+            branch=1,
+            send=17,
+            handler=lambda *a: None,  # local-only, must not cross
+            on_drop=lambda *a: None,
         )
 
     def test_round_trip_preserves_wire_fields(self):
@@ -136,9 +134,9 @@ class TestMessageMapping:
         assert rebuilt.kind == message.kind
         assert rebuilt.hop == message.hop
         assert rebuilt.query_id == message.query_id
-        assert rebuilt.metadata["level"] == 2
-        assert rebuilt.metadata["branch"] == 1
-        assert rebuilt.metadata["send"] == 17
+        assert rebuilt.level == 2
+        assert rebuilt.branch == 1
+        assert rebuilt.send == 17
 
     def test_local_callables_do_not_cross(self):
         wire = message_to_wire(self.make_message())
@@ -148,8 +146,8 @@ class TestMessageMapping:
 
     def test_detour_latency_crosses(self):
         message = self.make_message()
-        message.metadata["latency"] = 4.0
-        assert wire_to_message(message_to_wire(message)).metadata["latency"] == 4.0
+        message.latency = 4.0
+        assert wire_to_message(message_to_wire(message)).latency == 4.0
 
 
 class TestValueCodec:

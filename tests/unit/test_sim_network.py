@@ -63,10 +63,11 @@ class TestDelivery:
         a, b = EchoNode("a"), EchoNode("b")
         overlay.register(a)
         overlay.register(b)
-        overlay.send(Message(sender="a", receiver="b", kind="query", payload="hello"))
+        message = Message(sender="a", receiver="b", kind="query", send=7)
+        overlay.send(message)
         overlay.run()
         assert len(b.received) == 1
-        assert b.received[0].payload == "hello"
+        assert b.received[0] is message
         assert overlay.simulator.now == pytest.approx(1.0)
 
     def test_messages_counted_total_and_per_kind(self):

@@ -2,7 +2,7 @@
 
 The tracing plane's contract tests: hop spans mirror the forward routing
 tree, retries/detours under faults appear as events with failure
-statuses, span context rides message metadata (and both frame
+statuses, span context rides message fields (and both frame
 encodings), and — the determinism guard — a traced run returns results
 byte-identical to an untraced one.
 """
@@ -113,22 +113,22 @@ class TestContextOnTheWire:
         seen = []
 
         def spy(message):
-            seen.append(dict(message.metadata))
+            seen.append((message.trace, message.span))
             return False  # observe, never drop
 
         system.overlay.set_drop_filter(spy)
         reply = traced_query(system)
         system.overlay.set_drop_filter(None)
         assert seen
-        assert all(meta.get("trace") == reply.trace_id for meta in seen)
-        assert len({meta["span"] for meta in seen}) == len(seen)
+        assert all(trace == reply.trace_id for trace, _ in seen)
+        assert len({span for _, span in seen}) == len(seen)
 
     def test_untraced_messages_carry_no_trace_keys(self):
         system = build_system(num_peers=80)
         seen = []
 
         def spy(message):
-            seen.append(dict(message.metadata))
+            seen.append((message.trace, message.span))
             return False
 
         system.overlay.set_drop_filter(spy)
@@ -136,7 +136,7 @@ class TestContextOnTheWire:
         asyncio.run(session.submit(RangeQuery(low=LOW, high=HIGH)))
         system.overlay.set_drop_filter(None)
         assert seen
-        assert all("trace" not in meta and "span" not in meta for meta in seen)
+        assert all(context == (None, None) for context in seen)
 
     def test_msg_frame_round_trips_context_in_json_and_binary(self):
         system = build_system(num_peers=80)
@@ -150,15 +150,15 @@ class TestContextOnTheWire:
         traced_query(system)
         system.overlay.set_drop_filter(None)
         frame = message_to_wire(captured[0])
-        assert frame["meta"]["trace"] == captured[0].metadata["trace"]
+        assert frame["meta"]["trace"] == captured[0].trace
         # JSON round trip
         via_json = wire_to_message(json.loads(json.dumps(frame)))
-        assert via_json.metadata["trace"] == captured[0].metadata["trace"]
-        assert via_json.metadata["span"] == captured[0].metadata["span"]
+        assert via_json.trace == captured[0].trace
+        assert via_json.span == captured[0].span
         # binary round trip (the negotiated v2 body codec is type-generic)
         via_binary = wire_to_message(decode_binary(encode_binary(frame)))
-        assert via_binary.metadata["trace"] == captured[0].metadata["trace"]
-        assert via_binary.metadata["span"] == captured[0].metadata["span"]
+        assert via_binary.trace == captured[0].trace
+        assert via_binary.span == captured[0].span
 
     def test_reply_trace_payload_round_trips_binary(self):
         system = build_system(num_peers=80)
@@ -178,7 +178,7 @@ class TestFaultSpans:
         seen = set()
 
         def drop_first_copy(message):
-            key = (message.query_id, message.metadata.get("send"))
+            key = (message.query_id, message.send)
             if key in seen:
                 return False
             seen.add(key)
