@@ -16,8 +16,8 @@ PIRA/MIRA executors (``system.deployment.launch(kind, ranges, origin,
 deadline, ...)`` — the one launch every driver calls; the executor, not the
 engine, arms and cancels the deadline timer) and adds what only a simulation has: **churn** — peer joins/departures
 scheduled as simulator events that interleave with in-flight queries, which
-survive via the overlay's drop accounting.  The asyncio binding is
-:func:`repro.runtime.loadgen.run_jobs`.
+survive because the executors settle every message the overlay loses.  The
+asyncio binding is :func:`repro.runtime.loadgen.run_jobs`.
 
 Because query forwarding is deterministic given the topology and independent
 of the simulation clock, every query produces measurements (destinations,
@@ -30,7 +30,7 @@ percentiles under load.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, Optional, Sequence
 
 from collections import deque
 
@@ -169,11 +169,8 @@ class QueryEngine(LoadDriver):
             ),
             launch=self._launch,
         )
-        self._messages_at_start = self.overlay.metrics.counter_value("messages.total")
+        self._messages_at_start = self.overlay.messages_sent
         self._events_at_start = simulator.processed_events
-        #: (kind, executor query id) of the queries still in flight
-        self._inflight: Set[Tuple[str, int]] = set()
-        self.on_query_complete(self._forget)
 
     # -- churn --------------------------------------------------------------
 
@@ -181,7 +178,7 @@ class QueryEngine(LoadDriver):
         """Schedule peer joins/departures as simulator events.
 
         Departed peers are unregistered from the overlay; their in-flight
-        messages are counted undeliverable and drop-accounted by the
+        messages are counted undeliverable and written off by the
         executors, so overlapping queries still complete under churn.
         """
         for event in events:
@@ -236,18 +233,11 @@ class QueryEngine(LoadDriver):
         (as the load sweep does, one engine per offered rate) without
         double-counting each other's traffic.
         """
-        # Drops of still-in-flight (stalled) queries come from the overlay's
-        # per-query ledger, so a query lost to drops is visible even though
-        # it never completed.
-        inflight_drops = 0
-        for kind, query_id in self._inflight:
-            inflight_drops += self.overlay.drops_for_query(kind, query_id)
         return build_report(
             self.tracker,
             self.completed,
-            messages=self.overlay.metrics.counter_value("messages.total") - self._messages_at_start,
+            messages=self.overlay.messages_sent - self._messages_at_start,
             events=self.overlay.simulator.processed_events - self._events_at_start,
-            extra_dropped=inflight_drops,
         )
 
     # -- internals ----------------------------------------------------------
@@ -261,25 +251,13 @@ class QueryEngine(LoadDriver):
             origin = None
         # The executor enforces the deadline: a stalled/slow query is
         # force-completed as failed (partial results kept), never leaked.
-        result = self.system.deployment.launch(
+        self.system.deployment.launch(
             job.kind,
             job.query_ranges,
             origin,
             self.deadline,
             on_complete=lambda result, latency, trace: done(result),
         )
-        # The launch may have completed the query synchronously (everything
-        # pruned at the origin); only genuinely in-flight queries get drop
-        # tracking.
-        if self.system.executors[job.kind].is_active(result.query_id):
-            self._inflight.add((job.kind, result.query_id))
-
-    def _forget(self, record: CompletedQuery) -> None:
-        # The completed query's drops live on in result.resilience; drop the
-        # overlay's ledger entry so long-lived overlays stay O(in-flight).
-        key = (record.job.kind, record.result.query_id)
-        self._inflight.discard(key)
-        self.overlay.clear_query_drops(*key)
 
 
 def offered_load(jobs: Sequence[QueryJob]) -> float:

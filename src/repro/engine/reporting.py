@@ -143,7 +143,7 @@ class EngineReport:
     #: a stall is *always* a bug (a leak the deadline and drop accounting
     #: exist to prevent), so it gets its own column
     stalled: int = 0
-    #: forwarding messages of this run's queries that were lost
+    #: forwarding messages of this run's completed queries that were lost
     dropped: int = 0
     #: aggregate failure/recovery ledger over all completed queries
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
@@ -275,16 +275,14 @@ def build_report(
     completed: Sequence[CompletedQuery],
     messages: int = 0,
     events: int = 0,
-    extra_dropped: int = 0,
 ) -> EngineReport:
     """Assemble the :class:`EngineReport` for one run.
 
-    ``extra_dropped`` carries drops of queries that never completed (the
-    sim engine reads them from the overlay's per-query ledger; the live
-    runtime has none, since its drains are bounded by deadlines).
+    ``dropped`` sums the completed queries' own ledgers: the executors
+    charge every message the transport loses to the query that sent it.
     """
     aggregate = ResilienceStats()
-    dropped = extra_dropped
+    dropped = 0
     for record in completed:
         aggregate.merge(record.result.resilience)
         dropped += record.result.resilience.drops

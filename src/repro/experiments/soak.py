@@ -375,7 +375,7 @@ async def run_async(spec: SoakSpec) -> SoakResult:
 def _write_trace(tracer: Any, path: str) -> Dict[str, Any]:
     """Drain the tracer into a Chrome ``trace_event`` JSON file."""
     traces = tracer.drain()
-    payload = spans_to_chrome(traces, dropped=tracer.dropped)
+    payload = spans_to_chrome(traces)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,11 +1,11 @@
-"""The live runtime's metrics registry, with Prometheus text exposition.
+"""The program's metrics registry, with Prometheus text exposition.
 
 The gateway, the cluster and its peer nodes register here (see
 :func:`repro.runtime.server.build_observability`) and ``/metrics``
-renders it.  It is
-one of two registries: the simulator's overlay still counts into its own
-:class:`repro.sim.metrics.MetricsRegistry`, which this module does not
-read or replace.  This one has three instrument kinds:
+renders it.  It is the only registry: the live transport and the
+simulator's overlay both count their messages in plain int fields, and
+the live ones reach ``/metrics`` through callback gauges read at scrape
+time.  It has three instrument kinds:
 
 - :class:`Counter` — monotone, optionally labelled.
 - :class:`Gauge` — settable point-in-time value, with optional

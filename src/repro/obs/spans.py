@@ -126,19 +126,13 @@ class Tracer:
     simulator and the live cluster both run their executors centrally,
     so span bookkeeping never needs to cross a machine boundary —
     only the *context ids* travel, as message fields).
-
-    ``max_spans_per_trace`` bounds memory per query; spans beyond the
-    cap are counted in ``dropped`` rather than stored.
     """
 
-    def __init__(self, max_spans_per_trace: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._span_ids = itertools.count(1)
         self._trace_seq = itertools.count(1)
         self.active: Dict[str, QueryTrace] = {}
         self.completed: Dict[str, QueryTrace] = {}
-        self.dropped = 0
-
-        self.max_spans_per_trace = max_spans_per_trace
 
     # -- trace lifecycle -------------------------------------------------
 
@@ -164,12 +158,8 @@ class Tracer:
         now: float,
         parent_id: Optional[int] = None,
         **attributes: Any,
-    ) -> Optional[Span]:
-        """Open a child span; returns ``None`` when the trace is at cap."""
-        limit = self.max_spans_per_trace
-        if limit is not None and len(trace.spans) >= limit:
-            self.dropped += 1
-            return None
+    ) -> Span:
+        """Open a child span."""
         if parent_id is None:
             parent_id = trace.root.span_id
         span = Span(trace.trace_id, next(self._span_ids), parent_id, name, now, attributes)
@@ -183,11 +173,10 @@ class Tracer:
         now: float,
         parent_id: Optional[int] = None,
         **attributes: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """A zero-duration span — an instantaneous point of interest."""
         span = self.start_span(trace, name, now, parent_id=parent_id, **attributes)
-        if span is not None:
-            span.end = now
+        span.end = now
         return span
 
     @staticmethod
@@ -226,7 +215,6 @@ class Tracer:
     def clear(self) -> None:
         self.active.clear()
         self.completed.clear()
-        self.dropped = 0
 
 
 # -- serialisation -------------------------------------------------------
@@ -289,7 +277,6 @@ def spans_to_jsonl(spans: Iterable[Span]) -> str:
 def spans_to_chrome(
     traces: Iterable[QueryTrace],
     time_scale: float = 1_000_000.0,
-    dropped: int = 0,
 ) -> Dict[str, Any]:
     """Chrome ``trace_event`` JSON (the format Perfetto loads natively).
 
@@ -321,10 +308,7 @@ def spans_to_chrome(
                 base["ph"] = "i"
                 base["s"] = "t"
             events.append(base)
-    payload: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if dropped:
-        payload["otherData"] = {"dropped_spans": dropped}
-    return payload
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def format_span_tree(trace: QueryTrace, clock_unit: str = "") -> str:

@@ -8,14 +8,14 @@ such a simulator needs:
 * :mod:`repro.sim.events` -- event records used by the scheduler.
 * :mod:`repro.sim.network` -- an overlay network model that delivers messages
   between nodes with a pluggable latency model and counts every send.
-* :mod:`repro.sim.metrics` -- counters / summary statistics helpers.
+* :mod:`repro.sim.metrics` -- summary statistics helpers.
 * :mod:`repro.sim.rng` -- seeded random-source helpers so experiments are
   reproducible.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, MessageDelivery, TimerFired
-from repro.sim.metrics import Counter, MetricsRegistry, SummaryStats
+from repro.sim.metrics import SummaryStats
 from repro.sim.network import HopLatencyModel, Message, OverlayNetwork, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG, derive_seed
 
@@ -24,8 +24,6 @@ __all__ = [
     "Event",
     "MessageDelivery",
     "TimerFired",
-    "Counter",
-    "MetricsRegistry",
     "SummaryStats",
     "Message",
     "OverlayNetwork",

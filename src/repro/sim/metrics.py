@@ -1,36 +1,19 @@
-"""Counters and summary statistics for overlay experiments.
+"""Summary statistics for overlay experiments.
 
 The paper reports, for each experiment point, averages over 1000 random
 queries of: query delay (hops), total messages, destination peers, and two
 derived ratios (``MesgRatio`` and ``IncreRatio``).  :class:`SummaryStats`
 accumulates a stream of samples and exposes the summary values the
-experiments need; :class:`MetricsRegistry` groups named counters and summary
-series for one simulation run.
+experiments need; :class:`QueryTracker` follows overlapping queries on one
+clock.  The overlay counts its messages in plain int fields (see
+:class:`~repro.sim.network.OverlayNetwork`); the program's one metrics
+registry is :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
-
-
-@dataclass(slots=True)
-class Counter:
-    """A monotonically increasing named counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counters only increase; use a gauge for decrements")
-        self.value += amount
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        self.value = 0
 
 
 class SummaryStats:
@@ -139,47 +122,6 @@ class SummaryStats:
             f"SummaryStats(name={self.name!r}, count={self.count}, mean={self.mean:.3f}, "
             f"min={self.minimum:.3f}, max={self.maximum:.3f})"
         )
-
-
-@dataclass
-class MetricsRegistry:
-    """Named counters and summary series for one simulation run."""
-
-    counters: Dict[str, Counter] = field(default_factory=dict)
-    summaries: Dict[str, SummaryStats] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """Get (or create) the counter with the given name."""
-        if name not in self.counters:
-            self.counters[name] = Counter(name=name)
-        return self.counters[name]
-
-    def summary(self, name: str) -> SummaryStats:
-        """Get (or create) the summary series with the given name."""
-        if name not in self.summaries:
-            self.summaries[name] = SummaryStats(name=name)
-        return self.summaries[name]
-
-    def counter_value(self, name: str, default: int = 0) -> int:
-        """Current value of a counter, or ``default`` if it does not exist."""
-        counter = self.counters.get(name)
-        return counter.value if counter is not None else default
-
-    def reset(self) -> None:
-        """Reset all counters and drop all summaries."""
-        for counter in self.counters.values():
-            counter.reset()
-        self.summaries.clear()
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dictionary of all counter values and summary means."""
-        snapshot: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            snapshot[f"counter.{name}"] = float(counter.value)
-        for name, summary in self.summaries.items():
-            snapshot[f"summary.{name}.mean"] = summary.mean
-            snapshot[f"summary.{name}.max"] = summary.maximum
-        return snapshot
 
 
 class QueryTracker:

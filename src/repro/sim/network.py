@@ -3,11 +3,16 @@
 The overlay network connects protocol nodes (DHT peers) to the discrete-event
 scheduler.  Every message sent through the network is
 
-* counted (total messages, per-kind messages),
-* stamped with the hop count accumulated so far, and
+* counted in plain int fields, as the live transport counts its sends
+  (``messages_sent``, ``messages_dropped``, ...),
+* offered to the installed fault injector, if any — the one way a message
+  is lost short of its receiver leaving — and
 * delivered to the destination node after a latency chosen by the pluggable
   latency model (one simulated time unit per hop by default, matching the
   paper's hop-count delay metric).
+
+A lost message is reported to its sender through the message's ``on_drop``
+hook; the query executors charge it to the query's resilience ledger.
 
 Nodes are any objects that expose a hashable ``node_id`` attribute and a
 ``handle_message(network, message)`` method.
@@ -16,10 +21,9 @@ Nodes are any objects that expose a hashable ``node_id`` attribute and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Protocol
 
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsRegistry
 
 
 @dataclass(slots=True)
@@ -167,26 +171,26 @@ class OverlayNetwork:
         self,
         simulator: Optional[Simulator] = None,
         latency_model: Optional[LatencyModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.simulator = simulator if simulator is not None else Simulator()
         self.latency_model = latency_model if latency_model is not None else HopLatencyModel()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._nodes: Dict[Hashable, NodeProtocol] = {}
         #: True when a node with that id is registered — the registry's own
         #: membership test, so the executors' per-send check costs no frame
         self.has_node: Callable[[Hashable], bool] = self._nodes.__contains__
-        self._drop_filter: Optional[Callable[[Message], bool]] = None
         self._fault_injector: Optional["FaultInjectorProtocol"] = None
-        # Per-query drop ledger, keyed by (kind, query_id): lost messages are
-        # attributable to the query that sent them even when the sender never
-        # installed an ``on_drop`` callback (satellite of the faults work —
-        # a query whose messages vanish must be visible, not silently short).
-        self._query_drops: Dict[Tuple[str, Any], int] = {}
-        # Hot-path caches: per-kind counter objects, so sending a message
-        # costs no registry lookups or string formatting.
-        self._total_counter = self.metrics.counter("messages.total")
-        self._kind_cache: Dict[str, Any] = {}
+        #: messages handed to :meth:`send` (dropped ones included)
+        self.messages_sent = 0
+        #: messages the fault injector dropped at send time
+        self.messages_dropped = 0
+        #: extra copies a duplication fault scheduled
+        self.messages_duplicated = 0
+        #: messages lost at delivery: the receiver left, crashed or was
+        #: partitioned away while they were in flight
+        self.messages_undeliverable = 0
+        #: lost messages by fault reason (``"loss"``, ``"crash"``, ...),
+        #: at send and at delivery time alike
+        self.drops_by_reason: Dict[str, int] = {}
 
     # -- clock & timers (with the node registry and ``send``, what makes the
     # -- overlay the simulator's :class:`~repro.core.transport.Transport`) ----
@@ -228,13 +232,6 @@ class OverlayNetwork:
 
     # -- fault injection ----------------------------------------------------
 
-    def set_drop_filter(self, drop_filter: Optional[Callable[[Message], bool]]) -> None:
-        """Install a predicate; messages for which it returns True are dropped.
-
-        Used by the failure-injection tests.
-        """
-        self._drop_filter = drop_filter
-
     def set_fault_injector(self, injector: Optional[FaultInjectorProtocol]) -> None:
         """Install (or remove) the composable fault injector.
 
@@ -249,51 +246,20 @@ class OverlayNetwork:
         """The currently installed fault injector, if any."""
         return self._fault_injector
 
-    def drops_for_query(self, kind: str, query_id: Any) -> int:
-        """Messages of query ``(kind, query_id)`` that were dropped or
-        undeliverable.  Counted unconditionally in :meth:`_notify_drop`, so
-        lost queries are visible even when the sender installed no
-        ``on_drop`` callback and faults are disabled."""
-        return self._query_drops.get((kind, query_id), 0)
-
-    def clear_query_drops(self, kind: str, query_id: Any) -> None:
-        """Forget the drop ledger of a finished query (the engine calls
-        this at completion so a long-lived overlay stays O(in-flight))."""
-        self._query_drops.pop((kind, query_id), None)
-
-    @property
-    def total_query_drops(self) -> int:
-        """Dropped/undeliverable messages attributable to some query."""
-        return sum(self._query_drops.values())
-
     # -- message delivery ---------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Send a message: count it and schedule its delivery."""
-        kind = message.kind
         if message.receiver not in self._nodes:
             raise NetworkError(f"message to unknown node {message.receiver!r}")
-        # Counters are incremented in place (they are plain slotted records
-        # owned by this overlay) — two method calls per message saved.
-        self._total_counter.value += 1
-        kind_counter = self._kind_cache.get(kind)
-        if kind_counter is None:
-            kind_counter = self.metrics.counter(f"messages.{kind}")
-            self._kind_cache[kind] = kind_counter
-        kind_counter.value += 1
-        if self._drop_filter is not None and self._drop_filter(message):
-            self.metrics.counter("messages.dropped").increment()
-            self._notify_drop(message)
-            return
+        self.messages_sent += 1
         extra_delay = 0.0
         copies = 0
         if self._fault_injector is not None:
             decision = self._fault_injector.on_send(message)
             if decision.drop:
-                self.metrics.counter("messages.dropped").increment()
-                if decision.reason:
-                    self.metrics.counter(f"messages.dropped.{decision.reason}").increment()
-                self._notify_drop(message)
+                self.messages_dropped += 1
+                self._lose(message, decision.reason)
                 return
             extra_delay = decision.extra_delay
             copies = decision.copies
@@ -317,26 +283,18 @@ class OverlayNetwork:
         # Duplication faults: extra copies arrive one latency unit apart so
         # they are strictly ordered after the original (deterministically).
         for copy_index in range(copies):
-            self.metrics.counter("messages.duplicated").increment()
+            self.messages_duplicated += 1
             simulator.schedule_call(
                 simulator.now + latency + float(copy_index + 1),
                 self._deliver,
                 message,
             )
 
-    def _notify_drop(self, message: Message) -> None:
-        """Tell the sender's protocol layer a message will never arrive.
-
-        Senders that track outstanding messages (the concurrent query engine)
-        set the message's ``on_drop`` hook; without it a dropped message
-        would leave its query waiting forever — which is why the drop is
-        *always* charged to the query's ledger first: even callback-less
-        queries show up in :meth:`drops_for_query` instead of stalling
-        invisibly.
-        """
-        if message.query_id is not None:
-            key = (message.kind, message.query_id)
-            self._query_drops[key] = self._query_drops.get(key, 0) + 1
+    def _lose(self, message: Message, reason: str) -> None:
+        """Count a lost message under its fault reason (if it has one) and
+        tell the sender, whose ``on_drop`` hook — when set — settles it."""
+        if reason:
+            self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
         on_drop = message.on_drop
         if on_drop is not None:
             on_drop(message)
@@ -345,16 +303,14 @@ class OverlayNetwork:
         """Deliver a message to its destination node (if still present)."""
         node = self._nodes.get(message.receiver)
         if node is None:
-            self.metrics.counter("messages.undeliverable").increment()
-            self._notify_drop(message)
+            self.messages_undeliverable += 1
+            self._lose(message, "")
             return
         if self._fault_injector is not None:
             blocked = self._fault_injector.blocks_delivery(message)
             if blocked is not None:
-                self.metrics.counter("messages.undeliverable").increment()
-                if blocked:
-                    self.metrics.counter(f"messages.dropped.{blocked}").increment()
-                self._notify_drop(message)
+                self.messages_undeliverable += 1
+                self._lose(message, blocked)
                 return
         # Messages carrying a ``handler`` hook (the query executors'
         # per-message dispatch) are routed to it directly — same contract as

@@ -10,7 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.armada import ArmadaSystem
+from repro.faults import FaultInjector
+from repro.faults.models import FaultModel
 from repro.fissione.network import FissioneNetwork
+from repro.sim.network import NO_FAULT, FaultDecision
 from repro.sim.rng import DeterministicRNG
 
 
@@ -57,3 +60,28 @@ def multi_system() -> ArmadaSystem:
         system.insert_multi(record, payload=record)
     system.multi_records = records  # type: ignore[attr-defined]
     return system
+
+
+class DropWhen(FaultModel):
+    """Drops every message its predicate accepts (drop reason ``"drop"``)."""
+
+    name = "drop"
+
+    def __init__(self, predicate) -> None:
+        self.predicate = predicate
+
+    def on_send(self, message, injector) -> FaultDecision:
+        return FaultDecision(drop=True, reason=self.name) if self.predicate(message) else NO_FAULT
+
+
+@pytest.fixture()
+def drop_when():
+    """``drop_when(overlay, predicate)`` installs a fault injector that
+    drops each message ``predicate(message)`` accepts (a predicate that
+    returns False observes every send) and returns the injector; its
+    ``uninstall()`` lifts the fault."""
+
+    def install(overlay, predicate) -> FaultInjector:
+        return FaultInjector(overlay, [DropWhen(predicate)]).install()
+
+    return install

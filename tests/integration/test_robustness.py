@@ -60,16 +60,16 @@ class TestFaultInjection:
         system.insert_many(values)
         return system, values
 
-    def test_dropping_all_query_messages_isolates_the_origin(self, lossy_system):
+    def test_dropping_all_query_messages_isolates_the_origin(self, lossy_system, drop_when):
         system, _values = lossy_system
-        system.overlay.set_drop_filter(lambda message: message.kind == "pira")
+        injector = drop_when(system.overlay, lambda message: message.kind == "pira")
         result = system.range_query(100.0, 300.0)
         # Only destinations reachable with zero messages (the origin itself)
         # can be found; nothing breaks.
         assert result.destination_count <= 1
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
 
-    def test_partial_loss_returns_subset_never_garbage(self, lossy_system):
+    def test_partial_loss_returns_subset_never_garbage(self, lossy_system, drop_when):
         system, values = lossy_system
         full = system.range_query(100.0, 300.0)
         counter = {"count": 0}
@@ -78,20 +78,20 @@ class TestFaultInjection:
             counter["count"] += 1
             return counter["count"] % 3 == 0
 
-        system.overlay.set_drop_filter(drop_every_third)
+        injector = drop_when(system.overlay, drop_every_third)
         degraded = system.range_query(100.0, 300.0)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
 
         expected = {v for v in values if 100.0 <= v <= 300.0}
         assert set(degraded.matching_values()) <= expected
         assert set(degraded.destinations) <= set(full.destinations)
         assert degraded.destination_count <= full.destination_count
 
-    def test_recovery_after_loss_stops(self, lossy_system):
+    def test_recovery_after_loss_stops(self, lossy_system, drop_when):
         system, values = lossy_system
-        system.overlay.set_drop_filter(lambda message: True)
+        injector = drop_when(system.overlay, lambda message: True)
         system.range_query(100.0, 300.0)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         result = system.range_query(100.0, 300.0)
         expected = sorted(v for v in values if 100.0 <= v <= 300.0)
         assert sorted(result.matching_values()) == expected

@@ -65,6 +65,8 @@ class TestSimLiveEquivalence:
                 rng = DeterministicRNG(1234)
                 origins = sorted(cluster.network.peer_ids())
                 checked = 0
+                sim_sent = system.overlay.messages_sent
+                live_sent = cluster.transport.messages_sent
                 for index, origin in enumerate(origins):
                     low = rng.uniform(0.0, 800.0)
                     high = low + rng.uniform(1.0, 150.0)
@@ -88,6 +90,12 @@ class TestSimLiveEquivalence:
                         assert live_m.messages == sim_m.messages
                         assert live_m.delay_hops == sim_m.delay_hops
                 assert checked == 32
+                # Both transports count the same sends: the loop moved them equally.
+                assert (
+                    system.overlay.messages_sent - sim_sent
+                    == cluster.transport.messages_sent - live_sent
+                    == 380
+                )
             finally:
                 await session.close()
                 await gateway.shutdown()

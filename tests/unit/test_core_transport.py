@@ -34,7 +34,7 @@ class TestOverlayTransport:
         assert transport.has_node("n1")
         assert "n1" in transport.node_ids()
         transport.send(Message(sender="n1", receiver="n1", kind="t"))
-        assert overlay.metrics.counter_value("messages.total") == 1
+        assert overlay.messages_sent == 1
         transport.unregister("n1")
         assert not transport.has_node("n1")
 

@@ -76,7 +76,7 @@ class TestIidLoss:
         overlay, nodes = build_overlay()
         FaultInjector(overlay, [IidLoss(0.3)], seed=11).install()
         flood(overlay, nodes, 2000)
-        dropped = overlay.metrics.counter_value("messages.dropped.loss")
+        dropped = overlay.drops_by_reason.get("loss", 0)
         assert 450 <= dropped <= 750  # 600 expected, generous band
 
     def test_same_seed_same_drops(self):
@@ -84,7 +84,7 @@ class TestIidLoss:
             overlay, nodes = build_overlay()
             FaultInjector(overlay, [IidLoss(0.2)], seed=seed).install()
             flood(overlay, nodes, 500)
-            return overlay.metrics.counter_value("messages.dropped.loss")
+            return overlay.drops_by_reason.get("loss", 0)
 
         assert run(7) == run(7)
         assert run(7) != run(8) or run(7) != run(9)  # seeds actually matter
@@ -108,7 +108,7 @@ class TestGilbertLoss:
                         kind="test",
                     )
                 )
-                after = overlay.metrics.counter_value("messages.dropped")
+                after = overlay.messages_dropped
                 dropped_flags.append(after > before)
                 before = after
             overlay.run()
@@ -128,7 +128,7 @@ class TestGilbertLoss:
         overlay, nodes = build_overlay()
         FaultInjector(overlay, [GilbertLoss(p_bad=0.05, p_good=0.5)], seed=5).install()
         flood(overlay, nodes, 3000)
-        dropped = overlay.metrics.counter_value("messages.dropped.burst-loss")
+        dropped = overlay.drops_by_reason.get("burst-loss", 0)
         assert dropped > 0
 
 
@@ -159,7 +159,7 @@ class TestExtraDelayAndDuplicate:
             )
         overlay.run()
         assert len(nodes[1].received) == 20
-        assert overlay.metrics.counter_value("messages.duplicated") == 10
+        assert overlay.messages_duplicated == 10
 
 
 class TestCrash:
@@ -336,7 +336,7 @@ class TestComposition:
             ).install()
             overlay.run(until=0.0)
             flood(overlay, nodes, 100)
-            return overlay.metrics.counter_value("messages.dropped")
+            return overlay.messages_dropped
 
         first = run()
         assert first > 25  # crashes plus ~half the rest
@@ -382,31 +382,4 @@ class TestFaultPlan:
         assert not plan.models[0]._active  # reset at bind time
         # Before t=5 on overlay B nothing may be dropped.
         flood(overlay_b, nodes_b, 40)
-        assert overlay_b.metrics.counter_value("messages.dropped") == 0
-
-
-class TestQueryDropLedger:
-    def test_drops_counted_per_query_without_callback(self):
-        """Satellite: a lost message is charged to its query id even when the
-        sender installed no ``on_drop`` callback."""
-        overlay, nodes = build_overlay(3)
-        overlay.set_drop_filter(lambda message: True)
-        overlay.send(
-            Message(sender=nodes[0].node_id, receiver=nodes[1].node_id, kind="q", query_id=7)
-        )
-        overlay.send(
-            Message(sender=nodes[0].node_id, receiver=nodes[2].node_id, kind="q", query_id=7)
-        )
-        overlay.set_drop_filter(None)
-        assert overlay.drops_for_query("q", 7) == 2
-        assert overlay.drops_for_query("q", 8) == 0
-        assert overlay.total_query_drops == 2
-
-    def test_undeliverable_also_counted(self):
-        overlay, nodes = build_overlay(3)
-        overlay.send(
-            Message(sender=nodes[0].node_id, receiver=nodes[1].node_id, kind="q", query_id=1)
-        )
-        overlay.unregister(nodes[1].node_id)
-        overlay.run()
-        assert overlay.drops_for_query("q", 1) == 1
+        assert overlay_b.messages_dropped == 0

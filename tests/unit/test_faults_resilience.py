@@ -54,7 +54,7 @@ class TestPolicyValidation:
 
 
 class TestTimeoutAndRetry:
-    def test_transient_loss_recovered_by_retry(self):
+    def test_transient_loss_recovered_by_retry(self, drop_when):
         """Drop the first copy of every forwarding message: with retries the
         query still reaches every ground-truth destination, at higher
         latency and message cost."""
@@ -72,9 +72,9 @@ class TestTimeoutAndRetry:
             seen.add(key)
             return True
 
-        system2.overlay.set_drop_filter(drop_first_copy)
+        injector = drop_when(system2.overlay, drop_first_copy)
         degraded = system2.range_query(LOW, HIGH, origin=system2.network.peer_ids()[0])
-        system2.overlay.set_drop_filter(None)
+        injector.uninstall()
 
         assert degraded.complete
         assert degraded.destinations == reference.destinations
@@ -82,40 +82,40 @@ class TestTimeoutAndRetry:
         assert degraded.resilience.timeouts >= degraded.resilience.retries
         assert degraded.messages > reference.messages
 
-    def test_unrecoverable_loss_reports_partial_not_hang(self):
+    def test_unrecoverable_loss_reports_partial_not_hang(self, drop_when):
         """Dropping everything: the query must terminate (no hang) and
         report itself incomplete with lost subtrees."""
         system = build_system()
         system.set_resilience(
             ResiliencePolicy(per_hop_timeout=2.0, max_retries=1, reroute=False)
         )
-        system.overlay.set_drop_filter(lambda message: True)
+        injector = drop_when(system.overlay, lambda message: True)
         result = system.range_query(LOW, HIGH)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert system.pira.active_queries == 0
         assert not result.complete
         assert result.resilience.subtrees_lost > 0
         assert result.resilience.retries > 0
         assert result.destination_count <= 1
 
-    def test_retry_count_bounded(self):
+    def test_retry_count_bounded(self, drop_when):
         system = build_system(num_peers=80)
         policy = ResiliencePolicy(per_hop_timeout=2.0, max_retries=3, reroute=False)
         system.set_resilience(policy)
-        system.overlay.set_drop_filter(lambda message: True)
+        injector = drop_when(system.overlay, lambda message: True)
         result = system.range_query(LOW, HIGH)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         # Initial fan-out sends F messages; every logical send is attempted
         # at most attempts_per_hop times and nothing is ever processed, so
         # no second-level sends exist.
         fanout = len({step[1] for step in result.forwarding_steps})
         assert result.messages <= fanout * policy.attempts_per_hop
 
-    def test_no_policy_means_no_timers_or_retries(self):
+    def test_no_policy_means_no_timers_or_retries(self, drop_when):
         system = build_system(num_peers=80)
-        system.overlay.set_drop_filter(lambda message: message.hop >= 2)
+        injector = drop_when(system.overlay, lambda message: message.hop >= 2)
         result = system.range_query(LOW, HIGH)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert result.resilience.retries == 0
         assert result.resilience.timeouts == 0
         assert result.resilience.drops > 0
@@ -276,15 +276,15 @@ class TestEngineDeadline:
         with pytest.raises(ValueError):
             QueryEngine(build_system(num_peers=80), deadline=0.0)
 
-    def test_doomed_queries_fail_at_deadline_instead_of_leaking(self):
+    def test_doomed_queries_fail_at_deadline_instead_of_leaking(self, drop_when):
         system = build_system()
         system.set_resilience(ResiliencePolicy(per_hop_timeout=5.0, max_retries=3))
-        system.overlay.set_drop_filter(lambda message: True)
+        injector = drop_when(system.overlay, lambda message: True)
         engine = QueryEngine(system, deadline=6.0)
         report = engine.run_open_loop(
             [QueryJob(arrival=float(index), low=LOW, high=HIGH) for index in range(5)]
         )
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert report.queries == 5
         assert report.failed == 5
         assert report.stalled == 0

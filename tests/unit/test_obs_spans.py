@@ -72,15 +72,6 @@ class TestTracerLifecycle:
         assert span.end == 1.0
         assert span.status == "timeout"
 
-    def test_span_cap_counts_dropped(self):
-        tracer = Tracer(max_spans_per_trace=2)
-        trace = tracer.begin_query("pira", 0.0)
-        assert tracer.start_span(trace, "kept", 0.0) is not None
-        assert tracer.start_span(trace, "dropped", 0.0) is None
-        assert tracer.start_span(trace, "dropped too", 0.0) is None
-        assert tracer.dropped == 2
-        assert len(trace) == 2
-
     def test_event_is_zero_duration(self):
         tracer = Tracer()
         trace = tracer.begin_query("pira", 0.0)
@@ -139,14 +130,6 @@ class TestChromeExport:
         tracer.finish_query(trace, 1.0)
         phases = {e["name"]: e["ph"] for e in spans_to_chrome([trace])["traceEvents"]}
         assert phases["drop"] == "i"
-
-    def test_dropped_spans_surface_in_other_data(self):
-        tracer = Tracer(max_spans_per_trace=1)
-        trace = tracer.begin_query("pira", 0.0)
-        tracer.start_span(trace, "over cap", 0.0)
-        tracer.finish_query(trace, 1.0)
-        payload = spans_to_chrome([trace], dropped=tracer.dropped)
-        assert payload["otherData"] == {"dropped_spans": 1}
 
 
 class TestFormatTree:

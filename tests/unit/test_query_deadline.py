@@ -68,13 +68,13 @@ def reference() -> RangeQueryResult:
 
 
 @DRIVERS
-def test_stalled_query_ends_at_its_deadline_with_the_same_ledger(drive, reference):
+def test_stalled_query_ends_at_its_deadline_with_the_same_ledger(drive, reference, drop_when):
     """The last-hop receiver is crashed and the per-hop timeout outlasts the
     deadline: only the deadline can end the query."""
     victim = max(reference.forwarding_steps, key=lambda step: step[2])[1]
     system = build_system()
     system.set_resilience(ResiliencePolicy(per_hop_timeout=10 * DEADLINE, max_retries=0))
-    system.overlay.set_drop_filter(lambda message: message.receiver == victim)
+    drop_when(system.overlay, lambda message: message.receiver == victim)
 
     result = drive(system, DEADLINE)
 

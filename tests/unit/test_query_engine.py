@@ -14,6 +14,7 @@ from repro.engine import (
     offered_load,
     score_completeness,
 )
+from repro.faults import CrashStop, FaultPlan, IidLoss, ResiliencePolicy
 from repro.sim.metrics import QueryTracker
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import ChurnEvent, periodic_churn, poisson_arrival_times
@@ -266,6 +267,47 @@ class TestChurn:
             system.remove_peers(2)
         assert system.size == 64
         assert system.overlay.node_count == system.size
+
+
+class TestDropsAreChargedToCompletedQueries:
+    """Every message the overlay loses is charged by the executor to the
+    query that sent it, and that query still completes: ``report.dropped``
+    is the sum of the completed queries' ledgers and nothing is left in
+    flight, under each way a message can be lost."""
+
+    #: (report.messages, report.dropped) per scenario
+    EXPECTED = {
+        "crash-stop-reroute": (901, 172),
+        "drop-everything": (50, 50),
+        "iid-loss": (217, 78),
+        "leave-churn": (640, 33),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(EXPECTED))
+    def test_report_drops_are_the_completed_ledgers(self, scenario, drop_when):
+        system = build_system(num_peers=150)
+        churn = None
+        if scenario == "drop-everything":
+            drop_when(system.overlay, lambda message: True)
+        elif scenario == "iid-loss":
+            FaultPlan([IidLoss(0.3)], seed=5).install(system.overlay)
+        elif scenario == "crash-stop-reroute":
+            system.set_resilience(
+                ResiliencePolicy(per_hop_timeout=3.0, max_retries=1, reroute=True)
+            )
+            FaultPlan([CrashStop(fraction=0.1, at=2.0)], seed=5).install(system.overlay)
+        else:
+            churn = [
+                ChurnEvent(time=3.0, kind="leave", count=20),
+                ChurnEvent(time=6.0, kind="leave", count=20),
+            ]
+        report = QueryEngine(system).run_jobs(make_jobs(system, 40), churn=churn)
+        assert report.queries == 40
+        assert report.stalled == 0
+        assert report.dropped == sum(
+            record.result.resilience.drops for record in report.completed
+        )
+        assert (report.messages, report.dropped) == self.EXPECTED[scenario]
 
 
 class TestResumableExecutors:

@@ -1,4 +1,4 @@
-"""Unit tests for counters and summary statistics."""
+"""Unit tests for summary statistics."""
 
 from __future__ import annotations
 
@@ -7,39 +7,11 @@ import math
 import pytest
 
 from repro.sim.metrics import (
-    Counter,
-    MetricsRegistry,
     SummaryStats,
     log2_or_zero,
     mean,
     safe_ratio,
 )
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_increment_default_is_one(self):
-        counter = Counter("x")
-        counter.increment()
-        assert counter.value == 1
-
-    def test_increment_by_amount(self):
-        counter = Counter("x")
-        counter.increment(5)
-        counter.increment(2)
-        assert counter.value == 7
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("x").increment(-1)
-
-    def test_reset(self):
-        counter = Counter("x")
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
 
 
 class TestSummaryStats:
@@ -90,37 +62,6 @@ class TestSummaryStats:
         stats.add(3.0)
         payload = stats.as_dict()
         assert set(payload) == {"count", "mean", "min", "max", "stddev"}
-
-
-class TestMetricsRegistry:
-    def test_counter_is_created_on_first_use(self):
-        registry = MetricsRegistry()
-        registry.counter("messages").increment()
-        assert registry.counter_value("messages") == 1
-
-    def test_counter_value_default_for_missing(self):
-        assert MetricsRegistry().counter_value("missing", default=7) == 7
-
-    def test_summary_created_on_first_use(self):
-        registry = MetricsRegistry()
-        registry.summary("delay").add(4.0)
-        assert registry.summary("delay").mean == 4.0
-
-    def test_snapshot_contains_counters_and_summaries(self):
-        registry = MetricsRegistry()
-        registry.counter("sends").increment(2)
-        registry.summary("delay").add(5.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counter.sends"] == 2.0
-        assert snapshot["summary.delay.mean"] == 5.0
-
-    def test_reset_clears_counters_and_summaries(self):
-        registry = MetricsRegistry()
-        registry.counter("sends").increment(2)
-        registry.summary("delay").add(5.0)
-        registry.reset()
-        assert registry.counter_value("sends") == 0
-        assert registry.summaries == {}
 
 
 class TestHelpers:

@@ -70,16 +70,14 @@ class TestDelivery:
         assert b.received[0] is message
         assert overlay.simulator.now == pytest.approx(1.0)
 
-    def test_messages_counted_total_and_per_kind(self):
+    def test_messages_counted_across_kinds(self):
         overlay = OverlayNetwork()
         overlay.register(EchoNode("a"))
         overlay.register(EchoNode("b"))
         overlay.send(Message(sender="a", receiver="b", kind="query"))
         overlay.send(Message(sender="a", receiver="b", kind="reply"))
         overlay.send(Message(sender="a", receiver="b", kind="query"))
-        assert overlay.metrics.counter_value("messages.total") == 3
-        assert overlay.metrics.counter_value("messages.query") == 2
-        assert overlay.metrics.counter_value("messages.reply") == 1
+        assert overlay.messages_sent == 3
 
     def test_reply_chain_advances_time_per_hop(self):
         overlay = OverlayNetwork()
@@ -100,20 +98,20 @@ class TestDelivery:
         overlay.send(Message(sender="a", receiver="b", kind="query"))
         overlay.unregister("b")
         overlay.run()
-        assert overlay.metrics.counter_value("messages.undeliverable") == 1
+        assert overlay.messages_undeliverable == 1
 
-    def test_drop_filter_drops_matching_messages(self):
+    def test_drop_filter_drops_matching_messages(self, drop_when):
         overlay = OverlayNetwork()
         a, b = EchoNode("a"), EchoNode("b")
         overlay.register(a)
         overlay.register(b)
-        overlay.set_drop_filter(lambda message: message.kind == "query")
+        drop_when(overlay, lambda message: message.kind == "query")
         overlay.send(Message(sender="a", receiver="b", kind="query"))
         overlay.send(Message(sender="a", receiver="b", kind="data"))
         overlay.run()
         assert len(b.received) == 1
         assert b.received[0].kind == "data"
-        assert overlay.metrics.counter_value("messages.dropped") == 1
+        assert overlay.messages_dropped == 1
 
 
 class TestLatencyModels:

@@ -48,31 +48,13 @@ class TestEmptyTrace:
         assert spans_to_jsonl([]) == ""
 
 
-class TestClippedTrace:
-    def test_dropped_count_lands_in_other_data(self):
-        tracer = Tracer(max_spans_per_trace=2)
-        trace = tracer.begin_query("pira", 0.0)
-        tracer.start_span(trace, "kept", 0.0)
-        tracer.start_span(trace, "clipped", 0.0)
-        tracer.finish_query(trace, 1.0)
-        assert tracer.dropped == 1
-        payload = spans_to_chrome([trace], dropped=tracer.dropped)
-        assert payload["otherData"] == {"dropped_spans": 1}
-        # The surviving spans still export normally next to the loss marker.
-        assert len(payload["traceEvents"]) == 2
-
-    def test_zero_dropped_adds_no_other_data(self):
-        trace = Tracer().begin_query("pira", 0.0)
-        assert "otherData" not in spans_to_chrome([trace], dropped=0)
-
-
 class TestDetourRoundTrip:
     def test_wire_round_trip_preserves_perfetto_payload(self):
         trace = build_detour_trace(Tracer())
         wire = json.loads(json.dumps(trace.to_wire()))  # across a real codec
         rebuilt = trace_from_wire(wire)
-        original = spans_to_chrome([trace], dropped=0)
-        round_tripped = spans_to_chrome([rebuilt], dropped=0)
+        original = spans_to_chrome([trace])
+        round_tripped = spans_to_chrome([rebuilt])
         assert json.dumps(round_tripped, sort_keys=True) == json.dumps(
             original, sort_keys=True
         )

@@ -108,7 +108,7 @@ class TestHopSpans:
 
 
 class TestContextOnTheWire:
-    def test_traced_messages_carry_trace_and_span_ids(self):
+    def test_traced_messages_carry_trace_and_span_ids(self, drop_when):
         system = build_system(num_peers=80)
         seen = []
 
@@ -116,14 +116,14 @@ class TestContextOnTheWire:
             seen.append((message.trace, message.span))
             return False  # observe, never drop
 
-        system.overlay.set_drop_filter(spy)
+        injector = drop_when(system.overlay, spy)
         reply = traced_query(system)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert seen
         assert all(trace == reply.trace_id for trace, _ in seen)
         assert len({span for _, span in seen}) == len(seen)
 
-    def test_untraced_messages_carry_no_trace_keys(self):
+    def test_untraced_messages_carry_no_trace_keys(self, drop_when):
         system = build_system(num_peers=80)
         seen = []
 
@@ -131,14 +131,14 @@ class TestContextOnTheWire:
             seen.append((message.trace, message.span))
             return False
 
-        system.overlay.set_drop_filter(spy)
+        injector = drop_when(system.overlay, spy)
         session = SimSession(system, tracer=Tracer())
         asyncio.run(session.submit(RangeQuery(low=LOW, high=HIGH)))
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert seen
         assert all(context == (None, None) for context in seen)
 
-    def test_msg_frame_round_trips_context_in_json_and_binary(self):
+    def test_msg_frame_round_trips_context_in_json_and_binary(self, drop_when):
         system = build_system(num_peers=80)
         captured = []
 
@@ -146,9 +146,9 @@ class TestContextOnTheWire:
             captured.append(message)
             return False
 
-        system.overlay.set_drop_filter(spy)
+        injector = drop_when(system.overlay, spy)
         traced_query(system)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         frame = message_to_wire(captured[0])
         assert frame["meta"]["trace"] == captured[0].trace
         # JSON round trip
@@ -172,7 +172,7 @@ class TestContextOnTheWire:
 
 
 class TestFaultSpans:
-    def test_retries_appear_as_events_under_the_failed_hop(self):
+    def test_retries_appear_as_events_under_the_failed_hop(self, drop_when):
         system = build_system()
         system.set_resilience(ResiliencePolicy(per_hop_timeout=3.0, max_retries=2))
         seen = set()
@@ -184,9 +184,9 @@ class TestFaultSpans:
             seen.add(key)
             return True
 
-        system.overlay.set_drop_filter(drop_first_copy)
+        injector = drop_when(system.overlay, drop_first_copy)
         reply = traced_query(system)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert reply.result.resilience.retries > 0
         trace = trace_from_wire(reply.trace)
         retries = [s for s in trace.spans if s.name == "retry"]
@@ -196,7 +196,7 @@ class TestFaultSpans:
         hop_ids = {s.span_id for s in trace.spans if s.name.startswith("hop ")}
         assert all(event.parent_id in hop_ids for event in retries + drops)
 
-    def test_dead_hop_yields_timeout_status_and_detour_span(self):
+    def test_dead_hop_yields_timeout_status_and_detour_span(self, drop_when):
         reference = build_system()
         probe = traced_query(reference)
         victim = next(
@@ -207,11 +207,12 @@ class TestFaultSpans:
         system.set_resilience(
             ResiliencePolicy(per_hop_timeout=2.0, max_retries=1, reroute=True)
         )
-        system.overlay.set_drop_filter(
+        injector = drop_when(
+            system.overlay,
             lambda message: message.receiver == victim
         )
         reply = traced_query(system)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert reply.result.resilience.reroutes > 0
         trace = trace_from_wire(reply.trace)
         timed_out = [s for s in trace.spans if s.status == "timeout"]
@@ -221,14 +222,14 @@ class TestFaultSpans:
         assert any(d.parent_id in failed_ids for d in detours)
         assert all(d.attributes["around"] == victim for d in detours)
 
-    def test_partial_query_trace_status(self):
+    def test_partial_query_trace_status(self, drop_when):
         system = build_system(num_peers=80)
         system.set_resilience(
             ResiliencePolicy(per_hop_timeout=2.0, max_retries=1, reroute=False)
         )
-        system.overlay.set_drop_filter(lambda message: True)
+        injector = drop_when(system.overlay, lambda message: True)
         reply = traced_query(system)
-        system.overlay.set_drop_filter(None)
+        injector.uninstall()
         assert reply.status == "partial"
         trace = trace_from_wire(reply.trace)
         assert trace.root.status == "partial"

@@ -50,6 +50,15 @@ def python_files(root: str) -> Iterable[str]:
                 yield os.path.join(directory, name)
 
 
+def per_package(root: str) -> Dict[str, int]:
+    """Code lines under ``root`` per top-level package (or module)."""
+    counts: Dict[str, int] = {}
+    for path in python_files(root):
+        package = os.path.relpath(path, root).split(os.sep)[0]
+        counts[package] = counts.get(package, 0) + code_lines(path)
+    return counts
+
+
 def main(argv: list) -> int:
     counts: Dict[str, int] = {}
     if argv:
@@ -57,10 +66,9 @@ def main(argv: list) -> int:
             files = python_files(path) if os.path.isdir(path) else [path]
             counts[path] = sum(code_lines(name) for name in files)
     else:
-        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro")
-        for path in python_files(root):
-            package = os.path.relpath(path, root).split(os.sep)[0]
-            counts[package] = counts.get(package, 0) + code_lines(path)
+        counts = per_package(
+            os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro")
+        )
     for name, count in counts.items():
         print(f"{count:7d}  {name}")
     print(f"{sum(counts.values()):7d}  total")
