@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.armada import ArmadaSystem
 from repro.faults import (
     Bisection,
     CrashRecover,
@@ -383,3 +384,36 @@ class TestFaultPlan:
         # Before t=5 on overlay B nothing may be dropped.
         flood(overlay_b, nodes_b, 40)
         assert overlay_b.messages_dropped == 0
+
+
+class TestQueryDropLedger:
+    """A lost message is charged to the query that sent it through the
+    message's ``on_drop`` hook, which the query executors set on every send."""
+
+    def test_drops_counted_per_query_without_callback(self, drop_when):
+        """The caller installs no callback: each query's resilience ledger
+        holds its own losses, and together they are the overlay's drops."""
+        system = ArmadaSystem(num_peers=64, seed=3, attribute_interval=(0.0, 1000.0))
+        drop_when(system.overlay, lambda message: True)
+        first = system.range_query(100.0, 300.0)
+        second = system.range_query(600.0, 700.0)
+        assert first.resilience.drops == first.messages > 0
+        assert second.resilience.drops == second.messages > 0
+        assert system.overlay.messages_dropped == first.messages + second.messages
+
+    def test_undeliverable_also_counted(self):
+        overlay, nodes = build_overlay(3)
+        charged = []
+        overlay.send(
+            Message(
+                sender=nodes[0].node_id,
+                receiver=nodes[1].node_id,
+                kind="q",
+                query_id=1,
+                on_drop=lambda message: charged.append(message.query_id),
+            )
+        )
+        overlay.unregister(nodes[1].node_id)
+        overlay.run()
+        assert charged == [1]
+        assert overlay.messages_undeliverable == 1

@@ -1,4 +1,9 @@
-"""Unit tests for summary statistics."""
+"""Unit tests for counters and summary statistics.
+
+The counters and the registry are :mod:`repro.obs.metrics`, the program's
+one metrics registry (the simulator's overlay counts its sends in plain
+int fields); the summary statistics and helpers are :mod:`repro.sim.metrics`.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,33 @@ import math
 
 import pytest
 
+from repro.obs.metrics import HOP_BUCKETS, Counter, MetricsRegistry
 from repro.sim.metrics import (
     SummaryStats,
     log2_or_zero,
     mean,
     safe_ratio,
 )
+
+
+class TestCounter:
+    def test_starts_at_zero(self):
+        assert Counter("x").value() == 0
+
+    def test_increment_default_is_one(self):
+        counter = Counter("x")
+        counter.inc()
+        assert counter.value() == 1
+
+    def test_increment_by_amount(self):
+        counter = Counter("x")
+        counter.inc(5)
+        counter.inc(2)
+        assert counter.value() == 7
+
+    def test_negative_increment_rejected(self):
+        with pytest.raises(ValueError):
+            Counter("x").inc(-1)
 
 
 class TestSummaryStats:
@@ -62,6 +88,31 @@ class TestSummaryStats:
         stats.add(3.0)
         payload = stats.as_dict()
         assert set(payload) == {"count", "mean", "min", "max", "stddev"}
+
+
+class TestMetricsRegistry:
+    def test_counter_is_created_on_first_use(self):
+        registry = MetricsRegistry()
+        registry.counter("messages").inc()
+        assert registry.counter("messages").value() == 1
+
+    def test_counter_value_default_for_missing(self):
+        counter = MetricsRegistry().counter("messages", label_names=("kind",))
+        assert counter.value("missing") == 0
+
+    def test_summary_created_on_first_use(self):
+        registry = MetricsRegistry()
+        registry.histogram("delay", HOP_BUCKETS).observe(4.0)
+        delay = registry.histogram("delay", HOP_BUCKETS)
+        assert (delay.count, delay.total) == (1, 4.0)
+
+    def test_snapshot_contains_counters_and_summaries(self):
+        registry = MetricsRegistry()
+        registry.counter("sends").inc(2)
+        registry.histogram("delay", HOP_BUCKETS).observe(5.0)
+        snapshot = registry.snapshot()
+        assert snapshot["repro_sends"] == 2.0
+        assert snapshot["repro_delay_sum"] == 5.0
 
 
 class TestHelpers:

@@ -70,14 +70,19 @@ class TestDelivery:
         assert b.received[0] is message
         assert overlay.simulator.now == pytest.approx(1.0)
 
-    def test_messages_counted_across_kinds(self):
+    def test_messages_counted_total_and_per_kind(self):
         overlay = OverlayNetwork()
+        b = EchoNode("b")
         overlay.register(EchoNode("a"))
-        overlay.register(EchoNode("b"))
+        overlay.register(b)
         overlay.send(Message(sender="a", receiver="b", kind="query"))
         overlay.send(Message(sender="a", receiver="b", kind="reply"))
         overlay.send(Message(sender="a", receiver="b", kind="query"))
+        overlay.run()
+        # One total over every kind; the per-kind split is the receiver's.
         assert overlay.messages_sent == 3
+        kinds = [message.kind for message in b.received]
+        assert (kinds.count("query"), kinds.count("reply")) == (2, 1)
 
     def test_reply_chain_advances_time_per_hop(self):
         overlay = OverlayNetwork()
@@ -112,6 +117,48 @@ class TestDelivery:
         assert len(b.received) == 1
         assert b.received[0].kind == "data"
         assert overlay.messages_dropped == 1
+
+    def test_fresh_overlay_counts_nothing(self):
+        overlay = OverlayNetwork()
+        counts = (
+            overlay.messages_sent,
+            overlay.messages_dropped,
+            overlay.messages_duplicated,
+            overlay.messages_undeliverable,
+        )
+        assert counts == (0, 0, 0, 0)
+        assert overlay.drops_by_reason == {}
+
+    def test_dropped_sends_count_as_sent_and_by_reason(self, drop_when):
+        overlay = OverlayNetwork()
+        overlay.register(EchoNode("a"))
+        overlay.register(EchoNode("b"))
+        drop_when(overlay, lambda message: message.kind == "query")
+        overlay.send(Message(sender="a", receiver="b", kind="query"))
+        overlay.send(Message(sender="a", receiver="b", kind="data"))
+        overlay.run()
+        assert (overlay.messages_sent, overlay.messages_dropped) == (2, 1)
+        assert overlay.drops_by_reason == {"drop": 1}
+        assert overlay.messages_undeliverable == 0
+
+    def test_lost_messages_reach_their_on_drop_hook(self, drop_when):
+        overlay = OverlayNetwork()
+        overlay.register(EchoNode("a"))
+        overlay.register(EchoNode("b"))
+        lost = []
+        drop_when(overlay, lambda message: message.kind == "query")
+        at_send = Message(sender="a", receiver="b", kind="query", on_drop=lost.append)
+        at_delivery = Message(sender="a", receiver="b", kind="data", on_drop=lost.append)
+        overlay.send(at_send)
+        overlay.send(at_delivery)
+        # A lost message without a hook is still counted, just not reported.
+        overlay.send(Message(sender="a", receiver="b", kind="data"))
+        overlay.unregister("b")
+        overlay.run()
+        assert lost == [at_send, at_delivery]
+        assert (overlay.messages_dropped, overlay.messages_undeliverable) == (1, 2)
+        # Loss to a departed receiver carries no fault reason.
+        assert overlay.drops_by_reason == {"drop": 1}
 
 
 class TestLatencyModels:

@@ -1,9 +1,9 @@
-"""Exporter edge cases: empty traces, clipped traces, detour round-trips.
+"""Exporter edge cases: empty traces, long traces, detour round-trips.
 
 The happy paths live in ``test_obs_spans.py``; these are the boundary
-shapes the exporters must survive — a run that traced nothing, a trace
-the span cap clipped, and a fault-recovery trace (timeout hop + detour
-child) surviving a full wire → Perfetto round-trip.
+shapes the exporters must survive — a run that traced nothing, a long
+trace the tracer must keep whole, and a fault-recovery trace (timeout
+hop + detour child) surviving a full wire → Perfetto round-trip.
 """
 
 from __future__ import annotations
@@ -46,6 +46,20 @@ class TestEmptyTrace:
 
     def test_jsonl_export_of_no_spans_is_empty(self):
         assert spans_to_jsonl([]) == ""
+
+
+class TestClippedTrace:
+    """The tracer keeps every span, so no export carries a loss marker."""
+
+    def test_zero_dropped_adds_no_other_data(self):
+        tracer = Tracer()
+        trace = tracer.begin_query("pira", 0.0)
+        for index in range(50):
+            tracer.start_span(trace, f"hop {index}", 0.0)
+        tracer.finish_query(trace, 1.0)
+        payload = spans_to_chrome([trace])
+        assert len(payload["traceEvents"]) == 51  # the root and every hop
+        assert "otherData" not in payload
 
 
 class TestDetourRoundTrip:
