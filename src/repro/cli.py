@@ -22,9 +22,9 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.store import ResultStore
 from repro.experiments import analytics as analytics_experiment
@@ -36,7 +36,6 @@ from repro.experiments import load as load_experiment
 from repro.experiments import mira as mira_experiment
 from repro.experiments import postmortem as postmortem_experiment
 from repro.experiments import livefaults as livefaults_experiment
-from repro.experiments import soak as soak_experiment
 from repro.experiments import tracecmd
 from repro.experiments import table1 as table1_experiment
 from repro.experiments import orchestrator
@@ -242,19 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     clients.add_argument(
         "--concurrency",
         type=int,
-        default=soak_experiment.SoakSpec.concurrency,
+        default=livefaults_experiment.SOAK.concurrency,
         help="closed-loop client population",
     )
     clients.add_argument(
         "--mira-fraction",
         type=float,
-        default=soak_experiment.SoakSpec.mira_fraction,
+        default=livefaults_experiment.SOAK.mira_fraction,
         help="fraction of queries that are multi-attribute (MIRA)",
     )
     clients.add_argument(
         "--pool",
         type=int,
-        default=soak_experiment.SoakSpec.pool,
+        default=livefaults_experiment.SOAK.pool,
         help="session connection-pool size",
     )
     clients.add_argument(
@@ -387,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sustained mixed PIRA/MIRA load against a live cluster on localhost",
     )
     _add_sizing(
-        soak, soak_experiment.SoakSpec, "peers", "nodes", "queries", "objects", "seed"
+        soak, livefaults_experiment.SOAK, "peers", "nodes", "queries", "objects", "seed"
     )
     soak.add_argument(
         "--storage",
         choices=("memory", "wal", "sqlite"),
-        default="memory",
+        default=livefaults_experiment.SOAK.storage,
         help=(
             "peer storage backend — memory (default, volatile), "
             "wal (append-only checksummed log per peer) or sqlite"
@@ -408,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--replicas",
+        dest="write_replicas",
+        metavar="REPLICAS",
         type=int,
-        default=soak_experiment.SoakSpec.replicas,
+        default=livefaults_experiment.SOAK.write_replicas,
         help=(
             "durable copies per insert (owner + prefix siblings, "
             "acked only after every copy is synced)"
@@ -419,18 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-restart",
         action="store_true",
         help=(
-            "after seeding, hard-kill one peer (volatile state "
-            "and unsynced bytes dropped), restart it from its log, and fail "
-            "the run unless every acknowledged write survived"
+            "hard-kill the drill's drawn victim, at its kill point (volatile "
+            "state and unsynced bytes dropped), restart it from its log, and "
+            "fail the run unless every acknowledged write survived"
         ),
     )
     soak.add_argument(
         "--kill-peer",
         action="store_true",
         help=(
-            "after seeding, hard-kill one peer and withdraw its "
-            "route without restarting it, so queries through its subtree "
-            "genuinely fail — the forced-failure half of a postmortem drill"
+            "hard-kill the drill's drawn victim, at its kill point, and "
+            "withdraw its route without restarting it, so queries through its "
+            "subtree genuinely fail — the forced-failure half of a postmortem drill"
         ),
     )
     soak.add_argument(
@@ -579,15 +580,16 @@ def _validated(factory, *args, **kwargs):
         raise SystemExit(str(exc))
 
 
-def make_spec(spec_class: type, args: argparse.Namespace):
+def make_spec(spec: Any, args: argparse.Namespace):
     """Build a live command's spec from its flags.
 
-    Every flag of ``serve``/``soak``/``livefaults``/``trace`` is named after
-    the spec field it sets, so the parsed values map over by name; fields
-    without a flag keep the dataclass's default.
+    ``spec`` is a spec class or a preset instance of one.  Every flag of
+    ``serve``/``soak``/``livefaults``/``trace`` sets the spec field of its
+    ``dest``, so the parsed values map over by name; fields without a flag
+    keep the class's default or the preset's value.
     """
-    values = {f.name: getattr(args, f.name) for f in fields(spec_class) if f.name in args}
-    return _validated(spec_class, **values)
+    values = {f.name: getattr(args, f.name) for f in fields(spec) if f.name in args}
+    return _validated(spec if isinstance(spec, type) else partial(replace, spec), **values)
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -752,25 +754,38 @@ def _run_serve(args: argparse.Namespace) -> int:
     return serve_runtime(make_spec(ServeSettings, args))
 
 
+def _run_live(
+    args: argparse.Namespace,
+    preset: Any,
+    experiment: str,
+    success: Callable[[livefaults_experiment.LiveFaultsResult], float],
+) -> Tuple[livefaults_experiment.LiveFaultsResult, str]:
+    """Run a live preset with the command's flags; ``--require-success``
+    holds ``success(result)`` to its bound.  Returns ``(result, output)``."""
+    result = livefaults_experiment.run(make_spec(preset, args))
+    parts = [result.format()]
+    if args.store is not None:
+        parts.append(_replace_store(args.store, [result.record(experiment)]))
+    output = "\n\n".join(parts)
+    if args.require_success is not None and success(result) < args.require_success:
+        raise SystemExit(
+            output
+            + f"\n\n{experiment} failed: success ratio {success(result):.4f}"
+            f" below the required {args.require_success:g}"
+        )
+    return result, output
+
+
 def _run_soak(args: argparse.Namespace) -> str:
     if args.require_pipelined is not None and args.require_pipelined < 1:
         raise SystemExit(
             f"--require-pipelined must be at least 1, got {args.require_pipelined}"
         )
-    result = soak_experiment.run(make_spec(soak_experiment.SoakSpec, args))
-    parts = [result.format()]
-    if args.store is not None:
-        parts.append(_replace_store(args.store, [result.record()]))
-    output = "\n\n".join(parts)
-    if (
-        args.require_success is not None
-        and result.report.success_ratio < args.require_success
-    ):
-        raise SystemExit(
-            output
-            + f"\n\nsoak failed: success ratio {result.report.success_ratio:.4f}"
-            f" below the required {args.require_success:g}"
-        )
+    # The status ratio: a dead victim's lost subtree fails the run, which the
+    # drill's score (the victims forgiven) would not.
+    result, output = _run_live(
+        args, livefaults_experiment.SOAK, "soak", lambda result: result.report.success_ratio
+    )
     if args.require_pipelined is not None:
         observed = int(result.stats.get("peak_in_flight", 0))
         if observed < args.require_pipelined:
@@ -783,23 +798,17 @@ def _run_soak(args: argparse.Namespace) -> str:
 
 
 def _run_livefaults(args: argparse.Namespace) -> str:
-    spec = make_spec(livefaults_experiment.LiveFaultsSpec, args)
-    result = livefaults_experiment.run(spec)
-    parts = [result.format()]
-    if args.store is not None:
-        parts.append(_replace_store(args.store, [result.record()]))
-    output = "\n\n".join(parts)
-    if args.require_success is not None and result.success_ratio < args.require_success:
-        raise SystemExit(
-            output
-            + f"\n\nlivefaults failed: success ratio {result.success_ratio:.4f}"
-            f" below the required {args.require_success:g}"
-        )
+    # The drill's score: partial statuses after the kills are expected, a
+    # query counts when it reached everything still alive.
+    result, output = _run_live(
+        args, livefaults_experiment.LiveFaultsSpec, "livefaults",
+        lambda result: result.success_ratio,
+    )
     if args.require_convergence and not result.converged:
         raise SystemExit(
             output
             + "\n\nlivefaults failed: membership views did not converge on "
-            f"the deaths within {spec.convergence_timeout:g}s"
+            f"the deaths within {result.spec.convergence_timeout:g}s"
         )
     return output
 

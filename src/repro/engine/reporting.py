@@ -13,13 +13,14 @@ holds what it records and how a run is summed up:
 * :class:`EngineReport` — the aggregate outcome of a run, built by
   :func:`build_report` from the driver's
   :class:`~repro.sim.metrics.QueryTracker` plus its completed records;
-* :func:`score_completeness` — how the fault drill (``repro faults`` and
-  ``repro livefaults``) judges a run's records against the ground truth
-  that is still alive, and against all of it.
+* :func:`score_completeness` — how the fault drill (``repro faults`` on
+  the simulator; ``repro livefaults`` and ``repro soak``, its two live
+  presets) judges a run's records against the ground truth that is still
+  alive, and against all of it.
 
 Everything here serialises: ``to_wire`` / ``from_wire`` round-trip every
 field through JSON, which is what lets the gateway ship query results and
-soak reports over the wire protocol byte-faithfully.
+run reports over the wire protocol byte-faithfully.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ front of a :class:`~repro.runtime.cluster.LiveCluster`).  Everything that
 does not depend on the clock is decided here, once, from the
 :class:`FaultDrill` spec — so both backends see the same inputs:
 
-* **population** — :func:`~repro.experiments.soak.seed_population` through
-  the session, from the ``livefaults-values`` / ``livefaults-mvalues``
-  substreams of the drill seed;
+* **population** — :func:`seed_population` through the session, from the
+  ``livefaults-values`` / ``livefaults-mvalues`` substreams of the drill
+  seed, ``write_replicas`` copies per insert;
 * **victims** — ``round(peers × fraction)`` of them (at most ``peers −
   3``), sampled from the ``livefaults-victims`` substream over the sorted
   boot PeerIDs;
@@ -20,7 +20,8 @@ does not depend on the clock is decided here, once, from the
 * **kill point** — from the load driver's completion listener, exactly
   after completion ``k = int(queries × KILL_AFTER_FRACTION)`` and before
   the next job launches, every victim dies through ``host.crash_peer``
-  (mark down and power-fail; nothing is told out of band);
+  (mark down and power-fail; nothing is told out of band) unless the front
+  end passes its own ``kill``;
 * **score** — :func:`~repro.engine.reporting.score_completeness` against
   the live oracle (the victims forgiven) and the full one.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.requests import Insert, MultiInsert, Request, RequestOptions
 from repro.api.session import Session
 from repro.engine.reporting import (
     CompletedQuery,
@@ -42,11 +44,11 @@ from repro.engine.reporting import (
     QueryJob,
     score_completeness,
 )
-from repro.experiments.soak import seed_population
 from repro.faults import ResiliencePolicy
 from repro.runtime.loadgen import make_mixed_jobs
 from repro.sim.metrics import safe_ratio
 from repro.sim.rng import DeterministicRNG
+from repro.workloads.values import uniform_values
 
 #: the victims die once this fraction of the workload has completed
 KILL_AFTER_FRACTION = 0.25
@@ -66,13 +68,18 @@ class FaultDrill:
     mira_fraction: float = 0.2
     range_size: float = 20.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
+    #: copies per seeded insert (owner + prefix siblings); not ``replicas``,
+    #: which ``repro faults`` already spends on independent repetitions
+    write_replicas: int = 1
 
     #: not a field: every drill kills at the same point of its workload
     kill_after_fraction: ClassVar[float] = KILL_AFTER_FRACTION
 
     def __post_init__(self) -> None:
-        if self.peers < 4:
-            raise ValueError("need at least 4 peers")
+        # three survivors at least; a drill that kills nobody needs no fourth
+        minimum = 4 if self.fraction > 0 else 3
+        if self.peers < minimum:
+            raise ValueError(f"need at least {minimum} peers")
         if self.queries < 1:
             raise ValueError("need at least one query")
         if self.concurrency < 1:
@@ -86,6 +93,8 @@ class FaultDrill:
         low, high = self.attribute_interval
         if high <= low:
             raise ValueError("attribute interval must have positive width")
+        if self.write_replicas < 1:
+            raise ValueError("replicas must be at least 1")
 
     @property
     def victims(self) -> int:
@@ -137,24 +146,51 @@ class DrillOutcome:
         }
 
 
+async def seed_population(session: Session, drill: FaultDrill) -> None:
+    """Publish ``drill.objects`` seeded single-attribute values, plus a
+    quarter as many two-attribute records so MIRA queries have something to
+    match, drawn from the ``livefaults-values`` / ``livefaults-mvalues``
+    substreams of ``drill.seed``, ``drill.write_replicas`` copies each.
+
+    Published in batches: each batch is posted back-to-back on the pooled
+    connections and the replies stream in concurrently, so the seeding
+    phase pipelines too.
+    """
+    low, high = drill.attribute_interval
+    rng = DeterministicRNG(drill.seed)
+    options = RequestOptions(replicas=drill.write_replicas)
+    inserts: List[Request] = [
+        Insert(value=value, options=options)
+        for value in uniform_values(rng.substream("livefaults-values"), drill.objects, low, high)
+    ]
+    mrng = rng.substream("livefaults-mvalues")
+    inserts.extend(
+        MultiInsert(values=(mrng.uniform(low, high), mrng.uniform(low, high)), options=options)
+        for _ in range(drill.objects // 4)
+    )
+    for index in range(0, len(inserts), 256):
+        await session.batch(inserts[index : index + 256])
+
+
 async def run_drill(
     drill: FaultDrill,
     session: Session,
     host: Any,
     policy: Optional[ResiliencePolicy],
-    on_kill: Optional[Callable[[], None]] = None,
+    kill: Optional[Callable[[List[str]], None]] = None,
 ) -> DrillOutcome:
     """Run ``drill`` through ``session`` against ``host`` and score it.
 
     ``host`` is the :class:`~repro.core.armada.ArmadaSystem` or the
     :class:`~repro.runtime.cluster.LiveCluster` behind ``session``; the
     drill reads only its ``network.peer_ids()``, its ``executors`` (which
-    take ``policy``) and its ``crash_peer``.  ``on_kill`` runs right after
-    the victims die, inside the completion listener.
+    take ``policy``) and its ``crash_peer``.  ``kill(victims)``, when
+    given, replaces the ``crash_peer`` of every victim; it runs inside the
+    completion listener, so it must not await.
     """
     for executor in host.executors.values():
         executor.set_resilience(policy)
-    await seed_population(session, drill, "livefaults")
+    await seed_population(session, drill)
     peer_ids = list(host.network.peer_ids())
     victims = drill.pick_victims(peer_ids)
     jobs = make_mixed_jobs(
@@ -167,20 +203,20 @@ async def run_drill(
     )
     completions = 0
 
-    def kill() -> None:
+    def crash(victims: List[str]) -> None:
         for victim in victims:
             host.crash_peer(victim)
-        if on_kill is not None:
-            on_kill()
+
+    die = kill if kill is not None else crash
 
     def count(_record: CompletedQuery) -> None:
         nonlocal completions
         completions += 1
         if completions == drill.kill_at:
-            kill()
+            die(victims)
 
     if drill.kill_at == 0:
-        kill()
+        die(victims)
     report = await session.run_jobs(
         jobs, mode="closed", concurrency=drill.concurrency, on_query_complete=count
     )

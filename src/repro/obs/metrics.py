@@ -232,8 +232,8 @@ class MetricsRegistry:
 
     Instruments register lazily on first access and keep insertion
     order in the exposition output.  A single registry instance is
-    shared by the gateway, the cluster, the soak driver and the
-    exposition endpoint.
+    shared by the gateway, the cluster, the live run
+    (:mod:`repro.experiments.livefaults`) and the exposition endpoint.
     """
 
     def __init__(self, namespace: str = "repro") -> None:

@@ -4,8 +4,9 @@ The runner owns the process lifecycle:
 
 1. boot the :class:`~repro.runtime.cluster.LiveCluster` (bootstrap joins
    over localhost TCP) and the :class:`~repro.runtime.gateway.Gateway`
-   (:func:`live_gateway` — the one boot and teardown order ``repro soak``
-   and ``repro livefaults`` share);
+   (:func:`live_gateway` — the one boot and teardown order this loop
+   shares with the one live run, :mod:`repro.experiments.livefaults`,
+   behind ``repro soak`` and ``repro livefaults``);
 2. print the connect line (``gateway listening on HOST:PORT ...``) — the
    CLI contract scripts and the CI smoke job parse;
 3. wait for SIGINT/SIGTERM (or a programmatic stop event);

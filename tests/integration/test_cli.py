@@ -7,11 +7,13 @@ import json
 import math
 import os
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main, make_config, make_spec
-from repro.experiments.soak import SoakSpec
+from repro.experiments.livefaults import SOAK
 from repro.experiments.tracecmd import TraceSpec
 from repro.runtime.server import ServeSettings
 
@@ -50,6 +52,34 @@ COMMAND_FLAGS = {
               "--origin", "--trace-out", "--trace-jsonl"},
     "replay": {"--timeline"},
 }
+
+
+def ci_invocations():
+    """The arguments of every ``repro ...`` / ``python -m repro ...`` call in
+    the CI workflow, its ``\\`` continuation lines joined.  Comments and the
+    ``--help`` sanity calls (which print and exit instead of parsing) are
+    skipped."""
+    workflow = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+    lines = [line.strip() for line in workflow.read_text().splitlines()]
+    joined = " ".join(
+        line[:-1] if line.endswith("\\") else line + "\n"
+        for line in lines
+        if not line.startswith("#")
+    )
+    calls = []
+    for line in joined.splitlines():
+        match = re.search(r"(?:^|\s)(?:python -m )?repro\s+(.*)", line)
+        if match is None:
+            continue
+        # cut the shell around the call: a pipe, ``&``, ``; then`` or ``)``
+        argv = re.split(r"\s*(?:\||&|;|\))", match.group(1))[0].strip()
+        if "--help" not in argv:
+            calls.append(" ".join(argv.split()))
+    return calls
+
+
+#: every ``repro`` invocation of .github/workflows/ci.yml
+CI_INVOCATIONS = ci_invocations()
 
 
 def subparsers():
@@ -116,32 +146,12 @@ class TestArgumentHandling:
         assert parser.parse_args(["livefaults"]).seed == 1
         assert parser.parse_args(["trace"]).objects == TraceSpec.objects
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # the seven `repro ...` invocations of .github/workflows/ci.yml
-            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
-            " --mira-fraction 0.3 --pool 4 --require-pipelined 2 --require-success 1.0"
-            " --store soak.jsonl",
-            "soak --peers 8 --nodes 8 --queries 400 --objects 200 --concurrency 8"
-            " --mira-fraction 0.3 --gossip --pool 4 --require-success 1.0"
-            " --metrics-port 9109 --trace-out soak_trace.json",
-            "soak --peers 8 --nodes 8 --queries 60 --objects 200 --concurrency 8"
-            " --mira-fraction 0.3 --pool 4 --kill-peer --record-dir postmortem"
-            " --postmortem-on-fail --require-success 1.0",
-            "replay postmortem/flight.dump --timeline",
-            "livefaults --peers 8 --nodes 4 --queries 150 --objects 150 --fraction 0.25"
-            " --concurrency 8 --require-success 0.9 --require-convergence"
-            " --store livefaults.jsonl",
-            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
-            " --mira-fraction 0.3 --storage wal --kill-restart --replicas 2"
-            " --require-success 1.0",
-            "soak --peers 8 --nodes 8 --queries 50 --objects 200 --concurrency 8"
-            " --mira-fraction 0.3 --storage sqlite --kill-restart --require-success 1.0",
-        ],
-    )
+    def test_ci_workflow_has_every_invocation(self):
+        assert len(CI_INVOCATIONS) >= 11
+
+    @pytest.mark.parametrize("argv", CI_INVOCATIONS)
     def test_ci_invocations_parse(self, argv):
-        args = build_parser().parse_args(argv.split())
+        args = build_parser().parse_args(shlex.split(argv))
         assert callable(args.handler)
 
     def test_rates_parsing(self):
@@ -207,7 +217,7 @@ class TestArgumentHandling:
         assert serve.peers == 32
         assert serve.port == 7411
         assert serve.deadline == 5.0
-        soak = make_spec(SoakSpec, parser.parse_args(["soak"]))
+        soak = make_spec(SOAK, parser.parse_args(["soak"]))
         assert soak.peers == 32
         assert soak.queries == 1000
         assert soak.nodes == 8
@@ -219,7 +229,7 @@ class TestArgumentHandling:
             ["soak", "--peers", "16", "--queries", "200", "--nodes", "4",
              "--concurrency", "8", "--mira-fraction", "0.5", "--deadline", "2.5"]
         )
-        spec = make_spec(SoakSpec, args)
+        spec = make_spec(SOAK, args)
         assert (spec.peers, spec.queries, spec.nodes) == (16, 200, 4)
         assert (spec.concurrency, spec.mira_fraction, spec.deadline) == (8, 0.5, 2.5)
 
@@ -236,7 +246,7 @@ class TestArgumentHandling:
         assert serve.log_json is True
         assert make_spec(ServeSettings, parser.parse_args(["serve"])).metrics_port is None
         soak = make_spec(
-            SoakSpec,
+            SOAK,
             parser.parse_args(
                 ["soak", "--metrics-port", "0", "--trace-out", "trace.json"]
             ),
@@ -477,8 +487,8 @@ class TestExecution:
         (record,) = [json.loads(line) for line in store.read_text().splitlines()]
         assert record["experiment"] == "soak"
         assert record["queries"] == 40
-        assert record["success_ratio"] == 1.0
-        assert record["queries_per_sec"] > 0
+        assert record["success_ratio"] == record["status_success_ratio"] == 1.0
+        assert record["throughput"] > 0
         assert record["peak_in_flight"] >= 1
         assert record["frames"] > 0
 

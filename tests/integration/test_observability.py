@@ -254,11 +254,14 @@ class TestSoakObservability:
     def test_soak_snapshots_metrics_and_writes_perfetto_trace(self, tmp_path):
         import json
 
-        from repro.experiments.soak import SoakSpec, run
+        from dataclasses import replace
+
+        from repro.experiments.livefaults import SOAK, run
 
         trace_path = tmp_path / "soak_trace.json"
         result = run(
-            SoakSpec(
+            replace(
+                SOAK,
                 peers=8,
                 nodes=2,
                 queries=20,

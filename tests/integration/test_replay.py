@@ -9,17 +9,20 @@ must be caught at the exact sequence number of the edited event.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
+from repro.core.armada import ArmadaSystem
 from repro.experiments import postmortem
-from repro.experiments.soak import SoakSpec, run_async
+from repro.experiments.drill import FaultDrill
+from repro.experiments.livefaults import SOAK, run_async
 from repro.obs.recorder import load_dump, write_dump
 from repro.obs.replay import replay_events
 
 
 def record_soak(tmp_path, **overrides):
-    """Run one small recorded soak; returns (SoakResult, dump events)."""
+    """Run one small recorded soak; returns (its result, dump events)."""
     params = dict(
         peers=8,
         nodes=2,
@@ -30,7 +33,7 @@ def record_soak(tmp_path, **overrides):
         record_dir=str(tmp_path),
     )
     params.update(overrides)
-    spec = SoakSpec(**params)
+    spec = replace(SOAK, **params)
     result = asyncio.run(run_async(spec))
     events = load_dump(str(tmp_path / "flight.dump"))
     return result, events
@@ -113,16 +116,29 @@ class TestPostmortemCommand:
         )
         # The forced failure: the victim's subtree is genuinely lost.
         assert result.report.success_ratio < 1.0
-        assert result.stats["kill_peer"]
         assert result.stats["postmortem"]["reason"] == "postmortem"
-        # A lossy run still replays divergence-free: the recorded drops and
-        # fault events reproduce the same partial results.
+        # The one victim rule: the lever kills the victim a one-victim drill
+        # draws from the boot PeerIDs ...
+        boot = ArmadaSystem(num_peers=8, seed=11).network.peer_ids()
+        drawn = FaultDrill(peers=8, seed=11, fraction=1 / 8).pick_victims(boot)
+        assert result.killed == drawn
+        (crash,) = [ev for ev in events if ev["type"] == "fault"]
+        assert (crash["action"], crash["peer"]) == ("crash", drawn[0])
+        # ... at the drill's one kill point: exactly k = int(40 × 0.25)
+        # queries had completed at the client when it died.
+        completed_before = [
+            record for record in result.report.completed if record.completed_at <= crash["ts"]
+        ]
+        assert len(completed_before) == int(40 * 0.25) == 10
+        # A lossy run whose kill lands mid-run still replays divergence-free:
+        # the recorded drops and fault events reproduce the same partial results.
         report = replay_events(replayable(events))
         assert report.ok, report.divergence.format()
         assert report.faults >= 1
 
     def test_postmortem_on_fail_keeps_healthy_runs_dump_free(self, tmp_path):
-        spec = SoakSpec(
+        spec = replace(
+            SOAK,
             peers=8,
             nodes=2,
             queries=10,

@@ -201,10 +201,12 @@ class TestGatewaySmoke:
     def test_32_peers_1000_mixed_queries_soak(self):
         """The full-size ``repro soak`` defaults: nothing lost, nothing
         stalled, and the pooled connections really multiplexed."""
-        from repro.experiments.soak import SoakSpec, run as run_soak
+        from dataclasses import replace
 
-        spec = SoakSpec(
-            peers=32, nodes=8, queries=1000, concurrency=16, objects=500, seed=42, pool=4
+        from repro.experiments.livefaults import SOAK, run as run_soak
+
+        spec = replace(
+            SOAK, peers=32, nodes=8, queries=1000, concurrency=16, objects=500, seed=42, pool=4
         )
         result = run_soak(spec)
         assert result.report.queries == 1000

@@ -1,6 +1,6 @@
 """Integration tests: crash consistency of the durable storage stack.
 
-Three layers of the same promise — *an acknowledged write survives
+Four layers of the same promise — *an acknowledged write survives
 ``kill -9``* — each tested at the level where it is actually enforced:
 
 * **process**: a :mod:`repro.runtime.storenode` subprocess is killed with
@@ -11,6 +11,8 @@ Three layers of the same promise — *an acknowledged write survives
   through the gateway, hard-kills one peer and restarts it; the peer's
   content-addressed digest must be intact and the cluster must equal a
   same-seed simulator peer for peer;
+* **soak**: ``repro soak --kill-restart`` restarts the drill's drawn
+  victim mid-run and loses no acknowledged write;
 * **replication**: ``replicas=2`` inserts stay readable through the
   ``get`` failover path after the owner crashes, and writes that cannot
   reach every replica are *reported* failed — never silently dropped.
@@ -24,6 +26,8 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +35,8 @@ from repro.api.live import LiveSession
 from repro.api.requests import ApiError
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
+from repro.experiments.drill import FaultDrill
+from repro.experiments.livefaults import SOAK, run
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.gateway import Gateway
 
@@ -216,6 +222,32 @@ class TestClusterKillRestart:
             LiveCluster(num_peers=8, seed=SEED, storage="wal")
         with pytest.raises(ClusterError, match="unknown storage backend"):
             LiveCluster(num_peers=8, seed=SEED, storage="floppy", data_dir="/tmp")
+
+
+class TestSoakKillRestart:
+    """``repro soak --storage wal --kill-restart --replicas 2``, in-process."""
+
+    def test_drawn_victim_restarts_with_every_acked_write(self, tmp_path):
+        spec = replace(
+            SOAK, peers=8, nodes=8, queries=50, objects=200, concurrency=8,
+            mira_fraction=0.3, storage="wal", data_dir=str(tmp_path),
+            kill_restart=True, write_replicas=2,
+        )
+        result = run(spec)
+        assert result.report.success_ratio == 1.0
+        assert result.success_ratio == 1.0
+        boot = ArmadaSystem(num_peers=8, seed=spec.seed).network.peer_ids()
+        (drawn,) = FaultDrill(peers=8, seed=spec.seed, fraction=1 / 8).pick_victims(boot)
+        restart = result.stats["kill_restart"]
+        assert result.killed == [restart["victim"]] == [drawn]
+        assert restart["replayed"] > 0
+        assert restart["objects_before"] == restart["objects_after"] > 0
+
+    def test_auto_created_data_dir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = replace(SOAK, peers=4, nodes=2, queries=8, objects=20, storage="wal")
+        assert run(spec).report.success_ratio == 1.0
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------- #
