@@ -9,9 +9,10 @@ pings, indirect probes and epidemically piggybacked membership digests.
 * :mod:`repro.gossip.membership` — the shared table: ``alive`` /
   ``suspect`` / ``dead`` / ``left`` entries with incarnation numbers,
   per-entry versioning and SWIM merge precedence;
-* :mod:`repro.gossip.swim` — the timer-driven loop, transport-agnostic;
-* :mod:`repro.gossip.simmodel` — the same loop on the deterministic
-  simulator, under seeded message loss.
+* :mod:`repro.gossip.swim` — the timer-driven loop, run over a transport
+  (``schedule_after`` and ``send_frame``) as the query executors are;
+* :mod:`repro.gossip.simmodel` — the same loop with its agents as nodes of
+  the simulated overlay, under the fault injector's seeded models.
 """
 
 from repro.gossip.membership import (

@@ -28,9 +28,9 @@ rule is why the protocol never flaps: third parties cannot fabricate
 fresher records than the subject itself.
 
 The table is pure state — no clocks, no sockets, no timers — so the same
-code runs under the live asyncio runtime and the deterministic simulator
+code runs under the live asyncio runtime and on the simulated overlay
 (:mod:`repro.gossip.simmodel`), and the property tests can drive it
-through arbitrary interleavings.
+through arbitrary fault interleavings.
 """
 
 from __future__ import annotations
@@ -205,9 +205,6 @@ class MembershipTable:
 
     def alive_ids(self) -> List[str]:
         return self.ids_in(ALIVE)
-
-    def suspect_ids(self) -> List[str]:
-        return self.ids_in(SUSPECT)
 
     def dead_ids(self) -> List[str]:
         return self.ids_in(DEAD)

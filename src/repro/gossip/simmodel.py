@@ -1,13 +1,15 @@
-"""The sim-side gossip model: SWIM over the discrete-event simulator.
+"""The sim-side gossip model: SWIM agents as nodes of the simulated overlay.
 
 The live runtime gained a control plane (:mod:`repro.gossip.swim`); this
 module keeps the simulator's side of the live ≡ sim bargain.  The exact
-same :class:`~repro.gossip.swim.SwimNode` protocol code runs here, but
-``clock``/``schedule`` come from a
-:class:`~repro.sim.engine.Simulator` and ``send`` goes through a lossy
-in-memory bus — so membership convergence can be tested deterministically
-under *seeded, arbitrary* message-loss interleavings, which no amount of
-real-socket testing can enumerate.
+same :class:`~repro.gossip.swim.SwimNode` protocol code runs here, over an
+:class:`~repro.sim.network.OverlayNetwork` instead of the asyncio
+transport: its timers are simulator events, and its frames are overlay
+messages, so loss, partition, duplication, reordering and crash come
+from the one :class:`~repro.faults.injector.FaultInjector` the query
+plane faces too.  Membership convergence can therefore be tested
+deterministically under *seeded, arbitrary* fault interleavings, which
+no amount of real-socket testing can enumerate.
 
 >>> sim = GossipSim(nodes=4, seed=7)
 >>> sim.start()
@@ -21,23 +23,27 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.gossip.membership import ALIVE, Address, MembershipTable, views_converged
+from repro.faults.injector import FaultInjector
+from repro.faults.models import FaultModel
+from repro.gossip.membership import ALIVE, MembershipTable, views_converged
 from repro.gossip.swim import SwimConfig, SwimNode
 from repro.sim.engine import Simulator
+from repro.sim.network import OverlayNetwork, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
 
 
 class GossipSim:
-    """N SWIM nodes on one simulator, joined by a seeded lossy bus.
+    """N SWIM nodes on one simulated overlay, under seeded fault models.
 
     Each node hosts ``peers_per_node`` peers (PeerIDs ``P<k>``); its
-    "address" is a synthetic ``(node_id, 0)`` tuple the bus resolves.
-    ``loss`` drops each frame independently with that probability, and
-    ``delay`` spreads deliveries over ``[delay/2, delay)`` sim seconds —
-    both drawn from substreams of ``seed``, so one seed is one exact
-    interleaving.
+    "address" is ``(node_id, 0)``, and the overlay delivers a frame sent
+    there to the agent registered as ``node_id``.  ``models`` (loss,
+    partition, duplication, extra delay, ...) are installed on a
+    :class:`~repro.faults.injector.FaultInjector` seeded with ``seed``, and
+    ``delay`` spreads deliveries uniformly over ``[delay/2, delay]`` sim
+    seconds, so one seed is one exact interleaving.
     """
 
     def __init__(
@@ -45,91 +51,52 @@ class GossipSim:
         nodes: int,
         seed: int = 1,
         config: Optional[SwimConfig] = None,
-        loss: float = 0.0,
+        models: Sequence[FaultModel] = (),
         delay: float = 0.02,
         peers_per_node: int = 1,
     ) -> None:
         if nodes < 2:
             raise ValueError("need at least two nodes to gossip")
-        if not 0.0 <= loss < 1.0:
-            raise ValueError("loss must be within [0, 1)")
         if delay <= 0:
             raise ValueError("delay must be positive")
         if peers_per_node < 1:
             raise ValueError("peers_per_node must be at least 1")
         self.sim = Simulator()
         self.config = config if config is not None else SwimConfig()
-        self.loss = loss
-        self.delay = delay
-        self.seed = seed
         rng = DeterministicRNG(seed)
-        self._loss_rng = rng.substream("gossip-loss")
-        self._delay_rng = rng.substream("gossip-delay")
+        self.network = OverlayNetwork(
+            self.sim, UniformLatencyModel(delay / 2, delay, rng.substream("latency"))
+        )
+        self.faults = FaultInjector(self.network, list(models), seed=seed)
         self.nodes: Dict[str, SwimNode] = {}
-        self.hosted: Dict[str, Set[str]] = {}
-        self.down_nodes: Set[str] = set()
-        self.down_peers: Set[str] = set()
-        self.frames_sent = 0
-        self.frames_lost = 0
-        self._by_address: Dict[Address, str] = {}
+        self.hosted: Dict[str, Set[str]] = {
+            f"node-{index}": {
+                f"P{index * peers_per_node + slot}" for slot in range(peers_per_node)
+            }
+            for index in range(nodes)
+        }
 
-        peer_index = 0
-        all_peers: List[Tuple[str, str, Address]] = []  # (peer, node, address)
-        for index in range(nodes):
-            node_id = f"node-{index}"
-            address: Address = (node_id, 0)
-            tenants = set()
-            for _ in range(peers_per_node):
-                tenants.add(f"P{peer_index}")
-                peer_index += 1
-            self.hosted[node_id] = tenants
-            self._by_address[address] = node_id
-            for peer in sorted(tenants):
-                all_peers.append((peer, node_id, address))
-
-        for index in range(nodes):
-            node_id = f"node-{index}"
-            address = (node_id, 0)
+        for node_id in self.hosted:
             table = MembershipTable()
             # Bootstrap: every view starts fully seeded, as the live
             # cluster's bootstrap protocol leaves it; convergence under
             # churn is what the gossip loop must then maintain.
-            for peer, _home, peer_address in all_peers:
-                table.apply(peer, ALIVE, 0, peer_address)
+            for home, tenants in self.hosted.items():
+                for peer in sorted(tenants):
+                    table.apply(peer, ALIVE, 0, (home, 0))
             agent = SwimNode(
                 node_id,
-                address,
+                (node_id, 0),
                 table,
                 self.config,
                 rng.substream("gossip", node_id),
-                clock=lambda: self.sim.now,
-                schedule=self.sim.schedule_after,
-                send=self._make_send(node_id),
-                hosted=self._make_hosted(node_id),
-                is_up=lambda peer: peer not in self.down_peers,
-                on_event=None,
+                transport=self.network,
+                hosted=lambda node_id=node_id: self.hosted[node_id],
+                is_up=lambda _peer, node_id=node_id: not self.faults.is_down(node_id),
             )
             self.nodes[node_id] = agent
-
-    def _make_hosted(self, node_id: str):
-        return lambda: self.hosted[node_id]
-
-    def _make_send(self, node_id: str):
-        def send(address: Address, frame) -> None:
-            self.frames_sent += 1
-            if node_id in self.down_nodes:
-                return  # a dead process sends nothing
-            if self.loss > 0.0 and self._loss_rng.random() < self.loss:
-                self.frames_lost += 1
-                return
-            target = self._by_address.get(tuple(address))
-            if target is None or target in self.down_nodes:
-                return  # destination process is gone: silence, not an error
-            transit = self.delay * (0.5 + 0.5 * self._delay_rng.random())
-            agent = self.nodes[target]
-            self.sim.schedule_after(transit, lambda: agent.handle_frame(frame))
-
-        return send
+            self.network.register(agent)
+        self.faults.install()
 
     # -- control -------------------------------------------------------------
 
@@ -142,23 +109,14 @@ class GossipSim:
         return self.sim.run(until=until)
 
     def crash(self, node_id: str) -> Set[str]:
-        """Kill one node process: its peers stop acking, its timers die.
+        """Kill one node process: its timers die and the overlay drops
+        every frame to or from it.
 
         Returns the PeerIDs that went down with it.
         """
-        agent = self.nodes[node_id]
-        agent.stop()
-        self.down_nodes.add(node_id)
-        victims = set(self.hosted[node_id])
-        self.down_peers.update(victims)
-        return victims
-
-    def revive(self, node_id: str) -> None:
-        """Restart a crashed node: its tenants rejoin at fresh incarnations
-        (the agent's ``_ensure_local``/``_refute`` pass handles the bump)."""
-        self.down_nodes.discard(node_id)
-        self.down_peers.difference_update(self.hosted[node_id])
-        self.nodes[node_id].start()
+        self.nodes[node_id].stop()
+        self.faults.crash(node_id)
+        return set(self.hosted[node_id])
 
     # -- inspection ----------------------------------------------------------
 
@@ -166,7 +124,7 @@ class GossipSim:
         return [
             agent.table
             for node_id, agent in self.nodes.items()
-            if node_id not in self.down_nodes
+            if not self.faults.is_down(node_id)
         ]
 
     def converged(self, expect_dead: Iterable[str] = ()) -> bool:

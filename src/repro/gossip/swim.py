@@ -23,12 +23,14 @@ refutes immediately — a fresh ``alive`` at a bumped incarnation, which
 supersedes the rumor everywhere (see
 :mod:`repro.gossip.membership` for the precedence rules).
 
-The class owns no sockets and no clock: the caller injects ``clock``,
-``schedule`` and ``send``, so the identical protocol code runs over the
-live :class:`~repro.runtime.transport.AsyncioTransport` (frames on real
-TCP links) and the deterministic simulator
-(:mod:`repro.gossip.simmodel`), which is what keeps the live ≡ sim
-equivalence tests meaningful for the control plane too.
+The class owns no sockets and no clock: it runs over a transport, as the
+PIRA/MIRA executors do, and reads only its ``schedule_after`` and
+``send_frame``.  So the identical protocol code runs over the live
+:class:`~repro.runtime.transport.AsyncioTransport` (frames on real TCP
+links) and the simulator's :class:`~repro.sim.network.OverlayNetwork`
+(:mod:`repro.gossip.simmodel`), where a frame meets the same fault
+injector and latency model as a query message — which is what keeps the
+live ≡ sim equivalence tests meaningful for the control plane too.
 """
 
 from __future__ import annotations
@@ -110,11 +112,11 @@ class SwimNode:
         A :class:`~repro.sim.rng.DeterministicRNG` substream — all
         randomness (jitter, rotation shuffle, proxy choice) flows through
         it, so a seeded run is reproducible.
-    clock / schedule / send:
-        The environment: ``clock()`` returns now; ``schedule(delay, cb)``
-        returns a handle with ``.cancel()``; ``send(address, frame)``
-        transmits one gossip cast (losses are fine — loss *is* the
-        signal).
+    transport:
+        The environment, read through two methods:
+        ``schedule_after(delay, callback, label)`` returns a handle with
+        ``.cancel()``; ``send_frame(address, frame)`` transmits one gossip
+        cast (losses are fine — loss *is* the signal).
     hosted / is_up:
         ``hosted()`` yields the PeerIDs this endpoint currently hosts;
         ``is_up(peer)`` says whether a hosted peer is actually serving (a
@@ -130,9 +132,7 @@ class SwimNode:
         config: SwimConfig,
         rng: Any,
         *,
-        clock: Callable[[], float],
-        schedule: Callable[[float, Callable[[], None]], Any],
-        send: Callable[[Address, Dict[str, Any]], None],
+        transport: Any,
         hosted: Callable[[], Iterable[str]],
         is_up: Callable[[str], bool],
         on_event: Optional[EventListener] = None,
@@ -142,14 +142,13 @@ class SwimNode:
         self.table = table
         self.config = config
         self.rng = rng
-        self._clock = clock
-        self._schedule = schedule
-        self._send = send
+        self._schedule = transport.schedule_after
+        self._send = transport.send_frame
         self._hosted = hosted
         self._is_up = is_up
         self._on_event = on_event
         self._seq = itertools.count(1)
-        #: in-flight probes: seq -> {"target", "timer", "stage"}
+        #: in-flight probes: seq -> {"target", "timer"}
         self._pending: Dict[int, Dict[str, Any]] = {}
         #: proxy relays: our probe seq -> (origin reply addr, origin seq, target)
         self._relays: Dict[int, Tuple[Address, int, str]] = {}
@@ -158,8 +157,6 @@ class SwimNode:
         self._rotation: List[str] = []
         self._period_timer: Any = None
         self.running = False
-        self.pings_sent = 0
-        self.acks_received = 0
         self.table.on_change(self._on_table_change)
 
     # -- lifecycle -----------------------------------------------------------
@@ -173,7 +170,7 @@ class SwimNode:
         # The first period is pure jitter so a fleet started in one loop
         # iteration fans out over a full interval instead of stampeding.
         self._period_timer = self._schedule(
-            self.config.interval * self.rng.random(), self._period
+            self.config.interval * self.rng.random(), self._period, "swim-period"
         )
 
     def stop(self) -> None:
@@ -202,7 +199,9 @@ class SwimNode:
         if target is not None:
             self._ping(target)
         jitter = 1.0 + self.config.jitter * (self.rng.random() - 0.5)
-        self._period_timer = self._schedule(self.config.interval * jitter, self._period)
+        self._period_timer = self._schedule(
+            self.config.interval * jitter, self._period, "swim-period"
+        )
 
     def _ensure_local(self) -> None:
         """Our own live tenants are alive, at our address, by definition."""
@@ -237,12 +236,15 @@ class SwimNode:
         SWIM's rotation guarantees every member is pinged within one full
         pass — an expected-time bound a pure random pick cannot give.
         Suspects stay in the rotation (a direct ack is their fastest
-        acquittal path); our own tenants and the departed do not.
+        acquittal path), and so do the dead: after a partition heals, a
+        ping across the old cut is the only frame that carries the death
+        rumor to the host that refutes it.  Our own tenants and the
+        departed stay out.
         """
         local = set(self._hosted())
         candidates = {
             peer_id
-            for peer_id in self.table.ids_in(ALIVE, SUSPECT)
+            for peer_id in self.table.ids_in(ALIVE, SUSPECT, DEAD)
             if peer_id not in local
         }
         while self._rotation:
@@ -302,15 +304,13 @@ class SwimNode:
 
     def _ping(self, target: str) -> None:
         seq = next(self._seq)
-        self.pings_sent += 1
         if not self._send_to_peer(target, self._frame(OP_PING, seq, target)):
             self._ping_failed(target)
             return
         self._pending[seq] = {
             "target": target,
-            "stage": "direct",
             "timer": self._schedule(
-                self.config.ping_timeout, lambda: self._direct_timeout(seq)
+                self.config.ping_timeout, lambda: self._direct_timeout(seq), "swim-probe"
             ),
         }
 
@@ -319,6 +319,10 @@ class SwimNode:
         if info is None:
             return
         target = info["target"]
+        if self.table.state_of(target) == DEAD:
+            # A dead target's probe only listens for a revival: no proxies.
+            self._pending.pop(seq, None)
+            return
         local = set(self._hosted())
         proxies = [
             peer_id
@@ -332,9 +336,8 @@ class SwimNode:
             return
         for proxy in self.rng.sample(proxies, k):
             self._send_to_peer(proxy, self._frame(OP_PING_REQ, seq, target))
-        info["stage"] = "indirect"
         info["timer"] = self._schedule(
-            self.config.indirect_timeout, lambda: self._indirect_timeout(seq)
+            self.config.indirect_timeout, lambda: self._indirect_timeout(seq), "swim-probe"
         )
 
     def _indirect_timeout(self, seq: int) -> None:
@@ -392,7 +395,7 @@ class SwimNode:
         seq = next(self._seq)
         self._relays[seq] = (origin, frame["seq"], target)
         self._schedule(
-            self.config.indirect_timeout, lambda: self._relays.pop(seq, None)
+            self.config.indirect_timeout, lambda: self._relays.pop(seq, None), "swim-relay"
         )
         self._send_to_peer(target, self._frame(OP_PING, seq, target))
 
@@ -405,7 +408,6 @@ class SwimNode:
         info = self._pending.pop(seq, None)
         if info is None:
             return
-        self.acks_received += 1
         timer = info.get("timer")
         if timer is not None:
             timer.cancel()
@@ -429,6 +431,7 @@ class SwimNode:
                 handle = self._schedule(
                     self.config.suspicion_timeout,
                     lambda: self._suspicion_expired(peer_id),
+                    "swim-suspicion",
                 )
                 self._suspicions[peer_id] = (entry.incarnation, handle)
             return
@@ -456,7 +459,4 @@ class SwimNode:
             self._on_event(kind, node=self.node_id, **fields)
 
     def __repr__(self) -> str:
-        return (
-            f"SwimNode(node={self.node_id!r}, pings={self.pings_sent}, "
-            f"acks={self.acks_received}, {self.table!r})"
-        )
+        return f"SwimNode(node={self.node_id!r}, {self.table!r})"

@@ -59,7 +59,6 @@ protocol is already shaped for it.
 
 from __future__ import annotations
 
-import asyncio
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -543,11 +542,7 @@ class LiveCluster:
             table,
             self.gossip_config,
             self._gossip_rng.substream("gossip", node.name),
-            clock=lambda: asyncio.get_running_loop().time(),
-            schedule=lambda delay, callback: asyncio.get_running_loop().call_later(
-                delay, callback
-            ),
-            send=self.transport.send_frame,
+            transport=self.transport,
             hosted=lambda node=node: [
                 peer_id for peer_id, home in self.homes.items() if home is node
             ],

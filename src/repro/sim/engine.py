@@ -15,7 +15,50 @@ import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import CancellableHandle
+
+class CancellableHandle:
+    """Handle returned by :meth:`Simulator.schedule_at` that allows cancellation.
+
+    Cancellation is lazy: the event stays in the heap but is skipped when it
+    reaches the front.  This keeps the scheduler O(log n) per operation.  The
+    scheduler installs ``on_cancel`` so it can keep an exact count of live
+    events (and compact the heap when cancellations dominate).
+
+    A hand-rolled slotted class rather than a dataclass: one handle is
+    allocated per scheduled event on the simulator's hottest path, and the
+    scheduler reads ``callback`` off it directly when the event fires.
+    """
+
+    __slots__ = ("time", "callback", "priority", "label", "cancelled", "on_cancel")
+
+    def __init__(
+        self,
+        time: float = 0.0,
+        callback: Optional[Callable[[], None]] = None,
+        priority: int = 0,
+        label: str = "",
+        on_cancel: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.priority = priority
+        self.label = label
+        self.cancelled = False
+        self.on_cancel = on_cancel
+
+    def cancel(self) -> None:
+        """Mark the underlying event so the scheduler skips it (idempotent)."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.on_cancel is not None:
+            self.on_cancel()
+
+    def __repr__(self) -> str:
+        return (
+            f"CancellableHandle(time={self.time}, priority={self.priority}, "
+            f"label={self.label!r}, cancelled={self.cancelled})"
+        )
 
 
 class SimulationError(RuntimeError):

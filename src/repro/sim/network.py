@@ -15,13 +15,15 @@ A lost message is reported to its sender through the message's ``on_drop``
 hook; the query executors charge it to the query's resilience ledger.
 
 Nodes are any objects that expose a hashable ``node_id`` attribute and a
-``handle_message(network, message)`` method.
+``handle_message(network, message)`` method; the control plane's SWIM
+agents are nodes too, reached through :meth:`OverlayNetwork.send_frame`
+(they need only ``handle_frame(frame)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Protocol
+from typing import Any, Callable, Dict, Hashable, Optional, Protocol, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -289,6 +291,25 @@ class OverlayNetwork:
                 self._deliver,
                 message,
             )
+
+    def send_frame(self, address: Tuple[Hashable, Any], frame: Dict[str, Any]) -> None:
+        """Send one control-plane frame to the node registered as ``address[0]``.
+
+        The simulator's side of
+        :meth:`~repro.runtime.transport.AsyncioTransport.send_frame`: the
+        frame travels as a message of kind ``frame["type"]`` from
+        ``frame["node"]``, so it meets the fault injector and the latency
+        model like any query message, and its delivery calls the
+        receiver's ``handle_frame``.
+        """
+        self.send(
+            Message(
+                frame["node"],
+                address[0],
+                frame["type"],
+                handler=lambda node, _network, _message: node.handle_frame(frame),
+            )
+        )
 
     def _lose(self, message: Message, reason: str) -> None:
         """Count a lost message under its fault reason (if it has one) and
