@@ -6,8 +6,9 @@ open- or closed-loop and records each query once, for both clocks.
 :class:`QueryEngine` is that driver on the simulator (optionally under
 churn), over an :class:`~repro.core.armada.ArmadaSystem` whose PIRA/MIRA
 executors resume per message; :func:`repro.runtime.loadgen.run_jobs` is the
-same driver on asyncio.  Both report throughput plus latency/delay
-percentiles through :func:`build_report`.
+same driver on asyncio.  Both hand back an :class:`EngineReport`, whose
+throughput and latency/delay percentiles are computed from the run's
+:class:`CompletedQuery` records.
 """
 
 from repro.engine.query_engine import LoadDriver, QueryEngine, offered_load
@@ -16,7 +17,6 @@ from repro.engine.reporting import (
     CompletenessScore,
     EngineReport,
     QueryJob,
-    build_report,
     score_completeness,
 )
 
@@ -27,7 +27,6 @@ __all__ = [
     "LoadDriver",
     "QueryEngine",
     "QueryJob",
-    "build_report",
     "offered_load",
     "score_completeness",
 ]

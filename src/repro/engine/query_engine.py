@@ -29,15 +29,14 @@ percentiles under load.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Deque, List, Optional, Sequence
 
 from collections import deque
 
 from repro.core.armada import ArmadaSystem
 from repro.core.pira import RangeQueryResult
-from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob, build_report
-from repro.sim.metrics import QueryTracker, safe_ratio
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
+from repro.sim.metrics import safe_ratio
 from repro.workloads.arrivals import ChurnEvent
 
 # The job/record/report vocabulary lives in repro.engine.reporting (shared
@@ -56,7 +55,7 @@ class LoadDriver:
     is ``None`` — and must never run it inline.  ``launch(job, done)``
     starts one query and calls ``done(result)`` exactly once, with its
     :class:`~repro.core.pira.RangeQueryResult`, when it ends (possibly
-    before ``launch`` returns).
+    before ``launch`` returns); a second call raises :class:`ValueError`.
     """
 
     def __init__(
@@ -68,9 +67,10 @@ class LoadDriver:
         self.now = now
         self.call_at = call_at
         self.launch = launch
-        self.tracker = QueryTracker()
         self.completed: List[CompletedQuery] = []
-        self._job_ids = itertools.count(1)
+        #: queries launched so far, and the instant of the first launch
+        self.started = 0
+        self.first_launch: Optional[float] = None
         self._queue: Deque[QueryJob] = deque()
         self._on_query_complete: List[Callable[[CompletedQuery], None]] = []
 
@@ -108,7 +108,7 @@ class LoadDriver:
     @property
     def in_flight(self) -> int:
         """Queries started but not yet completed."""
-        return self.tracker.in_flight
+        return self.started - len(self.completed)
 
     def _start_next(self) -> None:
         job = self._queue.popleft()
@@ -118,16 +118,18 @@ class LoadDriver:
         self.call_at(None, lambda: self._start(job))
 
     def _start(self, job: QueryJob) -> None:
-        job_id = next(self._job_ids)
         started = self.now()
-        self.tracker.start(job_id, started)
+        if self.first_launch is None:
+            self.first_launch = started
+        self.started += 1
+        finished = False
 
         def done(result: RangeQueryResult) -> None:
+            nonlocal finished
+            if finished:
+                raise ValueError(f"done() called twice for {job!r}")
+            finished = True
             now = self.now()
-            # Raises on a second call: the tracker has forgotten ``job_id``.
-            self.tracker.complete(
-                job_id, now, delay_hops=result.delay_hops, success=result.complete
-            )
             record = CompletedQuery(job=job, result=result, started_at=started, completed_at=now)
             self.completed.append(record)
             for callback in self._on_query_complete:
@@ -233,9 +235,10 @@ class QueryEngine(LoadDriver):
         (as the load sweep does, one engine per offered rate) without
         double-counting each other's traffic.
         """
-        return build_report(
-            self.tracker,
-            self.completed,
+        return EngineReport(
+            completed=list(self.completed),
+            started=self.started,
+            first_launch=self.first_launch,
             messages=self.overlay.messages_sent - self._messages_at_start,
             events=self.overlay.simulator.processed_events - self._events_at_start,
         )

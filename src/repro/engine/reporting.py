@@ -9,28 +9,27 @@ holds what it records and how a run is summed up:
 
 * :class:`QueryJob` — one query to run (single-attribute PIRA or
   multi-attribute MIRA), with an arrival time on whichever clock drives it;
-* :class:`CompletedQuery` — a finished job with its result and timing;
-* :class:`EngineReport` — the aggregate outcome of a run, built by
-  :func:`build_report` from the driver's
-  :class:`~repro.sim.metrics.QueryTracker` plus its completed records;
+* :class:`CompletedQuery` — a finished job with its result and timing, the
+  run's one ledger entry per query;
+* :class:`EngineReport` — the aggregate outcome of a run: every figure is
+  computed from its completed records, the driver's launch count and its
+  first launch instant;
 * :func:`score_completeness` — how the fault drill (``repro faults`` on
   the simulator; ``repro livefaults`` and ``repro soak``, its two live
   presets) judges a run's records against the ground truth that is still
   alive, and against all of it.
-
-Everything here serialises: ``to_wire`` / ``from_wire`` round-trip every
-field through JSON, which is what lets the gateway ship query results and
-run reports over the wire protocol byte-faithfully.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.pira import RangeQueryResult
 from repro.faults.resilience import ResilienceStats
-from repro.sim.metrics import QueryTracker, SummaryStats, safe_ratio
+from repro.sim.metrics import SummaryStats, safe_ratio
 
 
 @dataclass(frozen=True)
@@ -59,30 +58,6 @@ class QueryJob:
         """The executors' ``ranges`` argument: one ``(low, high)`` per attribute."""
         return self.ranges if self.ranges is not None else ((self.low, self.high),)
 
-    def to_wire(self) -> Dict[str, Any]:
-        """JSON-compatible form carrying every field."""
-        return {
-            "arrival": self.arrival,
-            "origin": self.origin,
-            "low": self.low,
-            "high": self.high,
-            "ranges": None if self.ranges is None else [list(pair) for pair in self.ranges],
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "QueryJob":
-        """Rebuild a job from :meth:`to_wire` output (post-JSON)."""
-        ranges = wire.get("ranges")
-        return cls(
-            arrival=float(wire["arrival"]),
-            origin=wire.get("origin"),
-            low=float(wire["low"]),
-            high=float(wire["high"]),
-            ranges=None
-            if ranges is None
-            else tuple((float(low), float(high)) for low, high in ranges),
-        )
-
 
 @dataclass
 class CompletedQuery:
@@ -103,56 +78,98 @@ class CompletedQuery:
         """The result's verdict (see :attr:`RangeQueryResult.status`)."""
         return self.result.status
 
-    def to_wire(self) -> Dict[str, Any]:
-        """JSON-compatible form carrying every field."""
-        return {
-            "job": self.job.to_wire(),
-            "result": self.result.to_wire(),
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "CompletedQuery":
-        """Rebuild a record from :meth:`to_wire` output (post-JSON)."""
-        return cls(
-            job=QueryJob.from_wire(wire["job"]),
-            result=RangeQueryResult.from_wire(wire["result"]),
-            started_at=float(wire["started_at"]),
-            completed_at=float(wire["completed_at"]),
-        )
-
 
 @dataclass
 class EngineReport:
-    """Aggregate outcome of one run (simulated or live)."""
+    """Aggregate outcome of one run (simulated or live).
+
+    Only the completed records, the launch count, the first launch instant
+    and the message / event counts are stored; every other figure is a
+    property computed from the records.
+    """
 
     completed: List[CompletedQuery] = field(default_factory=list)
+    #: queries the driver launched, completed or not
     started: int = 0
-    makespan: float = 0.0
-    throughput: float = 0.0
-    latency_percentiles: Dict[str, float] = field(default_factory=dict)
-    delay_percentiles: Dict[str, float] = field(default_factory=dict)
-    mean_latency: float = 0.0
-    mean_delay_hops: float = 0.0
+    #: the driver's first launch instant (``None`` when nothing launched)
+    first_launch: Optional[float] = None
     messages: int = 0
     events: int = 0
-    #: completions with full results / with lost subtrees or deadline expiry
-    succeeded: int = 0
-    failed: int = 0
-    #: queries started but neither completed nor failed when the run ended —
-    #: a stall is *always* a bug (a leak the deadline and drop accounting
-    #: exist to prevent), so it gets its own column
-    stalled: int = 0
-    #: forwarding messages of this run's completed queries that were lost
-    dropped: int = 0
-    #: aggregate failure/recovery ledger over all completed queries
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
     @property
     def queries(self) -> int:
         """Number of completed queries."""
         return len(self.completed)
+
+    @property
+    def makespan(self) -> float:
+        """Time from the first launch — of any query, a stalled one too — to
+        the last completion (0.0 when nothing completed)."""
+        if self.first_launch is None or not self.completed:
+            return 0.0
+        last = max(record.completed_at for record in self.completed)
+        return max(0.0, last - self.first_launch)
+
+    @property
+    def throughput(self) -> float:
+        """Completed queries per time unit over the makespan."""
+        return safe_ratio(float(self.queries), self.makespan)
+
+    def _series(self, measure: Callable[[CompletedQuery], float]) -> SummaryStats:
+        stats = SummaryStats()
+        stats.extend(measure(record) for record in self.completed)
+        return stats
+
+    @property
+    def latency_percentiles(self) -> Dict[str, float]:
+        """p50/p95/p99 of the sojourn latency."""
+        return self._series(lambda record: record.latency).percentiles()
+
+    @property
+    def delay_percentiles(self) -> Dict[str, float]:
+        """p50/p95/p99 of the hop delay."""
+        return self._series(lambda record: record.result.delay_hops).percentiles()
+
+    @property
+    def mean_latency(self) -> float:
+        """Mean sojourn latency (0.0 when nothing completed)."""
+        return self._series(lambda record: record.latency).mean
+
+    @property
+    def mean_delay_hops(self) -> float:
+        """Mean hop delay (0.0 when nothing completed)."""
+        return self._series(lambda record: record.result.delay_hops).mean
+
+    @property
+    def succeeded(self) -> int:
+        """Completions with full results."""
+        return sum(1 for record in self.completed if record.result.complete)
+
+    @property
+    def failed(self) -> int:
+        """Completions with lost subtrees or deadline expiry."""
+        return self.queries - self.succeeded
+
+    @property
+    def stalled(self) -> int:
+        """Queries launched but not completed when the run ended — a stall
+        is *always* a bug (a leak the deadline and drop accounting exist to
+        prevent), so it gets its own column."""
+        return self.started - self.queries
+
+    @property
+    def dropped(self) -> int:
+        """Forwarding messages of the completed queries that were lost: the
+        executors charge every loss to the query that sent it."""
+        return sum(record.result.resilience.drops for record in self.completed)
+
+    @property
+    def resilience(self) -> ResilienceStats:
+        """The completed queries' failure/recovery ledgers, merged."""
+        aggregate = ResilienceStats()
+        for record in self.completed:
+            aggregate.merge(record.result.resilience)
+        return aggregate
 
     @property
     def success_ratio(self) -> float:
@@ -186,56 +203,12 @@ class EngineReport:
             summary[f"delay_{key}"] = value
         return summary
 
-    def to_wire(self) -> Dict[str, Any]:
-        """JSON-compatible form carrying every field — unlike the flat
-        :meth:`as_dict` summary, this round-trips the completed records and
-        the resilience ledger through :meth:`from_wire` identically."""
-        return {
-            "completed": [record.to_wire() for record in self.completed],
-            "started": self.started,
-            "makespan": self.makespan,
-            "throughput": self.throughput,
-            "latency_percentiles": dict(self.latency_percentiles),
-            "delay_percentiles": dict(self.delay_percentiles),
-            "mean_latency": self.mean_latency,
-            "mean_delay_hops": self.mean_delay_hops,
-            "messages": self.messages,
-            "events": self.events,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "stalled": self.stalled,
-            "dropped": self.dropped,
-            "resilience": self.resilience.as_dict(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "EngineReport":
-        """Rebuild a report from :meth:`to_wire` output (post-JSON)."""
-        return cls(
-            completed=[CompletedQuery.from_wire(item) for item in wire["completed"]],
-            started=int(wire["started"]),
-            makespan=float(wire["makespan"]),
-            throughput=float(wire["throughput"]),
-            latency_percentiles={k: float(v) for k, v in wire["latency_percentiles"].items()},
-            delay_percentiles={k: float(v) for k, v in wire["delay_percentiles"].items()},
-            mean_latency=float(wire["mean_latency"]),
-            mean_delay_hops=float(wire["mean_delay_hops"]),
-            messages=int(wire["messages"]),
-            events=int(wire["events"]),
-            succeeded=int(wire["succeeded"]),
-            failed=int(wire["failed"]),
-            stalled=int(wire["stalled"]),
-            dropped=int(wire["dropped"]),
-            resilience=ResilienceStats.from_dict(wire["resilience"]),
-        )
-
     def format(self, clock: str = "sim") -> str:
         """Human-readable one-paragraph summary.
 
         ``clock`` names the time base the run was measured on: ``"sim"``
-        (simulated units, the engine's default — output identical to the
-        pre-extraction engine report) or ``"wall"`` (wall-clock seconds,
-        the live runtime).
+        (simulated units, the engine's default, with the event count) or
+        ``"wall"`` (wall-clock seconds, the live runtime).
         """
         if clock == "sim":
             unit, per_unit, lat_label = "sim units", "sim unit", "latency (sim)     "
@@ -269,41 +242,6 @@ class EngineReport:
         if events_line is not None:
             lines.append(events_line)
         return "\n".join(lines)
-
-
-def build_report(
-    tracker: QueryTracker,
-    completed: Sequence[CompletedQuery],
-    messages: int = 0,
-    events: int = 0,
-) -> EngineReport:
-    """Assemble the :class:`EngineReport` for one run.
-
-    ``dropped`` sums the completed queries' own ledgers: the executors
-    charge every message the transport loses to the query that sent it.
-    """
-    aggregate = ResilienceStats()
-    dropped = 0
-    for record in completed:
-        aggregate.merge(record.result.resilience)
-        dropped += record.result.resilience.drops
-    return EngineReport(
-        completed=list(completed),
-        started=tracker.started,
-        makespan=tracker.makespan,
-        throughput=tracker.throughput(),
-        latency_percentiles=tracker.latency.percentiles(),
-        delay_percentiles=tracker.delay_hops.percentiles(),
-        mean_latency=tracker.latency.mean,
-        mean_delay_hops=tracker.delay_hops.mean,
-        messages=messages,
-        events=events,
-        succeeded=tracker.succeeded,
-        failed=tracker.failed,
-        stalled=tracker.in_flight,
-        dropped=dropped,
-        resilience=aggregate,
-    )
 
 
 class CompletenessScore(NamedTuple):

@@ -81,10 +81,6 @@ class AnalyticsResult:
         """True when every point respects the ``2 log N`` bound."""
         return all(point.delay_bounded for point in self.points)
 
-    def all_average_below_log_n(self) -> bool:
-        """True when every point's average delay is below ``log N``."""
-        return all(point.average_below_log_n for point in self.points)
-
     def worst_message_error(self) -> float:
         """Largest relative error of the message-cost prediction."""
         if not self.points:

@@ -149,13 +149,6 @@ class PhtScheme(RangeQueryScheme):
             self._trie[child.label] = child
         return children[key[len(leaf.label)]]
 
-    def _dht_peer_for_label(self, label: str) -> object:
-        """DHT node responsible for a trie-node label."""
-        assert self.dht is not None
-        if isinstance(self.dht, ChordNetwork):
-            return self.dht.owner(chord_hash(f"pht:{label}"))
-        return self.dht.owner(f"pht:{label}")
-
     def _route_hops(self, source: object, label: str) -> Tuple[object, int]:
         """Route from a DHT node to the node owning a trie label; returns (owner, hops)."""
         assert self.dht is not None

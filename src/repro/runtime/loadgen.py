@@ -28,7 +28,7 @@ from repro.api.requests import ApiError
 from repro.api.session import Session
 from repro.core.pira import RangeQueryResult
 from repro.engine.query_engine import LoadDriver
-from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob, build_report
+from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 from repro.runtime.protocol import ProtocolError
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import poisson_arrival_times, zipf_range_queries
@@ -159,5 +159,9 @@ async def run_jobs(
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-    messages = sum(record.result.messages for record in driver.completed)
-    return build_report(driver.tracker, driver.completed, messages=messages)
+    return EngineReport(
+        completed=list(driver.completed),
+        started=driver.started,
+        first_launch=driver.first_launch,
+        messages=sum(record.result.messages for record in driver.completed),
+    )

@@ -4,8 +4,7 @@ The paper reports, for each experiment point, averages over 1000 random
 queries of: query delay (hops), total messages, destination peers, and two
 derived ratios (``MesgRatio`` and ``IncreRatio``).  :class:`SummaryStats`
 accumulates a stream of samples and exposes the summary values the
-experiments need; :class:`QueryTracker` follows overlapping queries on one
-clock.  The overlay counts its messages in plain int fields (see
+experiments need.  The overlay counts its messages in plain int fields (see
 :class:`~repro.sim.network.OverlayNetwork`); the program's one metrics
 registry is :class:`repro.obs.metrics.MetricsRegistry`.
 """
@@ -13,7 +12,7 @@ registry is :class:`repro.obs.metrics.MetricsRegistry`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 class SummaryStats:
@@ -122,130 +121,6 @@ class SummaryStats:
             f"SummaryStats(name={self.name!r}, count={self.count}, mean={self.mean:.3f}, "
             f"min={self.minimum:.3f}, max={self.maximum:.3f})"
         )
-
-
-class QueryTracker:
-    """Tracks in-flight queries and their completion latencies.
-
-    The concurrent query engine starts many overlapping queries on one
-    simulator clock; this tracker records, per query, the simulation time at
-    which it was started and completed, and accumulates sojourn latencies
-    and hop delays into :class:`SummaryStats` series.  (Completion-driven
-    behaviour such as closed-loop refill lives in the engine itself.)
-    """
-
-    def __init__(self, name: str = "queries") -> None:
-        self.name = name
-        self.latency = SummaryStats(f"{name}.latency")
-        self.delay_hops = SummaryStats(f"{name}.delay_hops")
-        self._started_at: Dict[object, float] = {}
-        self._started = 0
-        self._completed = 0
-        self._succeeded = 0
-        self._failed = 0
-        self._first_start: Optional[float] = None
-        self._last_completion: Optional[float] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self, query_key: object, time: float) -> None:
-        """Record that ``query_key`` entered the system at ``time``."""
-        if query_key in self._started_at:
-            raise ValueError(f"query {query_key!r} already in flight")
-        self._started_at[query_key] = time
-        self._started += 1
-        if self._first_start is None or time < self._first_start:
-            self._first_start = time
-
-    def complete(
-        self,
-        query_key: object,
-        time: float,
-        delay_hops: Optional[float] = None,
-        success: Optional[bool] = None,
-    ) -> float:
-        """Record completion; returns the query's sojourn latency.
-
-        ``success`` feeds the success-ratio accounting of the faults work:
-        ``True``/``False`` classify the completion, ``None`` (the default)
-        counts it as successful — the fault-free legacy behaviour.
-        """
-        try:
-            started = self._started_at.pop(query_key)
-        except KeyError as exc:
-            raise ValueError(f"query {query_key!r} was never started") from exc
-        latency = time - started
-        self.latency.add(latency)
-        if delay_hops is not None:
-            self.delay_hops.add(delay_hops)
-        self._completed += 1
-        if success is None or success:
-            self._succeeded += 1
-        else:
-            self._failed += 1
-        if self._last_completion is None or time > self._last_completion:
-            self._last_completion = time
-        return latency
-
-    # -- statistics ---------------------------------------------------------
-
-    @property
-    def started(self) -> int:
-        """Queries started so far."""
-        return self._started
-
-    @property
-    def completed(self) -> int:
-        """Queries completed so far."""
-        return self._completed
-
-    @property
-    def succeeded(self) -> int:
-        """Completions classified successful (all of them when untracked)."""
-        return self._succeeded
-
-    @property
-    def failed(self) -> int:
-        """Completions classified failed (partial results, deadline expiry)."""
-        return self._failed
-
-    def success_ratio(self) -> float:
-        """Successful completions over all completions (1.0 when idle)."""
-        return safe_ratio(float(self._succeeded), float(self._completed), default=1.0)
-
-    @property
-    def in_flight(self) -> int:
-        """Queries started but not yet completed."""
-        return len(self._started_at)
-
-    @property
-    def makespan(self) -> float:
-        """Simulated time from first start to last completion (0.0 when idle)."""
-        if self._first_start is None or self._last_completion is None:
-            return 0.0
-        return max(0.0, self._last_completion - self._first_start)
-
-    def throughput(self) -> float:
-        """Completed queries per simulated time unit over the makespan."""
-        return safe_ratio(float(self._completed), self.makespan)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary (counts, throughput, latency percentiles)."""
-        summary: Dict[str, float] = {
-            "started": float(self._started),
-            "completed": float(self._completed),
-            "succeeded": float(self._succeeded),
-            "failed": float(self._failed),
-            "success_ratio": self.success_ratio(),
-            "in_flight": float(self.in_flight),
-            "makespan": self.makespan,
-            "throughput": self.throughput(),
-        }
-        for key, value in self.latency.percentiles().items():
-            summary[f"latency_{key}"] = value
-        for key, value in self.delay_hops.percentiles().items():
-            summary[f"delay_{key}"] = value
-        return summary
 
 
 def mean(values: Iterable[float]) -> float:

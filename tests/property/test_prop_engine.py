@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.armada import ArmadaSystem
-from repro.engine import QueryEngine, QueryJob
+from repro.core.pira import RangeQueryResult
+from repro.engine import CompletedQuery, EngineReport, QueryEngine, QueryJob
+from repro.faults import ResilienceStats
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import poisson_arrival_times
 
@@ -154,3 +156,57 @@ class TestConcurrentSequentialEquivalence:
             assert twin.completed_at == record.completed_at
         assert report.messages == plain_report.messages
         assert report.events == plain_report.events
+
+
+# -- the report's figures over arbitrary records -----------------------------
+
+ledgers = st.builds(
+    ResilienceStats,
+    drops=st.integers(min_value=0, max_value=5),
+    timeouts=st.integers(min_value=0, max_value=5),
+    subtrees_lost=st.integers(min_value=0, max_value=1),
+    deadline_expired=st.booleans(),
+)
+
+records = st.builds(
+    lambda start, sojourn, hops, ledger: CompletedQuery(
+        job=QueryJob(),
+        result=RangeQueryResult(
+            origin="0", query_id=1, destinations={"1": hops}, resilience=ledger
+        ),
+        started_at=start,
+        completed_at=start + sojourn,
+    ),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.integers(min_value=0, max_value=12),
+    ledgers,
+)
+
+
+@given(completed=st.lists(records, max_size=8), stalls=st.integers(min_value=0, max_value=3))
+def test_report_figures_add_up_over_any_records(completed, stalls):
+    first = min((record.started_at for record in completed), default=0.0)
+    report = EngineReport(
+        completed=completed, started=len(completed) + stalls, first_launch=first
+    )
+    assert report.succeeded + report.failed == report.queries == len(completed)
+    assert report.stalled == stalls
+    assert report.succeeded == sum(1 for record in completed if record.result.complete)
+    assert report.dropped == report.resilience.drops
+    assert report.resilience.timeouts == sum(r.result.resilience.timeouts for r in completed)
+    assert report.resilience.deadline_expired == any(
+        record.result.failed for record in completed
+    )
+    assert all(record.latency <= report.makespan for record in completed)
+    if completed:
+        latencies = sorted(record.latency for record in completed)
+        # nearest rank: with at most eight samples the p99 is the largest
+        assert report.latency_percentiles["p99"] == latencies[-1]
+        assert latencies[0] <= report.mean_latency <= latencies[-1] + 1e-9
+    summary = report.as_dict()
+    assert (summary["succeeded"], summary["failed"], summary["stalled"]) == (
+        report.succeeded,
+        report.failed,
+        report.stalled,
+    )

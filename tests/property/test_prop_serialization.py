@@ -1,10 +1,9 @@
 """Property tests: wire serialization is the identity after a JSON trip.
 
-Satellite of the live-runtime PR: the gateway ships
-:class:`RangeQueryResult` (and soak runs ship :class:`EngineReport`) as
-JSON, so encode→decode must reproduce *every* field exactly — including
-tuple-typed keys, forwarding-step triples and the resilience ledger's
-bool.  Hypothesis builds structurally arbitrary instances and asserts
+The gateway ships :class:`RangeQueryResult` as JSON, so encode→decode
+must reproduce *every* field exactly — including tuple-typed keys,
+forwarding-step triples and the resilience ledger's bool.  Hypothesis
+builds structurally arbitrary instances and asserts
 ``from_wire(json.loads(json.dumps(to_wire(x)))) == x``.
 
 Lists of stored objects travel as columns
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.binframe import decode_binary, encode_binary
 from repro.core.pira import RangeQueryResult
-from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 from repro.faults.resilience import ResilienceStats
 from repro.fissione.peer import StoredObject
 from repro.storage.base import objects_from_wire, objects_to_wire
@@ -86,49 +84,6 @@ range_results = st.builds(
     resilience=resilience_stats,
 )
 
-query_jobs = st.builds(
-    QueryJob,
-    arrival=finite_floats,
-    origin=st.one_of(st.none(), peer_ids),
-    low=finite_floats,
-    high=finite_floats,
-    ranges=st.one_of(
-        st.none(),
-        st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=3).map(tuple),
-    ),
-)
-
-completed_queries = st.builds(
-    CompletedQuery,
-    job=query_jobs,
-    result=range_results,
-    started_at=finite_floats,
-    completed_at=finite_floats,
-)
-
-percentile_dicts = st.dictionaries(
-    st.sampled_from(["p50", "p95", "p99"]), finite_floats, max_size=3
-)
-
-engine_reports = st.builds(
-    EngineReport,
-    completed=st.lists(completed_queries, max_size=3),
-    started=counts,
-    makespan=finite_floats,
-    throughput=finite_floats,
-    latency_percentiles=percentile_dicts,
-    delay_percentiles=percentile_dicts,
-    mean_latency=finite_floats,
-    mean_delay_hops=finite_floats,
-    messages=counts,
-    events=counts,
-    succeeded=counts,
-    failed=counts,
-    stalled=counts,
-    dropped=counts,
-    resilience=resilience_stats,
-)
-
 
 def json_trip(wire):
     """The exact transformation a frame undergoes on the wire."""
@@ -165,18 +120,3 @@ def test_range_query_result_round_trip(result):
     # spot-check the typed invariants JSON tends to destroy
     assert all(isinstance(step, tuple) for step in rebuilt.forwarding_steps)
     assert isinstance(rebuilt.resilience.deadline_expired, bool)
-
-
-@given(job=query_jobs)
-def test_query_job_round_trip(job):
-    rebuilt = QueryJob.from_wire(json_trip(job.to_wire()))
-    assert rebuilt == job
-    assert rebuilt.kind == job.kind
-
-
-@settings(max_examples=25)
-@given(report=engine_reports)
-def test_engine_report_round_trip(report):
-    rebuilt = EngineReport.from_wire(json_trip(report.to_wire()))
-    assert rebuilt == report
-    assert rebuilt.success_ratio == report.success_ratio

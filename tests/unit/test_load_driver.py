@@ -93,7 +93,7 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             driver.start(jobs_at(0.0, 1.0), **arguments)
         clock.run()
-        assert driver.tracker.started == 0
+        assert driver.started == 0
 
 
 class TestOpenLoop:
@@ -111,6 +111,22 @@ class TestOpenLoop:
         clock.run()
         assert launched == [(2.0, 5.0), (0.0, 5.0), (7.0, 7.0), (9.0, 9.0)]
         assert [record.started_at for record in driver.completed] == [5.0, 5.0, 7.0, 9.0]
+
+    def test_launch_count_and_first_launch_include_stalled_queries(self):
+        clock = ListClock(now=3.0)
+
+        def launch(job, done):
+            # the job launched first (arrival 4.0) never completes
+            if job.arrival != 4.0:
+                clock.call_at(clock.time + 2.0, lambda: done(result_for(job)))
+
+        driver = LoadDriver(clock.now, clock.call_at, launch)
+        assert driver.first_launch is None
+        driver.start(jobs_at(8.0, 4.0, 6.0), mode="open")
+        clock.run()
+        assert driver.started == 3 and driver.first_launch == 4.0
+        assert len(driver.completed) == 2 and driver.in_flight == 1
+        assert [record.started_at for record in driver.completed] == [6.0, 8.0]
 
 
 def test_done_called_twice_raises():

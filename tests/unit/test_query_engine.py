@@ -14,8 +14,7 @@ from repro.engine import (
     offered_load,
     score_completeness,
 )
-from repro.faults import CrashStop, FaultPlan, IidLoss, ResiliencePolicy
-from repro.sim.metrics import QueryTracker
+from repro.faults import CrashStop, FaultPlan, IidLoss, ResiliencePolicy, ResilienceStats
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import ChurnEvent, periodic_churn, poisson_arrival_times
 
@@ -339,30 +338,89 @@ class TestResumableExecutors:
         assert completions[0].destination_count >= 1
 
 
-class TestQueryTracker:
-    def test_duplicate_start_rejected(self):
-        tracker = QueryTracker()
-        tracker.start(1, 0.0)
-        with pytest.raises(ValueError):
-            tracker.start(1, 1.0)
+def completion(started: float, completed: float, hops: int, **ledger) -> CompletedQuery:
+    """A hand-built completion: one destination ``hops`` away, ``ledger``
+    as its resilience counters."""
+    result = RangeQueryResult(origin="0", query_id=1, destinations={"1": hops})
+    result.resilience = ResilienceStats(**ledger)
+    return CompletedQuery(
+        job=QueryJob(), result=result, started_at=started, completed_at=completed
+    )
 
-    def test_complete_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            QueryTracker().complete(9, 1.0)
+
+class TestReportFromRecords:
+    """Every figure of an :class:`EngineReport` is computed from its records,
+    its launch count and its first launch instant."""
 
     def test_latency_and_throughput(self):
-        tracker = QueryTracker()
-        tracker.start("a", 0.0)
-        tracker.start("b", 1.0)
-        assert tracker.in_flight == 2
-        assert tracker.complete("a", 4.0, delay_hops=4) == 4.0
-        assert tracker.complete("b", 5.0, delay_hops=4) == 4.0
-        assert tracker.in_flight == 0
-        assert tracker.makespan == 5.0
-        assert tracker.throughput() == pytest.approx(0.4)
-        summary = tracker.as_dict()
-        assert summary["completed"] == 2.0
+        launched = EngineReport(started=2, first_launch=0.0)
+        assert launched.stalled == 2 and launched.makespan == 0.0
+        report = EngineReport(
+            completed=[completion(0.0, 4.0, 4), completion(1.0, 5.0, 4)],
+            started=2,
+            first_launch=0.0,
+        )
+        assert [entry.latency for entry in report.completed] == [4.0, 4.0]
+        assert report.stalled == 0
+        assert report.makespan == 5.0
+        assert report.throughput == pytest.approx(0.4)
+        summary = report.as_dict()
+        assert summary["queries"] == 2
         assert summary["latency_p50"] == 4.0
+
+    def test_a_run_with_a_stall_a_deadline_and_drops(self):
+        # Launched at 0.0, 1.0, 2.0, 3.0; the first never completes.
+        report = EngineReport(
+            completed=[
+                completion(1.0, 4.0, 3),
+                completion(3.0, 6.0, 4, drops=2, retries=2, timeouts=2),
+                completion(2.0, 9.0, 5, timeouts=1, deadline_expired=True),
+            ],
+            started=4,
+            first_launch=0.0,
+        )
+        # From the stalled query's launch, not the first record's.
+        assert report.makespan == 9.0
+        assert report.throughput == 3 / 9.0
+        assert (report.started, report.queries, report.stalled) == (4, 3, 1)
+        assert (report.succeeded, report.failed) == (2, 1)
+        assert report.dropped == 2
+        assert report.resilience == ResilienceStats(
+            drops=2, timeouts=3, retries=2, deadline_expired=True
+        )
+        assert report.latency_percentiles == {"p50": 3.0, "p95": 7.0, "p99": 7.0}
+        assert report.delay_percentiles == {"p50": 4.0, "p95": 5.0, "p99": 5.0}
+        assert report.mean_latency == 13 / 3
+        assert report.mean_delay_hops == 4.0
+        for figures in (report.latency_percentiles, report.delay_percentiles):
+            assert all(type(value) is float for value in figures.values())
+        assert type(report.mean_delay_hops) is float
+        for count in (report.succeeded, report.failed, report.stalled, report.dropped):
+            assert type(count) is int
+
+    def test_an_idle_run(self):
+        report = EngineReport()
+        assert (report.queries, report.started, report.stalled) == (0, 0, 0)
+        assert report.makespan == 0.0 and report.throughput == 0.0
+        assert report.success_ratio == 1.0
+        assert report.mean_latency == 0.0 and report.mean_delay_hops == 0.0
+        assert report.latency_percentiles == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+        assert report.resilience == ResilienceStats()
+        assert report.as_dict()["queries"] == 0
+        for clock in ("sim", "wall"):
+            assert "queries completed : 0 (started 0)" in report.format(clock)
+
+    def test_the_engine_report_is_a_snapshot_of_the_drivers_ledger(self):
+        system = build_system()
+        engine = QueryEngine(system)
+        report = engine.run_open_loop(make_jobs(system, 12))
+        assert report.completed == engine.completed
+        assert report.completed is not engine.completed
+        assert report.started == engine.started == 12
+        assert report.first_launch == engine.first_launch
+        assert report.first_launch == min(record.started_at for record in report.completed)
+        engine.completed.clear()
+        assert report.queries == 12 and report.stalled == 0
 
 
 class TestOfferedLoad:
