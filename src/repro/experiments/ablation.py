@@ -15,24 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from repro.analysis.stats import aggregate_measurements
 from repro.analysis.tables import format_table
 from repro.core.armada import ArmadaSystem
 from repro.core.frt import destination_level
 from repro.experiments.common import ExperimentConfig, make_values
+from repro.rangequery.base import QueryMeasurement, record_query
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.queries import RangeQueryWorkload
 
 
-@dataclass
-class UnprunedOutcome:
-    """Delay / message / destination counts of the unpruned FRT descent."""
-
-    delay_hops: int
-    messages: int
-    destinations: int
-
-
-def unpruned_descent(system: ArmadaSystem, origin: str, low: float, high: float) -> UnprunedOutcome:
+def unpruned_descent(
+    system: ArmadaSystem, origin: str, low: float, high: float
+) -> QueryMeasurement:
     """Forward to *all* out-neighbours down to the destination level."""
     network = system.network
     region = system.single_namer.region_for_range(low, high)
@@ -61,7 +56,7 @@ def unpruned_descent(system: ArmadaSystem, origin: str, low: float, high: float)
                 if previous is None or hop < previous:
                     destinations[peer_id] = hop
     delay = max(destinations.values()) if destinations else 0
-    return UnprunedOutcome(delay_hops=delay, messages=messages, destinations=len(destinations))
+    return record_query(delay, messages, len(destinations))
 
 
 @dataclass
@@ -137,30 +132,27 @@ def run(config: ExperimentConfig, queries_per_point: int = 20) -> AblationResult
             count=queries_per_point,
         )
         rng = DeterministicRNG(config.seed).substream("ablation", range_size)
-        pira_messages: List[int] = []
-        pira_delays: List[int] = []
-        unpruned_messages: List[int] = []
-        unpruned_delays: List[int] = []
-        same_destinations = True
+        pira: List[QueryMeasurement] = []
+        unpruned: List[QueryMeasurement] = []
         for low, high in workload.queries(rng):
             origin = system.random_peer_id()
-            pira_outcome = system.range_query(low, high, origin=origin)
-            unpruned_outcome = unpruned_descent(system, origin, low, high)
-            pira_messages.append(pira_outcome.messages)
-            pira_delays.append(pira_outcome.delay_hops)
-            unpruned_messages.append(unpruned_outcome.messages)
-            unpruned_delays.append(unpruned_outcome.delay_hops)
-            if unpruned_outcome.destinations != pira_outcome.destination_count:
-                same_destinations = False
-        count = len(pira_messages)
+            outcome = system.range_query(low, high, origin=origin)
+            pira.append(
+                record_query(outcome.delay_hops, outcome.messages, outcome.destination_count)
+            )
+            unpruned.append(unpruned_descent(system, origin, low, high))
+        pira_row = aggregate_measurements("PIRA", float(range_size), pira, system.size)
+        unpruned_row = aggregate_measurements("unpruned", float(range_size), unpruned, system.size)
         result.points.append(
             AblationPoint(
-                range_size=float(range_size),
-                pira_messages=sum(pira_messages) / count,
-                unpruned_messages=sum(unpruned_messages) / count,
-                pira_delay=sum(pira_delays) / count,
-                unpruned_delay=sum(unpruned_delays) / count,
-                same_destinations=same_destinations,
+                range_size=pira_row.x_value,
+                pira_messages=pira_row.avg_messages,
+                unpruned_messages=unpruned_row.avg_messages,
+                pira_delay=pira_row.avg_delay,
+                unpruned_delay=unpruned_row.avg_delay,
+                same_destinations=all(
+                    a.destination_peers == b.destination_peers for a, b in zip(pira, unpruned)
+                ),
             )
         )
     return result

@@ -4,9 +4,9 @@ This is the experiment the concurrent query engine exists for.  A
 Zipf-skewed single-attribute range workload arrives as an open-loop Poisson
 process at each offered rate; every forwarding message of every in-flight
 Armada/PIRA query is simulated on one clock, optionally with churn events
-interleaved.  For contrast the same workload is also pushed through the
-DCF-CAN baseline's flow-level :meth:`~repro.rangequery.base.RangeQueryScheme.run_workload`
-driver (no queueing, one time unit per hop).
+interleaved.  For contrast the same workload is also measured query by
+query on the DCF-CAN baseline and summarised at flow level by
+:func:`flow_row` (no queueing, one time unit per hop).
 
 Reported per rate: completed queries, throughput (queries per simulated
 time unit), mean/p50/p95/p99 sojourn latency, p95 hop delay, messages and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.figures import ascii_chart, series_to_csv
 from repro.analysis.tables import format_table
@@ -25,7 +25,9 @@ from repro.api.sim import SimSession
 from repro.engine import QueryJob
 from repro.experiments.common import ExperimentConfig, build_and_load, make_values
 from repro.rangequery.armada_scheme import ArmadaScheme
+from repro.rangequery.base import QueryMeasurement
 from repro.rangequery.dcf_can import DcfCanScheme
+from repro.sim.metrics import SummaryStats, safe_ratio
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.arrivals import (
     ChurnEvent,
@@ -119,6 +121,33 @@ class LoadSweepResult:
         return "\n\n".join(parts)
 
 
+def flow_row(
+    measurements: Sequence[QueryMeasurement], arrivals: Sequence[float]
+) -> Dict[str, float]:
+    """One rate's row for a scheme measured query by query, at flow level.
+
+    Each query holds the timeline from its arrival for one time unit per
+    hop, with no queueing: its latency is its hop delay, and the span runs
+    from the first arrival to the latest ``arrival + delay``.
+    """
+    delays = SummaryStats("delay")
+    delays.extend(m.delay_hops for m in measurements)
+    last = max(
+        (arrival + m.delay_hops for arrival, m in zip(arrivals, measurements)), default=0.0
+    )
+    span = max(0.0, last - min(arrivals, default=0.0))
+    row = {
+        "queries": float(delays.count),
+        "throughput": safe_ratio(float(delays.count), span),
+        "mean_latency": delays.mean,
+        "messages": float(sum(m.messages for m in measurements)),
+    }
+    for key, value in delays.percentiles().items():
+        row[f"latency_{key}"] = value
+        row[f"delay_{key}"] = value
+    return row
+
+
 def run(
     config: ExperimentConfig,
     rates: Optional[Tuple[float, ...]] = None,
@@ -204,18 +233,8 @@ def run(
             result.armada_rows.append(row)
 
             if dcf is not None:
-                flow = dcf.run_workload(queries, arrivals=gaps)
-                base_row: Dict[str, float] = {
-                    "queries": float(flow.queries),
-                    "throughput": flow.throughput(),
-                    "mean_latency": flow.mean_latency(),
-                    "messages": float(flow.messages),
-                }
-                for key, value in flow.latency_percentiles().items():
-                    base_row[f"latency_{key}"] = value
-                for key, value in flow.delay_percentiles().items():
-                    base_row[f"delay_{key}"] = value
-                result.baseline_rows.append(base_row)
+                measured = [dcf.query(low, high) for low, high in queries]
+                result.baseline_rows.append(flow_row(measured, gaps))
 
     asyncio.run(sweep())
     return result

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from repro.analysis.stats import aggregate_measurements
 from repro.analysis.tables import format_table
 from repro.core.armada import ArmadaSystem
 from repro.experiments.common import ExperimentConfig
+from repro.rangequery.base import QueryMeasurement, record_query
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.queries import MultiAttributeQueryWorkload
 
@@ -124,15 +126,13 @@ def run(
                 count=max(10, config.queries_per_point // 4),
             )
             query_rng = DeterministicRNG(config.seed).substream("mira-queries", attributes, box_size)
-            delays: List[int] = []
-            messages: List[int] = []
-            destinations: List[int] = []
+            measurements: List[QueryMeasurement] = []
             complete = True
             for box in workload.queries(query_rng):
                 outcome = system.multi_range_query(box)
-                delays.append(outcome.delay_hops)
-                messages.append(outcome.messages)
-                destinations.append(outcome.destination_count)
+                measurements.append(
+                    record_query(outcome.delay_hops, outcome.messages, outcome.destination_count)
+                )
                 expected = sorted(
                     record
                     for record in records
@@ -141,17 +141,17 @@ def run(
                 got = sorted(tuple(stored.key) for stored in outcome.matches)
                 if got != expected:
                     complete = False
-            count = len(delays)
+            row = aggregate_measurements("MIRA", float(box_size), measurements, system.size)
             result.points.append(
                 MiraPoint(
                     attributes=attributes,
-                    range_size=float(box_size),
+                    range_size=row.x_value,
                     network_size=system.size,
-                    log_n=system.log_size(),
-                    avg_delay=sum(delays) / count,
-                    max_delay=max(delays),
-                    avg_messages=sum(messages) / count,
-                    avg_destinations=sum(destinations) / count,
+                    log_n=row.log_n,
+                    avg_delay=row.avg_delay,
+                    max_delay=row.max_delay,
+                    avg_messages=row.avg_messages,
+                    avg_destinations=row.avg_destinations,
                     complete=complete,
                 )
             )

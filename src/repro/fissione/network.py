@@ -334,13 +334,17 @@ class FissioneNetwork:
         victim_id = self._redirect_to_shorter(victim_id)
         return self._split(victim_id)
 
-    def leave(self, peer_id: str) -> None:
+    def leave(self, peer_id: str) -> Dict[str, str]:
         """Remove the peer ``peer_id``, preserving the cover and the invariant.
 
         The deepest sibling leaf pair in the system is merged into its parent
         zone; the peer freed by that merge adopts the leaver's PeerID and
         objects.  When the leaver itself is part of the deepest sibling pair
         the merge handles it directly.
+
+        Returns the renames as ``{old_id: new_id}``, the merged parent
+        first: ``{survivor: parent}`` when the leaver was one of the
+        siblings, otherwise ``{left: parent, right: peer_id}``.
         """
         if peer_id not in self._peers:
             raise FissioneError(f"no peer with id {peer_id!r}")
@@ -364,7 +368,7 @@ class FissioneNetwork:
             leaver.backend.close()
             survivor.backend.close()
             self._add_peer(merged)
-            return
+            return {survivor_id: parent}
 
         leaver = self._remove_peer(peer_id)
         left = self._remove_peer(left_id)
@@ -382,6 +386,7 @@ class FissioneNetwork:
         right.backend.close()
         self._add_peer(merged)
         self._add_peer(relocated)
+        return {left_id: parent, right_id: peer_id}
 
     # ------------------------------------------------------------------ #
     # object publication / lookup                                          #

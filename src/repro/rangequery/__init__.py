@@ -17,7 +17,7 @@ so the experiment harness can sweep them uniformly:
 """
 
 from repro.rangequery.armada_scheme import ArmadaScheme
-from repro.rangequery.base import QueryMeasurement, RangeQueryScheme, WorkloadReport
+from repro.rangequery.base import QueryMeasurement, RangeQueryScheme
 from repro.rangequery.dcf_can import DcfCanScheme
 from repro.rangequery.pht import PhtScheme
 from repro.rangequery.scrap import ScrapScheme
@@ -29,7 +29,6 @@ __all__ = [
     "ArmadaScheme",
     "QueryMeasurement",
     "RangeQueryScheme",
-    "WorkloadReport",
     "DcfCanScheme",
     "PhtScheme",
     "ScrapScheme",

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.sim.metrics import SummaryStats, safe_ratio
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -36,49 +34,6 @@ class QueryMeasurement:
         if self.destination_peers <= 1:
             return 0.0
         return (self.messages - log_n) / (self.destination_peers - 1)
-
-
-@dataclass
-class WorkloadReport:
-    """Outcome of a batched (possibly concurrent) query workload.
-
-    ``measurements`` are in submission order; ``latencies`` are per-query
-    sojourn times in simulated time units (for schemes without a
-    message-level simulation these equal the hop delay — an infinite-server
-    approximation with one time unit per hop); ``makespan`` spans the first
-    arrival to the last completion.
-    """
-
-    scheme: str
-    measurements: List[QueryMeasurement] = field(default_factory=list)
-    latencies: List[float] = field(default_factory=list)
-    makespan: float = 0.0
-    messages: int = 0
-
-    @property
-    def queries(self) -> int:
-        """Number of completed queries."""
-        return len(self.measurements)
-
-    def throughput(self) -> float:
-        """Completed queries per simulated time unit."""
-        return safe_ratio(float(self.queries), self.makespan)
-
-    def latency_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 of the sojourn latency."""
-        stats = SummaryStats("latency")
-        stats.extend(self.latencies)
-        return stats.percentiles()
-
-    def delay_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 of the hop delay."""
-        stats = SummaryStats("delay")
-        stats.extend(float(m.delay_hops) for m in self.measurements)
-        return stats.percentiles()
-
-    def mean_latency(self) -> float:
-        """Mean sojourn latency."""
-        return safe_ratio(sum(self.latencies), float(len(self.latencies)))
 
 
 class RangeQueryScheme(abc.ABC):
@@ -112,41 +67,6 @@ class RangeQueryScheme(abc.ABC):
     def query_multi(self, ranges: Sequence[Tuple[float, float]]) -> QueryMeasurement:
         """Run a multi-attribute range query (only if supported)."""
         raise NotImplementedError(f"{self.name} does not support multi-attribute queries")
-
-    def run_workload(
-        self,
-        queries: Sequence[Tuple[float, float]],
-        arrivals: Optional[Sequence[float]] = None,
-    ) -> WorkloadReport:
-        """Run a batch of ``(low, high)`` queries as overlapping in-flight work.
-
-        The base implementation is a *flow-level* simulation: each query's
-        routing is computed by :meth:`query` and the query is modelled as
-        occupying the timeline from its arrival until ``arrival +
-        delay_hops`` (one simulated time unit per hop, no queueing).  When
-        ``arrivals`` is omitted the batch runs closed-loop back-to-back.
-        Message-level concurrent execution (Armada only) is
-        :class:`repro.engine.QueryEngine`'s job, not a scheme's.
-        """
-        if arrivals is not None and len(arrivals) != len(queries):
-            raise ValueError("arrivals and queries must have equal length")
-        measurements = [self.query(low, high) for low, high in queries]
-        latencies = [float(m.delay_hops) for m in measurements]
-        if not measurements:
-            return WorkloadReport(scheme=self.name)
-        if arrivals is None:
-            makespan = sum(latencies)
-        else:
-            first = min(arrivals)
-            last = max(arrival + latency for arrival, latency in zip(arrivals, latencies))
-            makespan = max(0.0, last - first)
-        return WorkloadReport(
-            scheme=self.name,
-            measurements=measurements,
-            latencies=latencies,
-            makespan=makespan,
-            messages=sum(m.messages for m in measurements),
-        )
 
     @property
     @abc.abstractmethod

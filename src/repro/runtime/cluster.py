@@ -146,8 +146,6 @@ class LiveCluster:
         self.gossip_frames: Dict[str, int] = {}
         self._gossip_counter: Optional[Any] = None
         self._gossip_rng: Optional[DeterministicRNG] = None
-        #: peers whose membership-confirmed death already withdrew the route
-        self._dead_handled: set = set()
         #: addresses of gateways currently fronting this cluster — the
         #: session-side failover list, served through ``stats``
         self.gateway_addresses: List[Address] = []
@@ -591,18 +589,16 @@ class LiveCluster:
         The first view to confirm a death withdraws the victim's route —
         from then on executor sends to it degrade into *immediate* drops,
         so in-flight queries retry/reroute through prefix siblings instead
-        of burning per-hop timeouts against a corpse.  A later alive
+        of burning per-hop timeouts against a corpse; later confirmations
+        find no route left to withdraw.  A later alive
         record (refutation, restart, relocation) of a live, up peer routes
         it to its home again.
         """
         if new_state in (DEAD, LEFT):
-            if peer_id not in self._dead_handled:
-                self._dead_handled.add(peer_id)
-                self.transport.unregister(peer_id)
+            self.transport.unregister(peer_id)
             return
         if new_state != ALIVE:
             return
-        self._dead_handled.discard(peer_id)
         node = self.homes.get(peer_id)
         if (
             node is not None
@@ -716,35 +712,26 @@ class LiveCluster:
             raise ClusterError(
                 f"peer {peer_id!r} is down — hard deaths are detected, not left"
             )
-        before = set(self.network.peer_ids())
-        if peer_id not in before:
+        if not self.network.has_peer(peer_id):
             raise ClusterError(f"no peer with id {peer_id!r}")
-        self.network.leave(peer_id)
-        after = set(self.network.peer_ids())
-        removed = before - after
-        added = after - before
-        if len(added) != 1:
-            raise ClusterError(f"leave produced {len(added)} merged peers")
-        parent = added.pop()
+        renames = self.network.leave(peer_id)
+        parent = next(iter(renames.values()))
         del self.homes[peer_id]
-        if peer_id in removed:
-            # The leaver was one of the deepest siblings: its sibling
-            # absorbs the parent zone in place, nobody relocates.
-            self._move((removed - {peer_id}).pop(), parent)
+        for old_id, new_id in renames.items():
+            self._move(old_id, new_id)
+        # Unless the freed sibling relocated under the leaver's PeerID
+        # (taking over its route), the leaver was a sibling itself and
+        # retires with the others.
+        retired = set(renames)
+        if peer_id not in renames.values():
+            retired.add(peer_id)
             self.transport.unregister(peer_id)
-        else:
-            # The freed sibling (right child) relocates into the leaver's
-            # zone under the leaver's PeerID, taking over its route; the
-            # left child grows into the parent zone.
-            children = ks.allowed_symbols(parent[-1], base=self.network.base)
-            self._move(parent + children[0], parent)
-            self._move(parent + children[-1], peer_id)
 
         if self.gossip_enabled and self.agents:
             observer = next(iter(self.agents.values()))
-            for gone in sorted(removed):
+            for gone in sorted(retired):
                 observer.table.bump(gone, LEFT)
-            for heir in (parent, peer_id):
+            for heir in renames.values():
                 address = self.transport.address_of(heir)
                 if address is not None:
                     observer.table.bump(heir, ALIVE, address)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api.live import LiveSession
 from repro.gossip import SwimConfig
+from repro.obs.recorder import FlightRecorder
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 
@@ -69,6 +70,32 @@ class TestFailureDetection:
                 assert await wait_converged(cluster)
                 assert cluster.transport.address_of(victim) is not None
                 assert cluster.membership_counts()["alive"] == cluster.network.size
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_every_view_confirming_a_death_withdraws_the_route_once(self):
+        async def scenario():
+            cluster = gossip_cluster()
+            await cluster.start()
+            recorder = FlightRecorder()
+            cluster.attach_recorder(recorder)
+            try:
+                assert await wait_converged(cluster)
+                victim = sorted(cluster.network.peer_ids())[2]
+                cluster.crash_peer(victim)
+                assert await wait_converged(cluster, expect_dead={victim})
+                routes = [
+                    event["action"]
+                    for event in recorder.events()
+                    if event["type"] == "route" and event["peer"] == victim
+                ]
+                assert routes == ["unregister"]
+                cluster.restart_peer(victim)
+                assert await wait_converged(cluster)
+                assert cluster.transport.address_of(victim) is not None
             finally:
                 await cluster.stop()
 

@@ -23,6 +23,13 @@ def build(num_peers: int, seed: int = 1, object_id_length: int = 24) -> Fissione
     )
 
 
+def deepest_sibling_pair(network: FissioneNetwork):
+    """The first sibling leaf pair of maximal depth, in PeerID order."""
+    ids = sorted(network.peer_ids())
+    pairs = [(a, b) for a, b in zip(ids, ids[1:]) if len(a) == len(b) > 1 and a[:-1] == b[:-1]]
+    return max(pairs, key=lambda pair: len(pair[0]))
+
+
 class TestSeeding:
     def test_seed_initial_creates_three_peers(self):
         network = FissioneNetwork(object_id_length=24)
@@ -158,6 +165,26 @@ class TestJoinLeave:
         assert network.size == 19
         assert not network.has_peer(victim) or network.peer(victim) is not None
         assert check_topology(network).healthy
+
+    def test_leave_of_a_deepest_sibling_renames_the_survivor(self):
+        network = build(20)
+        before = set(network.peer_ids())
+        left, right = deepest_sibling_pair(network)
+        parent = left[:-1]
+        assert network.leave(left) == {right: parent}
+        assert set(network.peer_ids()) == before - {left, right} | {parent}
+
+    def test_leave_elsewhere_relocates_the_right_sibling_into_the_leaver(self):
+        network = build(20)
+        before = set(network.peer_ids())
+        left, right = deepest_sibling_pair(network)
+        parent = left[:-1]
+        leaver = min(before, key=len)
+        assert len(leaver) < len(left)
+        renames = network.leave(leaver)
+        assert renames == {left: parent, right: leaver}
+        assert next(iter(renames.values())) == parent
+        assert set(network.peer_ids()) == before - {left, right} | {parent}
 
     def test_leave_unknown_peer_raises(self):
         network = build(10)

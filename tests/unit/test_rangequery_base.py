@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.rangequery.armada_scheme import ArmadaScheme
 from repro.rangequery.base import (
     AttributeSpace,
     QueryMeasurement,
@@ -81,3 +82,7 @@ class TestSchemeInterface:
             scheme.load_multi([(1.0, 2.0)])
         with pytest.raises(NotImplementedError):
             scheme.query_multi([(1.0, 2.0)])
+
+    def test_requires_build(self):
+        with pytest.raises(RuntimeError):
+            ArmadaScheme().query(100.0, 180.0)
