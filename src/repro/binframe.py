@@ -1,12 +1,13 @@
 """A compact, deterministic binary encoding of the JSON type universe.
 
-Two on-disk formats are built from it: the storage layer's WAL and SQLite
-records (:mod:`repro.storage`; the content digest hashes these bytes, so
-two stores holding the same objects agree byte for byte) and the flight
-recorder's ``ARFR3`` dumps (:mod:`repro.obs.recorder`).  Nothing on a
-socket uses it: every runtime frame body is JSON
-(:mod:`repro.runtime.protocol`), which the repo's benchmark measured as
-the faster codec on the program's own frames.
+Two on-disk formats are built from it: the storage layer's WAL records
+(:mod:`repro.storage.wal`) and the flight recorder's ``ARFR3`` dumps
+(:mod:`repro.obs.recorder`).  :meth:`repro.storage.base.Store.digest`
+hashes the same encoding of each stored object, so two stores holding the
+same objects agree byte for byte.  Nothing on a socket uses it: every
+runtime frame body is JSON (:mod:`repro.runtime.protocol`), which the
+repo's benchmark measured as the faster codec on the program's own
+frames.
 
 Design rules
 ------------

@@ -390,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--storage",
-        choices=("memory", "wal", "sqlite"),
+        choices=("memory", "wal"),
         default=livefaults_experiment.SOAK.storage,
         help=(
-            "peer storage backend — memory (default, volatile), "
-            "wal (append-only checksummed log per peer) or sqlite"
+            "peer storage backend — memory (default, volatile) or "
+            "wal (append-only checksummed log per peer)"
         ),
     )
     soak.add_argument(

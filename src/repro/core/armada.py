@@ -68,7 +68,6 @@ class ArmadaSystem:
         object_id_length: int = 32,
         network: Optional[FissioneNetwork] = None,
         overlay: Optional[OverlayNetwork] = None,
-        store_factory=None,
     ) -> None:
         self.rng = DeterministicRNG(seed)
         if network is None:
@@ -76,7 +75,6 @@ class ArmadaSystem:
                 num_peers=num_peers,
                 rng=self.rng.substream("topology"),
                 object_id_length=object_id_length,
-                store_factory=store_factory,
             )
         self.network = network
         self.overlay = overlay if overlay is not None else OverlayNetwork()

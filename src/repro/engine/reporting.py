@@ -226,7 +226,7 @@ class EngineReport:
             f"queries completed : {self.queries} (started {self.started})",
             f"outcome           : {self.succeeded} ok, {self.failed} failed,"
             f" {self.stalled} stalled (success ratio {self.success_ratio:.3f})",
-            f"makespan          : {self.makespan:.1f} {unit}",
+            f"makespan          : {self.makespan:{pct_fmt}} {unit}",
             f"throughput        : {self.throughput:.3f} queries / {per_unit}",
             f"{lat_label}: mean {self.mean_latency:{mean_fmt}}"
             f"  p50 {lat.get('p50', 0.0):{pct_fmt}}  p95 {lat.get('p95', 0.0):{pct_fmt}}"

@@ -77,7 +77,7 @@ class LiveFaultsSpec(FaultDrill):
     gossip_config: SwimConfig = SwimConfig(
         interval=0.1, ping_timeout=0.1, indirect_timeout=0.15, suspicion_timeout=0.6
     )
-    #: peer storage backend: "memory", "wal" or "sqlite"
+    #: peer storage backend: "memory" or "wal"
     storage: str = "memory"
     #: directory for durable logs (a temporary one, removed at the end, when unset)
     data_dir: Optional[str] = None
@@ -112,7 +112,7 @@ class LiveFaultsSpec(FaultDrill):
             raise ValueError("kill-peer, kill-restart and fraction pick the victims; use one")
         if self.kill_restart and self.storage == "memory":
             raise ValueError(
-                "kill-restart needs a durable backend (--storage wal or sqlite); "
+                "kill-restart needs a durable backend (--storage wal); "
                 "a memory peer comes back empty and every acked write is lost"
             )
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:

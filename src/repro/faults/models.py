@@ -134,9 +134,9 @@ class CrashRecover(FaultModel):
     (:meth:`FaultInjector.power_fail`), and recovery *replays* the peer's
     durable log (:meth:`FaultInjector.replay`).  A memory-backed peer
     therefore comes back **empty** — it must not answer queries from
-    pre-crash state that was never durably stored — while a WAL- or
-    SQLite-backed peer comes back serving exactly the writes that were
-    synced (acknowledged) before the crash."""
+    pre-crash state that was never durably stored — while a WAL-backed
+    peer comes back serving exactly the writes that were synced
+    (acknowledged) before the crash."""
 
     fraction: float = 0.0
     at: float = 0.0

@@ -10,11 +10,11 @@ behind.
 Objects live behind the storage seam (:mod:`repro.storage`): every peer
 delegates to a :class:`~repro.storage.base.Store` backend — the default
 :class:`~repro.storage.memory.MemoryStore` reproduces the pre-seam dict
-semantics byte for byte, while the WAL/SQLite backends add a durable log
-the peer can replay after a crash.  The query executors read the backend
-directly: a PIRA destination takes ``peer.backend.scan(low, high)``, a
-slice of the store's key-sorted run, and a MIRA destination filters
-:meth:`FissionePeer.objects`.
+semantics byte for byte, while a :class:`~repro.storage.wal.WALStore`
+adds a durable log the peer can replay after a crash.  The query
+executors read the backend directly: a PIRA destination takes
+``peer.backend.scan(low, high)``, a slice of the store's key-sorted run,
+and a MIRA destination filters :meth:`FissionePeer.objects`.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ class FissionePeer:
     def absorb(self, objects: List[StoredObject]) -> None:
         """Add objects handed over from another peer."""
         self.backend.absorb(objects)
-
-    def set_backend(self, backend: Store) -> None:
-        """Swap in a (typically durable) backend, migrating current state.
-
-        Used when a live peer attaches its per-peer store after the
-        bootstrap topology settles: objects published while the peer was
-        memory-backed move into the durable log.
-        """
-        for stored in self.backend.objects():
-            backend.put(stored.object_id, stored.key, stored.value)
-        for bucket in self.backend.replica_view.values():
-            for stored in bucket:
-                backend.put_replica(stored.object_id, stored.key, stored.value)
-        old = self.backend
-        self.backend = backend
-        old.close()
 
     # ------------------------------------------------------------------ #
     # crash / recovery hooks (driven by the fault injector)                #

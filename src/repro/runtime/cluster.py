@@ -78,7 +78,7 @@ from repro.runtime.node import PeerNode
 from repro.runtime.protocol import wire_to_message
 from repro.runtime.transport import Address, AsyncioTransport
 from repro.sim.rng import DeterministicRNG
-from repro.storage import BACKENDS, StoredObject, open_store, store_path
+from repro.storage import BACKENDS, StoredObject, WALStore, store_path
 from repro.storage.base import objects_from_wire, objects_to_wire
 from repro.wire import decode_value, encode_value
 
@@ -208,28 +208,23 @@ class LiveCluster:
         return self
 
     def _attach_durable_stores(self) -> None:
-        """Open each peer's durable log, replay it, and swap it in.
+        """Open each peer's WAL, replay it, and make it the peer's backend.
 
         Runs after the bootstrap joins settle so the log files are keyed
         by *final* PeerIDs (boot splits rename peers; logging through the
-        renames would orphan half-written files).  Re-running against an
-        existing ``data_dir`` with the same seed reproduces the same
-        PeerIDs, so every peer reopens its own log and re-serves its
+        renames would orphan half-written files), and before any insert
+        can arrive, so the memory store it replaces is empty.  Re-running
+        against an existing ``data_dir`` with the same seed reproduces the
+        same PeerIDs, so every peer reopens its own log and re-serves its
         prefix slice — this is the cluster-restart recovery path.
         """
         assert self.data_dir is not None
         os.makedirs(self.data_dir, exist_ok=True)
         self.replayed_records = 0
         for peer in self.network.peers():
-            store = open_store(
-                self.storage, store_path(self.data_dir, peer.peer_id, self.storage)
-            )
+            store = WALStore(store_path(self.data_dir, peer.peer_id))
             self.replayed_records += store.replay()
-            if peer.backend.object_count() or peer.backend.replica_count():
-                peer.set_backend(store)
-            else:
-                peer.backend.close()
-                peer.backend = store
+            peer.backend = store
 
     def attach_recorder(self, recorder: Any) -> None:
         """Arm the flight recorder on every layer of a *started* cluster.

@@ -1,9 +1,9 @@
 """``storenode`` — one durable store behind a TCP socket, as a process.
 
 This is the smallest unit of the live storage stack that can genuinely be
-killed with ``SIGKILL``: a single :class:`~repro.storage.wal.WALStore` (or
-SQLite store) served over the runtime's length-framed JSON protocol by its
-own OS process.  The crash-consistency integration tests drive it like a
+killed with ``SIGKILL``: a single :class:`~repro.storage.wal.WALStore`
+served over the runtime's length-framed JSON protocol by its own OS
+process.  The crash-consistency integration tests drive it like a
 client, ``kill -9`` the process mid-write, restart it on the same log
 file, and assert that every acknowledged ``put`` survived and the
 content-addressed digest matches — no cooperation from the dying process
@@ -11,7 +11,7 @@ required, which is exactly the point.
 
 Run it as a module::
 
-    python -m repro.runtime.storenode --backend wal --path /tmp/peer.wal
+    python -m repro.runtime.storenode --path /tmp/peer.wal
 
 On startup it replays the log, binds an ephemeral port, and prints one
 JSON line to stdout — ``{"port": N, "replayed": K}`` — so a parent
@@ -47,15 +47,15 @@ import sys
 from typing import Any, Dict
 
 from repro.runtime.protocol import Hangup, serve_connection
-from repro.storage import BACKENDS, open_store
+from repro.storage import WALStore
 from repro.wire import decode_value, encode_value
 
 
 class StoreNodeServer:
-    """Serve one durable store over length-framed JSON requests."""
+    """Serve one WAL over length-framed JSON requests."""
 
-    def __init__(self, backend: str, path: str, sync_mode: str = "always") -> None:
-        self.store = open_store(backend, path, sync_mode=sync_mode)
+    def __init__(self, path: str, sync_mode: str = "always") -> None:
+        self.store = WALStore(path, sync_mode=sync_mode)
         self.sync_mode = sync_mode
         self.replayed = self.store.replay()
         self._server: asyncio.base_events.Server | None = None
@@ -116,7 +116,7 @@ class StoreNodeServer:
 
 
 async def _amain(args: argparse.Namespace) -> int:
-    server = StoreNodeServer(args.backend, args.path, sync_mode=args.sync_mode)
+    server = StoreNodeServer(args.path, sync_mode=args.sync_mode)
     port = await server.start(args.host, args.port)
     print(json.dumps({"port": port, "replayed": server.replayed}), flush=True)
     await server.wait_quit()
@@ -126,11 +126,9 @@ async def _amain(args: argparse.Namespace) -> int:
 
 def main(argv: Any = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="storenode", description="serve one durable store over TCP"
+        prog="storenode", description="serve one WAL over TCP"
     )
-    parser.add_argument("--backend", choices=[b for b in BACKENDS if b != "memory"],
-                        default="wal")
-    parser.add_argument("--path", required=True, help="log / database file")
+    parser.add_argument("--path", required=True, help="WAL file")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--sync-mode", choices=("always", "manual"), default="always")

@@ -1,99 +1,40 @@
 """Durable peer storage: the seam between the overlay and the disk.
 
-See :mod:`repro.storage.base` for the :class:`Store` contract.  Three
+See :mod:`repro.storage.base` for the :class:`Store` contract.  Two
 backends:
 
 * ``memory`` — :class:`MemoryStore`, the pre-seam dict semantics, volatile;
-* ``wal`` — :class:`WALStore`, append-only checksummed log, fsync-on-ack;
-* ``sqlite`` — :class:`SQLiteStore`, the same log contract on stdlib
-  ``sqlite3``.
+* ``wal`` — :class:`WALStore`, append-only checksummed log, fsync-on-ack.
 
-:func:`open_store` maps a backend name to a store instance;
-:func:`store_factory` turns ``(backend, data_dir)`` into the per-peer
-``peer_id -> Store`` callable the overlay and the live cluster thread
-through their construction paths.
+A durable peer's log lives at :func:`store_path` under the data directory.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
 
 from repro.storage.base import StorageError, Store, StoredObject
 from repro.storage.memory import MemoryStore
-from repro.storage.sqlite import SQLiteStore
 from repro.storage.wal import WALStore
 
 __all__ = [
     "BACKENDS",
     "MemoryStore",
-    "SQLiteStore",
     "StorageError",
     "Store",
     "StoredObject",
     "WALStore",
-    "open_store",
-    "store_factory",
     "store_path",
 ]
 
 #: backend names accepted by the CLI / soak / cluster ``storage=`` options
-BACKENDS = ("memory", "wal", "sqlite")
-
-_SUFFIX = {"wal": ".wal", "sqlite": ".sqlite"}
+BACKENDS = ("memory", "wal")
 
 
-def store_path(data_dir: str, peer_id: str, backend: str) -> str:
-    """The durable file for ``peer_id``'s slice under ``data_dir``.
+def store_path(data_dir: str, peer_id: str) -> str:
+    """The WAL file for ``peer_id``'s slice under ``data_dir``.
 
     Kautz peer ids are strings over the digits ``0..2``, so they embed
     directly in a filename.
     """
-    return os.path.join(data_dir, f"peer-{peer_id}{_SUFFIX[backend]}")
-
-
-def open_store(
-    backend: str,
-    path: Optional[str] = None,
-    sync_mode: str = "always",
-) -> Store:
-    """Open one store of the named backend (``path`` required if durable)."""
-    if backend == "memory":
-        return MemoryStore()
-    if backend == "wal":
-        if path is None:
-            raise StorageError("wal backend requires a path")
-        return WALStore(path, sync_mode=sync_mode)
-    if backend == "sqlite":
-        if path is None:
-            raise StorageError("sqlite backend requires a path")
-        return SQLiteStore(path, sync_mode=sync_mode)
-    raise StorageError(f"unknown storage backend {backend!r} (choose from {BACKENDS})")
-
-
-def store_factory(
-    backend: str,
-    data_dir: Optional[str] = None,
-    sync_mode: str = "always",
-) -> Callable[[str], Store]:
-    """A ``peer_id -> Store`` factory for the named backend.
-
-    Durable backends need ``data_dir``; it is created on first use so a
-    fresh ``--data-dir`` Just Works.
-    """
-    if backend not in BACKENDS:
-        raise StorageError(
-            f"unknown storage backend {backend!r} (choose from {BACKENDS})"
-        )
-    if backend == "memory":
-        return lambda peer_id: MemoryStore()
-    if data_dir is None:
-        raise StorageError(f"{backend} backend requires a data_dir")
-
-    def factory(peer_id: str) -> Store:
-        os.makedirs(data_dir, exist_ok=True)
-        return open_store(
-            backend, store_path(data_dir, peer_id, backend), sync_mode=sync_mode
-        )
-
-    return factory
+    return os.path.join(data_dir, f"peer-{peer_id}.wal")

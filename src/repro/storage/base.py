@@ -16,7 +16,7 @@ apart:
   bounds instead of walking the zone.  Every edit of the views goes
   through ``_add`` / ``_drop_prefix`` / ``_reset_views``, so the two
   cannot disagree;
-* the **durable log** (backend-specific): an ordered record of every write
+* the **durable log** (the WAL's; none in memory): an ordered record of every write
   (`put` / `rput` / `take`) that survives a process kill.  A write is
   *acknowledged* only once :meth:`Store.sync` has returned — the
   durability barrier replication and the gateway ack rule are built on.
@@ -204,9 +204,10 @@ class Store:
     """Base store: the in-memory read views plus no-op durability hooks.
 
     Used directly as the **memory backend** (see
-    :class:`~repro.storage.memory.MemoryStore`).  Durable backends
-    override the three ``_log_*`` hooks plus :meth:`sync` / :meth:`replay`
-    / :meth:`_drop_unsynced` / :meth:`close`.
+    :class:`~repro.storage.memory.MemoryStore`).  The durable backend,
+    :class:`~repro.storage.wal.WALStore`, overrides the ``_log_*`` hooks
+    plus :meth:`sync` / :meth:`replay` / :meth:`_drop_unsynced` /
+    :meth:`close`.
     """
 
     #: short name reported in stats and CLI flags
@@ -319,7 +320,7 @@ class Store:
     def replay(self) -> int:
         """Rebuild the views from the durable medium; returns records applied.
 
-        A durable backend resets the views, feeds every record to
+        The durable backend resets the views, feeds every record to
         :meth:`_apply_record` in log order, then calls :meth:`_sort_run`.
         """
         return 0
@@ -327,7 +328,7 @@ class Store:
     def close(self) -> None:
         """Graceful shutdown: flush everything durably and release handles."""
 
-    # -- hooks for durable backends ---------------------------------------
+    # -- hooks for the durable backend -------------------------------------
 
     def _log_record(self, op: str, object_id: str, key: Any, value: Any) -> None:
         """Append one write record to the durable log (no-op in memory)."""
@@ -338,7 +339,7 @@ class Store:
     def _drop_unsynced(self) -> None:
         """Discard log records not yet covered by a :meth:`sync`."""
 
-    # -- replay helper shared by the durable backends ----------------------
+    # -- replay helper for the durable backend -----------------------------
 
     def _apply_record(self, op: str, object_id: str, key: Any, value: Any) -> None:
         """Apply one decoded log record to the in-memory views (the run is

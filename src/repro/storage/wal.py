@@ -8,9 +8,9 @@ File layout::
 
     record := [ length : u32 BE ][ crc32 : u32 BE ][ body : length bytes ]
 
-The body is a :mod:`repro.binframe` value — the same stdlib
-msgpack-style codec the v2 gateway negotiates, reused here so the durable
-format and the wire format share one auditable encoding::
+The body is a :mod:`repro.binframe` value — the stdlib msgpack-style
+codec the flight recorder's dumps are written in too (no socket uses
+it)::
 
     ["put",  object_id, encode_value(key), encode_value(value)]
     ["rput", object_id, encode_value(key), encode_value(value)]

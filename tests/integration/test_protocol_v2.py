@@ -80,7 +80,7 @@ async def peer_node_connection(tmp_path):
 
 @contextlib.asynccontextmanager
 async def storenode_connection(tmp_path):
-    server = StoreNodeServer("wal", str(tmp_path / "peer.wal"))
+    server = StoreNodeServer(str(tmp_path / "peer.wal"))
     port = await server.start()
     try:
         reader, writer = await asyncio.open_connection("127.0.0.1", port)

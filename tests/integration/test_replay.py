@@ -66,6 +66,20 @@ class TestCleanReplay:
         assert report.ok, report.divergence.format()
         assert report.replies_checked == 30
 
+    def test_durable_kill_restart_replays_the_restarted_peers_stores(self, tmp_path):
+        """The restarted WAL peer's replies read its recorded stores again."""
+        result, events = record_soak(
+            tmp_path, queries=60, storage="wal", kill_restart=True, write_replicas=2
+        )
+        assert result.report.success_ratio == 1.0
+        restart = next(
+            ev for ev in events if ev["type"] == "fault" and ev["action"] == "restart"
+        )
+        assert restart["replayed"] > 0
+        report = replay_events(replayable(events))
+        assert report.ok, report.divergence.format()
+        assert report.replies_checked == report.queries == 60
+
 
 class TestTamperDetection:
     def test_edited_field_diverges_at_exactly_that_seq(self, tmp_path):

@@ -169,7 +169,7 @@ class TestStoreNodeSigkill:
 
 
 class TestClusterKillRestart:
-    @pytest.mark.parametrize("storage", ["wal", "sqlite"])
+    @pytest.mark.parametrize("storage", ["wal"])
     def test_restarted_peer_serves_every_acked_write(self, storage, tmp_path):
         async def scenario():
             cluster = LiveCluster(

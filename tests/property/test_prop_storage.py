@@ -1,4 +1,4 @@
-"""Property tests: WAL/SQLite replay ≡ memory state at the last sync.
+"""Property tests: WAL replay ≡ memory state at the last sync.
 
 Satellite of the durable-storage PR.  The storage contract says a durable
 backend may lose writes made after the last ``sync()`` barrier at a power
@@ -11,8 +11,8 @@ barriers, then crashes the store at an arbitrary point in the history —
 including **mid-record**: the WAL torn-tail test cuts the log file at an
 arbitrary byte offset, the crash a real ``kill -9`` leaves behind.
 
-The second half holds every backend's key-sorted run to the filter it
-replaces: after each step of a random history, ``scan(low, high)`` is the
+The second half holds both backends' key-sorted runs to the filter they
+replace: after each step of a random history, ``scan(low, high)`` is the
 brute-force filter over ``objects()``, in key order, equal keys in the
 order they were added — and a crash rebuilds the run of the last sync.
 """
@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import open_store
 from repro.storage.base import StoredObject
 from repro.storage.memory import MemoryStore
+from repro.storage.wal import WALStore
 
 OBJECT_IDS = ("010", "012", "0101", "0102", "0120", "0201", "0210", "1010", "2101")
 PREFIXES = ("0", "01", "02", "012", "1", "21")
@@ -80,11 +80,10 @@ def digests(store):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=operations, backend=st.sampled_from(["wal", "sqlite"]))
-def test_replay_equals_memory_state_at_last_sync(ops, backend):
+@given(ops=operations)
+def test_replay_equals_memory_state_at_last_sync(ops):
     with tempfile.TemporaryDirectory() as tmp:
-        store = open_store(backend, os.path.join(tmp, f"peer.{backend}"),
-                           sync_mode="manual")
+        store = WALStore(os.path.join(tmp, "peer.wal"), sync_mode="manual")
         for op in ops:
             apply(store, op)
         store.power_fail()  # crash at an arbitrary point in the history
@@ -96,25 +95,19 @@ def test_replay_equals_memory_state_at_last_sync(ops, backend):
 @settings(max_examples=60, deadline=None)
 @given(ops=operations)
 def test_synced_history_survives_close_and_reopen(ops):
-    """Replay of a cleanly closed log ≡ the whole history, both backends
-    agreeing with each other bit for bit."""
+    """Replay of a cleanly closed log ≡ the whole history, bit for bit."""
     with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "peer.wal")
         reference = MemoryStore()
-        stores = [
-            open_store("wal", os.path.join(tmp, "peer.wal")),
-            open_store("sqlite", os.path.join(tmp, "peer.sqlite")),
-        ]
+        store = WALStore(path)
         for op in ops:
             apply(reference, op)
-            for store in stores:
-                apply(store, op)
-        for store in stores:
-            store.close()
-        for backend in ("wal", "sqlite"):
-            reopened = open_store(backend, os.path.join(tmp, f"peer.{backend}"))
-            reopened.replay()
-            assert digests(reopened) == digests(reference)
-            reopened.close()
+            apply(store, op)
+        store.close()
+        reopened = WALStore(path)
+        reopened.replay()
+        assert digests(reopened) == digests(reference)
+        reopened.close()
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,7 +125,7 @@ def test_wal_torn_tail_at_any_byte_boundary(ops, cut_back):
     final record is dropped, never an error, and never a partial apply."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "peer.wal")
-        store = open_store("wal", path)  # sync after every record
+        store = WALStore(path)  # sync after every record
         sizes = [os.path.getsize(path)]
         for op in ops:
             apply(store, op)
@@ -144,7 +137,7 @@ def test_wal_torn_tail_at_any_byte_boundary(ops, cut_back):
             handle.truncate(cut)
         survivors = max(i for i, size in enumerate(sizes) if size <= cut)
 
-        store = open_store("wal", path)
+        store = WALStore(path)
         assert store.replay() == survivors
         assert digests(store) == digests(model_at_last_sync(
             list(ops[:survivors]) + [("sync",)]
@@ -211,16 +204,20 @@ def assert_scan_is_the_filter(store, low, high):
             assert before.value < after.value
 
 
+def make_store(backend, path, sync_mode="always"):
+    return MemoryStore() if backend == "memory" else WALStore(path, sync_mode=sync_mode)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     ops=run_operations,
     ranges=st.lists(st.tuples(bounds, bounds), min_size=1, max_size=3),
-    backend=st.sampled_from(["memory", "wal", "sqlite"]),
+    backend=st.sampled_from(["memory", "wal"]),
 )
 def test_scan_is_the_brute_force_filter_in_key_order(ops, ranges, backend):
     ranges = ranges + FIXED_RANGES
     with tempfile.TemporaryDirectory() as tmp:
-        store = open_store(backend, os.path.join(tmp, f"peer.{backend}"), sync_mode="manual")
+        store = make_store(backend, os.path.join(tmp, f"peer.{backend}"), sync_mode="manual")
         added = iter(range(10**6))  # each object's value: the order it was added in
         run_at_sync = []
         for op in ops + [("sync",), ("crash",)]:  # every history ends in a crash
@@ -244,10 +241,10 @@ def test_scan_is_the_brute_force_filter_in_key_order(ops, ranges, backend):
         store.close()
 
 
-@pytest.mark.parametrize("backend", ["memory", "wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["memory", "wal"])
 def test_scan_keeps_only_numeric_keys_in_range(backend, tmp_path):
     """NaN, a string and a tuple are in the zone but never in a range."""
-    store = open_store(backend, str(tmp_path / f"peer.{backend}"))
+    store = make_store(backend, str(tmp_path / f"peer.{backend}"))
     for index, key in enumerate([5.0, math.nan, 1.0, "x", (1.0, 2.0)]):
         store.put(f"01{index}", key=key, value=index)
     assert [stored.key for stored in store.scan(0, 10)] == [1.0, 5.0]

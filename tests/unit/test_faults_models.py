@@ -266,9 +266,9 @@ class TestCrashRecoverStorage:
         assert peer.get("010101") == []
 
     def test_wal_backed_peer_recovers_synced_writes(self, tmp_path):
-        from repro.storage import open_store
+        from repro.storage import WALStore
 
-        backend = open_store("wal", str(tmp_path / "peer.wal"))
+        backend = WALStore(str(tmp_path / "peer.wal"))
         overlay, peer = self.build_peer_overlay(backend)
         digest = peer.backend.digest()
         self.run_crash_recover(overlay, peer)

@@ -410,6 +410,15 @@ class TestReportFromRecords:
         for clock in ("sim", "wall"):
             assert "queries completed : 0 (started 0)" in report.format(clock)
 
+    def test_a_wall_clock_makespan_keeps_its_milliseconds(self):
+        report = EngineReport(
+            completed=[completion(0.0, 0.0123, 2), completion(0.01, 0.0246, 2)],
+            started=2,
+            first_launch=0.0,
+        )
+        assert "makespan          : 0.0246 seconds" in report.format("wall")
+        assert "makespan          : 0.0 sim units" in report.format("sim")
+
     def test_the_engine_report_is_a_snapshot_of_the_drivers_ledger(self):
         system = build_system()
         engine = QueryEngine(system)

@@ -24,7 +24,9 @@ import zlib
 import pytest
 
 from repro.binframe import encode_binary
-from repro.storage import BACKENDS, open_store, store_factory, store_path
+from repro.experiments.livefaults import LiveFaultsSpec
+from repro.runtime.cluster import ClusterError, LiveCluster
+from repro.storage import BACKENDS, store_path
 from repro.storage.base import (
     StorageError,
     StoredObject,
@@ -33,16 +35,15 @@ from repro.storage.base import (
     objects_to_wire,
 )
 from repro.storage.memory import MemoryStore
-from repro.storage.sqlite import SQLiteStore
 from repro.storage.wal import WAL_HEADER, WALStore
 
-DURABLE = ("wal", "sqlite")
+DURABLE = ("wal",)
 
 
 def make_store(backend, tmp_path, name="peer", sync_mode="always"):
     if backend == "memory":
         return MemoryStore()
-    return open_store(backend, str(tmp_path / f"{name}.{backend}"), sync_mode=sync_mode)
+    return WALStore(str(tmp_path / f"{name}.{backend}"), sync_mode=sync_mode)
 
 
 def fill(store):
@@ -123,11 +124,11 @@ class TestStoreContract:
     @pytest.mark.parametrize("backend", DURABLE)
     def test_reopen_from_disk(self, backend, tmp_path):
         path = str(tmp_path / f"peer.{backend}")
-        store = open_store(backend, path)
+        store = WALStore(path)
         fill(store)
         digest = store.digest()
         store.close()
-        reopened = open_store(backend, path)
+        reopened = WALStore(path)
         assert reopened.replay() == 5
         assert reopened.digest() == digest
         reopened.close()
@@ -216,38 +217,16 @@ class TestWALIntegrity:
         store.close()
 
 
-class TestSQLite:
-    def test_rollback_on_power_fail(self, tmp_path):
-        store = SQLiteStore(str(tmp_path / "peer.sqlite"), sync_mode="manual")
-        store.put("a", key=1.0, value=1.0)
-        store.sync()
-        store.put("b", key=2.0, value=2.0)
-        store.power_fail()
-        assert store.replay() == 1
-        assert store.get("b") == []
-        store.close()
-
-
-class TestFactory:
-    def test_open_store_validates_backend(self, tmp_path):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            open_store("postgres", str(tmp_path / "x"))
-        with pytest.raises(StorageError, match="path"):
-            open_store("wal")
+class TestBackendChoice:
+    def test_only_memory_and_wal_are_backends(self, tmp_path):
+        assert BACKENDS == ("memory", "wal")
+        with pytest.raises(ClusterError, match="unknown storage backend"):
+            LiveCluster(num_peers=8, storage="sqlite", data_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="storage must be one of memory, wal"):
+            LiveFaultsSpec(storage="sqlite")
 
     def test_store_path_names_by_peer(self, tmp_path):
-        assert store_path(str(tmp_path), "0121", "wal").endswith("peer-0121.wal")
-        assert store_path(str(tmp_path), "0121", "sqlite").endswith("peer-0121.sqlite")
-
-    def test_factory_creates_data_dir(self, tmp_path):
-        factory = store_factory("wal", data_dir=str(tmp_path / "logs"))
-        store = factory("0101")
-        store.put("0101", key=1.0, value=1.0)
-        store.close()
-        assert os.path.exists(store_path(str(tmp_path / "logs"), "0101", "wal"))
-
-    def test_memory_factory_needs_no_dir(self):
-        assert store_factory("memory")("0101").backend_name == "memory"
+        assert store_path(str(tmp_path), "0121").endswith("peer-0121.wal")
 
 
 class TestObjectColumns:
