@@ -378,6 +378,11 @@ class TestParseErrors:
         message = self.run_main_expecting_exit(["soak", "--require-pipelined", "0"])
         assert "--require-pipelined" in str(message)
 
+    def test_soak_unknown_storage_backend(self, capsys):
+        code = self.run_main_expecting_exit(["soak", "--storage", "sqlite"])
+        assert code == 2
+        assert "invalid choice: 'sqlite'" in capsys.readouterr().err
+
     def test_non_numeric_flag_exits_cleanly(self):
         # argparse-level type errors (exit code 2, message on stderr)
         self.run_main_expecting_exit(["soak", "--queries", "many"])

@@ -216,6 +216,91 @@ class TestWALIntegrity:
         assert store.replay() == 1  # trailing garbage == torn tail, dropped
         store.close()
 
+    def append_framed(self, path, body):
+        """Append one record whose CRC is right, whatever its body holds."""
+        with open(path, "ab") as handle:
+            handle.write(struct.pack(">II", len(body), zlib.crc32(body)) + body)
+
+    def test_torn_frame_header_is_truncated(self, tmp_path):
+        path = str(tmp_path / "peer.wal")
+        self.put_n(path, 2)
+        good_size = os.path.getsize(path)
+        with open(path, "ab") as handle:  # the crash landed inside a frame header
+            handle.write(b"\x00\x00\x00")
+        store = WALStore(path)
+        assert store.replay() == 2
+        assert os.path.getsize(path) == good_size
+        store.close()
+
+    def test_undecodable_record_is_an_error(self, tmp_path):
+        path = str(tmp_path / "peer.wal")
+        self.put_n(path, 1)
+        self.append_framed(path, b"\xff\xff")
+        with pytest.raises(StorageError, match="undecodable record"):
+            WALStore(path).replay()
+
+    def test_unknown_record_op_is_an_error(self, tmp_path):
+        path = str(tmp_path / "peer.wal")
+        self.put_n(path, 1)
+        self.append_framed(path, encode_binary(["drop", "obj0"]))
+        with pytest.raises(StorageError, match="unknown record op 'drop'"):
+            WALStore(path).replay()
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (["put", "x", 1.0], "malformed put"),
+            (["rput", "x", 1.0, 2.0, 3.0], "malformed rput"),
+            (["take"], "malformed take"),
+            ("put", "malformed record"),
+        ],
+    )
+    def test_malformed_record_is_an_error(self, tmp_path, record, message):
+        path = str(tmp_path / "peer.wal")
+        self.put_n(path, 1)
+        self.append_framed(path, encode_binary(record))
+        with pytest.raises(StorageError, match=message):
+            WALStore(path).replay()
+
+    def test_unknown_sync_mode_is_refused(self, tmp_path):
+        path = tmp_path / "peer.wal"
+        with pytest.raises(StorageError, match="unknown sync_mode 'never'"):
+            WALStore(str(path), sync_mode="never")
+        assert not path.exists()
+
+    def test_manual_mode_writes_nothing_until_sync(self, tmp_path):
+        path = str(tmp_path / "peer.wal")
+        store = WALStore(path, sync_mode="manual")
+        assert os.path.getsize(path) == len(WAL_HEADER)
+        store.put("obj0", key=0.0, value=0.0)
+        store.put_replica("obj1", key=1.0, value=1.0)
+        assert os.path.getsize(path) == len(WAL_HEADER)  # bytes on disk == bytes synced
+        store.sync()
+        synced_size = os.path.getsize(path)
+        assert synced_size > len(WAL_HEADER)
+        store.sync()  # nothing pending: no write
+        assert os.path.getsize(path) == synced_size
+        store.close()
+
+    def test_a_deleted_log_replays_empty_and_is_recreated(self, tmp_path):
+        path = str(tmp_path / "peer.wal")
+        store = self.put_n(path, 3)
+        os.remove(path)
+        assert store.replay() == 0
+        assert store.object_count() == 0
+        with open(path, "rb") as handle:
+            assert handle.read() == WAL_HEADER
+        store.put("obj9", key=9.0, value=9.0)
+        store.power_fail()
+        assert store.replay() == 1
+        store.close()
+
+    def test_a_closed_log_refuses_writes(self, tmp_path):
+        store = self.put_n(str(tmp_path / "peer.wal"), 1)
+        with pytest.raises(StorageError, match="is closed"):
+            store.put("obj1", key=1.0, value=1.0)
+        store.close()  # closing twice is harmless
+
 
 class TestBackendChoice:
     def test_only_memory_and_wal_are_backends(self, tmp_path):
