@@ -6,7 +6,7 @@ through::
     from repro.api import SimSession, LiveSession, RangeQuery
 
     session = SimSession(system)                       # simulator backend
-    session = await LiveSession.connect(host, port)    # live gateway (v2)
+    session = await LiveSession.connect(host, port)    # live gateway
     reply = await session.range(100.0, 200.0)          # same call, same Reply
 
 See :mod:`repro.api.requests` for the request/reply model,

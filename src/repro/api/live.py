@@ -1,15 +1,14 @@
 """:class:`LiveSession` — the gateway binding of the session API.
 
-One session owns a **pool** of gateway connections, each handshaken for
-the gateway's one dialect (protocol v2, JSON frames) and fully
+One session owns a **pool** of gateway connections, each fully
 multiplexed: requests are rid-tagged frames, a background reader
 re-associates every reply (and streamed ``chunk`` frame) with its
 per-request future, so any number of requests can be in flight on one
 connection and complete out of order.  That machinery is the runtime's
 one framed connection (:class:`repro.runtime.protocol.Connection`, the
-class a peer link is too); a gateway connection adds the handshake and
-the ``chunk``/``error`` frames.  The pool spreads load across
-connections by picking the least-loaded one per request.
+class a peer link is too); a gateway connection adds only the
+``chunk``/``error`` frames the gateway pushes.  The pool spreads load
+across connections by picking the least-loaded one per request.
 """
 
 from __future__ import annotations
@@ -17,27 +16,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.requests import (
-    ApiError,
-    Chunk,
-    MultiRangeQuery,
-    QueryReply,
-    RangeQuery,
-    Reply,
-    Request,
-    reply_from_payload,
-)
+from repro.api.requests import ApiError, Chunk, Reply, Request, reply_from_payload
 from repro.api.session import ChunkCallback, Session, SessionError
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
-from repro.runtime.protocol import (
-    GATEWAY_PROTOCOL_V2,
-    Connection,
-    ProtocolError,
-    close_stream,
-    encode_frame,
-    hello_frame,
-    read_frame,
-)
+from repro.runtime.protocol import Connection
 
 
 class _Pending(asyncio.Future):
@@ -50,39 +32,12 @@ class _Pending(asyncio.Future):
 
 
 class _V2Connection(Connection):
-    """One handshaken protocol-v2 gateway connection.
+    """One gateway connection (:meth:`Connection.open` dials it).
 
-    Adds to the framed connection the ``hello``/``welcome`` handshake
-    (before the reader starts) and the two frame types only a gateway
+    Adds to the framed connection the two frame types only a gateway
     sends, ``chunk`` and ``error``.  Replies may arrive in any order — the
     property test in ``tests/property`` hammers exactly this path.
     """
-
-    #: True when the gateway granted the ``tracing`` capability
-    tracing = False
-
-    @classmethod
-    async def connect(cls, host: str, port: int, tracing: bool = False) -> "_V2Connection":
-        """Open the socket and perform the version handshake."""
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(encode_frame(hello_frame(tracing=tracing)))
-            await writer.drain()
-            first = await read_frame(reader)
-            if first is None:
-                raise ConnectionError("gateway closed the connection during the handshake")
-            if first.get("type") == "error":
-                raise ApiError(f"handshake rejected: {first.get('error', 'unknown error')}")
-            if first.get("type") != "welcome" or first.get("version") != GATEWAY_PROTOCOL_V2:
-                raise ProtocolError(f"unexpected handshake reply {first!r}")
-        except BaseException:
-            await close_stream(writer)
-            raise
-        connection = cls(reader, writer)
-        # A gateway without a tracer never sends the key: absent means
-        # not granted.
-        connection.tracing = bool(first.get("tracing", False))
-        return connection
 
     def post(self, request: Request, on_chunk: Optional[ChunkCallback] = None) -> asyncio.Future:
         """Register and buffer one request frame; returns its reply future,
@@ -126,7 +81,7 @@ class _V2Connection(Connection):
                 # Ends the reader: every pending future fails with this.
                 raise ApiError(f"gateway closed the connection: {message}")
         # Unknown server frame types are ignored for forward
-        # compatibility (a v2.x gateway may stream new telemetry).
+        # compatibility (a newer gateway may push new telemetry).
 
 
 class LiveSession(Session):
@@ -134,11 +89,8 @@ class LiveSession(Session):
 
     backend = "live"
 
-    def __init__(self, timeout: float, tracing: bool = False) -> None:
+    def __init__(self, timeout: float) -> None:
         self.timeout = timeout
-        #: whether this session *asked* for the tracing capability; see
-        #: :attr:`tracing_granted` for what the gateway actually gave
-        self.tracing = tracing
         self._address: Tuple[str, int] = ("", 0)
         self._v2: List[_V2Connection] = []
         self._pool_target = 0
@@ -157,27 +109,23 @@ class LiveSession(Session):
         port: int,
         pool: int = 4,
         timeout: float = 30.0,
-        tracing: bool = False,
     ) -> "LiveSession":
-        """Open ``pool`` handshaken gateway connections.
+        """Open ``pool`` gateway connections.
 
         ``timeout`` bounds how long a reply may take when the request
         carries no deadline option (requests with a deadline get that
-        deadline plus grace).  ``tracing=True`` negotiates the tracing
-        capability so requests with ``options.trace`` get span trees back;
-        against a gateway without a tracer the ask degrades silently to
-        untraced replies.
+        deadline plus grace).
         """
         if pool < 1:
             raise SessionError("pool must be at least 1")
         if timeout <= 0:
             raise SessionError("timeout must be positive")
-        session = cls(timeout=timeout, tracing=tracing)
+        session = cls(timeout=timeout)
         session._address = (host, port)
         session._pool_target = pool
         try:
             for _ in range(pool):
-                session._v2.append(await _V2Connection.connect(host, port, tracing=tracing))
+                session._v2.append(await _V2Connection.open(host, port))
         except BaseException:
             await session.close()
             raise
@@ -187,11 +135,6 @@ class LiveSession(Session):
     def pool_size(self) -> int:
         """Number of gateway connections this session owns."""
         return len(self._v2)
-
-    @property
-    def tracing_granted(self) -> bool:
-        """True when every pooled connection negotiated tracing."""
-        return bool(self._v2) and all(connection.tracing for connection in self._v2)
 
     @property
     def in_flight(self) -> int:
@@ -219,8 +162,8 @@ class LiveSession(Session):
     async def _redial_one(self) -> Optional[_V2Connection]:
         for address in self._gateway_candidates():
             try:
-                connection = await _V2Connection.connect(*address, tracing=self.tracing)
-            except (OSError, ConnectionError, ApiError, ProtocolError):
+                connection = await _V2Connection.open(*address)
+            except OSError:
                 continue
             # Future replacements dial the gateway that actually answered
             # first — after a failover the old address is likely dead.
@@ -271,8 +214,8 @@ class LiveSession(Session):
 
         The whole batch is posted before the first drain — one
         syscall-ish burst instead of a write/await per request.  Note the
-        per-request ``replicas``/``retries`` options are *not* applied on
-        this path (use :meth:`submit` per request for those).
+        per-request ``retries`` option is *not* applied on this path (use
+        :meth:`submit` per request for it).
         """
         if self._closed:
             raise SessionError("session is closed")

@@ -10,10 +10,10 @@ live — is a :class:`Request` object:
 * :class:`Ping` — liveness probe.
 
 Each request carries :class:`RequestOptions`: the per-request knobs
-(origin pinning, deadline, replica count, retry budget, streaming); the
-two query requests also present ``(kind, ranges)`` — which executor, and
-its ``start`` argument.  A request serialises to a JSON object
-(:meth:`Request.to_wire`) — the exact payload a protocol-v2 ``request``
+(origin pinning, deadline, write-copy count, retry budget, streaming,
+tracing); the two query requests also present ``(kind, ranges)`` — which
+executor, and its ``start`` argument.  A request serialises to a JSON object
+(:meth:`Request.to_wire`) — the exact payload a gateway ``request``
 frame carries — and :func:`request_from_wire` rebuilds it on the gateway
 side, so the wire format and the in-process API share one definition.
 
@@ -54,24 +54,18 @@ class RequestOptions:
     * ``deadline`` — per-query bound on the *backend's* clock: wall-clock
       seconds live, simulated units in the simulator; ``None`` uses the
       backend default;
-    * ``replicas`` — for queries: independent executions of the same
-      query; the best reply (complete beats partial, more matches beat
-      fewer) wins, a cheap robustness knob under faults.  For inserts:
-      real write replication — the object is durably appended on the
-      owner plus ``replicas - 1`` prefix-sibling peers, and the insert is
-      acknowledged only after every copy synced;
+    * ``replicas`` — write replication, for inserts only: the object is
+      durably appended on the owner plus ``replicas - 1`` prefix-sibling
+      peers, and the insert is acknowledged only after every copy synced.
+      A query runs once; a query request with ``replicas > 1`` is refused;
     * ``retries`` — resubmissions after a *transport* failure (connection
-      drop, gateway restart); meaningless in the simulator;
-    * ``stream`` — ask for per-destination partial results (protocol v2
-      ``chunk`` frames live, synchronous callbacks in the simulator).
-      Incompatible with ``replicas > 1`` (replicated chunk streams would
-      interleave indistinguishably); after a transport *retry*, chunks
-      the failed attempt already delivered are not recalled — the reply's
-      ``chunks`` field counts the winning attempt's frames only;
-    * ``trace`` — ask for a query-scoped span tree in the reply.  Only
-      honoured when the backend has a tracer and (live) the connection
-      negotiated the ``tracing`` capability; everywhere else the flag is
-      dropped cleanly and the reply simply has no trace.
+      drop, gateway restart); meaningless in the simulator.  Chunks a
+      failed attempt already delivered are not recalled — the reply's
+      ``chunks`` field counts the answering attempt's frames only;
+    * ``stream`` — ask for per-destination partial results (``chunk``
+      frames live, synchronous callbacks in the simulator);
+    * ``trace`` — ask for a query-scoped span tree in the reply.  Every
+      backend honours it.
     """
 
     origin: Optional[str] = None
@@ -88,11 +82,6 @@ class RequestOptions:
             raise ApiError("replicas must be at least 1")
         if self.retries < 0:
             raise ApiError("retries must be non-negative")
-        if self.stream and self.replicas > 1:
-            # Replicated executions would interleave their chunk streams
-            # into one callback with no way to tell them apart (and the
-            # winning reply's ``chunks`` would count only its own frames).
-            raise ApiError("stream and replicas > 1 cannot be combined")
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON form, omitting defaults (an empty dict is all-defaults)."""
@@ -114,7 +103,10 @@ class RequestOptions:
     @classmethod
     def from_wire(cls, wire: Optional[Dict[str, Any]]) -> "RequestOptions":
         """Rebuild options from :meth:`to_wire` output (post-JSON)."""
-        wire = wire or {}
+        if wire is None:
+            wire = {}
+        if not isinstance(wire, dict):
+            raise ApiError(f"request options must be a JSON object, got {wire!r}")
         return cls(
             origin=wire.get("origin"),
             deadline=None if wire.get("deadline") is None else float(wire["deadline"]),
@@ -137,7 +129,7 @@ class Request:
         return {}
 
     def to_wire(self) -> Dict[str, Any]:
-        """The JSON object a protocol-v2 ``request`` frame carries."""
+        """The JSON object a gateway ``request`` frame carries."""
         wire: Dict[str, Any] = {"op": self.op}
         wire.update(self.payload())
         options = self.options.to_wire()
@@ -150,6 +142,18 @@ class Request:
         return replace(self, options=replace(self.options, **changes))
 
 
+def _check_query(ranges: Sequence[Tuple[float, float]], options: RequestOptions) -> None:
+    """Refuse what no query can mean: a NaN or inverted bound, and
+    ``replicas`` (write replication) on a query."""
+    for low, high in ranges:
+        if low != low or high != high:
+            raise ApiError(f"range bound is not a number: [{low}, {high}]")
+        if high < low:
+            raise ApiError(f"range low bound {low} exceeds high bound {high}")
+    if options.replicas > 1:
+        raise ApiError("replicas applies to inserts only; a query runs once")
+
+
 @dataclass(frozen=True)
 class RangeQuery(Request):
     """Single-attribute range query ``[low, high]`` (PIRA)."""
@@ -160,8 +164,7 @@ class RangeQuery(Request):
     high: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise ApiError(f"range low bound {self.low} exceeds high bound {self.high}")
+        _check_query(self.ranges, self.options)
 
     @property
     def ranges(self) -> Tuple[Tuple[float, float], ...]:
@@ -184,9 +187,7 @@ class MultiRangeQuery(Request):
         ranges = tuple((float(low), float(high)) for low, high in self.ranges)
         if not ranges:
             raise ApiError("a multi-range query needs at least one range")
-        for low, high in ranges:
-            if high < low:
-                raise ApiError(f"range low bound {low} exceeds high bound {high}")
+        _check_query(ranges, self.options)
         object.__setattr__(self, "ranges", ranges)
 
     def payload(self) -> Dict[str, Any]:
@@ -291,8 +292,8 @@ def request_from_wire(wire: Dict[str, Any]) -> Request:
     if cls is None:
         known = ", ".join(sorted(REQUEST_TYPES))
         raise ApiError(f"unknown request op {op!r} (known: {known})")
-    options = RequestOptions.from_wire(wire.get("options"))
     try:
+        options = RequestOptions.from_wire(wire.get("options"))
         if cls is RangeQuery:
             return RangeQuery(low=float(wire["low"]), high=float(wire["high"]), options=options)
         if cls is MultiRangeQuery:
@@ -336,7 +337,7 @@ class Reply:
     ok: bool = True
 
     def to_wire(self) -> Dict[str, Any]:
-        """The payload of a protocol-v2 ``reply`` frame."""
+        """The payload of a gateway ``reply`` frame."""
         return {"ok": True, "type": self.wire_type}
 
     @classmethod
@@ -515,14 +516,3 @@ def reply_from_payload(request: Request, payload: Dict[str, Any], chunks: int = 
             f"undecodable reply type {payload.get('type')!r} for request op {request.op!r}"
         )
     return cls.from_wire(payload, chunks)
-
-
-def better_query_reply(left: QueryReply, right: QueryReply) -> QueryReply:
-    """Pick the better of two replicated query replies.
-
-    Completeness dominates (a complete result beats any partial one),
-    then match count, then lower latency.
-    """
-    left_key = (left.result.complete, len(left.result.matches), -left.latency)
-    right_key = (right.result.complete, len(right.result.matches), -right.latency)
-    return left if left_key >= right_key else right

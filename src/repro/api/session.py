@@ -19,8 +19,6 @@ The base class implements everything that is backend-independent:
 * the convenience verbs (:meth:`range`, :meth:`multi_range`,
   :meth:`insert`, :meth:`insert_multi`, :meth:`stats`, :meth:`ping`,
   :meth:`run_job`) as thin wrappers over :meth:`submit`;
-* the **replica** option: ``replicas=k`` executes the query ``k`` times
-  and returns the best reply (complete beats partial, then match count);
 * the **retry budget**: a transport failure (connection drop) is retried
   up to ``options.retries`` times before the error propagates;
 * :meth:`batch`: concurrent submission of many requests (the live
@@ -60,7 +58,6 @@ from repro.api.requests import (
     RequestOptions,
     Stats,
     StatsReply,
-    better_query_reply,
     request_from_job,
 )
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
@@ -86,7 +83,7 @@ class Session:
     async def _submit_once(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
-        """Execute ``request`` exactly once (no replicas, no retries)."""
+        """Execute ``request`` exactly once (no retries)."""
         raise NotImplementedError
 
     async def run_jobs(
@@ -114,36 +111,20 @@ class Session:
         """Release backend resources (idempotent)."""
 
     # ------------------------------------------------------------------ #
-    # generic submission (replicas + retry budget)                         #
+    # generic submission (retry budget)                                    #
     # ------------------------------------------------------------------ #
 
     async def submit(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
-        """Execute ``request``, honouring its replica and retry options."""
-        options = request.options
-        best: Optional[Reply] = None
-        for _ in range(options.replicas):
-            reply = await self._submit_with_retries(request, on_chunk)
-            if not isinstance(reply, QueryReply):
-                return reply  # replicas only make sense for queries
-            best = reply if best is None else better_query_reply(best, reply)
-            if reply.result.complete:
-                break  # a complete result cannot be improved upon
-        assert best is not None
-        return best
-
-    async def _submit_with_retries(
-        self, request: Request, on_chunk: Optional[ChunkCallback]
-    ) -> Reply:
-        attempts = 1 + request.options.retries
-        for attempt in range(attempts):
+        """Execute ``request``, resubmitting it after a transport failure
+        up to ``options.retries`` times."""
+        for _ in range(request.options.retries):
             try:
                 return await self._submit_once(request, on_chunk)
             except (ConnectionError, asyncio.TimeoutError):
-                if attempt + 1 >= attempts:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+                pass
+        return await self._submit_once(request, on_chunk)
 
     async def batch(
         self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
@@ -163,7 +144,6 @@ class Session:
         high: float,
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        replicas: int = 1,
         retries: int = 0,
         on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
@@ -171,7 +151,6 @@ class Session:
         options = RequestOptions(
             origin=origin,
             deadline=deadline,
-            replicas=replicas,
             retries=retries,
             stream=on_chunk is not None,
         )
@@ -184,7 +163,6 @@ class Session:
         ranges: Sequence[Tuple[float, float]],
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        replicas: int = 1,
         retries: int = 0,
         on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
@@ -192,7 +170,6 @@ class Session:
         options = RequestOptions(
             origin=origin,
             deadline=deadline,
-            replicas=replicas,
             retries=retries,
             stream=on_chunk is not None,
         )

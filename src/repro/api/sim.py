@@ -46,6 +46,7 @@ from repro.core.armada import ArmadaSystem
 from repro.core.errors import ArmadaError
 from repro.engine.query_engine import QueryEngine
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
+from repro.obs.spans import Tracer
 
 
 class SimSession(Session):
@@ -61,14 +62,14 @@ class SimSession(Session):
     ) -> None:
         """``deadline`` (simulated units) is the default per-query bound;
         a request's ``options.deadline`` overrides it.  ``tracer`` (a
-        :class:`repro.obs.spans.Tracer`) makes requests with
-        ``options.trace`` return span trees, exactly like a tracing live
-        gateway; without one the flag degrades to an untraced reply."""
+        :class:`repro.obs.spans.Tracer`, built when none is passed) collects
+        the span trees requests with ``options.trace`` get back, exactly
+        like the live gateway's."""
         if deadline is not None and deadline <= 0:
             raise ApiError("deadline must be positive")
         self.system = system
         self.deadline = deadline
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.queries_served = 0
 
     # ------------------------------------------------------------------ #

@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help=(
             "run the traced query against a live gateway instead of the simulator "
-            "(negotiates the v2 tracing capability; the only leg --deadline bounds)"
+            "(the only leg --deadline bounds)"
         ),
     )
     trace.add_argument(

@@ -255,8 +255,12 @@ class Deployment:
             origin = self.default_origin()
         elif not self.network.has_peer(origin):
             raise QueryError(f"unknown origin peer {origin!r}")
-        if tracer is not None and executor.tracer is None:
-            executor.set_tracer(tracer)
+        if tracer is not None:
+            if executor.tracer is None:
+                executor.set_tracer(tracer)
+            # An executor keeps the tracer it was first armed with (another
+            # session's, the replay's): the span tree is collected there.
+            tracer = executor.tracer
         # Pre-allocated so streamed chunks can carry the trace id from the
         # very first (synchronous, origin-local) destination.
         query_id = next(executor._query_ids)

@@ -336,8 +336,8 @@ async def _run(spec: LiveFaultsSpec, data_dir: Optional[str]) -> LiveFaultsResul
         try:
             if spec.trace_out is not None:
                 # Server-side tracing: every query gets a span tree whether or
-                # not the client negotiated the capability, so the Chrome trace
-                # covers the whole run.
+                # not its request asked for one, so the Chrome trace covers
+                # the whole run.
                 for executor in cluster.executors.values():
                     executor.set_tracer(tracer, all_queries=True)
             if metrics_server is not None:

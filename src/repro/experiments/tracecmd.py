@@ -7,11 +7,10 @@ backends behind the same flags:
   publish a uniform object population, and run the query through a
   :class:`~repro.api.sim.SimSession` with a tracer attached.  Span
   durations are in simulated hop units; no deadline (it cannot hang).
-- **live** (``--connect HOST:PORT``): open a
-  :class:`~repro.api.live.LiveSession` with the ``tracing`` capability and
-  let the gateway's tracer collect the spans server-side; the reply ships
-  them back.  Durations are wall-clock seconds.  A non-tracing
-  gateway degrades to an untraced reply — reported, never an error.
+- **live** (``--connect HOST:PORT``): send the traced request through a
+  :class:`~repro.api.live.LiveSession`; the gateway's tracer collects the
+  spans server-side and the reply ships them back.  Durations are
+  wall-clock seconds.
 
 Either way the output is :func:`~repro.obs.spans.format_span_tree` — the
 root query span with its hop / retry / detour children indented beneath —
@@ -30,7 +29,6 @@ from typing import Any, Optional, Tuple
 from repro.api.requests import RangeQuery, RequestOptions
 from repro.obs.spans import (
     QueryTrace,
-    Tracer,
     format_span_tree,
     spans_to_chrome,
     spans_to_jsonl,
@@ -87,7 +85,7 @@ class TraceResult:
     latency: float
     matches: int
     hops: int
-    trace: Optional[QueryTrace]
+    trace: QueryTrace
     notes: Tuple[str, ...] = ()
 
     def format(self) -> str:
@@ -98,23 +96,16 @@ class TraceResult:
             f"status  : {self.status}, {self.matches} matches over "
             f"{self.hops} hops in {self.latency:.3f}{clock}",
         ]
-        if self.trace is None:
-            lines.append(
-                "trace   : none (gateway did not grant the tracing capability)"
-            )
-        else:
-            lines.append(f"trace   : {self.trace.trace_id} ({len(self.trace)} spans)")
-            lines.append("")
-            lines.append(format_span_tree(self.trace, clock_unit=clock.strip() or "s"))
+        lines.append(f"trace   : {self.trace.trace_id} ({len(self.trace)} spans)")
+        lines.append("")
+        lines.append(format_span_tree(self.trace, clock_unit=clock.strip() or "s"))
         lines.extend(self.notes)
         return "\n".join(lines)
 
 
-def _export(trace: Optional[QueryTrace], spec: TraceSpec) -> list:
+def _export(trace: QueryTrace, spec: TraceSpec) -> list:
     """Write the requested trace artifacts; returns summary lines."""
     notes = []
-    if trace is None:
-        return notes
     if spec.trace_out is not None:
         payload = spans_to_chrome([trace])
         directory = os.path.dirname(os.path.abspath(spec.trace_out))
@@ -145,7 +136,7 @@ async def _run_sim(spec: TraceSpec) -> TraceResult:
     rng = DeterministicRNG(spec.seed)
     for value in uniform_values(rng.substream("trace-values"), spec.objects, low, high):
         system.insert(value, payload=float(value))
-    session = SimSession(system, tracer=Tracer())
+    session = SimSession(system)
     options = RequestOptions(origin=spec.origin, trace=True)
     reply = await session.submit(
         RangeQuery(low=spec.low, high=spec.high, options=options)
@@ -157,7 +148,7 @@ async def _run_live(spec: TraceSpec) -> TraceResult:
     from repro.api.live import LiveSession
 
     host, port = spec.address
-    session = await LiveSession.connect(host, port, pool=1, tracing=True)
+    session = await LiveSession.connect(host, port, pool=1)
     try:
         options = RequestOptions(
             origin=spec.origin, deadline=spec.deadline, trace=True
@@ -171,7 +162,6 @@ async def _run_live(spec: TraceSpec) -> TraceResult:
 
 
 def _to_result(spec: TraceSpec, backend: str, reply: Any) -> TraceResult:
-    trace = trace_from_wire(reply.trace) if reply.trace else None
     result = reply.result
     return TraceResult(
         spec=spec,
@@ -180,7 +170,7 @@ def _to_result(spec: TraceSpec, backend: str, reply: Any) -> TraceResult:
         latency=reply.latency,
         matches=len(result.matches) if result is not None else 0,
         hops=result.delay_hops if result is not None else 0,
-        trace=trace,
+        trace=trace_from_wire(reply.trace),
     )
 
 

@@ -9,8 +9,8 @@ for the simulator).  The pieces:
 
 * :mod:`~repro.runtime.protocol` — length-prefixed JSON frames (the one
   body encoding of every runtime socket), the message↔wire mapping, the
-  gateway's ``hello``/``welcome``/``error`` frames, and the framed TCP
-  connection written once: :class:`~repro.runtime.protocol.Connection`
+  ``error`` frame, and the framed TCP connection written once:
+  :class:`~repro.runtime.protocol.Connection`
   (the client end — casts, rid-matched requests, one reader) and
   :func:`~repro.runtime.protocol.serve_connection` (the server loop every
   listener runs);
@@ -25,9 +25,9 @@ for the simulator).  The pieces:
   sequence the simulator's builder performs, so a live cluster and an
   :class:`~repro.core.armada.ArmadaSystem` with the same seed are
   topologically identical);
-* :mod:`~repro.runtime.gateway` — the TCP front door, speaking the
-  multiplexed **protocol v2** (rid-tagged frames, batch submission,
-  streamed partial replies) and nothing else; its client is
+* :mod:`~repro.runtime.gateway` — the TCP front door: the same framed
+  connection, multiplexed (rid-tagged requests answered in completion
+  order, streamed partial replies); its client is
   :class:`repro.api.LiveSession`;
 * :mod:`~repro.runtime.loadgen` — the seeded mixed workload, and the one
   load driver (:class:`~repro.engine.query_engine.LoadDriver`) bound to the

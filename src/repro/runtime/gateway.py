@@ -1,24 +1,15 @@
 """The gateway: the TCP front door of a live cluster.
 
-A client connection speaks one dialect: **protocol v2**, multiplexed
-length-prefixed JSON frames (see :mod:`repro.runtime.protocol` for the
-framing).  It opens with a ``hello``/``welcome`` exchange and then carries
-rid-tagged requests:
+A client connection is the runtime's one framed connection (see
+:mod:`repro.runtime.protocol`): length-prefixed JSON frames, rid-tagged
+requests answered in completion order, many in flight at once.
 
 =========================================  ========================================
 client frame                                gateway frames
 =========================================  ========================================
-``{"type":"hello","versions":[2,...]}``     ``{"type":"welcome","version":2,...}``
-                                            or a fatal ``error`` frame on version
-                                            mismatch (never a silent close)
 ``{"type":"request","rid":N,                one ``{"type":"reply","rid":N,...}``
   "request":{"op":...}}``                   frame, **in completion order** — many
                                             requests multiplex on one connection
-``{"type":"batch","requests":[...]}``       one ``reply`` frame per entry
-                                            (a convenience for thin clients;
-                                            ``LiveSession.batch`` pipelines
-                                            individual ``request`` frames
-                                            across its pool instead)
 request with ``"options":{"stream":true}``  ``{"type":"chunk","rid":N,"peer":..,``
                                             ``"hop":..,"values":[..]}`` per
                                             destination peer as it reports, then
@@ -26,35 +17,36 @@ request with ``"options":{"stream":true}``  ``{"type":"chunk","rid":N,"peer":..,
 ``{"type":"quit"}``                         closes the connection
 =========================================  ========================================
 
-The ``hello`` may also carry ``"tracing": true``; keys the gateway does not
-know are ignored, so a newer or older client is still welcomed.
+There is nothing to negotiate: a request's own fields are its only
+switches, so ``"options":{"trace":true}`` gets the query's span tree in its
+reply on every connection.
 
 Request objects are the :mod:`repro.api.requests` wire forms —
 ``range`` / ``mrange`` / ``insert`` / ``minsert`` / ``get`` / ``stats`` /
 ``ping`` ops with per-request options (``origin``, ``deadline``,
-``stream``) — and so are the replies: the gateway builds the typed
-:class:`~repro.api.requests.Reply` and writes its ``to_wire()``, the same
-definition the client decodes with.  What a request *does* is not decided
+``stream``, ``trace``) — and so are the replies: the gateway builds the
+typed :class:`~repro.api.requests.Reply` and writes its ``to_wire()``, the
+same definition the client decodes with.  What a request *does* is not decided
 here either: naming a write, and launching a query (origin default and
 validation, executor by kind, tracer, chunks), are calls into the cluster's
 :class:`~repro.core.deployment.Deployment` — the calls ``SimSession`` makes.
-The gateway owns the connection: handshake, rid table, in-flight set,
-deadline default, metrics and recorder taps, reply writer.
+The gateway owns the connection: rid table, in-flight set, deadline
+default, metrics and recorder taps, reply writer.
 
 Bad input has exactly three outcomes, and every one of them is a structured
 ``error`` frame — the gateway never closes a connection silently:
 
 * **The stream cannot be framed** — a length prefix above the frame limit
-  (which is also what the first four bytes of any text line read as) or a
-  broken handshake: one ``"fatal":true`` error frame, written *before* the
-  close.
+  (which is also what the first four bytes of any text line read as): one
+  ``"fatal":true`` error frame, written *before* the close.
 * **A well-framed body that is not a JSON object**: a non-fatal error
   frame; the length framing is intact, so the connection keeps serving.
 * **A bad request inside a good frame**: an error tagged with the ``rid``
   when the failure kills exactly that request (unknown op, malformed
-  fields, an unrecognised frame type carrying a rid), untagged for a
-  duplicate rid (the *original* request still owns it and will get its
-  reply — tagging would make clients drop that reply).
+  fields or options, an unrecognised frame type carrying a rid — the
+  connection stays open), untagged for a duplicate rid (the *original*
+  request still owns it and will get its reply — tagging would make
+  clients drop that reply).
 
 Query replies carry the complete
 :meth:`~repro.core.pira.RangeQueryResult.to_wire` payload plus the
@@ -71,8 +63,9 @@ per-request option or the gateway default), handed to the executor's
 ``start``: the executor arms the timer on the cluster's transport and on
 expiry force-completes the query as failed with partial results — the same
 timer as the engine's simulated deadline.  The same bound is what makes
-:meth:`Gateway.shutdown` safe — draining waits for the in-flight set, and
-the deadline caps how long that can take.
+:meth:`Gateway.shutdown` safe — draining waits for the in-flight queries
+and the other requests' answering tasks, and the deadline caps how long
+that can take.
 """
 
 from __future__ import annotations
@@ -101,15 +94,14 @@ from repro.api.requests import (
 )
 from repro.core.errors import ArmadaError
 from repro.core.pira import RangeQueryResult
+from repro.obs.spans import Tracer
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.protocol import (
-    GATEWAY_PROTOCOL_V2,
     Hangup,
     encode_frame,
     error_frame,
     failure_payload,
     serve_connection,
-    welcome_frame,
 )
 
 log = logging.getLogger("repro.gateway")
@@ -121,7 +113,7 @@ REPLY_RECORD_KEY = "_reply_record"
 
 
 class Gateway:
-    """TCP front door: handshake, request table, reply writer."""
+    """TCP front door: request table, reply writer."""
 
     def __init__(
         self,
@@ -141,14 +133,19 @@ class Gateway:
         self.port: Optional[int] = None
         self.deadline = deadline
         self.queries_served = 0
-        #: optional observability planes (a repro.obs Tracer / MetricsRegistry /
-        #: FlightRecorder); all default off and cost nothing when absent
-        self.tracer = tracer
+        #: the tracer of queries whose request asks for a trace (one is built
+        #: when none is passed; untraced queries never touch it)
+        self.tracer = tracer if tracer is not None else Tracer()
+        #: optional observability planes (a repro.obs MetricsRegistry /
+        #: FlightRecorder); both default off and cost nothing when absent
         self.metrics = metrics
         self.recorder = recorder
         self._init_metrics(metrics)
         self._server: Optional[asyncio.base_events.Server] = None
+        #: one marker per in-flight query (what ``in_flight`` counts)
         self._inflight: Set[asyncio.Future] = set()
+        #: the answering task of every other in-flight request
+        self._tasks: Set[asyncio.Task] = set()
         self._peak_inflight = 0
         self._connections: Set[asyncio.StreamWriter] = set()
         self._closing = False
@@ -244,9 +241,10 @@ class Gateway:
 
         1. new connections are refused and already-connected clients get
            ``{"ok": false, "error": "shutting down"}`` for new queries;
-        2. with ``drain=True`` every in-flight query is awaited — each is
-           bounded by its per-query deadline timer, so the wait is at most
-           ``deadline`` seconds;
+        2. with ``drain=True`` every in-flight request is awaited — each
+           query is bounded by its per-query deadline timer, so the wait is
+           at most ``deadline`` seconds, and an insert or a get by its
+           RPCs' timeouts;
         3. only then do the cluster's sockets close.
 
         Returns the number of queries that were in flight when the drain
@@ -262,8 +260,8 @@ class Gateway:
             # 3.12.1 it blocks until every client *connection* closes, and
             # idle clients may hold theirs open indefinitely.
             server.close()
-        if drain and self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if drain and (self._inflight or self._tasks):
+            await asyncio.gather(*self._inflight, *self._tasks, return_exceptions=True)
         # The drain is over; now sever the remaining client connections so
         # the listener can finish closing on every Python version.
         for writer in list(self._connections):
@@ -277,33 +275,15 @@ class Gateway:
     # ------------------------------------------------------------------ #
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """One client connection: the hello, then the multiplexed requests."""
+        """One client connection: multiplexed requests until EOF or ``quit``."""
         self._connections.add(writer)
         pending_rids: Set[int] = set()
-        tasks: Set[asyncio.Task] = set()
-        tracing: Optional[bool] = None  # None until the hello was welcomed
-
-        def on_frame(frame: Dict[str, Any], body: bytes) -> None:
-            nonlocal tracing
-            if tracing is None:
-                tracing = self._welcome(frame, writer)
-            else:
-                self._dispatch(frame, writer, pending_rids, tasks, tracing)
-
-        async def finish_replies() -> None:
-            # The client is gone (or quitting): let in-flight replies finish
-            # against the closing writer rather than cancelling queries that
-            # the cluster has already paid for.
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
         try:
             await serve_connection(
                 reader,
                 writer,
-                on_frame,
+                lambda frame, body: self._dispatch(frame, writer, pending_rids),
                 write=lambda frame: self._write_frame(writer, frame),
-                before_close=finish_replies,
             )
         finally:
             self._connections.discard(writer)
@@ -321,82 +301,29 @@ class Gateway:
             if self._m_frames is not None:
                 self._m_frames.inc()
 
-    def _welcome(self, hello: Dict[str, Any], writer: asyncio.StreamWriter) -> bool:
-        """Answer the opening frame; returns the negotiated ``tracing``.
-
-        A broken handshake hangs up — after a ``fatal`` error frame that
-        tells the client why."""
-        if hello.get("type") != "hello":
-            raise Hangup(
-                error_frame(
-                    f"a connection must open with a hello frame, got {hello.get('type')!r}",
-                    fatal=True,
-                )
-            )
-        versions = hello.get("versions") or []
-        if GATEWAY_PROTOCOL_V2 not in versions:
-            raise Hangup(
-                error_frame(
-                    f"unsupported protocol versions {versions}; this gateway speaks "
-                    f"[{GATEWAY_PROTOCOL_V2}]",
-                    fatal=True,
-                )
-            )
-        # Tracing is granted only when the client asked AND this gateway
-        # has a tracer; either side lacking it degrades to untraced
-        # replies — the absence of the key is the whole negotiation.
-        tracing = bool(hello.get("tracing")) and self.tracer is not None
-        self._write_frame(writer, welcome_frame(tracing=tracing))
-        return tracing
-
     def _dispatch(
-        self,
-        frame: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        pending_rids: Set[int],
-        tasks: Set[asyncio.Task],
-        tracing: bool,
+        self, frame: Dict[str, Any], writer: asyncio.StreamWriter, pending_rids: Set[int]
     ) -> None:
-        """One frame of a welcomed connection.  No await anywhere below: the
+        """One frame of a connection.  No await anywhere below: the
         answering task or callback owns the reply, and the read loop goes
         straight back to reading — that is the multiplexing (frame intake
         never waits on execution)."""
         kind = frame.get("type")
         if kind == "request":
-            self._start_request(frame, writer, pending_rids, tasks, tracing)
-        elif kind == "batch":
-            entries = frame.get("requests")
-            if not isinstance(entries, list):
-                self._write_frame(
-                    writer,
-                    error_frame("batch frame needs a 'requests' list", rid=frame.get("rid")),
-                )
-                return
-            for entry in entries:
-                if isinstance(entry, dict):
-                    self._start_request(entry, writer, pending_rids, tasks, tracing)
-                else:
-                    self._write_frame(
-                        writer, error_frame("batch entries must be request objects")
-                    )
+            self._start_request(frame, writer, pending_rids)
         elif kind == "quit":
             raise Hangup()
         else:
             self._write_frame(
                 writer,
                 error_frame(
-                    f"unknown frame type {kind!r} (known: request, batch, quit)",
+                    f"unknown frame type {kind!r} (known: request, quit)",
                     rid=frame.get("rid") if isinstance(frame.get("rid"), int) else None,
                 ),
             )
 
     def _start_request(
-        self,
-        entry: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        pending_rids: Set[int],
-        tasks: Set[asyncio.Task],
-        tracing: bool = False,
+        self, frame: Dict[str, Any], writer: asyncio.StreamWriter, pending_rids: Set[int]
     ) -> None:
         """Validate the rid and launch the request (no await: this is what
         lets many requests run concurrently on one connection).
@@ -406,7 +333,7 @@ class Gateway:
         costs no asyncio task at the gateway.  The other ops (insert needs
         an RPC round trip to the owner's node) run as small tasks.
         """
-        rid = entry.get("rid")
+        rid = frame.get("rid")
         if not isinstance(rid, int) or isinstance(rid, bool):
             self._write_frame(writer, error_frame("request frame needs an integer 'rid'"))
             return
@@ -426,7 +353,7 @@ class Gateway:
             return
         pending_rids.add(rid)
         try:
-            request = request_from_wire(entry.get("request"))
+            request = request_from_wire(frame.get("request"))
         except ApiError as exc:
             pending_rids.discard(rid)
             self._write_frame(writer, error_frame(str(exc), rid=rid))
@@ -446,7 +373,7 @@ class Gateway:
                 self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
 
             try:
-                self._start_query(request, on_chunk, finish, tracing=tracing)
+                self._start_query(request, on_chunk, finish)
             except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
                 finish({"ok": False, "error": str(exc)})
             return
@@ -454,11 +381,11 @@ class Gateway:
         task = asyncio.get_running_loop().create_task(
             self._answer_simple(rid, request, writer)
         )
-        tasks.add(task)
+        self._tasks.add(task)
 
         def _finished(done: asyncio.Task, rid: int = rid) -> None:
             pending_rids.discard(rid)
-            tasks.discard(done)
+            self._tasks.discard(done)
 
         task.add_done_callback(_finished)
 
@@ -505,9 +432,7 @@ class Gateway:
                 "queries_served": self.queries_served,
                 "in_flight": len(self._inflight),
                 "peak_in_flight": self._peak_inflight,
-                "protocol_versions": [GATEWAY_PROTOCOL_V2],
                 "connections": len(self._connections),
-                "tracing": self.tracer is not None,
                 "uptime_seconds": (now - self._started_at) if self._started_at is not None else 0.0,
             }
         )
@@ -537,7 +462,6 @@ class Gateway:
         request: Request,
         on_chunk: Optional[Callable[[Chunk], None]],
         finish: Callable[[Dict[str, Any]], None],
-        tracing: bool = False,
     ) -> None:
         """Start one query; ``finish(payload)`` fires exactly once with the
         reply payload — synchronously when the query completes at its
@@ -548,11 +472,8 @@ class Gateway:
         deadline timer each.  What the request *does* is the deployment's
         one :meth:`~repro.core.deployment.Deployment.launch` (origin,
         executor, tracer, chunks); validation failures raise out of it
-        before anything is registered here.
-
-        ``tracing`` is the connection's negotiated capability; a query is
-        actually traced only when the *request* also opted in
-        (``options.trace``).
+        before anything is registered here.  The query is traced when its
+        request asks for it (``options.trace``).
         """
         if self._closing:
             finish({"ok": False, "error": "shutting down"})
@@ -606,7 +527,7 @@ class Gateway:
                 request.ranges,
                 options.origin,
                 deadline,
-                tracer=self.tracer if tracing and options.trace else None,
+                tracer=self.tracer if options.trace else None,
                 on_start=started,
                 on_chunk=on_chunk,
                 on_complete=complete,

@@ -29,10 +29,10 @@ end.  Peer links (:mod:`repro.runtime.transport`), gateway client
 connections (:mod:`repro.api.live`) and the three listeners (peer node,
 storenode, gateway) are all these two.
 
-A gateway connection additionally opens with a ``hello``/``welcome``
-exchange (:func:`hello_frame`, :func:`welcome_frame`) and reports failures
-as :func:`error_frame` objects; :mod:`repro.runtime.gateway` documents that
-dialogue.
+A gateway connection is the same connection: rid-tagged ``request``
+frames answered by ``reply`` frames, plus the ``chunk`` and
+:func:`error_frame` frames the gateway pushes; :mod:`repro.runtime.gateway`
+documents that dialogue.
 
 The mapping between the simulator's :class:`~repro.sim.network.Message`
 and its wire form is deliberately lossy in one direction only: the
@@ -53,7 +53,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
@@ -61,57 +61,14 @@ from repro.sim.network import Message
 #: frames above this size are protocol errors (corrupt length prefix)
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: the gateway protocol version the handshake negotiates
-GATEWAY_PROTOCOL_V2 = 2
-
-
-def hello_frame(
-    versions: tuple = (GATEWAY_PROTOCOL_V2,),
-    client: str = "repro.api",
-    tracing: bool = False,
-) -> Dict[str, Any]:
-    """The client's opening frame of a gateway connection.
-
-    ``tracing`` asks the gateway to honour per-request ``trace`` options
-    and attach span trees to replies.  The key is only present when
-    requested, and either side not understanding it silently means "no
-    tracing" — never an error.  The gateway ignores keys it does not know.
-    """
-    frame = {"type": "hello", "versions": list(versions), "client": client}
-    if tracing:
-        frame["tracing"] = True
-    return frame
-
-
-def welcome_frame(
-    version: int = GATEWAY_PROTOCOL_V2,
-    server: str = "armada-gateway",
-    tracing: bool = False,
-) -> Dict[str, Any]:
-    """The gateway's handshake acceptance.
-
-    ``tracing`` confirms the connection may request traced queries; an
-    absent key means the gateway has no tracer (or predates tracing) and
-    clients degrade to untraced replies.
-    """
-    frame = {
-        "type": "welcome",
-        "version": version,
-        "server": server,
-        "features": ["batch", "stream"],
-    }
-    if tracing:
-        frame["tracing"] = True
-    return frame
-
 
 def error_frame(error: str, rid: Optional[int] = None, fatal: bool = False) -> Dict[str, Any]:
-    """A structured v2 error frame.
+    """A structured error frame.
 
     ``rid`` ties the error to one request (the connection survives);
-    ``fatal=True`` marks connection-level failures (unparseable framing,
-    handshake rejection) after which the sender closes — but the frame is
-    always written first, so a client never sees a silent close.
+    ``fatal=True`` marks a connection-level failure (a stream that cannot
+    be framed) after which the sender closes — but the frame is always
+    written first, so a client never sees a silent close.
     """
     frame: Dict[str, Any] = {"type": "error", "ok": False, "error": error}
     if rid is not None:
@@ -407,7 +364,6 @@ async def serve_connection(
     writer: asyncio.StreamWriter,
     handle: Callable[[Dict[str, Any], bytes], Optional[Dict[str, Any]]],
     write: Optional[Callable[[Dict[str, Any]], None]] = None,
-    before_close: Optional[Callable[[], Awaitable[None]]] = None,
 ) -> None:
     """The server end of one framed connection, from accept to close.
 
@@ -423,8 +379,7 @@ async def serve_connection(
     a JSON object gets a non-fatal ``error`` frame and the connection keeps
     serving; a stream that cannot be framed gets a ``fatal`` one, then the
     close.  ``write`` replaces the plain encode-and-write of the frames
-    this loop sends (the gateway counts its frames); ``before_close`` runs
-    after the last frame was read and before the socket closes.
+    this loop sends (the gateway counts its frames).
     """
     if write is None:
 
@@ -461,8 +416,6 @@ async def serve_connection(
             if payload is not None:
                 write({"type": "reply", "rid": frame.get("rid"), **payload})
                 await writer.drain()
-        if before_close is not None:
-            await before_close()
     except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
         pass
     finally:

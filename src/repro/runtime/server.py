@@ -16,9 +16,10 @@ The runner owns the process lifecycle:
 
 The serve loop is also where the observability planes come together: a
 ``metrics_port`` exposes the shared registry over Prometheus text
-exposition, the gateway gets a tracer so v2 clients can negotiate the
-``tracing`` capability, and lifecycle events go through the structured
-``repro.serve`` logger (the contract lines above stay plain prints).
+exposition, the gateway's tracer collects the span trees of requests that
+ask for one (``options.trace``), and lifecycle events go through the
+structured ``repro.serve`` logger (the contract lines above stay plain
+prints).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ engine or client calls — because that is the redesign's contract:
   including the object publication);
 * a single protocol-v2 connection really pipelines: ≥ 4 requests
   concurrently in flight, replies completing out of order;
-* streaming (``chunk`` frames / sim callbacks), ``batch`` submission and
-  the ``replicas`` option behave identically on both backends.
+* streaming (``chunk`` frames / sim callbacks) and ``batch`` submission
+  behave identically on both backends.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from repro.api.requests import ApiError, Chunk, InsertReply, PongReply, QueryRep
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
 from repro.engine import QueryJob
-from repro.obs.spans import Tracer
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.protocol import encode_frame, hello_frame, read_frame
+from repro.runtime.protocol import encode_frame, read_frame
 from repro.sim.rng import DeterministicRNG
 
 SEED = 7
@@ -57,20 +56,17 @@ def exact_bits(values) -> list:
     )
 
 
-async def boot_live(num_peers: int, pool: int = 2, tracer=None):
+async def boot_live(num_peers: int, pool: int = 2):
     cluster = LiveCluster(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS)
     await cluster.start()
-    gateway = await Gateway(cluster, tracer=tracer).start()
-    session = await LiveSession.connect(
-        *gateway.address, pool=pool, tracing=tracer is not None
-    )
+    gateway = await Gateway(cluster).start()
+    session = await LiveSession.connect(*gateway.address, pool=pool)
     return cluster, gateway, session
 
 
-def make_sim_session(num_peers: int, tracer=None) -> SimSession:
+def make_sim_session(num_peers: int) -> SimSession:
     return SimSession(
-        ArmadaSystem(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS),
-        tracer=tracer,
+        ArmadaSystem(num_peers=num_peers, seed=SEED, attribute_intervals=INTERVALS)
     )
 
 
@@ -184,29 +180,6 @@ class TestSimLiveEquivalenceThroughSession:
 
         asyncio.run(scenario())
 
-    def test_replicas_option_on_both_backends(self):
-        """``replicas=3`` returns the best of three executions on either side."""
-
-        async def scenario():
-            sim = make_sim_session(16)
-            cluster, gateway, live = await boot_live(16)
-            try:
-                await seed_through_session(sim)
-                await seed_through_session(live)
-                baseline = await sim.range(200.0, 600.0)
-                for session in (sim, live):
-                    reply = await session.range(200.0, 600.0, replicas=3)
-                    assert reply.status == "ok"
-                    assert sorted(reply.result.matching_values()) == sorted(
-                        baseline.result.matching_values()
-                    )
-            finally:
-                await live.close()
-                await gateway.shutdown()
-                await cluster.stop()
-
-        asyncio.run(scenario())
-
 
 class TestOneRuleOnBothBackends:
     """What a request does to a deployment is decided once
@@ -214,14 +187,14 @@ class TestOneRuleOnBothBackends:
     on the simulator and on the live cluster alike."""
 
     @staticmethod
-    async def boot(backend: str, num_peers: int, tracer=None):
+    async def boot(backend: str, num_peers: int):
         """``(session, owner, close)``: ``owner`` is the ``ArmadaSystem`` or
         ``LiveCluster`` — either way it has ``.network``, ``.single_namer``
         and ``.crash_peer``."""
         if backend == "sim":
-            session = make_sim_session(num_peers, tracer=tracer)
+            session = make_sim_session(num_peers)
             return session, session.system, session.close
-        cluster, gateway, session = await boot_live(num_peers, tracer=tracer)
+        cluster, gateway, session = await boot_live(num_peers)
 
         async def close() -> None:
             await session.close()
@@ -280,7 +253,7 @@ class TestOneRuleOnBothBackends:
     @pytest.mark.parametrize("backend", ["sim", "live"])
     def test_streamed_chunks_carry_the_trace_id(self, backend):
         async def scenario():
-            session, owner, close = await self.boot(backend, 16, tracer=Tracer())
+            session, owner, close = await self.boot(backend, 16)
             try:
                 await seed_through_session(session)
                 chunks: list = []
@@ -360,11 +333,6 @@ class TestPipelining:
             gateway = await Gateway(cluster).start()
             try:
                 reader, writer = await asyncio.open_connection(*gateway.address)
-                writer.write(encode_frame(hello_frame()))
-                await writer.drain()
-                welcome = await read_frame(reader)
-                assert welcome["type"] == "welcome"
-
                 for rid in range(1, 5):
                     writer.write(
                         encode_frame(

@@ -1,10 +1,10 @@
 """Integration tests for the observability layer on the live runtime.
 
-Covers the v2 ``tracing`` capability negotiation (grant, deny, v1
-fallback), end-to-end traced queries through a real gateway, the
-v1/v2 stats-payload parity contract, the Prometheus exposition
-endpoint, and the sim-vs-live hop-count equality the tracing plane
-makes checkable.
+Covers the ``trace`` request option (honoured by every gateway, with or
+without a tracer passed in), end-to-end traced queries through a real
+gateway, the stats-payload parity contract, the Prometheus exposition
+endpoint, and the sim-vs-live hop-count equality the tracing plane makes
+checkable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer, trace_from_wire
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.protocol import encode_frame, hello_frame, read_frame
 from repro.runtime.server import build_observability
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.values import uniform_values
@@ -56,53 +55,26 @@ async def seed_objects(session, count: int = 100):
     await session.batch([Insert(value=value) for value in values])
 
 
-class TestTracingNegotiation:
-    def test_granted_when_gateway_has_a_tracer(self):
-        async def scenario():
-            cluster, gateway, _ = await boot()
-            try:
-                session = await LiveSession.connect(*gateway.address, tracing=True)
-                try:
-                    assert session.tracing_granted
-                finally:
-                    await session.close()
-            finally:
-                await teardown(cluster, gateway)
+class TestTraceOption:
+    def test_gateway_without_a_passed_tracer_traces_on_request(self):
+        """A request's own ``trace`` option is its only switch: a gateway
+        booted without a tracer builds one and honours it."""
 
-        asyncio.run(scenario())
-
-    def test_denied_when_gateway_has_no_tracer(self):
         async def scenario():
             cluster, gateway, _ = await boot(observed=False)
             try:
-                session = await LiveSession.connect(*gateway.address, tracing=True)
+                session = await LiveSession.connect(*gateway.address)
                 try:
-                    assert not session.tracing_granted
                     reply = await session.submit(
                         RangeQuery(
                             low=LOW, high=HIGH, options=RequestOptions(trace=True)
                         )
                     )
                     assert reply.status == "ok"
-                    assert reply.trace_id is None
+                    assert reply.trace_id is not None
+                    assert trace_from_wire(reply.trace).trace_id == reply.trace_id
                 finally:
                     await session.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_welcome_omits_tracing_unless_requested(self):
-        async def scenario():
-            cluster, gateway, _ = await boot()
-            try:
-                reader, writer = await asyncio.open_connection(*gateway.address)
-                writer.write(encode_frame(hello_frame()))
-                await writer.drain()
-                welcome = await read_frame(reader)
-                assert "tracing" not in welcome
-                writer.close()
-                await writer.wait_closed()
             finally:
                 await teardown(cluster, gateway)
 
@@ -114,7 +86,7 @@ class TestTracedQueries:
         async def scenario():
             cluster, gateway, _ = await boot()
             try:
-                session = await LiveSession.connect(*gateway.address, tracing=True)
+                session = await LiveSession.connect(*gateway.address)
                 try:
                     await seed_objects(session)
                     chunks = []
@@ -143,11 +115,11 @@ class TestTracedQueries:
 
         asyncio.run(scenario())
 
-    def test_untraced_request_on_tracing_connection_stays_untraced(self):
+    def test_untraced_request_stays_untraced(self):
         async def scenario():
             cluster, gateway, _ = await boot()
             try:
-                session = await LiveSession.connect(*gateway.address, tracing=True)
+                session = await LiveSession.connect(*gateway.address)
                 try:
                     reply = await session.submit(RangeQuery(low=LOW, high=HIGH))
                     assert reply.trace_id is None
@@ -162,34 +134,22 @@ class TestTracedQueries:
 
 class TestStatsParity:
     def test_every_connection_sees_one_stats_field_set(self):
-        """``stats`` is answered by one method for every connection, so what
-        a connection negotiated never changes which fields it sees."""
+        """``stats`` is answered by one method for every connection, so
+        every connection sees the same fields."""
 
         async def scenario():
             cluster, gateway, _ = await boot()
             try:
-                traced = await LiveSession.connect(*gateway.address, tracing=True)
-                plain = await LiveSession.connect(*gateway.address, pool=1)
+                pooled = await LiveSession.connect(*gateway.address)
+                single = await LiveSession.connect(*gateway.address, pool=1)
                 try:
-                    traced_stats = await traced.stats()
-                    plain_stats = await plain.stats()
-                    assert set(plain_stats) == set(traced_stats)
-                    assert plain_stats["tracing"] is True
-                    assert plain_stats["connections"] == traced.pool_size + 1
+                    pooled_stats = await pooled.stats()
+                    single_stats = await single.stats()
+                    assert set(single_stats) == set(pooled_stats)
+                    assert single_stats["connections"] == pooled.pool_size + 1
                 finally:
-                    await plain.close()
-                    await traced.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_tracing_false_without_tracer(self):
-        async def scenario():
-            cluster, gateway, _ = await boot(observed=False)
-            try:
-                async with await LiveSession.connect(*gateway.address) as session:
-                    assert (await session.stats())["tracing"] is False
+                    await single.close()
+                    await pooled.close()
             finally:
                 await teardown(cluster, gateway)
 
@@ -311,9 +271,7 @@ class TestSimLiveParity:
 
             cluster, gateway, _ = await boot()
             try:
-                live_session = await LiveSession.connect(
-                    *gateway.address, tracing=True
-                )
+                live_session = await LiveSession.connect(*gateway.address)
                 try:
                     from repro.api.requests import Insert
 

@@ -1,9 +1,8 @@
-"""Protocol v2 edge cases: handshake, framing errors, multiplexing.
+"""Gateway connection edge cases: framing errors, bad requests, multiplexing.
 
-The satellite contract of the API-redesign PR: every malformed input gets
-a *structured* error frame — the gateway must never close a v2 connection
-silently — and rid-tagged replies must re-associate correctly no matter
-how requests interleave.
+Every malformed input gets a *structured* error frame — the gateway must
+never close a connection silently — and rid-tagged replies must
+re-associate correctly no matter how requests interleave.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from repro.api.requests import ApiError
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.node import PeerNode
-from repro.runtime.protocol import (
-    MAX_FRAME_BYTES,
-    encode_frame,
-    hello_frame,
-    read_frame,
-)
+from repro.runtime.protocol import MAX_FRAME_BYTES, encode_frame, read_frame
 from repro.runtime.storenode import StoreNodeServer
 from repro.wire import encode_column
 
@@ -43,21 +37,12 @@ async def teardown(cluster, gateway):
     await cluster.stop()
 
 
-async def raw_v2(gateway, versions=(2,), **extra_hello_keys):
-    """A raw handshaken v2 connection (reader, writer)."""
-    reader, writer = await asyncio.open_connection(*gateway.address)
-    writer.write(encode_frame({**hello_frame(versions=versions), **extra_hello_keys}))
-    await writer.drain()
-    return reader, writer
-
-
 @contextlib.asynccontextmanager
 async def gateway_connection(tmp_path):
-    """A welcomed gateway connection, its ping frame and what a pong looks like."""
+    """A gateway connection, its ping frame and what a pong looks like."""
     cluster, gateway = await boot()
     try:
-        reader, writer = await raw_v2(gateway)
-        await read_frame(reader)  # welcome
+        reader, writer = await asyncio.open_connection(*gateway.address)
         ping = {"type": "request", "rid": 10, "request": {"op": "ping"}}
         yield reader, writer, ping, lambda reply: reply["payload"]["type"] == "pong"
         writer.close()
@@ -97,45 +82,7 @@ SERVERS = pytest.mark.parametrize(
 )
 
 
-class TestHandshake:
-    def test_welcome(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway)
-                welcome = await read_frame(reader)
-                assert welcome["type"] == "welcome"
-                assert welcome["version"] == 2
-                assert "batch" in welcome["features"]
-                assert "stream" in welcome["features"]
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_unknown_hello_keys_are_ignored(self):
-        """An old client still asking for ``"encoding": "binary"`` is
-        welcomed, and the welcome makes no promise about encodings."""
-
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway, encoding="binary", shiny=True)
-                welcome = await read_frame(reader)
-                assert welcome["type"] == "welcome"
-                assert "encoding" not in welcome
-                writer.write(
-                    encode_frame({"type": "request", "rid": 1, "request": {"op": "ping"}})
-                )
-                await writer.drain()
-                assert (await read_frame(reader))["payload"]["type"] == "pong"
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
+class TestFrameErrors:
     def test_text_line_opening_gets_one_fatal_error_then_eof(self):
         """The first four bytes of a text command read as an absurd frame
         length: the old line protocol is answered like any unframeable
@@ -158,63 +105,11 @@ class TestHandshake:
 
         asyncio.run(scenario())
 
-    def test_version_mismatch_gets_structured_error_not_silence(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await raw_v2(gateway, versions=(99,))
-                error = await read_frame(reader)
-                assert error["type"] == "error"
-                assert error["fatal"] is True
-                assert "unsupported protocol versions [99]" in error["error"]
-                assert "[2]" in error["error"]  # tells the client what works
-                assert await read_frame(reader) is None  # then the close
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_non_hello_first_frame_gets_structured_error(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                reader, writer = await asyncio.open_connection(*gateway.address)
-                writer.write(encode_frame({"type": "request", "rid": 1}))
-                await writer.drain()
-                error = await read_frame(reader)
-                assert error["type"] == "error"
-                assert error["fatal"] is True
-                assert "hello" in error["error"]
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-    def test_client_session_surfaces_handshake_rejection(self):
-        async def scenario():
-            cluster, gateway = await boot()
-            try:
-                # A session pinned to an impossible version list would be a
-                # client bug; the point is the error is a readable ApiError.
-                reader, writer = await raw_v2(gateway, versions=(3,))
-                error = await read_frame(reader)
-                assert error["type"] == "error"
-                writer.close()
-            finally:
-                await teardown(cluster, gateway)
-
-        asyncio.run(scenario())
-
-
-class TestFrameErrors:
     def test_unknown_frame_type_errors_but_connection_survives(self):
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)  # welcome
+                reader, writer = await asyncio.open_connection(*gateway.address)
                 writer.write(encode_frame({"type": "mystery", "rid": 7}))
                 writer.write(
                     encode_frame(
@@ -240,8 +135,7 @@ class TestFrameErrors:
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)
+                reader, writer = await asyncio.open_connection(*gateway.address)
                 writer.write(encode_frame({"type": "request", "request": {"op": "ping"}}))
                 await writer.drain()
                 error = await read_frame(reader)
@@ -253,24 +147,14 @@ class TestFrameErrors:
 
         asyncio.run(scenario())
 
-    def test_duplicate_rid_in_batch_errors_while_original_answers(self):
+    def test_duplicate_rid_errors_while_original_answers(self):
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)
+                reader, writer = await asyncio.open_connection(*gateway.address)
                 query = {"op": "range", "low": 100.0, "high": 400.0}
-                writer.write(
-                    encode_frame(
-                        {
-                            "type": "batch",
-                            "requests": [
-                                {"rid": 5, "request": query},
-                                {"rid": 5, "request": query},
-                            ],
-                        }
-                    )
-                )
+                for _ in range(2):
+                    writer.write(encode_frame({"type": "request", "rid": 5, "request": query}))
                 await writer.drain()
                 frames = [await read_frame(reader), await read_frame(reader)]
                 kinds = sorted(frame["type"] for frame in frames)
@@ -295,8 +179,7 @@ class TestFrameErrors:
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)
+                reader, writer = await asyncio.open_connection(*gateway.address)
                 for _ in range(2):  # same rid, sequentially: fine
                     writer.write(
                         encode_frame(
@@ -327,21 +210,37 @@ class TestFrameErrors:
 
         asyncio.run(scenario())
 
-    def test_malformed_request_object_errors_with_rid(self):
+    @pytest.mark.parametrize(
+        "request_object, complaint",
+        [
+            ({"op": "range", "low": "x"}, "malformed 'range' request"),
+            ({"op": "range", "low": 1, "high": 2, "options": 5}, "options must be a JSON object"),
+            ({"op": "range", "low": 1, "high": 2, "options": {"deadline": "x"}}, "malformed"),
+            ({"op": "range", "low": float("nan"), "high": 2.0}, "not a number"),
+            ({"op": "mrange", "ranges": [[0.0, float("nan")]]}, "not a number"),
+            ({"op": "range", "low": 1, "high": 2, "options": {"replicas": 2}}, "inserts only"),
+        ],
+        ids=["bad-bound", "options-not-object", "bad-deadline", "nan", "mrange-nan", "replicas"],
+    )
+    def test_malformed_request_object_errors_with_rid(self, request_object, complaint):
+        """The error is tagged with the request's rid and says what is
+        wrong, and the rid is free again for the next request."""
+
         async def scenario():
             cluster, gateway = await boot()
             try:
-                reader, writer = await raw_v2(gateway)
-                await read_frame(reader)
-                writer.write(
-                    encode_frame(
-                        {"type": "request", "rid": 3, "request": {"op": "range", "low": "x"}}
-                    )
-                )
+                reader, writer = await asyncio.open_connection(*gateway.address)
+                writer.write(encode_frame({"type": "request", "rid": 3, "request": request_object}))
                 await writer.drain()
                 error = await read_frame(reader)
                 assert error["type"] == "error"
                 assert error["rid"] == 3
+                assert complaint in error["error"]
+                writer.write(encode_frame({"type": "request", "rid": 3, "request": {"op": "ping"}}))
+                await writer.drain()
+                reply = await read_frame(reader)
+                assert reply["type"] == "reply" and reply["rid"] == 3
+                assert reply["payload"]["type"] == "pong"
                 writer.close()
             finally:
                 await teardown(cluster, gateway)
@@ -382,9 +281,10 @@ class TestBadBody:
             try:
                 async with await LiveSession.connect(*gateway.address, pool=1) as session:
                     stats = await session.stats()
-                assert stats["protocol_versions"] == [2]
                 assert stats["connections"] == 1
                 assert not {
+                    "protocol_versions",
+                    "tracing",
                     "v1_connections",
                     "v2_connections",
                     "encodings",
@@ -405,12 +305,6 @@ class TestSessionClose:
 
         async def scenario():
             async def v2_handler(reader, writer):
-                frame = await read_frame(reader)
-                assert frame["type"] == "hello"
-                from repro.runtime.protocol import encode_frame, welcome_frame
-
-                writer.write(encode_frame(welcome_frame()))
-                await writer.drain()
                 try:
                     while await read_frame(reader) is not None:
                         pass  # swallow every request silently
@@ -450,7 +344,6 @@ class TestMalformedResult:
         given) — and a ``ping`` honestly."""
         from repro.core.pira import RangeQueryResult
         from repro.fissione.peer import StoredObject
-        from repro.runtime.protocol import welcome_frame
 
         result = RangeQueryResult(origin="010", query_id=1)
         result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
@@ -461,8 +354,6 @@ class TestMalformedResult:
 
         async def run():
             async def gateway(reader, writer):
-                assert (await read_frame(reader))["type"] == "hello"
-                writer.write(encode_frame(welcome_frame()))
                 try:
                     while (frame := await read_frame(reader)) is not None:
                         rid, ping = frame["rid"], frame["request"]["op"] == "ping"

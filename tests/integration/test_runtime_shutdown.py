@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from repro.api.live import LiveSession
-from repro.api.requests import ApiError, RangeQuery, RequestOptions
+from repro.api.requests import ApiError, InsertReply, RangeQuery, RequestOptions
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.obs.exposition import MetricsServer
@@ -131,6 +131,34 @@ class TestGatewayDrain:
             assert reply.status in ("deadline", "partial")
             await client.close()
             await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_drain_waits_for_inserts_too(self):
+        """Only queries count as in flight, but the drain also awaits the
+        other requests: an insert accepted before the shutdown gets its
+        acknowledgement, not a connection closed under it."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            store = cluster.store
+
+            async def slow_store(*args):
+                await asyncio.sleep(0.3)
+                return await store(*args)
+
+            cluster.store = slow_store
+            client = await LiveSession.connect(*gateway.address, pool=1)
+            insert = asyncio.create_task(client.insert(500.0))
+            query = asyncio.create_task(client.range(0.0, 1000.0))
+            await asyncio.sleep(0.05)
+            assert gateway.in_flight == 0  # the insert is not a query
+
+            await gateway.shutdown(drain=True)
+            await cluster.stop()
+            assert isinstance(await insert, InsertReply)
+            assert (await query).status == "ok"
+            await client.close()
 
         asyncio.run(scenario())
 

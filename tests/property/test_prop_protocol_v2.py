@@ -1,9 +1,9 @@
-"""Property test: v2 replies re-associate to the right futures.
+"""Property test: gateway replies re-associate to the right futures.
 
-Satellite of the API-redesign PR.  Protocol v2's whole point is that one
-connection carries many in-flight requests whose replies arrive in *any*
-order — so the client's rid→future re-association must be correct under
-every interleaving, not just the ones a live gateway happens to produce.
+A gateway connection's whole point is that it carries many in-flight
+requests whose replies arrive in *any* order — so the client's rid→future
+re-association must be correct under every interleaving, not just the
+ones a live gateway happens to produce.
 
 Hypothesis drives a scripted in-test server that answers a batch of
 requests in an arbitrary permutation, interleaving each reply's ``chunk``
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api.live import _V2Connection
 from repro.api.requests import Insert
-from repro.runtime.protocol import encode_frame, read_frame, welcome_frame
+from repro.runtime.protocol import encode_frame, read_frame
 
 
 async def _permuting_server_round(permutation, chunk_counts):
@@ -31,10 +31,6 @@ async def _permuting_server_round(permutation, chunk_counts):
     received: dict = {}
 
     async def handler(reader, writer):
-        hello = await read_frame(reader)
-        assert hello["type"] == "hello"
-        writer.write(encode_frame(welcome_frame()))
-        await writer.drain()
         frames = [await read_frame(reader) for _ in range(count)]
         for frame in frames:
             received[frame["rid"]] = frame["request"]
@@ -74,7 +70,7 @@ async def _permuting_server_round(permutation, chunk_counts):
     server = await asyncio.start_server(handler, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
     try:
-        connection = await _V2Connection.connect("127.0.0.1", port)
+        connection = await _V2Connection.open("127.0.0.1", port)
         try:
             chunks_seen = [0] * count
             futures = []

@@ -16,7 +16,6 @@ from repro.api.requests import (
     RangeQuery,
     RequestOptions,
     Stats,
-    better_query_reply,
     reply_from_payload,
     request_from_job,
     request_from_wire,
@@ -67,10 +66,26 @@ class TestRequestWire:
             request_from_wire({"op": "range", "low": "abc", "high": 2.0})
         with pytest.raises(ApiError, match="malformed"):
             request_from_wire({"op": "range"})  # missing bounds
+        for options, complaint in (
+            (5, "options must be a JSON object"),
+            ([], "options must be a JSON object"),
+            ({"deadline": "x"}, "malformed 'range' request"),
+            ({"replicas": [2]}, "malformed 'range' request"),
+        ):
+            with pytest.raises(ApiError, match=complaint):
+                request_from_wire({"op": "range", "low": 1.0, "high": 2.0, "options": options})
 
     def test_validation(self):
         with pytest.raises(ApiError, match="exceeds"):
             RangeQuery(low=2.0, high=1.0)
+        nan = float("nan")
+        for low, high in ((nan, 1.0), (0.0, nan), (nan, nan)):
+            with pytest.raises(ApiError, match="not a number"):
+                RangeQuery(low=low, high=high)
+            with pytest.raises(ApiError, match="not a number"):
+                MultiRangeQuery(ranges=((0.0, 1.0), (low, high)))
+        with pytest.raises(ApiError, match="not a number"):
+            request_from_wire(json.loads('{"op": "range", "low": NaN, "high": 1.0}'))
         with pytest.raises(ApiError, match="at least one range"):
             MultiRangeQuery(ranges=())
         with pytest.raises(ApiError, match="deadline"):
@@ -79,8 +94,14 @@ class TestRequestWire:
             RequestOptions(replicas=0)
         with pytest.raises(ApiError, match="retries"):
             RequestOptions(retries=-1)
-        with pytest.raises(ApiError, match="stream and replicas"):
-            RequestOptions(stream=True, replicas=2)
+        # replicas is the write-copy count: a query refuses it
+        with pytest.raises(ApiError, match="inserts only"):
+            RangeQuery(low=0.0, high=1.0, options=RequestOptions(replicas=2))
+        with pytest.raises(ApiError, match="inserts only"):
+            MultiRangeQuery(ranges=((0.0, 1.0),), options=RequestOptions(replicas=2))
+        with pytest.raises(ApiError, match="inserts only"):
+            RangeQuery(low=0.0, high=1.0).with_options(replicas=3)
+        assert Insert(value=1.0, options=RequestOptions(replicas=2)).options.replicas == 2
 
     def test_with_options(self):
         request = RangeQuery(low=0.0, high=1.0).with_options(deadline=9.0)
@@ -162,11 +183,3 @@ class TestReplies:
     def test_decode_unknown_type(self):
         with pytest.raises(ApiError, match="undecodable"):
             reply_from_payload(Ping(), {"ok": True, "type": "mystery"})
-
-    def test_better_query_reply_prefers_completeness_then_matches(self):
-        complete = QueryReply(status="ok", latency=9.0, result=self.make_result(True, 1))
-        partial = QueryReply(status="partial", latency=0.1, result=self.make_result(False, 5))
-        assert better_query_reply(complete, partial) is complete
-        assert better_query_reply(partial, complete) is complete
-        fuller = QueryReply(status="partial", latency=0.1, result=self.make_result(False, 9))
-        assert better_query_reply(partial, fuller) is fuller

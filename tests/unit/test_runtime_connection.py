@@ -20,7 +20,6 @@ from repro.runtime.protocol import (
     encode_frame,
     read_frame,
     serve_connection,
-    welcome_frame,
 )
 from repro.runtime.transport import _Link
 from repro.sim.network import Message
@@ -48,10 +47,9 @@ async def scripted_server(script):
 
 
 async def silent(reader, writer):
-    """Welcome a gateway client if it says hello, then swallow everything."""
-    while (frame := await read_frame(reader)) is not None:
-        if frame.get("type") == "hello":
-            writer.write(encode_frame(welcome_frame()))
+    """Swallow everything."""
+    while await read_frame(reader) is not None:
+        pass
 
 
 async def node_request(port):
@@ -60,7 +58,7 @@ async def node_request(port):
 
 
 async def gateway_request(port):
-    connection = await _V2Connection.connect("127.0.0.1", port)
+    connection = await _V2Connection.open("127.0.0.1", port)
     return connection, connection.post(Ping())
 
 

@@ -248,13 +248,13 @@ class TestDeterminismGuard:
         )
         assert traced.latency == untraced.latency
 
-    def test_trace_flag_without_tracer_degrades_cleanly(self):
-        session = SimSession(build_system(num_peers=80))  # no tracer attached
-        reply = asyncio.run(
-            session.submit(
-                RangeQuery(low=LOW, high=HIGH, options=RequestOptions(trace=True))
-            )
-        )
-        assert reply.status == "ok"
-        assert reply.trace_id is None
-        assert reply.trace == ()
+    def test_trace_flag_without_a_passed_tracer_still_traces(self):
+        """Each session builds its own tracer; a second session over the
+        same system still gets its span trees back."""
+        system = build_system(num_peers=80)
+        query = RangeQuery(low=LOW, high=HIGH, options=RequestOptions(trace=True))
+        for session in (SimSession(system), SimSession(system)):
+            reply = asyncio.run(session.submit(query))
+            assert reply.status == "ok"
+            assert reply.trace_id is not None
+            assert trace_from_wire(reply.trace).trace_id == reply.trace_id
