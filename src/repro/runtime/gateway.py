@@ -240,7 +240,7 @@ class Gateway:
         The sequence the SIGINT/SIGTERM handler relies on:
 
         1. new connections are refused and already-connected clients get
-           ``{"ok": false, "error": "shutting down"}`` for new queries;
+           ``{"ok": false, "error": "shutting down"}`` for new requests;
         2. with ``drain=True`` every in-flight request is awaited — each
            query is bounded by its per-query deadline timer, so the wait is
            at most ``deadline`` seconds, and an insert or a get by its
@@ -357,6 +357,12 @@ class Gateway:
         except ApiError as exc:
             pending_rids.discard(rid)
             self._write_frame(writer, error_frame(str(exc), rid=rid))
+            return
+        if self._closing:
+            # Not in the drain's snapshot, so refused rather than severed.
+            pending_rids.discard(rid)
+            refusal = {"ok": False, "error": "shutting down"}
+            self._write_frame(writer, {"type": "reply", "rid": rid, "payload": refusal})
             return
 
         if isinstance(request, (RangeQuery, MultiRangeQuery)):
@@ -475,9 +481,6 @@ class Gateway:
         before anything is registered here.  The query is traced when its
         request asks for it (``options.trace``).
         """
-        if self._closing:
-            finish({"ok": False, "error": "shutting down"})
-            return
         options = request.options
         kind = request.kind
         deadline = options.deadline if options.deadline is not None else self.deadline

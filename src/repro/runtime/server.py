@@ -10,7 +10,7 @@ The runner owns the process lifecycle:
 2. print the connect line (``gateway listening on HOST:PORT ...``) — the
    CLI contract scripts and the CI smoke job parse;
 3. wait for SIGINT/SIGTERM (or a programmatic stop event);
-4. **drain**: refuse new queries, await every in-flight one (each bounded
+4. **drain**: refuse new requests, await every in-flight one (each bounded
    by the per-query deadline, so shutdown latency is capped), and only
    then close the cluster's sockets.
 

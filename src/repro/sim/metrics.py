@@ -43,10 +43,8 @@ class SummaryStats:
 
     @property
     def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
+        """Arithmetic mean (0.0 when empty), within ``[minimum, maximum]``."""
+        return mean(self._samples)
 
     @property
     def minimum(self) -> float:
@@ -124,11 +122,17 @@ class SummaryStats:
 
 
 def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean of an iterable (0.0 when empty)."""
+    """Arithmetic mean of an iterable (0.0 when empty).
+
+    Never outside the samples' range: a rounded sum divided by the count can
+    land one unit in the last place past an extreme (three copies of
+    ``11.477441829601656`` sum and divide to just below it), so the quotient
+    is clamped to ``[min, max]``.
+    """
     values = list(values)
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return min(max(sum(values) / len(values), min(values)), max(values))
 
 
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:

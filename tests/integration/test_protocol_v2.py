@@ -131,6 +131,38 @@ class TestFrameErrors:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "frame",
+        [{"type": "hello", "version": 2, "rid": 3}, {"type": "batch", "rid": 3, "requests": []}],
+        ids=["hello", "batch"],
+    )
+    def test_retired_frame_types_are_unknown(self, frame):
+        """No handshake and no batch frame: both are answered like any
+        unknown type, and a request right after them is served."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            try:
+                reader, writer = await asyncio.open_connection(*gateway.address)
+                writer.write(encode_frame(frame))
+                writer.write(
+                    encode_frame({"type": "request", "rid": 4, "request": {"op": "ping"}})
+                )
+                await writer.drain()
+                error = await read_frame(reader)
+                assert error["type"] == "error"
+                assert error["rid"] == 3
+                assert f"unknown frame type {frame['type']!r}" in error["error"]
+                assert "known: request, quit" in error["error"]
+                reply = await read_frame(reader)
+                assert (reply["type"], reply["rid"]) == ("reply", 4)
+                assert reply["payload"]["type"] == "pong"
+                writer.close()
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
     def test_missing_rid_errors(self):
         async def scenario():
             cluster, gateway = await boot()

@@ -162,6 +162,35 @@ class TestGatewayDrain:
 
         asyncio.run(scenario())
 
+    def test_new_inserts_refused_while_draining(self):
+        """An insert that arrives after the drain began is not awaited by
+        it, so it is refused with the "shutting down" error like a query,
+        not left to have its connection closed under it."""
+
+        async def scenario():
+            cluster, gateway = await boot(extra_transit=0.15)
+            store = cluster.store
+
+            async def slow_store(*args):
+                await asyncio.sleep(0.3)
+                return await store(*args)
+
+            cluster.store = slow_store
+            client = await LiveSession.connect(*gateway.address, pool=1)
+            query = asyncio.create_task(client.range(0.0, 1000.0))
+            await asyncio.sleep(0.05)
+
+            shutdown = asyncio.create_task(gateway.shutdown(drain=True))
+            await asyncio.sleep(0.01)
+            with pytest.raises(ApiError, match="shutting down"):
+                await client.insert(500.0)
+
+            await shutdown
+            assert (await query).status == "ok"
+            await client.close()
+            await cluster.stop()
+
+        asyncio.run(scenario())
 
     def test_fired_deadline_is_a_recorded_timer(self):
         """The gateway's deadline is the executor's timer on the cluster's

@@ -57,6 +57,24 @@ class TestSummaryStats:
         assert stats.maximum == 4.0
         assert stats.total == pytest.approx(10.0)
 
+    def test_mean_of_equal_samples_is_that_sample(self):
+        # sum([x] * 3) / 3 rounds to one unit in the last place below x
+        value = 11.477441829601656
+        stats = SummaryStats()
+        stats.extend([value] * 3)
+        assert stats.mean == value
+        assert mean([value] * 3) == value
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.1] * 7, [1e-300, 1e-300, 1e-300], [2.0, 2.0 + 2**-51, 2.0]],
+        ids=["tenths", "tiny", "one-ulp-apart"],
+    )
+    def test_mean_within_min_and_max(self, values):
+        stats = SummaryStats()
+        stats.extend(values)
+        assert stats.minimum <= stats.mean <= stats.maximum
+
     def test_stddev_population(self):
         stats = SummaryStats()
         stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
