@@ -42,9 +42,6 @@ class FaultInjector:
         self.models = list(models)
         self.rng = DeterministicRNG(seed).substream("faults")
         self._down: Set[object] = set()
-        #: optional flight recorder: fault actions are runtime events too,
-        #: so a recorded run carries its injected faults into replay
-        self.recorder = None
         # Any model exposing ``crosses_cut`` is a partition: its verdict is
         # re-checked at delivery time for messages already in flight.
         self._partitions: List[FaultModel] = [
@@ -83,14 +80,10 @@ class FaultInjector:
     def crash(self, node_id: object) -> None:
         """Mark a node fail-stopped: it no longer sends or receives."""
         self._down.add(node_id)
-        if self.recorder is not None:
-            self.recorder.record("fault", action="crash", peer=node_id)
 
     def recover(self, node_id: object) -> None:
         """Bring a crashed node back (crash-recover model)."""
         self._down.discard(node_id)
-        if self.recorder is not None:
-            self.recorder.record("fault", action="recover", peer=node_id)
 
     def power_fail(self, node_id: object) -> None:
         """Crash ``node_id`` *and* lose its volatile storage.

@@ -467,9 +467,9 @@ class FissioneNetwork:
     def random_object_id(self, rng) -> str:
         """A uniformly random ObjectID (one ``randint`` draw from ``rng``).
 
-        Public because the live runtime's bootstrap replays the exact join
-        sequence of :meth:`build` by drawing target keys from the same RNG
-        substream — one draw per join, identical to the simulator's.
+        :meth:`join` draws its target key here when given only an ``rng``
+        — one draw per join, so :meth:`build` and the live cluster's
+        growth step, drawing from the same substream, split the same zones.
         """
         index = rng.randint(0, ks.space_size(self.base, self.object_id_length) - 1)
         return ks.unrank(index, self.object_id_length, base=self.base)

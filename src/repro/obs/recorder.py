@@ -103,27 +103,6 @@ class FlightRecorder:
         self.total_recorded += 1
         return seq
 
-    def record_open(self, event_type: str, **fields: Any) -> Callable[..., None]:
-        """Record an event now; return a callback that merges more fields in.
-
-        The callback folds keyword fields into the already-recorded event
-        without touching its sequence position.  It exists for taps where
-        the event *happens* before its cheapest representation does: the
-        gateway records a reply the instant its query completes (so the
-        seq order stays truthful) and attaches the connection's
-        already-encoded response bytes only when they are written —
-        serialising the result a second time just for the ring would cost
-        more than the whole record call.
-        """
-        seq = next(self._seq)
-        self._ring.append((seq, self._clock(), event_type, fields))
-        self.total_recorded += 1
-
-        def merge(**more: Any) -> None:
-            fields.update(more)
-
-        return merge
-
     def __len__(self) -> int:
         return len(self._ring)
 
@@ -150,8 +129,10 @@ class FlightRecorder:
                         event["frame"] = json.loads(value)
                     elif key == "raw_reply":
                         # A written gateway response: a length-prefixed
-                        # frame {"type": "reply", "payload": {"result": ...}}.
-                        event["result"] = json.loads(value[4:])["payload"].get("result")
+                        # frame {"type": "reply", "payload": {"result": ...}},
+                        # or None when the client had gone (no result).
+                        if value is not None:
+                            event["result"] = json.loads(value[4:])["payload"].get("result")
                     else:
                         event[key] = value
             else:

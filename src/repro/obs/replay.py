@@ -235,7 +235,7 @@ class _Replayer:
 
     def _apply(self, event: Dict[str, Any]) -> Optional[Divergence]:
         kind = event.get("type")
-        if kind in ("meta", "frame", "dump", "crash", "send", "drop-route"):
+        if kind in ("meta", "frame", "dump", "crash", "send"):
             # meta was consumed up front; frame arrivals duplicate deliver
             # events; send events are implied by query/deliver re-execution
             # (their absence from the outbox is caught at the deliver).
@@ -438,10 +438,10 @@ class _Replayer:
                 peer=peer_id,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        if action in ("crash", "power_fail"):
+        if action == "crash":
             self.down.add(peer_id)
             peer.on_power_fail()
-        elif action in ("restart", "replay", "recover"):
+        elif action == "restart":
             self.down.discard(peer_id)
             peer.on_recover()
             if int(event.get("replayed", 0)) > 0:

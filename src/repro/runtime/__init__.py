@@ -20,9 +20,9 @@ for the simulator).  The pieces:
   timers;
 * :mod:`~repro.runtime.node` — :class:`PeerNode`, one TCP server hosting
   one or more FISSIONE peers;
-* :mod:`~repro.runtime.cluster` — :class:`LiveCluster`, which boots N
-  peers through the bootstrap/seed join protocol (replaying the exact join
-  sequence the simulator's builder performs, so a live cluster and an
+* :mod:`~repro.runtime.cluster` — :class:`LiveCluster`, which grows N
+  peers in process with the simulator's own join (the exact join sequence
+  :meth:`FissioneNetwork.build` performs, so a live cluster and an
   :class:`~repro.core.armada.ArmadaSystem` with the same seed are
   topologically identical);
 * :mod:`~repro.runtime.gateway` — the TCP front door: the same framed

@@ -1,22 +1,19 @@
-"""The live cluster: bootstrap, membership authority, message dispatch.
+"""The live cluster: overlay growth, tenancy, frame handling, churn.
 
-:class:`LiveCluster` boots ``num_peers`` FISSIONE peers as live endpoints:
+:class:`LiveCluster` runs ``num_peers`` FISSIONE peers as live endpoints:
 
-1. the **seed node** starts first, owning the authoritative topology (an
-   ordinary :class:`~repro.fissione.network.FissioneNetwork`, seeded with
-   the initial ``base + 1`` zones);
-2. every further peer **joins through the seed protocol**: a ``join``
-   request crosses TCP to the seed (:meth:`AsyncioTransport.request` — the
-   cluster has no connection plumbing of its own) carrying a target key,
-   and the seed splits the owning zone, rebinds the renamed incumbent's
-   route, and replies with the joiner's assigned PeerID; the
-   joiner then ``announce``-s the address of the node hosting it, which is
-   what makes it routable — peers become reachable only through announced
-   addresses, never by global knowledge;
-3. query messages between peers travel as ``msg`` casts over the
+1. the overlay grows **in process**, the way the simulator grows it: the
+   cluster's :class:`~repro.fissione.network.FissioneNetwork` is seeded with
+   the initial ``base + 1`` zones, then :meth:`FissioneNetwork.join` splits
+   the zone that owns a random key until ``num_peers`` peers exist.  After
+   each join the split incumbent is renamed (:meth:`LiveCluster._move`) and
+   the joiner is placed on the next node (:meth:`LiveCluster._place`), which
+   is what makes it routable;
+2. query messages between peers travel as ``msg`` casts over the
    :class:`~repro.runtime.transport.AsyncioTransport` — on the same one
-   socket per node as the ``store``/``fetch`` requests — and each node
-   dispatches them into the **same** resumable PIRA/MIRA executors the
+   socket per node as the ``store``/``fetch`` requests — and every node
+   hands each frame to the cluster's one handler, which dispatches
+   ``msg`` frames into the **same** resumable PIRA/MIRA executors the
    simulator drives.
 
 What a request *does* to the system is not decided here: the cluster builds
@@ -25,24 +22,23 @@ asyncio transport — the class :class:`~repro.core.armada.ArmadaSystem`
 builds over the overlay — and that owns the namers, the executors, write
 placement and its refusal rule, the one copy write, the failover read rule
 and the query launch.  What is left in this module is what only a live
-cluster has: the bootstrap/join protocol (topology authority), cast
-dispatch, the per-copy TCP round trips of :meth:`LiveCluster.store` /
-:meth:`LiveCluster.fetch` (whose far ends, ``_handle_store`` /
-``_handle_fetch``, are calls into the deployment), the gossip binding, and
-the churn / crash / restart operations.
+cluster has: where each peer lives, the frame handler, the per-copy TCP
+round trips of :meth:`LiveCluster.store` / :meth:`LiveCluster.fetch` (whose
+far ends, ``_handle_store`` / ``_handle_fetch``, are calls into the
+deployment), the gossip binding, and the churn / crash / restart operations.
 
 Tenancy: in FISSIONE a PeerID *is* its zone, so a join renames the split
 incumbent and a leave hands the leaver's id to a relocated sibling.  Where
 each live PeerID lives is recorded once, in :attr:`LiveCluster.homes`
 (PeerID → hosting :class:`PeerNode`), and edited by exactly two methods,
 each together with the transport route: :meth:`LiveCluster._place`
-(bootstrap, ``announce``, a route restored by a restart or an ``alive``
-record) and :meth:`LiveCluster._move`
-(the join split, both shapes of a leave).  A rename carries the peer's
-down flag to its heir, so a crashed zone stays crashed under its new name.
-SWIM's ``hosted()`` callback reads the same map.
+(the initial zones, a joiner, a route restored by a restart or an
+``alive`` record) and :meth:`LiveCluster._move` (the join split, both
+shapes of a leave).  A rename carries the peer's down flag to its heir, so
+a crashed zone stays crashed under its new name.  SWIM's ``hosted()``
+callback reads the same map.
 
-Determinism: the join targets are drawn from the exact RNG substream
+Determinism: the joins draw their keys from the exact RNG substream
 (``seed → "topology"``) that :meth:`FissioneNetwork.build` uses, one draw
 per join, so a live cluster and an :class:`~repro.core.armada.ArmadaSystem`
 built from the same seed have identical topologies — the foundation of the
@@ -52,9 +48,7 @@ Single-process caveat (documented in ``docs/ARCHITECTURE.md``): peers are
 asyncio tasks sharing one process, so the topology object and the one
 deployment — its executors' per-query state included — are shared memory,
 while every forwarding message and every stored or fetched copy genuinely
-crosses a TCP socket.  A multi-host deployment would
-replicate the topology through the same join/announce frames; the wire
-protocol is already shaped for it.
+crosses a TCP socket.
 """
 
 from __future__ import annotations
@@ -99,7 +93,6 @@ class LiveCluster:
         object_id_length: int = 32,
         host: str = "127.0.0.1",
         num_nodes: Optional[int] = None,
-        extra_transit: float = 0.0,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         gossip: bool = False,
@@ -125,7 +118,6 @@ class LiveCluster:
             else None
         )
         self.object_id_length = object_id_length
-        self.extra_transit = extra_transit
         self.storage = storage
         self.data_dir = data_dir
         #: peers currently hard-killed via :meth:`crash_peer` (not routable)
@@ -151,9 +143,8 @@ class LiveCluster:
         self.gateway_addresses: List[Address] = []
         self._topology_rng: Optional[Any] = None
 
-        self.transport = AsyncioTransport(extra_transit=extra_transit)
+        self.transport = AsyncioTransport()
         self.network = FissioneNetwork(object_id_length=object_id_length, base=base)
-        self.seed_node: Optional[PeerNode] = None
         self.nodes: List[PeerNode] = []
         #: the tenancy map: every live PeerID → the node hosting it (a
         #: routed peer's route is its home's address; see _place / _move)
@@ -180,39 +171,42 @@ class LiveCluster:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> "LiveCluster":
-        """Boot the seed, the initial zones, and join the remaining peers."""
+        """Place the initial zones and grow the overlay to ``num_peers``.
+
+        A start that fails (a corrupt log, a port that cannot be bound)
+        stops whatever it had started before the error propagates.
+        """
         if self.started:
             raise ClusterError("cluster already started")
-        self.seed_node = await PeerNode(
-            "seed", self.host, self._dispatch_cast, self._handle_request
-        ).start()
-
-        self.network.seed_initial()
-        if self.num_nodes is not None:
-            for index in range(self.num_nodes):
-                await self._start_node(f"node-{index}")
-        for peer_id in self.network.peer_ids():
-            self._place(peer_id, await self._next_node())
-
-        # Keep the substream: live churn joins (join_peer) continue drawing
-        # from it, so a cluster started at N and grown to N+k has the same
-        # topology as one started at N+k with the same seed.
-        self._topology_rng = DeterministicRNG(self.seed).substream("topology")
-        while self.network.size < self.num_peers:
-            await self._join_one(self._topology_rng)
-        if self.storage != "memory":
-            self._attach_durable_stores()
-        if self.gossip_enabled:
-            self._start_gossip()
+        try:
+            self.network.seed_initial()
+            if self.num_nodes is not None:
+                for index in range(self.num_nodes):
+                    await self._start_node(f"node-{index}")
+            for peer_id in self.network.peer_ids():
+                self._place(peer_id, await self._next_node())
+            # Keep the substream: live churn joins (join_peer) continue
+            # drawing from it, so a cluster started at N and grown to N+k
+            # has the same topology as one started at N+k with the same seed.
+            self._topology_rng = DeterministicRNG(self.seed).substream("topology")
+            while self.network.size < self.num_peers:
+                await self._join()
+            if self.storage != "memory":
+                self._attach_durable_stores()
+            if self.gossip_enabled:
+                self._start_gossip()
+        except BaseException:
+            await self.stop()
+            raise
         self.started = True
         return self
 
     def _attach_durable_stores(self) -> None:
         """Open each peer's WAL, replay it, and make it the peer's backend.
 
-        Runs after the bootstrap joins settle so the log files are keyed
-        by *final* PeerIDs (boot splits rename peers; logging through the
-        renames would orphan half-written files), and before any insert
+        Runs once the overlay has reached its size, so the log files are
+        keyed by *final* PeerIDs (join splits rename peers; logging through
+        the renames would orphan half-written files), and before any insert
         can arrive, so the memory store it replaces is empty.  Re-running
         against an existing ``data_dir`` with the same seed reproduces the
         same PeerIDs, so every peer reopens its own log and re-serves its
@@ -231,19 +225,15 @@ class LiveCluster:
 
         Records the ``meta`` event first — the recorded seed and sizing are
         what :mod:`repro.obs.replay` rebuilds the identical topology from —
-        then hands the recorder to the transport and every node so wire
-        sends, drops, deliveries, store syncs and faults all land in one
+        then hands the recorder to the transport, so wire sends, drops,
+        deliveries, store syncs and faults all land in one
         globally-sequenced ring.
         """
         if not self.started:
             raise ClusterError("attach_recorder needs a started cluster (the "
-                               "bootstrap joins must have settled)")
+                               "overlay must have reached its size)")
         self.recorder = recorder
         self.transport.recorder = recorder
-        for node in self.nodes:
-            node.recorder = recorder
-        if self.seed_node is not None:
-            self.seed_node.recorder = recorder
         recorder.record(
             "meta",
             peers=self.num_peers,
@@ -267,14 +257,12 @@ class LiveCluster:
         await self.transport.close()
         for node in self.nodes:
             await node.stop()
-        if self.seed_node is not None:
-            await self.seed_node.stop()
         for peer in self.network.peers():
             peer.backend.close()
         self.started = False
 
     async def _start_node(self, name: str) -> PeerNode:
-        node = await PeerNode(name, self.host, self._dispatch_cast, self._handle_request).start()
+        node = await PeerNode(name, self.host, self._on_frame).start()
         self.nodes.append(node)
         return node
 
@@ -312,37 +300,74 @@ class LiveCluster:
             self.down_peers.add(new_id)
 
     # ------------------------------------------------------------------ #
-    # bootstrap protocol                                                   #
+    # overlay growth                                                       #
     # ------------------------------------------------------------------ #
 
-    async def _join_one(self, rng) -> Tuple[str, Dict[str, str], PeerNode]:
-        """One peer joins through the seed, over a real TCP round trip.
+    async def _join(self) -> Tuple[str, str, str, PeerNode]:
+        """One FISSIONE join on the ``topology`` substream, made live.
 
-        Returns ``(assigned_id, {renamed_victim: new_id}, hosting_node)``.
+        :meth:`FissioneNetwork.join` splits the zone owning a random key:
+        the incumbent keeps the left child under a one-symbol-longer id, so
+        its home and route move to that id (before anything can address
+        the retired one), and the joiner, the right child, is placed on
+        the next node.  Returns ``(joiner, retired_id, heir, node)``.
         """
-        assert self.seed_node is not None
-        target = self.network.random_object_id(rng)
-        seed = self.seed_node.address
-        reply = await self.transport.request(seed, {"type": "join", "target": target})
-        if not reply.get("ok", False):
-            raise ClusterError(f"join refused by the seed: {reply.get('error', 'unknown error')}")
-        assigned = reply["assigned"]
+        joiner = self.network.join(rng=self._topology_rng).peer_id
+        retired = joiner[:-1]
+        heir = retired + ks.allowed_symbols(retired[-1], base=self.network.base)[0]
+        self._move(retired, heir)
         node = await self._next_node()
-        await self.transport.request(
-            seed, {"type": "announce", "peer": assigned, "host": node.host, "port": node.port}
-        )
-        return assigned, dict(reply.get("renamed", {})), node
+        self._place(joiner, node)
+        return joiner, retired, heir, node
 
     # ------------------------------------------------------------------ #
-    # frame handlers (shared by every node endpoint)                       #
+    # the frame handler (shared by every node endpoint)                    #
     # ------------------------------------------------------------------ #
+
+    def _on_frame(
+        self, node: PeerNode, frame: Dict[str, Any], body: bytes
+    ) -> Optional[Dict[str, Any]]:
+        """Every frame a node receives: a request's reply payload, else None.
+
+        A frame with a ``rid`` is a ``store`` or ``fetch`` request.  A
+        ``msg`` cast goes to the executors (:meth:`_dispatch_cast`); a
+        ``gossip`` cast to the receiving node's own SWIM agent, because
+        each node holds its own membership view.
+        """
+        kind = frame.get("type")
+        rid = frame.get("rid")
+        recorder = self.recorder
+        if rid is not None:
+            if recorder is not None:
+                recorder.record(
+                    "frame", node=node.name, frame_type=kind, kind=frame.get("kind"), rid=rid
+                )
+            if kind == "store":
+                return self._handle_store(frame)
+            if kind == "fetch":
+                return self._handle_fetch(frame)
+            return {"ok": False, "error": f"unknown request type {kind!r}"}
+        if kind == "msg":
+            if recorder is not None:
+                # Recorded before the handler runs: the delivery's sequence
+                # number must precede the sends it fans out, because the
+                # global seq order is the interleaving the replay engine
+                # re-executes.  The ring keeps the *wire bytes* — retaining
+                # the decoded frame's object graph would grow every GC pass
+                # for the rest of the run; events() re-decodes at dump time.
+                recorder.record("deliver", node=node.name, raw=body)
+            self._dispatch_cast(frame)
+        elif kind == "gossip":
+            # Membership transitions are recorded as their own ``gossip``
+            # events; the replay engine re-executes the data plane only.
+            agent = self.agents.get(node.name)
+            if agent is not None:
+                agent.handle_frame(frame)
+        return None
 
     def _dispatch_cast(self, frame: Dict[str, Any]) -> None:
-        """Route a fire-and-forget frame into the protocol handlers."""
-        if frame.get("type") != "msg":
-            return
-        receiver = frame.get("receiver")
-        if receiver is not None and receiver in self.down_peers:
+        """Deliver one ``msg`` frame into the executor of its kind."""
+        if frame.get("receiver") in self.down_peers:
             # kill -9 semantics: the zone's process is gone, so a frame that
             # still reaches its host endpoint dies on the floor.  The sender
             # learns nothing until its own resilience timers fire — or a
@@ -352,40 +377,7 @@ class LiveCluster:
         executor = self.executors.get(message.kind)
         if executor is None:
             return
-        # Delivery recording happens in PeerNode._serve (which holds the
-        # undecoded wire bytes), before this dispatch runs.
         executor.handle_message(self.transport, message)
-
-    def _handle_request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        kind = frame.get("type")
-        if kind == "ping":
-            return {"ok": True}
-        if kind == "join":
-            return self._handle_join(frame)
-        if kind == "announce":
-            address = (frame["host"], int(frame["port"]))
-            self._place(frame["peer"], next(n for n in self.nodes if n.address == address))
-            return {"ok": True}
-        if kind == "store":
-            return self._handle_store(frame)
-        if kind == "fetch":
-            return self._handle_fetch(frame)
-        return {"ok": False, "error": f"unknown request type {kind!r}"}
-
-    def _handle_join(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Split a zone for a joiner and rebind the renamed incumbent.
-
-        The incumbent peer's id grows by one symbol (it keeps the left
-        child zone); its route moves with it atomically, before the reply,
-        so no frame is ever addressed to the retired id.
-        """
-        # join returns the new right child; its id minus the last symbol is
-        # the split peer, which keeps the left child zone.
-        right = self.network.join(target_key=frame["target"]).peer_id
-        victim = right[:-1]
-        left = victim + ks.allowed_symbols(victim[-1], base=self.network.base)[0]
-        self._move(victim, left)
-        return {"ok": True, "assigned": right, "renamed": {victim: left}}
 
     def _handle_store(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Durably append one copy of an object on the addressed peer.
@@ -449,7 +441,7 @@ class LiveCluster:
             address = self.transport.address_of(peer_id)
             if address is None:
                 raise ClusterError(
-                    f"peer {peer_id!r} for {object_id!r} has no announced address"
+                    f"peer {peer_id!r} for {object_id!r} has no route"
                 )
             reply = await self.transport.request(
                 address,
@@ -499,12 +491,12 @@ class LiveCluster:
     # ------------------------------------------------------------------ #
 
     def _start_gossip(self) -> None:
-        """Boot one SWIM agent per node, every view seeded from bootstrap.
+        """Boot one SWIM agent per node, every view seeded from the tenancy map.
 
-        The bootstrap protocol is centralized (the seed owns the topology);
-        from here on liveness is not: each node's agent pings, suspects and
-        confirms deaths on its own view, and the views converge through the
-        digests piggybacked on every frame.
+        Growth is centralized (one process owns the topology); liveness is
+        not: each node's agent pings, suspects and confirms deaths on its
+        own view, and the views converge through the digests piggybacked
+        on every frame.
         """
         self._gossip_rng = DeterministicRNG(self.seed)
         for node in self.nodes:
@@ -516,8 +508,8 @@ class LiveCluster:
             return agent
         assert self._gossip_rng is not None
         table = MembershipTable()
-        # Seed *before* registering the routing listener: bootstrap entries
-        # describe routes that already exist.
+        # Seed *before* registering the routing listener: the initial
+        # entries describe routes that already exist.
         donor = next(iter(self.agents.values()), None)
         if donor is not None:
             # A node added after boot bootstraps by anti-entropy: one full
@@ -543,14 +535,7 @@ class LiveCluster:
             on_event=self._on_gossip_event,
         )
         self.agents[node.name] = agent
-        node.on_gossip = self._dispatch_gossip
         return agent
-
-    def _dispatch_gossip(self, node: PeerNode, frame: Dict[str, Any]) -> None:
-        """Deliver one gossip cast into the receiving node's agent."""
-        agent = self.agents.get(node.name)
-        if agent is not None:
-            agent.handle_frame(frame)
 
     def _on_gossip_event(self, kind: str, node: str = "", **fields: Any) -> None:
         """Agent event tap: frame counts to metrics, transitions to the
@@ -633,7 +618,7 @@ class LiveCluster:
         )
 
     def register_gateway(self, address: Address) -> None:
-        """A gateway fronting this cluster announces itself (stats carries
+        """A gateway fronting this cluster registers its address (stats carries
         the list, which is what sessions fail over with)."""
         address = (address[0], int(address[1]))
         if address not in self.gateway_addresses:
@@ -654,40 +639,37 @@ class LiveCluster:
         if self.storage != "memory":
             raise ClusterError(
                 f"{op} needs storage='memory': durable logs are keyed by the "
-                "bootstrap-final PeerIDs, and live churn renames zones"
+                "PeerIDs the cluster started with, and live churn renames zones"
             )
 
     async def join_peer(self) -> str:
         """Live churn: one new peer joins the running overlay.
 
-        Runs the exact bootstrap join protocol (seeded target draw, zone
-        split over TCP, announce), continuing the ``seed → "topology"``
-        substream — so a cluster grown by ``k`` joins matches a cluster
-        *started* with ``num_peers + k``.  With gossip enabled the new
-        peer and the renamed incumbent enter the hosting node's view and
-        spread epidemically; the retired id is gossiped ``left``.  Every
+        The growth step :meth:`start` runs (:meth:`_join`), continuing
+        the ``seed → "topology"`` substream — so a cluster grown by ``k``
+        joins matches a cluster *started* with ``num_peers + k``.  With
+        gossip enabled the new peer and the renamed incumbent enter the
+        hosting node's view and spread epidemically; the retired id is gossiped ``left``.  Every
         record is bumped past what the view holds: churn recycles PeerIDs,
         so a fresh id may collide with a ``left`` record from an earlier
         departure.
         """
         self._require_churn("join_peer")
-        assert self._topology_rng is not None
-        assigned, renamed, node = await self._join_one(self._topology_rng)
+        joiner, retired, heir, node = await self._join()
         if self.gossip_enabled:
             agent = self._ensure_agent(node)
             if not agent.running:
                 agent.start()
-            agent.table.bump(assigned, ALIVE, node.address)
-            for victim, new_id in renamed.items():
-                address = self.transport.address_of(new_id)
-                if address is not None:
-                    agent.table.bump(new_id, ALIVE, address)
-                agent.table.bump(victim, LEFT)
+            agent.table.bump(joiner, ALIVE, node.address)
+            address = self.transport.address_of(heir)
+            if address is not None:
+                agent.table.bump(heir, ALIVE, address)
+            agent.table.bump(retired, LEFT)
         if self.recorder is not None:
             self.recorder.record(
-                "gossip", event="join", peer=assigned, renamed=renamed
+                "gossip", event="join", peer=joiner, renamed={retired: heir}
             )
-        return assigned
+        return joiner
 
     async def leave_peer(self, peer_id: str) -> str:
         """Graceful departure: merge the deepest sibling pair, hand the

@@ -106,11 +106,6 @@ from repro.runtime.protocol import (
 
 log = logging.getLogger("repro.gateway")
 
-#: private payload key carrying the flight recorder's reply-event merge
-#: callback from _start_query to the write path (popped before encoding,
-#: so it never reaches the wire)
-REPLY_RECORD_KEY = "_reply_record"
-
 
 class Gateway:
     """TCP front door: request table, reply writer."""
@@ -288,18 +283,17 @@ class Gateway:
         finally:
             self._connections.discard(writer)
 
-    def _write_frame(self, writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> None:
+    def _write_frame(self, writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> Optional[bytes]:
         """Buffer one frame (a single ``write`` call, so frames never
-        interleave even when several reply tasks share the connection)."""
-        payload = frame.get("payload")
-        attach = payload.pop(REPLY_RECORD_KEY, None) if isinstance(payload, dict) else None
-        if not writer.is_closing():
-            body = encode_frame(frame)
-            writer.write(body)
-            if attach is not None:
-                attach(raw_reply=body)
-            if self._m_frames is not None:
-                self._m_frames.inc()
+        interleave even when several reply tasks share the connection);
+        returns the bytes written, ``None`` on a closing connection."""
+        if writer.is_closing():
+            return None
+        body = encode_frame(frame)
+        writer.write(body)
+        if self._m_frames is not None:
+            self._m_frames.inc()
+        return body
 
     def _dispatch(
         self, frame: Dict[str, Any], writer: asyncio.StreamWriter, pending_rids: Set[int]
@@ -372,11 +366,11 @@ class Gateway:
                 def on_chunk(chunk: Chunk, rid: int = rid) -> None:
                     self._write_frame(writer, {"type": "chunk", "rid": rid, **chunk.to_wire()})
 
-            def finish(payload: Dict[str, Any], rid: int = rid) -> None:
+            def finish(payload: Dict[str, Any], rid: int = rid) -> Optional[bytes]:
                 pending_rids.discard(rid)
                 # The payload nests under the envelope so the frame's own
                 # "type" stays "reply" for the client.
-                self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
+                return self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
 
             try:
                 self._start_query(request, on_chunk, finish)
@@ -467,11 +461,12 @@ class Gateway:
         self,
         request: Request,
         on_chunk: Optional[Callable[[Chunk], None]],
-        finish: Callable[[Dict[str, Any]], None],
+        finish: Callable[[Dict[str, Any]], Optional[bytes]],
     ) -> None:
         """Start one query; ``finish(payload)`` fires exactly once with the
         reply payload — synchronously when the query completes at its
-        origin, from the executor's completion callback otherwise.
+        origin, from the executor's completion callback otherwise — and
+        returns the bytes it wrote (``None`` if the client has gone).
 
         This is the event-driven core: no task, no future await — the
         request loop pipelines queries at the cost of the executor's one
@@ -512,17 +507,20 @@ class Gateway:
             if self._m_latency is not None:
                 self._observe_query(result, latency, kind)
             payload = QueryReply.completed(result, latency, trace).to_wire()
+            written = finish(payload)
             if recorder is not None:
-                # Recorded here so the reply's sequence number is truthful,
-                # but the result content is attached by the write path as
-                # the connection's already-encoded response bytes — keeping
-                # the wire object graph alive in the ring would make every
-                # GC pass for the rest of the run scan it, and serialising
-                # it again just for the ring costs more than the write.
-                payload[REPLY_RECORD_KEY] = recorder.record_open(
-                    "reply", kind=kind, query_id=result.query_id, status=result.status
+                # The result is kept as the bytes the connection wrote —
+                # keeping the wire object graph alive in the ring would make
+                # every GC pass for the rest of the run scan it, and
+                # serialising it again just for the ring costs more than the
+                # write.  Nothing records between the write and this event.
+                recorder.record(
+                    "reply",
+                    kind=kind,
+                    query_id=result.query_id,
+                    status=result.status,
+                    raw_reply=written,
                 )
-            finish(payload)
 
         try:
             self.cluster.deployment.launch(

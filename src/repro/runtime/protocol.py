@@ -19,9 +19,8 @@ Frames carry either
   move PIRA/MIRA forwarding messages between peer nodes (the live analogue
   of :meth:`OverlayNetwork.send`) and the ``"gossip"`` control frames, or
 * **requests** — frames carrying an ``"rid"``; the receiving node replies
-  with a ``"reply"`` frame echoing the rid (``join``/``announce`` during
-  bootstrap, ``store`` for object publication, ``fetch`` for an exact
-  read, ``ping``).
+  with a ``"reply"`` frame echoing the rid (``store`` for object
+  publication, ``fetch`` for an exact read).
 
 Both travel on the same socket, and that socket is written once, here:
 :class:`Connection` is its client end, :func:`serve_connection` its server

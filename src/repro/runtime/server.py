@@ -2,8 +2,8 @@
 
 The runner owns the process lifecycle:
 
-1. boot the :class:`~repro.runtime.cluster.LiveCluster` (bootstrap joins
-   over localhost TCP) and the :class:`~repro.runtime.gateway.Gateway`
+1. boot the :class:`~repro.runtime.cluster.LiveCluster` (its peer nodes
+   on localhost TCP) and the :class:`~repro.runtime.gateway.Gateway`
    (:func:`live_gateway` — the one boot and teardown order this loop
    shares with the one live run, :mod:`repro.experiments.livefaults`,
    behind ``repro soak`` and ``repro livefaults``);
@@ -122,15 +122,9 @@ def build_observability(cluster: LiveCluster):
         "Records replayed from durable logs after restarts",
     )
 
-    def _peer_frames() -> float:
-        total = sum(node.frames_received for node in cluster.nodes)
-        if cluster.seed_node is not None:
-            total += cluster.seed_node.frames_received
-        return float(total)
-
     registry.register_callback(
         "peer_frames_total",
-        _peer_frames,
+        lambda: float(sum(node.frames_received for node in cluster.nodes)),
         "Wire frames received across every peer node (casts and requests)",
     )
     registry.register_callback(

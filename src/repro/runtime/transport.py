@@ -5,8 +5,8 @@
 message by scheduling an event, this transport
 
 * resolves the receiver PeerID to the **address** of the node hosting it
-  (the address book is populated by the cluster's bootstrap/announce
-  protocol, not global knowledge),
+  (the address book is the cluster's tenancy map: a peer is routed when
+  the cluster places it on a node, and only then),
 * frames the message as length-prefixed JSON
   (:func:`~repro.runtime.protocol.message_to_wire`), and
 * writes it on the per-node **link** — the one long-lived TCP connection
@@ -129,27 +129,19 @@ class _Link:
 class AsyncioTransport:
     """Routes executor messages to peer nodes over real TCP sockets.
 
-    The cluster binds PeerIDs to node addresses with :meth:`assign` as the
-    bootstrap protocol assigns zones; the executors' membership refresh
+    The cluster binds PeerIDs to node addresses with :meth:`assign` as it
+    places zones on nodes; the executors' membership refresh
     (:meth:`register`/:meth:`unregister`) then only ever *narrows* the
     reachable set — registration is address-book based, so a peer object
-    alone (with no announced address) is not reachable, mirroring a real
+    alone (with no assigned address) is not reachable, mirroring a real
     deployment where knowing a peer exists is not knowing where it lives.
-
-    ``extra_transit`` adds a fixed artificial delay (seconds) before each
-    message is enqueued — zero in production, non-zero in tests that need a
-    query to genuinely be *in flight* (e.g. the graceful-shutdown drain
-    test).
     """
 
     #: a detour crosses one socket however many overlay hops it stands for,
     #: so its per-hop timer gets no allowance beyond the policy's timeout
     detour_hop_transit = 0.0
 
-    def __init__(self, extra_transit: float = 0.0) -> None:
-        if extra_transit < 0:
-            raise ValueError("extra_transit must be non-negative")
-        self.extra_transit = extra_transit
+    def __init__(self) -> None:
         self._routes: Dict[Hashable, Address] = {}
         self._links: Dict[Address, _Link] = {}
         self.messages_sent = 0
@@ -225,12 +217,7 @@ class AsyncioTransport:
                 receiver=message.receiver,
                 hop=message.hop,
             )
-        if self.extra_transit > 0.0:
-            asyncio.get_running_loop().call_later(
-                self.extra_transit, lambda: self._link(address).enqueue(message)
-            )
-        else:
-            self._link(address).enqueue(message)
+        self._link(address).enqueue(message)
 
     def send_frame(self, address: Address, frame: Dict[str, Any]) -> None:
         """Enqueue one raw control frame on the link to ``address``.

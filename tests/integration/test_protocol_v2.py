@@ -53,7 +53,7 @@ async def gateway_connection(tmp_path):
 @contextlib.asynccontextmanager
 async def peer_node_connection(tmp_path):
     node = await PeerNode(
-        "node-0", "127.0.0.1", on_cast=lambda frame: None, on_request=lambda frame: {"ok": True}
+        "node-0", "127.0.0.1", lambda node, frame, body: {"ok": True} if "rid" in frame else None
     ).start()
     try:
         reader, writer = await asyncio.open_connection(*node.address)

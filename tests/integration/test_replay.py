@@ -13,12 +13,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api.live import LiveSession
 from repro.core.armada import ArmadaSystem
 from repro.experiments import postmortem
 from repro.experiments.drill import FaultDrill
 from repro.experiments.livefaults import SOAK, run_async
-from repro.obs.recorder import load_dump, write_dump
+from repro.obs.recorder import FlightRecorder, load_dump, write_dump
 from repro.obs.replay import replay_events
+from repro.runtime.cluster import LiveCluster
+from repro.runtime.gateway import Gateway
 
 
 def record_soak(tmp_path, **overrides):
@@ -79,6 +82,42 @@ class TestCleanReplay:
         report = replay_events(replayable(events))
         assert report.ok, report.divergence.format()
         assert report.replies_checked == report.queries == 60
+
+
+    def test_a_reply_whose_client_left_has_no_result(self):
+        """A client that disconnects before its query completes leaves a
+        ``reply`` event without a ``result``, and the dump replays clean."""
+
+        async def scenario():
+            cluster = await LiveCluster(num_peers=8, seed=3).start()
+            recorder = FlightRecorder()
+            cluster.attach_recorder(recorder)
+            gateway = await Gateway(cluster, deadline=0.2, recorder=recorder).start()
+            origin, victim = cluster.network.peer_ids()[:2]
+            # Frames to the crashed victim die, so only the deadline ends
+            # the query, well after the client has gone.
+            cluster.crash_peer(victim)
+            session = await LiveSession.connect(*gateway.address, pool=1)
+            query = asyncio.create_task(session.range(0.0, 1000.0, origin=origin))
+            while gateway.in_flight == 0:
+                await asyncio.sleep(0.01)
+            await session.close()
+            with pytest.raises(Exception):
+                await query
+            while gateway.in_flight:
+                await asyncio.sleep(0.01)
+            events = recorder.events()
+            await gateway.shutdown(drain=True)
+            await cluster.stop()
+            return events
+
+        events = asyncio.run(scenario())
+        (reply,) = [event for event in events if event["type"] == "reply"]
+        assert reply["status"] == "deadline"
+        assert "result" not in reply
+        report = replay_events(events)
+        assert report.ok, report.divergence.format()
+        assert report.queries == 1 and report.replies_checked == 0
 
 
 class TestTamperDetection:

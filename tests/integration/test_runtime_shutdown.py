@@ -26,24 +26,37 @@ from repro.obs.exposition import MetricsServer
 from repro.obs.recorder import FlightRecorder
 from repro.obs.replay import replay_events
 from repro.runtime.server import ServeSettings, live_gateway, serve_async
+from repro.runtime.transport import AsyncioTransport
 
 
-async def boot(extra_transit: float = 0.0, deadline: float = 5.0):
-    cluster = LiveCluster(num_peers=8, seed=3, extra_transit=extra_transit)
+async def boot(deadline: float = 5.0):
+    cluster = LiveCluster(num_peers=8, seed=3)
     await cluster.start()
     gateway = await Gateway(cluster, deadline=deadline).start()
     return cluster, gateway
 
 
+def slow_transit(monkeypatch, seconds: float) -> None:
+    """Hold every forwarding message ``seconds`` before it is sent, so a
+    query is genuinely in flight (frames not yet delivered) when a test
+    begins a shutdown.  Patched on the class: the executors bind
+    ``transport.send`` when the cluster is built."""
+    send = AsyncioTransport.send
+
+    def delayed(transport, message):
+        asyncio.get_running_loop().call_later(seconds, send, transport, message)
+
+    monkeypatch.setattr(AsyncioTransport, "send", delayed)
+
+
 class TestGatewayDrain:
-    def test_inflight_query_completes_during_shutdown(self):
+    def test_inflight_query_completes_during_shutdown(self, monkeypatch):
         """The drain waits for the in-flight query; the client gets its
         full result, not a reset connection."""
+        slow_transit(monkeypatch, 0.15)
 
         async def scenario():
-            # 150ms of artificial transit keeps the query genuinely in
-            # flight (frames scheduled but not yet delivered) at shutdown.
-            cluster, gateway = await boot(extra_transit=0.15)
+            cluster, gateway = await boot()
             client = await LiveSession.connect(*gateway.address, pool=1)
             await client.insert(500.0)
 
@@ -81,9 +94,11 @@ class TestGatewayDrain:
 
         asyncio.run(scenario())
 
-    def test_new_queries_refused_while_draining(self):
+    def test_new_queries_refused_while_draining(self, monkeypatch):
+        slow_transit(monkeypatch, 0.15)
+
         async def scenario():
-            cluster, gateway = await boot(extra_transit=0.15)
+            cluster, gateway = await boot()
             client = await LiveSession.connect(*gateway.address, pool=1)
             pending = asyncio.create_task(client.range(0.0, 1000.0))
             await asyncio.sleep(0.05)
@@ -105,13 +120,14 @@ class TestGatewayDrain:
 
         asyncio.run(scenario())
 
-    def test_deadline_bounds_the_drain(self):
+    def test_deadline_bounds_the_drain(self, monkeypatch):
         """A query that cannot finish (its route was severed mid-flight) is
         force-completed as failed by its deadline, so the drain returns in
         bounded time instead of hanging."""
+        slow_transit(monkeypatch, 0.1)
 
         async def scenario():
-            cluster, gateway = await boot(extra_transit=0.1, deadline=0.4)
+            cluster, gateway = await boot(deadline=0.4)
             client = await LiveSession.connect(*gateway.address, pool=1)
 
             pending = asyncio.create_task(client.range(0.0, 1000.0))
@@ -162,13 +178,14 @@ class TestGatewayDrain:
 
         asyncio.run(scenario())
 
-    def test_new_inserts_refused_while_draining(self):
+    def test_new_inserts_refused_while_draining(self, monkeypatch):
         """An insert that arrives after the drain began is not awaited by
         it, so it is refused with the "shutting down" error like a query,
         not left to have its connection closed under it."""
+        slow_transit(monkeypatch, 0.15)
 
         async def scenario():
-            cluster, gateway = await boot(extra_transit=0.15)
+            cluster, gateway = await boot()
             store = cluster.store
 
             async def slow_store(*args):

@@ -39,6 +39,8 @@ from repro.experiments.drill import FaultDrill
 from repro.experiments.livefaults import SOAK, run
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.gateway import Gateway
+from repro.storage import StorageError, store_path
+from repro.storage.wal import WAL_HEADER
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
@@ -222,6 +224,40 @@ class TestClusterKillRestart:
             LiveCluster(num_peers=8, seed=SEED, storage="wal")
         with pytest.raises(ClusterError, match="unknown storage backend"):
             LiveCluster(num_peers=8, seed=SEED, storage="floppy", data_dir="/tmp")
+
+    def test_a_failed_start_closes_every_listener(self, tmp_path):
+        """A log corrupted mid-way fails the start, and the start stops
+        what it had started: no node port still accepts a connection."""
+        options = dict(num_peers=8, seed=SEED, storage="wal", data_dir=str(tmp_path))
+
+        async def scenario():
+            cluster = await LiveCluster(**options).start()
+            victim = cluster.network.peer_ids()[0]
+            store = cluster.network.peer(victim).backend
+            store.put(victim + "0", 1.0, "a")
+            store.put(victim + "1", 2.0, "b")
+            await cluster.stop()
+            with open(store_path(str(tmp_path), victim), "r+b") as log:
+                log.seek(len(WAL_HEADER) + 8)  # the first record's body
+                byte = log.read(1)[0]
+                log.seek(-1, os.SEEK_CUR)
+                log.write(bytes([byte ^ 0xFF]))
+
+            failed = LiveCluster(**options)
+            with pytest.raises(StorageError, match="CRC mismatch"):
+                await failed.start()
+            assert not failed.started and len(failed.nodes) == 8
+            refused = 0
+            for node in failed.nodes:
+                try:
+                    _, writer = await asyncio.open_connection(*node.address)
+                except OSError:
+                    refused += 1
+                else:
+                    writer.close()
+            assert refused == len(failed.nodes)
+
+        asyncio.run(scenario())
 
 
 class TestSoakKillRestart:

@@ -81,7 +81,7 @@ class TestAsyncioTransport:
         assert transport.has_node("010")
         assert transport.address_of("010") == ("127.0.0.1", 1234)
         assert list(transport.node_ids()) == ["010"]
-        # register() is a no-op: reachability comes from announced addresses
+        # register() is a no-op: reachability comes from assigned addresses
         transport.register(object())
         assert list(transport.node_ids()) == ["010"]
         transport.unregister("010")
@@ -123,10 +123,6 @@ class TestAsyncioTransport:
             assert len(dropped) == 1
 
         asyncio.run(scenario())
-
-    def test_negative_extra_transit_rejected(self):
-        with pytest.raises(ValueError):
-            AsyncioTransport(extra_transit=-1.0)
 
     def test_live_executor_refuses_sync_execute(self):
         system = ArmadaSystem(num_peers=8, seed=2)
