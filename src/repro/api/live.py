@@ -14,7 +14,7 @@ across connections by picking the least-loaded one per request.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api.requests import ApiError, Chunk, Reply, Request, reply_from_payload
 from repro.api.session import ChunkCallback, Session, SessionError
@@ -23,12 +23,14 @@ from repro.runtime.protocol import Connection
 
 
 class _Pending(asyncio.Future):
-    """The reply future of one gateway request, with its chunk sink and count."""
+    """The reply future of one gateway request, with its rid, chunk sink
+    and chunk count."""
 
     def __init__(self, on_chunk: Optional[ChunkCallback]) -> None:
         super().__init__(loop=asyncio.get_running_loop())
         self.on_chunk = on_chunk
         self.chunks = 0
+        self.rid = 0
 
 
 class _V2Connection(Connection):
@@ -39,16 +41,18 @@ class _V2Connection(Connection):
     property test in ``tests/property`` hammers exactly this path.
     """
 
-    def post(self, request: Request, on_chunk: Optional[ChunkCallback] = None) -> asyncio.Future:
+    def post(self, request: Request, on_chunk: Optional[ChunkCallback] = None) -> _Pending:
         """Register and buffer one request frame; returns its reply future,
         which resolves to ``(payload, chunks)``.
 
         The caller owns flushing (:meth:`drain`) — :meth:`LiveSession.batch`
         posts many requests back-to-back and drains once.
         """
-        return self.post_frame(
-            {"type": "request", "request": request.to_wire()}, _Pending(on_chunk)
-        )
+        pending = _Pending(on_chunk)
+        frame = {"type": "request", "request": request.to_wire()}
+        self.post_frame(frame, pending)
+        pending.rid = frame["rid"]
+        return pending
 
     def _resolve(self, future: asyncio.Future, frame: Dict[str, Any]) -> None:
         future.set_result((frame.get("payload", {}), future.chunks))
@@ -91,13 +95,7 @@ class LiveSession(Session):
 
     def __init__(self, timeout: float) -> None:
         self.timeout = timeout
-        self._address: Tuple[str, int] = ("", 0)
         self._v2: List[_V2Connection] = []
-        self._pool_target = 0
-        #: gateway addresses learned from the cluster's membership view
-        #: (every ``stats`` reply refreshes it) — the failover list tried
-        #: when pooled connections die
-        self._gateways: List[Tuple[str, int]] = []
         self._closed = False
         #: client-side high-water mark of concurrently submitted requests
         self.peak_in_flight = 0
@@ -110,7 +108,7 @@ class LiveSession(Session):
         pool: int = 4,
         timeout: float = 30.0,
     ) -> "LiveSession":
-        """Open ``pool`` gateway connections.
+        """Open ``pool`` connections to the gateway at ``host:port``.
 
         ``timeout`` bounds how long a reply may take when the request
         carries no deadline option (requests with a deadline get that
@@ -121,8 +119,6 @@ class LiveSession(Session):
         if timeout <= 0:
             raise SessionError("timeout must be positive")
         session = cls(timeout=timeout)
-        session._address = (host, port)
-        session._pool_target = pool
         try:
             for _ in range(pool):
                 session._v2.append(await _V2Connection.open(host, port))
@@ -149,63 +145,32 @@ class LiveSession(Session):
         deadline = request.options.deadline
         return self.timeout if deadline is None else deadline + self.timeout
 
-    def _gateway_candidates(self) -> List[Tuple[str, int]]:
-        """Dial order for a replacement connection: the current gateway
-        first, then every gateway the membership view has announced."""
-        candidates: List[Tuple[str, int]] = []
-        for address in [self._address, *self._gateways]:
-            address = (address[0], int(address[1]))
-            if address not in candidates:
-                candidates.append(address)
-        return candidates
-
-    async def _redial_one(self) -> Optional[_V2Connection]:
-        for address in self._gateway_candidates():
-            try:
-                connection = await _V2Connection.open(*address)
-            except OSError:
-                continue
-            # Future replacements dial the gateway that actually answered
-            # first — after a failover the old address is likely dead.
-            self._address = address
-            return connection
-        return None
-
-    async def _pick_connection(self) -> _V2Connection:
-        """The least-loaded live connection, replenishing the pool first.
-
-        A closed connection is retired and redialed — against the same
-        gateway when it still answers, otherwise against the gateways the
-        membership view advertised (see :meth:`stats`).  That is what lets
-        a session outlive the death of the gateway it first connected to.
-        """
-        live = [connection for connection in self._v2 if not connection.closed]
-        if len(live) < len(self._v2):
-            self._v2 = live
-        while len(self._v2) < self._pool_target:
-            replacement = await self._redial_one()
-            if replacement is None:
-                break
-            self._v2.append(replacement)
+    def _pick_connection(self) -> _V2Connection:
+        """The least-loaded open connection of the pool."""
         live = [connection for connection in self._v2 if not connection.closed]
         if not live:
-            raise ConnectionError(
-                "every pooled gateway connection is closed and no known "
-                "gateway answered a redial"
-            )
+            raise ConnectionError("every pooled gateway connection is closed")
         return min(live, key=lambda connection: connection.in_flight)
 
-    async def _submit_once(
+    async def _reply(self, request: Request, future: _Pending) -> Reply:
+        payload, chunks = await asyncio.wait_for(future, self._reply_timeout(request))
+        return reply_from_payload(request, payload, chunks=chunks)
+
+    async def submit(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
         if self._closed:
             raise SessionError("session is closed")
-        connection = await self._pick_connection()
+        connection = self._pick_connection()
         future = connection.post(request, on_chunk)
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        await connection.drain()
-        payload, chunks = await asyncio.wait_for(future, self._reply_timeout(request))
-        return reply_from_payload(request, payload, chunks=chunks)
+        try:
+            await connection.drain()
+            return await self._reply(request, future)
+        finally:
+            # A timed-out or cancelled request is no longer in flight; a
+            # late reply for its rid is ignored.
+            connection.forget(future.rid)
 
     async def batch(
         self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
@@ -213,57 +178,25 @@ class LiveSession(Session):
         """Submit many requests with one flush per connection.
 
         The whole batch is posted before the first drain — one
-        syscall-ish burst instead of a write/await per request.  Note the
-        per-request ``retries`` option is *not* applied on this path (use
-        :meth:`submit` per request for it).
+        syscall-ish burst instead of a write/await per request.
         """
         if self._closed:
             raise SessionError("session is closed")
         posted = []
         touched = set()
         for request in requests:
-            connection = await self._pick_connection()
-            posted.append((request, connection.post(request, on_chunk)))
+            connection = self._pick_connection()
+            posted.append((connection, request, connection.post(request, on_chunk)))
             touched.add(id(connection))
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        for connection in self._v2:
-            if id(connection) in touched and not connection.closed:
-                await connection.drain()
-        return [
-            reply_from_payload(request, *await asyncio.wait_for(
-                future, self._reply_timeout(request)
-            ))
-            for request, future in posted
-        ]
-
-    # ------------------------------------------------------------------ #
-    # membership-fed failover                                              #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def known_gateways(self) -> List[Tuple[str, int]]:
-        """Gateways the membership view has advertised (via ``stats``)."""
-        return list(self._gateways)
-
-    async def stats(self) -> Dict[str, Any]:
-        """Backend statistics — also refreshes the gateway failover list.
-
-        The cluster's ``stats`` payload carries the addresses of every
-        gateway currently fronting it (kept by the membership layer), so
-        each stats round trip doubles as service discovery.
-        """
-        stats = await super().stats()
-        gateways = stats.get("gateways")
-        if isinstance(gateways, list):
-            refreshed = []
-            for pair in gateways:
-                try:
-                    host, port = pair
-                    refreshed.append((str(host), int(port)))
-                except (TypeError, ValueError):
-                    continue
-            self._gateways = refreshed
-        return stats
+        try:
+            for connection in self._v2:
+                if id(connection) in touched and not connection.closed:
+                    await connection.drain()
+            return [await self._reply(request, future) for _, request, future in posted]
+        finally:
+            for connection, _, future in posted:
+                connection.forget(future.rid)
 
     # ------------------------------------------------------------------ #
     # workloads                                                            #

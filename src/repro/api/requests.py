@@ -10,9 +10,9 @@ live — is a :class:`Request` object:
 * :class:`Ping` — liveness probe.
 
 Each request carries :class:`RequestOptions`: the per-request knobs
-(origin pinning, deadline, write-copy count, retry budget, streaming,
-tracing); the two query requests also present ``(kind, ranges)`` — which
-executor, and its ``start`` argument.  A request serialises to a JSON object
+(origin pinning, deadline, write-copy count, streaming, tracing); the two
+query requests also present ``(kind, ranges)`` — which executor, and its
+``start`` argument.  A request serialises to a JSON object
 (:meth:`Request.to_wire`) — the exact payload a gateway ``request``
 frame carries — and :func:`request_from_wire` rebuilds it on the gateway
 side, so the wire format and the in-process API share one definition.
@@ -32,7 +32,7 @@ through the API layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.deployment import Chunk, Deployment  # noqa: F401 - Chunk is re-exported
@@ -58,10 +58,6 @@ class RequestOptions:
       durably appended on the owner plus ``replicas - 1`` prefix-sibling
       peers, and the insert is acknowledged only after every copy synced.
       A query runs once; a query request with ``replicas > 1`` is refused;
-    * ``retries`` — resubmissions after a *transport* failure (connection
-      drop, gateway restart); meaningless in the simulator.  Chunks a
-      failed attempt already delivered are not recalled — the reply's
-      ``chunks`` field counts the answering attempt's frames only;
     * ``stream`` — ask for per-destination partial results (``chunk``
       frames live, synchronous callbacks in the simulator);
     * ``trace`` — ask for a query-scoped span tree in the reply.  Every
@@ -71,7 +67,6 @@ class RequestOptions:
     origin: Optional[str] = None
     deadline: Optional[float] = None
     replicas: int = 1
-    retries: int = 0
     stream: bool = False
     trace: bool = False
 
@@ -80,8 +75,6 @@ class RequestOptions:
             raise ApiError("deadline must be positive")
         if self.replicas < 1:
             raise ApiError("replicas must be at least 1")
-        if self.retries < 0:
-            raise ApiError("retries must be non-negative")
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON form, omitting defaults (an empty dict is all-defaults)."""
@@ -92,8 +85,6 @@ class RequestOptions:
             wire["deadline"] = self.deadline
         if self.replicas != 1:
             wire["replicas"] = self.replicas
-        if self.retries != 0:
-            wire["retries"] = self.retries
         if self.stream:
             wire["stream"] = True
         if self.trace:
@@ -111,7 +102,6 @@ class RequestOptions:
             origin=wire.get("origin"),
             deadline=None if wire.get("deadline") is None else float(wire["deadline"]),
             replicas=int(wire.get("replicas", 1)),
-            retries=int(wire.get("retries", 0)),
             stream=bool(wire.get("stream", False)),
             trace=bool(wire.get("trace", False)),
         )
@@ -136,10 +126,6 @@ class Request:
         if options:
             wire["options"] = options
         return wire
-
-    def with_options(self, **changes: Any) -> "Request":
-        """A copy with the named option fields replaced."""
-        return replace(self, options=replace(self.options, **changes))
 
 
 def _check_query(ranges: Sequence[Tuple[float, float]], options: RequestOptions) -> None:
@@ -311,9 +297,9 @@ def request_from_wire(wire: Dict[str, Any]) -> Request:
     return cls(options=options)
 
 
-def request_from_job(job: QueryJob, **option_changes: Any) -> Request:
+def request_from_job(job: QueryJob) -> Request:
     """The API request for one :class:`~repro.engine.reporting.QueryJob`."""
-    options = replace(RequestOptions(origin=job.origin), **option_changes)
+    options = RequestOptions(origin=job.origin)
     if job.kind == "mira":
         return MultiRangeQuery(ranges=job.ranges, options=options)
     return RangeQuery(low=job.low, high=job.high, options=options)

@@ -19,14 +19,13 @@ The base class implements everything that is backend-independent:
 * the convenience verbs (:meth:`range`, :meth:`multi_range`,
   :meth:`insert`, :meth:`insert_multi`, :meth:`stats`, :meth:`ping`,
   :meth:`run_job`) as thin wrappers over :meth:`submit`;
-* the **retry budget**: a transport failure (connection drop) is retried
-  up to ``options.retries`` times before the error propagates;
 * :meth:`batch`: concurrent submission of many requests (the live
   binding overrides this to post every request frame across its
   connection pool before a single flush per connection).
 
-Backends implement :meth:`_submit_once` (execute one request once) and
-:meth:`run_jobs` (bind the one load driver,
+Backends implement :meth:`submit` (execute one request, once: a transport
+failure or a timeout is the caller's error, never a resubmission — an
+insert is not idempotent) and :meth:`run_jobs` (bind the one load driver,
 :class:`~repro.engine.query_engine.LoadDriver`, to the backend's clock and
 return its :class:`~repro.engine.reporting.EngineReport`).  Neither backend
 decides what a request means: ``SimSession`` directly, and ``LiveSession``
@@ -67,7 +66,7 @@ ChunkCallback = Callable[[Chunk], None]
 
 
 class SessionError(RuntimeError):
-    """A session-level failure (closed session, exhausted retries)."""
+    """A session-level failure (closed session, bad session argument)."""
 
 
 class Session:
@@ -80,10 +79,10 @@ class Session:
     # backend contract                                                     #
     # ------------------------------------------------------------------ #
 
-    async def _submit_once(
+    async def submit(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
-        """Execute ``request`` exactly once (no retries)."""
+        """Execute ``request`` once and return its typed reply."""
         raise NotImplementedError
 
     async def run_jobs(
@@ -111,20 +110,8 @@ class Session:
         """Release backend resources (idempotent)."""
 
     # ------------------------------------------------------------------ #
-    # generic submission (retry budget)                                    #
+    # batches                                                              #
     # ------------------------------------------------------------------ #
-
-    async def submit(
-        self, request: Request, on_chunk: Optional[ChunkCallback] = None
-    ) -> Reply:
-        """Execute ``request``, resubmitting it after a transport failure
-        up to ``options.retries`` times."""
-        for _ in range(request.options.retries):
-            try:
-                return await self._submit_once(request, on_chunk)
-            except (ConnectionError, asyncio.TimeoutError):
-                pass
-        return await self._submit_once(request, on_chunk)
 
     async def batch(
         self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
@@ -144,16 +131,10 @@ class Session:
         high: float,
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        retries: int = 0,
         on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
         """Single-attribute range query ``[low, high]`` via PIRA."""
-        options = RequestOptions(
-            origin=origin,
-            deadline=deadline,
-            retries=retries,
-            stream=on_chunk is not None,
-        )
+        options = RequestOptions(origin=origin, deadline=deadline, stream=on_chunk is not None)
         reply = await self.submit(RangeQuery(low=low, high=high, options=options), on_chunk)
         assert isinstance(reply, QueryReply)
         return reply
@@ -163,16 +144,10 @@ class Session:
         ranges: Sequence[Tuple[float, float]],
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        retries: int = 0,
         on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
         """Multi-attribute box query via MIRA."""
-        options = RequestOptions(
-            origin=origin,
-            deadline=deadline,
-            retries=retries,
-            stream=on_chunk is not None,
-        )
+        options = RequestOptions(origin=origin, deadline=deadline, stream=on_chunk is not None)
         reply = await self.submit(
             MultiRangeQuery(ranges=tuple(ranges), options=options), on_chunk
         )
@@ -184,7 +159,7 @@ class Session:
 
         ``replicas=k`` durably appends the object on the owner plus
         ``k-1`` prefix-sibling peers and acknowledges only after every
-        copy is synced (the write-replication path, not query retry).
+        copy is synced.
         """
         reply = await self.submit(
             Insert(value=float(value), options=RequestOptions(replicas=replicas))
@@ -221,9 +196,9 @@ class Session:
         """Liveness probe."""
         return isinstance(await self.submit(Ping()), PongReply)
 
-    async def run_job(self, job: QueryJob, **option_changes: Any) -> QueryReply:
+    async def run_job(self, job: QueryJob) -> QueryReply:
         """Run one :class:`~repro.engine.reporting.QueryJob` (PIRA or MIRA)."""
-        reply = await self.submit(request_from_job(job, **option_changes))
+        reply = await self.submit(request_from_job(job))
         assert isinstance(reply, QueryReply)
         return reply
 

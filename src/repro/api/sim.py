@@ -76,7 +76,7 @@ class SimSession(Session):
     # single requests                                                      #
     # ------------------------------------------------------------------ #
 
-    async def _submit_once(
+    async def submit(
         self, request: Request, on_chunk: Optional[ChunkCallback] = None
     ) -> Reply:
         deployment = self.system.deployment

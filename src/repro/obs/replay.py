@@ -12,7 +12,10 @@ everything needed to re-execute a live run deterministically:
    :class:`~repro.core.deployment.Deployment` the live cluster ran — same
    namers, same executors — over a :class:`ReplayTransport`;
 2. ``store`` events re-apply the recorded copies through the deployment's
-   one copy-write (wire forms, so keys and values round-trip exactly);
+   one copy-write (wire forms, so keys and values round-trip exactly), and
+   the ``gossip`` events of a live ``join_peer`` / ``leave_peer`` re-run
+   that churn step on the rebuilt overlay (a join continuing the topology
+   substream) together with the routes it moved;
 3. each ``query`` event re-starts the query on a fresh executor with the
    *recorded* query id — the executor's deterministic send-id counter then
    re-allocates the same send ids the live run used;
@@ -41,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.deployment import Deployment
-from repro.fissione.network import FissioneNetwork
+from repro.fissione.network import FissioneError, FissioneNetwork
+from repro.kautz import strings as ks
 from repro.obs.spans import QueryTrace, Tracer
 from repro.sim.rng import DeterministicRNG
 from repro.wire import decode_value
@@ -188,10 +192,12 @@ class _Replayer:
         self.meta = meta
         self.report.meta = {k: v for k, v in meta.items() if k not in ("seq", "ts", "type")}
         # The live bootstrap draws one join target per peer from the
-        # ``seed -> "topology"`` substream, exactly as ``build`` does.
+        # ``seed -> "topology"`` substream, exactly as ``build`` does, and a
+        # recorded churn join continues it.
+        self.topology_rng = DeterministicRNG(int(meta["seed"])).substream("topology")
         self.network = FissioneNetwork.build(
             num_peers=int(meta["peers"]),
-            rng=DeterministicRNG(int(meta["seed"])).substream("topology"),
+            rng=self.topology_rng,
             object_id_length=int(meta["object_id_length"]),
             base=int(meta.get("base", 2)),
         )
@@ -255,6 +261,8 @@ class _Replayer:
             return self._apply_reply(event)
         if kind == "fault":
             return self._apply_fault(event)
+        if kind == "gossip":
+            return self._apply_churn(event)
         if kind == "route":
             if event.get("action") == "unregister":
                 self.transport.unregister(event.get("peer"))
@@ -450,6 +458,48 @@ class _Replayer:
                 # recorded acknowledged stores instead.
                 for store_event in self.store_log.get(peer_id, ()):
                     self._write_recorded_copy(store_event)
+        return None
+
+    def _move(self, old_id: str, new_id: str) -> None:
+        """``LiveCluster._move`` on the replay's routes and down set."""
+        if self.transport.has_node(old_id):
+            self.transport.register(new_id)
+        else:
+            self.transport.unregister(new_id)
+        self.transport.unregister(old_id)
+        if old_id in self.down:
+            self.down.discard(old_id)
+            self.down.add(new_id)
+
+    def _apply_churn(self, event: Dict[str, Any]) -> Optional[Divergence]:
+        """Re-run a recorded ``join_peer`` / ``leave_peer`` on the rebuilt
+        topology (other ``gossip`` events are timeline annotations).  Only
+        route *withdrawals* are recorded, so the routes the churn step
+        moved and placed live are mirrored here."""
+        action, peer_id = event.get("event"), event.get("peer")
+        try:
+            if action == "join":
+                replayed = self.network.join(rng=self.topology_rng).peer_id
+                retired = replayed[:-1]
+                heir = retired + ks.allowed_symbols(retired[-1], self.network.base)[0]
+                renames, recorded = {retired: heir}, peer_id
+            elif action == "leave":
+                renames = self.network.leave(peer_id)
+                replayed, recorded = next(iter(renames.values())), event.get("merged")
+            else:
+                return None
+        except FissioneError as exc:
+            return self._diverge(event, f"recorded {action} does not apply", error=str(exc))
+        if replayed != recorded:
+            return self._diverge(
+                event, f"replayed {action} differs", recorded=recorded, replayed=replayed
+            )
+        for old_id, new_id in renames.items():
+            self._move(old_id, new_id)
+        if action == "join":
+            self.transport.register(replayed)
+        elif peer_id not in renames.values():
+            self.transport.unregister(peer_id)
         return None
 
 

@@ -70,7 +70,7 @@ from repro.gossip.swim import (
 from repro.kautz import strings as ks
 from repro.runtime.node import PeerNode
 from repro.runtime.protocol import wire_to_message
-from repro.runtime.transport import Address, AsyncioTransport
+from repro.runtime.transport import AsyncioTransport
 from repro.sim.rng import DeterministicRNG
 from repro.storage import BACKENDS, StoredObject, WALStore, store_path
 from repro.storage.base import objects_from_wire, objects_to_wire
@@ -138,9 +138,6 @@ class LiveCluster:
         self.gossip_frames: Dict[str, int] = {}
         self._gossip_counter: Optional[Any] = None
         self._gossip_rng: Optional[DeterministicRNG] = None
-        #: addresses of gateways currently fronting this cluster — the
-        #: session-side failover list, served through ``stats``
-        self.gateway_addresses: List[Address] = []
         self._topology_rng: Optional[Any] = None
 
         self.transport = AsyncioTransport()
@@ -310,13 +307,19 @@ class LiveCluster:
         the incumbent keeps the left child under a one-symbol-longer id, so
         its home and route move to that id (before anything can address
         the retired one), and the joiner, the right child, is placed on
-        the next node.  Returns ``(joiner, retired_id, heir, node)``.
+        the next node.  The node is ready first, so the split, its record
+        and its route changes happen in one step.  Returns ``(joiner,
+        retired_id, heir, node)``.
         """
+        node = await self._next_node()
         joiner = self.network.join(rng=self._topology_rng).peer_id
         retired = joiner[:-1]
         heir = retired + ks.allowed_symbols(retired[-1], base=self.network.base)[0]
+        if self.recorder is not None:
+            # Before the route withdrawals it causes: a replay re-runs the
+            # join here and mirrors them.
+            self.recorder.record("gossip", event="join", peer=joiner, renamed={retired: heir})
         self._move(retired, heir)
-        node = await self._next_node()
         self._place(joiner, node)
         return joiner, retired, heir, node
 
@@ -539,8 +542,9 @@ class LiveCluster:
 
     def _on_gossip_event(self, kind: str, node: str = "", **fields: Any) -> None:
         """Agent event tap: frame counts to metrics, transitions to the
-        flight recorder (``repro replay`` treats the ``gossip`` events as
-        forward-compatible timeline annotations)."""
+        flight recorder (``repro replay`` treats these ``gossip`` events as
+        timeline annotations; only the churn steps' ``join`` / ``leave``
+        change its topology)."""
         if kind == EVENT_FRAME:
             op = fields.get("op", "?")
             self.gossip_frames[op] = self.gossip_frames.get(op, 0) + 1
@@ -617,18 +621,6 @@ class LiveCluster:
             (agent.table for agent in self.agents.values()), expect_dead
         )
 
-    def register_gateway(self, address: Address) -> None:
-        """A gateway fronting this cluster registers its address (stats carries
-        the list, which is what sessions fail over with)."""
-        address = (address[0], int(address[1]))
-        if address not in self.gateway_addresses:
-            self.gateway_addresses.append(address)
-
-    def unregister_gateway(self, address: Address) -> None:
-        address = (address[0], int(address[1]))
-        if address in self.gateway_addresses:
-            self.gateway_addresses.remove(address)
-
     # ------------------------------------------------------------------ #
     # live churn: join / leave                                             #
     # ------------------------------------------------------------------ #
@@ -665,10 +657,6 @@ class LiveCluster:
             if address is not None:
                 agent.table.bump(heir, ALIVE, address)
             agent.table.bump(retired, LEFT)
-        if self.recorder is not None:
-            self.recorder.record(
-                "gossip", event="join", peer=joiner, renamed={retired: heir}
-            )
         return joiner
 
     async def leave_peer(self, peer_id: str) -> str:
@@ -693,6 +681,9 @@ class LiveCluster:
             raise ClusterError(f"no peer with id {peer_id!r}")
         renames = self.network.leave(peer_id)
         parent = next(iter(renames.values()))
+        if self.recorder is not None:
+            # Before the route withdrawals it causes (see _join).
+            self.recorder.record("gossip", event="leave", peer=peer_id, merged=parent)
         del self.homes[peer_id]
         for old_id, new_id in renames.items():
             self._move(old_id, new_id)
@@ -712,10 +703,6 @@ class LiveCluster:
                 address = self.transport.address_of(heir)
                 if address is not None:
                     observer.table.bump(heir, ALIVE, address)
-        if self.recorder is not None:
-            self.recorder.record(
-                "gossip", event="leave", peer=peer_id, merged=parent
-            )
         return parent
 
     # ------------------------------------------------------------------ #
@@ -790,7 +777,6 @@ class LiveCluster:
             "gossip": self.gossip_enabled,
             "membership": self.membership_counts(),
             "gossip_frames": int(sum(self.gossip_frames.values())),
-            "gateways": [list(address) for address in self.gateway_addresses],
         }
 
     def __repr__(self) -> str:

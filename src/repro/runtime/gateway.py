@@ -206,9 +206,6 @@ class Gateway:
         self._server = await asyncio.start_server(self._serve, self.host, self.requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = asyncio.get_running_loop().time()
-        # Stats replies carry the cluster's gateway list, which is what
-        # sessions use to fail over when their original gateway dies.
-        self.cluster.register_gateway(self.address)
         return self
 
     @property
@@ -247,8 +244,6 @@ class Gateway:
         """
         self._closing = True
         draining = len(self._inflight)
-        if self.port is not None:
-            self.cluster.unregister_gateway(self.address)
         server, self._server = self._server, None
         if server is not None:
             # Stop accepting.  Do NOT await wait_closed() yet: since Python

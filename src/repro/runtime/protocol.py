@@ -290,9 +290,14 @@ class Connection:
             await self._writer.drain()
             return await asyncio.wait_for(future, timeout)
         finally:
-            # On timeout/cancellation the rid must not linger: a leak would
-            # grow _pending forever and hand any late reply to a dead future.
-            self._pending.pop(frame["rid"], None)
+            self.forget(frame["rid"])
+
+    def forget(self, rid: int) -> None:
+        """Drop ``rid`` from the requests in flight once its awaiter has
+        stopped waiting (timeout, cancellation): a lingering rid would grow
+        ``_pending`` forever and count as load.  A late reply for it is
+        ignored."""
+        self._pending.pop(rid, None)
 
     # -- the re-association loop ---------------------------------------------
 

@@ -13,11 +13,11 @@ import contextlib
 import pytest
 
 from repro.api.live import LiveSession
-from repro.api.requests import ApiError
+from repro.api.requests import ApiError, Insert
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.node import PeerNode
-from repro.runtime.protocol import MAX_FRAME_BYTES, encode_frame, read_frame
+from repro.runtime.protocol import MAX_FRAME_BYTES, Connection, encode_frame, read_frame
 from repro.runtime.storenode import StoreNodeServer
 from repro.wire import encode_column
 
@@ -359,6 +359,87 @@ class TestSessionClose:
             finally:
                 server.close()
                 await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+class TestOneAttempt:
+    """A session submits a request once: a timeout is the caller's error, the
+    insert behind it is stored once, and the timed-out request stops counting
+    as in flight at once (a late reply for it is ignored)."""
+
+    @staticmethod
+    def count_stores(cluster, delay=0.0):
+        """Wrap ``cluster.store``, delayed by ``delay`` s; returns the list
+        each call appends its ObjectID to."""
+        calls = []
+        store = cluster.store
+
+        async def counted(object_id, *args):
+            calls.append(object_id)
+            await asyncio.sleep(delay)
+            return await store(object_id, *args)
+
+        cluster.store = counted
+        return calls
+
+    def test_an_older_clients_retries_option_runs_the_insert_once(self):
+        async def scenario():
+            cluster, gateway = await boot()
+            calls = self.count_stores(cluster)
+            try:
+                connection = await Connection.open(*gateway.address)
+                try:
+                    request = {"op": "insert", "value": 42.0, "options": {"retries": 1}}
+                    reply = await connection.request({"type": "request", "request": request})
+                finally:
+                    await connection.close()
+                assert reply["payload"]["type"] == "inserted"
+                assert len(calls) == 1
+                assert cluster.network.total_objects() == 1
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
+    def test_a_timed_out_insert_is_stored_once_and_leaves_nothing_in_flight(self):
+        async def scenario():
+            cluster, gateway = await boot()
+            calls = self.count_stores(cluster, delay=0.3)
+            try:
+                session = await LiveSession.connect(*gateway.address, pool=1, timeout=0.1)
+                try:
+                    with pytest.raises(TimeoutError):
+                        await session.insert(42.0)
+                    assert session.in_flight == 0
+                    await asyncio.sleep(0.5)  # the late ack arrives and is ignored
+                    assert len(calls) == 1
+                    assert cluster.network.total_objects() == 1
+                    assert await session.ping()
+                finally:
+                    await session.close()
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
+    def test_a_timed_out_batch_leaves_nothing_in_flight(self):
+        async def scenario():
+            cluster, gateway = await boot()
+            calls = self.count_stores(cluster, delay=0.3)
+            try:
+                session = await LiveSession.connect(*gateway.address, pool=2, timeout=0.1)
+                try:
+                    with pytest.raises(TimeoutError):
+                        await session.batch([Insert(value=float(value)) for value in range(4)])
+                    assert session.in_flight == 0
+                    await asyncio.sleep(0.5)
+                    assert len(calls) == 4
+                    assert cluster.network.total_objects() == 4
+                finally:
+                    await session.close()
+            finally:
+                await teardown(cluster, gateway)
 
         asyncio.run(scenario())
 

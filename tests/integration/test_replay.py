@@ -120,6 +120,61 @@ class TestCleanReplay:
         assert report.queries == 1 and report.replies_checked == 0
 
 
+def record_churn(churn):
+    """Record a live run with one churn step: 8 peers (seed 7), 28 inserts,
+    ``await churn(cluster)``, then a full-range query from every origin."""
+
+    async def scenario():
+        cluster = await LiveCluster(num_peers=8, seed=7).start()
+        recorder = FlightRecorder()
+        cluster.attach_recorder(recorder)
+        gateway = await Gateway(cluster, recorder=recorder).start()
+        try:
+            session = await LiveSession.connect(*gateway.address, pool=1)
+            try:
+                for value in range(0, 1000, 36):
+                    await session.insert(float(value))
+                await churn(cluster)
+                for origin in sorted(cluster.network.peer_ids()):
+                    reply = await session.range(0.0, 1000.0, origin=origin)
+                    assert len(reply.result.matches) == 28
+            finally:
+                await session.close()
+        finally:
+            await gateway.shutdown(drain=True)
+            await cluster.stop()
+        return recorder.events()
+
+    return asyncio.run(scenario())
+
+
+async def join_one(cluster):
+    await cluster.join_peer()
+
+
+async def leave_one(cluster):
+    await cluster.leave_peer(sorted(cluster.network.peer_ids())[-1])
+
+
+class TestChurnReplay:
+    @pytest.mark.parametrize("churn, peers", [(join_one, 9), (leave_one, 7)], ids=["join", "leave"])
+    def test_a_recorded_join_or_leave_replays_clean(self, churn, peers):
+        events = record_churn(churn)
+        report = replay_events(events)
+        assert report.ok, report.divergence.format()
+        assert report.replies_checked == report.queries == peers
+        assert report.undelivered == 0
+
+    def test_a_join_placing_another_peer_diverges_at_the_join(self):
+        events = record_churn(join_one)
+        (join,) = [ev for ev in events if ev["type"] == "gossip" and ev["event"] == "join"]
+        join["peer"] += "0"
+        report = replay_events(events)
+        assert not report.ok
+        assert report.divergence.seq == join["seq"]
+        assert "join" in report.divergence.reason
+
+
 class TestTamperDetection:
     def test_edited_field_diverges_at_exactly_that_seq(self, tmp_path):
         _, events = record_soak(tmp_path)

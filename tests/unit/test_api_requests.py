@@ -47,11 +47,18 @@ class TestRequestWire:
 
     def test_non_default_options_round_trip(self):
         for options in (
-            RequestOptions(origin="010", deadline=2.5, replicas=3, retries=1),
-            RequestOptions(origin="012", deadline=0.5, retries=2, stream=True),
+            RequestOptions(origin="010", deadline=2.5, replicas=3),
+            RequestOptions(origin="012", deadline=0.5, stream=True, trace=True),
         ):
             rebuilt = RequestOptions.from_wire(json.loads(json.dumps(options.to_wire())))
             assert rebuilt == options
+
+    def test_an_older_clients_retries_key_is_ignored(self):
+        # A session submits a request once; "retries" is an unknown key now.
+        wire = {"op": "insert", "value": 42.0, "options": {"retries": 1, "replicas": 2}}
+        assert request_from_wire(wire) == Insert(
+            value=42.0, options=RequestOptions(replicas=2)
+        )
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ApiError, match="unknown request op"):
@@ -92,21 +99,14 @@ class TestRequestWire:
             RequestOptions(deadline=0.0)
         with pytest.raises(ApiError, match="replicas"):
             RequestOptions(replicas=0)
-        with pytest.raises(ApiError, match="retries"):
-            RequestOptions(retries=-1)
         # replicas is the write-copy count: a query refuses it
         with pytest.raises(ApiError, match="inserts only"):
             RangeQuery(low=0.0, high=1.0, options=RequestOptions(replicas=2))
         with pytest.raises(ApiError, match="inserts only"):
             MultiRangeQuery(ranges=((0.0, 1.0),), options=RequestOptions(replicas=2))
         with pytest.raises(ApiError, match="inserts only"):
-            RangeQuery(low=0.0, high=1.0).with_options(replicas=3)
+            RangeQuery(low=0.0, high=1.0, options=RequestOptions(deadline=9.0, replicas=3))
         assert Insert(value=1.0, options=RequestOptions(replicas=2)).options.replicas == 2
-
-    def test_with_options(self):
-        request = RangeQuery(low=0.0, high=1.0).with_options(deadline=9.0)
-        assert request.options.deadline == 9.0
-        assert request.low == 0.0
 
 
 class TestJobConversion:
@@ -117,12 +117,12 @@ class TestJobConversion:
         assert (request.low, request.high) == (5.0, 9.0)
         assert request.options.origin == "010"
 
-    def test_mira_job_with_option_changes(self):
+    def test_mira_job(self):
         job = QueryJob(arrival=0.0, origin="010", ranges=((0.0, 1.0), (2.0, 3.0)))
-        request = request_from_job(job, deadline=2.0)
+        request = request_from_job(job)
         assert isinstance(request, MultiRangeQuery)
-        assert request.options.deadline == 2.0
-        assert request.options.origin == "010"
+        assert request.ranges == ((0.0, 1.0), (2.0, 3.0))
+        assert request.options == RequestOptions(origin="010")
 
 
 class TestReplies:
