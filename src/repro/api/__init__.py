@@ -20,7 +20,6 @@ without dragging in — or cyclically re-entering — the live stack.
 
 from repro.api.requests import (
     ApiError,
-    Chunk,
     Insert,
     InsertReply,
     MultiInsert,
@@ -41,7 +40,6 @@ from repro.api.session import Session, SessionError
 
 __all__ = [
     "ApiError",
-    "Chunk",
     "Insert",
     "InsertReply",
     "LiveSession",

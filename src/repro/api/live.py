@@ -2,13 +2,13 @@
 
 One session owns a **pool** of gateway connections, each fully
 multiplexed: requests are rid-tagged frames, a background reader
-re-associates every reply (and streamed ``chunk`` frame) with its
-per-request future, so any number of requests can be in flight on one
-connection and complete out of order.  That machinery is the runtime's
-one framed connection (:class:`repro.runtime.protocol.Connection`, the
-class a peer link is too); a gateway connection adds only the
-``chunk``/``error`` frames the gateway pushes.  The pool spreads load
-across connections by picking the least-loaded one per request.
+re-associates every reply with its per-request future, so any number of
+requests can be in flight on one connection and complete out of order.
+That machinery is the runtime's one framed connection
+(:class:`repro.runtime.protocol.Connection`, the class a peer link is
+too); a gateway connection adds only the ``error`` frames the gateway
+pushes.  The pool spreads load across connections by picking the
+least-loaded one per request.
 """
 
 from __future__ import annotations
@@ -16,65 +16,41 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.api.requests import ApiError, Chunk, Reply, Request, reply_from_payload
-from repro.api.session import ChunkCallback, Session, SessionError
+from repro.api.requests import ApiError, Reply, Request, reply_from_payload
+from repro.api.session import Session, SessionError
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 from repro.runtime.protocol import Connection
 
 
 class _Pending(asyncio.Future):
-    """The reply future of one gateway request, with its rid, chunk sink
-    and chunk count."""
+    """The reply future of one gateway request, with its rid."""
 
-    def __init__(self, on_chunk: Optional[ChunkCallback]) -> None:
-        super().__init__(loop=asyncio.get_running_loop())
-        self.on_chunk = on_chunk
-        self.chunks = 0
-        self.rid = 0
+    rid = 0
 
 
 class _V2Connection(Connection):
     """One gateway connection (:meth:`Connection.open` dials it).
 
-    Adds to the framed connection the two frame types only a gateway
-    sends, ``chunk`` and ``error``.  Replies may arrive in any order — the
-    property test in ``tests/property`` hammers exactly this path.
+    Adds to the framed connection the one frame type only a gateway
+    sends, ``error``.  Replies may arrive in any order — the property test
+    in ``tests/property`` hammers exactly this path.
     """
 
-    def post(self, request: Request, on_chunk: Optional[ChunkCallback] = None) -> _Pending:
+    def post(self, request: Request) -> _Pending:
         """Register and buffer one request frame; returns its reply future,
-        which resolves to ``(payload, chunks)``.
+        which resolves to the ``reply`` frame.
 
         The caller owns flushing (:meth:`drain`) — :meth:`LiveSession.batch`
         posts many requests back-to-back and drains once.
         """
-        pending = _Pending(on_chunk)
+        pending = _Pending()
         frame = {"type": "request", "request": request.to_wire()}
         self.post_frame(frame, pending)
         pending.rid = frame["rid"]
         return pending
 
-    def _resolve(self, future: asyncio.Future, frame: Dict[str, Any]) -> None:
-        future.set_result((frame.get("payload", {}), future.chunks))
-
     def _on_frame(self, frame: Dict[str, Any]) -> None:
-        kind = frame.get("type")
-        if kind == "chunk":
-            pending = self._pending.get(frame.get("rid"))
-            if pending is not None:
-                pending.chunks += 1
-                if pending.on_chunk is not None:
-                    try:
-                        chunk = Chunk.from_wire(frame)
-                    except (TypeError, ValueError) as exc:
-                        # The framing is intact: this request fails, the
-                        # connection keeps serving the others.
-                        del self._pending[frame["rid"]]
-                        if not pending.done():
-                            pending.set_exception(ApiError(f"malformed chunk: {exc!r}"))
-                    else:
-                        pending.on_chunk(chunk)
-        elif kind == "error":
+        if frame.get("type") == "error":
             rid = frame.get("rid")
             message = frame.get("error", "unknown gateway error")
             if rid is not None:
@@ -153,16 +129,14 @@ class LiveSession(Session):
         return min(live, key=lambda connection: connection.in_flight)
 
     async def _reply(self, request: Request, future: _Pending) -> Reply:
-        payload, chunks = await asyncio.wait_for(future, self._reply_timeout(request))
-        return reply_from_payload(request, payload, chunks=chunks)
+        frame = await asyncio.wait_for(future, self._reply_timeout(request))
+        return reply_from_payload(request, frame.get("payload", {}))
 
-    async def submit(
-        self, request: Request, on_chunk: Optional[ChunkCallback] = None
-    ) -> Reply:
+    async def submit(self, request: Request) -> Reply:
         if self._closed:
             raise SessionError("session is closed")
         connection = self._pick_connection()
-        future = connection.post(request, on_chunk)
+        future = connection.post(request)
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:
             await connection.drain()
@@ -172,9 +146,7 @@ class LiveSession(Session):
             # late reply for its rid is ignored.
             connection.forget(future.rid)
 
-    async def batch(
-        self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
-    ) -> List[Reply]:
+    async def batch(self, requests: Sequence[Request]) -> List[Reply]:
         """Submit many requests with one flush per connection.
 
         The whole batch is posted before the first drain — one
@@ -186,7 +158,7 @@ class LiveSession(Session):
         touched = set()
         for request in requests:
             connection = self._pick_connection()
-            posted.append((connection, request, connection.post(request, on_chunk)))
+            posted.append((connection, request, connection.post(request)))
             touched.add(id(connection))
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:

@@ -10,7 +10,7 @@ live — is a :class:`Request` object:
 * :class:`Ping` — liveness probe.
 
 Each request carries :class:`RequestOptions`: the per-request knobs
-(origin pinning, deadline, write-copy count, streaming, tracing); the two
+(origin pinning, deadline, write-copy count, tracing); the two
 query requests also present ``(kind, ranges)`` — which executor, and its
 ``start`` argument.  A request serialises to a JSON object
 (:meth:`Request.to_wire`) — the exact payload a gateway ``request``
@@ -23,11 +23,9 @@ Replies are typed too: :class:`QueryReply` (status, latency, the full
 request, each defines its wire form once, encoder next to decoder:
 ``wire_type``, :meth:`Reply.to_wire` (what the gateway writes into a
 ``reply`` frame) and ``from_wire`` (what :func:`reply_from_payload`
-dispatches to on the client); a streamed :class:`Chunk` likewise
-(``to_wire`` / ``from_wire``, defined with the launch that emits it in
-:mod:`repro.core.deployment`).  Both session bindings return the *same*
-reply types, which is what lets the sim≡live equivalence test run entirely
-through the API layer.
+dispatches to on the client).  A query's answer is that one reply.  Both
+session bindings return the *same* reply types, which is what lets the
+sim≡live equivalence test run entirely through the API layer.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.deployment import Chunk, Deployment  # noqa: F401 - Chunk is re-exported
+from repro.core.deployment import Deployment
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import QueryJob
 from repro.wire import decode_value, encode_value
@@ -58,8 +56,6 @@ class RequestOptions:
       durably appended on the owner plus ``replicas - 1`` prefix-sibling
       peers, and the insert is acknowledged only after every copy synced.
       A query runs once; a query request with ``replicas > 1`` is refused;
-    * ``stream`` — ask for per-destination partial results (``chunk``
-      frames live, synchronous callbacks in the simulator);
     * ``trace`` — ask for a query-scoped span tree in the reply.  Every
       backend honours it.
     """
@@ -67,7 +63,6 @@ class RequestOptions:
     origin: Optional[str] = None
     deadline: Optional[float] = None
     replicas: int = 1
-    stream: bool = False
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -85,8 +80,6 @@ class RequestOptions:
             wire["deadline"] = self.deadline
         if self.replicas != 1:
             wire["replicas"] = self.replicas
-        if self.stream:
-            wire["stream"] = True
         if self.trace:
             wire["trace"] = True
         return wire
@@ -102,7 +95,6 @@ class RequestOptions:
             origin=wire.get("origin"),
             deadline=None if wire.get("deadline") is None else float(wire["deadline"]),
             replicas=int(wire.get("replicas", 1)),
-            stream=bool(wire.get("stream", False)),
             trace=bool(wire.get("trace", False)),
         )
 
@@ -327,7 +319,7 @@ class Reply:
         return {"ok": True, "type": self.wire_type}
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "Reply":
+    def from_wire(cls, payload: Dict[str, Any]) -> "Reply":
         return cls()
 
 
@@ -337,19 +329,16 @@ class QueryReply(Reply):
 
     ``status`` is ``"ok"`` (complete), ``"partial"`` (lost subtrees) or
     ``"deadline"``; ``latency`` is measured on the backend's clock
-    (wall-clock seconds live, simulated units sim); ``chunks`` counts the
-    streamed partial-result frames that preceded this summary (0 for
-    non-streaming requests; never on the wire — the client counts).
-    ``trace`` holds the query's span tree (a list of span dicts — see
-    :mod:`repro.obs.spans`) when the request asked for one and the backend
-    granted it; otherwise it is empty and ``trace_id`` is ``None``.
+    (wall-clock seconds live, simulated units sim).  ``trace`` holds the
+    query's span tree (a list of span dicts — see :mod:`repro.obs.spans`)
+    when the request asked for one and the backend granted it; otherwise it
+    is empty and ``trace_id`` is ``None``.
     """
 
     wire_type = "result"
     status: str = "ok"
     latency: float = 0.0
     result: RangeQueryResult = None  # type: ignore[assignment]
-    chunks: int = 0
     trace_id: Optional[str] = None
     trace: Tuple[Dict[str, Any], ...] = ()
 
@@ -357,16 +346,13 @@ class QueryReply(Reply):
         object.__setattr__(self, "ok", self.status == "ok")
 
     @classmethod
-    def completed(
-        cls, result: RangeQueryResult, latency: float, trace: Any = None, chunks: int = 0
-    ) -> "QueryReply":
+    def completed(cls, result: RangeQueryResult, latency: float, trace: Any = None) -> "QueryReply":
         """The reply for one :meth:`Deployment.launch` completion (``trace``
         is the collected :class:`~repro.obs.spans.QueryTrace`, or ``None``)."""
         return cls(
             status=result.status,
             latency=latency,
             result=result,
-            chunks=chunks,
             trace_id=trace.trace_id if trace is not None else None,
             trace=tuple(trace.to_wire()) if trace is not None else (),
         )
@@ -384,16 +370,11 @@ class QueryReply(Reply):
         return wire
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "QueryReply":
-        try:
-            result = RangeQueryResult.from_wire(payload["result"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ApiError(f"malformed result payload: {exc!r}") from exc
+    def from_wire(cls, payload: Dict[str, Any]) -> "QueryReply":
         return cls(
             status=payload["status"],
             latency=float(payload["latency"]),
-            result=result,
-            chunks=chunks,
+            result=RangeQueryResult.from_wire(payload["result"]),
             trace_id=payload.get("trace_id"),
             trace=tuple(payload.get("trace", ())),
         )
@@ -421,7 +402,7 @@ class InsertReply(Reply):
         )
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "InsertReply":
+    def from_wire(cls, payload: Dict[str, Any]) -> "InsertReply":
         return cls(
             object_id=payload["object_id"],
             owner=payload["owner"],
@@ -456,7 +437,7 @@ class GetReply(Reply):
         )
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "GetReply":
+    def from_wire(cls, payload: Dict[str, Any]) -> "GetReply":
         return cls(
             object_id=payload["object_id"],
             peer=payload.get("peer"),
@@ -475,7 +456,7 @@ class StatsReply(Reply):
         return dict(super().to_wire(), stats=self.stats)
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any], chunks: int = 0) -> "StatsReply":
+    def from_wire(cls, payload: Dict[str, Any]) -> "StatsReply":
         return cls(stats=payload["stats"])
 
 
@@ -492,13 +473,22 @@ REPLY_TYPES: Dict[str, type] = {
 }
 
 
-def reply_from_payload(request: Request, payload: Dict[str, Any], chunks: int = 0) -> Reply:
-    """Decode a gateway ``reply`` frame's payload into the typed reply for ``request``."""
+def reply_from_payload(request: Request, payload: Any) -> Reply:
+    """Decode a gateway ``reply`` frame's payload into the typed reply for ``request``.
+
+    Every way a payload can fail — an error answer, an unknown type, a
+    field missing or of the wrong shape — is an :class:`ApiError` for this
+    one request, never a ``KeyError`` or ``ValueError`` out of the session.
+    """
+    if not isinstance(payload, dict):
+        raise ApiError(f"malformed reply payload: not a JSON object: {payload!r}")
     if not payload.get("ok", False):
         raise ApiError(payload.get("error", "unknown gateway error"))
-    cls = REPLY_TYPES.get(payload.get("type"))
+    wire_type = payload.get("type")
+    cls = REPLY_TYPES.get(wire_type) if isinstance(wire_type, str) else None
     if cls is None:
-        raise ApiError(
-            f"undecodable reply type {payload.get('type')!r} for request op {request.op!r}"
-        )
-    return cls.from_wire(payload, chunks)
+        raise ApiError(f"undecodable reply type {wire_type!r} for request op {request.op!r}")
+    try:
+        return cls.from_wire(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ApiError(f"malformed {wire_type} payload: {exc!r}") from exc

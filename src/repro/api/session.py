@@ -41,7 +41,6 @@ import asyncio
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.requests import (
-    Chunk,
     Get,
     GetReply,
     Insert,
@@ -61,9 +60,6 @@ from repro.api.requests import (
 )
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
 
-#: callback receiving streamed partial results (``stream=True`` requests)
-ChunkCallback = Callable[[Chunk], None]
-
 
 class SessionError(RuntimeError):
     """A session-level failure (closed session, bad session argument)."""
@@ -79,9 +75,7 @@ class Session:
     # backend contract                                                     #
     # ------------------------------------------------------------------ #
 
-    async def submit(
-        self, request: Request, on_chunk: Optional[ChunkCallback] = None
-    ) -> Reply:
+    async def submit(self, request: Request) -> Reply:
         """Execute ``request`` once and return its typed reply."""
         raise NotImplementedError
 
@@ -113,13 +107,9 @@ class Session:
     # batches                                                              #
     # ------------------------------------------------------------------ #
 
-    async def batch(
-        self, requests: Sequence[Request], on_chunk: Optional[ChunkCallback] = None
-    ) -> List[Reply]:
+    async def batch(self, requests: Sequence[Request]) -> List[Reply]:
         """Submit many requests concurrently; replies in request order."""
-        return list(
-            await asyncio.gather(*(self.submit(request, on_chunk) for request in requests))
-        )
+        return list(await asyncio.gather(*(self.submit(request) for request in requests)))
 
     # ------------------------------------------------------------------ #
     # convenience verbs                                                    #
@@ -131,11 +121,10 @@ class Session:
         high: float,
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
         """Single-attribute range query ``[low, high]`` via PIRA."""
-        options = RequestOptions(origin=origin, deadline=deadline, stream=on_chunk is not None)
-        reply = await self.submit(RangeQuery(low=low, high=high, options=options), on_chunk)
+        options = RequestOptions(origin=origin, deadline=deadline)
+        reply = await self.submit(RangeQuery(low=low, high=high, options=options))
         assert isinstance(reply, QueryReply)
         return reply
 
@@ -144,13 +133,10 @@ class Session:
         ranges: Sequence[Tuple[float, float]],
         origin: Optional[str] = None,
         deadline: Optional[float] = None,
-        on_chunk: Optional[ChunkCallback] = None,
     ) -> QueryReply:
         """Multi-attribute box query via MIRA."""
-        options = RequestOptions(origin=origin, deadline=deadline, stream=on_chunk is not None)
-        reply = await self.submit(
-            MultiRangeQuery(ranges=tuple(ranges), options=options), on_chunk
-        )
+        options = RequestOptions(origin=origin, deadline=deadline)
+        reply = await self.submit(MultiRangeQuery(ranges=tuple(ranges), options=options))
         assert isinstance(reply, QueryReply)
         return reply
 

@@ -5,10 +5,10 @@ is the system's :class:`~repro.core.deployment.Deployment` — the same class,
 so the same rules, the live gateway calls: writes are named, placed (a
 placement with a crashed peer is refused before any copy) and copied by it,
 exact reads walk its failover order, and a query is its one ``launch``
-(default origin never a crashed peer, executor by kind, tracer on demand,
-chunks carrying the trace id).  This binding only adds the clock: a single
-query is launched and the discrete-event overlay drained to completion;
-workloads go through the one load driver bound to that clock
+(default origin never a crashed peer, executor by kind, tracer on demand).
+This binding only adds the clock: a single query is launched and the
+discrete-event overlay drained to completion; workloads go through the
+one load driver bound to that clock
 (:class:`~repro.engine.query_engine.QueryEngine`).  Latencies and deadlines
 are in **simulated time units** (the live binding measures the same fields
 in wall-clock seconds); a deadline is handed down to the executor's
@@ -26,7 +26,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.api.requests import (
     ApiError,
-    Chunk,
     Get,
     Insert,
     InsertReply,
@@ -41,7 +40,7 @@ from repro.api.requests import (
     Stats,
     StatsReply,
 )
-from repro.api.session import ChunkCallback, Session
+from repro.api.session import Session
 from repro.core.armada import ArmadaSystem
 from repro.core.errors import ArmadaError
 from repro.engine.query_engine import QueryEngine
@@ -76,13 +75,11 @@ class SimSession(Session):
     # single requests                                                      #
     # ------------------------------------------------------------------ #
 
-    async def submit(
-        self, request: Request, on_chunk: Optional[ChunkCallback] = None
-    ) -> Reply:
+    async def submit(self, request: Request) -> Reply:
         deployment = self.system.deployment
         try:
             if isinstance(request, (RangeQuery, MultiRangeQuery)):
-                return self._run_query(request, on_chunk)
+                return self._run_query(request)
             if isinstance(request, (Insert, MultiInsert)):
                 object_id, key, value = request.name(deployment)
                 peers = deployment.write(object_id, key, value, request.options.replicas)
@@ -110,18 +107,9 @@ class SimSession(Session):
             raise ApiError(str(exc)) from exc
         raise ApiError(f"SimSession cannot execute request op {request.op!r}")
 
-    def _run_query(
-        self, request: Request, on_chunk: Optional[ChunkCallback]
-    ) -> QueryReply:
+    def _run_query(self, request: Request) -> QueryReply:
         options = request.options
-        chunks = 0
         completed: list = []
-
-        def count(chunk: Chunk) -> None:
-            nonlocal chunks
-            chunks += 1
-            if on_chunk is not None:
-                on_chunk(chunk)
 
         # The executor's deadline timer is cancelled at completion, so the
         # drain below stops (and the clock with it) when the query does.
@@ -131,12 +119,11 @@ class SimSession(Session):
             options.origin,
             options.deadline if options.deadline is not None else self.deadline,
             tracer=self.tracer if options.trace else None,
-            on_chunk=count if options.stream or on_chunk is not None else None,
             on_complete=lambda *completion: completed.append(completion),
         )
         self.system.overlay.run()
         self.queries_served += 1
-        return QueryReply.completed(*completed[0], chunks=chunks)
+        return QueryReply.completed(*completed[0])
 
     # ------------------------------------------------------------------ #
     # workloads                                                            #

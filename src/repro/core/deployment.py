@@ -15,8 +15,7 @@ needs above the PIRA/MIRA executors:
   order skipping down peers, :meth:`Deployment.read_copy` is the one read
   rule (a holder serves its primary copy if it has one, else its replica);
 * :meth:`Deployment.launch`: origin default and validation, executor by
-  kind, tracer armed on demand, destination → :class:`Chunk`, completion →
-  result / latency / trace.
+  kind, tracer armed on demand, completion → result / latency / trace.
 
 Nothing here awaits: the simulator (:class:`~repro.core.armada.ArmadaSystem`,
 over the overlay) calls :meth:`Deployment.write` / :meth:`Deployment.read`
@@ -29,7 +28,6 @@ the flight-recorder replayer re-applies recorded copies through the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ArmadaError, QueryError
@@ -40,43 +38,8 @@ from repro.core.single_hash import SingleAttributeNamer
 from repro.core.transport import Transport
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.peer import StoredObject
-from repro.wire import decode_column, encode_column
 
 Interval = Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """One streamed partial result: a destination peer's report.
-
-    ``trace_id`` ties the chunk to its query's span tree when the request
-    was traced; ``None`` otherwise.
-    """
-
-    peer: str
-    hop: int
-    values: List[Any]
-    trace_id: Optional[str] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        """The fields of a protocol-v2 ``chunk`` frame (minus ``type``/``rid``)."""
-        wire = {
-            "peer": self.peer,
-            "hop": self.hop,
-            "values": encode_column(self.values),
-        }
-        if self.trace_id is not None:
-            wire["trace_id"] = self.trace_id
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "Chunk":
-        return cls(
-            peer=wire.get("peer", ""),
-            hop=int(wire.get("hop", 0)),
-            values=decode_column(wire.get("values", []), "values"),
-            trace_id=wire.get("trace_id"),
-        )
 
 
 class Deployment:
@@ -230,7 +193,6 @@ class Deployment:
         *,
         tracer: Any = None,
         on_start: Optional[Callable[[int, str], None]] = None,
-        on_chunk: Optional[Callable[[Chunk], None]] = None,
         on_complete: Optional[Callable[[RangeQueryResult, float, Any], None]] = None,
     ) -> RangeQueryResult:
         """Start one query; every failure raises before anything starts.
@@ -239,11 +201,9 @@ class Deployment:
         transport clock units (``None`` = unbounded); a ``tracer`` traces
         this query (arming the executor on first use).  ``on_start(query_id,
         origin)`` fires once everything is validated, before the origin fans
-        out; ``on_chunk`` gets a :class:`Chunk` per destination first reached
-        (carrying the trace id when traced); ``on_complete(result, latency,
-        trace)`` fires exactly once — possibly before this returns — with
-        the latency on the transport's clock and the collected span tree
-        (``None`` when untraced).
+        out; ``on_complete(result, latency, trace)`` fires exactly once —
+        possibly before this returns — with the latency on the transport's
+        clock and the collected span tree (``None`` when untraced).
         """
         executor = self.executors.get(kind)
         if executor is None:
@@ -261,8 +221,8 @@ class Deployment:
             # An executor keeps the tracer it was first armed with (another
             # session's, the replay's): the span tree is collected there.
             tracer = executor.tracer
-        # Pre-allocated so streamed chunks can carry the trace id from the
-        # very first (synchronous, origin-local) destination.
+        # Pre-allocated so ``on_start`` can record the id before
+        # ``executor.start`` fans out from the origin.
         query_id = next(executor._query_ids)
         trace_id = f"{kind}-{query_id}" if tracer is not None else None
         if on_start is not None:
@@ -270,17 +230,12 @@ class Deployment:
 
         transport = self.transport
         started = transport.now
-        complete = on_destination = None
+        complete = None
         if on_complete is not None:
 
             def complete(result: RangeQueryResult) -> None:
                 trace = tracer.take(trace_id) if tracer is not None else None
                 on_complete(result, transport.now - started, trace)
-
-        if on_chunk is not None:
-
-            def on_destination(peer_id: str, hop: int, new_matches: list) -> None:
-                on_chunk(Chunk(peer_id, hop, [stored.key for stored in new_matches], trace_id))
 
         return executor.start(
             origin,
@@ -288,6 +243,5 @@ class Deployment:
             deadline=deadline,
             query_id=query_id,
             on_complete=complete,
-            on_destination=on_destination,
             trace=tracer is not None,
         )

@@ -82,7 +82,6 @@ class MiraExecutor(ResumableExecutor):
         deadline: Optional[float] = None,
         query_id: Optional[int] = None,
         on_complete: Optional[Callable[[RangeQueryResult], None]] = None,
-        on_destination: Optional[Callable[[str, int, List[StoredObject]], None]] = None,
         trace: bool = False,
     ) -> RangeQueryResult:
         """Start the box query ``ranges`` (one ``(low, high)`` pair per
@@ -109,7 +108,7 @@ class MiraExecutor(ResumableExecutor):
                     *clipped.bounds(), key_lows, key_highs, len(origin_peer_id) - len(com_s)
                 )
             )
-        return self._launch(state, deadline, on_complete, on_destination, trace)
+        return self._launch(state, deadline, on_complete, trace)
 
     def ground_truth_destinations(self, ranges: Sequence[Tuple[float, float]]) -> Set[str]:
         """Peers whose zone box intersects the query box (oracle, for tests)."""

@@ -196,7 +196,6 @@ class PiraExecutor(ResumableExecutor):
         deadline: Optional[float] = None,
         query_id: Optional[int] = None,
         on_complete: Optional[Callable[[RangeQueryResult], None]] = None,
-        on_destination: Optional[Callable[[str, int, List[StoredObject]], None]] = None,
         trace: bool = False,
     ) -> RangeQueryResult:
         """Start the query ``ranges = [(low, high)]`` without running the simulator.
@@ -207,10 +206,8 @@ class PiraExecutor(ResumableExecutor):
         :meth:`~repro.core.resumable.ResumableExecutor._launch`); many
         started queries interleave on one clock.  ``deadline`` bounds the
         query on the transport's clock (``None`` = unbounded).
-        ``on_destination`` streams ``(peer_id, hop, new_matches)`` as each
-        destination peer is first reached — partial results before the
-        query completes.  ``trace=True`` opens a span tree for this query
-        when a tracer is attached (see :meth:`set_tracer`).
+        ``trace=True`` opens a span tree for this query when a tracer is
+        attached (see :meth:`set_tracer`).
         """
         low_value, high_value = self._single_range(ranges)
         query_id = self._claim_query_id(origin_peer_id, query_id)
@@ -227,9 +224,7 @@ class PiraExecutor(ResumableExecutor):
                     dest_level=destination_level(origin_peer_id, subregion),
                 )
             )
-        return self._launch(
-            state, deadline, on_complete, on_destination, trace, low=low_value, high=high_value
-        )
+        return self._launch(state, deadline, on_complete, trace, low=low_value, high=high_value)
 
     @staticmethod
     def _single_range(ranges: Sequence[Tuple[float, float]]) -> Tuple[float, float]:

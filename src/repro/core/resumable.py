@@ -4,8 +4,8 @@ PIRA and MIRA are one descent of the origin's forward routing tree with two
 different pruning tests.  Everything but the pruning lives here, once:
 per-query state keyed by ``query_id``, per-send bookkeeping for completion
 detection, the visited dedup of FRT occurrences, the destination record
-(fewest hops, first-reach scan, streaming hook), drop accounting so churn
-cannot strand a query, and the completion callback.
+(fewest hops, first-reach scan), drop accounting so churn cannot strand a
+query, and the completion callback.
 
 A query's lifecycle has one place for each rule:
 
@@ -51,8 +51,8 @@ and no timers are scheduled.
 
 A query is owned here **from start to verdict**.  Both executors take the
 same call, ``start(origin, ranges, *, deadline=None, query_id=None,
-on_complete=None, on_destination=None, trace=False)``: each validates its
-``ranges`` and builds its branches, then hands to :meth:`ResumableExecutor._launch`,
+on_complete=None, trace=False)``: each validates its ``ranges`` and
+builds its branches, then hands to :meth:`ResumableExecutor._launch`,
 which registers the state, opens the trace, fans out from the origin and —
 if the query is still in flight and ``deadline`` is not ``None`` — arms the
 one deadline timer a query has (``transport.schedule_after``, so it counts
@@ -145,11 +145,6 @@ class QueryState:
     #: the query while its origin is still fanning out)
     processing: bool = False
     on_complete: Optional[Callable[[Any], None]] = None
-    #: streaming hook: fired as ``(peer_id, hop, new_matches)`` each time a
-    #: destination peer is reached for the first time — the gateway's
-    #: protocol-v2 partial-reply chunks and the API layer's ``on_chunk``
-    #: callbacks are both fed from here
-    on_destination: Optional[Callable[[str, int, List[Any]], None]] = None
     #: the query's span tree (``None`` unless a tracer traced this query —
     #: the single check every tracing hook hides behind)
     trace: Any = None
@@ -219,7 +214,6 @@ class ResumableExecutor:
         state: QueryState,
         deadline: Optional[float],
         on_complete: Optional[Callable[[Any], None]],
-        on_destination: Optional[Callable[[str, int, List[Any]], None]],
         trace: bool,
         **trace_attributes: Any,
     ) -> Any:
@@ -235,7 +229,6 @@ class ResumableExecutor:
         origin's sends.
         """
         state.on_complete = on_complete
-        state.on_destination = on_destination
         result = state.result
         self._active[result.query_id] = state
         if self.tracer is not None:
@@ -398,7 +391,7 @@ class ResumableExecutor:
 
     def _reach(self, peer: Any, hop: int, branch: Any, state: QueryState) -> bool:
         """A destination-level occurrence of ``peer``: record its fewest hops
-        and, the first time it is reached, take its matches and stream them.
+        and, the first time it is reached, take its matches.
 
         The destination test (:meth:`_intersects`) is applied where a send
         is decided, not on arrival: a tree hop's last pruning test is that
@@ -414,10 +407,7 @@ class ResumableExecutor:
                 result.destinations[peer_id] = hop
             return False
         result.destinations[peer_id] = hop
-        new_matches = self._scan(peer, branch, state)
-        result.matches.extend(new_matches)
-        if state.on_destination is not None:
-            state.on_destination(peer_id, hop, new_matches)
+        result.matches.extend(self._scan(peer, branch, state))
         return True
 
     def _on_drop(self, message: Message) -> None:

@@ -26,8 +26,8 @@ for the simulator).  The pieces:
   :class:`~repro.core.armada.ArmadaSystem` with the same seed are
   topologically identical);
 * :mod:`~repro.runtime.gateway` — the TCP front door: the same framed
-  connection, multiplexed (rid-tagged requests answered in completion
-  order, streamed partial replies); its client is
+  connection, multiplexed (rid-tagged requests, one reply each, answered
+  in completion order); its client is
   :class:`repro.api.LiveSession`;
 * :mod:`~repro.runtime.loadgen` — the seeded mixed workload, and the one
   load driver (:class:`~repro.engine.query_engine.LoadDriver`) bound to the

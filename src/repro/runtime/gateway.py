@@ -10,10 +10,6 @@ client frame                                gateway frames
 ``{"type":"request","rid":N,                one ``{"type":"reply","rid":N,...}``
   "request":{"op":...}}``                   frame, **in completion order** — many
                                             requests multiplex on one connection
-request with ``"options":{"stream":true}``  ``{"type":"chunk","rid":N,"peer":..,``
-                                            ``"hop":..,"values":[..]}`` per
-                                            destination peer as it reports, then
-                                            the summary ``reply`` frame
 ``{"type":"quit"}``                         closes the connection
 =========================================  ========================================
 
@@ -24,11 +20,11 @@ reply on every connection.
 Request objects are the :mod:`repro.api.requests` wire forms —
 ``range`` / ``mrange`` / ``insert`` / ``minsert`` / ``get`` / ``stats`` /
 ``ping`` ops with per-request options (``origin``, ``deadline``,
-``stream``, ``trace``) — and so are the replies: the gateway builds the
+``trace``, ``replicas``) — and so are the replies: the gateway builds the
 typed :class:`~repro.api.requests.Reply` and writes its ``to_wire()``, the
 same definition the client decodes with.  What a request *does* is not decided
 here either: naming a write, and launching a query (origin default and
-validation, executor by kind, tracer, chunks), are calls into the cluster's
+validation, executor by kind, tracer), are calls into the cluster's
 :class:`~repro.core.deployment.Deployment` — the calls ``SimSession`` makes.
 The gateway owns the connection: rid table, in-flight set, deadline
 default, metrics and recorder taps, reply writer.
@@ -55,8 +51,7 @@ result object the simulator would have produced.  Its ``matches`` travel
 as columns (:func:`repro.storage.base.objects_to_wire`), and a column of
 floats as packed doubles (:func:`repro.wire.encode_column`): a reply grows
 with the range, a dict per match was most of what a wide query cost, and
-printing each double as decimal text was most of what was left.  A
-streamed ``chunk`` spells its ``values`` with the same column codec.
+printing each double as decimal text was most of what was left.
 
 Every in-flight query is guarded by a **deadline** (wall-clock seconds,
 per-request option or the gateway default), handed to the executor's
@@ -76,7 +71,6 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.api.requests import (
     ApiError,
-    Chunk,
     Get,
     Insert,
     InsertReply,
@@ -355,12 +349,6 @@ class Gateway:
             return
 
         if isinstance(request, (RangeQuery, MultiRangeQuery)):
-            on_chunk: Optional[Callable[[Chunk], None]] = None
-            if request.options.stream:
-
-                def on_chunk(chunk: Chunk, rid: int = rid) -> None:
-                    self._write_frame(writer, {"type": "chunk", "rid": rid, **chunk.to_wire()})
-
             def finish(payload: Dict[str, Any], rid: int = rid) -> Optional[bytes]:
                 pending_rids.discard(rid)
                 # The payload nests under the envelope so the frame's own
@@ -368,7 +356,7 @@ class Gateway:
                 return self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
 
             try:
-                self._start_query(request, on_chunk, finish)
+                self._start_query(request, finish)
             except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
                 finish({"ok": False, "error": str(exc)})
             return
@@ -455,7 +443,6 @@ class Gateway:
     def _start_query(
         self,
         request: Request,
-        on_chunk: Optional[Callable[[Chunk], None]],
         finish: Callable[[Dict[str, Any]], Optional[bytes]],
     ) -> None:
         """Start one query; ``finish(payload)`` fires exactly once with the
@@ -467,7 +454,7 @@ class Gateway:
         request loop pipelines queries at the cost of the executor's one
         deadline timer each.  What the request *does* is the deployment's
         one :meth:`~repro.core.deployment.Deployment.launch` (origin,
-        executor, tracer, chunks); validation failures raise out of it
+        executor, tracer); validation failures raise out of it
         before anything is registered here.  The query is traced when its
         request asks for it (``options.trace``).
         """
@@ -525,7 +512,6 @@ class Gateway:
                 deadline,
                 tracer=self.tracer if options.trace else None,
                 on_start=started,
-                on_chunk=on_chunk,
                 on_complete=complete,
             )
         except BaseException:

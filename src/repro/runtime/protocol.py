@@ -29,8 +29,8 @@ connections (:mod:`repro.api.live`) and the three listeners (peer node,
 storenode, gateway) are all these two.
 
 A gateway connection is the same connection: rid-tagged ``request``
-frames answered by ``reply`` frames, plus the ``chunk`` and
-:func:`error_frame` frames the gateway pushes; :mod:`repro.runtime.gateway`
+frames answered by one ``reply`` frame each, plus the :func:`error_frame`
+frames the gateway pushes; :mod:`repro.runtime.gateway`
 documents that dialogue.
 
 The mapping between the simulator's :class:`~repro.sim.network.Message`
@@ -306,16 +306,12 @@ class Connection:
         nothing else, and unknown frames are ignored for forward
         compatibility; raising ends the connection with that error."""
 
-    def _resolve(self, future: asyncio.Future, frame: Dict[str, Any]) -> None:
-        """What a ``reply`` frame is worth to the request's awaiter."""
-        future.set_result(frame)
-
     async def _read_frames(self) -> None:
         while (frame := await read_frame(self._reader)) is not None:
             if frame.get("type") == "reply":
                 future = self._pending.pop(frame.get("rid"), None)
                 if future is not None and not future.done():
-                    self._resolve(future, frame)
+                    future.set_result(frame)
             else:
                 self._on_frame(frame)
 

@@ -11,8 +11,8 @@ dicts or other tuples survive too.
 
 A **column** — a list of values that crosses a socket as one unit: the
 ``object_id`` / ``key`` / ``value`` lists of a reply's ``matches``
-(:func:`repro.storage.base.objects_to_wire`), a streamed chunk's ``values``
-— has one spelling, chosen by :func:`encode_column` from the data alone:
+(:func:`repro.storage.base.objects_to_wire`) — has one spelling, chosen by
+:func:`encode_column` from the data alone:
 
 * a non-empty column whose every element has exact type ``float`` is
   ``{"f64": "<base64>"}`` — the elements as little-endian IEEE-754

@@ -8,8 +8,8 @@ engine or client calls — because that is the redesign's contract:
   including the object publication);
 * a single protocol-v2 connection really pipelines: ≥ 4 requests
   concurrently in flight, replies completing out of order;
-* streaming (``chunk`` frames / sim callbacks) and ``batch`` submission
-  behave identically on both backends.
+* a query's keys, and ``batch`` submission, are identical on both
+  backends.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import RangeQuery, RequestOptions
 from repro.api.live import LiveSession
-from repro.api.requests import ApiError, Chunk, InsertReply, PongReply, QueryReply
+from repro.api.requests import ApiError, InsertReply, PongReply, QueryReply
 from repro.api.sim import SimSession
 from repro.core.armada import ArmadaSystem
 from repro.engine import QueryJob
@@ -118,8 +118,10 @@ class TestSimLiveEquivalenceThroughSession:
 
         asyncio.run(scenario())
 
-    def test_streaming_chunks_agree_between_backends(self):
-        """``stream=True``: per-destination chunks, identical on both sides."""
+    def test_keys_are_type_and_bit_equal_between_backends(self):
+        """A reply's keys cross the socket through the column codec: the live
+        ones are type- and bit-equal to the simulator's, which crossed no
+        socket — for PIRA's floats and MIRA's tuples of floats."""
 
         async def scenario():
             sim = make_sim_session(16)
@@ -127,52 +129,24 @@ class TestSimLiveEquivalenceThroughSession:
             try:
                 await seed_through_session(sim)
                 await seed_through_session(live)
-                sim_chunks: list = []
-                live_chunks: list = []
                 origin = sorted(cluster.network.peer_ids())[0]
-                sim_reply = await sim.range(
-                    100.0, 700.0, origin=origin, on_chunk=sim_chunks.append
-                )
-                live_reply = await live.range(
-                    100.0, 700.0, origin=origin, on_chunk=live_chunks.append
-                )
-
-                assert sim_reply.chunks == len(sim_chunks) > 0
-                assert live_reply.chunks == len(live_chunks) > 0
-                for chunk in sim_chunks + live_chunks:
-                    assert isinstance(chunk, Chunk)
-                # One chunk per destination peer, carrying that peer's new
-                # matches — summing them reassembles the full result set.
-                assert {c.peer for c in live_chunks} == set(
-                    live_reply.result.destinations
-                )
-                assert sorted((c.peer, c.hop) for c in live_chunks) == sorted(
-                    (c.peer, c.hop) for c in sim_chunks
-                )
-                assert sorted(
-                    value for c in live_chunks for value in c.values
-                ) == sorted(live_reply.result.matching_values())
-
-                # A chunk and the final reply spell a list of keys with the
-                # same column codec: what streamed is type- and bit-equal to
-                # the reply's keys (and to the simulator's, which crossed no
-                # socket) — for PIRA's floats and MIRA's tuples of floats.
                 box = ((0.0, 1000.0), (100.0, 900.0))
-                sim_box_chunks: list = []
-                live_box_chunks: list = []
-                sim_box = await sim.multi_range(box, origin=origin, on_chunk=sim_box_chunks.append)
-                live_box = await live.multi_range(
-                    box, origin=origin, on_chunk=live_box_chunks.append
-                )
-                for kind, sim_side, live_side, reply in (
-                    (float, sim_chunks, live_chunks, live_reply),
-                    (tuple, sim_box_chunks, live_box_chunks, live_box),
+                for kind, sim_reply, live_reply in (
+                    (
+                        float,
+                        await sim.range(100.0, 700.0, origin=origin),
+                        await live.range(100.0, 700.0, origin=origin),
+                    ),
+                    (
+                        tuple,
+                        await sim.multi_range(box, origin=origin),
+                        await live.multi_range(box, origin=origin),
+                    ),
                 ):
-                    streamed = exact_bits(value for c in live_side for value in c.values)
-                    assert len(streamed) > 1 and {name for name, _ in streamed} == {kind.__name__}
-                    assert streamed == exact_bits(reply.result.matching_values())
-                    assert streamed == exact_bits(value for c in sim_side for value in c.values)
-                assert sim_box.result.destinations == live_box.result.destinations
+                    keys = exact_bits(live_reply.result.matching_values())
+                    assert len(keys) > 1 and {name for name, _ in keys} == {kind.__name__}
+                    assert keys == exact_bits(sim_reply.result.matching_values())
+                    assert live_reply.result.destinations == sim_reply.result.destinations
             finally:
                 await live.close()
                 await gateway.shutdown()
@@ -251,23 +225,19 @@ class TestOneRuleOnBothBackends:
         asyncio.run(scenario())
 
     @pytest.mark.parametrize("backend", ["sim", "live"])
-    def test_streamed_chunks_carry_the_trace_id(self, backend):
+    def test_a_traced_query_is_traced_under_its_own_query_id(self, backend):
         async def scenario():
             session, owner, close = await self.boot(backend, 16)
             try:
                 await seed_through_session(session)
-                chunks: list = []
                 request = RangeQuery(
                     low=100.0,
                     high=700.0,
-                    options=RequestOptions(
-                        origin=owner.network.peer_ids()[0], stream=True, trace=True
-                    ),
+                    options=RequestOptions(origin=owner.network.peer_ids()[0], trace=True),
                 )
-                reply = await session.submit(request, chunks.append)
-                assert reply.trace_id is not None and reply.trace
-                assert reply.chunks == len(chunks) > 0
-                assert {chunk.trace_id for chunk in chunks} == {reply.trace_id}
+                reply = await session.submit(request)
+                assert reply.trace
+                assert reply.trace_id == f"pira-{reply.result.query_id}"
             finally:
                 await close()
 

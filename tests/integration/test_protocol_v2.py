@@ -13,7 +13,8 @@ import contextlib
 import pytest
 
 from repro.api.live import LiveSession
-from repro.api.requests import ApiError, Insert
+from repro.api.requests import ApiError, Get, Insert, RangeQuery, Stats
+from repro.core.pira import RangeQueryResult
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.node import PeerNode
@@ -23,6 +24,8 @@ from repro.wire import encode_column
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
+#: a decodable (empty) query result, for payloads damaged elsewhere
+EMPTY_RESULT = RangeQueryResult(origin="010", query_id=1).to_wire()
 
 
 async def boot(num_peers: int = 8):
@@ -157,6 +160,33 @@ class TestFrameErrors:
                 reply = await read_frame(reader)
                 assert (reply["type"], reply["rid"]) == ("reply", 4)
                 assert reply["payload"]["type"] == "pong"
+                writer.close()
+            finally:
+                await teardown(cluster, gateway)
+
+        asyncio.run(scenario())
+
+    def test_an_older_clients_stream_option_gets_exactly_one_reply(self):
+        """A query's answer is one ``reply`` frame: an older client's
+        ``"stream"`` option is ignored like any unknown key, and nothing
+        else is written for the request — the next frame answers a ping."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            try:
+                reader, writer = await asyncio.open_connection(*gateway.address)
+                query = {"op": "range", "low": 0.0, "high": 1000.0, "options": {"stream": True}}
+                writer.write(encode_frame({"type": "request", "rid": 5, "request": query}))
+                await writer.drain()
+                reply = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert (reply["type"], reply["rid"]) == ("reply", 5)
+                assert reply["payload"]["status"] == "ok"
+                assert reply["payload"]["result"]["destinations"]
+                writer.write(encode_frame({"type": "request", "rid": 6, "request": {"op": "ping"}}))
+                await writer.drain()
+                pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert (pong["type"], pong["rid"]) == ("reply", 6)
+                assert pong["payload"]["type"] == "pong"
                 writer.close()
             finally:
                 await teardown(cluster, gateway)
@@ -445,37 +475,36 @@ class TestOneAttempt:
 
 
 class TestMalformedResult:
-    """A ``result`` payload the session cannot decode is an ``ApiError`` for
+    """A reply payload the session cannot decode is an ``ApiError`` for
     that request — never a ``KeyError`` out of ``submit``/``batch`` — and
     the connection (whose framing is intact) keeps serving."""
 
     @staticmethod
-    def run_against_damaged_gateway(damage, scenario, chunk_values=None):
-        """Run ``scenario(session)`` against a gateway that answers every
-        range query with a two-match result whose ``matches`` went through
-        ``damage`` (preceded by one ``chunk`` carrying ``chunk_values``, if
-        given) — and a ``ping`` honestly."""
-        from repro.core.pira import RangeQueryResult
+    def run_against_damaged_gateway(damage, scenario, payload=None):
+        """Run ``scenario(session)`` against a gateway that answers a
+        ``ping`` honestly and every other request with ``payload`` — by
+        default a two-match result whose ``matches`` went through
+        ``damage``."""
         from repro.fissione.peer import StoredObject
 
-        result = RangeQueryResult(origin="010", query_id=1)
-        result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
-        wire = result.to_wire()
-        assert wire["matches"]["key"] == encode_column([1.0, 2.0])
-        damage(wire["matches"])
-        answer = {"ok": True, "type": "result", "status": "ok", "latency": 0.0, "result": wire}
+        if payload is None:
+            result = RangeQueryResult(origin="010", query_id=1)
+            result.matches = [StoredObject("0101", 1.0, 1.0), StoredObject("0102", 2.0, 2.0)]
+            wire = result.to_wire()
+            assert wire["matches"]["key"] == encode_column([1.0, 2.0])
+            damage(wire["matches"])
+            payload = {"ok": True, "type": "result", "status": "ok", "latency": 0.0, "result": wire}
+        pong = {"ok": True, "type": "pong"}
 
         async def run():
             async def gateway(reader, writer):
                 try:
                     while (frame := await read_frame(reader)) is not None:
-                        rid, ping = frame["rid"], frame["request"]["op"] == "ping"
-                        if chunk_values is not None and not ping:
-                            chunk = {"type": "chunk", "rid": rid, "peer": "010", "hop": 1}
-                            writer.write(encode_frame({**chunk, "values": chunk_values}))
-                        payload = {"ok": True, "type": "pong"} if ping else answer
-                        reply = {"type": "reply", "rid": rid, "payload": payload}
-                        writer.write(encode_frame(reply))
+                        ping = frame["request"]["op"] == "ping"
+                        answer = pong if ping else payload
+                        writer.write(
+                            encode_frame({"type": "reply", "rid": frame["rid"], "payload": answer})
+                        )
                         await writer.drain()
                 finally:
                     writer.close()
@@ -493,8 +522,6 @@ class TestMalformedResult:
         asyncio.run(run())
 
     def test_unequal_match_columns_raise_api_error_through_a_session(self):
-        from repro.api.requests import RangeQuery
-
         async def scenario(session):
             query = RangeQuery(low=0.0, high=10.0)
             with pytest.raises(ApiError, match="malformed result payload.*unequal length"):
@@ -517,8 +544,6 @@ class TestMalformedResult:
         ],
     )
     def test_malformed_packed_column_fails_one_request_not_the_connection(self, damage, complaint):
-        from repro.api.requests import RangeQuery
-
         async def scenario(session):
             with pytest.raises(ApiError, match=f"malformed result.*column 'key'.*{complaint}"):
                 await session.range(0.0, 10.0)
@@ -529,17 +554,48 @@ class TestMalformedResult:
 
         self.run_against_damaged_gateway(damage, scenario)
 
-    def test_malformed_chunk_column_fails_one_request_not_the_connection(self):
-        """A streamed ``chunk`` spells its values with the same column codec,
-        and a damaged one costs the request it belongs to, nothing else."""
-
+    @pytest.mark.parametrize(
+        "request_, payload, complaint",
+        [
+            (
+                RangeQuery(low=0.0, high=10.0),
+                {"ok": True, "type": "result", "latency": 0.0, "result": EMPTY_RESULT},
+                r"malformed result payload: KeyError\('status'\)",
+            ),
+            (
+                RangeQuery(low=0.0, high=10.0),
+                {
+                    "ok": True,
+                    "type": "result",
+                    "status": "ok",
+                    "latency": "fast",
+                    "result": EMPTY_RESULT,
+                },
+                "malformed result payload: ValueError",
+            ),
+            (
+                Insert(value=1.0),
+                {"ok": True, "type": "inserted", "owner": "010"},
+                r"malformed inserted payload: KeyError\('object_id'\)",
+            ),
+            (
+                Get(value=1.0),
+                {"ok": True, "type": "found", "peer": "010"},
+                r"malformed found payload: KeyError\('object_id'\)",
+            ),
+            (
+                Stats(),
+                {"ok": True, "type": "stats"},
+                r"malformed stats payload: KeyError\('stats'\)",
+            ),
+            (Insert(value=1.0), [1, 2], "malformed reply payload: not a JSON object"),
+        ],
+        ids=["no-status", "latency-not-a-number", "inserted", "found", "stats", "a-list"],
+    )
+    def test_any_undecodable_payload_is_an_api_error(self, request_, payload, complaint):
         async def scenario(session):
-            with pytest.raises(ApiError, match="malformed chunk.*column 'values'"):
-                await session.range(0.0, 10.0, on_chunk=lambda chunk: None)
-            await session.ping()
-            reply = await session.range(0.0, 10.0)  # nobody listening: chunk not decoded
-            assert reply.chunks == 1 and reply.result.matching_values() == [1.0, 2.0]
+            with pytest.raises(ApiError, match=complaint):
+                await session.submit(request_)
+            await session.ping()  # pool=1: the same connection, still serving
 
-        self.run_against_damaged_gateway(
-            lambda matches: None, scenario, chunk_values={"f64": "AAAAAAAA"}
-        )
+        self.run_against_damaged_gateway(None, scenario, payload)

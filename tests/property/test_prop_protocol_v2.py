@@ -6,10 +6,11 @@ re-association must be correct under every interleaving, not just the
 ones a live gateway happens to produce.
 
 Hypothesis drives a scripted in-test server that answers a batch of
-requests in an arbitrary permutation, interleaving each reply's ``chunk``
-frames, and the test asserts every :class:`~repro.api.live.LiveSession`
-future resolves to *its own* request's payload (the reply echoes a value
-derived from the request, so a mix-up cannot cancel out).
+requests in an arbitrary permutation, interleaving rid-tagged frames of a
+type the client does not know (which it promises to ignore), and the test
+asserts every :class:`~repro.api.live.LiveSession` future resolves to *its
+own* request's payload (the reply echoes a value derived from the request,
+so a mix-up cannot cancel out).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from repro.api.requests import Insert
 from repro.runtime.protocol import encode_frame, read_frame
 
 
-async def _permuting_server_round(permutation, chunk_counts):
+async def _permuting_server_round(permutation, unknown_counts):
     """One client/server exchange: the server replies in ``permutation``
-    order; each reply is preceded by that request's ``chunk`` frames."""
+    order; each reply is preceded by unknown frames tagged with its rid."""
     count = len(permutation)
     received: dict = {}
 
@@ -36,18 +37,8 @@ async def _permuting_server_round(permutation, chunk_counts):
             received[frame["rid"]] = frame["request"]
         rids = [frames[index]["rid"] for index in permutation]
         for order, rid in enumerate(rids):
-            for chunk_index in range(chunk_counts[permutation[order]]):
-                writer.write(
-                    encode_frame(
-                        {
-                            "type": "chunk",
-                            "rid": rid,
-                            "peer": f"peer-{rid}",
-                            "hop": chunk_index,
-                            "values": [],
-                        }
-                    )
-                )
+            for index in range(unknown_counts[permutation[order]]):
+                writer.write(encode_frame({"type": "telemetry", "rid": rid, "index": index}))
             # The reply echoes the request's own value back through a field
             # the client returns verbatim — the re-association witness.
             writer.write(
@@ -72,17 +63,7 @@ async def _permuting_server_round(permutation, chunk_counts):
     try:
         connection = await _V2Connection.open("127.0.0.1", port)
         try:
-            chunks_seen = [0] * count
-            futures = []
-            for index in range(count):
-                on_chunk = (
-                    lambda chunk, index=index: chunks_seen.__setitem__(
-                        index, chunks_seen[index] + 1
-                    )
-                )
-                futures.append(
-                    connection.post(Insert(value=float(index)), on_chunk=on_chunk)
-                )
+            futures = [connection.post(Insert(value=float(index))) for index in range(count)]
             await connection.drain()
             results = await asyncio.gather(*futures)
         finally:
@@ -91,26 +72,25 @@ async def _permuting_server_round(permutation, chunk_counts):
         server.close()
         await server.wait_closed()
 
-    for index, (payload, chunk_total) in enumerate(results):
-        assert payload["object_id"] == str(float(index)), (
-            f"request {index} got someone else's reply: {payload}"
+    for index, frame in enumerate(results):
+        assert frame["type"] == "reply"
+        assert frame["payload"]["object_id"] == str(float(index)), (
+            f"request {index} got someone else's reply: {frame}"
         )
-        assert chunk_total == chunk_counts[index]
-        assert chunks_seen[index] == chunk_counts[index]
 
 
 @st.composite
 def interleavings(draw):
     count = draw(st.integers(min_value=1, max_value=8))
     permutation = draw(st.permutations(range(count)))
-    chunk_counts = draw(
+    unknown_counts = draw(
         st.lists(st.integers(min_value=0, max_value=3), min_size=count, max_size=count)
     )
-    return permutation, chunk_counts
+    return permutation, unknown_counts
 
 
 @settings(max_examples=30, deadline=None)
 @given(interleavings())
 def test_interleaved_replies_reassociate_to_their_futures(case):
-    permutation, chunk_counts = case
-    asyncio.run(_permuting_server_round(list(permutation), chunk_counts))
+    permutation, unknown_counts = case
+    asyncio.run(_permuting_server_round(list(permutation), unknown_counts))

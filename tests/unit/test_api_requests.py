@@ -48,7 +48,7 @@ class TestRequestWire:
     def test_non_default_options_round_trip(self):
         for options in (
             RequestOptions(origin="010", deadline=2.5, replicas=3),
-            RequestOptions(origin="012", deadline=0.5, stream=True, trace=True),
+            RequestOptions(origin="012", deadline=0.5, trace=True),
         ):
             rebuilt = RequestOptions.from_wire(json.loads(json.dumps(options.to_wire())))
             assert rebuilt == options
@@ -59,6 +59,11 @@ class TestRequestWire:
         assert request_from_wire(wire) == Insert(
             value=42.0, options=RequestOptions(replicas=2)
         )
+
+    def test_an_older_clients_stream_key_is_ignored(self):
+        # A query's answer is one reply; "stream" is an unknown key now.
+        wire = {"op": "range", "low": 1.0, "high": 2.0, "options": {"stream": True}}
+        assert request_from_wire(wire) == RangeQuery(low=1.0, high=2.0)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ApiError, match="unknown request op"):
@@ -148,9 +153,9 @@ class TestReplies:
             "latency": 0.25,
             "result": self.make_result().to_wire(),
         }
-        reply = reply_from_payload(RangeQuery(low=0.0, high=1.0), payload, chunks=3)
+        reply = reply_from_payload(RangeQuery(low=0.0, high=1.0), payload)
         assert isinstance(reply, QueryReply)
-        assert reply.chunks == 3
+        assert reply.latency == 0.25
         assert reply.result.destinations == {"012": 2}
 
     @pytest.mark.parametrize(

@@ -177,14 +177,19 @@ class TestMatchOrder:
             value = round(rng.uniform(0.0, 100.0), 0)
             key = int(value) if index % 3 == 0 else value
             network.publish(namer.name(float(value)), key=key, value=index)
+        scan = executor._scan
+        batches = []
+
+        def recording_scan(peer, branch, state):
+            found = scan(peer, branch, state)
+            batches.append(list(found))
+            return found
+
+        executor._scan = recording_scan
         origin = network.peer_ids()[0]
         for low, high in ((0.0, 100.0), (12.5, 61.0), (40.0, 40.0)):
-            batches = []
-            result = executor.start(
-                origin,
-                [(low, high)],
-                on_destination=lambda peer, hop, found: batches.append(list(found)),
-            )
+            batches.clear()
+            result = executor.start(origin, [(low, high)])
             overlay.run()
             assert len(batches) == result.destination_count
             for batch in batches:
