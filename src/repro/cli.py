@@ -4,6 +4,12 @@ Every command is its own subparser, so ``repro <command> --help`` lists
 exactly the flags that command reads and a flag it does not read is an
 argparse error (exit 2), never silently ignored.
 
+A live command (and ``faults``) exposes a field of its spec by naming it in
+:func:`_spec_flags`: the flag's name, type and default are the field's, and
+its help is the field's ``#:`` comment, so a field is described once, in
+its spec.  Only flags that set no spec field (``--profile``, ``--store``,
+``--require-*``, the comma lists, ...) are written out here.
+
 Examples
 --------
 Run everything with the quick (CI-sized) configuration::
@@ -19,14 +25,19 @@ series next to the terminal output::
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import (
+    Any, Callable, Dict, Iterator, List, Literal, Optional, Tuple, Union,
+    get_args, get_origin, get_type_hints,
+)  # fmt: skip
 
 from repro.analysis.store import ResultStore
+from repro.api.requests import ApiError
 from repro.experiments import analytics as analytics_experiment
 from repro.experiments import ablation as ablation_experiment
 from repro.experiments import figures_netsize, figures_rangesize
@@ -45,20 +56,6 @@ from repro.runtime.server import ServeSettings, serve as serve_runtime
 
 Handler = Callable[[argparse.Namespace], str]
 
-#: help texts of the live commands' sizing flags (defaults come from each
-#: command's spec dataclass, see :func:`_add_sizing`)
-_SIZING_HELP = {
-    "peers": "network size",
-    "nodes": (
-        "peer-node count; peers are distributed round-robin "
-        "(None hosts one node per peer)"
-    ),
-    "queries": "number of queries in the run",
-    "objects": "number of objects published before the queries",
-    "seed": "seed of the overlay, the published values and the workload",
-}
-
-
 #: a simulated command's profile overrides: flag -> (the ExperimentConfig
 #: field it sets, help text)
 _OVERRIDES = {
@@ -68,6 +65,12 @@ _OVERRIDES = {
     "seed": ("seed", "experiment seed"),
 }
 
+#: the fields soak and livefaults both expose, each with its own preset's default
+_DRILL_FLAGS = (
+    "peers", "nodes", "queries", "objects", "seed", "concurrency", "mira_fraction", "pool",
+    "deadline",
+)
+
 
 def _flags() -> argparse.ArgumentParser:
     """An empty parent parser: flags several commands share are declared
@@ -75,15 +78,54 @@ def _flags() -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False)
 
 
-def _add_sizing(sub: argparse.ArgumentParser, spec: type, *names: str) -> None:
-    """Declare ``--peers``/``--nodes``/... with the spec dataclass's defaults."""
+@lru_cache(maxsize=None)
+def _comments(spec: type) -> Dict[str, str]:
+    """``{field: its #: comment}`` over ``spec``'s MRO, a subclass's comment winning."""
+    comments: Dict[str, str] = {}
+    for cls in reversed(spec.__mro__[:-1]):
+        comment: List[str] = []
+        for line in inspect.getsource(cls).splitlines():
+            line = line.strip()
+            if line.startswith("#:"):
+                comment.append(line[2:].strip())
+                continue
+            name = line.partition(":")[0]
+            if comment and name.isidentifier():
+                comments[name] = " ".join(comment).replace("``", "")
+            comment = []
+    return comments
+
+
+def _spec_flags(sub: argparse.ArgumentParser, spec: Any, *names: str) -> None:
+    """Declare one flag per named field of ``spec`` (a spec class or preset).
+
+    The flag's name, type, default and help are the field's: ``_`` becomes
+    ``-`` (``write_replicas`` alone keeps soak's ``--replicas``),
+    ``Optional[X]`` reads as ``X``, a ``bool`` is a switch, a ``Literal``
+    gives the choices, and the help is the field's ``#:`` comment.
+    ``make_spec`` maps the parsed values back by ``dest``.
+    """
+    cls = spec if isinstance(spec, type) else type(spec)
+    hints = get_type_hints(cls)
     for name in names:
-        sub.add_argument(
-            f"--{name}",
-            type=int,
-            default=getattr(spec, name),
-            help=f"{_SIZING_HELP[name]} (default %(default)s)",
-        )
+        kind = hints[name]
+        if get_origin(kind) is Union:
+            (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
+        options: Dict[str, Any] = {
+            "default": getattr(spec, name),
+            "help": f"{_comments(cls)[name]} (default %(default)s)",
+        }
+        if kind is bool:
+            options["action"] = "store_true"
+        elif get_origin(kind) is Literal:
+            options["choices"] = get_args(kind)
+        else:
+            options["type"] = kind
+        flag = "--" + name.replace("_", "-")
+        if name == "write_replicas":  # soak's --replicas; faults' counts repetitions
+            flag = "--replicas"
+            options.update(dest=name, metavar="REPLICAS")
+        sub.add_argument(flag, **options)
 
 
 def _profile_flags(*overrides: str) -> argparse.ArgumentParser:
@@ -199,64 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    wall_deadline = _flags()
-    wall_deadline.add_argument(
-        "--deadline",
-        type=float,
-        default=ServeSettings.deadline,
-        help="per-query deadline, wall-clock seconds (default %(default)s; trace: --connect only)",
-    )
-
-    observe = _flags()
-    observe.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help=(
-            "expose the metric registry as Prometheus text on "
-            "this port at /metrics (0 picks an ephemeral port; off by default)"
-        ),
-    )
-    observe.add_argument(
-        "--record-dir",
-        default=None,
-        help=(
-            "arm the flight recorder; the event ring is dumped "
-            "into this directory (soak writes flight.dump at the end of the "
-            "run, serve dumps on shutdown and on SIGUSR1)"
-        ),
-    )
-
-    trace_out = _flags()
-    trace_out.add_argument(
-        "--trace-out",
-        default=None,
-        help=(
-            "write a Chrome trace_event JSON of the collected "
-            "span trees to this path (load it in Perfetto or chrome://tracing)"
-        ),
-    )
-
-    clients = _flags()
-    clients.add_argument(
-        "--concurrency",
-        type=int,
-        default=livefaults_experiment.SOAK.concurrency,
-        help="closed-loop client population",
-    )
-    clients.add_argument(
-        "--mira-fraction",
-        type=float,
-        default=livefaults_experiment.SOAK.mira_fraction,
-        help="fraction of queries that are multi-attribute (MIRA)",
-    )
-    clients.add_argument(
-        "--pool",
-        type=int,
-        default=livefaults_experiment.SOAK.pool,
-        help="session connection-pool size",
-    )
-    clients.add_argument(
+    require_success = _flags()
+    require_success.add_argument(
         "--require-success",
         type=_unit_interval,
         default=None,
@@ -336,190 +322,58 @@ def build_parser() -> argparse.ArgumentParser:
             f"available: {','.join(faults_experiment.FAULT_SCHEMES)})"
         ),
     )
+    _spec_flags(faults, faults_experiment.FaultSweepSpec, "timeout", "retries", "deadline")
     faults.add_argument(
-        "--timeout",
-        type=float,
-        default=faults_experiment.FaultSweepSpec.timeout,
-        help="per-hop timeout in simulated units",
-    )
-    faults.add_argument(
-        "--retries",
-        type=int,
-        default=faults_experiment.FaultSweepSpec.retries,
-        help="retransmissions per hop after the initial send",
-    )
-    faults.add_argument(
-        "--no-reroute",
-        action="store_true",
-        help="disable sibling rerouting around dead hops",
-    )
-    faults.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help=(
-            "per-query deadline in simulated units (default derived "
-            "from N and the retry budget)"
-        ),
+        "--no-reroute", action="store_true", help="disable sibling rerouting around dead hops"
     )
 
     serve = command(
-        "serve", _run_serve, [wall_deadline, observe, logging_flags],
+        "serve", _run_serve, [logging_flags],
         help="boot a live cluster behind a gateway and serve until SIGINT/SIGTERM",
     )
-    _add_sizing(serve, ServeSettings, "peers", "nodes", "seed")
-    serve.add_argument(
-        "--host",
-        default=ServeSettings.host,
-        help="interface the live cluster binds on",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=ServeSettings.port,
-        help="gateway port (0 picks an ephemeral port)",
+    _spec_flags(
+        serve, ServeSettings,
+        "peers", "nodes", "seed", "host", "port", "deadline", "metrics_port", "record_dir",
     )
 
     soak = command(
         "soak", _logged(_profiled(_run_soak)),
-        [clients, wall_deadline, observe, trace_out, store, logging_flags, cprofile],
+        [require_success, store, logging_flags, cprofile],
         help="sustained mixed PIRA/MIRA load against a live cluster on localhost",
     )
-    _add_sizing(
-        soak, livefaults_experiment.SOAK, "peers", "nodes", "queries", "objects", "seed"
-    )
-    soak.add_argument(
-        "--storage",
-        choices=("memory", "wal"),
-        default=livefaults_experiment.SOAK.storage,
-        help=(
-            "peer storage backend — memory (default, volatile) or "
-            "wal (append-only checksummed log per peer)"
-        ),
-    )
-    soak.add_argument(
-        "--data-dir",
-        default=None,
-        help=(
-            "directory for the durable per-peer logs "
-            "(default: a fresh temp dir per run)"
-        ),
-    )
-    soak.add_argument(
-        "--replicas",
-        dest="write_replicas",
-        metavar="REPLICAS",
-        type=int,
-        default=livefaults_experiment.SOAK.write_replicas,
-        help=(
-            "durable copies per insert (owner + prefix siblings, "
-            "acked only after every copy is synced)"
-        ),
-    )
-    soak.add_argument(
-        "--kill-restart",
-        action="store_true",
-        help=(
-            "hard-kill the drill's drawn victim, at its kill point (volatile "
-            "state and unsynced bytes dropped), restart it from its log, and "
-            "fail the run unless every acknowledged write survived"
-        ),
-    )
-    soak.add_argument(
-        "--kill-peer",
-        action="store_true",
-        help=(
-            "hard-kill the drill's drawn victim, at its kill point, and "
-            "withdraw its route without restarting it, so queries through its "
-            "subtree genuinely fail — the forced-failure half of a postmortem drill"
-        ),
-    )
-    soak.add_argument(
-        "--postmortem-on-fail",
-        action="store_true",
-        help=(
-            "write the flight.dump only when the run lost queries "
-            "(success ratio < 1), keeping healthy CI runs dump-free"
-        ),
+    _spec_flags(
+        soak, livefaults_experiment.SOAK, *_DRILL_FLAGS,
+        "metrics_port", "record_dir", "trace_out", "storage", "data_dir", "write_replicas",
+        "kill_restart", "kill_peer", "postmortem_on_fail", "gossip",
     )
     soak.add_argument(
         "--require-pipelined",
         type=int,
         default=None,
         help=(
-            "exit non-zero unless the gateway observed at least "
-            "this many concurrently in-flight requests (proof of "
-            "multiplexing, via the stats peak_in_flight field)"
-        ),
-    )
-    soak.add_argument(
-        "--gossip",
-        action="store_true",
-        help=(
-            "run the SWIM gossip membership plane alongside the "
-            "soak (livefaults always runs it)"
+            "exit non-zero unless the gateway observed at least this many concurrently "
+            "in-flight requests (proof of multiplexing, via the stats peak_in_flight field)"
         ),
     )
 
     livefaults = command(
-        "livefaults", _run_livefaults,
-        [clients, wall_deadline, store],
+        "livefaults", _run_livefaults, [require_success, store],
         help="kill -9 a fraction of the peers mid-soak; gossip must detect it",
     )
-    _add_sizing(
-        livefaults, livefaults_experiment.LiveFaultsSpec,
-        "peers", "nodes", "queries", "objects", "seed",
-    )
-    livefaults.add_argument(
-        "--fraction",
-        type=float,
-        default=livefaults_experiment.LiveFaultsSpec.fraction,
-        help="fraction of peers SIGKILLed mid-run",
-    )
+    _spec_flags(livefaults, livefaults_experiment.LiveFaultsSpec, *_DRILL_FLAGS, "fraction")
     livefaults.add_argument(
         "--require-convergence",
         action="store_true",
-        help=(
-            "exit non-zero unless every surviving membership "
-            "view converged on the deaths"
-        ),
+        help="exit non-zero unless every surviving membership view converged on the deaths",
     )
 
     trace = command(
-        "trace", _run_trace, [wall_deadline, trace_out],
-        help="run one traced range query and print its span tree",
+        "trace", _run_trace, help="run one traced range query and print its span tree"
     )
-    _add_sizing(trace, tracecmd.TraceSpec, "peers", "objects", "seed")
-    trace.add_argument(
-        "--trace-jsonl",
-        default=None,
-        help="write the spans as JSON lines to this path",
-    )
-    trace.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "run the traced query against a live gateway instead of the simulator "
-            "(the only leg --deadline bounds)"
-        ),
-    )
-    trace.add_argument(
-        "--low",
-        type=float,
-        default=tracecmd.TraceSpec.low,
-        help="lower bound of the traced range query",
-    )
-    trace.add_argument(
-        "--high",
-        type=float,
-        default=tracecmd.TraceSpec.high,
-        help="upper bound of the traced range query",
-    )
-    trace.add_argument(
-        "--origin",
-        default=None,
-        help="origin peer id (default: a seeded random peer)",
+    _spec_flags(
+        trace, tracecmd.TraceSpec,
+        "peers", "objects", "seed", "deadline", "low", "high", "connect", "origin",
+        "trace_out", "trace_jsonl",
     )
 
     replay = command(
@@ -606,7 +460,7 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
         for flag, (field, _) in _OVERRIDES.items()
         if getattr(args, flag, None) is not None
     }
-    return config.with_overrides(**overrides) if overrides else config
+    return _validated(config.with_overrides, **overrides)
 
 
 @contextmanager
@@ -814,7 +668,10 @@ def _run_livefaults(args: argparse.Namespace) -> str:
 
 
 def _run_trace(args: argparse.Namespace) -> str:
-    return tracecmd.run(make_spec(tracecmd.TraceSpec, args)).format()
+    try:
+        return tracecmd.run(make_spec(tracecmd.TraceSpec, args)).format()
+    except (ApiError, OSError) as exc:  # an unknown --origin, an unreachable --connect
+        raise SystemExit(f"trace failed: {exc}") from exc
 
 
 def _run_replay(args: argparse.Namespace) -> str:

@@ -47,6 +47,16 @@ class ExperimentConfig:
     fixed_range_size: float = 20.0
     object_id_length: int = 32
 
+    def __post_init__(self) -> None:
+        if self.peers < 3 or any(size < 3 for size in self.network_sizes):
+            raise ValueError("every network needs at least 3 peers")
+        if self.queries_per_point < 1:
+            raise ValueError("need at least one query per point")
+        if self.objects < 0:
+            raise ValueError("objects must be non-negative")
+        if any(size < 0 for size in self.range_sizes):
+            raise ValueError("range sizes must be non-negative")
+
     @property
     def space(self) -> AttributeSpace:
         """The attribute space shared by every scheme."""

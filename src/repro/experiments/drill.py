@@ -58,18 +58,24 @@ KILL_AFTER_FRACTION = 0.25
 class FaultDrill:
     """The clock-free inputs of one drill (validated on construction)."""
 
+    #: network size
     peers: int = 32
+    #: seed of the overlay, the published values and the workload
     seed: int = 1
+    #: number of objects published before the queries
     objects: int = 300
+    #: number of queries in the run
     queries: int = 400
+    #: closed-loop client population
     concurrency: int = 16
     #: fraction of the boot peers killed mid-run
     fraction: float = 0.2
+    #: fraction of queries that are multi-attribute (MIRA)
     mira_fraction: float = 0.2
     range_size: float = 20.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
-    #: copies per seeded insert (owner + prefix siblings); not ``replicas``,
-    #: which ``repro faults`` already spends on independent repetitions
+    #: durable copies per seeded insert (owner + prefix siblings, acked once
+    #: every copy is synced); not the repetitions ``repro faults`` calls replicas
     write_replicas: int = 1
 
     #: not a field: every drill kills at the same point of its workload

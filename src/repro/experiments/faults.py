@@ -99,9 +99,13 @@ class FaultSweepSpec:
     schemes: Tuple[str, ...] = DEFAULT_FAULT_SCHEMES
     fractions: Tuple[float, ...] = DEFAULT_FRACTIONS
     replicas: int = 1
+    #: per-hop timeout in simulated units
     timeout: float = 4.0
+    #: retransmissions per hop after the initial send
     retries: int = 2
     reroute: bool = True
+    #: per-query deadline in simulated units (None derives it from N and the
+    #: retry budget)
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -54,12 +54,14 @@ from repro.gossip import SwimConfig
 from repro.obs.spans import spans_to_chrome
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.server import live_gateway
-from repro.storage import BACKENDS
+from repro.storage import BACKENDS, Backend
 
 @dataclass(frozen=True)
 class LiveFaultsSpec(FaultDrill):
     """The drill plus the live-only parameters (validated on construction)."""
 
+    #: peer-node count; peers are distributed round-robin (None hosts one
+    #: node per peer)
     nodes: Optional[int] = 8
     #: session connection-pool size
     pool: int = 4
@@ -77,18 +79,22 @@ class LiveFaultsSpec(FaultDrill):
     gossip_config: SwimConfig = SwimConfig(
         interval=0.1, ping_timeout=0.1, indirect_timeout=0.15, suspicion_timeout=0.6
     )
-    #: peer storage backend: "memory" or "wal"
-    storage: str = "memory"
+    #: peer storage backend: memory (volatile) or wal (an append-only
+    #: checksummed log per peer)
+    storage: Backend = "memory"
     #: directory for durable logs (a temporary one, removed at the end, when unset)
     data_dir: Optional[str] = None
-    #: the drill's one victim dies with its route withdrawn
+    #: hard-kill the drill's one victim at its kill point and withdraw its
+    #: route without restarting it, so queries through its subtree fail
     kill_peer: bool = False
-    #: the drill's one victim dies and is replayed from its durable log
+    #: hard-kill the drill's one victim at its kill point and restart it from
+    #: its durable log; the run fails unless every acknowledged write survived
     kill_restart: bool = False
     #: expose /metrics (Prometheus text) on this port while the run lasts
     #: (None disables; 0 picks an ephemeral port)
     metrics_port: Optional[int] = None
     #: write a Chrome trace_event JSON of every query's span tree here
+    #: (load it in Perfetto or chrome://tracing)
     trace_out: Optional[str] = None
     #: arm the flight recorder; dumps land in this directory as flight.dump
     record_dir: Optional[str] = None

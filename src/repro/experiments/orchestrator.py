@@ -148,6 +148,8 @@ class SweepSpec:
             )
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        # the grid's axes obey the config's own rules
+        self.config.with_overrides(network_sizes=self.network_sizes, range_sizes=self.range_sizes)
 
     @classmethod
     def from_config(

@@ -40,15 +40,22 @@ from repro.obs.spans import (
 class TraceSpec:
     """Parameters of one traced query (validated on construction)."""
 
+    #: lower bound of the traced range query
     low: float = 400.0
+    #: upper bound of the traced range query
     high: float = 420.0
     #: ``HOST:PORT`` of a live gateway; ``None`` runs the simulator
     connect: Optional[str] = None
+    #: origin PeerID (``None`` draws a seeded random peer)
     origin: Optional[str] = None
+    #: network size
     peers: int = 64
+    #: seed of the overlay and the published values
     seed: int = 42
+    #: number of objects published before the query
     objects: int = 500
-    deadline: float = 5.0  # wall-clock seconds; bounds the ``connect`` (live) leg only
+    #: per-query deadline, wall-clock seconds; bounds the ``connect`` leg only
+    deadline: float = 5.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
     #: write Chrome ``trace_event`` JSON here (Perfetto-loadable)
     trace_out: Optional[str] = None

@@ -44,11 +44,18 @@ log = get_logger("serve")
 class ServeSettings:
     """Everything ``repro serve`` needs to boot."""
 
+    #: network size
     peers: int = 32
+    #: seed of the overlay and the published values
     seed: int = 42
+    #: interface the live cluster binds on
     host: str = "127.0.0.1"
+    #: gateway port (0 picks an ephemeral port)
     port: int = 7411
+    #: peer-node count; peers are distributed round-robin (None hosts one
+    #: node per peer)
     nodes: Optional[int] = None
+    #: per-query deadline, wall-clock seconds
     deadline: float = 5.0
     attribute_interval: Tuple[float, float] = (0.0, 1000.0)
     attribute_intervals: Optional[Sequence[Tuple[float, float]]] = ((0.0, 1000.0), (0.0, 1000.0))

@@ -12,6 +12,7 @@ A durable peer's log lives at :func:`store_path` under the data directory.
 from __future__ import annotations
 
 import os
+from typing import Literal, get_args
 
 from repro.storage.base import StorageError, Store, StoredObject
 from repro.storage.memory import MemoryStore
@@ -19,6 +20,7 @@ from repro.storage.wal import WALStore
 
 __all__ = [
     "BACKENDS",
+    "Backend",
     "MemoryStore",
     "StorageError",
     "Store",
@@ -28,7 +30,8 @@ __all__ = [
 ]
 
 #: backend names accepted by the CLI / soak / cluster ``storage=`` options
-BACKENDS = ("memory", "wal")
+Backend = Literal["memory", "wal"]
+BACKENDS = get_args(Backend)
 
 
 def store_path(data_dir: str, peer_id: str) -> str:

@@ -8,12 +8,14 @@ import math
 import os
 import re
 import shlex
+import socket
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main, make_config, make_spec
-from repro.experiments.livefaults import SOAK
+from repro.experiments.faults import FaultSweepSpec
+from repro.experiments.livefaults import SOAK, LiveFaultsSpec
 from repro.experiments.tracecmd import TraceSpec
 from repro.runtime.server import ServeSettings
 
@@ -254,6 +256,29 @@ class TestArgumentHandling:
         assert soak.metrics_port == 0
         assert soak.trace_out == "trace.json"
 
+    @pytest.mark.parametrize(
+        "command, preset",
+        [("serve", ServeSettings()), ("soak", SOAK), ("livefaults", LiveFaultsSpec()),
+         ("trace", TraceSpec())],
+        ids=["serve", "soak", "livefaults", "trace"],
+    )
+    def test_flag_defaults_rebuild_the_preset(self, command, preset):
+        assert make_spec(preset, build_parser().parse_args([command])) == preset
+
+    def test_faults_flag_defaults_are_the_spec_defaults(self):
+        args = build_parser().parse_args(["faults"])
+        assert (args.timeout, args.retries, args.deadline, not args.no_reroute) == (
+            FaultSweepSpec.timeout, FaultSweepSpec.retries, FaultSweepSpec.deadline,
+            FaultSweepSpec.reroute,
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_every_option_has_help(self, command):
+        sub = subparsers()[command]
+        for action in sub._actions:
+            assert action.help and action.help.strip(), (command, action.option_strings)
+        sub.format_help()  # a stray % in a field's #: comment would raise here
+
     def test_trace_defaults_and_overrides(self):
         parser = build_parser()
         spec = make_spec(TraceSpec, parser.parse_args(["trace"]))
@@ -404,6 +429,36 @@ class TestParseErrors:
     def test_trace_bad_connect(self):
         message = self.run_main_expecting_exit(["trace", "--connect", "nowhere"])
         assert "HOST:PORT" in str(message)
+
+    def test_trace_unknown_origin(self):
+        message = self.run_main_expecting_exit(["trace", "--peers", "16", "--origin", "9999"])
+        assert "9999" in str(message)
+
+    def test_trace_unreachable_gateway(self):
+        with socket.socket() as probe:  # a port that was just free: nothing listens
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        message = self.run_main_expecting_exit(["trace", "--connect", f"127.0.0.1:{port}"])
+        assert "trace failed" in str(message)
+
+    # -- simulated sizes ----------------------------------------------------
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["table1", "--peers", "0"], "3 peers"),
+            (["load", "--peers", "2"], "3 peers"),
+            (["table1", "--queries", "-3"], "query"),
+            (["analytics", "--queries", "0"], "query"),
+            (["mira", "--objects", "-1"], "objects"),
+            (["sweep", "--network-sizes", "2"], "3 peers"),
+            (["sweep", "--range-sizes", "-5"], "range sizes"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_bad_simulated_size(self, argv, expected):
+        message = self.run_main_expecting_exit(argv + ["--profile", "quick"])
+        assert expected in str(message)
 
 
 class TestExecution:

@@ -72,6 +72,32 @@ class TestGridExpansion:
         with pytest.raises(ValueError):
             tiny_spec(replicas=0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"network_sizes": (64, 2)}, "3 peers"),
+            ({"range_sizes": (10.0, -5.0)}, "range sizes"),
+        ],
+    )
+    def test_grid_axes_obey_the_config_rules(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"peers": 2}, "3 peers"),
+            ({"network_sizes": (400, 2)}, "3 peers"),
+            ({"queries_per_point": 0}, "query"),
+            ({"objects": -1}, "objects"),
+            ({"range_sizes": (-5.0,)}, "range sizes"),
+        ],
+    )
+    def test_config_refuses_a_nonsense_size(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.quick().with_overrides(**overrides)
+        ExperimentConfig.quick().with_overrides(objects=0, range_sizes=(0.0,))
+
     def test_every_registered_scheme_has_a_picklable_name(self):
         assert set(DEFAULT_SCHEMES) <= set(SCHEME_FACTORIES)
 

@@ -13,19 +13,25 @@ repro ...`` line inside a fenced code block to the CLI's own parser
 each command rejects the flags it does not read, so a documented
 invocation that no longer parses (argparse exit 2) is an error here.
 
-Exit status: 0 when every link resolves and every command parses, 1
-otherwise (the failures are listed on stderr).
+Last, README's per-command flag table (``| command | flags |``) must name
+every flag each command's subparser offers, ``sizing`` standing for the
+profile flags.  Only that direction is checked: a row may name a flag in
+order to say the command lacks it.
+
+Exit status: 0 when every link resolves, every command parses and the
+table names every flag, 1 otherwise (the failures are listed on stderr).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
 import re
 import shlex
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: inline markdown link, non-greedy so adjacent links split correctly
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -38,6 +44,12 @@ _SHELL_OPERATOR = re.compile(r"\s(?:[|&;<>#]|\d>)")
 
 #: markdown files checked by default (relative to the repo root)
 DEFAULT_FILES = ("README.md", "docs/ARCHITECTURE.md")
+
+#: the header row of README's per-command flag table
+_FLAG_TABLE = "| command | flags |"
+
+#: what the flag table's word ``sizing`` stands for
+_SIZING = {"--profile", "--peers", "--queries", "--objects", "--seed"}
 
 
 def iter_links(markdown_path: str) -> Iterator[Tuple[int, str]]:
@@ -104,6 +116,38 @@ def check_commands(markdown_path: str, parser) -> List[str]:
     return errors
 
 
+def flag_table(markdown_path: str) -> Dict[str, Set[str]]:
+    """``{command: the flags its row names}`` of the per-command flag table."""
+    rows: Dict[str, Set[str]] = {}
+    with open(markdown_path, "r", encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle]
+    if _FLAG_TABLE not in lines:
+        return rows
+    for line in lines[lines.index(_FLAG_TABLE) + 2 :]:
+        if not line.startswith("|"):
+            break
+        commands, flags = line.strip("|").split("|", 1)
+        named = set(re.findall(r"--[\w-]+", flags)) | (_SIZING if "sizing" in flags else set())
+        for command in re.findall(r"`([\w-]+)`", commands):
+            rows[command] = named
+    return rows
+
+
+def check_flag_table(markdown_path: str, parser) -> List[str]:
+    """Return an error string for every offered flag the table leaves out."""
+    rows = flag_table(markdown_path)
+    if not rows:
+        return [f"{markdown_path}: no per-command flag table ({_FLAG_TABLE})"]
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    errors: List[str] = []
+    for command, sub in commands.choices.items():
+        offered = {flag for action in sub._actions for flag in action.option_strings}
+        missing = sorted(offered - {"-h", "--help"} - rows.get(command, set()))
+        if missing:
+            errors.append(f"{markdown_path}: the `{command}` row leaves out {', '.join(missing)}")
+    return errors
+
+
 def main(argv: List[str]) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(root, "src"))
@@ -120,10 +164,14 @@ def main(argv: List[str]) -> int:
         checked += 1
         errors.extend(check_file(markdown_path))
         errors.extend(check_commands(markdown_path, parser))
+    errors.extend(check_flag_table(os.path.join(root, "README.md"), parser))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
-    print(f"checked {checked} file(s): all links resolve, all repro commands parse")
+    print(
+        f"checked {checked} file(s): all links resolve, all repro commands parse, "
+        "the flag table names every flag"
+    )
     return 0
 
 
