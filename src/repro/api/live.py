@@ -1,9 +1,10 @@
 """:class:`LiveSession` — the gateway binding of the session API.
 
 One session owns a **pool** of gateway connections, each fully
-multiplexed: requests are rid-tagged frames, a background reader
-re-associates every reply with its per-request future, so any number of
-requests can be in flight on one connection and complete out of order.
+multiplexed: requests are rid-tagged frames, and each reply resolves its
+per-request future as the connection cuts it from the socket, so any
+number of requests can be in flight on one connection and complete out of
+order.
 That machinery is the runtime's one framed connection
 (:class:`repro.runtime.protocol.Connection`, the class a peer link is
 too); a gateway connection adds only the ``error`` frames the gateway
@@ -129,7 +130,8 @@ class LiveSession(Session):
         return min(live, key=lambda connection: connection.in_flight)
 
     async def _reply(self, request: Request, future: _Pending) -> Reply:
-        frame = await asyncio.wait_for(future, self._reply_timeout(request))
+        async with asyncio.timeout(self._reply_timeout(request)):
+            frame = await future
         return reply_from_payload(request, frame.get("payload", {}))
 
     async def submit(self, request: Request) -> Reply:
@@ -155,16 +157,13 @@ class LiveSession(Session):
         if self._closed:
             raise SessionError("session is closed")
         posted = []
-        touched = set()
         for request in requests:
             connection = self._pick_connection()
             posted.append((connection, request, connection.post(request)))
-            touched.add(id(connection))
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:
-            for connection in self._v2:
-                if id(connection) in touched and not connection.closed:
-                    await connection.drain()
+            for connection, _, _ in posted:
+                await connection.drain()
             return [await self._reply(request, future) for _, request, future in posted]
         finally:
             for connection, _, future in posted:

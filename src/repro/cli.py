@@ -605,7 +605,11 @@ def _run_all(args: argparse.Namespace) -> str:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Blocking: boots the live cluster and runs until SIGINT/SIGTERM."""
-    return serve_runtime(make_spec(ServeSettings, args))
+    settings = make_spec(ServeSettings, args)
+    try:
+        return serve_runtime(settings)
+    except OSError as exc:  # a host that does not resolve, a port in use
+        raise SystemExit(f"serve failed: {exc}") from exc
 
 
 def _run_live(
@@ -696,6 +700,16 @@ def _run_replay(args: argparse.Namespace) -> str:
 def main(argv=None) -> int:
     """CLI entry point: parse, run the command's handler, print its output."""
     args = build_parser().parse_args(argv)
+    # An output directory that cannot be made is refused before the run
+    # does any work, not after all of it.
+    for dest in ("csv_dir", "record_dir"):
+        path = getattr(args, dest, None)
+        if path is not None:
+            try:
+                os.makedirs(path, exist_ok=True)
+            except OSError as exc:
+                flag = "--" + dest.replace("_", "-")
+                raise SystemExit(f"{flag}: cannot create {path!r}: {exc}") from exc
     if args.command == "serve":
         # serve prints its own contract lines while it runs and returns
         # the process exit code once it has drained.

@@ -9,11 +9,12 @@ for the simulator).  The pieces:
 
 * :mod:`~repro.runtime.protocol` — length-prefixed JSON frames (the one
   body encoding of every runtime socket), the message↔wire mapping, the
-  ``error`` frame, and the framed TCP connection written once:
-  :class:`~repro.runtime.protocol.Connection`
-  (the client end — casts, rid-matched requests, one reader) and
-  :func:`~repro.runtime.protocol.serve_connection` (the server loop every
-  listener runs);
+  ``error`` frame, and the framed TCP connection written once, as one
+  :class:`asyncio.Protocol` that cuts and dispatches frames in
+  ``data_received``: :class:`~repro.runtime.protocol.Connection` (the
+  client end — casts, rid-matched requests) and
+  :class:`~repro.runtime.protocol.FrameServer` (the server end every
+  listener uses);
 * :mod:`~repro.runtime.transport` — :class:`AsyncioTransport`, the live
   :class:`~repro.core.transport.Transport`: peer→address routing, one TCP
   connection per node for casts and requests alike, ``loop.call_later``

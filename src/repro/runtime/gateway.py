@@ -1,8 +1,12 @@
 """The gateway: the TCP front door of a live cluster.
 
-A client connection is the runtime's one framed connection (see
+A client connection is the runtime's one framed connection, served by a
+:class:`~repro.runtime.protocol.FrameServer` (see
 :mod:`repro.runtime.protocol`): length-prefixed JSON frames, rid-tagged
-requests answered in completion order, many in flight at once.
+requests answered in completion order, many in flight at once.  Each
+request frame is dispatched in the loop iteration that reads it; while the
+connection's send buffer is full (a client that does not read its
+replies), no further request is read from it.
 
 =========================================  ========================================
 client frame                                gateway frames
@@ -91,11 +95,11 @@ from repro.core.pira import RangeQueryResult
 from repro.obs.spans import Tracer
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.protocol import (
+    FrameServer,
     Hangup,
     encode_frame,
     error_frame,
     failure_payload,
-    serve_connection,
 )
 
 log = logging.getLogger("repro.gateway")
@@ -136,7 +140,8 @@ class Gateway:
         #: the answering task of every other in-flight request
         self._tasks: Set[asyncio.Task] = set()
         self._peak_inflight = 0
-        self._connections: Set[asyncio.StreamWriter] = set()
+        #: the transport of every open client connection
+        self._connections: Set[asyncio.Transport] = set()
         self._closing = False
         self._started_at: Optional[float] = None
 
@@ -197,7 +202,9 @@ class Gateway:
 
     async def start(self) -> "Gateway":
         """Bind the listener (``port=0`` picks an ephemeral port)."""
-        self._server = await asyncio.start_server(self._serve, self.host, self.requested_port)
+        self._server = await asyncio.get_running_loop().create_server(
+            self._serve, self.host, self.requested_port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = asyncio.get_running_loop().time()
         return self
@@ -248,8 +255,8 @@ class Gateway:
             await asyncio.gather(*self._inflight, *self._tasks, return_exceptions=True)
         # The drain is over; now sever the remaining client connections so
         # the listener can finish closing on every Python version.
-        for writer in list(self._connections):
-            writer.close()
+        for transport in list(self._connections):
+            transport.close()
         if server is not None:
             await server.wait_closed()
         return draining
@@ -258,21 +265,17 @@ class Gateway:
     # connection handling                                                  #
     # ------------------------------------------------------------------ #
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    def _serve(self) -> FrameServer:
         """One client connection: multiplexed requests until EOF or ``quit``."""
-        self._connections.add(writer)
         pending_rids: Set[int] = set()
-        try:
-            await serve_connection(
-                reader,
-                writer,
-                lambda frame, body: self._dispatch(frame, writer, pending_rids),
-                write=lambda frame: self._write_frame(writer, frame),
-            )
-        finally:
-            self._connections.discard(writer)
+        connection = FrameServer(
+            lambda frame, body: self._dispatch(frame, connection.transport, pending_rids),
+            write=lambda frame: self._write_frame(connection.transport, frame),
+            connections=self._connections,
+        )
+        return connection
 
-    def _write_frame(self, writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> Optional[bytes]:
+    def _write_frame(self, writer: asyncio.Transport, frame: Dict[str, Any]) -> Optional[bytes]:
         """Buffer one frame (a single ``write`` call, so frames never
         interleave even when several reply tasks share the connection);
         returns the bytes written, ``None`` on a closing connection."""
@@ -285,12 +288,12 @@ class Gateway:
         return body
 
     def _dispatch(
-        self, frame: Dict[str, Any], writer: asyncio.StreamWriter, pending_rids: Set[int]
+        self, frame: Dict[str, Any], writer: asyncio.Transport, pending_rids: Set[int]
     ) -> None:
         """One frame of a connection.  No await anywhere below: the
-        answering task or callback owns the reply, and the read loop goes
-        straight back to reading — that is the multiplexing (frame intake
-        never waits on execution)."""
+        answering task or callback owns the reply, and the connection goes
+        straight on to its next frame — that is the multiplexing (frame
+        intake never waits on execution)."""
         kind = frame.get("type")
         if kind == "request":
             self._start_request(frame, writer, pending_rids)
@@ -306,7 +309,7 @@ class Gateway:
             )
 
     def _start_request(
-        self, frame: Dict[str, Any], writer: asyncio.StreamWriter, pending_rids: Set[int]
+        self, frame: Dict[str, Any], writer: asyncio.Transport, pending_rids: Set[int]
     ) -> None:
         """Validate the rid and launch the request (no await: this is what
         lets many requests run concurrently on one connection).
@@ -373,7 +376,7 @@ class Gateway:
         task.add_done_callback(_finished)
 
     async def _answer_simple(
-        self, rid: int, request: Request, writer: asyncio.StreamWriter
+        self, rid: int, request: Request, writer: asyncio.Transport
     ) -> None:
         """Answer a non-query request (ping/stats/insert) as its own task."""
         try:

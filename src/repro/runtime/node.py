@@ -4,12 +4,13 @@ A :class:`PeerNode` owns a listening socket and no peer state: which
 PeerIDs it hosts is recorded once, in the cluster's tenancy map
 (``LiveCluster.homes``), and its peers' stores are the peers' own backends,
 which the cluster closes.  It is deliberately thin: every frame that
-arrives on its socket — read by the runtime's one server loop
-(:func:`~repro.runtime.protocol.serve_connection`), one connection per
-sender — is counted and handed to its one handler, which sorts casts
-(query forwarding ``msg`` frames, ``gossip`` control frames) from requests
-(``store`` / ``fetch``, answered with a ``reply`` frame).  All protocol
-logic lives in the cluster; the node is the network endpoint.
+arrives on its socket — cut by the runtime's one server end
+(:class:`~repro.runtime.protocol.FrameServer`), one connection per
+sender, in the loop iteration that read it — is counted and handed to
+its one handler, which sorts casts (query forwarding ``msg`` frames,
+``gossip`` control frames) from requests (``store`` / ``fetch``, answered
+with a ``reply`` frame).  All protocol logic lives in the cluster; the
+node is the network endpoint.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, Optional
 
-from repro.runtime.protocol import serve_connection
+from repro.runtime.protocol import FrameServer
 
 #: the frame handler: ``on_frame(node, frame, body)`` returns a request's
 #: reply payload (without the rid), ``None`` for a cast
@@ -44,10 +45,8 @@ class PeerNode:
 
     async def start(self) -> "PeerNode":
         """Bind an ephemeral port and start serving frames."""
-        self._server = await asyncio.start_server(
-            lambda reader, writer: serve_connection(reader, writer, self._receive),
-            self.host,
-            0,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: FrameServer(self._receive), self.host, 0
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self

@@ -1,4 +1,4 @@
-"""Wire protocol: length-prefixed JSON frames and the message mapping.
+"""Wire protocol: length-prefixed JSON frames, the message mapping, the socket.
 
 Every byte that crosses a runtime socket — peer to peer and client to
 gateway alike — is a **frame**: a 4-byte big-endian payload length followed
@@ -22,11 +22,15 @@ Frames carry either
   with a ``"reply"`` frame echoing the rid (``store`` for object
   publication, ``fetch`` for an exact read).
 
-Both travel on the same socket, and that socket is written once, here:
-:class:`Connection` is its client end, :func:`serve_connection` its server
-end.  Peer links (:mod:`repro.runtime.transport`), gateway client
-connections (:mod:`repro.api.live`) and the three listeners (peer node,
-storenode, gateway) are all these two.
+Both travel on the same socket, and that socket is one
+:class:`asyncio.Protocol`, written once, here: :class:`FrameProtocol`
+cuts frames out of the bytes as they arrive (``data_received``) and hands
+each to its end synchronously, so a frame costs the event loop one wakeup
+— no reader task, no stream.  :class:`Connection` is the client end,
+:class:`FrameServer` the server end.  Peer links
+(:mod:`repro.runtime.transport`), gateway client connections
+(:mod:`repro.api.live`) and the three listeners (peer node, storenode,
+gateway) are all these two.
 
 A gateway connection is the same connection: rid-tagged ``request``
 frames answered by one ``reply`` frame each, plus the :func:`error_frame`
@@ -52,7 +56,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+import struct
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
@@ -128,36 +133,6 @@ def decode_frame(body: bytes, allow_binary: bool = False) -> Dict[str, Any]:
     return payload
 
 
-async def read_frame_raw(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """Read one frame from ``reader`` as ``(frame, body_bytes)``.
-
-    The undecoded body rides along for consumers that want to *retain*
-    the frame cheaply — the flight recorder keeps the bytes (GC-inert)
-    instead of the decoded object graph and re-decodes only at dump time.
-    ``None`` on clean EOF.
-    """
-    try:
-        prefix = await reader.readexactly(4)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    length = int.from_bytes(prefix, "big")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds the {MAX_FRAME_BYTES} limit")
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    return decode_frame(body), body
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame from ``reader``; ``None`` on clean EOF."""
-    pair = await read_frame_raw(reader)
-    return None if pair is None else pair[0]
-
-
 def message_to_wire(message: Message) -> Dict[str, Any]:
     """The ``"msg"`` cast frame for one forwarding message.
 
@@ -212,134 +187,6 @@ def wire_to_message(frame: Dict[str, Any]) -> Message:
     )
 
 
-async def close_stream(writer: asyncio.StreamWriter) -> None:
-    """Close a framed socket and wait for it, whatever state it is in."""
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (OSError, asyncio.CancelledError):
-        pass
-
-
-class Connection:
-    """The client end of one framed TCP connection.
-
-    One socket carries both kinds of traffic: :meth:`write` buffers an
-    already-encoded cast, :meth:`request` stamps a frame with a fresh
-    ``rid`` and awaits the ``reply`` frame echoing it.  A single reader task
-    re-associates replies with their futures by rid — so any number of
-    requests may be in flight and complete out of order — and hands every
-    other frame to :meth:`_on_frame`.
-
-    A ``reply`` is returned to its caller as a value whatever its ``ok``
-    field says; only a transport failure raises.  Whatever ends the reader
-    — peer EOF, an unframeable stream, an exception out of ``_on_frame``,
-    cancellation by :meth:`close` — fails every pending future at once, so
-    no awaiter sits out its timeout against a socket that can never answer.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._rids = itertools.count(1)
-        #: True once the reader has ended or :meth:`close` was called
-        self.closed = False
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_frames())
-        self._reader_task.add_done_callback(self._reader_ended)
-
-    @classmethod
-    async def open(cls, host: str, port: int) -> "Connection":
-        """Dial ``host:port`` and start the reader."""
-        return cls(*await asyncio.open_connection(host, port))
-
-    @property
-    def in_flight(self) -> int:
-        """Requests awaiting their reply frame on this connection."""
-        return len(self._pending)
-
-    # -- sending -------------------------------------------------------------
-
-    def write(self, data: bytes) -> None:
-        """Buffer one encoded frame that expects no answer (a cast)."""
-        self._writer.write(data)
-
-    async def drain(self) -> None:
-        await self._writer.drain()
-
-    def post_frame(
-        self, frame: Dict[str, Any], future: Optional[asyncio.Future] = None
-    ) -> asyncio.Future:
-        """Stamp ``frame`` (in place) with a fresh ``rid``, register the
-        future its reply resolves and buffer the frame — straight onto the
-        socket, one ``encode_frame`` and one ``write``.  The caller owns
-        flushing (:meth:`drain`)."""
-        if self.closed:
-            raise ConnectionError("connection is closed")
-        if future is None:
-            future = asyncio.get_running_loop().create_future()
-        rid = frame["rid"] = next(self._rids)
-        self._pending[rid] = future
-        self._writer.write(encode_frame(frame))
-        return future
-
-    async def request(self, frame: Dict[str, Any], timeout: Optional[float] = 10.0) -> Dict[str, Any]:
-        """Send ``frame`` as a request and return its ``reply`` frame."""
-        future = self.post_frame(frame)
-        try:
-            await self._writer.drain()
-            return await asyncio.wait_for(future, timeout)
-        finally:
-            self.forget(frame["rid"])
-
-    def forget(self, rid: int) -> None:
-        """Drop ``rid`` from the requests in flight once its awaiter has
-        stopped waiting (timeout, cancellation): a lingering rid would grow
-        ``_pending`` forever and count as load.  A late reply for it is
-        ignored."""
-        self._pending.pop(rid, None)
-
-    # -- the re-association loop ---------------------------------------------
-
-    def _on_frame(self, frame: Dict[str, Any]) -> None:
-        """Every incoming frame that is not a ``reply``.  A node sends
-        nothing else, and unknown frames are ignored for forward
-        compatibility; raising ends the connection with that error."""
-
-    async def _read_frames(self) -> None:
-        while (frame := await read_frame(self._reader)) is not None:
-            if frame.get("type") == "reply":
-                future = self._pending.pop(frame.get("rid"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-            else:
-                self._on_frame(frame)
-
-    def _reader_ended(self, reader_task: asyncio.Task) -> None:
-        """The connection is over, whatever ended the reader — EOF, an
-        unframeable stream, ``_on_frame``'s verdict, cancellation (even
-        before its first step): fail what is pending, release the socket."""
-        failure = None if reader_task.cancelled() else reader_task.exception()
-        if failure is None:
-            failure = ConnectionError("connection closed with requests in flight")
-        elif isinstance(failure, OSError):
-            failure = ConnectionError(str(failure))
-        self.closed = True
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(failure)
-        self._pending.clear()
-        self._writer.close()
-
-    async def close(self) -> None:
-        """Cancel the reader (which fails what is pending) and close the
-        socket; idempotent."""
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):  # its ending is _reader_ended's business
-            pass
-        await close_stream(self._writer)
 
 
 class Hangup(Exception):
@@ -359,12 +206,50 @@ def failure_payload(exc: Exception) -> Dict[str, Any]:
     return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-async def serve_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    handle: Callable[[Dict[str, Any], bytes], Optional[Dict[str, Any]]],
-    write: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> None:
+#: the 4-byte big-endian length prefix
+_LENGTH = struct.Struct(">I")
+
+
+class FrameProtocol(asyncio.Protocol):
+    """The framing of one socket, either end.
+
+    ``data_received`` appends to one buffer, then cuts every complete
+    frame out of it and hands each body to :meth:`_received` — in the loop
+    iteration that read the bytes, with no task or future in between.  The
+    buffer is trimmed once per call.  Nothing is cut while the end has
+    paused reading (``_paused``) or the transport is closing; a length
+    prefix above :data:`MAX_FRAME_BYTES` goes to :meth:`_unframeable`.
+    """
+
+    _paused = False
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self._buffer = bytearray()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._cut()
+
+    def _cut(self) -> None:
+        buffer = self._buffer
+        size, start = len(buffer), 0
+        while size - start >= 4 and not self._paused and not self.transport.is_closing():
+            (length,) = _LENGTH.unpack_from(buffer, start)
+            if length > MAX_FRAME_BYTES:
+                limit = f"frame length {length} exceeds the {MAX_FRAME_BYTES} limit"
+                self._unframeable(ProtocolError(limit))
+                return
+            end = start + 4 + length
+            if end > size:
+                break
+            body = bytes(buffer[start + 4 : end])
+            start = end
+            self._received(body)
+        del buffer[:start]
+
+
+class FrameServer(FrameProtocol):
     """The server end of one framed connection, from accept to close.
 
     Every frame goes to ``handle(frame, body)`` (``body`` is the undecoded
@@ -379,44 +264,209 @@ async def serve_connection(
     a JSON object gets a non-fatal ``error`` frame and the connection keeps
     serving; a stream that cannot be framed gets a ``fatal`` one, then the
     close.  ``write`` replaces the plain encode-and-write of the frames
-    this loop sends (the gateway counts its frames).
+    this end sends (the gateway counts its frames); ``connections``, if
+    given, holds the transport while the connection is open.
+
+    While the socket's send buffer is above its high-water mark
+    (``pause_writing``) the connection reads nothing: a client that does
+    not read its replies is not served more requests.
     """
-    if write is None:
 
-        def write(frame: Dict[str, Any]) -> None:
-            writer.write(encode_frame(frame))
+    def __init__(
+        self,
+        handle: Callable[[Dict[str, Any], bytes], Optional[Dict[str, Any]]],
+        write: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        connections: Optional[Set[Any]] = None,
+    ) -> None:
+        self._handle = handle
+        self._write = write or (lambda frame: self.transport.write(encode_frame(frame)))
+        self._connections = connections
 
-    try:
-        while True:
-            try:
-                pair = await read_frame_raw(reader)
-            except FrameBodyError as exc:
-                # The length framing is intact, so the stream resynchronises
-                # on the next frame — error the offender, keep serving.
-                write(error_frame(str(exc)))
-                continue
-            except ProtocolError as exc:
-                # An oversized/corrupt length cannot be resynchronised — but
-                # the client is told why before the close, never silence.
-                write(error_frame(str(exc), fatal=True))
-                break
-            if pair is None:
-                break
-            frame, body = pair
-            try:
-                payload = handle(frame, body)
-            except Hangup as bye:
-                if bye.last_frame is not None:
-                    write(bye.last_frame)
-                break
-            except Exception as exc:
-                if frame.get("rid") is None:
-                    raise
-                payload = failure_payload(exc)
-            if payload is not None:
-                write({"type": "reply", "rid": frame.get("rid"), **payload})
-                await writer.drain()
-    except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-        pass
-    finally:
-        await close_stream(writer)
+    def connection_made(self, transport: Any) -> None:
+        super().connection_made(transport)
+        if self._connections is not None:
+            self._connections.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._connections is not None:
+            self._connections.discard(self.transport)
+
+    def _received(self, body: bytes) -> None:
+        try:
+            frame = decode_frame(body)
+        except FrameBodyError as exc:
+            # The length framing is intact, so the stream resynchronises
+            # on the next frame — error the offender, keep serving.
+            self._write(error_frame(str(exc)))
+            return
+        try:
+            payload = self._handle(frame, body)
+        except Hangup as bye:
+            if bye.last_frame is not None:
+                self._write(bye.last_frame)
+            self.transport.close()
+            return
+        except Exception as exc:
+            if frame.get("rid") is None:
+                raise
+            payload = failure_payload(exc)
+        if payload is not None:
+            self._write({"type": "reply", "rid": frame.get("rid"), **payload})
+
+    def _unframeable(self, exc: ProtocolError) -> None:
+        # An oversized/corrupt length cannot be resynchronised — but the
+        # client is told why before the close, never silence.
+        self._write(error_frame(str(exc), fatal=True))
+        self.transport.close()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if not self.transport.is_closing():
+            self.transport.resume_reading()
+            self._cut()
+
+
+class Connection(FrameProtocol):
+    """The client end of one framed TCP connection.
+
+    One socket carries both kinds of traffic: :meth:`write` buffers an
+    already-encoded cast, :meth:`request` stamps a frame with a fresh
+    ``rid`` and awaits the ``reply`` frame echoing it.  Each reply resolves
+    its future by rid as it is cut — so any number of requests may be in
+    flight and complete out of order — and every other frame goes to
+    :meth:`_on_frame`.
+
+    A ``reply`` is returned to its caller as a value whatever its ``ok``
+    field says; only a transport failure raises.  Whatever ends the
+    connection — peer EOF, a lost socket, an unframeable stream or body, an
+    exception out of ``_on_frame``, :meth:`close` — fails every pending
+    future at once, so no awaiter sits out its timeout against a socket
+    that can never answer.
+    """
+
+    #: True once the connection has ended or :meth:`close` was called
+    closed = False
+
+    def __init__(self) -> None:
+        self._pending: Dict[int, asyncio.Future] = {}
+        self._rids = itertools.count(1)
+        #: resolved by connection_lost (what :meth:`close` waits for)
+        self._lost = asyncio.get_running_loop().create_future()
+        #: set while the send buffer is above its high-water mark
+        self._resumed: Optional[asyncio.Future] = None
+
+    @classmethod
+    async def open(cls, host: str, port: int) -> "Connection":
+        """Dial ``host:port``."""
+        _, connection = await asyncio.get_running_loop().create_connection(cls, host, port)
+        return connection
+
+    @property
+    def in_flight(self) -> int:
+        """Requests awaiting their reply frame on this connection."""
+        return len(self._pending)
+
+    # -- sending -------------------------------------------------------------
+
+    def write(self, data: bytes) -> None:
+        """Buffer one encoded frame that expects no answer (a cast)."""
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Return once the send buffer is below its high-water mark — at
+        once when it is, and when the connection ends (the pending futures
+        carry that failure)."""
+        if self._resumed is not None:
+            await asyncio.shield(self._resumed)
+
+    def pause_writing(self) -> None:
+        self._resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None:
+            resumed.set_result(None)
+
+    def post_frame(
+        self, frame: Dict[str, Any], future: Optional[asyncio.Future] = None
+    ) -> asyncio.Future:
+        """Stamp ``frame`` (in place) with a fresh ``rid``, register the
+        future its reply resolves and buffer the frame — straight onto the
+        socket, one ``encode_frame`` and one ``write``.  The caller owns
+        flushing (:meth:`drain`)."""
+        if self.closed:
+            raise ConnectionError("connection is closed")
+        if future is None:
+            future = asyncio.get_running_loop().create_future()
+        rid = frame["rid"] = next(self._rids)
+        self._pending[rid] = future
+        self.transport.write(encode_frame(frame))
+        return future
+
+    async def request(self, frame: Dict[str, Any], timeout: Optional[float] = 10.0) -> Dict[str, Any]:
+        """Send ``frame`` as a request and return its ``reply`` frame."""
+        future = self.post_frame(frame)
+        try:
+            await self.drain()
+            async with asyncio.timeout(timeout):
+                return await future
+        finally:
+            self.forget(frame["rid"])
+
+    def forget(self, rid: int) -> None:
+        """Drop ``rid`` from the requests in flight once its awaiter has
+        stopped waiting (timeout, cancellation): a lingering rid would grow
+        ``_pending`` forever and count as load.  A late reply for it is
+        ignored."""
+        self._pending.pop(rid, None)
+
+    # -- receiving -------------------------------------------------------------
+
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        """Every incoming frame that is not a ``reply``.  A node sends
+        nothing else, and unknown frames are ignored for forward
+        compatibility; raising ends the connection with that error."""
+
+    def _received(self, body: bytes) -> None:
+        try:
+            frame = decode_frame(body)
+            if frame.get("type") == "reply":
+                future = self._pending.pop(frame.get("rid"), None)
+                if future is not None and not future.done():
+                    future.set_result(frame)
+            else:
+                self._on_frame(frame)
+        except Exception as exc:
+            self._end(exc)
+
+    def _unframeable(self, exc: ProtocolError) -> None:
+        self._end(exc)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(ConnectionError(str(exc)) if exc is not None else None)
+        self.resume_writing()
+        self._lost.set_result(None)
+
+    def _end(self, failure: Optional[Exception] = None) -> None:
+        """The connection is over, whatever ended it: fail what is pending
+        with the first cause, release the socket."""
+        if self.closed:
+            return
+        self.closed = True
+        if failure is None:
+            failure = ConnectionError("connection closed with requests in flight")
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(failure)
+        self._pending.clear()
+        self.transport.close()
+
+    async def close(self) -> None:
+        """Fail what is pending, close the socket and wait until it is
+        closed; idempotent."""
+        self._end()
+        await self._lost

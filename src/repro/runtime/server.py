@@ -94,71 +94,38 @@ def build_observability(cluster: LiveCluster):
     tracer = Tracer()
     registry = MetricsRegistry()
     transport = cluster.transport
-    if transport is not None:
-        registry.register_callback(
-            "transport_messages_sent",
-            lambda: float(transport.messages_sent),
-            "Forwarding messages put on inter-node TCP links",
-        )
-        registry.register_callback(
-            "transport_messages_dropped",
-            lambda: float(transport.messages_dropped),
-            "Forwarding messages that found no live node",
-        )
-    registry.register_callback(
-        "cluster_peers",
-        lambda: float(cluster.network.size),
-        "Peers currently in the overlay",
-    )
-    registry.register_callback(
-        "peer_store_objects",
-        lambda: float(sum(len(peer.objects()) for peer in cluster.network.peers())),
-        "Objects held across all peer stores",
-    )
-
-    registry.register_callback(
-        "storage_replica_records",
-        lambda: float(
-            sum(peer.backend.replica_count() for peer in cluster.network.peers())
-        ),
-        "Replica copies held across all peer storage backends",
-    )
-    registry.register_callback(
-        "storage_replayed_records",
-        lambda: float(cluster.replayed_records),
-        "Records replayed from durable logs after restarts",
-    )
-
-    registry.register_callback(
-        "peer_frames_total",
-        lambda: float(sum(node.frames_received for node in cluster.nodes)),
-        "Wire frames received across every peer node (casts and requests)",
-    )
-    registry.register_callback(
-        "peer_store_sync_total",
-        lambda: float(cluster.store_syncs),
-        "Store writes acknowledged after a backend sync, across all peers",
-    )
 
     # Membership gauges read the gossip observer view when the control
     # plane runs, and the centralized down-peer authority otherwise —
     # either way the series exist, so dashboards need no mode switch.
     def _membership(state: str):
-        return lambda: float(cluster.membership_counts().get(state, 0))
+        return lambda: cluster.membership_counts().get(state, 0)
 
-    registry.register_callback(
-        "membership_alive", _membership("alive"), "Peers the membership view holds alive"
+    gauges = (
+        ("transport_messages_sent", lambda: transport.messages_sent,
+         "Forwarding messages put on inter-node TCP links"),
+        ("transport_messages_dropped", lambda: transport.messages_dropped,
+         "Forwarding messages that found no live node"),
+        ("cluster_peers", lambda: cluster.network.size, "Peers currently in the overlay"),
+        ("peer_store_objects",
+         lambda: sum(len(peer.objects()) for peer in cluster.network.peers()),
+         "Objects held across all peer stores"),
+        ("storage_replica_records",
+         lambda: sum(peer.backend.replica_count() for peer in cluster.network.peers()),
+         "Replica copies held across all peer storage backends"),
+        ("storage_replayed_records", lambda: cluster.replayed_records,
+         "Records replayed from durable logs after restarts"),
+        ("peer_frames_total", lambda: sum(node.frames_received for node in cluster.nodes),
+         "Wire frames received across every peer node (casts and requests)"),
+        ("peer_store_sync_total", lambda: cluster.store_syncs,
+         "Store writes acknowledged after a backend sync, across all peers"),
+        ("membership_alive", _membership("alive"), "Peers the membership view holds alive"),
+        ("membership_suspect", _membership("suspect"),
+         "Peers currently under unrefuted suspicion"),
+        ("membership_dead", _membership("dead"), "Peers the membership view has confirmed dead"),
     )
-    registry.register_callback(
-        "membership_suspect",
-        _membership("suspect"),
-        "Peers currently under unrefuted suspicion",
-    )
-    registry.register_callback(
-        "membership_dead",
-        _membership("dead"),
-        "Peers the membership view has confirmed dead",
-    )
+    for name, read, help_text in gauges:
+        registry.register_callback(name, lambda read=read: float(read()), help_text)
     gossip_frames = registry.counter(
         "gossip_frames_total",
         "Gossip control frames sent, by operation",

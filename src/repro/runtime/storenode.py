@@ -46,7 +46,7 @@ import json
 import sys
 from typing import Any, Dict
 
-from repro.runtime.protocol import Hangup, serve_connection
+from repro.runtime.protocol import FrameServer, Hangup
 from repro.storage import WALStore
 from repro.wire import decode_value, encode_value
 
@@ -62,8 +62,8 @@ class StoreNodeServer:
         self._quit = asyncio.Event()
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            lambda reader, writer: serve_connection(reader, writer, self._handle), host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: FrameServer(self._handle), host, port
         )
         return self._server.sockets[0].getsockname()[1]
 

@@ -146,6 +146,7 @@ class AsyncioTransport:
         self._links: Dict[Address, _Link] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
+        self._closed = False
         #: optional flight recorder (set by the cluster's attach_recorder);
         #: None keeps every hot path at one attribute check of overhead
         self.recorder: Optional[Any] = None
@@ -244,7 +245,11 @@ class AsyncioTransport:
     def _link(self, address: Address) -> _Link:
         link = self._links.get(address)
         if link is None or link.broken:
+            # A closed transport dials nothing: a link made after close is
+            # refused from the start (a late gossip ack, a retry), so no
+            # socket outlives the close.
             link = self._links[address] = _Link(address, self._drop)
+            link._refused = self._closed
         return link
 
     def _drop(self, message: Message) -> None:
@@ -265,7 +270,8 @@ class AsyncioTransport:
             on_drop(message)
 
     async def close(self) -> None:
-        """Flush and close every link."""
+        """Flush and close every link; nothing is dialled afterwards."""
+        self._closed = True
         links: List[_Link] = list(self._links.values())
         self._links.clear()
         for link in links:

@@ -28,8 +28,10 @@ from repro.core.armada import ArmadaSystem
 from repro.engine import QueryJob
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.runtime.protocol import encode_frame, read_frame
+from repro.runtime.protocol import encode_frame
 from repro.sim.rng import DeterministicRNG
+
+from raw_frames import read_frame
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
@@ -347,7 +349,10 @@ class TestBatch:
         async def scenario():
             cluster, gateway, session = await boot_live(8, pool=2)
             try:
-                requests: list = [Insert(value=250.0), Insert(value=750.0)]
+                # A batch's requests run concurrently, so what its query
+                # must see is published by a call that completed before it.
+                await session.insert(250.0)
+                requests: list = [Insert(value=750.0), Insert(value=900.0)]
                 requests += [
                     RangeQuery(low=0.0, high=500.0),
                     MultiRangeQuery(ranges=((0.0, 1000.0), (0.0, 1000.0))),

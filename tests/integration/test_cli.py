@@ -380,6 +380,25 @@ class TestParseErrors:
         message = self.run_main_expecting_exit(["serve", "--deadline", "0"])
         assert "deadline" in str(message)
 
+    def test_serve_host_that_does_not_resolve(self, monkeypatch):
+        def unresolvable(host, *args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        # The lookup fails here, before any name server is asked.
+        monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
+        message = self.run_main_expecting_exit(
+            ["serve", "--host", "256.0.0.1", "--port", "0", "--peers", "3"]
+        )
+        assert str(message).startswith("serve failed: ")
+        assert "Name or service not known" in str(message)
+
+    def test_serve_host_it_cannot_bind(self):
+        # TEST-NET-1 (RFC 5737): a literal address no local interface has.
+        message = self.run_main_expecting_exit(
+            ["serve", "--host", "192.0.2.1", "--port", "0", "--peers", "3"]
+        )
+        assert str(message).startswith("serve failed: ")
+
     # -- soak ---------------------------------------------------------------
 
     def test_soak_zero_queries(self):
@@ -407,6 +426,24 @@ class TestParseErrors:
         code = self.run_main_expecting_exit(["soak", "--storage", "sqlite"])
         assert code == 2
         assert "invalid choice: 'sqlite'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--record-dir"],
+             "--record-dir"),
+            (["load", "--profile", "quick", "--csv-dir"], "--csv-dir"),
+        ],
+        ids=["soak-record-dir", "load-csv-dir"],
+    )
+    def test_output_dir_that_cannot_be_made_is_refused_before_the_run(
+        self, argv, flag, tmp_path, capsys
+    ):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        message = self.run_main_expecting_exit([*argv, str(blocker / "x")])
+        assert str(message).startswith(f"{flag}: cannot create ")
+        assert capsys.readouterr().out == ""  # nothing ran
 
     def test_non_numeric_flag_exits_cleanly(self):
         # argparse-level type errors (exit code 2, message on stderr)

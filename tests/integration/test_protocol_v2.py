@@ -18,9 +18,11 @@ from repro.core.pira import RangeQueryResult
 from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.node import PeerNode
-from repro.runtime.protocol import MAX_FRAME_BYTES, Connection, encode_frame, read_frame
+from repro.runtime.protocol import MAX_FRAME_BYTES, Connection, encode_frame
 from repro.runtime.storenode import StoreNodeServer
 from repro.wire import encode_column
+
+from raw_frames import read_frame
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))

@@ -130,13 +130,13 @@ class TestSimLiveEquivalence:
         gossip rounds the cluster process has dialled every node exactly
         once."""
         dials: dict = {}
-        open_connection = asyncio.open_connection
+        create_connection = asyncio.BaseEventLoop.create_connection
 
-        async def counting_open_connection(host, port, *args, **kwargs):
+        async def counting_create_connection(loop, factory, host, port, *args, **kwargs):
             dials[(host, port)] = dials.get((host, port), 0) + 1
-            return await open_connection(host, port, *args, **kwargs)
+            return await create_connection(loop, factory, host, port, *args, **kwargs)
 
-        monkeypatch.setattr(asyncio, "open_connection", counting_open_connection)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_connection", counting_create_connection)
 
         async def scenario():
             cluster, gateway, client = await boot_cluster(8, gossip=True)
@@ -158,6 +158,47 @@ class TestSimLiveEquivalence:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+
+class TestLoopWakeups:
+    def test_a_sequential_insert_costs_at_most_eight_loop_iterations(self):
+        """An insert crosses two sockets and back (client → gateway →
+        owner's node → gateway → client).  Each frame costs the event loop
+        one iteration where it is read, not one to wake a reader task and
+        one to run it: counted with the loop's own ``_run_once``, so the
+        bound holds on any machine."""
+
+        async def scenario():
+            cluster = LiveCluster(num_peers=8, num_nodes=8, seed=SEED)
+            await cluster.start()
+            gateway = await Gateway(cluster).start()
+            session = await LiveSession.connect(*gateway.address, pool=1)
+            loop = asyncio.get_running_loop()
+            run_once = loop._run_once
+            iterations = 0
+
+            def counted() -> None:
+                nonlocal iterations
+                iterations += 1
+                run_once()
+
+            try:
+                for value in range(20):  # every link to a node dialled
+                    await session.insert(float(value))
+                loop._run_once = counted
+                try:
+                    for value in range(200):
+                        await session.insert(float(value))
+                finally:
+                    del loop._run_once
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+            return iterations
+
+        iterations = asyncio.run(scenario())
+        assert iterations <= 8 * 200, f"{iterations / 200:.2f} loop iterations per insert"
 
 
 class TestGatewaySmoke:

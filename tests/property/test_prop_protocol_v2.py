@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from repro.api.live import _V2Connection
 from repro.api.requests import Insert
-from repro.runtime.protocol import encode_frame, read_frame
+from repro.runtime.protocol import encode_frame
+
+from raw_frames import read_frame
 
 
 async def _permuting_server_round(permutation, unknown_counts):

@@ -2,8 +2,8 @@
 
 :class:`~repro.runtime.protocol.Connection` is the client end of every
 runtime socket (a node link, a gateway connection) and
-:func:`~repro.runtime.protocol.serve_connection` the server end; these
-tests pin what both promise, once, instead of once per caller.
+:class:`~repro.runtime.protocol.FrameServer` the server end; these tests
+pin what both promise, once, instead of once per caller.
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ import pytest
 
 from repro.api.live import _V2Connection
 from repro.api.requests import Ping
-from repro.runtime.protocol import (
-    Connection,
-    encode_frame,
-    read_frame,
-    serve_connection,
-)
-from repro.runtime.transport import _Link
+from repro.runtime.protocol import Connection, FrameServer, encode_frame
+from repro.runtime.transport import AsyncioTransport, _Link
 from repro.sim.network import Message
+
+from raw_frames import read_frame
 
 
 @contextlib.asynccontextmanager
@@ -39,6 +36,24 @@ async def scripted_server(script):
             writer.close()
 
     server = await asyncio.start_server(handler, "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[1], accepted
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+@contextlib.asynccontextmanager
+async def frame_server(handle):
+    """A loopback :class:`FrameServer` answering with ``handle``; yields
+    ``(port, accepted)`` where ``accepted`` counts connections."""
+    accepted = []
+
+    def connect():
+        accepted.append(None)
+        return FrameServer(handle)
+
+    server = await asyncio.get_running_loop().create_server(connect, "127.0.0.1", 0)
     try:
         yield server.sockets[0].getsockname()[1], accepted
     finally:
@@ -113,10 +128,10 @@ class TestRequests:
         asyncio.run(scenario())
 
     @pytest.mark.parametrize("post", [node_request, gateway_request], ids=["node", "gateway"])
-    @pytest.mark.parametrize("ending", ["peer-eof", "close", "reader-cancelled"])
+    @pytest.mark.parametrize("ending", ["peer-eof", "close", "transport-aborted"])
     def test_whatever_ends_the_reader_fails_every_pending_future(self, ending, post):
         """No awaiter sits out its timeout against a socket that can never
-        answer: the futures fail the moment the reader ends."""
+        answer: the futures fail the moment the connection ends."""
 
         async def scenario():
             async with scripted_server(silent) as (port, accepted):
@@ -130,7 +145,7 @@ class TestRequests:
                 elif ending == "close":
                     await connection.close()
                 else:
-                    connection._reader_task.cancel()
+                    connection.transport.abort()
                 for future in (first, second):
                     with pytest.raises(ConnectionError):
                         await asyncio.wait_for(future, timeout=2.0)
@@ -159,9 +174,7 @@ class TestLink:
             return {"ok": True} if "rid" in frame else None
 
         async def scenario():
-            async with scripted_server(
-                lambda reader, writer: serve_connection(reader, writer, handle)
-            ) as (port, accepted):
+            async with frame_server(handle) as (port, accepted):
                 link = link_to(port)
                 link.enqueue(message([]))  # buffered: the dial has not completed
                 link.enqueue(encode_frame({"type": "gossip"}))
@@ -196,6 +209,28 @@ class TestLink:
 
         asyncio.run(scenario())
 
+    def test_a_closed_transport_dials_nothing(self):
+        """A send after close (a late gossip ack, a retry timer) is a drop,
+        not a fresh socket that nothing would ever close."""
+
+        async def scenario():
+            async with frame_server(lambda frame, body: {"ok": True}) as (port, accepted):
+                address = ("127.0.0.1", port)
+                transport = AsyncioTransport()
+                transport.assign("b", address)
+                await transport.close()
+                dropped = []
+                late = message(dropped)
+                transport.send(late)
+                transport.send_frame(address, {"type": "gossip"})
+                with pytest.raises(ConnectionError):
+                    await transport.request(address, {"type": "ping"})
+                await asyncio.sleep(0.05)
+                assert dropped == [late] and accepted == []
+                await transport.close()
+
+        asyncio.run(scenario())
+
     def test_connection_lost_breaks_the_link(self):
         async def hang_up(reader, writer):
             await read_frame(reader)
@@ -216,15 +251,13 @@ class TestLink:
         asyncio.run(scenario())
 
 
-class TestServeConnection:
+class TestFrameServer:
     def test_handler_exception_is_answered_with_the_rid(self):
         def handle(frame, body):
             raise KeyError("peer")
 
         async def scenario():
-            async with scripted_server(
-                lambda reader, writer: serve_connection(reader, writer, handle)
-            ) as (port, _):
+            async with frame_server(handle) as (port, _):
                 connection = await Connection.open("127.0.0.1", port)
                 reply = await connection.request({"type": "fetch"})
                 assert reply == {"type": "reply", "rid": 1, "ok": False, "error": "KeyError: 'peer'"}

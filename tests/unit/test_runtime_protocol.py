@@ -1,4 +1,5 @@
-"""Unit tests for the runtime wire protocol (framing + message mapping)."""
+"""Unit tests for the runtime wire protocol: framing, the frame cutter,
+backpressure and the message mapping."""
 
 from __future__ import annotations
 
@@ -9,16 +10,20 @@ import pytest
 
 from repro.runtime.protocol import (
     MAX_FRAME_BYTES,
+    Connection,
     FrameBodyError,
+    FrameProtocol,
+    FrameServer,
     ProtocolError,
     decode_frame,
     encode_frame,
     message_to_wire,
-    read_frame,
     wire_to_message,
 )
 from repro.sim.network import Message
 from repro.wire import decode_value, encode_value
+
+from raw_frames import connected
 
 
 class TestFraming:
@@ -45,35 +50,143 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
 
-    def test_read_frame_across_stream(self):
+
+class Cutter(FrameProtocol):
+    """The framing alone: records each body it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.bodies = []
+        self.unframeable = []
+
+    def _received(self, body):
+        self.bodies.append(body)
+
+    def _unframeable(self, exc):
+        self.unframeable.append(exc)
+
+
+class TestCutter:
+    FIRST = {"type": "msg", "kind": "pira"}
+    SECOND = {"type": "reply", "rid": 7, "ok": True}
+
+    def test_one_chunk_gives_every_frame_in_order(self):
+        cutter, _ = connected(Cutter())
+        cutter.data_received(encode_frame(self.FIRST) + encode_frame(self.SECOND))
+        assert [decode_frame(body) for body in cutter.bodies] == [self.FIRST, self.SECOND]
+        assert all(type(body) is bytes for body in cutter.bodies)
+        assert cutter._buffer == b""
+
+    def test_byte_at_a_time_gives_each_frame_once_complete(self):
+        cutter, _ = connected(Cutter())
+        stream = encode_frame(self.FIRST) + encode_frame(self.SECOND)
+        first_end = len(encode_frame(self.FIRST))
+        for index in range(len(stream)):
+            cutter.data_received(stream[index : index + 1])
+            assert len(cutter.bodies) == (index + 1 >= first_end) + (index + 1 == len(stream))
+        assert [decode_frame(body) for body in cutter.bodies] == [self.FIRST, self.SECOND]
+
+    def test_truncated_frame_waits_for_the_rest(self):
+        cutter, _ = connected(Cutter())
+        frame = encode_frame({"a": 1})
+        cutter.data_received(frame[:-2])
+        assert cutter.bodies == []
+        cutter.data_received(frame[-2:])
+        assert cutter.bodies == [frame[4:]]
+
+    def test_giant_length_is_unframeable(self):
+        cutter, _ = connected(Cutter())
+        cutter.data_received(encode_frame(self.FIRST) + (MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        assert [decode_frame(body) for body in cutter.bodies] == [self.FIRST]
+        [error] = cutter.unframeable
+        assert isinstance(error, ProtocolError)
+        assert not isinstance(error, FrameBodyError)  # not recoverable
+
+    def test_nothing_is_cut_once_the_transport_closes(self):
+        cutter, transport = connected(Cutter())
+        transport.closing = True
+        cutter.data_received(encode_frame(self.FIRST))
+        assert cutter.bodies == []
+
+
+class TestBackpressure:
+    """A full send buffer stops a server reading and a client's drain."""
+
+    def test_a_server_reads_nothing_while_writing_is_paused(self):
+        handled = []
+
+        def handle(frame, body):
+            handled.append(frame["n"])
+            if frame["n"] == 0:
+                # the reply overfills the send buffer: what the transport
+                # reports from inside its write
+                server.pause_writing()
+            return {"ok": True}
+
+        server, transport = connected(FrameServer(handle))
+        stream = b"".join(encode_frame({"type": "ping", "rid": n, "n": n}) for n in range(3))
+        server.data_received(stream)
+        assert handled == [0] and not transport.reading
+        server.data_received(encode_frame({"type": "ping", "rid": 3, "n": 3}))
+        assert handled == [0]  # still paused: buffered, not read
+        server.resume_writing()
+        assert transport.reading
+        assert handled == [0, 1, 2, 3]
+        assert [frame["rid"] for frame in transport.frames()] == [0, 1, 2, 3]
+
+    def test_resume_after_close_reads_nothing(self):
+        handled = []
+        server, transport = connected(FrameServer(lambda frame, body: handled.append(frame)))
+        server.pause_writing()
+        server.data_received(encode_frame({"type": "msg"}))
+        transport.close()
+        server.resume_writing()
+        assert handled == [] and not transport.reading
+
+    def test_a_client_drain_waits_for_resume(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            first = {"type": "msg", "kind": "pira"}
-            second = {"type": "reply", "rid": 7, "ok": True}
-            reader.feed_data(encode_frame(first) + encode_frame(second))
-            reader.feed_eof()
-            assert await read_frame(reader) == first
-            assert await read_frame(reader) == second
-            assert await read_frame(reader) is None  # clean EOF
+            connection, transport = connected(Connection())
+            await connection.drain()  # not paused: returns at once
+            connection.pause_writing()
+            draining = asyncio.ensure_future(connection.drain())
+            future = connection.post_frame({"type": "ping"})
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert not draining.done()
+            # a paused client still reads: its replies are what drain it
+            connection.data_received(encode_frame({"type": "reply", "rid": 1, "ok": True}))
+            assert future.result()["ok"] is True
+            connection.resume_writing()
+            await asyncio.wait_for(draining, timeout=1.0)
 
         asyncio.run(scenario())
 
-    def test_read_frame_truncated_returns_none(self):
+    def test_a_cancelled_drain_leaves_the_others_waiting(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame({"a": 1})[:-2])
-            reader.feed_eof()
-            assert await read_frame(reader) is None
+            connection, _ = connected(Connection())
+            connection.pause_writing()
+            first = asyncio.ensure_future(connection.drain())
+            second = asyncio.ensure_future(connection.drain())
+            await asyncio.sleep(0)
+            first.cancel()
+            await asyncio.sleep(0)
+            assert first.cancelled() and not second.done()
+            connection.resume_writing()
+            await asyncio.wait_for(second, timeout=1.0)
 
         asyncio.run(scenario())
 
-    def test_read_frame_refuses_giant_length(self):
+    def test_connection_lost_releases_a_drain(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError) as caught:
-                await read_frame(reader)
-            assert not isinstance(caught.value, FrameBodyError)  # not recoverable
+            connection, _ = connected(Connection())
+            connection.pause_writing()
+            draining = asyncio.ensure_future(connection.drain())
+            future = connection.post_frame({"type": "ping"})
+            await asyncio.sleep(0)
+            connection.connection_lost(None)
+            await asyncio.wait_for(draining, timeout=1.0)
+            with pytest.raises(ConnectionError):
+                future.result()
 
         asyncio.run(scenario())
 
