@@ -2,7 +2,7 @@
 
 from repro.analysis.figures import ascii_chart, records_to_series, series_to_csv
 from repro.analysis.stats import AggregateRow, aggregate_measurements
-from repro.analysis.store import ResultStore, canonical_line, merge_stores
+from repro.analysis.store import ResultStore, canonical_line
 from repro.analysis.tables import format_records, format_table
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "series_to_csv",
     "ResultStore",
     "canonical_line",
-    "merge_stores",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List
 
 
 def canonical_line(record: Dict[str, Any]) -> str:
@@ -122,18 +122,3 @@ class ResultStore:
 
     def __repr__(self) -> str:
         return f"ResultStore(path={self.path!r})"
-
-
-def merge_stores(sources: Iterable[ResultStore], target: ResultStore) -> int:
-    """Concatenate several stores into ``target``; returns the record count.
-
-    Used when sweep shards are written to per-worker files and merged
-    afterwards; records keep their per-source order, sources are merged in
-    the given order.
-    """
-    count = 0
-    for source in sources:
-        records = source.load()
-        target.append_many(records)
-        count += len(records)
-    return count

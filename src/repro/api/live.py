@@ -105,11 +105,6 @@ class LiveSession(Session):
         return session
 
     @property
-    def pool_size(self) -> int:
-        """Number of gateway connections this session owns."""
-        return len(self._v2)
-
-    @property
     def in_flight(self) -> int:
         """Requests submitted but not yet answered."""
         return sum(connection.in_flight for connection in self._v2)

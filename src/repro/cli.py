@@ -700,11 +700,13 @@ def _run_replay(args: argparse.Namespace) -> str:
 def main(argv=None) -> int:
     """CLI entry point: parse, run the command's handler, print its output."""
     args = build_parser().parse_args(argv)
-    # An output directory that cannot be made is refused before the run
-    # does any work, not after all of it.
-    for dest in ("csv_dir", "record_dir"):
+    # An output directory, or an output file's directory, that cannot be
+    # made is refused before the run does any work, not after all of it.
+    for dest in ("csv_dir", "record_dir", "store", "trace_out", "trace_jsonl"):
         path = getattr(args, dest, None)
         if path is not None:
+            if dest not in ("csv_dir", "record_dir"):
+                path = os.path.dirname(os.path.abspath(path))
             try:
                 os.makedirs(path, exist_ok=True)
             except OSError as exc:

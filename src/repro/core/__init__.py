@@ -24,7 +24,7 @@ from repro.core.mira import MiraExecutor
 from repro.core.multiple_hash import Box, MultiAttributeNamer, multiple_hash
 from repro.core.partition_tree import Interval, PartitionTree
 from repro.core.pira import PiraExecutor, RangeQueryResult
-from repro.core.single_hash import SingleAttributeNamer, range_to_region, single_hash
+from repro.core.single_hash import SingleAttributeNamer, single_hash
 
 __all__ = [
     "ArmadaSystem",
@@ -45,6 +45,5 @@ __all__ = [
     "PiraExecutor",
     "RangeQueryResult",
     "SingleAttributeNamer",
-    "range_to_region",
     "single_hash",
 ]

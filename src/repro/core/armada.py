@@ -130,15 +130,6 @@ class ArmadaSystem:
         for executor in self.executors.values():
             executor.set_resilience(policy)
 
-    def install_faults(self, plan):
-        """Install a :class:`~repro.faults.plan.FaultPlan` on the overlay.
-
-        Returns the :class:`~repro.faults.injector.FaultInjector`, or
-        ``None`` for an empty plan (which leaves the overlay untouched, so
-        the run stays byte-identical to a fault-free one).
-        """
-        return plan.install(self.overlay)
-
     def crash_peer(self, peer_id: str) -> None:
         """Hard-kill one peer, as :meth:`LiveCluster.crash_peer
         <repro.runtime.cluster.LiveCluster.crash_peer>` does: mark it down

@@ -116,23 +116,6 @@ class ForwardRoutingTree:
             frontier = next_frontier
         return root
 
-    def level_peers(self, level: int) -> List[str]:
-        """Distinct peers occurring at FRT level ``level``.
-
-        For ``level < height`` these are exactly the peers whose PeerID starts
-        with the suffix ``u(level+1) .. ub`` of the root; for ``level ==
-        height`` they are the peers whose PeerID does not start with ``ub``.
-        """
-        if level < 0 or level > self.height:
-            raise QueryError(f"level {level} outside [0, {self.height}]")
-        if level == 0:
-            return [self._root_id]
-        if level < self.height:
-            suffix = self._root_id[level:]
-            return self._network.compatible_peers(suffix)
-        last = self._root_id[-1]
-        return [peer_id for peer_id in self._network.peer_ids() if not peer_id.startswith(last)]
-
     def render(self, max_level: Optional[int] = None) -> str:
         """ASCII rendering of the tree (used by the quickstart example)."""
         root = self.build(max_level=max_level)

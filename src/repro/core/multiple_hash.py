@@ -259,21 +259,10 @@ class MultiAttributeNamer:
             )
         return Box(intervals)
 
-    def corner_ids(self, ranges: Sequence[Tuple[float, float]]) -> Tuple[str, str]:
-        """``(LowT, HighT)``: ObjectIDs of the low and high corners of the query box."""
-        box = self.query_box(ranges)
-        low_corner = [interval.low for interval in box.intervals]
-        high_corner = [interval.high for interval in box.intervals]
-        return self.name(low_corner), self.name(high_corner)
-
     def matches(self, values: Sequence[float], ranges: Sequence[Tuple[float, float]]) -> bool:
         """Local filter applied by destination peers to their stored objects."""
         box = self.query_box(ranges)
         return box.contains(values)
-
-    def label_intersects_query(self, label: str, ranges: Sequence[Tuple[float, float]]) -> bool:
-        """True when the box of ``label`` intersects the query box (MIRA pruning)."""
-        return self.box_for_label(label).intersects(self.query_box(ranges))
 
     def containing_label(self, box: Box, start: str = "") -> str:
         """Deepest label extending ``start`` whose subspace contains ``box``.
@@ -314,4 +303,3 @@ def multiple_hash(
     """Functional form of ``Multiple_hash`` mirroring :func:`single_hash`."""
     namer = MultiAttributeNamer(intervals=intervals, length=length, base=base)
     return namer.name(values)
-

@@ -21,7 +21,7 @@ with round-robin attribute splitting yields ``Multiple_hash``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.core.errors import NamingError
 from repro.kautz import strings as ks
@@ -123,14 +123,6 @@ class PartitionTree:
     # label <-> interval correspondence                                    #
     # ------------------------------------------------------------------ #
 
-    def children_labels(self, label: str) -> List[str]:
-        """Labels of the children of the node ``label`` (left to right)."""
-        ks.validate_kautz_string(label, base=self._base, allow_empty=True)
-        if len(label) >= self._depth:
-            return []
-        previous = label[-1] if label else None
-        return [label + symbol for symbol in ks.allowed_symbols(previous, base=self._base)]
-
     def interval_for_label(self, label: str) -> Interval:
         """Subinterval of ``[L, H]`` represented by the node ``label``.
 
@@ -194,13 +186,6 @@ class PartitionTree:
                 high = low + step * (position + 1)
             low = low + step * position
         return ks.intern_label("".join(label))
-
-    def leaf_labels(self) -> List[str]:
-        """All leaf labels in lexicographic (left-to-right) order.
-
-        Only intended for small depths (tests and worked examples).
-        """
-        return ks.kautz_strings_with_prefix("", self._depth, base=self._base)
 
     def __repr__(self) -> str:
         return (

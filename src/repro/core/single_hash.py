@@ -12,8 +12,6 @@ peers.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.core.errors import QueryError
 from repro.core.partition_tree import Interval, PartitionTree
 from repro.kautz.region import KautzRegion, _contains_prefix_memo
@@ -75,7 +73,8 @@ class SingleAttributeNamer:
         return self._tree.label_for_value(value)
 
     def value_interval(self, object_id: str) -> Interval:
-        """Subinterval of attribute values mapping onto ``object_id`` (inverse map)."""
+        """Subinterval of attribute values mapping onto ``object_id`` (inverse
+        map), or onto the ObjectIDs extending ``object_id`` when it is shorter."""
         return self._tree.interval_for_label(object_id)
 
     def region_for_range(self, low_value: float, high_value: float) -> KautzRegion:
@@ -91,34 +90,6 @@ class SingleAttributeNamer:
             base=self._base,
         )
 
-    def range_bounds(self, low_value: float, high_value: float) -> Tuple[str, str]:
-        """The pair ``(LowT, HighT)`` used by PIRA."""
-        region = self.region_for_range(low_value, high_value)
-        return region.low, region.high
-
     def matches(self, value: float, low_value: float, high_value: float) -> bool:
         """Local filter applied by destination peers to their stored objects."""
         return low_value <= value <= high_value
-
-    def prefix_interval(self, prefix: str) -> Interval:
-        """Attribute subinterval represented by an ObjectID prefix.
-
-        Used by the examples to display which peers cover which value range,
-        and by the property tests to check interval preservation.
-        """
-        return self._tree.interval_for_label(prefix)
-
-
-def range_to_region(
-    low_value: float,
-    high_value: float,
-    low: float,
-    high: float,
-    length: int,
-    base: int = 2,
-    namer: Optional[SingleAttributeNamer] = None,
-) -> KautzRegion:
-    """Convenience wrapper mapping a value range to its Kautz region."""
-    if namer is None:
-        namer = SingleAttributeNamer(low=low, high=high, length=length, base=base)
-    return namer.region_for_range(low_value, high_value)

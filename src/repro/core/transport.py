@@ -33,18 +33,6 @@ from typing import Any, Callable, Hashable, Iterable, Protocol
 from repro.sim.network import Message
 
 
-class TimerHandle(Protocol):
-    """A cancellable timer, as returned by :meth:`Transport.schedule_after`.
-
-    Both the simulator's scheduled events and asyncio's ``TimerHandle``
-    satisfy this shape, so the executors cancel timers without knowing which
-    world they run in.
-    """
-
-    def cancel(self) -> None:
-        """Disarm the timer (idempotent)."""
-
-
 class Transport(Protocol):
     """What a query executor needs from the layer that moves its messages."""
 

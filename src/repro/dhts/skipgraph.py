@@ -83,10 +83,6 @@ class SkipGraph(DHTNetwork):
         """Node object by identifier."""
         return self._nodes[node_id]
 
-    def node_ids_in_key_order(self) -> List[int]:
-        """Node ids sorted by key."""
-        return list(self._order)
-
     def owner(self, key: float) -> int:
         """The node with the largest key <= ``key`` (or the smallest node)."""
         index = bisect.bisect_right(self._sorted_keys, float(key)) - 1
@@ -145,17 +141,3 @@ class SkipGraph(DHTNetwork):
             current = self._nodes[right]
             visited.append(current.node_id)
         return visited
-
-    def range_nodes(self, low_key: float, high_key: float) -> List[int]:
-        """Nodes whose key interval intersects ``[low_key, high_key]`` (oracle)."""
-        result = []
-        for position, node_id in enumerate(self._order):
-            key = self._nodes[node_id].key
-            next_key = (
-                self._nodes[self._order[position + 1]].key
-                if position + 1 < len(self._order)
-                else float("inf")
-            )
-            if key <= high_key and next_key > low_key:
-                result.append(node_id)
-        return result

@@ -11,7 +11,7 @@ throughput and latency/delay percentiles are computed from the run's
 :class:`CompletedQuery` records.
 """
 
-from repro.engine.query_engine import LoadDriver, QueryEngine, offered_load
+from repro.engine.query_engine import LoadDriver, QueryEngine
 from repro.engine.reporting import (
     CompletedQuery,
     CompletenessScore,
@@ -27,6 +27,5 @@ __all__ = [
     "LoadDriver",
     "QueryEngine",
     "QueryJob",
-    "offered_load",
     "score_completeness",
 ]

@@ -36,14 +36,7 @@ from collections import deque
 from repro.core.armada import ArmadaSystem
 from repro.core.pira import RangeQueryResult
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
-from repro.sim.metrics import safe_ratio
 from repro.workloads.arrivals import ChurnEvent
-
-# The job/record/report vocabulary lives in repro.engine.reporting (shared
-# with the live runtime); re-exported here for backwards compatibility.
-__all__ = [
-    "CompletedQuery", "EngineReport", "LoadDriver", "QueryEngine", "QueryJob", "offered_load",
-]
 
 
 class LoadDriver:
@@ -218,10 +211,6 @@ class QueryEngine(LoadDriver):
         """Submit all jobs at their arrival times and drain the simulator."""
         return self.run_jobs(jobs, mode="open")
 
-    def run_closed_loop(self, jobs: Sequence[QueryJob], concurrency: int) -> EngineReport:
-        """Maintain ``concurrency`` outstanding queries until ``jobs`` drain."""
-        return self.run_jobs(jobs, mode="closed", concurrency=concurrency)
-
     def run(self) -> EngineReport:
         """Drain the simulator and report on everything that completed."""
         self.overlay.run()
@@ -261,11 +250,3 @@ class QueryEngine(LoadDriver):
             self.deadline,
             on_complete=lambda result, latency, trace: done(result),
         )
-
-
-def offered_load(jobs: Sequence[QueryJob]) -> float:
-    """Arrival rate implied by a job batch (jobs per simulated time unit)."""
-    if len(jobs) < 2:
-        return 0.0
-    span = max(job.arrival for job in jobs) - min(job.arrival for job in jobs)
-    return safe_ratio(float(len(jobs) - 1), span)

@@ -121,12 +121,6 @@ class FaultInjector:
         """Snapshot of the currently crashed node ids."""
         return set(self._down)
 
-    def live_ids(self) -> List[object]:
-        """Registered overlay nodes that are not crashed, sorted."""
-        return sorted(
-            node_id for node_id in self.overlay.node_ids() if node_id not in self._down
-        )
-
     # -- overlay hooks ------------------------------------------------------
 
     def on_send(self, message: Message) -> FaultDecision:

@@ -31,7 +31,6 @@ import itertools
 import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.fissione.naming import kautz_hash
 from repro.fissione.peer import FissionePeer, StoredObject
 from repro.kautz import strings as ks
 from repro.storage.base import Store
@@ -297,10 +296,6 @@ class FissioneNetwork:
         self._in_cache[peer_id] = table
         return table
 
-    def in_neighbors(self, peer_id: str) -> List[str]:
-        """In-neighbours of ``peer_id``: peers with an edge towards it."""
-        return list(self.in_neighbors_view(peer_id))
-
     def neighbors(self, peer_id: str) -> List[str]:
         """Union of in- and out-neighbours."""
         return list(
@@ -398,11 +393,6 @@ class FissioneNetwork:
         peer = self.owner(object_id)
         peer.put(object_id, key, value)
         return peer
-
-    def publish_named(self, name: str, value: Any) -> Tuple[str, FissionePeer]:
-        """Publish under ``Kautz_hash(name)`` (plain exact-match naming)."""
-        object_id = kautz_hash(name, length=self.object_id_length, base=self.base)
-        return object_id, self.publish(object_id, name, value)
 
     def replica_order(self, object_id: str) -> Iterator[str]:
         """Every PeerID, lazily, in the order copies of ``object_id`` are placed.

@@ -40,11 +40,6 @@ class FissionePeer:
         """Alias used by the overlay-network layer."""
         return self.peer_id
 
-    @property
-    def id_length(self) -> int:
-        """Length of the PeerID (bounded by ``2 log N`` in FISSIONE)."""
-        return len(self.peer_id)
-
     def owns(self, object_id: str) -> bool:
         """True when ``object_id`` falls in this peer's zone."""
         return object_id.startswith(self.peer_id)

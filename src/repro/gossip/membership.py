@@ -35,7 +35,7 @@ through arbitrary fault interleavings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: membership states, in increasing order of pessimism
@@ -208,9 +208,6 @@ class MembershipTable:
 
     def dead_ids(self) -> List[str]:
         return self.ids_in(DEAD)
-
-    def left_ids(self) -> List[str]:
-        return self.ids_in(LEFT)
 
     def counts(self) -> Dict[str, int]:
         """``{state: count}`` over every known entry (zeros included)."""

@@ -1,4 +1,4 @@
-"""Kautz-string and Kautz-graph substrate.
+"""Kautz-string substrate.
 
 FISSIONE names peers and objects with *Kautz strings*: strings over the
 alphabet ``{0, 1, ..., d}`` in which neighbouring symbols differ.  Armada's
@@ -12,11 +12,8 @@ provides:
   and length (enumeration, sizes, random sampling).
 * :mod:`repro.kautz.region` -- contiguous lexicographic regions
   ``<low, high>`` of fixed-length Kautz strings (Definition 1 in the paper).
-* :mod:`repro.kautz.graph` -- the static Kautz graph ``K(d, k)`` used to
-  validate FISSIONE's topology properties (degree, diameter).
 """
 
-from repro.kautz.graph import KautzGraph
 from repro.kautz.region import KautzRegion
 from repro.kautz.space import KautzSpace
 from repro.kautz.strings import (
@@ -34,7 +31,6 @@ from repro.kautz.strings import (
 )
 
 __all__ = [
-    "KautzGraph",
     "KautzRegion",
     "KautzSpace",
     "KautzStringError",

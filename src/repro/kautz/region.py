@@ -83,16 +83,6 @@ class KautzRegion:
         k = min(len(prefix), len(self.low))
         return self.low[:k] <= prefix[:k] <= self.high[:k]
 
-    def intersect_prefix_count(self, prefix: str) -> int:
-        """Number of strings in the region that extend ``prefix``."""
-        if not self.contains_prefix(prefix):
-            return 0
-        if len(prefix) >= self.length:
-            return 1
-        lowest = max(self.low, ks.min_extension(prefix, self.length, base=self.base))
-        highest = min(self.high, ks.max_extension(prefix, self.length, base=self.base))
-        return ks.rank(highest, base=self.base) - ks.rank(lowest, base=self.base) + 1
-
     def split_by_first_symbol(self) -> List["KautzRegion"]:
         """Split into sub-regions whose endpoints share a non-empty prefix.
 
@@ -115,13 +105,6 @@ class KautzRegion:
             )
             subregions.append(KautzRegion(low=sub_low, high=sub_high, base=self.base))
         return subregions
-
-    def union_size(self, other: "KautzRegion") -> int:
-        """Size of the union with another region of the same length (for tests)."""
-        if self.length != other.length or self.base != other.base:
-            raise ks.KautzStringError("regions must share base and length")
-        members = set(self) | set(other)
-        return len(members)
 
     def __repr__(self) -> str:
         return f"KautzRegion(low={self.low!r}, high={self.high!r}, base={self.base})"

@@ -77,9 +77,5 @@ class KautzSpace:
             raise ValueError("count must be non-negative")
         return [self.unrank(rng.randint(0, self.size - 1)) for _ in range(count)]
 
-    def with_prefix(self, prefix: str) -> List[str]:
-        """All namespace strings extending ``prefix`` (lexicographic order)."""
-        return ks.kautz_strings_with_prefix(prefix, self._length, base=self._base)
-
     def __repr__(self) -> str:
         return f"KautzSpace(base={self._base}, length={self._length}, size={self.size})"

@@ -297,20 +297,6 @@ def kautz_strings_with_prefix(prefix: str, length: int, base: int = 2) -> List[s
     return [unrank(start + offset, length, base=base) for offset in range(count)]
 
 
-def shift_append(value: str, symbol: str, base: int = 2) -> str:
-    """Kautz-graph edge operation: drop the first symbol and append ``symbol``.
-
-    Raises if the append would create two equal adjacent symbols.
-    """
-    validate_kautz_string(value, base=base)
-    if symbol == value[-1]:
-        raise KautzStringError(
-            f"cannot append {symbol!r} after {value!r}: adjacent symbols would repeat"
-        )
-    result = value[1:] + symbol
-    return validate_kautz_string(result, base=base)
-
-
 def splice(source: str, target: str, base: int = 2) -> str:
     """Concatenate ``source`` and ``target`` merging their maximal overlap.
 

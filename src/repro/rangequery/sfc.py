@@ -94,11 +94,6 @@ def value_to_cell(value: float, order: int) -> int:
     return min(max(cell, 0), (1 << order) - 1)
 
 
-def cells_to_value(cell: int, order: int) -> float:
-    """Left edge of a grid cell, as a normalised value."""
-    return cell / (1 << order)
-
-
 def query_box_to_curve_ranges(
     lows: Sequence[float],
     highs: Sequence[float],

@@ -13,8 +13,8 @@ for the simulator).  The pieces:
   :class:`asyncio.Protocol` that cuts and dispatches frames in
   ``data_received``: :class:`~repro.runtime.protocol.Connection` (the
   client end — casts, rid-matched requests) and
-  :class:`~repro.runtime.protocol.FrameServer` (the server end every
-  listener uses);
+  :class:`~repro.runtime.protocol.FrameServer` (the server end both
+  listeners, peer node and gateway, use);
 * :mod:`~repro.runtime.transport` — :class:`AsyncioTransport`, the live
   :class:`~repro.core.transport.Transport`: peer→address routing, one TCP
   connection per node for casts and requests alike, ``loop.call_later``

@@ -29,8 +29,8 @@ each to its end synchronously, so a frame costs the event loop one wakeup
 — no reader task, no stream.  :class:`Connection` is the client end,
 :class:`FrameServer` the server end.  Peer links
 (:mod:`repro.runtime.transport`), gateway client connections
-(:mod:`repro.api.live`) and the three listeners (peer node, storenode,
-gateway) are all these two.
+(:mod:`repro.api.live`) and the two listeners (peer node, gateway) are
+all these two.
 
 A gateway connection is the same connection: rid-tagged ``request``
 frames answered by one ``reply`` frame each, plus the :func:`error_frame`

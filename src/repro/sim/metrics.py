@@ -140,10 +140,3 @@ def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> fl
     if denominator == 0:
         return default
     return numerator / denominator
-
-
-def log2_or_zero(value: float) -> float:
-    """``log2(value)`` with a 0.0 guard for non-positive inputs."""
-    if value <= 0:
-        return 0.0
-    return math.log2(value)

@@ -223,11 +223,6 @@ class OverlayNetwork:
         except KeyError as exc:
             raise NetworkError(f"unknown node {node_id!r}") from exc
 
-    @property
-    def node_count(self) -> int:
-        """Number of registered nodes."""
-        return len(self._nodes)
-
     def node_ids(self):
         """Iterate over registered node identifiers."""
         return list(self._nodes.keys())

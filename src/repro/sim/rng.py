@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -95,9 +95,3 @@ class DeterministicRNG:
         if mean <= 0:
             raise ValueError("mean must be positive")
         return self._random.expovariate(1.0 / mean)
-
-    def permutation(self, items: Iterable[T]) -> List[T]:
-        """Return a shuffled copy of ``items``."""
-        result = list(items)
-        self._random.shuffle(result)
-        return result

@@ -19,10 +19,8 @@ from repro.workloads.queries import (
     RangeQueryWorkload,
 )
 from repro.workloads.values import (
-    clustered_values,
     normal_values,
     uniform_values,
-    zipf_values,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "generate_student_scores",
     "MultiAttributeQueryWorkload",
     "RangeQueryWorkload",
-    "clustered_values",
     "normal_values",
     "uniform_values",
-    "zipf_values",
 ]

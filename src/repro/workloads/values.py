@@ -1,9 +1,8 @@
 """Attribute-value generators.
 
 The paper publishes objects with attribute values drawn from ``[0, 1000]``.
-Besides the uniform distribution used in the simulations, skewed generators
-(Zipf-clustered, truncated normal) are provided for the load-balance tests
-and the domain examples.
+Besides the uniform distribution used in the simulations, a truncated
+normal generator feeds the student-score dataset.
 """
 
 from __future__ import annotations
@@ -46,52 +45,4 @@ def normal_values(
         value = mean + stddev * z
         if low <= value <= high:
             values.append(value)
-    return values
-
-
-def zipf_values(
-    rng: DeterministicRNG,
-    count: int,
-    alpha: float = 1.1,
-    buckets: int = 100,
-    low: float = 0.0,
-    high: float = 1000.0,
-) -> List[float]:
-    """``count`` values Zipf-skewed across ``buckets`` equal sub-intervals.
-
-    Bucket ranks are drawn from a truncated Zipf distribution; within the
-    chosen bucket values are uniform, producing the hot-spot pattern used by
-    the load-balance tests.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if buckets < 1:
-        raise ValueError("need at least one bucket")
-    width = (high - low) / buckets
-    values: List[float] = []
-    for _ in range(count):
-        rank = rng.zipf(alpha, buckets) - 1
-        start = low + rank * width
-        values.append(rng.uniform(start, start + width))
-    return values
-
-
-def clustered_values(
-    rng: DeterministicRNG,
-    count: int,
-    centers: List[float],
-    spread: float = 10.0,
-    low: float = 0.0,
-    high: float = 1000.0,
-) -> List[float]:
-    """Values clustered around the given centres (uniform within ±spread)."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if not centers:
-        raise ValueError("need at least one cluster centre")
-    values: List[float] = []
-    for _ in range(count):
-        center = rng.choice(centers)
-        value = rng.uniform(center - spread, center + spread)
-        values.append(min(high, max(low, value)))
     return values

@@ -254,7 +254,7 @@ class TestPipelining:
         async def scenario():
             cluster, gateway, session = await boot_live(16, pool=1)
             try:
-                assert session.pool_size == 1
+                assert (await session.stats())["connections"] == 1
                 await seed_through_session(session)
 
                 completion_order: list = []

@@ -433,8 +433,22 @@ class TestParseErrors:
             (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--record-dir"],
              "--record-dir"),
             (["load", "--profile", "quick", "--csv-dir"], "--csv-dir"),
+            # a file flag's directory is made, or refused, the same way
+            (["sweep", "--profile", "quick", "--store"], "--store"),
+            (["faults", "--profile", "quick", "--store"], "--store"),
+            (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
+             "--store"),
+            (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--trace-out"],
+             "--trace-out"),
+            (["livefaults", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
+             "--store"),
+            (["trace", "--peers", "8", "--trace-out"], "--trace-out"),
+            (["trace", "--peers", "8", "--trace-jsonl"], "--trace-jsonl"),
         ],
-        ids=["soak-record-dir", "load-csv-dir"],
+        ids=[
+            "soak-record-dir", "load-csv-dir", "sweep-store", "faults-store", "soak-store",
+            "soak-trace-out", "livefaults-store", "trace-trace-out", "trace-trace-jsonl",
+        ],
     )
     def test_output_dir_that_cannot_be_made_is_refused_before_the_run(
         self, argv, flag, tmp_path, capsys
@@ -442,7 +456,9 @@ class TestParseErrors:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         message = self.run_main_expecting_exit([*argv, str(blocker / "x")])
-        assert str(message).startswith(f"{flag}: cannot create ")
+        # a directory flag names the directory, a file flag the file's directory
+        refused = blocker if flag in ("--store", "--trace-out", "--trace-jsonl") else blocker / "x"
+        assert str(message).startswith(f"{flag}: cannot create {str(refused)!r}: ")
         assert capsys.readouterr().out == ""  # nothing ran
 
     def test_non_numeric_flag_exits_cleanly(self):

@@ -25,7 +25,9 @@ from repro.rangequery.base import AttributeSpace
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.datasets import generate_grid_resources, generate_student_scores
 from repro.workloads.queries import RangeQueryWorkload
-from repro.workloads.values import uniform_values, zipf_values
+from repro.workloads.values import uniform_values
+
+from oracles import zipf_values
 
 
 class TestScoreWorkflow:

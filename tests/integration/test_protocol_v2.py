@@ -19,7 +19,6 @@ from repro.runtime.cluster import LiveCluster
 from repro.runtime.gateway import Gateway
 from repro.runtime.node import PeerNode
 from repro.runtime.protocol import MAX_FRAME_BYTES, Connection, encode_frame
-from repro.runtime.storenode import StoreNodeServer
 from repro.wire import encode_column
 
 from raw_frames import read_frame
@@ -43,7 +42,7 @@ async def teardown(cluster, gateway):
 
 
 @contextlib.asynccontextmanager
-async def gateway_connection(tmp_path):
+async def gateway_connection():
     """A gateway connection, its ping frame and what a pong looks like."""
     cluster, gateway = await boot()
     try:
@@ -56,7 +55,7 @@ async def gateway_connection(tmp_path):
 
 
 @contextlib.asynccontextmanager
-async def peer_node_connection(tmp_path):
+async def peer_node_connection():
     node = await PeerNode(
         "node-0", "127.0.0.1", lambda node, frame, body: {"ok": True} if "rid" in frame else None
     ).start()
@@ -68,22 +67,10 @@ async def peer_node_connection(tmp_path):
         await node.stop()
 
 
-@contextlib.asynccontextmanager
-async def storenode_connection(tmp_path):
-    server = StoreNodeServer(str(tmp_path / "peer.wal"))
-    port = await server.start()
-    try:
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        yield reader, writer, {"op": "ping", "rid": 10}, lambda reply: reply["ok"] is True
-        writer.close()
-    finally:
-        await server.stop()
-
-
 SERVERS = pytest.mark.parametrize(
     "connect",
-    [gateway_connection, peer_node_connection, storenode_connection],
-    ids=["gateway", "peer-node", "storenode"],
+    [gateway_connection, peer_node_connection],
+    ids=["gateway", "peer-node"],
 )
 
 
@@ -260,9 +247,9 @@ class TestFrameErrors:
         asyncio.run(scenario())
 
     @SERVERS
-    def test_oversized_frame_gets_fatal_error_then_close(self, connect, tmp_path):
+    def test_oversized_frame_gets_fatal_error_then_close(self, connect):
         async def scenario():
-            async with connect(tmp_path) as (reader, writer, _ping, _is_pong):
+            async with connect() as (reader, writer, _ping, _is_pong):
                 # A length prefix beyond the cap: unframeable, unrecoverable.
                 writer.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
                 await writer.drain()
@@ -323,9 +310,9 @@ class TestBadBody:
         [b"abc", b"\xff\xfe{", b"[1]", b"\xc1\x00"],
         ids=["not-json", "not-utf8", "not-an-object", "binframe"],
     )
-    def test_error_then_still_serving(self, body, connect, tmp_path):
+    def test_error_then_still_serving(self, body, connect):
         async def scenario():
-            async with connect(tmp_path) as (reader, writer, ping, is_pong):
+            async with connect() as (reader, writer, ping, is_pong):
                 writer.write(len(body).to_bytes(4, "big") + body)
                 writer.write(encode_frame(ping))
                 await writer.drain()

@@ -3,10 +3,10 @@
 Four layers of the same promise — *an acknowledged write survives
 ``kill -9``* — each tested at the level where it is actually enforced:
 
-* **process**: a :mod:`repro.runtime.storenode` subprocess is killed with
-  ``SIGKILL`` mid-stream and restarted on the same log; every ``put``
-  that was acknowledged before the kill must be served after replay, and
-  the replay itself must never error on whatever torn tail the kill left;
+* **process**: a writer process putting into a WAL is killed with
+  ``SIGKILL`` mid-stream and its log is replayed; every ``put`` whose ack
+  was read before the kill must be served after replay, and the replay
+  itself must never error on whatever torn tail the kill left;
 * **cluster**: a live WAL-backed cluster takes acknowledged inserts
   through the gateway, hard-kills one peer and restarts it; the peer's
   content-addressed digest must be intact and the cluster must equal a
@@ -21,7 +21,6 @@ Four layers of the same promise — *an acknowledged write survives
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import subprocess
@@ -39,7 +38,7 @@ from repro.experiments.drill import FaultDrill
 from repro.experiments.livefaults import SOAK, run
 from repro.runtime.cluster import ClusterError, LiveCluster
 from repro.runtime.gateway import Gateway
-from repro.storage import StorageError, store_path
+from repro.storage import StorageError, WALStore, store_path
 from repro.storage.wal import WAL_HEADER
 
 SEED = 7
@@ -50,119 +49,74 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 # --------------------------------------------------------------------------- #
-# storenode: a real process, a real SIGKILL                                    #
+# a real process, a real SIGKILL                                               #
 # --------------------------------------------------------------------------- #
 
-
-def launch_storenode(path: str):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.runtime.storenode", "--path", path],
-        stdout=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    hello = json.loads(proc.stdout.readline())
-    return proc, hello
-
-
-def reap(proc) -> None:
-    """Wait for a storenode process to exit and close our end of its pipe."""
-    proc.wait(timeout=10)
-    proc.stdout.close()
+#: The kill target: each ``object_id key value`` line of stdin is put into
+#: the WAL at ``argv[1]`` and synced, then acked with the store's digest.
+WRITER = """
+import sys
+from repro.storage import WALStore
+store = WALStore(sys.argv[1])
+for line in sys.stdin:
+    object_id, key, value = line.split()
+    store.put(object_id, key=float(key), value=float(value))
+    store.sync()
+    print(store.digest(), flush=True)
+"""
 
 
-async def storenode_rpc(port: int, **frame):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        body = json.dumps({"rid": 1, **frame}).encode("utf-8")
-        writer.write(len(body).to_bytes(4, "big") + body)
-        await writer.drain()
-        length = int.from_bytes(await reader.readexactly(4), "big")
-        return json.loads(await reader.readexactly(length))
-    finally:
-        writer.close()
+def kill_mid_write(path: str, writes: int, acks: int) -> list:
+    """Send ``writes`` writes to a writer process in one burst, read
+    ``acks`` acks and SIGKILL it; returns the acks read."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen(
+        [sys.executable, "-c", WRITER, path],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    ) as proc:
+        proc.stdin.write("".join(f"obj{index:02d} {index} {index * 10}\n" for index in range(writes)))
+        proc.stdin.flush()
+        read = [proc.stdout.readline() for _ in range(acks)]
+        proc.send_signal(signal.SIGKILL)
+    return [ack.strip() for ack in read]
 
 
-class TestStoreNodeSigkill:
+def stored(store, object_id: str) -> list:
+    return [(found.key, found.value) for found in store.get(object_id)]
+
+
+class TestWriterSigkill:
     def test_acked_writes_survive_sigkill(self, tmp_path):
         path = str(tmp_path / "peer.wal")
+        digests = kill_mid_write(path, writes=12, acks=12)
+        store = WALStore(path)
+        try:
+            assert store.replay() == 12  # zero acked writes lost
+            assert store.digest() == digests[-1]
+            assert stored(store, "obj07") == [(7.0, 70.0)]
+        finally:
+            store.close()
 
-        async def scenario():
-            proc, hello = launch_storenode(path)
-            try:
-                assert hello["replayed"] == 0
-                digest = None
-                for index in range(12):
-                    reply = await storenode_rpc(
-                        hello["port"], op="put", object_id=f"obj{index:02d}",
-                        key=float(index), value=float(index) * 10,
-                    )
-                    assert reply["ok"] and reply["synced"]
-                digest = (await storenode_rpc(hello["port"], op="digest"))["digest"]
-            finally:
-                proc.send_signal(signal.SIGKILL)
-                reap(proc)
-
-            proc, hello = launch_storenode(path)
-            try:
-                assert hello["replayed"] == 12  # zero acked writes lost
-                assert (await storenode_rpc(hello["port"], op="digest"))["digest"] == digest
-                reply = await storenode_rpc(hello["port"], op="get", object_id="obj07")
-                assert reply["objects"] == [[7.0, 70.0]]
-            finally:
-                await storenode_rpc(hello["port"], op="quit")
-                reap(proc)
-
-        asyncio.run(scenario())
-
-    def test_sigkill_midstream_keeps_every_acked_write(self, tmp_path):
+    @pytest.mark.parametrize("acks", [0, 1, 15])
+    def test_sigkill_midstream_keeps_every_acked_write(self, tmp_path, acks):
         """Kill while writes are still in flight: the acked prefix is the
-        contract — later writes may be torn, but replay must not error and
-        must serve every write whose ack the client actually read."""
+        contract -- later writes may be torn, but replay must not error, must
+        serve every write whose ack was read, and must cut a torn tail at a
+        record boundary so the next append replays too."""
         path = str(tmp_path / "peer.wal")
-
-        async def scenario():
-            proc, hello = launch_storenode(path)
-            reader, writer = await asyncio.open_connection("127.0.0.1", hello["port"])
-            acked = 0
-            try:
-                # Fire a burst without awaiting acks, then read acks until
-                # a threshold and kill the process with replies (and
-                # possibly disk writes) still outstanding.
-                for index in range(40):
-                    body = json.dumps(
-                        {"rid": index, "op": "put", "object_id": f"obj{index:02d}",
-                         "key": float(index), "value": float(index)}
-                    ).encode("utf-8")
-                    writer.write(len(body).to_bytes(4, "big") + body)
-                await writer.drain()
-                while acked < 15:
-                    length = int.from_bytes(await reader.readexactly(4), "big")
-                    reply = json.loads(await reader.readexactly(length))
-                    assert reply["ok"]
-                    acked += 1
-            finally:
-                proc.send_signal(signal.SIGKILL)
-                reap(proc)
-                writer.close()
-
-            proc, hello = launch_storenode(path)
-            try:
-                assert hello["replayed"] >= acked  # never fewer than acked
-                for index in range(acked):
-                    reply = await storenode_rpc(
-                        hello["port"], op="get", object_id=f"obj{index:02d}"
-                    )
-                    assert reply["objects"] == [[float(index), float(index)]], (
-                        f"acked write obj{index:02d} was lost"
-                    )
-            finally:
-                await storenode_rpc(hello["port"], op="quit")
-                reap(proc)
-
-        asyncio.run(scenario())
+        kill_mid_write(path, writes=40, acks=acks)
+        store = WALStore(path)
+        try:
+            replayed = store.replay()
+            assert replayed >= acks  # never fewer than acked
+            for index in range(acks):
+                assert stored(store, f"obj{index:02d}") == [(float(index), index * 10.0)], (
+                    f"acked write obj{index:02d} was lost"
+                )
+            store.put("after", key=1.0, value=1.0)
+            assert store.replay() == replayed + 1
+        finally:
+            store.close()
 
 
 # --------------------------------------------------------------------------- #

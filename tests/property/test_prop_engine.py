@@ -117,7 +117,7 @@ class TestConcurrentSequentialEquivalence:
         jobs = make_mixed_jobs(build_system(seed=4, num_peers=96), 40, rate=5.0, seed=13)
 
         concurrent_system = build_system(seed=4, num_peers=96)
-        report = QueryEngine(concurrent_system).run_closed_loop(jobs, concurrency=6)
+        report = QueryEngine(concurrent_system).run_jobs(jobs, mode="closed", concurrency=6)
 
         sequential_system = build_system(seed=4, num_peers=96)
         sequential = run_sequentially(sequential_system, jobs)
@@ -134,7 +134,7 @@ class TestConcurrentSequentialEquivalence:
         jobs = make_mixed_jobs(build_system(seed=21), count=200, rate=8.0, seed=99)
 
         guarded_system = build_system(seed=21)
-        assert guarded_system.install_faults(FaultPlan.empty()) is None
+        assert FaultPlan.empty().install(guarded_system.overlay) is None
         assert guarded_system.overlay.fault_injector is None
         guarded_system.set_resilience(
             ResiliencePolicy(per_hop_timeout=4.0, max_retries=2, reroute=True)

@@ -12,6 +12,8 @@ from repro.core.partition_tree import Interval, PartitionTree
 from repro.core.single_hash import SingleAttributeNamer
 from repro.kautz import strings as ks
 
+from oracles import children_labels
+
 NAMER = SingleAttributeNamer(low=0.0, high=1000.0, length=12)
 MULTI = MultiAttributeNamer(intervals=((0.0, 100.0), (0.0, 50.0)), length=12)
 
@@ -88,7 +90,7 @@ class TestMultipleHashProperties:
             # MIRA's pruning predicate must keep every prefix of a matching
             # object's id alive.
             for cut in (2, 5, 9, 12):
-                assert MULTI.label_intersects_query(object_id[:cut], ranges)
+                assert MULTI.box_for_label(object_id[:cut]).intersects(MULTI.query_box(ranges))
 
 
 # --------------------------------------------------------------------- #
@@ -235,7 +237,7 @@ def boundary_values(base: int, interval):
     found = {interval[0], interval[1]}
     labels = [""]
     for _ in range(BOUNDARY_DEPTH[base]):
-        labels = [child for label in labels for child in tree.children_labels(label)]
+        labels = [child for label in labels for child in children_labels(tree, label)]
         for label in labels:
             node = tree.interval_for_label(label)
             found |= {node.low, node.high}

@@ -9,6 +9,8 @@ import pytest
 from repro.dhts.skipgraph import SkipGraph
 from repro.sim.rng import DeterministicRNG
 
+from oracles import key_order, range_nodes
+
 
 @pytest.fixture(scope="module")
 def skipgraph() -> SkipGraph:
@@ -26,7 +28,7 @@ class TestConstruction:
             SkipGraph([1.0], DeterministicRNG(1))
 
     def test_level_zero_is_sorted_doubly_linked_list(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         for left_id, right_id in zip(order, order[1:]):
             left, right = skipgraph.node(left_id), skipgraph.node(right_id)
             assert left.key <= right.key
@@ -34,7 +36,7 @@ class TestConstruction:
             assert right.links[0][0] == left_id
 
     def test_higher_levels_link_within_membership_groups(self, skipgraph):
-        for node_id in skipgraph.node_ids_in_key_order()[:50]:
+        for node_id in key_order(skipgraph)[:50]:
             node = skipgraph.node(node_id)
             for level in range(1, min(4, node.levels)):
                 _left, right = node.links[level]
@@ -47,7 +49,7 @@ class TestConstruction:
         def linked_count(level):
             return sum(
                 1
-                for node_id in skipgraph.node_ids_in_key_order()
+                for node_id in key_order(skipgraph)
                 if any(link is not None for link in skipgraph.node(node_id).links[level])
             )
 
@@ -56,13 +58,13 @@ class TestConstruction:
 
 class TestOwnership:
     def test_owner_is_greatest_key_at_most_value(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         keys = [skipgraph.node(node_id).key for node_id in order]
         probe = (keys[50] + keys[51]) / 2
         assert skipgraph.owner(probe) == order[50]
 
     def test_owner_below_smallest_key(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         smallest = skipgraph.node(order[0]).key
         assert skipgraph.owner(smallest - 1.0) == order[0]
 
@@ -85,29 +87,29 @@ class TestSearch:
         assert sum(hops) / len(hops) <= 3 * math.log2(skipgraph.size)
 
     def test_route_to_own_key(self, skipgraph):
-        node_id = skipgraph.node_ids_in_key_order()[10]
+        node_id = key_order(skipgraph)[10]
         key = skipgraph.node(node_id).key
         assert skipgraph.route(node_id, key).owner == node_id
 
 
 class TestScans:
     def test_scan_right_collects_contiguous_nodes(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         start = order[40]
         high_key = skipgraph.node(order[45]).key
         walk = skipgraph.scan_right(start, high_key)
         assert walk == order[40:46]
 
     def test_scan_right_stops_at_end(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         walk = skipgraph.scan_right(order[-3], float("inf"))
         assert walk == order[-3:]
 
     def test_range_nodes_oracle_matches_scan(self, skipgraph):
-        order = skipgraph.node_ids_in_key_order()
+        order = key_order(skipgraph)
         low_key = skipgraph.node(order[30]).key
         high_key = skipgraph.node(order[37]).key
-        oracle = skipgraph.range_nodes(low_key, high_key)
+        oracle = range_nodes(skipgraph, low_key, high_key)
         start = skipgraph.owner(low_key)
         walk = skipgraph.scan_right(start, high_key)
         assert set(walk) == set(oracle)

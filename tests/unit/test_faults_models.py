@@ -212,13 +212,13 @@ class TestCrash:
         overlay.run()
         assert len(nodes[1].received) == 1
 
-    def test_live_ids_excludes_down(self):
+    def test_down_ids_are_the_crashed(self):
         overlay, nodes = build_overlay(4)
         injector = FaultInjector(overlay, [CrashStop(peer_ids=[nodes[0].node_id])], seed=1)
         injector.install()
         overlay.run(until=0.0)
-        assert nodes[0].node_id not in injector.live_ids()
-        assert len(injector.live_ids()) == 3
+        assert injector.down_ids == {nodes[0].node_id}
+        assert sum(not injector.is_down(node_id) for node_id in overlay.node_ids()) == 3
 
 
 class TestCrashRecoverStorage:

@@ -9,6 +9,7 @@ from typing import List
 import pytest
 
 from repro.core.deployment import Deployment
+from repro.fissione.naming import kautz_hash
 from repro.fissione.network import FissioneError, FissioneNetwork
 from repro.fissione.stabilize import check_topology
 from repro.kautz import strings as ks
@@ -112,13 +113,13 @@ class TestNeighbours:
         network = build(60)
         for peer_id in network.peer_ids():
             for neighbor in network.out_neighbors(peer_id):
-                assert peer_id in network.in_neighbors(neighbor)
+                assert peer_id in network.in_neighbors_view(neighbor)
 
     def test_no_self_loops(self):
         network = build(60)
         for peer_id in network.peer_ids():
             assert peer_id not in network.out_neighbors(peer_id)
-            assert peer_id not in network.in_neighbors(peer_id)
+            assert peer_id not in network.in_neighbors_view(peer_id)
 
     def test_average_out_degree_is_constant(self):
         small, large = build(50), build(200)
@@ -223,7 +224,8 @@ class TestPublishLookup:
 
     def test_publish_named_roundtrip(self):
         network = build(25, object_id_length=16)
-        object_id, _peer = network.publish_named("alice", value="record")
+        object_id = kautz_hash("alice", length=network.object_id_length)
+        network.publish(object_id, "alice", "record")
         assert [stored.value for stored in network.lookup(object_id)] == ["record"]
 
     def test_publish_invalid_object_id_rejected(self):

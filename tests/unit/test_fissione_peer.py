@@ -18,7 +18,7 @@ class TestOwnership:
     def test_node_id_alias(self):
         peer = FissionePeer(peer_id="012")
         assert peer.node_id == "012"
-        assert peer.id_length == 3
+        assert len(peer.peer_id) == 3
 
 
 class TestStorage:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.fissione.naming import kautz_hash
 from repro.fissione.network import FissioneNetwork
 from repro.fissione.stabilize import TopologyReport, check_topology, churn
 from repro.sim.rng import DeterministicRNG
@@ -83,7 +84,8 @@ class TestChurn:
         rng = DeterministicRNG(13)
         object_ids = []
         for index in range(30):
-            object_id, _peer = network.publish_named(f"object-{index}", value=index)
+            object_id = kautz_hash(f"object-{index}", length=network.object_id_length)
+            network.publish(object_id, f"object-{index}", index)
             object_ids.append(object_id)
         churn(network, rng, joins=40, leaves=35)
         for index, object_id in enumerate(object_ids):

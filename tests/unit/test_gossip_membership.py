@@ -50,7 +50,7 @@ class TestMembershipTable:
         table.apply("P0", ALIVE, 2)
         assert table.apply("P0", LEFT, 2) is True
         assert table.apply("P0", SUSPECT, 2) is False
-        assert table.left_ids() == ["P0"]
+        assert table.ids_in(LEFT) == ["P0"]
 
     def test_recycled_peer_id_needs_a_fresh_incarnation(self):
         # Churn recycles PeerIDs: after P0 leaves, a relocated peer adopts

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.kautz import strings as ks
-from repro.kautz.graph import KautzGraph
+
+from oracles import KautzGraph
 
 
 class TestStructure:

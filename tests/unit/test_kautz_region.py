@@ -91,16 +91,16 @@ class TestContainsPrefix:
                 expected = any(member.startswith(prefix) for member in members)
                 assert region.contains_prefix(prefix) == expected
 
-    def test_intersect_prefix_count(self):
+    def test_members_per_prefix(self):
         region = KautzRegion("0120", "0202")
-        assert region.intersect_prefix_count("012") == 2  # 0120, 0121
-        assert region.intersect_prefix_count("1") == 0
-        assert region.intersect_prefix_count("0120") == 1
-        total = sum(
-            region.intersect_prefix_count(prefix)
-            for prefix in ("010", "012", "020", "021")
-        )
-        assert total == region.size
+
+        def members(prefix):
+            return sum(member.startswith(prefix) for member in region)
+
+        assert members("012") == 2  # 0120, 0121
+        assert members("1") == 0
+        assert members("0120") == 1
+        assert sum(members(prefix) for prefix in ("010", "012", "020", "021")) == region.size
 
 
 class TestSplitting:
@@ -123,10 +123,3 @@ class TestSplitting:
         parts = region.split_by_first_symbol()
         assert len(parts) == 3
         assert [part.low[0] for part in parts] == ["0", "1", "2"]
-
-    def test_union_size_helper(self):
-        first = KautzRegion("010", "012")
-        second = KautzRegion("012", "021")
-        assert first.union_size(second) == len(set(first) | set(second))
-        with pytest.raises(ks.KautzStringError):
-            first.union_size(KautzRegion("0101", "0121"))

@@ -55,8 +55,7 @@ class TestKautzSpace:
             KautzSpace(2, 3).sample(DeterministicRNG(1), count=-1)
 
     def test_with_prefix(self):
-        space = KautzSpace(2, 4)
-        assert space.with_prefix("01") == ["0101", "0102", "0120", "0121"]
+        assert ks.kautz_strings_with_prefix("01", 4, base=2) == ["0101", "0102", "0120", "0121"]
 
     def test_invalid_parameters(self):
         with pytest.raises(ks.KautzStringError):

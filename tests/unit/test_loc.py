@@ -26,3 +26,12 @@ def test_a_directory_counts_the_sum_of_its_python_files(tmp_path, capsys):
 
     assert loc.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"      3  {tmp_path}\n      3  total\n"
+
+
+def test_an_argument_that_is_not_a_path_prints_the_usage(tmp_path, capsys):
+    loc = load_tool()
+    for argv in ([str(tmp_path / "nonexistent")], ["--help"], [str(tmp_path), "-h"]):
+        assert loc.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == loc.USAGE + "\n"

@@ -117,7 +117,10 @@ class TestQueries:
         assert box.intervals[1].high == 100.0
 
     def test_corner_ids_ordered(self):
-        low_id, high_id = self.namer.corner_ids([(10.0, 40.0), (20.0, 60.0)])
+        # (LowT, HighT): the ObjectIDs of the query box's low and high corners
+        box = self.namer.query_box([(10.0, 40.0), (20.0, 60.0)])
+        low_id = self.namer.name([interval.low for interval in box.intervals])
+        high_id = self.namer.name([interval.high for interval in box.intervals])
         assert low_id <= high_id
 
     def test_matches(self):
@@ -125,9 +128,10 @@ class TestQueries:
         assert self.namer.matches((15.0, 30.0), ranges)
         assert not self.namer.matches((45.0, 30.0), ranges)
 
-    def test_label_intersects_query(self):
-        ranges = [(10.0, 40.0), (20.0, 60.0)]
+    def test_label_box_intersects_query(self):
+        """MIRA's pruning test: a subtree's box meets the query box."""
+        query = self.namer.query_box([(10.0, 40.0), (20.0, 60.0)])
         matching_label = self.namer.name((20.0, 30.0))[:6]
-        assert self.namer.label_intersects_query(matching_label, ranges)
+        assert self.namer.box_for_label(matching_label).intersects(query)
         far_label = self.namer.name((99.0, 99.0))
-        assert not self.namer.label_intersects_query(far_label, ranges)
+        assert not self.namer.box_for_label(far_label).intersects(query)

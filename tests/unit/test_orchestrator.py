@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.analysis.figures import records_to_series
-from repro.analysis.store import ResultStore, canonical_line, merge_stores
+from repro.analysis.store import ResultStore, canonical_line
 from repro.analysis.tables import format_records
 from repro.experiments import analytics, figures_netsize, figures_rangesize
 from repro.experiments.common import ExperimentConfig
@@ -181,15 +181,6 @@ class TestStore:
 
     def test_canonical_line_is_key_order_independent(self):
         assert canonical_line({"b": 1, "a": 2.5}) == canonical_line({"a": 2.5, "b": 1})
-
-    def test_merge_stores_concatenates_in_order(self, tmp_path):
-        first = ResultStore(os.fspath(tmp_path / "first.jsonl"))
-        second = ResultStore(os.fspath(tmp_path / "second.jsonl"))
-        target = ResultStore(os.fspath(tmp_path / "merged.jsonl"))
-        first.append({"n": 1})
-        second.append({"n": 2})
-        assert merge_stores([first, second], target) == 2
-        assert [record["n"] for record in target] == [1, 2]
 
 
 class TestAnalysisReadback:

@@ -7,6 +7,8 @@ import pytest
 from repro.core.errors import NamingError
 from repro.core.partition_tree import Interval, PartitionTree
 
+from oracles import children_labels, leaf_labels
+
 
 class TestInterval:
     def test_width_and_contains(self):
@@ -49,19 +51,19 @@ class TestInterval:
 class TestPartitionTreeStructure:
     def test_root_has_three_children_others_two(self):
         tree = PartitionTree(0.0, 1.0, depth=4)
-        assert tree.children_labels("") == ["0", "1", "2"]
-        assert tree.children_labels("0") == ["01", "02"]
-        assert tree.children_labels("01") == ["010", "012"]
+        assert children_labels(tree, "") == ["0", "1", "2"]
+        assert children_labels(tree, "0") == ["01", "02"]
+        assert children_labels(tree, "01") == ["010", "012"]
 
     def test_leaves_are_kautz_space_in_order(self):
         tree = PartitionTree(0.0, 1.0, depth=3)
-        leaves = tree.leaf_labels()
+        leaves = leaf_labels(tree)
         assert len(leaves) == 12
         assert leaves == sorted(leaves)
 
     def test_children_of_leaf_are_empty(self):
         tree = PartitionTree(0.0, 1.0, depth=3)
-        assert tree.children_labels("010") == []
+        assert children_labels(tree, "010") == []
 
     def test_invalid_parameters(self):
         with pytest.raises(NamingError):
@@ -87,14 +89,14 @@ class TestIntervalForLabel:
     def test_siblings_tile_parent(self):
         tree = PartitionTree(0.0, 1.0, depth=4)
         parent = tree.interval_for_label("02")
-        children = [tree.interval_for_label(child) for child in tree.children_labels("02")]
+        children = [tree.interval_for_label(child) for child in children_labels(tree, "02")]
         assert children[0].low == pytest.approx(parent.low)
         assert children[-1].high == pytest.approx(parent.high)
         assert children[0].high == pytest.approx(children[1].low)
 
     def test_leaves_tile_whole_interval(self):
         tree = PartitionTree(0.0, 1.0, depth=4)
-        leaves = tree.leaf_labels()
+        leaves = leaf_labels(tree)
         intervals = [tree.interval_for_label(leaf) for leaf in leaves]
         assert intervals[0].low == pytest.approx(0.0)
         assert intervals[-1].high == pytest.approx(1.0)

@@ -64,7 +64,7 @@ class TestPiraExactness:
         system.insert_many([float(v) for v in range(0, 1000, 10)])
         # Pick an origin and query a tiny range it owns itself.
         origin = system.network.peer_ids()[0]
-        interval = system.single_namer.prefix_interval(origin)
+        interval = system.single_namer.value_interval(origin)
         midpoint = (interval.low + interval.high) / 2
         result = system.range_query(midpoint, midpoint, origin=origin)
         assert origin in result.destinations

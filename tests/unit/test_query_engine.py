@@ -11,7 +11,6 @@ from repro.engine import (
     EngineReport,
     QueryEngine,
     QueryJob,
-    offered_load,
     score_completeness,
 )
 from repro.faults import CrashStop, FaultPlan, IidLoss, ResiliencePolicy, ResilienceStats
@@ -107,7 +106,7 @@ class TestClosedLoop:
         system = build_system()
         engine = QueryEngine(system)
         jobs = make_jobs(system, 30)
-        report = engine.run_closed_loop(jobs, concurrency=4)
+        report = engine.run_jobs(jobs, mode="closed", concurrency=4)
         assert report.queries == 30
 
     def test_concurrency_bound_respected(self):
@@ -115,27 +114,27 @@ class TestClosedLoop:
         engine = QueryEngine(system)
         peaks = []
         engine.on_query_complete(lambda _record: peaks.append(engine.in_flight))
-        engine.run_closed_loop(make_jobs(system, 20), concurrency=3)
+        engine.run_jobs(make_jobs(system, 20), mode="closed", concurrency=3)
         # just before each completion at most `concurrency` were in flight
         assert max(peaks) <= 3
 
     def test_invalid_concurrency_rejected(self):
         engine = QueryEngine(build_system())
         with pytest.raises(ValueError):
-            engine.run_closed_loop([], concurrency=0)
+            engine.run_jobs([], mode="closed", concurrency=0)
 
     def test_synchronously_completing_jobs_do_not_overflow_stack(self):
         """Zero-message queries (origin owns the range) refill via the
         scheduler, not recursion — 3000 of them must not hit the limit."""
         system = build_system(num_peers=32)
         origin = system.network.peer_ids()[0]
-        interval = system.single_namer.prefix_interval(origin)
+        interval = system.single_namer.value_interval(origin)
         midpoint = (interval.low + interval.high) / 2
         jobs = [
             QueryJob(arrival=0.0, origin=origin, low=midpoint, high=midpoint)
             for _ in range(3000)
         ]
-        report = QueryEngine(system).run_closed_loop(jobs, concurrency=1)
+        report = QueryEngine(system).run_jobs(jobs, mode="closed", concurrency=1)
         assert report.queries == 3000
         assert all(record.result.messages == 0 for record in report.completed)
 
@@ -265,7 +264,7 @@ class TestChurn:
             system.add_peers(2)
             system.remove_peers(2)
         assert system.size == 64
-        assert system.overlay.node_count == system.size
+        assert len(system.overlay.node_ids()) == system.size
 
 
 class TestDropsAreChargedToCompletedQueries:
@@ -430,16 +429,6 @@ class TestReportFromRecords:
         assert report.first_launch == min(record.started_at for record in report.completed)
         engine.completed.clear()
         assert report.queries == 12 and report.stalled == 0
-
-
-class TestOfferedLoad:
-    def test_rate_recovered_from_uniform_arrivals(self):
-        jobs = [QueryJob(arrival=float(i) / 2.0) for i in range(11)]
-        assert offered_load(jobs) == pytest.approx(2.0)
-
-    def test_degenerate_batches(self):
-        assert offered_load([]) == 0.0
-        assert offered_load([QueryJob(arrival=1.0)]) == 0.0
 
 
 class TestScoreCompleteness:

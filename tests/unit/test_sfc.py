@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.rangequery.sfc import (
-    cells_to_value,
     hilbert_d2xy,
     hilbert_xy2d,
     merge_ranges,
@@ -84,10 +83,6 @@ class TestValueCells:
         assert value_to_cell(0.0, 4) == 0
         assert value_to_cell(0.999, 4) == 15
         assert value_to_cell(1.5, 4) == 15  # clamped
-
-    def test_cells_to_value_inverse_edge(self):
-        assert cells_to_value(0, 4) == 0.0
-        assert cells_to_value(8, 4) == 0.5
 
 
 class TestMergeRanges:

@@ -7,14 +7,11 @@ int fields); the summary statistics and helpers are :mod:`repro.sim.metrics`.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.obs.metrics import HOP_BUCKETS, Counter, MetricsRegistry
 from repro.sim.metrics import (
     SummaryStats,
-    log2_or_zero,
     mean,
     safe_ratio,
 )
@@ -143,9 +140,3 @@ class TestHelpers:
     def test_safe_ratio_guards_zero(self):
         assert safe_ratio(4, 0, default=-1.0) == -1.0
         assert safe_ratio(4, 2) == 2.0
-
-    def test_log2_or_zero(self):
-        assert log2_or_zero(8) == pytest.approx(3.0)
-        assert log2_or_zero(0) == 0.0
-        assert log2_or_zero(-5) == 0.0
-        assert log2_or_zero(1024) == pytest.approx(math.log2(1024))

@@ -38,7 +38,7 @@ class TestRegistration:
         overlay.register(node)
         assert overlay.node("a") is node
         assert overlay.has_node("a")
-        assert overlay.node_count == 1
+        assert len(overlay.node_ids()) == 1
 
     def test_unknown_node_raises(self):
         with pytest.raises(NetworkError):

@@ -65,13 +65,6 @@ class TestDeterministicRNG:
         rng.shuffle(shuffled)
         assert sorted(shuffled) == items
 
-    def test_permutation_leaves_input_untouched(self):
-        rng = DeterministicRNG(1)
-        items = [1, 2, 3]
-        result = rng.permutation(items)
-        assert sorted(result) == items
-        assert items == [1, 2, 3]
-
     def test_zipf_rank_within_range_and_skewed(self):
         rng = DeterministicRNG(1)
         ranks = [rng.zipf(1.2, 50) for _ in range(2000)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import QueryError
-from repro.core.single_hash import SingleAttributeNamer, range_to_region, single_hash
+from repro.core.single_hash import SingleAttributeNamer, single_hash
 from repro.kautz import strings as ks
 
 
@@ -63,8 +63,9 @@ class TestSingleAttributeNamer:
         with pytest.raises(QueryError):
             self.namer.region_for_range(300.0, 200.0)
 
-    def test_range_bounds_helper(self):
-        low_id, high_id = self.namer.range_bounds(10.0, 20.0)
+    def test_region_bounds(self):
+        region = self.namer.region_for_range(10.0, 20.0)
+        low_id, high_id = region.low, region.high
         assert low_id <= high_id
         assert len(low_id) == len(high_id) == 12
 
@@ -75,7 +76,7 @@ class TestSingleAttributeNamer:
     def test_prefix_interval_is_coarser_than_leaf(self):
         object_id = self.namer.name(400.0)
         leaf_interval = self.namer.value_interval(object_id)
-        prefix_interval = self.namer.prefix_interval(object_id[:4])
+        prefix_interval = self.namer.value_interval(object_id[:4])
         assert prefix_interval.low <= leaf_interval.low
         assert prefix_interval.high >= leaf_interval.high
 
@@ -99,6 +100,6 @@ class TestIntervalPreservation:
             # ... and with a dense enough sample the region is fully covered.
             assert image == set(region)
 
-    def test_range_to_region_convenience(self):
-        region = range_to_region(0.1, 0.24, 0.0, 1.0, 4)
+    def test_paper_worked_region(self):
+        region = SingleAttributeNamer(low=0.0, high=1.0, length=4).region_for_range(0.1, 0.24)
         assert (region.low, region.high) == ("0120", "0202")

