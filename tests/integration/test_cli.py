@@ -296,6 +296,26 @@ class TestArgumentHandling:
         assert spec.trace_jsonl == "t.jsonl"
 
 
+#: One cheap run per command and output-file flag: the flag's value is
+#: appended to the argv.
+FILE_FLAGS = {
+    "sweep-store": (["sweep", "--profile", "quick", "--store"], "--store"),
+    "faults-store": (["faults", "--profile", "quick", "--store"], "--store"),
+    "soak-store": (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
+                   "--store"),
+    "soak-trace-out": (
+        ["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--trace-out"],
+        "--trace-out",
+    ),
+    "livefaults-store": (
+        ["livefaults", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
+        "--store",
+    ),
+    "trace-trace-out": (["trace", "--peers", "8", "--trace-out"], "--trace-out"),
+    "trace-trace-jsonl": (["trace", "--peers", "8", "--trace-jsonl"], "--trace-jsonl"),
+}
+
+
 class TestParseErrors:
     """Every subcommand's bad arguments must exit non-zero with a usable
     message (a SystemExit carrying text), never a traceback."""
@@ -434,21 +454,9 @@ class TestParseErrors:
              "--record-dir"),
             (["load", "--profile", "quick", "--csv-dir"], "--csv-dir"),
             # a file flag's directory is made, or refused, the same way
-            (["sweep", "--profile", "quick", "--store"], "--store"),
-            (["faults", "--profile", "quick", "--store"], "--store"),
-            (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
-             "--store"),
-            (["soak", "--peers", "8", "--queries", "10", "--objects", "10", "--trace-out"],
-             "--trace-out"),
-            (["livefaults", "--peers", "8", "--queries", "10", "--objects", "10", "--store"],
-             "--store"),
-            (["trace", "--peers", "8", "--trace-out"], "--trace-out"),
-            (["trace", "--peers", "8", "--trace-jsonl"], "--trace-jsonl"),
+            *FILE_FLAGS.values(),
         ],
-        ids=[
-            "soak-record-dir", "load-csv-dir", "sweep-store", "faults-store", "soak-store",
-            "soak-trace-out", "livefaults-store", "trace-trace-out", "trace-trace-jsonl",
-        ],
+        ids=["soak-record-dir", "load-csv-dir", *FILE_FLAGS],
     )
     def test_output_dir_that_cannot_be_made_is_refused_before_the_run(
         self, argv, flag, tmp_path, capsys
@@ -520,6 +528,19 @@ class TestExecution:
     def test_run_command_fissione(self, capsys):
         assert main(["fissione", "--profile", "quick"]) == 0
         assert "FISSIONE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", list(FILE_FLAGS.values()), ids=list(FILE_FLAGS))
+    def test_an_output_files_missing_directory_is_made(self, argv, flag, tmp_path):
+        out = tmp_path / "not" / "yet" / "out"
+        assert main([*argv, str(out)]) == 0
+        assert out.stat().st_size > 0
+
+    def test_an_output_file_without_a_directory_lands_in_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--peers", "8", "--trace-out", "t.json"]) == 0
+        assert json.loads((tmp_path / "t.json").read_text())["traceEvents"]
 
     def test_trace_command_prints_span_tree(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"

@@ -52,12 +52,14 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src")
 # a real process, a real SIGKILL                                               #
 # --------------------------------------------------------------------------- #
 
-#: The kill target: each ``object_id key value`` line of stdin is put into
-#: the WAL at ``argv[1]`` and synced, then acked with the store's digest.
+#: The kill target: it replays the WAL at ``argv[1]``, as a restarting peer
+#: does, then puts each ``object_id key value`` line of stdin into it and
+#: syncs, then acks with the store's digest.
 WRITER = """
 import sys
 from repro.storage import WALStore
 store = WALStore(sys.argv[1])
+store.replay()
 for line in sys.stdin:
     object_id, key, value = line.split()
     store.put(object_id, key=float(key), value=float(value))
@@ -115,6 +117,23 @@ class TestWriterSigkill:
                 )
             store.put("after", key=1.0, value=1.0)
             assert store.replay() == replayed + 1
+        finally:
+            store.close()
+
+    def test_a_restarted_writer_replays_then_appends(self, tmp_path):
+        """A second process replays the log a killed one left and appends
+        to it: both processes' acked writes replay, and the digest matches
+        the second one's last ack."""
+        path = str(tmp_path / "peer.wal")
+        kill_mid_write(path, writes=40, acks=5)
+        digests = kill_mid_write(path, writes=3, acks=3)
+        store = WALStore(path)
+        try:
+            replayed = store.replay()
+            assert replayed >= 5 + 3
+            assert store.digest() == digests[-1]
+            for index in range(5):
+                assert stored(store, f"obj{index:02d}")[-1] == (float(index), index * 10.0)
         finally:
             store.close()
 

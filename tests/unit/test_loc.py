@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 TOOL = os.path.join(os.path.dirname(__file__), "..", "..", "tools", "loc.py")
 
@@ -35,3 +37,31 @@ def test_an_argument_that_is_not_a_path_prints_the_usage(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == loc.USAGE + "\n"
+
+
+def test_the_script_exits_2_with_the_usage_and_no_traceback(tmp_path):
+    finished = subprocess.run(
+        [sys.executable, TOOL, str(tmp_path / "nonexistent")],
+        capture_output=True, text=True, check=False,
+    )
+    assert finished.returncode == 2
+    assert finished.stdout == ""
+    assert finished.stderr == load_tool().USAGE + "\n"
+
+
+def test_per_package_sums_each_top_level_package(tmp_path):
+    loc = load_tool()
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "mod.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "a.py").write_text("y = 2\nz = 3\n")
+    (tmp_path / "pkg" / "sub" / "b.py").write_text("w = 4\n")
+    assert loc.per_package(str(tmp_path)) == {"mod.py": 1, "pkg": 3}
+
+
+def test_no_argument_counts_src_repro_per_package(capsys):
+    loc = load_tool()
+    assert loc.main([]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    assert {"cli.py", "core", "kautz", "storage"} <= set(counts)
+    assert counts.pop("total") == sum(counts.values())
