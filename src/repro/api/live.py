@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.api.requests import ApiError, Reply, Request, reply_from_payload
 from repro.api.session import Session, SessionError
 from repro.engine.reporting import CompletedQuery, EngineReport, QueryJob
-from repro.runtime.protocol import Connection
+from repro.runtime.protocol import Connection, settling
 
 
 class _Pending(asyncio.Future):
@@ -46,8 +46,8 @@ class _V2Connection(Connection):
         """
         pending = _Pending()
         frame = {"type": "request", "request": request.to_wire()}
-        self.post_frame(frame, pending)
-        pending.rid = frame["rid"]
+        # No timer here: the session bounds its own wait (``_reply``).
+        pending.rid = self.post_frame(frame, settling(pending), timeout=None)
         return pending
 
     def _on_frame(self, frame: Dict[str, Any]) -> None:
@@ -55,9 +55,7 @@ class _V2Connection(Connection):
             rid = frame.get("rid")
             message = frame.get("error", "unknown gateway error")
             if rid is not None:
-                pending = self._pending.pop(rid, None)
-                if pending is not None and not pending.done():
-                    pending.set_exception(ApiError(message))
+                self._settle(rid, None, ApiError(message))
             elif frame.get("fatal"):
                 # Ends the reader: every pending future fails with this.
                 raise ApiError(f"gateway closed the connection: {message}")

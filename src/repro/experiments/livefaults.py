@@ -394,10 +394,10 @@ async def _run(spec: LiveFaultsSpec, data_dir: Optional[str]) -> LiveFaultsResul
 
 
 def _write_trace(tracer: Any, path: str) -> Dict[str, Any]:
-    """Drain the tracer into a Chrome ``trace_event`` JSON file."""
+    """Drain the tracer into a Chrome ``trace_event`` JSON file (in a
+    directory that exists: ``cli.main`` makes or refuses it)."""
     traces = tracer.drain()
     payload = spans_to_chrome(traces)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.write("\n")

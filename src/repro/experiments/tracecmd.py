@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -111,19 +110,16 @@ class TraceResult:
 
 
 def _export(trace: QueryTrace, spec: TraceSpec) -> list:
-    """Write the requested trace artifacts; returns summary lines."""
+    """Write the requested trace artifacts; returns summary lines.  Their
+    directories exist: ``cli.main`` makes (or refuses) each before the run."""
     notes = []
     if spec.trace_out is not None:
         payload = spans_to_chrome([trace])
-        directory = os.path.dirname(os.path.abspath(spec.trace_out))
-        os.makedirs(directory, exist_ok=True)
         with open(spec.trace_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
             handle.write("\n")
         notes.append(f"wrote {spec.trace_out} ({len(payload['traceEvents'])} events)")
     if spec.trace_jsonl is not None:
-        directory = os.path.dirname(os.path.abspath(spec.trace_jsonl))
-        os.makedirs(directory, exist_ok=True)
         with open(spec.trace_jsonl, "w", encoding="utf-8") as handle:
             handle.write(spans_to_jsonl(trace.spans) + "\n")
         notes.append(f"wrote {spec.trace_jsonl} ({len(trace)} spans)")

@@ -54,6 +54,7 @@ crosses a TCP socket.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.deployment import Deployment
@@ -69,16 +70,115 @@ from repro.gossip.swim import (
 )
 from repro.kautz import strings as ks
 from repro.runtime.node import PeerNode
-from repro.runtime.protocol import wire_to_message
+from repro.runtime.protocol import Then, wire_to_message
 from repro.runtime.transport import AsyncioTransport
 from repro.sim.rng import DeterministicRNG
-from repro.storage import BACKENDS, StoredObject, WALStore, store_path
+from repro.storage import BACKENDS, WALStore, store_path
 from repro.storage.base import objects_from_wire, objects_to_wire
 from repro.wire import decode_value, encode_value
 
 
 class ClusterError(RuntimeError):
     """Raised on invalid live-cluster operations."""
+
+
+class _Copies:
+    """One write's copies, stored in placement order: each copy's ack posts
+    the next, the last ack runs ``then(peers, None)`` and the first failure
+    ``then(None, error)``, whatever raised.  An object rather than closures
+    that call each other: such a cycle would keep every finished write
+    alive until a full garbage collection."""
+
+    __slots__ = ("transport", "fields", "targets", "then", "acked")
+
+    def __init__(
+        self,
+        transport: AsyncioTransport,
+        object_id: str,
+        key: Any,
+        value: Any,
+        targets: List[str],
+        then: Then,
+    ) -> None:
+        self.transport = transport
+        self.fields = {"object_id": object_id, "key": encode_value(key), "value": encode_value(value)}
+        self.targets = targets
+        self.then = then
+        self.acked: List[str] = []
+
+    def post(self) -> None:
+        """Send the next copy's ``store`` frame; raises when its peer has no
+        route."""
+        peer_id = self.targets[len(self.acked)]
+        address = self.transport.address_of(peer_id)
+        if address is None:
+            raise ClusterError(f"peer {peer_id!r} for {self.fields['object_id']!r} has no route")
+        role = "replica" if self.acked else "primary"
+        frame = {"type": "store", **self.fields, "peer": peer_id, "role": role}
+        self.transport.post(address, frame, self.copied)
+
+    def copied(self, reply: Optional[Dict[str, Any]], error: Optional[Exception]) -> None:
+        acked, targets = self.acked, self.targets
+        try:
+            if error is not None:
+                raise error
+            if not reply.get("ok", False):
+                raise ClusterError(
+                    f"store of {self.fields['object_id']!r} on {targets[len(acked)]!r} failed: "
+                    f"{reply.get('error', 'unknown error')} "
+                    f"({len(acked)}/{len(targets)} copies durable)"
+                )
+            acked.append(targets[len(acked)])
+            if len(acked) < len(targets):
+                self.post()
+                return
+        except Exception as exc:
+            self.then(None, exc)
+            return
+        self.then(acked, None)
+
+
+class _Read:
+    """One failover read: a ``fetch`` to each candidate with a route, in
+    turn, until one holds copies (an object for the reason
+    :class:`_Copies` is)."""
+
+    __slots__ = ("transport", "object_id", "candidates", "then")
+
+    def __init__(
+        self, transport: AsyncioTransport, object_id: str, candidates: Sequence[str], then: Then
+    ) -> None:
+        self.transport = transport
+        self.object_id = object_id
+        self.candidates = iter(candidates)
+        self.then = then
+
+    def ask(self) -> bool:
+        """Send a ``fetch`` to the next candidate with a route; False when
+        none is left."""
+        for peer_id in self.candidates:
+            address = self.transport.address_of(peer_id)
+            if address is not None:
+                frame = {"type": "fetch", "object_id": self.object_id, "peer": peer_id}
+                self.transport.post(address, frame, partial(self.read, peer_id))
+                return True
+        return False
+
+    def read(self, peer_id: str, reply: Optional[Dict[str, Any]], error: Optional[Exception]) -> None:
+        try:
+            if error is not None:
+                raise error
+            objects = objects_from_wire(reply["objects"]) if reply.get("ok", False) else []
+            if objects:
+                found = (peer_id, objects)
+            elif self.ask():
+                return
+            else:
+                found = (None, [])
+        except Exception as exc:
+            self.then(None, exc)
+            return
+        self.then(found, None)
 
 
 class LiveCluster:
@@ -422,72 +522,38 @@ class LiveCluster:
     # gateway-facing helpers                                               #
     # ------------------------------------------------------------------ #
 
-    async def store(
-        self, object_id: str, key: Any, value: Any, replicas: int = 1
-    ) -> List[str]:
-        """Durably publish one object on ``replicas`` peers; returns them.
+    def store(self, object_id: str, key: Any, value: Any, replicas: int, then: Then) -> None:
+        """Durably publish one object on ``replicas`` peers.
 
         Each copy is a ``store`` frame to the node hosting that peer (a
-        real TCP round trip per copy): the owner takes the primary copy,
-        the next ``replicas - 1`` prefix siblings take replica copies.
-        The call returns — i.e. the write is *acknowledged* — only after
-        every target's backend has synced its append.  Any per-copy
-        failure raises :class:`ClusterError`, so a partially-replicated
-        write is always reported failed, never silently dropped.  Known
-        dead targets fail the write *before* any copy is appended
-        (:meth:`Deployment.place`), so the common crash case leaves no
-        partial ghost behind either.
+        real TCP round trip per copy, in placement order, each sent when
+        the previous one is acked): the owner takes the primary copy, the
+        next ``replicas - 1`` prefix siblings take replica copies.  The write
+        is *acknowledged* — ``then(peers, None)`` — only after every
+        target's backend has synced its append.  Any per-copy failure is
+        ``then(None, error)`` (a :class:`ClusterError` for a refused copy,
+        a transport failure as it is), so a partially-replicated write is
+        always reported failed, never silently dropped.  Known dead targets
+        fail the write *before* any copy is appended — this raises
+        (:meth:`Deployment.place`), as does a first target with no route —
+        so the common crash case leaves no partial ghost behind either.
         """
         targets = self.deployment.place(object_id, replicas)
-        acked: List[str] = []
-        for index, peer_id in enumerate(targets):
-            address = self.transport.address_of(peer_id)
-            if address is None:
-                raise ClusterError(
-                    f"peer {peer_id!r} for {object_id!r} has no route"
-                )
-            reply = await self.transport.request(
-                address,
-                {
-                    "type": "store",
-                    "object_id": object_id,
-                    "key": encode_value(key),
-                    "value": encode_value(value),
-                    "peer": peer_id,
-                    "role": "primary" if index == 0 else "replica",
-                },
-            )
-            if not reply.get("ok", False):
-                raise ClusterError(
-                    f"store of {object_id!r} on {peer_id!r} failed: "
-                    f"{reply.get('error', 'unknown error')} "
-                    f"({len(acked)}/{len(targets)} copies durable)"
-                )
-            acked.append(peer_id)
-        return acked
+        _Copies(self.transport, object_id, key, value, targets, then).post()
 
-    async def fetch(self, object_id: str) -> Tuple[Optional[str], List[StoredObject]]:
+    def fetch(self, object_id: str, then: Then) -> None:
         """Read ``object_id`` from the first live copy holder.
 
         Walks :meth:`Deployment.read_candidates` (placement order, down
         peers skipped) and issues a ``fetch`` frame to each candidate's
-        hosting node until one returns a non-empty copy set.  Returns
-        ``(peer_id, objects)`` or ``(None, [])`` when no live peer holds
-        the object.
+        hosting node in turn until one returns a non-empty copy set.
+        ``then((peer_id, objects), None)``, or ``((None, []), None)`` when no
+        live peer holds the object; a transport failure is ``then(None,
+        error)``.
         """
-        for peer_id in self.deployment.read_candidates(object_id):
-            address = self.transport.address_of(peer_id)
-            if address is None:
-                continue
-            reply = await self.transport.request(
-                address, {"type": "fetch", "object_id": object_id, "peer": peer_id}
-            )
-            if not reply.get("ok", False):
-                continue
-            objects = objects_from_wire(reply["objects"])
-            if objects:
-                return peer_id, objects
-        return None, []
+        read = _Read(self.transport, object_id, self.deployment.read_candidates(object_id), then)
+        if not read.ask():
+            then((None, []), None)
 
     # ------------------------------------------------------------------ #
     # gossip control plane (decentralized membership)                      #

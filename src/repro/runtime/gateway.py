@@ -30,8 +30,15 @@ same definition the client decodes with.  What a request *does* is not decided
 here either: naming a write, and launching a query (origin default and
 validation, executor by kind, tracer), are calls into the cluster's
 :class:`~repro.core.deployment.Deployment` — the calls ``SimSession`` makes.
-The gateway owns the connection: rid table, in-flight set, deadline
+The gateway owns the connection: rid table, in-flight counts, deadline
 default, metrics and recorder taps, reply writer.
+
+No request costs the gateway an asyncio task.  Each is answered by one
+callback: a query's when its executor completes, an insert's or a get's
+when the node reply ending its ``store`` / ``fetch`` chain is read
+(:meth:`LiveCluster.store` / :meth:`LiveCluster.fetch`), a ping's or a
+stats request's inline.  Whatever a launch or a callback raises is that
+request's one reply, ``"<Type>: <message>"``.
 
 Bad input has exactly three outcomes, and every one of them is a structured
 ``error`` frame — the gateway never closes a connection silently:
@@ -62,16 +69,17 @@ per-request option or the gateway default), handed to the executor's
 ``start``: the executor arms the timer on the cluster's transport and on
 expiry force-completes the query as failed with partial results — the same
 timer as the engine's simulated deadline.  The same bound is what makes
-:meth:`Gateway.shutdown` safe — draining waits for the in-flight queries
-and the other requests' answering tasks, and the deadline caps how long
-that can take.
+:meth:`Gateway.shutdown` safe — draining waits until every accepted request
+is answered, and the deadline (for a write, its node requests' timeouts)
+caps how long that can take.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.requests import (
     ApiError,
@@ -135,11 +143,13 @@ class Gateway:
         self.recorder = recorder
         self._init_metrics(metrics)
         self._server: Optional[asyncio.base_events.Server] = None
-        #: one marker per in-flight query (what ``in_flight`` counts)
-        self._inflight: Set[asyncio.Future] = set()
-        #: the answering task of every other in-flight request
-        self._tasks: Set[asyncio.Task] = set()
+        #: queries accepted but not yet answered (what ``in_flight`` counts)
+        self._queries = 0
         self._peak_inflight = 0
+        #: requests of every op accepted but not yet answered, and the future
+        #: a drain waits on until that count is back to zero
+        self._unanswered = 0
+        self._drained: Optional[asyncio.Future] = None
         #: the transport of every open client connection
         self._connections: Set[asyncio.Transport] = set()
         self._closing = False
@@ -182,7 +192,7 @@ class Gateway:
         )
         metrics.register_callback(
             "gateway_in_flight",
-            lambda: float(len(self._inflight)),
+            lambda: float(self._queries),
             "Queries accepted but not yet answered",
         )
         metrics.register_callback(
@@ -219,7 +229,7 @@ class Gateway:
     @property
     def in_flight(self) -> int:
         """Queries accepted but not yet answered."""
-        return len(self._inflight)
+        return self._queries
 
     @property
     def peak_in_flight(self) -> int:
@@ -234,25 +244,26 @@ class Gateway:
 
         1. new connections are refused and already-connected clients get
            ``{"ok": false, "error": "shutting down"}`` for new requests;
-        2. with ``drain=True`` every in-flight request is awaited — each
-           query is bounded by its per-query deadline timer, so the wait is
-           at most ``deadline`` seconds, and an insert or a get by its
-           RPCs' timeouts;
+        2. with ``drain=True`` every accepted request is answered first —
+           each query is bounded by its per-query deadline timer, so the
+           wait is at most ``deadline`` seconds, and an insert or a get by
+           its RPCs' timeouts;
         3. only then do the cluster's sockets close.
 
         Returns the number of queries that were in flight when the drain
         began.
         """
         self._closing = True
-        draining = len(self._inflight)
+        draining = self._queries
         server, self._server = self._server, None
         if server is not None:
             # Stop accepting.  Do NOT await wait_closed() yet: since Python
             # 3.12.1 it blocks until every client *connection* closes, and
             # idle clients may hold theirs open indefinitely.
             server.close()
-        if drain and (self._inflight or self._tasks):
-            await asyncio.gather(*self._inflight, *self._tasks, return_exceptions=True)
+        if drain and self._unanswered:
+            self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
         # The drain is over; now sever the remaining client connections so
         # the listener can finish closing on every Python version.
         for transport in list(self._connections):
@@ -277,8 +288,8 @@ class Gateway:
 
     def _write_frame(self, writer: asyncio.Transport, frame: Dict[str, Any]) -> Optional[bytes]:
         """Buffer one frame (a single ``write`` call, so frames never
-        interleave even when several reply tasks share the connection);
-        returns the bytes written, ``None`` on a closing connection."""
+        interleave however many replies share the connection); returns the
+        bytes written, ``None`` on a closing connection."""
         if writer.is_closing():
             return None
         body = encode_frame(frame)
@@ -291,9 +302,9 @@ class Gateway:
         self, frame: Dict[str, Any], writer: asyncio.Transport, pending_rids: Set[int]
     ) -> None:
         """One frame of a connection.  No await anywhere below: the
-        answering task or callback owns the reply, and the connection goes
-        straight on to its next frame — that is the multiplexing (frame
-        intake never waits on execution)."""
+        answering callback owns the reply, and the connection goes straight
+        on to its next frame — that is the multiplexing (frame intake never
+        waits on execution)."""
         kind = frame.get("type")
         if kind == "request":
             self._start_request(frame, writer, pending_rids)
@@ -312,13 +323,8 @@ class Gateway:
         self, frame: Dict[str, Any], writer: asyncio.Transport, pending_rids: Set[int]
     ) -> None:
         """Validate the rid and launch the request (no await: this is what
-        lets many requests run concurrently on one connection).
-
-        Query requests are fully event-driven — the executor's completion
-        callback writes the reply frame directly, so a pipelined query
-        costs no asyncio task at the gateway.  The other ops (insert needs
-        an RPC round trip to the owner's node) run as small tasks.
-        """
+        lets many requests run concurrently on one connection).  Its one
+        callback, ``answer``, writes the reply and frees the rid."""
         rid = frame.get("rid")
         if not isinstance(rid, int) or isinstance(rid, bool):
             self._write_frame(writer, error_frame("request frame needs an integer 'rid'"))
@@ -337,78 +343,71 @@ class Gateway:
                 ),
             )
             return
-        pending_rids.add(rid)
         try:
             request = request_from_wire(frame.get("request"))
         except ApiError as exc:
-            pending_rids.discard(rid)
             self._write_frame(writer, error_frame(str(exc), rid=rid))
             return
         if self._closing:
-            # Not in the drain's snapshot, so refused rather than severed.
-            pending_rids.discard(rid)
+            # Not counted by the drain, so refused rather than severed.
             refusal = {"ok": False, "error": "shutting down"}
             self._write_frame(writer, {"type": "reply", "rid": rid, "payload": refusal})
             return
+        pending_rids.add(rid)
+        self._unanswered += 1
 
-        if isinstance(request, (RangeQuery, MultiRangeQuery)):
-            def finish(payload: Dict[str, Any], rid: int = rid) -> Optional[bytes]:
-                pending_rids.discard(rid)
-                # The payload nests under the envelope so the frame's own
-                # "type" stays "reply" for the client.
-                return self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
-
-            try:
-                self._start_query(request, finish)
-            except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
-                finish({"ok": False, "error": str(exc)})
-            return
-
-        task = asyncio.get_running_loop().create_task(
-            self._answer_simple(rid, request, writer)
-        )
-        self._tasks.add(task)
-
-        def _finished(done: asyncio.Task, rid: int = rid) -> None:
+        def answer(build: Any, result: Any = None, error: Optional[Exception] = None) -> Any:
+            """Write the one reply frame, ``build(result)``'s or the failure
+            (``error``, or what building or encoding the reply raised), and
+            return its bytes (``None`` if the client has gone).  Nothing
+            escapes: out of a node link's ``data_received`` it would end it."""
             pending_rids.discard(rid)
-            self._tasks.discard(done)
+            self._unanswered -= 1
+            if not self._unanswered and self._drained is not None:
+                self._drained.set_result(None)
+            # The payload nests under the envelope so the frame's own
+            # "type" stays "reply" for the client.
+            try:
+                if error is None:
+                    frame = {"type": "reply", "rid": rid, "payload": build(result).to_wire()}
+                    return self._write_frame(writer, frame)
+            except Exception as exc:
+                error = exc
+            payload = _failure(request, rid, error)
+            return self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
 
-        task.add_done_callback(_finished)
-
-    async def _answer_simple(
-        self, rid: int, request: Request, writer: asyncio.Transport
-    ) -> None:
-        """Answer a non-query request (ping/stats/insert) as its own task."""
         try:
-            payload = (await self._execute(request)).to_wire()
-        except (ValueError, ClusterError, ArmadaError, ApiError) as exc:
-            payload = {"ok": False, "error": str(exc)}
+            self._execute(request, answer)
         except Exception as exc:
-            # Whatever went wrong, the rid gets its one reply frame — an
-            # unanswered request would sit out the client's whole timeout.
-            log.exception("request %s (rid %s) failed unexpectedly", request.op, rid)
-            payload = failure_payload(exc)
-        self._write_frame(writer, {"type": "reply", "rid": rid, "payload": payload})
+            answer(None, error=exc)
 
     # ------------------------------------------------------------------ #
-    # non-query requests                                                   #
+    # requests                                                             #
     # ------------------------------------------------------------------ #
 
-    async def _execute(self, request: Request) -> Reply:
-        """Run one non-query request (queries go through :meth:`_start_query`)."""
-        deployment = self.cluster.deployment
-        if isinstance(request, Ping):
-            return PongReply()
-        if isinstance(request, Stats):
-            return StatsReply(stats=self._stats())
-        if isinstance(request, (Insert, MultiInsert)):
-            object_id, key, value = request.name(deployment)
-            acked = await self.cluster.store(object_id, key, value, request.options.replicas)
-            return InsertReply(object_id=object_id, owner=acked[0], replicas=tuple(acked))
-        if isinstance(request, Get):
-            object_id = deployment.single_namer.name(request.value)
-            return request.reply(object_id, *await self.cluster.fetch(object_id))
-        raise ValueError(f"the gateway cannot execute request op {request.op!r}")
+    def _execute(self, request: Request, answer: Callable[..., Any]) -> None:
+        """Launch one request; ``answer(build, result, error)`` fires exactly
+        once, possibly before this returns.  A launch failure raises."""
+        if isinstance(request, (RangeQuery, MultiRangeQuery)):
+            self._start_query(request, answer)
+        elif isinstance(request, Ping):
+            answer(lambda _: PongReply())
+        elif isinstance(request, Stats):
+            answer(lambda _: StatsReply(stats=self._stats()))
+        elif isinstance(request, (Insert, MultiInsert)):
+            object_id, key, value = request.name(self.cluster.deployment)
+
+            def inserted(acked: List[str]) -> Reply:
+                return InsertReply(object_id=object_id, owner=acked[0], replicas=tuple(acked))
+
+            replicas = request.options.replicas
+            self.cluster.store(object_id, key, value, replicas, partial(answer, inserted))
+        elif isinstance(request, Get):
+            object_id = self.cluster.deployment.single_namer.name(request.value)
+            read = partial(answer, lambda found: request.reply(object_id, *found))
+            self.cluster.fetch(object_id, read)
+        else:
+            raise ValueError(f"the gateway cannot execute request op {request.op!r}")
 
     def _stats(self) -> Dict[str, Any]:
         stats = self.cluster.stats()
@@ -416,7 +415,7 @@ class Gateway:
         stats.update(
             {
                 "queries_served": self.queries_served,
-                "in_flight": len(self._inflight),
+                "in_flight": self._queries,
                 "peak_in_flight": self._peak_inflight,
                 "connections": len(self._connections),
                 "uptime_seconds": (now - self._started_at) if self._started_at is not None else 0.0,
@@ -443,32 +442,23 @@ class Gateway:
         if stats.timeouts:
             self._m_timeouts.inc(float(stats.timeouts))
 
-    def _start_query(
-        self,
-        request: Request,
-        finish: Callable[[Dict[str, Any]], Optional[bytes]],
-    ) -> None:
-        """Start one query; ``finish(payload)`` fires exactly once with the
-        reply payload — synchronously when the query completes at its
-        origin, from the executor's completion callback otherwise — and
-        returns the bytes it wrote (``None`` if the client has gone).
-
-        This is the event-driven core: no task, no future await — the
-        request loop pipelines queries at the cost of the executor's one
-        deadline timer each.  What the request *does* is the deployment's
-        one :meth:`~repro.core.deployment.Deployment.launch` (origin,
-        executor, tracer); validation failures raise out of it
-        before anything is registered here.  The query is traced when its
-        request asks for it (``options.trace``).
-        """
+    def _start_query(self, request: Request, answer: Callable[..., Any]) -> None:
+        """Start one query; ``answer`` fires exactly once with its reply,
+        synchronously when the query completes at its origin, from the
+        executor's completion callback otherwise.  A query costs the
+        executor's one deadline timer, no task.  What it *does* is the
+        deployment's one :meth:`~repro.core.deployment.Deployment.launch`
+        (origin, executor, tracer), whose validation failures raise before
+        anything is registered here; it is traced when its request asks
+        (``options.trace``)."""
         options = request.options
         kind = request.kind
         deadline = options.deadline if options.deadline is not None else self.deadline
         recorder = self.recorder
-        #: resolves at completion — what the shutdown drain gathers on
-        marker: asyncio.Future = asyncio.get_running_loop().create_future()
+        running = False
 
         def started(query_id: int, origin: str) -> None:
+            nonlocal running
             if recorder is not None:
                 # Before the origin fans out: the query's sequence number
                 # must precede its sends in the flight-recorder ring.
@@ -480,19 +470,20 @@ class Gateway:
                     deadline=deadline,
                     **request.payload(),
                 )
-            self._inflight.add(marker)
-            self._peak_inflight = max(self._peak_inflight, len(self._inflight))
+            running = True
+            self._queries += 1
+            self._peak_inflight = max(self._peak_inflight, self._queries)
 
         def complete(result: RangeQueryResult, latency: float, trace: Any) -> None:
-            if marker.done():
+            nonlocal running
+            if not running:
                 return
-            marker.set_result(None)
-            self._inflight.discard(marker)
+            running = False
+            self._queries -= 1
             self.queries_served += 1
             if self._m_latency is not None:
                 self._observe_query(result, latency, kind)
-            payload = QueryReply.completed(result, latency, trace).to_wire()
-            written = finish(payload)
+            written = answer(lambda _: QueryReply.completed(result, latency, trace))
             if recorder is not None:
                 # The result is kept as the bytes the connection wrote —
                 # keeping the wire object graph alive in the ring would make
@@ -518,7 +509,16 @@ class Gateway:
                 on_complete=complete,
             )
         except BaseException:
-            self._inflight.discard(marker)
-            if not marker.done():
-                marker.set_result(None)
+            if running:  # started, and will never complete
+                self._queries -= 1
             raise
+
+
+def _failure(request: Request, rid: int, exc: Exception) -> Dict[str, Any]:
+    """The reply payload of a request that failed with ``exc``."""
+    if isinstance(exc, (ValueError, ClusterError, ArmadaError, ApiError)):
+        return {"ok": False, "error": str(exc)}
+    # Whatever went wrong, the rid gets its one reply frame — an unanswered
+    # request would sit out the client's whole timeout.
+    log.error("request %s (rid %s) failed unexpectedly", request.op, rid, exc_info=exc)
+    return failure_payload(exc)

@@ -3,7 +3,13 @@
 Every byte that crosses a runtime socket — peer to peer and client to
 gateway alike — is a **frame**: a 4-byte big-endian payload length followed
 by that many bytes of UTF-8 JSON holding one object.  There is one body
-encoding and nothing to negotiate about it.  Two things can be wrong with
+encoding and nothing to negotiate about it.  Its codec is the stdlib's C
+``json``, built once for the module: one compact encoder (the bytes of
+``json.JSONEncoder(separators=(",", ":")).encode``, without building an
+encoder per frame) and one scanner (``json.loads`` without its whitespace
+regexes — a body the scanner does not consume exactly goes to
+``json.loads`` itself, so whitespace, trailing data and every error read
+as they always did).  Two things can be wrong with
 incoming bytes, and they differ in what the receiver can do next:
 
 * a length prefix above :data:`MAX_FRAME_BYTES` (:class:`ProtocolError`) —
@@ -27,7 +33,11 @@ Both travel on the same socket, and that socket is one
 cuts frames out of the bytes as they arrive (``data_received``) and hands
 each to its end synchronously, so a frame costs the event loop one wakeup
 — no reader task, no stream.  :class:`Connection` is the client end,
-:class:`FrameServer` the server end.  Peer links
+:class:`FrameServer` the server end.  A request has one path,
+:meth:`Connection.post_frame`: its ``then`` callback runs in the
+``data_received`` call that cuts the reply (or with the error, when the
+request's timer fires or the connection ends); :meth:`Connection.request`
+is the same post awaited through a future.  Peer links
 (:mod:`repro.runtime.transport`), gateway client connections
 (:mod:`repro.api.live`) and the two listeners (peer node, gateway) are
 all these two.
@@ -56,8 +66,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import json.encoder
+import json.scanner
 import struct
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
@@ -95,13 +107,30 @@ class FrameBodyError(ProtocolError):
     """
 
 
-#: the compact encoder, built once (``json.dumps(separators=...)`` builds one per call)
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+#: the compact encoder, built once: what ``json.JSONEncoder(separators=(",",
+#: ":")).encode`` runs, without building a C encoder on every call.  The
+#: arguments: circular-reference markers (shared, so a failed encode clears
+#: them), the stdlib ``default`` (a ``TypeError``), ASCII string escaping, no
+#: indent, the key and item separators, sort_keys, skipkeys, allow_nan.
+_markers: Dict[int, Any] = {}
+_encode_json = json.encoder.c_make_encoder(
+    _markers, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", False, False, True,
+)  # fmt: skip
+
+#: the decoder's scanner, built once: ``json.loads`` without its two
+#: whitespace regexes (a body it does not consume exactly goes to
+#: ``json.loads`` itself, so whitespace and errors read as they always did)
+_scan_json = json.scanner.c_make_scanner(json.JSONDecoder())
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One frame: 4-byte big-endian length + compact JSON."""
-    body = _encode_json(payload).encode("utf-8")
+    try:
+        body = "".join(_encode_json(payload, 0)).encode("utf-8")
+    except BaseException:
+        _markers.clear()
+        raise
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit")
     return len(body).to_bytes(4, "big") + body
@@ -125,7 +154,13 @@ def decode_frame(body: bytes, allow_binary: bool = False) -> Dict[str, Any]:
         if allow_binary and body[:1] == b"\xc1":
             payload = decode_binary(body)
         else:
-            payload = json.loads(body.decode("utf-8"))
+            text = body.decode("utf-8")
+            try:
+                payload, end = _scan_json(text, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(text):
+                payload = json.loads(text)
     except ValueError as exc:
         raise FrameBodyError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -330,21 +365,43 @@ class FrameServer(FrameProtocol):
             self._cut()
 
 
+#: a continuation: ``then(result, None)`` — for a request, its ``reply``
+#: frame — or ``then(None, error)`` when there is no result to give
+Then = Callable[[Any, Optional[Exception]], None]
+
+
+def settling(future: asyncio.Future) -> Then:
+    """The ``then`` that resolves ``future`` with the reply frame or fails
+    it with the error; a future that is already done is left alone."""
+
+    def then(reply: Optional[Dict[str, Any]], error: Optional[Exception]) -> None:
+        if future.done():
+            return
+        if error is None:
+            future.set_result(reply)
+        else:
+            future.set_exception(error)
+
+    return then
+
+
 class Connection(FrameProtocol):
     """The client end of one framed TCP connection.
 
     One socket carries both kinds of traffic: :meth:`write` buffers an
-    already-encoded cast, :meth:`request` stamps a frame with a fresh
-    ``rid`` and awaits the ``reply`` frame echoing it.  Each reply resolves
-    its future by rid as it is cut — so any number of requests may be in
-    flight and complete out of order — and every other frame goes to
-    :meth:`_on_frame`.
+    already-encoded cast, :meth:`post_frame` stamps a frame with a fresh
+    ``rid`` and registers the ``then`` its ``reply`` frame runs.  ``then``
+    runs in the ``data_received`` call that cuts that reply — no future, no
+    task, no extra loop iteration — so any number of requests may be in
+    flight and complete out of order.  Every other frame goes to
+    :meth:`_on_frame`.  :meth:`request` is the same post, awaited.
 
-    A ``reply`` is returned to its caller as a value whatever its ``ok``
-    field says; only a transport failure raises.  Whatever ends the
-    connection — peer EOF, a lost socket, an unframeable stream or body, an
-    exception out of ``_on_frame``, :meth:`close` — fails every pending
-    future at once, so no awaiter sits out its timeout against a socket
+    A ``reply`` is handed over as a value whatever its ``ok`` field says;
+    only a transport failure is an error: the request's own timer
+    (``TimeoutError``), or whatever ends the connection — peer EOF, a lost
+    socket, an unframeable stream or body, an exception out of
+    ``_on_frame`` or out of a ``then``, :meth:`close` — which fails every
+    pending request at once, so none sits out its timeout against a socket
     that can never answer.
     """
 
@@ -352,10 +409,12 @@ class Connection(FrameProtocol):
     closed = False
 
     def __init__(self) -> None:
-        self._pending: Dict[int, asyncio.Future] = {}
+        self._loop = asyncio.get_running_loop()
+        #: rid -> (then, timer) of every request awaiting its reply
+        self._pending: Dict[int, Tuple[Then, Optional[asyncio.TimerHandle]]] = {}
         self._rids = itertools.count(1)
         #: resolved by connection_lost (what :meth:`close` waits for)
-        self._lost = asyncio.get_running_loop().create_future()
+        self._lost = self._loop.create_future()
         #: set while the send buffer is above its high-water mark
         self._resumed: Optional[asyncio.Future] = None
 
@@ -378,51 +437,67 @@ class Connection(FrameProtocol):
 
     async def drain(self) -> None:
         """Return once the send buffer is below its high-water mark — at
-        once when it is, and when the connection ends (the pending futures
+        once when it is, and when the connection ends (the pending requests
         carry that failure)."""
         if self._resumed is not None:
             await asyncio.shield(self._resumed)
 
     def pause_writing(self) -> None:
-        self._resumed = asyncio.get_running_loop().create_future()
+        self._resumed = self._loop.create_future()
 
     def resume_writing(self) -> None:
         resumed, self._resumed = self._resumed, None
         if resumed is not None:
             resumed.set_result(None)
 
-    def post_frame(
-        self, frame: Dict[str, Any], future: Optional[asyncio.Future] = None
-    ) -> asyncio.Future:
-        """Stamp ``frame`` (in place) with a fresh ``rid``, register the
-        future its reply resolves and buffer the frame — straight onto the
-        socket, one ``encode_frame`` and one ``write``.  The caller owns
-        flushing (:meth:`drain`)."""
+    def post_frame(self, frame: Dict[str, Any], then: Then, timeout: Optional[float] = 10.0) -> int:
+        """Stamp ``frame`` (in place) with a fresh ``rid``, register ``then``
+        for its reply and buffer the frame — straight onto the socket, one
+        ``encode_frame`` and one ``write``; returns the rid.
+
+        ``then`` runs exactly once, unless the rid is :meth:`forget`-ten
+        first.  ``timeout`` seconds without a reply run it with a
+        ``TimeoutError`` (``None``: no timer, the caller bounds its own
+        wait).  The caller owns flushing (:meth:`drain`)."""
         if self.closed:
             raise ConnectionError("connection is closed")
-        if future is None:
-            future = asyncio.get_running_loop().create_future()
         rid = frame["rid"] = next(self._rids)
-        self._pending[rid] = future
+        timer = None if timeout is None else self._loop.call_later(timeout, self._expire, rid, timeout)
+        self._pending[rid] = (then, timer)
         self.transport.write(encode_frame(frame))
-        return future
+        return rid
 
     async def request(self, frame: Dict[str, Any], timeout: Optional[float] = 10.0) -> Dict[str, Any]:
         """Send ``frame`` as a request and return its ``reply`` frame."""
-        future = self.post_frame(frame)
+        future = self._loop.create_future()
+        rid = self.post_frame(frame, settling(future), timeout)
         try:
             await self.drain()
-            async with asyncio.timeout(timeout):
-                return await future
+            return await future
         finally:
-            self.forget(frame["rid"])
+            self.forget(rid)
 
-    def forget(self, rid: int) -> None:
-        """Drop ``rid`` from the requests in flight once its awaiter has
+    def forget(self, rid: Any) -> Optional[Then]:
+        """Drop ``rid`` from the requests in flight once its caller has
         stopped waiting (timeout, cancellation): a lingering rid would grow
         ``_pending`` forever and count as load.  A late reply for it is
-        ignored."""
-        self._pending.pop(rid, None)
+        ignored.  Returns its ``then`` (``None`` if it was not pending)."""
+        entry = self._pending.pop(rid, None)
+        if entry is None:
+            return None
+        then, timer = entry
+        if timer is not None:
+            timer.cancel()
+        return then
+
+    def _settle(self, rid: Any, reply: Optional[Dict[str, Any]], error: Optional[Exception]) -> None:
+        """Run the ``then`` of ``rid`` once, if it is still pending."""
+        then = self.forget(rid)
+        if then is not None:
+            then(reply, error)
+
+    def _expire(self, rid: int, timeout: float) -> None:
+        self._settle(rid, None, TimeoutError(f"no reply to request {rid} within {timeout} s"))
 
     # -- receiving -------------------------------------------------------------
 
@@ -435,9 +510,7 @@ class Connection(FrameProtocol):
         try:
             frame = decode_frame(body)
             if frame.get("type") == "reply":
-                future = self._pending.pop(frame.get("rid"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
+                self._settle(frame.get("rid"), frame, None)
             else:
                 self._on_frame(frame)
         except Exception as exc:
@@ -452,18 +525,19 @@ class Connection(FrameProtocol):
         self._lost.set_result(None)
 
     def _end(self, failure: Optional[Exception] = None) -> None:
-        """The connection is over, whatever ended it: fail what is pending
-        with the first cause, release the socket."""
+        """The connection is over, whatever ended it: release the socket,
+        fail what is pending with the first cause."""
         if self.closed:
             return
         self.closed = True
+        self.transport.close()
         if failure is None:
             failure = ConnectionError("connection closed with requests in flight")
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(failure)
-        self._pending.clear()
-        self.transport.close()
+        pending, self._pending = self._pending, {}
+        for then, timer in pending.values():
+            if timer is not None:
+                timer.cancel()
+            then(None, failure)
 
     async def close(self) -> None:
         """Fail what is pending, close the socket and wait until it is

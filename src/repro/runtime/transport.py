@@ -14,7 +14,8 @@ message by scheduling an event, this transport
   dialled lazily; frames are buffered until it is up), so the executor's
   synchronous ``send()`` never blocks the event loop.  The same socket
   carries the gossip plane's control frames (:meth:`~AsyncioTransport.send_frame`)
-  and the cluster's node requests (:meth:`~AsyncioTransport.request`).
+  and the cluster's node requests (:meth:`~AsyncioTransport.post`), each
+  answered through a callback as its reply is read.
 
 Clock and timers come from the running asyncio loop (``loop.time()`` /
 ``loop.call_later``), so the per-hop resilience timers and query deadlines
@@ -29,12 +30,23 @@ signal the executors already understand from the simulated overlay.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.runtime.protocol import Connection, encode_frame, message_to_wire
+from repro.runtime.protocol import Connection, Then, encode_frame, message_to_wire
 from repro.sim.network import Message
 
 Address = Tuple[str, int]
+
+
+class _Request:
+    """A request posted on a link: the frame and its continuation."""
+
+    __slots__ = ("frame", "then", "timeout")
+
+    def __init__(self, frame: Dict[str, Any], then: Then, timeout: Optional[float]) -> None:
+        self.frame = frame
+        self.then = then
+        self.timeout = timeout
 
 
 class _Link:
@@ -42,12 +54,14 @@ class _Link:
 
     Casts and requests share it (a :class:`~repro.runtime.protocol.Connection`).
     What the link adds is its own: the connection is dialled lazily, on
-    first use; whatever is enqueued before the dial completes is buffered
-    and flushed in order the moment it does; and a dial that fails with
-    ``OSError`` drops every buffered item.  Only executor
-    :class:`Message` objects get drop callbacks — a lost control frame
-    (pre-encoded ``bytes`` from the gossip plane) needs no notification,
-    because for the gossip protocol the loss itself *is* the signal.
+    first use (the link's one task); whatever is enqueued before the dial
+    completes is buffered and flushed in order the moment it does; and a
+    dial that fails with ``OSError`` drops every buffered item.  Only
+    executor :class:`Message` objects get drop callbacks, and only requests
+    get an error (their ``then`` runs with a :class:`ConnectionError`) — a
+    lost control frame (pre-encoded ``bytes`` from the gossip plane) needs
+    no notification, because for the gossip protocol the loss itself *is*
+    the signal.
     """
 
     def __init__(self, address: Address, on_drop: Callable[[Message], None]) -> None:
@@ -65,34 +79,22 @@ class _Link:
         return self._refused or (self._connection is not None and self._connection.closed)
 
     def enqueue(self, item: Any) -> None:
-        """Write one message or raw frame — or buffer it while dialling."""
+        """Write one message, raw frame or request — or buffer it while
+        dialling."""
         if self.broken:
             self._discard(item)
         elif self._connection is not None:
             self._write(item)
         else:
             self._backlog.append(item)
-            self._dialled()
+            if self._dial is None:
+                self._dial = asyncio.get_running_loop().create_task(self._open())
 
-    async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request on the link's socket and return its reply frame.
-
-        Written straight to the connected socket; raises
-        :class:`ConnectionError` when the node cannot be reached.
-        """
-        if self._connection is None and not self._refused:
-            # Shielded: the dial is shared, one cancelled caller must not
-            # cancel it under the others.
-            await asyncio.shield(self._dialled())
-        if self.broken:
-            host, port = self.address
-            raise ConnectionError(f"no connection to the node at {host}:{port}")
-        return await self._connection.request(frame)
-
-    def _dialled(self) -> asyncio.Task:
-        if self._dial is None:
-            self._dial = asyncio.get_running_loop().create_task(self._open())
-        return self._dial
+    def post(self, frame: Dict[str, Any], then: Then, timeout: Optional[float] = 10.0) -> None:
+        """Send one request on the link's socket; ``then`` gets its reply
+        frame, or a :class:`ConnectionError` when the node cannot be
+        reached (see :meth:`Connection.post_frame`)."""
+        self.enqueue(_Request(frame, then, timeout))
 
     async def _open(self) -> None:
         try:
@@ -109,11 +111,17 @@ class _Link:
     def _write(self, item: Any) -> None:
         if isinstance(item, Message):
             item = encode_frame(message_to_wire(item))
+        elif isinstance(item, _Request):
+            self._connection.post_frame(item.frame, item.then, item.timeout)
+            return
         self._connection.write(item)
 
     def _discard(self, item: Any) -> None:
         if isinstance(item, Message):
             self._on_drop(item)
+        elif isinstance(item, _Request):
+            host, port = self.address
+            item.then(None, ConnectionError(f"no connection to the node at {host}:{port}"))
 
     async def close(self) -> None:
         """Let a dial in progress finish (it flushes the backlog), then close."""
@@ -232,15 +240,18 @@ class AsyncioTransport:
         """
         self._link(address).enqueue(encode_frame(frame))
 
-    def request(self, address: Address, frame: Dict[str, Any]) -> Awaitable[Dict[str, Any]]:
-        """Send one request frame to the node at ``address``; awaiting the
-        result gives its ``reply`` frame, whatever its ``ok`` field says.
+    def post(
+        self, address: Address, frame: Dict[str, Any], then: Then, timeout: Optional[float] = 10.0
+    ) -> None:
+        """Send one request frame to the node at ``address``; ``then(reply,
+        None)`` gets its ``reply`` frame, whatever its ``ok`` field says.
 
         It travels on the same socket as the casts to that node.  Only a
-        transport failure raises: :class:`ConnectionError` (unreachable
-        node, connection lost), ``asyncio.TimeoutError``.
+        transport failure is an error, ``then(None, error)``:
+        :class:`ConnectionError` (unreachable node, connection lost) or
+        ``TimeoutError`` after ``timeout`` seconds.
         """
-        return self._link(address).request(frame)
+        self._link(address).post(frame, then, timeout)
 
     def _link(self, address: Address) -> _Link:
         link = self._links.get(address)

@@ -84,11 +84,16 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value` (after a JSON round trip)."""
+    """Inverse of :func:`encode_value` (after a JSON round trip).
+
+    A list of scalars only is returned as it is (one type check over the
+    list, no per-element walk); any other list comes back as a new one."""
     scalars = SCALAR_TYPES
     if type(value) in scalars:
         return value
     if isinstance(value, list):
+        if set(map(type, value)) <= scalars:
+            return value
         return [item if type(item) in scalars else decode_value(item) for item in value]
     if isinstance(value, dict):
         if TUPLE_TAG in value:

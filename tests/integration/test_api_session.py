@@ -424,3 +424,82 @@ class TestRunJobsArguments:
             "unknown workload mode 'sideways' (use 'open' or 'closed')",
             "concurrency must be at least 1",
         ]
+
+
+class TestUnexpectedFailures:
+    """Whatever a request's launch or one of its callbacks raises is that
+    request's one reply, ``<Type>: <message>`` under ``payload``, and the
+    rid, the connection and every node link go on serving."""
+
+    def test_a_launch_failure_keeps_its_text_and_frees_the_rid(self, monkeypatch):
+        def broken(gateway, request, answer):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Gateway, "_start_query", broken)
+
+        async def scenario():
+            cluster, gateway, session = await boot_live(8, pool=1)
+            try:
+                with pytest.raises(ApiError, match=r"^RuntimeError: boom$"):
+                    await session.range(0.0, 100.0)
+                assert await session.ping()
+                reader, writer = await asyncio.open_connection(*gateway.address)
+                request = {"type": "request", "rid": 5, "request": {"op": "range", "low": 0.0, "high": 100.0}}
+                for _ in range(2):  # the same rid again: its first reply freed it
+                    writer.write(encode_frame(request))
+                    frame = await read_frame(reader)
+                    assert frame["type"] == "reply" and frame["rid"] == 5
+                    assert frame["payload"] == {"ok": False, "error": "RuntimeError: boom"}
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("where", ["insert-reply", "get-read"])
+    def test_a_callback_that_raises_leaves_its_node_link_open(self, monkeypatch, where):
+        """The callback that ends an insert or a get runs inside the node
+        link's ``data_received``, where an escaped exception would close
+        the link under every request in flight on it."""
+        import repro.runtime.cluster as cluster_module
+        import repro.runtime.gateway as gateway_module
+
+        name, module = {
+            "insert-reply": ("InsertReply", gateway_module),
+            "get-read": ("objects_from_wire", cluster_module),
+        }[where]
+        original = getattr(module, name)
+        failures = [RuntimeError("callback broken")]
+
+        def fails_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return original(*args, **kwargs)
+
+        async def scenario():
+            cluster, gateway, session = await boot_live(8, pool=1)
+            try:
+                value = VALUES[3]
+                if where == "get-read":
+                    await session.insert(value)
+                owner = cluster.network.owner_id(cluster.single_namer.name(value))
+                address = cluster.transport.address_of(owner)
+                await session.ping()
+                monkeypatch.setattr(module, name, fails_once)
+                call = session.insert if where == "insert-reply" else session.get
+                with pytest.raises(ApiError, match=r"^RuntimeError: callback broken$"):
+                    await call(value)
+                link = cluster.transport._links[address]
+                assert not link.broken
+                reply = await call(value)
+                assert cluster.transport._links[address] is link and not link.broken
+                assert reply.ok
+            finally:
+                await session.close()
+                await gateway.shutdown()
+                await cluster.stop()
+
+        asyncio.run(scenario())

@@ -394,10 +394,9 @@ class TestOneAttempt:
         calls = []
         store = cluster.store
 
-        async def counted(object_id, *args):
+        def counted(object_id, *args):
             calls.append(object_id)
-            await asyncio.sleep(delay)
-            return await store(object_id, *args)
+            asyncio.get_running_loop().call_later(delay, store, object_id, *args)
 
         cluster.store = counted
         return calls

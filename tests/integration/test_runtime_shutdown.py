@@ -159,9 +159,8 @@ class TestGatewayDrain:
             cluster, gateway = await boot()
             store = cluster.store
 
-            async def slow_store(*args):
-                await asyncio.sleep(0.3)
-                return await store(*args)
+            def slow_store(*args):
+                asyncio.get_running_loop().call_later(0.3, store, *args)
 
             cluster.store = slow_store
             client = await LiveSession.connect(*gateway.address, pool=1)
@@ -188,9 +187,8 @@ class TestGatewayDrain:
             cluster, gateway = await boot()
             store = cluster.store
 
-            async def slow_store(*args):
-                await asyncio.sleep(0.3)
-                return await store(*args)
+            def slow_store(*args):
+                asyncio.get_running_loop().call_later(0.3, store, *args)
 
             cluster.store = slow_store
             client = await LiveSession.connect(*gateway.address, pool=1)

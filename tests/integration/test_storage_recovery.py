@@ -27,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 
@@ -41,6 +42,8 @@ from repro.runtime.gateway import Gateway
 from repro.storage import StorageError, WALStore, store_path
 from repro.storage.wal import WAL_HEADER
 
+from raw_frames import posted
+
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
 VALUES = [float(v) for v in range(0, 1000, 40)]
@@ -54,32 +57,52 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 #: The kill target: it replays the WAL at ``argv[1]``, as a restarting peer
 #: does, then puts each ``object_id key value`` line of stdin into it and
-#: syncs, then acks with the store's digest.
+#: syncs, then acks with the store's digest.  A line with a fourth field,
+#: ``cut``, tears its record instead: the first ``cut`` bytes go to the file
+#: in one write, ``torn`` is printed, and the rest would follow a pause that
+#: the kill lands in.
 WRITER = """
-import sys
+import sys, time
 from repro.storage import WALStore
-store = WALStore(sys.argv[1])
+store = WALStore(sys.argv[1], sync_mode="manual")
 store.replay()
 for line in sys.stdin:
-    object_id, key, value = line.split()
+    object_id, key, value, *cut = line.split()
     store.put(object_id, key=float(key), value=float(value))
+    if cut:
+        record = bytes(store._pending)
+        store._file.write(record[: int(cut[0])])
+        store._file.flush()
+        print("torn", flush=True)
+        time.sleep(30)
+        store._file.write(record[int(cut[0]) :])
+        continue
     store.sync()
     print(store.digest(), flush=True)
 """
 
 
-def kill_mid_write(path: str, writes: int, acks: int) -> list:
+def kill_mid_write(path: str, writes: int, acks: int, cut: Optional[int] = None) -> list:
     """Send ``writes`` writes to a writer process in one burst, read
-    ``acks`` acks and SIGKILL it; returns the acks read."""
+    ``acks`` acks and SIGKILL it; returns the acks read.  With ``cut``, the
+    last write is torn after ``cut`` bytes, and the kill waits until it is
+    (``acks`` is then every other write)."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    lines = [f"obj{index:02d} {index} {index * 10}" for index in range(writes)]
+    if cut is not None:
+        lines[-1] += f" {cut}"
     with subprocess.Popen(
         [sys.executable, "-c", WRITER, path],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
     ) as proc:
-        proc.stdin.write("".join(f"obj{index:02d} {index} {index * 10}\n" for index in range(writes)))
-        proc.stdin.flush()
-        read = [proc.stdout.readline() for _ in range(acks)]
-        proc.send_signal(signal.SIGKILL)
+        try:
+            proc.stdin.write("".join(line + "\n" for line in lines))
+            proc.stdin.flush()
+            read = [proc.stdout.readline() for _ in range(acks)]
+            if cut is not None:
+                assert proc.stdout.readline().strip() == "torn"
+        finally:
+            proc.send_signal(signal.SIGKILL)
     return [ack.strip() for ack in read]
 
 
@@ -117,6 +140,25 @@ class TestWriterSigkill:
                 )
             store.put("after", key=1.0, value=1.0)
             assert store.replay() == replayed + 1
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("cut", [3, 12], ids=["mid-header", "mid-body"])
+    def test_a_record_torn_by_the_kill_is_cut_off_and_the_log_appends_again(self, tmp_path, cut):
+        """The kill lands between the two writes of one record: replay
+        serves every acked write, truncates the torn bytes, and an append
+        after it replays."""
+        path = str(tmp_path / "peer.wal")
+        digests = kill_mid_write(path, writes=4, acks=3, cut=cut)
+        torn_size = os.path.getsize(path)
+        store = WALStore(path)
+        try:
+            assert store.replay() == 3
+            assert store.digest() == digests[-1] and stored(store, "obj03") == []
+            assert os.path.getsize(path) == torn_size - cut
+            store.put("after", key=1.0, value=1.0)
+            assert store.replay() == 4
+            assert stored(store, "after") == [(1.0, 1.0)]
         finally:
             store.close()
 
@@ -372,7 +414,8 @@ class TestReplication:
             try:
                 object_id = cluster.single_namer.name(VALUES[3])
                 address = cluster.transport.address_of(cluster.network.owner_id(object_id))
-                reply = await cluster.transport.request(
+                reply = await posted(
+                    cluster.transport.post,
                     address,
                     {"type": "store", "object_id": object_id, "key": VALUES[3], "value": None},
                 )
@@ -418,7 +461,7 @@ class TestReplication:
             gateway = await Gateway(cluster).start()
             session = await LiveSession.connect(*gateway.address, pool=1, timeout=3.0)
 
-            async def broken_store(*args, **kwargs):
+            def broken_store(*args, **kwargs):
                 raise RuntimeError("placement table corrupt")
 
             cluster.store = broken_store

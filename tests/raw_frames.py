@@ -5,15 +5,16 @@ The runtime never reads a stream: each of its sockets is a
 ``data_received``.  A test that scripts a server or a client with
 ``asyncio.start_server`` / ``asyncio.open_connection`` reads the frames it
 is sent with :func:`read_frame`; a test that drives a protocol without a
-socket hands it a :class:`FakeTransport`.
+socket hands it a :class:`FakeTransport`.  A request the runtime posts
+with a ``then`` callback is awaited with :func:`posted`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame
+from repro.runtime.protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame, settling
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
@@ -31,6 +32,14 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
     return decode_frame(body)
+
+
+def posted(post: Callable[..., Any], *args: Any) -> asyncio.Future:
+    """Call ``post(*args, then)`` and return the future ``then`` settles:
+    the reply frame, or the error the request failed with."""
+    future = asyncio.get_running_loop().create_future()
+    post(*args, settling(future))
+    return future
 
 
 class FakeTransport:

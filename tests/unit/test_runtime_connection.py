@@ -19,7 +19,7 @@ from repro.runtime.protocol import Connection, FrameServer, encode_frame
 from repro.runtime.transport import AsyncioTransport, _Link
 from repro.sim.network import Message
 
-from raw_frames import read_frame
+from raw_frames import posted, read_frame
 
 
 @contextlib.asynccontextmanager
@@ -69,7 +69,7 @@ async def silent(reader, writer):
 
 async def node_request(port):
     connection = await Connection.open("127.0.0.1", port)
-    return connection, connection.post_frame({"type": "ping"})
+    return connection, posted(connection.post_frame, {"type": "ping"})
 
 
 async def gateway_request(port):
@@ -136,7 +136,7 @@ class TestRequests:
         async def scenario():
             async with scripted_server(silent) as (port, accepted):
                 connection, first = await post(port)
-                second = connection.post_frame({"type": "ping"})
+                second = posted(connection.post_frame, {"type": "ping"})
                 await connection.drain()
                 if ending == "peer-eof":
                     while not accepted:
@@ -151,7 +151,7 @@ class TestRequests:
                         await asyncio.wait_for(future, timeout=2.0)
                 assert connection.closed and connection.in_flight == 0
                 with pytest.raises(ConnectionError):
-                    connection.post_frame({"type": "ping"})
+                    posted(connection.post_frame, {"type": "ping"})
                 await connection.close()
 
         asyncio.run(scenario())
@@ -178,10 +178,10 @@ class TestLink:
                 link = link_to(port)
                 link.enqueue(message([]))  # buffered: the dial has not completed
                 link.enqueue(encode_frame({"type": "gossip"}))
-                reply = await link.request({"type": "ping"})
+                reply = await posted(link.post, {"type": "ping"})
                 assert reply["ok"] is True and reply["rid"] == 1
                 link.enqueue(message([]))  # written straight to the socket
-                await link.request({"type": "ping"})
+                await posted(link.post, {"type": "ping"})
                 assert seen == ["msg", "gossip", "ping", "msg", "ping"]
                 assert len(accepted) == 1
                 await link.close()
@@ -200,7 +200,7 @@ class TestLink:
             link.enqueue(b"a gossip frame: lost without a callback")
             assert dropped == []
             with pytest.raises(ConnectionError):
-                await link.request({"type": "ping"})
+                await posted(link.post, {"type": "ping"})
             assert dropped == queued and link.broken
             late = message(dropped)
             link.enqueue(late)
@@ -224,7 +224,7 @@ class TestLink:
                 transport.send(late)
                 transport.send_frame(address, {"type": "gossip"})
                 with pytest.raises(ConnectionError):
-                    await transport.request(address, {"type": "ping"})
+                    await posted(transport.post, address, {"type": "ping"})
                 await asyncio.sleep(0.05)
                 assert dropped == [late] and accepted == []
                 await transport.close()
@@ -241,7 +241,7 @@ class TestLink:
                 link = link_to(port)
                 link.enqueue(message(dropped))
                 with pytest.raises(ConnectionError):
-                    await link.request({"type": "ping"})
+                    await posted(link.post, {"type": "ping"})
                 assert link.broken and dropped == []
                 late = message(dropped)
                 link.enqueue(late)

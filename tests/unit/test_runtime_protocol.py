@@ -23,7 +23,7 @@ from repro.runtime.protocol import (
 from repro.sim.network import Message
 from repro.wire import decode_value, encode_value
 
-from raw_frames import connected
+from raw_frames import connected, posted
 
 
 class TestFraming:
@@ -149,7 +149,7 @@ class TestBackpressure:
             await connection.drain()  # not paused: returns at once
             connection.pause_writing()
             draining = asyncio.ensure_future(connection.drain())
-            future = connection.post_frame({"type": "ping"})
+            future = posted(connection.post_frame, {"type": "ping"})
             for _ in range(3):
                 await asyncio.sleep(0)
             assert not draining.done()
@@ -181,7 +181,7 @@ class TestBackpressure:
             connection, _ = connected(Connection())
             connection.pause_writing()
             draining = asyncio.ensure_future(connection.drain())
-            future = connection.post_frame({"type": "ping"})
+            future = posted(connection.post_frame, {"type": "ping"})
             await asyncio.sleep(0)
             connection.connection_lost(None)
             await asyncio.wait_for(draining, timeout=1.0)
