@@ -311,13 +311,9 @@ class Gateway:
         elif kind == "quit":
             raise Hangup()
         else:
-            self._write_frame(
-                writer,
-                error_frame(
-                    f"unknown frame type {kind!r} (known: request, quit)",
-                    rid=frame.get("rid") if isinstance(frame.get("rid"), int) else None,
-                ),
-            )
+            rid = frame.get("rid") if isinstance(frame.get("rid"), int) else None
+            error = error_frame(f"unknown frame type {kind!r} (known: request, quit)", rid=rid)
+            self._write_frame(writer, error)
 
     def _start_request(
         self, frame: Dict[str, Any], writer: asyncio.Transport, pending_rids: Set[int]
@@ -355,15 +351,20 @@ class Gateway:
             return
         pending_rids.add(rid)
         self._unanswered += 1
+        answered = False
 
         def answer(build: Any, result: Any = None, error: Optional[Exception] = None) -> Any:
             """Write the one reply frame, ``build(result)``'s or the failure
-            (``error``, or what building or encoding the reply raised), and
-            return its bytes (``None`` if the client has gone).  Nothing
-            escapes: out of a node link's ``data_received`` it would end it."""
+            (``error``, or what building or encoding it raised), and return
+            its bytes (``None`` if the client has gone or on a repeat call).
+            Nothing escapes: out of a node link's ``data_received`` it would end it."""
+            nonlocal answered
+            if answered:
+                return None
+            answered = True
             pending_rids.discard(rid)
             self._unanswered -= 1
-            if not self._unanswered and self._drained is not None:
+            if not self._unanswered and self._drained is not None and not self._drained.done():
                 self._drained.set_result(None)
             # The payload nests under the envelope so the frame's own
             # "type" stays "reply" for the client.

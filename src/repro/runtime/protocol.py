@@ -36,8 +36,8 @@ each to its end synchronously, so a frame costs the event loop one wakeup
 :class:`FrameServer` the server end.  A request has one path,
 :meth:`Connection.post_frame`: its ``then`` callback runs in the
 ``data_received`` call that cuts the reply (or with the error, when the
-request's timer fires or the connection ends); :meth:`Connection.request`
-is the same post awaited through a future.  Peer links
+request's timer fires or the connection ends); a caller that awaits
+passes :func:`settling` of a future.  Peer links
 (:mod:`repro.runtime.transport`), gateway client connections
 (:mod:`repro.api.live`) and the two listeners (peer node, gateway) are
 all these two.
@@ -394,7 +394,7 @@ class Connection(FrameProtocol):
     runs in the ``data_received`` call that cuts that reply — no future, no
     task, no extra loop iteration — so any number of requests may be in
     flight and complete out of order.  Every other frame goes to
-    :meth:`_on_frame`.  :meth:`request` is the same post, awaited.
+    :meth:`_on_frame`.
 
     A ``reply`` is handed over as a value whatever its ``ok`` field says;
     only a transport failure is an error: the request's own timer
@@ -462,20 +462,13 @@ class Connection(FrameProtocol):
         if self.closed:
             raise ConnectionError("connection is closed")
         rid = frame["rid"] = next(self._rids)
+        # Encoded before anything is registered: a frame that cannot be
+        # encoded raises here and leaves no timer to run ``then`` later.
+        data = encode_frame(frame)
         timer = None if timeout is None else self._loop.call_later(timeout, self._expire, rid, timeout)
         self._pending[rid] = (then, timer)
-        self.transport.write(encode_frame(frame))
+        self.transport.write(data)
         return rid
-
-    async def request(self, frame: Dict[str, Any], timeout: Optional[float] = 10.0) -> Dict[str, Any]:
-        """Send ``frame`` as a request and return its ``reply`` frame."""
-        future = self._loop.create_future()
-        rid = self.post_frame(frame, settling(future), timeout)
-        try:
-            await self.drain()
-            return await future
-        finally:
-            self.forget(rid)
 
     def forget(self, rid: Any) -> Optional[Then]:
         """Drop ``rid`` from the requests in flight once its caller has

@@ -41,12 +41,11 @@ Address = Tuple[str, int]
 class _Request:
     """A request posted on a link: the frame and its continuation."""
 
-    __slots__ = ("frame", "then", "timeout")
+    __slots__ = ("frame", "then")
 
-    def __init__(self, frame: Dict[str, Any], then: Then, timeout: Optional[float]) -> None:
+    def __init__(self, frame: Dict[str, Any], then: Then) -> None:
         self.frame = frame
         self.then = then
-        self.timeout = timeout
 
 
 class _Link:
@@ -90,11 +89,11 @@ class _Link:
             if self._dial is None:
                 self._dial = asyncio.get_running_loop().create_task(self._open())
 
-    def post(self, frame: Dict[str, Any], then: Then, timeout: Optional[float] = 10.0) -> None:
+    def post(self, frame: Dict[str, Any], then: Then) -> None:
         """Send one request on the link's socket; ``then`` gets its reply
         frame, or a :class:`ConnectionError` when the node cannot be
         reached (see :meth:`Connection.post_frame`)."""
-        self.enqueue(_Request(frame, then, timeout))
+        self.enqueue(_Request(frame, then))
 
     async def _open(self) -> None:
         try:
@@ -112,7 +111,7 @@ class _Link:
         if isinstance(item, Message):
             item = encode_frame(message_to_wire(item))
         elif isinstance(item, _Request):
-            self._connection.post_frame(item.frame, item.then, item.timeout)
+            self._connection.post_frame(item.frame, item.then)
             return
         self._connection.write(item)
 
@@ -240,18 +239,16 @@ class AsyncioTransport:
         """
         self._link(address).enqueue(encode_frame(frame))
 
-    def post(
-        self, address: Address, frame: Dict[str, Any], then: Then, timeout: Optional[float] = 10.0
-    ) -> None:
+    def post(self, address: Address, frame: Dict[str, Any], then: Then) -> None:
         """Send one request frame to the node at ``address``; ``then(reply,
         None)`` gets its ``reply`` frame, whatever its ``ok`` field says.
 
         It travels on the same socket as the casts to that node.  Only a
         transport failure is an error, ``then(None, error)``:
         :class:`ConnectionError` (unreachable node, connection lost) or
-        ``TimeoutError`` after ``timeout`` seconds.
+        ``TimeoutError`` after :meth:`Connection.post_frame`'s 10 s.
         """
-        self._link(address).post(frame, then, timeout)
+        self._link(address).post(frame, then)
 
     def _link(self, address: Address) -> _Link:
         link = self._links.get(address)

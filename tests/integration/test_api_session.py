@@ -459,6 +459,31 @@ class TestUnexpectedFailures:
 
         asyncio.run(scenario())
 
+    def test_a_launch_that_raises_after_answering_is_answered_once(self, monkeypatch):
+        """A request answered before its launch raised keeps that first
+        reply: the failure is not a second one, and the drain still sees
+        every request answered."""
+
+        def answers_then_raises(gateway, request, answer):
+            answer(lambda _: PongReply())
+            raise RuntimeError("after the reply")
+
+        monkeypatch.setattr(Gateway, "_execute", answers_then_raises)
+
+        async def scenario():
+            cluster, gateway, session = await boot_live(8, pool=1)
+            try:
+                assert await session.ping()
+                assert gateway._unanswered == 0
+                await session.close()
+                await asyncio.wait_for(gateway.shutdown(drain=True), timeout=5.0)
+            finally:
+                await session.close()
+                await gateway.shutdown(drain=False)
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     @pytest.mark.parametrize("where", ["insert-reply", "get-read"])
     def test_a_callback_that_raises_leaves_its_node_link_open(self, monkeypatch, where):
         """The callback that ends an insert or a get runs inside the node

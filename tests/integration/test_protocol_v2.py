@@ -21,7 +21,7 @@ from repro.runtime.node import PeerNode
 from repro.runtime.protocol import MAX_FRAME_BYTES, Connection, encode_frame
 from repro.wire import encode_column
 
-from raw_frames import read_frame
+from raw_frames import posted, read_frame
 
 SEED = 7
 INTERVALS = ((0.0, 1000.0), (0.0, 1000.0))
@@ -409,7 +409,7 @@ class TestOneAttempt:
                 connection = await Connection.open(*gateway.address)
                 try:
                     request = {"op": "insert", "value": 42.0, "options": {"retries": 1}}
-                    reply = await connection.request({"type": "request", "request": request})
+                    reply = await posted(connection.post_frame, {"type": "request", "request": request})
                 finally:
                     await connection.close()
                 assert reply["payload"]["type"] == "inserted"

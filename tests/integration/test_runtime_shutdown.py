@@ -207,6 +207,36 @@ class TestGatewayDrain:
 
         asyncio.run(scenario())
 
+    def test_a_cancelled_drain_still_acks_the_insert_and_keeps_its_link(self):
+        """A drain abandoned by its caller (a ``wait_for`` timeout) while an
+        insert is in flight: the insert's node reply, read after the
+        cancel, still answers the client, and the node link it arrived on
+        stays open."""
+
+        async def scenario():
+            cluster, gateway = await boot()
+            store = cluster.store
+
+            def slow_store(*args):
+                asyncio.get_running_loop().call_later(0.2, store, *args)
+
+            cluster.store = slow_store
+            client = await LiveSession.connect(*gateway.address, pool=1)
+            insert = asyncio.create_task(client.insert(500.0))
+            await asyncio.sleep(0.05)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(gateway.shutdown(drain=True), timeout=0.05)
+
+            reply = await asyncio.wait_for(insert, timeout=5.0)
+            assert isinstance(reply, InsertReply)
+            links = list(cluster.transport._links.values())
+            assert links and not any(link.broken for link in links)
+            await client.close()
+            await gateway.shutdown(drain=True)
+            await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_fired_deadline_is_a_recorded_timer(self):
         """The gateway's deadline is the executor's timer on the cluster's
         transport, so a flight recorder sees it fire like any other timer

@@ -34,11 +34,11 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     return decode_frame(body)
 
 
-def posted(post: Callable[..., Any], *args: Any) -> asyncio.Future:
-    """Call ``post(*args, then)`` and return the future ``then`` settles:
-    the reply frame, or the error the request failed with."""
+def posted(post: Callable[..., Any], *args: Any, **kwargs: Any) -> asyncio.Future:
+    """Call ``post(*args, then, **kwargs)`` and return the future ``then``
+    settles: the reply frame, or the error the request failed with."""
     future = asyncio.get_running_loop().create_future()
-    post(*args, settling(future))
+    post(*args, settling(future), **kwargs)
     return future
 
 

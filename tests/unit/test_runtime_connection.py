@@ -90,7 +90,7 @@ class TestRequests:
             async with scripted_server(reversing) as (port, _):
                 connection = await Connection.open("127.0.0.1", port)
                 replies = await asyncio.gather(
-                    *(connection.request({"type": "ping", "n": n}) for n in range(3))
+                    *(posted(connection.post_frame, {"type": "ping", "n": n}) for n in range(3))
                 )
                 assert [reply["echo"] for reply in replies] == [0, 1, 2]
                 assert connection.in_flight == 0
@@ -109,7 +109,7 @@ class TestRequests:
         async def scenario():
             async with scripted_server(refusing) as (port, _):
                 connection = await Connection.open("127.0.0.1", port)
-                reply = await connection.request({"type": "store"})
+                reply = await posted(connection.post_frame, {"type": "store"})
                 assert reply["ok"] is False and reply["error"] == "no"
                 await connection.close()
 
@@ -120,7 +120,7 @@ class TestRequests:
             async with scripted_server(silent) as (port, _):
                 connection = await Connection.open("127.0.0.1", port)
                 with pytest.raises(asyncio.TimeoutError):
-                    await connection.request({"type": "ping"}, timeout=0.05)
+                    await posted(connection.post_frame, {"type": "ping"}, timeout=0.05)
                 assert connection.in_flight == 0
                 assert not connection.closed  # one slow request is not a dead socket
                 await connection.close()
@@ -259,7 +259,7 @@ class TestFrameServer:
         async def scenario():
             async with frame_server(handle) as (port, _):
                 connection = await Connection.open("127.0.0.1", port)
-                reply = await connection.request({"type": "fetch"})
+                reply = await posted(connection.post_frame, {"type": "fetch"})
                 assert reply == {"type": "reply", "rid": 1, "ok": False, "error": "KeyError: 'peer'"}
                 await connection.close()
 

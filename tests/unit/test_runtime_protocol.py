@@ -176,6 +176,21 @@ class TestBackpressure:
 
         asyncio.run(scenario())
 
+    def test_a_frame_that_cannot_be_encoded_registers_nothing(self):
+        """The encode raises to the caller before the rid is registered:
+        no timer is left to run ``then`` a second time later."""
+
+        async def scenario():
+            connection, transport = connected(Connection())
+            calls = []
+            with pytest.raises(TypeError):
+                connection.post_frame({"type": "ping", "x": {1}}, lambda *args: calls.append(args), 0.01)
+            assert connection.in_flight == 0 and transport.written == []
+            await asyncio.sleep(0.05)
+            assert calls == []
+
+        asyncio.run(scenario())
+
     def test_connection_lost_releases_a_drain(self):
         async def scenario():
             connection, _ = connected(Connection())

@@ -20,9 +20,9 @@ def load_tool():
 
 def test_counts_repeat_exactly_and_restore_what_they_wrap():
     """An insert's and a get's counts repeat exactly (they are work, not
-    timings: one frame in flight at a time), each costs the client's, the
-    gateway's and the node's frames, and the wrapped write is the class's
-    own again afterwards."""
+    timings: one frame in flight at a time), the write counter sees every
+    socket's frames, and the wrapped write is the class's own again
+    afterwards.  The bound on loop iterations is ``TestLoopWakeups``'s."""
     wakeups = load_tool()
     write = wakeups.selector_events._SelectorSocketTransport.write
     first, second = (asyncio.run(wakeups.measure(count=20, seed=7)) for _ in range(2))
@@ -30,7 +30,7 @@ def test_counts_repeat_exactly_and_restore_what_they_wrap():
     for name in ("insert", "get"):
         assert first[name] == second[name]
         assert first[name]["writes"] == 4.0  # request, store/fetch, reply, reply
-        assert first[name]["iterations"] <= 6.0
+        assert first[name]["iterations"] > 0
     assert first["range, width 20"]["writes"] > 0
     assert wakeups.selector_events._SelectorSocketTransport.write is write
 
