@@ -37,17 +37,19 @@ class _V2Connection(Connection):
     in ``tests/property`` hammers exactly this path.
     """
 
-    def post(self, request: Request) -> _Pending:
+    def post(self, request: Request, timeout: Optional[float] = None) -> _Pending:
         """Register and buffer one request frame; returns its reply future,
-        which resolves to the ``reply`` frame.
+        which resolves to the ``reply`` frame, or fails with a
+        ``TimeoutError`` ``timeout`` seconds after this post (``None``: no
+        deadline).
 
         The caller owns flushing (:meth:`drain`) — :meth:`LiveSession.batch`
         posts many requests back-to-back and drains once.
         """
         pending = _Pending()
         frame = {"type": "request", "request": request.to_wire()}
-        # No timer here: the session bounds its own wait (``_reply``).
-        pending.rid = self.post_frame(frame, settling(pending), timeout=None)
+        # The connection keeps the deadline: no loop timer per request.
+        pending.rid = self.post_frame(frame, settling(pending), timeout)
         return pending
 
     def _on_frame(self, frame: Dict[str, Any]) -> None:
@@ -122,45 +124,38 @@ class LiveSession(Session):
             raise ConnectionError("every pooled gateway connection is closed")
         return min(live, key=lambda connection: connection.in_flight)
 
-    async def _reply(self, request: Request, future: _Pending) -> Reply:
-        async with asyncio.timeout(self._reply_timeout(request)):
-            frame = await future
-        return reply_from_payload(request, frame.get("payload", {}))
-
     async def submit(self, request: Request) -> Reply:
-        if self._closed:
-            raise SessionError("session is closed")
-        connection = self._pick_connection()
-        future = connection.post(request)
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        try:
-            await connection.drain()
-            return await self._reply(request, future)
-        finally:
-            # A timed-out or cancelled request is no longer in flight; a
-            # late reply for its rid is ignored.
-            connection.forget(future.rid)
+        return (await self.batch((request,)))[0]
 
     async def batch(self, requests: Sequence[Request]) -> List[Reply]:
         """Submit many requests with one flush per connection.
 
         The whole batch is posted before the first drain — one
-        syscall-ish burst instead of a write/await per request.
+        syscall-ish burst instead of a write/await per request — and each
+        request's timeout runs from its post.
         """
         if self._closed:
             raise SessionError("session is closed")
         posted = []
         for request in requests:
             connection = self._pick_connection()
-            posted.append((connection, request, connection.post(request)))
+            posted.append((connection, request, connection.post(request, self._reply_timeout(request))))
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:
             for connection, _, _ in posted:
                 await connection.drain()
-            return [await self._reply(request, future) for _, request, future in posted]
+            return [
+                reply_from_payload(request, (await future).get("payload", {}))
+                for _, request, future in posted
+            ]
         finally:
+            # A timed-out or cancelled request is no longer in flight (a late
+            # reply for its rid is ignored), and a failure behind the one
+            # raised is not logged as never retrieved.
             for connection, _, future in posted:
                 connection.forget(future.rid)
+                if future.done() and not future.cancelled():
+                    future.exception()
 
     # ------------------------------------------------------------------ #
     # workloads                                                            #

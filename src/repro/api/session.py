@@ -19,9 +19,9 @@ The base class implements everything that is backend-independent:
 * the convenience verbs (:meth:`range`, :meth:`multi_range`,
   :meth:`insert`, :meth:`insert_multi`, :meth:`stats`, :meth:`ping`,
   :meth:`run_job`) as thin wrappers over :meth:`submit`;
-* :meth:`batch`: concurrent submission of many requests (the live
-  binding overrides this to post every request frame across its
-  connection pool before a single flush per connection).
+* :meth:`batch`: submission of many requests, one after another in
+  order (the live binding overrides this to post every request frame
+  across its connection pool before a single flush per connection).
 
 Backends implement :meth:`submit` (execute one request, once: a transport
 failure or a timeout is the caller's error, never a resubmission — an
@@ -37,7 +37,6 @@ is refused before any copy" is a property of both by construction.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.requests import (
@@ -108,8 +107,21 @@ class Session:
     # ------------------------------------------------------------------ #
 
     async def batch(self, requests: Sequence[Request]) -> List[Reply]:
-        """Submit many requests concurrently; replies in request order."""
-        return list(await asyncio.gather(*(self.submit(request) for request in requests)))
+        """Submit many requests one after another; replies in request order.
+
+        Every request runs even when an earlier one fails, and the first
+        failure is raised once all have run.
+        """
+        replies: List[Reply] = []
+        failure: Optional[Exception] = None
+        for request in requests:
+            try:
+                replies.append(await self.submit(request))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return replies
 
     # ------------------------------------------------------------------ #
     # convenience verbs                                                    #

@@ -36,7 +36,7 @@ each to its end synchronously, so a frame costs the event loop one wakeup
 :class:`FrameServer` the server end.  A request has one path,
 :meth:`Connection.post_frame`: its ``then`` callback runs in the
 ``data_received`` call that cuts the reply (or with the error, when the
-request's timer fires or the connection ends); a caller that awaits
+request's deadline passes or the connection ends); a caller that awaits
 passes :func:`settling` of a future.  Peer links
 (:mod:`repro.runtime.transport`), gateway client connections
 (:mod:`repro.api.live`) and the two listeners (peer node, gateway) are
@@ -64,12 +64,13 @@ the fields it would see on the simulator.
 from __future__ import annotations
 
 import asyncio
+import heapq
 import itertools
 import json
 import json.encoder
 import json.scanner
 import struct
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.binframe import decode_binary, encode_binary
 from repro.sim.network import Message
@@ -396,8 +397,15 @@ class Connection(FrameProtocol):
     flight and complete out of order.  Every other frame goes to
     :meth:`_on_frame`.
 
+    The connection keeps its requests' deadlines itself: a heap of
+    ``(deadline, rid, timeout)`` tuples and one loop timer, armed for the
+    earliest deadline and re-armed only when it fires or an earlier deadline
+    is posted, so a request arms nothing on the loop.  A settled rid stays
+    in the heap until it reaches the top or the heap is rebuilt, once stale
+    entries outnumber live ones.
+
     A ``reply`` is handed over as a value whatever its ``ok`` field says;
-    only a transport failure is an error: the request's own timer
+    only a transport failure is an error: the request's deadline passing
     (``TimeoutError``), or whatever ends the connection — peer EOF, a lost
     socket, an unframeable stream or body, an exception out of
     ``_on_frame`` or out of a ``then``, :meth:`close` — which fails every
@@ -410,8 +418,13 @@ class Connection(FrameProtocol):
 
     def __init__(self) -> None:
         self._loop = asyncio.get_running_loop()
-        #: rid -> (then, timer) of every request awaiting its reply
-        self._pending: Dict[int, Tuple[Then, Optional[asyncio.TimerHandle]]] = {}
+        #: rid -> then of every request awaiting its reply
+        self._pending: Dict[int, Then] = {}
+        #: (deadline, rid, timeout) of every timed request, earliest first;
+        #: a settled rid's entry is dropped lazily
+        self._deadlines: List[Tuple[float, int, float]] = []
+        #: the one timer, armed for no later than the earliest deadline
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._rids = itertools.count(1)
         #: resolved by connection_lost (what :meth:`close` waits for)
         self._lost = self._loop.create_future()
@@ -456,17 +469,19 @@ class Connection(FrameProtocol):
         ``encode_frame`` and one ``write``; returns the rid.
 
         ``then`` runs exactly once, unless the rid is :meth:`forget`-ten
-        first.  ``timeout`` seconds without a reply run it with a
-        ``TimeoutError`` (``None``: no timer, the caller bounds its own
-        wait).  The caller owns flushing (:meth:`drain`)."""
+        first.  ``timeout`` seconds from now without a reply run it with a
+        ``TimeoutError`` (``None``: no deadline).  The caller owns flushing
+        (:meth:`drain`)."""
         if self.closed:
             raise ConnectionError("connection is closed")
         rid = frame["rid"] = next(self._rids)
         # Encoded before anything is registered: a frame that cannot be
-        # encoded raises here and leaves no timer to run ``then`` later.
+        # encoded raises here and leaves no deadline to run ``then`` later.
         data = encode_frame(frame)
-        timer = None if timeout is None else self._loop.call_later(timeout, self._expire, rid, timeout)
-        self._pending[rid] = (then, timer)
+        self._pending[rid] = then
+        if timeout is not None:
+            heapq.heappush(self._deadlines, (self._loop.time() + timeout, rid, timeout))
+            self._arm()
         self.transport.write(data)
         return rid
 
@@ -475,12 +490,11 @@ class Connection(FrameProtocol):
         stopped waiting (timeout, cancellation): a lingering rid would grow
         ``_pending`` forever and count as load.  A late reply for it is
         ignored.  Returns its ``then`` (``None`` if it was not pending)."""
-        entry = self._pending.pop(rid, None)
-        if entry is None:
-            return None
-        then, timer = entry
-        if timer is not None:
-            timer.cancel()
+        then = self._pending.pop(rid, None)
+        deadlines = self._deadlines
+        if len(deadlines) > 2 * len(self._pending) + 16:  # mostly settled rids
+            deadlines[:] = [entry for entry in deadlines if entry[1] in self._pending]
+            heapq.heapify(deadlines)
         return then
 
     def _settle(self, rid: Any, reply: Optional[Dict[str, Any]], error: Optional[Exception]) -> None:
@@ -489,8 +503,31 @@ class Connection(FrameProtocol):
         if then is not None:
             then(reply, error)
 
-    def _expire(self, rid: int, timeout: float) -> None:
-        self._settle(rid, None, TimeoutError(f"no reply to request {rid} within {timeout} s"))
+    def _arm(self) -> None:
+        """Arm the timer for the earliest deadline, unless it fires by then."""
+        when = self._deadlines[0][0]
+        if self._timer is None or when < self._timer.when():
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._loop.call_at(when, self._expire)
+
+    def _expire(self) -> None:
+        # Everything due by the instant the timer was armed for expires,
+        # even if the loop ran it a clock tick early: re-arming for that
+        # same instant would spin.
+        due = max(self._timer.when(), self._loop.time())
+        self._timer = None
+        deadlines = self._deadlines
+        try:
+            while deadlines and deadlines[0][0] <= due:
+                _, rid, timeout = heapq.heappop(deadlines)
+                self._settle(rid, None, TimeoutError(f"no reply to request {rid} within {timeout} s"))
+        except Exception as exc:
+            self._end(exc)
+        while deadlines and deadlines[0][1] not in self._pending:
+            heapq.heappop(deadlines)
+        if deadlines:
+            self._arm()
 
     # -- receiving -------------------------------------------------------------
 
@@ -526,10 +563,12 @@ class Connection(FrameProtocol):
         self.transport.close()
         if failure is None:
             failure = ConnectionError("connection closed with requests in flight")
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._deadlines.clear()
         pending, self._pending = self._pending, {}
-        for then, timer in pending.values():
-            if timer is not None:
-                timer.cancel()
+        for then in pending.values():
             then(None, failure)
 
     async def close(self) -> None:

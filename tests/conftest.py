@@ -7,6 +7,9 @@ own instances instead of using these fixtures.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import pytest
 
 from repro.core.armada import ArmadaSystem
@@ -85,3 +88,14 @@ def drop_when():
         return FaultInjector(overlay, [DropWhen(predicate)]).install()
 
     return install
+
+
+@pytest.fixture(scope="session")
+def wakeups():
+    """``tools/wakeups.py``, the per-request work counter (its ``counting``
+    wraps a loop's iterations, timers and tasks and the socket writes)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "wakeups.py")
+    spec = importlib.util.spec_from_file_location("wakeups_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

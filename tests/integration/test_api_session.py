@@ -389,6 +389,41 @@ class TestBatch:
         asyncio.run(scenario())
 
 
+    def test_a_sim_batch_runs_in_place_in_request_order(self, wakeups):
+        """A simulated ``submit`` never suspends, so its batch runs the
+        requests one after another and creates no Task (``gather`` created
+        one per request: 256 here)."""
+        from repro.api.requests import Insert
+
+        async def scenario():
+            sim = make_sim_session(8)
+            requests = [Insert(value=1000.0 * index / 256) for index in range(256)]
+            with wakeups.counting(asyncio.get_running_loop()) as counts:
+                replies = await sim.batch(requests)
+            assert counts["tasks"] == 0
+            deployment = sim.system.deployment
+            assert [reply.object_id for reply in replies] == [
+                request.name(deployment)[0] for request in requests
+            ]
+
+        asyncio.run(scenario())
+
+    def test_a_refused_request_in_a_sim_batch_is_raised_after_every_other_runs(self):
+        """As with ``gather``: every request of the batch runs, and the
+        refused one's error is the one raised."""
+        from repro.api.requests import Insert
+
+        async def scenario():
+            sim = make_sim_session(8)
+            requests = [Insert(value=100.0), Insert(value=200.0), Insert(value=5000.0)]
+            requests += [Insert(value=300.0), Insert(value=400.0)]
+            with pytest.raises(ApiError, match="5000.0 outside the attribute interval"):
+                await sim.batch(requests)
+            assert (await sim.stats())["objects"] == 4
+
+        asyncio.run(scenario())
+
+
 class TestRunJobsArguments:
     """One driver, one validation site: both backends reject a bad
     ``run_jobs`` argument the same way."""

@@ -162,14 +162,21 @@ class TestSimLiveEquivalence:
 
 class TestLoopWakeups:
     @pytest.mark.parametrize("op", ["insert", "get"])
-    def test_a_sequential_write_or_read_costs_at_most_six_loop_iterations(self, op):
+    def test_a_sequential_write_or_read_costs_at_most_six_loop_iterations(self, op, wakeups):
         """An insert or a get crosses two sockets and back (client →
         gateway → owner's node → gateway → client).  Each frame costs the
         event loop one iteration where it is read, not one to wake a reader
         task and one to run it, and the node's reply is answered by a
         callback, not by a task: counted with the loop's own ``_run_once``,
         so the bound holds on any machine (5.0 per request; 7.0 while each
-        write and read ran as its own task)."""
+        write and read ran as its own task).
+
+        Nor does a request arm a loop timer: each connection keeps its
+        requests' deadlines in a heap under one timer, armed for the
+        earliest deadline and re-armed only when it fires or an earlier one
+        is posted.  200 inserts and then 200 gets arm at most 2 in all
+        (0 here; 400 for each kind while the session's ``asyncio.timeout``
+        and a ``call_later`` per node request bounded every request)."""
 
         async def scenario():
             cluster = LiveCluster(num_peers=8, num_nodes=8, seed=SEED)
@@ -177,32 +184,21 @@ class TestLoopWakeups:
             gateway = await Gateway(cluster).start()
             session = await LiveSession.connect(*gateway.address, pool=1)
             request = session.insert if op == "insert" else session.get
-            loop = asyncio.get_running_loop()
-            run_once = loop._run_once
-            iterations = 0
-
-            def counted() -> None:
-                nonlocal iterations
-                iterations += 1
-                run_once()
-
             try:
                 for value in range(200):  # every link to a node dialled
                     await session.insert(float(value))
-                loop._run_once = counted
-                try:
+                with wakeups.counting(asyncio.get_running_loop()) as counts:
                     for value in range(200):
                         await request(float(value))
-                finally:
-                    del loop._run_once
             finally:
                 await session.close()
                 await gateway.shutdown()
                 await cluster.stop()
-            return iterations
+            return counts
 
-        iterations = asyncio.run(scenario())
-        assert iterations <= 6 * 200, f"{iterations / 200:.2f} loop iterations per {op}"
+        counts = asyncio.run(scenario())
+        assert counts["iterations"] <= 6 * 200, f"{counts['iterations'] / 200:.2f} loop iterations per {op}"
+        assert counts["timers"] <= 1, f"{counts['timers']} loop timers over 200 {op}s"
 
 
 class TestGatewaySmoke:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 
 import pytest
 
-from repro.api.live import _V2Connection
+from repro.api.live import LiveSession, _V2Connection
 from repro.api.requests import Ping
 from repro.runtime.protocol import Connection, FrameServer, encode_frame
 from repro.runtime.transport import AsyncioTransport, _Link
 from repro.sim.network import Message
 
-from raw_frames import posted, read_frame
+from raw_frames import connected, posted, read_frame
 
 
 @contextlib.asynccontextmanager
@@ -153,6 +154,141 @@ class TestRequests:
                 with pytest.raises(ConnectionError):
                     posted(connection.post_frame, {"type": "ping"})
                 await connection.close()
+
+        asyncio.run(scenario())
+
+
+def armed(connection):
+    """The connection's timers still armed on the running loop."""
+    return [
+        handle
+        for handle in asyncio.get_running_loop()._scheduled
+        if not handle.cancelled() and getattr(handle._callback, "__self__", None) is connection
+    ]
+
+
+class TestDeadlines:
+    """A connection keeps its requests' deadlines in a heap under one loop
+    timer armed for the earliest of them."""
+
+    def test_a_short_deadline_behind_long_ones_expires_on_time(self):
+        async def scenario():
+            async with scripted_server(silent) as (port, _):
+                connection = await Connection.open("127.0.0.1", port)
+                slow = [posted(connection.post_frame, {"type": "ping"}, timeout=10.0) for _ in range(3)]
+                short = posted(connection.post_frame, {"type": "ping"}, timeout=0.05)
+                with pytest.raises(TimeoutError, match="within 0.05 s"):
+                    await asyncio.wait_for(short, timeout=2.0)
+                assert connection.in_flight == 3 and not any(future.done() for future in slow)
+                await connection.close()
+                for future in slow:
+                    with pytest.raises(ConnectionError):
+                        await future
+
+        asyncio.run(scenario())
+
+    def test_answered_requests_do_not_pile_up_in_the_store(self):
+        """A settled rid's deadline is dropped lazily, but the heap is rebuilt
+        once stale entries outnumber live ones: after 5 000 answered requests
+        it holds at most twice the requests in flight plus a constant."""
+
+        async def scenario():
+            async with frame_server(lambda frame, body: {"ok": True}) as (port, _):
+                connection = await Connection.open("127.0.0.1", port)
+                for _ in range(100):
+                    replies = [posted(connection.post_frame, {"type": "ping"}) for _ in range(50)]
+                    assert len(connection._deadlines) <= 2 * connection.in_flight + 32
+                    await asyncio.gather(*replies)
+                assert connection.in_flight == 0
+                assert len(connection._deadlines) <= 32
+                await connection.close()
+
+        asyncio.run(scenario())
+
+    def test_close_runs_each_pending_then_once_and_disarms_the_timer(self):
+        async def scenario():
+            async with scripted_server(silent) as (port, _):
+                connection = await Connection.open("127.0.0.1", port)
+                errors = []
+                for timeout in (10.0, 10.0, 0.05):  # the last re-arms earlier
+                    connection.post_frame({"type": "ping"}, lambda reply, error: errors.append(error), timeout)
+                assert len(armed(connection)) == 1
+                await connection.close()
+                assert len(errors) == 3 and all(isinstance(error, ConnectionError) for error in errors)
+                assert armed(connection) == []
+                await asyncio.sleep(0.1)  # past the short deadline: nothing runs again
+                assert len(errors) == 3
+
+        asyncio.run(scenario())
+
+    def test_a_timer_run_early_expires_what_is_due_at_its_instant_and_moves_on(self):
+        """The loop runs a timer up to one clock resolution before its
+        instant.  What was due at that instant expires, and the timer is
+        re-armed for the next deadline, never for the same instant (which
+        would spin until the clock caught up)."""
+
+        async def scenario():
+            connection, _ = connected(Connection())
+            errors = {}
+            for name, timeout in (("first", 5.0), ("second", 10.0)):
+                then = lambda reply, error, name=name: errors.setdefault(name, error)  # noqa: E731
+                connection.post_frame({"type": "ping"}, then, timeout)
+            (timer,) = armed(connection)
+            fire = timer._callback
+            timer.cancel()  # as the loop pops it, but well before its instant
+            fire()
+            assert isinstance(errors.pop("first"), TimeoutError) and errors == {}
+            (rearmed,) = armed(connection)
+            assert rearmed.when() > timer.when() + 4.0
+            connection.connection_lost(None)
+            assert armed(connection) == []
+
+        asyncio.run(scenario())
+
+    def test_a_batched_requests_timeout_runs_from_its_post(self):
+        """A batch of two pings: the first is answered at 0.6 × the timeout,
+        the second never.  The second fails one timeout after the batch was
+        posted (1.6 × while each request's bound started when the batch
+        came to await its reply)."""
+        timeout = 1.0
+
+        async def first_late_second_never(reader, writer):
+            first, _ = await read_frame(reader), await read_frame(reader)
+            await asyncio.sleep(0.6 * timeout)
+            pong = {"type": "reply", "rid": first["rid"], "payload": {"ok": True, "type": "pong"}}
+            writer.write(encode_frame(pong))
+            await silent(reader, writer)
+
+        async def scenario():
+            async with scripted_server(first_late_second_never) as (port, _):
+                session = await LiveSession.connect("127.0.0.1", port, pool=1, timeout=timeout)
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                with pytest.raises(TimeoutError):
+                    await session.batch([Ping(), Ping()])
+                elapsed = loop.time() - started
+                assert session.in_flight == 0
+                await session.close()
+            return elapsed
+
+        elapsed = asyncio.run(scenario())
+        assert elapsed < 1.3 * timeout, f"timed out {elapsed / timeout:.2f} timeouts after the post"
+
+    def test_a_failed_batch_reports_only_the_failure_it_raises(self):
+        """Three pings time out together; the batch raises the first one's
+        ``TimeoutError``, and the other two are not reported to the loop as
+        exceptions never retrieved."""
+
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, context: reported.append(context))
+            async with scripted_server(silent) as (port, _):
+                session = await LiveSession.connect("127.0.0.1", port, pool=1, timeout=0.05)
+                with pytest.raises(TimeoutError, match="request 1 "):
+                    await session.batch([Ping(), Ping(), Ping()])
+                await session.close()
+            gc.collect()
+            assert reported == []
 
         asyncio.run(scenario())
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Loop iterations and socket writes per live request: counted, not timed.
+"""Loop iterations, socket writes, loop timers and tasks per live request:
+counted, not timed.
 
 Boots a 32-peer cluster on 8 nodes behind a gateway in this process, with
 one client connection, and runs ``--count`` requests of each kind one at a
@@ -10,8 +11,13 @@ counts
 * loop iterations: calls of the running loop's ``_run_once``;
 * socket writes: calls of ``asyncio.selector_events._SelectorSocketTransport.write``
   (every frame the client, the gateway and the node links send);
+* loop timers: calls of the loop's ``call_at`` (``call_later`` and
+  ``asyncio.timeout`` go through it), each a handle pushed on the loop's
+  timer heap;
+* tasks: calls of the loop's ``create_task`` (``asyncio.create_task``,
+  ``ensure_future`` and ``gather`` go through it);
 
-and prints both per request.  Neither is a timing, so neither needs a noise
+and prints each per request.  None is a timing, so none needs a noise
 estimate: a change that moves them moved work.  It uses only the session,
 gateway and cluster API, so the same script measures another checkout of
 the tree through ``PYTHONPATH``::
@@ -27,7 +33,7 @@ import contextlib
 import random
 import sys
 from asyncio import selector_events
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.api.live import LiveSession
 from repro.runtime.cluster import LiveCluster
@@ -39,31 +45,33 @@ WIDTH = 20.0
 
 @contextlib.contextmanager
 def counting(loop: asyncio.AbstractEventLoop) -> Iterator[Dict[str, int]]:
-    """Count loop iterations and socket writes while the block runs."""
-    counts = {"iterations": 0, "writes": 0}
-    run_once = loop._run_once
+    """Count loop iterations, socket writes, loop timers and tasks while
+    the block runs."""
+    counts = {"iterations": 0, "writes": 0, "timers": 0, "tasks": 0}
     transport_class = selector_events._SelectorSocketTransport
     write = transport_class.write
 
-    def counted_run_once() -> None:
-        counts["iterations"] += 1
-        run_once()
+    def counted(key: str, call: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            counts[key] += 1
+            return call(*args, **kwargs)
 
-    def counted_write(transport: asyncio.Transport, data: bytes) -> None:
-        counts["writes"] += 1
-        write(transport, data)
+        return wrapper
 
-    loop._run_once = counted_run_once
-    transport_class.write = counted_write
+    wrapped = {"_run_once": "iterations", "call_at": "timers", "create_task": "tasks"}
+    for name, key in wrapped.items():
+        setattr(loop, name, counted(key, getattr(loop, name)))
+    transport_class.write = counted("writes", write)
     try:
         yield counts
     finally:
-        del loop._run_once
+        for name in wrapped:
+            delattr(loop, name)
         transport_class.write = write
 
 
 async def measure(count: int, seed: int) -> Dict[str, Dict[str, float]]:
-    """Per request kind: loop iterations and socket writes per request."""
+    """Per request kind: each of :func:`counting`'s counts per request."""
     rng = random.Random(seed)
     values = [rng.uniform(0.0, 1000.0) for _ in range(count)]
     lows = [rng.uniform(0.0, 1000.0 - WIDTH) for _ in range(count)]
@@ -102,9 +110,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.count < 1:
         parser.error("--count must be at least 1")
     per_request = asyncio.run(measure(args.count, args.seed))
-    print(f"{'request':<18}{'loop iterations':>17}{'socket writes':>15}   (per request, one in flight)")
+    print(
+        f"{'request':<18}{'loop iterations':>17}{'socket writes':>15}{'loop timers':>13}{'tasks':>7}"
+        "   (per request, one in flight)"
+    )
     for name, counts in per_request.items():
-        print(f"{name:<18}{counts['iterations']:>17.2f}{counts['writes']:>15.2f}")
+        print(
+            f"{name:<18}{counts['iterations']:>17.2f}{counts['writes']:>15.2f}"
+            f"{counts['timers']:>13.2f}{counts['tasks']:>7.2f}"
+        )
     return 0
 
 
